@@ -7,11 +7,15 @@ characteristic foot advanced by a single RK4 step.  The scheme needs no CFL
 restriction and reuses the forward time grid.
 
 Quadratically growing data (the confining case theta = phi = |x|^2) never
-get represented on the grid beyond the box: when a characteristic exits the
-domain, its value is continued analytically by marching the characteristic
-to the final time and reading the terminal potential there, accumulating
-the running cost on the way.  Interpolated values are clipped to the local
-stencil range, which keeps the discrete maximum principle.
+get represented on the grid beyond the box: when a characteristic foot
+leaves the span of cell centres, its value is continued analytically by
+marching the characteristic to the final time and reading the terminal
+potential there, accumulating the running cost on the way.  The feet and
+their continued values depend only on the control, so they are computed
+once per solve, before the backward pass: every escaped foot of every step
+is marched in one forward sweep, each joining the batch at its own step.
+Interpolated values are clipped to the local stencil range, which keeps the
+discrete maximum principle.
 """
 
 from __future__ import annotations
@@ -21,11 +25,10 @@ import math
 
 import numpy as np
 
-from .controls import CostSpec, DriftSpec, Potential, eval_drift, potential_eval
+from .controls import CostSpec, DriftSpec, Potential, drift_grad_bound, eval_drift, potential_eval
 from .errors import CharacteristicEscape
 from .forward import EnergyCertificate
 from .grid import GridSpec, ScalarField, TimeGrid, interpolate_flagged, weighted_sobolev_norm
-from .controls import drift_grad_bound
 
 __all__ = [
     "AdjointTrajectory",
@@ -123,35 +126,16 @@ class _BackStepper:
         self.escape_radius = escape_factor * max(
             abs(v) for v in (*grid.lo, *grid.hi)
         )
+        self.offgrid = self._continue_offgrid()
 
     def _theta_line_integral(self, t0: float, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         mid = 0.5 * (x0 + x1)
         return dt * potential_eval(self.cost.theta, mid, t0 + 0.5 * dt)
 
-    def offgrid_values(self, n: int) -> callable:
-        """Analytic continuation q(t_n, .) for points outside the box:
-        march the characteristic to T, accumulate the running cost, and read
-        the terminal potential there."""
-        tg_dt = self.dt
-        nt = self.nt
-
-        def evaluate(pts: np.ndarray) -> np.ndarray:
-            x = np.array(pts, copy=True)
-            acc = np.zeros(x.shape[0])
-            for j in range(n, nt):
-                t0 = j * tg_dt
-                x_next = _rk4_feet(self.drift, t0, tg_dt, x)
-                if not np.all(np.isfinite(x_next)) or np.any(
-                    np.abs(x_next).max(axis=-1) > self.escape_radius
-                ):
-                    raise CharacteristicEscape(
-                        "characteristic left the safety hull during analytic continuation"
-                    )
-                acc += self._theta_line_integral(t0, tg_dt, x, x_next)
-                x = x_next
-            return -potential_eval(self.cost.phi, x, nt * tg_dt) - acc
-
-        return evaluate
+    def _feet(self, n_next: int) -> np.ndarray:
+        """RK4 feet at t_{n_next} of the characteristics through the cell
+        centres at t_{n_next - 1}."""
+        return _rk4_feet(self.drift, (n_next - 1) * self.dt, self.dt, self.centers)
 
     def _outside_center_span(self, pts: np.ndarray) -> np.ndarray:
         # the interpolation stencil degrades in the outermost half cells, so
@@ -164,18 +148,55 @@ class _BackStepper:
             )
         return out
 
+    def _continue_offgrid(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Analytic continuation of every foot outside the span of cell
+        centres: {n_next: (cell indices, q(t_{n_next}, feet))}.
+
+        The feet of step n_next join one batch at time t_{n_next}; the batch
+        is marched to T, accumulating the running cost, and the terminal
+        potential is read there.  Each point sees the same per-point
+        arithmetic as a march of its own, so the values do not depend on
+        the batching.
+        """
+        cells, joined = [], []
+        for n_next in range(1, self.nt + 1):
+            feet = self._feet(n_next)
+            if not np.all(np.isfinite(feet)):
+                raise CharacteristicEscape("characteristic tracing produced non-finite feet")
+            idx = np.flatnonzero(self._outside_center_span(feet))
+            cells.append(idx)
+            joined.append(feet[idx])
+        # rows are ordered by the step their feet belong to, so the batch
+        # active at time t_j, the feet of steps 1..j, is the prefix x[:ends[j]]
+        ends = np.cumsum([0] + [idx.size for idx in cells])
+        x = np.concatenate(joined)
+        acc = np.zeros(x.shape[0])
+        dt = self.dt
+        for j in range(1, self.nt):
+            m = ends[j]
+            if m == 0:
+                continue
+            t0 = j * dt
+            x_next = _rk4_feet(self.drift, t0, dt, x[:m])
+            if not np.all(np.isfinite(x_next)) or np.any(
+                np.abs(x_next).max(axis=-1) > self.escape_radius
+            ):
+                raise CharacteristicEscape(
+                    "characteristic left the safety hull during analytic continuation"
+                )
+            acc[:m] += self._theta_line_integral(t0, dt, x[:m], x_next)
+            x[:m] = x_next
+        values = -potential_eval(self.cost.phi, x, self.nt * dt) - acc
+        return {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
+
     def step_back(self, q_next: np.ndarray, n_next: int) -> np.ndarray:
         """q at step n_next - 1 from q at step n_next."""
-        t0 = (n_next - 1) * self.dt
-        feet = _rk4_feet(self.drift, t0, self.dt, self.centers)
-        if not np.all(np.isfinite(feet)):
-            raise CharacteristicEscape("characteristic tracing produced non-finite feet")
+        feet = self._feet(n_next)
         qfield = ScalarField(self.grid, q_next)
         vals, _ = interpolate_flagged(qfield, feet, clip=True)
-        out_mask = self._outside_center_span(feet)
-        if np.any(out_mask):
-            vals[out_mask] = self.offgrid_values(n_next)(feet[out_mask])
-        vals = vals - self._theta_line_integral(t0, self.dt, self.centers, feet)
+        idx, continued = self.offgrid[n_next]
+        vals[idx] = continued
+        vals = vals - self._theta_line_integral((n_next - 1) * self.dt, self.dt, self.centers, feet)
         return vals.reshape(self.grid.shape)
 
 

@@ -290,8 +290,6 @@ def h1_riesz(rhs, gamma: float, nu: float, timegrid: TimeGrid) -> np.ndarray:
     if not nu > 0:
         raise NotApplicable("the H1 Riesz problem needs nu > 0")
     rhs = np.asarray(rhs, dtype=float)
-    if hasattr(rhs, "stacked"):
-        rhs = rhs.stacked()
     squeeze = rhs.ndim == 1
     if squeeze:
         rhs = rhs[:, None]

@@ -5,13 +5,17 @@ import pytest
 
 from liouville_control import (
     AffineFlow,
+    CharacteristicEscape,
     ControlPath,
     CostSpec,
     DriftPreset,
     DriftSpec,
     Potential,
+    ScalarField,
     adjoint_energy_certificate,
     confining_weight_index,
+    eval_drift,
+    interpolate_flagged,
     make_grid,
     make_timegrid,
     potential_eval,
@@ -166,6 +170,75 @@ def test_offgrid_characteristics_analytic_continuation():
     exact = -((x + c1 * T) ** 2) - (x * x * T + x * c1 * T**2 + c1 * c1 * T**3 / 3.0)
     got = traj.values_at(0).ravel()[-1]
     assert got == pytest.approx(exact, rel=1e-6)
+
+
+def _per_step_reference(cost, drift, tg, g):
+    """The adjoint marched one backward step at a time, with every escaped
+    foot continued to T by a march of its own; returns ({n: q_n}, number of
+    escaped feet)."""
+    dt, nt = tg.dt, tg.nt
+    pts = g.cell_centers()
+    lo, hi = g.lo[0] + 0.5 * g.h[0], g.hi[0] - 0.5 * g.h[0]
+
+    def rk4(t, x):
+        k1 = eval_drift(drift, t, x)
+        k2 = eval_drift(drift, t + 0.5 * dt, x + 0.5 * dt * k1)
+        k3 = eval_drift(drift, t + 0.5 * dt, x + 0.5 * dt * k2)
+        k4 = eval_drift(drift, t + dt, x + dt * k3)
+        return x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def theta_integral(t0, x0, x1):
+        return dt * potential_eval(cost.theta, 0.5 * (x0 + x1), t0 + 0.5 * dt)
+
+    q = (-potential_eval(cost.phi, pts, tg.T)).reshape(g.shape)
+    out = {nt: q}
+    escaped = 0
+    for n_next in range(nt, 0, -1):
+        t0 = (n_next - 1) * dt
+        feet = rk4(t0, pts)
+        vals, _ = interpolate_flagged(ScalarField(g, q), feet, clip=True)
+        mask = (feet[:, 0] < lo) | (feet[:, 0] > hi)
+        escaped += int(mask.sum())
+        x = feet[mask].copy()
+        acc = np.zeros(x.shape[0])
+        for j in range(n_next, nt):
+            x_next = rk4(j * dt, x)
+            acc += theta_integral(j * dt, x, x_next)
+            x = x_next
+        vals[mask] = -potential_eval(cost.phi, x, nt * dt) - acc
+        q = (vals - theta_integral(t0, pts, feet)).reshape(g.shape)
+        out[n_next - 1] = q
+    return out, escaped
+
+
+def test_batched_offgrid_continuation_matches_per_step_march():
+    g = make_grid(1, -4, 4, 64)
+    tg = make_timegrid(1.0, 32)
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    drift = DriftSpec(
+        DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}),
+        ControlPath(tg, 1.0 + 0.5 * np.sin(3.0 * s), 0.3 - 0.2 * s),
+    )
+    track = Potential.tracking([[0.0, -1.0], [1.0, 2.0]])
+    cost = CostSpec(gamma=1.0, theta=track, phi=Potential("quadratic"))
+    ref, escaped = _per_step_reference(cost, drift, tg, g)
+    assert escaped > tg.nt  # feet leave the span at every step
+    for stride in (1, 4):
+        traj = solve_adjoint(cost, drift, tg, g, stride=stride)
+        for n in range(tg.nt + 1):
+            assert np.array_equal(traj.values_at(n), ref[n])
+        for n, vals in traj.dense_values_backward():
+            assert np.array_equal(vals, ref[n])
+
+
+def test_offgrid_sweep_leaving_safety_hull_raises():
+    # x' = 10 x: a foot off the right edge grows by e^10 before T, far past
+    # the hull of 50 times the box
+    g, tg = setup(n=64, nt=64)
+    drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.0], [10.0]))
+    cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
+    with pytest.raises(CharacteristicEscape, match="safety hull"):
+        solve_adjoint(cost, drift, tg, g)
 
 
 def test_adjoint_stride_replay_matches_dense():
