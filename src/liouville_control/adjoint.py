@@ -16,18 +16,21 @@ once per solve, before the backward pass: every escaped foot of every step
 is marched in one forward sweep, each joining the batch at its own step.
 Interpolated values are clipped to the local stencil range, which keeps the
 discrete maximum principle.
+
+The backward pass keeps its nodes in the forward solver's ``Checkpoints``
+store, which replays any other node backward from the checkpoint above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .controls import CostSpec, DriftSpec, Potential, drift_grad_bound, eval_drift, potential_eval
 from .errors import CharacteristicEscape
-from .forward import EnergyCertificate
+from .forward import Checkpoints, EnergyCertificate
 from .grid import GridSpec, ScalarField, TimeGrid, interpolate_flagged, weighted_sobolev_norm
 
 __all__ = [
@@ -50,54 +53,14 @@ def sample_potential(grid: GridSpec, potential: Potential, t: float = 0.0) -> Sc
     return ScalarField(grid, potential_eval(potential, pts, t).reshape(grid.shape))
 
 
-@dataclass
-class AdjointTrajectory:
-    """Stored adjoint snapshots plus L2 (and, in confining mode, weighted)
-    norm diagnostics; unstored steps replay backward from the checkpoint
-    above them."""
+@dataclass(kw_only=True)
+class AdjointTrajectory(Checkpoints):
+    """Checkpoints of the backward solve plus L2 (and, in confining mode,
+    weighted) norm diagnostics."""
 
-    timegrid: TimeGrid
-    grid: GridSpec
-    stride: int
-    snapshot_steps: list[int]
-    snapshots: list[np.ndarray]
     l2: np.ndarray
     h0_negk: np.ndarray | None
     neg_k: int | None
-    _advance_back: object = field(repr=False, default=None)
-
-    @property
-    def _index(self):
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {n: i for i, n in enumerate(self.snapshot_steps)}
-            self._index_cache = idx
-        return idx
-
-    def values_at(self, n: int) -> np.ndarray:
-        if n in self._index:
-            return self.snapshots[self._index[n]]
-        k = min(i for i in self.snapshot_steps if i >= n)
-        vals = self.snapshots[self._index[k]]
-        for step in range(k, n, -1):
-            vals = self._advance_back(np.array(vals, copy=True), step)
-        return vals
-
-    def field_at(self, n: int) -> ScalarField:
-        return ScalarField(self.grid, self.values_at(n).copy())
-
-    def stored_items(self):
-        return list(zip(self.snapshot_steps, self.snapshots))
-
-    def dense_values_backward(self):
-        """Yield (n, values) from n = nt down to 0."""
-        current = None
-        for n in range(self.timegrid.nt, -1, -1):
-            if n in self._index:
-                current = self.snapshots[self._index[n]]
-            else:
-                current = self._advance_back(np.array(current, copy=True), n + 1)
-            yield n, current
 
 
 def _rk4_feet(drift: DriftSpec, t: float, dt: float, pts: np.ndarray) -> np.ndarray:
@@ -227,38 +190,22 @@ def solve_adjoint(
     q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
 
     vol = grid.cell_volume
-    l2 = np.zeros(nt + 1)
-    h0 = np.zeros(nt + 1) if confining_diagnostic else None
+    traj = AdjointTrajectory(
+        timegrid, grid, stride, stepper.step_back, backward=True, l2=np.zeros(nt + 1),
+        h0_negk=np.zeros(nt + 1) if confining_diagnostic else None, neg_k=neg_k,
+    )
 
     def record(n, vals):
-        l2[n] = math.sqrt(float((vals * vals).sum() * vol))
-        if h0 is not None:
-            h0[n] = weighted_sobolev_norm(ScalarField(grid, vals), 0, -neg_k)
+        traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
+        if traj.h0_negk is not None:
+            traj.h0_negk[n] = weighted_sobolev_norm(ScalarField(grid, vals), 0, -neg_k)
+        traj.keep(n, vals)
 
     record(nt, q)
-    snapshot_steps = [nt]
-    snapshots = [q.copy()]
     for n_next in range(nt, 0, -1):
         q = stepper.step_back(q, n_next)
         record(n_next - 1, q)
-        n = n_next - 1
-        if n % stride == 0 or n == 0:
-            snapshot_steps.append(n)
-            snapshots.append(q.copy())
-    snapshot_steps.reverse()
-    snapshots.reverse()
-
-    return AdjointTrajectory(
-        timegrid=timegrid,
-        grid=grid,
-        stride=stride,
-        snapshot_steps=snapshot_steps,
-        snapshots=snapshots,
-        l2=l2,
-        h0_negk=h0,
-        neg_k=neg_k,
-        _advance_back=lambda vals, n_next: stepper.step_back(vals, n_next),
-    )
+    return traj
 
 
 def adjoint_energy_certificate(
@@ -278,7 +225,7 @@ def adjoint_energy_certificate(
     if trajectory.h0_negk is not None and trajectory.neg_k is not None:
         N[:] = trajectory.h0_negk
     else:
-        for n, vals in trajectory.dense_values_backward():
+        for n, vals in trajectory.dense_values():
             N[n] = weighted_sobolev_norm(ScalarField(grid, vals), 0, -k)
     r = np.zeros(tg.nt)
     s = np.zeros(tg.nt)
@@ -286,15 +233,4 @@ def adjoint_energy_certificate(
         t = n * dt
         r[n] = drift_grad_bound(drift, t, grid, 0)
         s[n] = weighted_sobolev_norm(sample_potential(grid, cost.theta, t), 0, -k)
-    rhs = (1.0 + C_cert * dt * r) * N[1:] + dt * s
-    lhs = N[:-1]
-    slack = 1e-12 * np.maximum(N[1:], 1.0)
-    passed = bool(np.all(lhs <= rhs + slack))
-    fitted = 0.0
-    for n in range(tg.nt):
-        growth = N[n] - N[n + 1] - dt * s[n]
-        if growth <= 0.0:
-            continue
-        denom = dt * r[n] * N[n + 1]
-        fitted = math.inf if denom <= 0.0 else max(fitted, growth / denom)
-    return EnergyCertificate(m=0, k=-k, lhs=lhs, rhs=rhs, fitted_C=fitted, C_cert=C_cert, passed=passed)
+    return EnergyCertificate.check(0, -k, N[1:], N[:-1], r, s, dt, C_cert)

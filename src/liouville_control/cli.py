@@ -24,7 +24,7 @@ import numpy as np
 from . import fileio
 from .adjoint import adjoint_energy_certificate, solve_adjoint
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, DriftSpec, Potential
-from .errors import LinesearchFailure, LiouvilleControlError, SchemaError
+from .errors import LinesearchFailure, LiouvilleControlError, SchemaError, UnknownPreset
 from .forward import boundary_leak, energy_certificate, solve_forward
 from .grid import GridSpec, ScalarField, TimeGrid, make_grid, sample_function
 from .optimize import OptimConfig, multi_start, optimize
@@ -140,6 +140,18 @@ def _potential_from(name, track_path, which: str) -> Potential:
     raise SchemaError(f"unknown potential preset '{name}' for cost.{which}")
 
 
+def _check_preset(section: str, name: str, evaluate) -> None:
+    """Evaluate a preset once on the grid, so that an unknown name, unusable
+    parameters or non-finite values fail at parse time."""
+    try:
+        with np.errstate(all="ignore"):
+            finite = bool(np.all(np.isfinite(evaluate())))
+    except (UnknownPreset, ValueError, TypeError) as err:
+        raise SchemaError(f"{section}.preset {name!r}: {err}") from err
+    if not finite:
+        raise SchemaError(f"{section}.preset {name!r} gives non-finite values on the grid")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration (strict keys, documented
     defaults); raises SchemaError naming the offending key."""
@@ -180,24 +192,33 @@ def parse_config(text: str) -> RunConfig:
     asec = raw.get("a0", {})
     a0 = DriftPreset(asec.get("preset", "zero"), dict(asec.get("params", {})))
 
+    for section, preset, params in (
+        ("rho0", rho0_preset, rho0_params),
+        ("source", source_preset, source_params),
+    ):
+        _check_preset(section, preset, lambda: sample_function(grid, preset, params).values)
+    _check_preset("a0", a0.name, lambda: a0.eval(0.0, grid.cell_centers()))
+
     d = grid.dim
     csec = raw.get("control", {})
     control_u1 = list(np.broadcast_to(np.atleast_1d(csec.get("u1", 0.0)), (d,)).astype(float))
     control_u2 = list(np.broadcast_to(np.atleast_1d(csec.get("u2", 0.0)), (d,)).astype(float))
 
     ksec = raw.get("cost", {})
-    gamma = float(ksec.get("gamma", 1.0))
-    if not gamma > 0:
-        raise SchemaError(f"cost.gamma must be positive (got {gamma})")
     track_path = ksec.get("track_path")
-    cost = CostSpec(
-        gamma=gamma,
-        delta=float(ksec.get("delta", 0.0)),
-        nu=float(ksec.get("nu", 0.0)),
-        theta=_potential_from(ksec.get("theta", "zero"), track_path, "theta"),
-        phi=_potential_from(ksec.get("phi", "zero"), track_path, "phi"),
-        l1_mode=ksec.get("l1_norm", "component"),
-    )
+    theta = _potential_from(ksec.get("theta", "zero"), track_path, "theta")
+    phi = _potential_from(ksec.get("phi", "zero"), track_path, "phi")
+    try:
+        cost = CostSpec(
+            gamma=float(ksec.get("gamma", 1.0)),
+            delta=float(ksec.get("delta", 0.0)),
+            nu=float(ksec.get("nu", 0.0)),
+            theta=theta,
+            phi=phi,
+            l1_mode=ksec.get("l1_norm", "component"),
+        )
+    except SchemaError as err:
+        raise SchemaError(f"cost: {err}") from err
 
     bsec = raw.get("bounds", {})
     ua = list(np.broadcast_to(np.atleast_1d(bsec.get("ua", -1.0)), (2 * d,)).astype(float))
@@ -222,7 +243,11 @@ def parse_config(text: str) -> RunConfig:
     if scheme not in ("upwind-fv", "muscl-fv"):
         raise SchemaError(f"solver.scheme must be upwind-fv or muscl-fv (got '{scheme}')")
     cfl = float(vsec.get("cfl", 0.9))
+    if not (math.isfinite(cfl) and cfl > 0):
+        raise SchemaError(f"solver.cfl must be finite and positive (got {cfl})")
     max_substeps = int(vsec.get("max_substeps", 4096))
+    if max_substeps < 1:
+        raise SchemaError(f"solver.max_substeps must be >= 1 (got {max_substeps})")
 
     out = raw.get("output", {})
     out_dir = out.get("dir", "out")

@@ -13,12 +13,17 @@ MUSCL variant advanced with two-stage SSP time stepping for accuracy
 studies.  A tangent mode co-evolves the density with its linearization with
 respect to a control perturbation; it differentiates the discrete flux
 directly, which is what the regularity probes need.
+
+``Checkpoints`` is the one store for the forward, tangent and adjoint
+trajectories (stride checkpointing with deterministic replay, as in
+Griewank & Walther's revolve, without its binomial schedule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .errors import CflUnderflow, NonFinite
 from .grid import GridSpec, ScalarField, TimeGrid, weighted_sobolev_norm
 
 __all__ = [
+    "Checkpoints",
     "StateTrajectory",
     "EnergyCertificate",
     "solve_forward",
@@ -167,20 +173,74 @@ class _Stepper:
 
 
 @dataclass
-class StateTrajectory:
-    """Stored snapshots plus per-step diagnostics of a forward solve.
+class Checkpoints:
+    """Node 0, node nt and every ``stride``-th time node of a solve.
 
-    Snapshots are kept every ``stride`` steps (endpoints always); the dense
-    sequence is reconstructed on demand by re-advancing from the nearest
-    stored checkpoint, which is bit-reproducible because the stepper is
-    deterministic.
+    Any other node is replayed, bit-exactly, from the stored node the solve
+    passed last by the solve's own step: ``step(values, n)`` gives the node
+    after n in the solve's direction.  Without a step (the tangent) only
+    the stored nodes are available.
     """
 
     timegrid: TimeGrid
     grid: GridSpec
     stride: int
-    snapshot_steps: list[int]
-    snapshots: list[np.ndarray]
+    step: Callable | None = field(default=None, repr=False)
+    backward: bool = False
+    _stored: dict = field(default_factory=dict, repr=False)
+
+    def keep(self, n: int, values: np.ndarray) -> None:
+        if n % self.stride == 0 or n == self.timegrid.nt:
+            self._stored[n] = values.copy()
+
+    @property
+    def snapshot_steps(self) -> list[int]:
+        return sorted(self._stored)
+
+    @property
+    def snapshots(self) -> list[np.ndarray]:
+        return [self._stored[n] for n in self.snapshot_steps]
+
+    def stored_items(self):
+        return [(n, self._stored[n]) for n in self.snapshot_steps]
+
+    def _replay(self, start: int, stop: int):
+        """Yield the nodes after the stored ``start`` up to ``stop``."""
+        vals = self._stored[start]
+        for n in range(start, stop, 1 if stop > start else -1):
+            vals = self.step(vals, n)
+            yield vals
+
+    def values_at(self, n: int) -> np.ndarray:
+        if n in self._stored:
+            return self._stored[n]
+        if self.backward:
+            start = min(k for k in self._stored if k > n)
+        else:
+            start = max(k for k in self._stored if k < n)
+        for vals in self._replay(start, n):
+            pass
+        return vals
+
+    def dense_values(self):
+        """Yield (n, values) for every node n = 0..nt in ascending order; a
+        backward trajectory replays each segment downward, buffers it and
+        yields it upward."""
+        steps = self.snapshot_steps
+        for lo, hi in zip(steps, steps[1:]):
+            yield lo, self._stored[lo]
+            if self.backward:
+                inner = list(self._replay(hi, lo + 1))[::-1]
+            else:
+                inner = self._replay(lo, hi - 1)
+            yield from zip(range(lo + 1, hi), inner)
+        yield steps[-1], self._stored[steps[-1]]
+
+
+@dataclass(kw_only=True)
+class StateTrajectory(Checkpoints):
+    """Checkpoints plus per-step diagnostics of a forward solve."""
+
     mass: np.ndarray
     min_value: np.ndarray
     l2: np.ndarray
@@ -190,43 +250,6 @@ class StateTrajectory:
     boundary_outflux: np.ndarray
     scheme: str
     cfl: float
-    _advance_step: object = field(repr=False, default=None)
-
-    def field_at(self, n: int) -> ScalarField:
-        return ScalarField(self.grid, self.values_at(n).copy())
-
-    def values_at(self, n: int) -> np.ndarray:
-        if n in self._index:
-            return self.snapshots[self._index[n]]
-        k = max(i for i in self.snapshot_steps if i <= n)
-        vals = self.snapshots[self._index[k]].copy()
-        for step in range(k, n):
-            vals = self._advance_step(vals, step)
-        return vals
-
-    def dense_values(self):
-        """Yield (n, values) for every step node 0..nt."""
-        current = None
-        for n in range(self.timegrid.nt + 1):
-            if n in self._index:
-                current = self.snapshots[self._index[n]]
-            else:
-                current = self._advance_step(np.array(current, copy=True), n - 1)
-            yield n, current
-
-    def stored_items(self):
-        return list(zip(self.snapshot_steps, self.snapshots))
-
-    @property
-    def _index(self):
-        idx = getattr(self, "_index_cache", None)
-        if idx is None:
-            idx = {n: i for i, n in enumerate(self.snapshot_steps)}
-            self._index_cache = idx
-        return idx
-
-    def final_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.snapshots[-1].copy())
 
 
 def required_substeps(
@@ -272,95 +295,49 @@ def _solve(
             "shrink dt or enlarge the cap"
         )
 
-    def advance_full_step(vals, n):
-        nsub = plan[n]
-        h = dt / nsub
-        for j in range(nsub):
-            vals, _, _, _ = stepper.advance(vals, n * dt + j * h, h)
-        return vals
+    def full_step(vals, n, w_vals=None):
+        """Node n to n + 1, with the tangent and the step's boundary outflow
+        and injected source masses."""
+        h = dt / plan[n]
+        out_acc = src_acc = 0.0
+        for j in range(plan[n]):
+            vals, w_vals, out_m, src_m = stepper.advance(vals, n * dt + j * h, h, w_vals)
+            out_acc += out_m
+            src_acc += src_m
+        return vals, w_vals, out_acc, src_acc
 
     values = rho0.values.copy()
     w_values = np.zeros_like(values) if tangent_control is not None else None
     vol = grid.cell_volume
 
-    snapshot_steps = [0]
-    snapshots = [values.copy()]
-    w_snapshots = [w_values.copy()] if w_values is not None else None
-    mass = np.zeros(nt + 1)
-    min_value = np.zeros(nt + 1)
-    l2 = np.zeros(nt + 1)
-    norm_hist = {tuple(mk): np.zeros(nt + 1) for mk in norms}
-    source_mass = np.zeros(nt + 1)
-    boundary_outflux = np.zeros(nt + 1)
+    traj = StateTrajectory(
+        timegrid, grid, stride, lambda vals, n: full_step(vals, n)[0],
+        mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1),
+        norms={tuple(mk): np.zeros(nt + 1) for mk in norms}, substeps=plan,
+        source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
+    )
+    w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
 
-    def record(n, vals):
-        mass[n] = vals.sum() * vol
-        min_value[n] = vals.min()
-        l2[n] = math.sqrt(float((vals * vals).sum() * vol))
-        for mk in norm_hist:
-            norm_hist[mk][n] = weighted_sobolev_norm(ScalarField(grid, vals), *mk)
+    def record(n, vals, w_vals):
+        traj.mass[n] = vals.sum() * vol
+        traj.min_value[n] = vals.min()
+        traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
+        for mk, hist in traj.norms.items():
+            hist[n] = weighted_sobolev_norm(ScalarField(grid, vals), *mk)
+        traj.keep(n, vals)
+        if w_traj is not None:
+            w_traj.keep(n, w_vals)
 
-    record(0, values)
+    record(0, values, w_values)
     for n in range(nt):
-        nsub = plan[n]
-        h = dt / nsub
-        out_acc = 0.0
-        src_acc = 0.0
-        for j in range(nsub):
-            values, w_values, out_m, src_m = stepper.advance(
-                values, n * dt + j * h, h, w_values
-            )
-            out_acc += out_m
-            src_acc += src_m
+        values, w_values, out_m, src_m = full_step(values, n, w_values)
         if not np.all(np.isfinite(values)):
             raise NonFinite(f"solution lost finiteness at step {n + 1}")
-        record(n + 1, values)
-        source_mass[n + 1] = source_mass[n] + src_acc
-        boundary_outflux[n + 1] = boundary_outflux[n] + out_acc
-        if (n + 1) % stride == 0 or n + 1 == nt:
-            if snapshot_steps[-1] != n + 1:
-                snapshot_steps.append(n + 1)
-                snapshots.append(values.copy())
-                if w_snapshots is not None:
-                    w_snapshots.append(w_values.copy())
+        record(n + 1, values, w_values)
+        traj.source_mass[n + 1] = traj.source_mass[n] + src_m
+        traj.boundary_outflux[n + 1] = traj.boundary_outflux[n] + out_m
 
-    traj = StateTrajectory(
-        timegrid=timegrid,
-        grid=grid,
-        stride=stride,
-        snapshot_steps=snapshot_steps,
-        snapshots=snapshots,
-        mass=mass,
-        min_value=min_value,
-        l2=l2,
-        norms=norm_hist,
-        substeps=plan,
-        source_mass=source_mass,
-        boundary_outflux=boundary_outflux,
-        scheme=scheme,
-        cfl=cfl,
-        _advance_step=advance_full_step,
-    )
-    if tangent_control is None:
-        return traj
-    w_traj = StateTrajectory(
-        timegrid=timegrid,
-        grid=grid,
-        stride=stride,
-        snapshot_steps=list(snapshot_steps),
-        snapshots=w_snapshots,
-        mass=np.zeros(nt + 1),
-        min_value=np.zeros(nt + 1),
-        l2=np.zeros(nt + 1),
-        norms={},
-        substeps=plan,
-        source_mass=np.zeros(nt + 1),
-        boundary_outflux=np.zeros(nt + 1),
-        scheme=scheme,
-        cfl=cfl,
-        _advance_step=None,
-    )
-    return traj, w_traj
+    return traj if w_traj is None else (traj, w_traj)
 
 
 def solve_forward(
@@ -401,7 +378,7 @@ def solve_linearized(
     perturbation (the linearized transport problem with source
     -div((du1 + x du2) rho), discretized through the scheme's own flux).
 
-    Returns (state trajectory, tangent trajectory) with matched substeps.
+    Returns (state trajectory, tangent checkpoints) with matched substeps.
     """
     return _solve(
         rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, (),
@@ -429,6 +406,19 @@ class EnergyCertificate:
     fitted_C: float
     C_cert: float
     passed: bool
+
+    @classmethod
+    def check(cls, m, k, before, after, r, s, dt, C_cert) -> "EnergyCertificate":
+        """Per-step test of after <= (1 + C dt r) before + dt s at C_cert,
+        with the smallest C that passes."""
+        rhs = (1.0 + C_cert * dt * r) * before + dt * s
+        passed = bool(np.all(after <= rhs + 1e-12 * np.maximum(before, 1.0)))
+        fitted = 0.0
+        for growth, denom in zip(after - before - dt * s, dt * r * before):
+            if growth <= 0.0:
+                continue
+            fitted = math.inf if denom <= 0.0 else max(fitted, growth / denom)
+        return cls(m=m, k=k, lhs=after, rhs=rhs, fitted_C=fitted, C_cert=C_cert, passed=passed)
 
 
 def energy_certificate(
@@ -461,15 +451,4 @@ def energy_certificate(
             r[n] = drift_grad_bound(drift, t, grid, m)
         if g_eval is not None:
             s[n] = weighted_sobolev_norm(ScalarField(grid, g_eval(t)), m, k)
-    rhs = (1.0 + C_cert * dt * r) * N[:-1] + dt * s
-    lhs = N[1:]
-    slack = 1e-12 * np.maximum(N[:-1], 1.0)
-    passed = bool(np.all(lhs <= rhs + slack))
-    fitted = 0.0
-    for n in range(tg.nt):
-        growth = N[n + 1] - N[n] - dt * s[n]
-        if growth <= 0.0:
-            continue
-        denom = dt * r[n] * N[n]
-        fitted = math.inf if denom <= 0.0 else max(fitted, growth / denom)
-    return EnergyCertificate(m=m, k=k, lhs=lhs, rhs=rhs, fitted_C=fitted, C_cert=C_cert, passed=passed)
+    return EnergyCertificate.check(m, k, N[:-1], N[1:], r, s, dt, C_cert)

@@ -231,26 +231,6 @@ def reduced_cost(control: ControlPath, problem: Problem, trajectory: StateTrajec
     )
 
 
-def _adjoint_dense_ascending(traj_q: AdjointTrajectory):
-    """Yield (n, q values) for n = 0..nt, buffering one backward segment of
-    re-simulated steps at a time."""
-    steps = traj_q.snapshot_steps
-    for i, lo in enumerate(steps):
-        yield lo, traj_q.snapshots[i]
-        if i + 1 >= len(steps):
-            break
-        hi = steps[i + 1]
-        if hi - lo <= 1:
-            continue
-        buffer = {}
-        vals = traj_q.snapshots[i + 1]
-        for n in range(hi - 1, lo, -1):
-            vals = traj_q._advance_back(np.array(vals, copy=True), n + 1)
-            buffer[n] = vals
-        for n in range(lo + 1, hi):
-            yield n, buffer[n]
-
-
 def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: AdjointTrajectory):
     """Per-node integral terms of the gradient, direct and integrated by
     parts; returns (stacked path (nt + 1, 2 d), worst discrepancy)."""
@@ -265,8 +245,7 @@ def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: 
     vol = grid.cell_volume
     out = np.zeros((tg.nt + 1, 2 * d))
     disc = 0.0
-    q_iter = _adjoint_dense_ascending(traj_q)
-    for (n, rho_vals), (nq, q_vals) in zip(traj_rho.dense_values(), q_iter):
+    for (n, rho_vals), (_, q_vals) in zip(traj_rho.dense_values(), traj_q.dense_values()):
         rho = ScalarField(grid, rho_vals)
         q = ScalarField(grid, q_vals)
         for r in range(d):

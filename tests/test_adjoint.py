@@ -227,7 +227,9 @@ def test_batched_offgrid_continuation_matches_per_step_march():
         traj = solve_adjoint(cost, drift, tg, g, stride=stride)
         for n in range(tg.nt + 1):
             assert np.array_equal(traj.values_at(n), ref[n])
-        for n, vals in traj.dense_values_backward():
+        dense = list(traj.dense_values())
+        assert [n for n, _ in dense] == list(range(tg.nt + 1))
+        for n, vals in dense:
             assert np.array_equal(vals, ref[n])
 
 
@@ -246,9 +248,17 @@ def test_adjoint_stride_replay_matches_dense():
     drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.4], [0.1]))
     cost = CostSpec(gamma=1.0, theta=Potential("gaussian-well"), phi=Potential("gaussian-well"))
     dense = solve_adjoint(cost, drift, tg, g, stride=1)
-    strided = solve_adjoint(cost, drift, tg, g, stride=8)
-    for n in (5, 13, 31, 60):
-        assert np.array_equal(strided.values_at(n), dense.values_at(n))
+    rho0 = sample_function(g, "gaussian", {"x0": 0.0, "v0": 1.0})
+    for stride in (8, 7):  # 7 does not divide nt: the top segment is short
+        strided = solve_adjoint(cost, drift, tg, g, stride=stride)
+        forward = solve_forward(rho0, drift, None, tg, stride=stride)
+        assert strided.snapshot_steps == forward.snapshot_steps
+        for n in (5, 13, 31, 60, 63):
+            assert np.array_equal(strided.values_at(n), dense.values_at(n))
+        got = [(n, v.copy()) for n, v in strided.dense_values()]
+        assert [n for n, _ in got] == list(range(tg.nt + 1))
+        for n, vals in got:
+            assert np.array_equal(vals, dense.values_at(n))
 
 
 def test_2d_confining_certificate():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -51,6 +52,43 @@ def test_parse_rejects_nonpositive_gamma():
     bad["cost"] = {"gamma": 0.0}
     with pytest.raises(SchemaError, match="gamma"):
         parse_config(json.dumps(bad))
+
+
+@pytest.mark.parametrize(
+    "solver, key",
+    [
+        ({"cfl": -1.0}, "solver.cfl"),
+        ({"cfl": 0.0}, "solver.cfl"),
+        ({"cfl": float("inf")}, "solver.cfl"),
+        ({"max_substeps": 0}, "solver.max_substeps"),
+    ],
+)
+def test_bad_solver_settings_exit_one(tmp_path, solver, key):
+    bad = dict(MINIMAL, solver=solver)
+    with pytest.raises(SchemaError, match=re.escape(key)):
+        parse_config(json.dumps(bad))
+    cfgp = write_config(tmp_path, bad)
+    assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("rho0", {"preset": "gauss"}),
+        ("source", {"preset": "bump"}),
+        ("a0", {"preset": "spiral"}),
+        ("a0", {"preset": "rotation"}),  # the grid is 1D
+        ("a0", {"preset": "affine"}),  # no A
+        ("rho0", {"preset": "gaussian", "params": {"x0": 0.0, "v0": 0.0}}),
+        ("rho0", {"preset": "gaussian", "params": {"x0": 0.0, "v0": -1.0}}),
+    ],
+)
+def test_bad_presets_exit_one(tmp_path, section, entry):
+    bad = dict(MINIMAL, **{section: entry})
+    with pytest.raises(SchemaError, match=re.escape(f"{section}.preset")):
+        parse_config(json.dumps(bad))
+    cfgp = write_config(tmp_path, bad)
+    assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
 def test_parse_rejects_invalid_json():

@@ -119,6 +119,24 @@ def test_ibp_cross_check_small_and_shrinking():
     assert d256 < d128
 
 
+def test_gradient_identical_at_stride_not_dividing_nt():
+    # the assembly pairs each forward node with the adjoint at the same node;
+    # at stride 7 both are replayed, the adjoint downward and then ascending
+    theta = Potential.tracking([[0.0, 0.0], [1.0, 0.5]])
+    s = np.linspace(0.0, 1.0, 65)[:, None]
+    grads = []
+    for stride in (1, 7):
+        prob = build_problem(nt=64, gamma=0.2, theta=theta, phi=Potential("gaussian-well"),
+                             scheme="muscl-fv")
+        prob.stride = stride
+        u = ControlPath(prob.timegrid, 0.3 * np.sin(3.0 * s), 0.1 - 0.2 * s)
+        grads.append(reduced_gradient(u, prob))
+    dense, strided = grads
+    assert np.array_equal(strided.u1, dense.u1)
+    assert np.array_equal(strided.u2, dense.u2)
+    assert strided.ibp_discrepancy == dense.ibp_discrepancy
+
+
 def test_assemble_rejects_grid_mismatch():
     prob = build_problem(n=128, nt=64)
     other = build_problem(n=64, nt=64)
