@@ -19,6 +19,8 @@ discrete maximum principle.
 
 The backward pass keeps its nodes in the forward solver's ``Checkpoints``
 store, which replays any other node backward from the checkpoint above it.
+A solve records the L2 norm per node; the negative-weight norm of the
+confining case is computed from the checkpoints by whoever reports it.
 """
 
 from __future__ import annotations
@@ -55,12 +57,9 @@ def sample_potential(grid: GridSpec, potential: Potential, t: float = 0.0) -> Sc
 
 @dataclass(kw_only=True)
 class AdjointTrajectory(Checkpoints):
-    """Checkpoints of the backward solve plus L2 (and, in confining mode,
-    weighted) norm diagnostics."""
+    """Checkpoints of the backward solve plus the L2 norm per node."""
 
     l2: np.ndarray
-    h0_negk: np.ndarray | None
-    neg_k: int | None
 
 
 def _rk4_feet(drift: DriftSpec, t: float, dt: float, pts: np.ndarray) -> np.ndarray:
@@ -169,36 +168,20 @@ def solve_adjoint(
     timegrid: TimeGrid,
     grid: GridSpec,
     stride: int = 1,
-    confining_diagnostic: bool | None = None,
 ) -> AdjointTrajectory:
-    """Solve the adjoint problem backward from q(T) = -phi.
-
-    The weighted-norm diagnostic with the negative confining index is
-    recorded when either potential grows quadratically (or when forced by
-    the flag).
-    """
+    """Solve the adjoint problem backward from q(T) = -phi."""
     stepper = _BackStepper(grid, drift, cost, timegrid)
     nt = timegrid.nt
-
-    if confining_diagnostic is None:
-        confining_diagnostic = any(
-            p.name in ("quadratic", "tracking") for p in (cost.theta, cost.phi)
-        )
-    neg_k = confining_weight_index(grid.dim) if confining_diagnostic else None
-
     pts = grid.cell_centers()
     q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
 
     vol = grid.cell_volume
     traj = AdjointTrajectory(
-        timegrid, grid, stride, stepper.step_back, backward=True, l2=np.zeros(nt + 1),
-        h0_negk=np.zeros(nt + 1) if confining_diagnostic else None, neg_k=neg_k,
+        timegrid, grid, stride, stepper.step_back, backward=True, l2=np.zeros(nt + 1)
     )
 
     def record(n, vals):
         traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
-        if traj.h0_negk is not None:
-            traj.h0_negk[n] = weighted_sobolev_norm(ScalarField(grid, vals), 0, -neg_k)
         traj.keep(n, vals)
 
     record(nt, q)
@@ -220,13 +203,8 @@ def adjoint_energy_certificate(
     grid = trajectory.grid
     tg = trajectory.timegrid
     dt = tg.dt
-    k = trajectory.neg_k if trajectory.neg_k is not None else confining_weight_index(grid.dim)
-    N = np.zeros(tg.nt + 1)
-    if trajectory.h0_negk is not None and trajectory.neg_k is not None:
-        N[:] = trajectory.h0_negk
-    else:
-        for n, vals in trajectory.dense_values():
-            N[n] = weighted_sobolev_norm(ScalarField(grid, vals), 0, -k)
+    k = confining_weight_index(grid.dim)
+    N = trajectory.norm_history(0, -k)
     r = np.zeros(tg.nt)
     s = np.zeros(tg.nt)
     for n in range(tg.nt):

@@ -17,14 +17,15 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
-from .adjoint import adjoint_energy_certificate, solve_adjoint
+from .adjoint import adjoint_energy_certificate, confining_weight_index, solve_adjoint
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, DriftSpec, Potential
-from .errors import LinesearchFailure, LiouvilleControlError, SchemaError, UnknownPreset
+from .errors import LinesearchFailure, LiouvilleControlError, SchemaError
 from .forward import boundary_leak, energy_certificate, solve_forward
 from .grid import GridSpec, ScalarField, TimeGrid, make_grid, sample_function
 from .optimize import OptimConfig, multi_start, optimize
@@ -130,11 +131,26 @@ def _check_keys(section: str, value, allowed) -> None:
             raise SchemaError(f"unknown key '{section}.{key}'" if section else f"unknown key '{key}'")
 
 
-def _potential_from(name, track_path, which: str) -> Potential:
+@contextmanager
+def _section(name: str):
+    """Report a malformed value in one configuration section as a
+    SchemaError naming the section (errors that name it already pass)."""
+    try:
+        yield
+    except (ValueError, TypeError, IndexError, LiouvilleControlError) as err:
+        if isinstance(err, SchemaError) and str(err).startswith(name):
+            raise
+        raise SchemaError(f"{name}: {err}") from err
+
+
+def _potential_from(name, track_path, which: str, dim: int) -> Potential:
     if name == "tracking":
         if not track_path:
             raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
-        return Potential.tracking(track_path)
+        pot = Potential.tracking(track_path)
+        if {len(x) for x in pot.track_x} not in ({1}, {dim}):
+            raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
+        return pot
     if name in ("zero", "gaussian-well", "quadratic"):
         return Potential(name)
     raise SchemaError(f"unknown potential preset '{name}' for cost.{which}")
@@ -143,18 +159,15 @@ def _potential_from(name, track_path, which: str) -> Potential:
 def _check_preset(section: str, name: str, evaluate) -> None:
     """Evaluate a preset once on the grid, so that an unknown name, unusable
     parameters or non-finite values fail at parse time."""
-    try:
-        with np.errstate(all="ignore"):
-            finite = bool(np.all(np.isfinite(evaluate())))
-    except (UnknownPreset, ValueError, TypeError) as err:
-        raise SchemaError(f"{section}.preset {name!r}: {err}") from err
+    with _section(f"{section}.preset {name!r}"), np.errstate(all="ignore"):
+        finite = bool(np.all(np.isfinite(evaluate())))
     if not finite:
         raise SchemaError(f"{section}.preset {name!r} gives non-finite values on the grid")
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration (strict keys, documented
-    defaults); raises SchemaError naming the offending key."""
+    defaults); raises SchemaError naming the offending section or key."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
@@ -165,68 +178,67 @@ def parse_config(text: str) -> RunConfig:
     for section, allowed in _SCHEMA.items():
         if section in raw:
             _check_keys(section, raw[section], allowed)
-    for required in ("grid", "time"):
+    for required, keys in (("grid", ("dim", "lo", "hi", "n")), ("time", ("T", "nt"))):
         if required not in raw:
             raise SchemaError(f"missing required section '{required}'")
+        for key in keys:
+            if key not in raw[required]:
+                raise SchemaError(f"missing key '{required}.{key}'")
 
-    gsec = raw["grid"]
-    for key in ("dim", "lo", "hi", "n"):
-        if key not in gsec:
-            raise SchemaError(f"missing key 'grid.{key}'")
-    grid = make_grid(gsec["dim"], gsec["lo"], gsec["hi"], gsec["n"])
-
-    tsec = raw["time"]
-    for key in ("T", "nt"):
-        if key not in tsec:
-            raise SchemaError(f"missing key 'time.{key}'")
-    timegrid = TimeGrid(T=float(tsec["T"]), nt=int(tsec["nt"]))
-
-    rsec = raw.get("rho0", {})
-    rho0_preset = rsec.get("preset", "gaussian")
-    rho0_params = dict(rsec.get("params", {"x0": 0.0, "v0": 1.0}))
-
-    ssec = raw.get("source", {})
-    source_preset = ssec.get("preset", "zero")
-    source_params = dict(ssec.get("params", {}))
-
-    asec = raw.get("a0", {})
-    a0 = DriftPreset(asec.get("preset", "zero"), dict(asec.get("params", {})))
-
-    for section, preset, params in (
-        ("rho0", rho0_preset, rho0_params),
-        ("source", source_preset, source_params),
-    ):
-        _check_preset(section, preset, lambda: sample_function(grid, preset, params).values)
-    _check_preset("a0", a0.name, lambda: a0.eval(0.0, grid.cell_centers()))
-
+    with _section("grid"):
+        gsec = raw["grid"]
+        grid = make_grid(gsec["dim"], gsec["lo"], gsec["hi"], gsec["n"])
     d = grid.dim
-    csec = raw.get("control", {})
-    control_u1 = list(np.broadcast_to(np.atleast_1d(csec.get("u1", 0.0)), (d,)).astype(float))
-    control_u2 = list(np.broadcast_to(np.atleast_1d(csec.get("u2", 0.0)), (d,)).astype(float))
 
-    ksec = raw.get("cost", {})
-    track_path = ksec.get("track_path")
-    theta = _potential_from(ksec.get("theta", "zero"), track_path, "theta")
-    phi = _potential_from(ksec.get("phi", "zero"), track_path, "phi")
-    try:
+    with _section("time"):
+        timegrid = TimeGrid(T=float(raw["time"]["T"]), nt=int(raw["time"]["nt"]))
+
+    with _section("rho0"):
+        rsec = raw.get("rho0", {})
+        rho0_preset = rsec.get("preset", "gaussian")
+        rho0_params = dict(rsec.get("params", {"x0": 0.0, "v0": 1.0}))
+        _check_preset(
+            "rho0", rho0_preset, lambda: sample_function(grid, rho0_preset, rho0_params).values
+        )
+
+    with _section("source"):
+        ssec = raw.get("source", {})
+        source_preset = ssec.get("preset", "zero")
+        source_params = dict(ssec.get("params", {}))
+        _check_preset(
+            "source", source_preset, lambda: sample_function(grid, source_preset, source_params).values
+        )
+
+    with _section("a0"):
+        asec = raw.get("a0", {})
+        a0 = DriftPreset(asec.get("preset", "zero"), dict(asec.get("params", {})))
+        _check_preset("a0", a0.name, lambda: a0.eval(0.0, grid.cell_centers()))
+
+    with _section("control"):
+        csec = raw.get("control", {})
+        control_u1 = list(np.broadcast_to(np.atleast_1d(csec.get("u1", 0.0)), (d,)).astype(float))
+        control_u2 = list(np.broadcast_to(np.atleast_1d(csec.get("u2", 0.0)), (d,)).astype(float))
+
+    with _section("cost"):
+        ksec = raw.get("cost", {})
+        track_path = ksec.get("track_path")
         cost = CostSpec(
             gamma=float(ksec.get("gamma", 1.0)),
             delta=float(ksec.get("delta", 0.0)),
             nu=float(ksec.get("nu", 0.0)),
-            theta=theta,
-            phi=phi,
+            theta=_potential_from(ksec.get("theta", "zero"), track_path, "theta", d),
+            phi=_potential_from(ksec.get("phi", "zero"), track_path, "phi", d),
             l1_mode=ksec.get("l1_norm", "component"),
         )
-    except SchemaError as err:
-        raise SchemaError(f"cost: {err}") from err
 
-    bsec = raw.get("bounds", {})
-    ua = list(np.broadcast_to(np.atleast_1d(bsec.get("ua", -1.0)), (2 * d,)).astype(float))
-    ub = list(np.broadcast_to(np.atleast_1d(bsec.get("ub", 1.0)), (2 * d,)).astype(float))
-    bounds = BoxBounds(tuple(ua), tuple(ub))
+    with _section("bounds"):
+        bsec = raw.get("bounds", {})
+        ua = list(np.broadcast_to(np.atleast_1d(bsec.get("ua", -1.0)), (2 * d,)).astype(float))
+        ub = list(np.broadcast_to(np.atleast_1d(bsec.get("ub", 1.0)), (2 * d,)).astype(float))
+        bounds = BoxBounds(tuple(ua), tuple(ub))
 
-    osec = raw.get("optim", {})
-    try:
+    with _section("optim"):
+        osec = raw.get("optim", {})
         optim = OptimConfig(
             max_iters=int(osec.get("max_iters", 200)),
             step0=float(osec.get("step0", 1.0)),
@@ -235,29 +247,32 @@ def parse_config(text: str) -> RunConfig:
             vi_tol=float(osec.get("vi_tol", 1e-6)),
             seeds=tuple(int(s) for s in osec.get("seeds", (0, 1, 2, 3, 4))),
         )
-    except ValueError as err:
-        raise SchemaError(f"optim: {err}") from err
 
-    vsec = raw.get("solver", {})
-    scheme = vsec.get("scheme", "upwind-fv")
-    if scheme not in ("upwind-fv", "muscl-fv"):
-        raise SchemaError(f"solver.scheme must be upwind-fv or muscl-fv (got '{scheme}')")
-    cfl = float(vsec.get("cfl", 0.9))
-    if not (math.isfinite(cfl) and cfl > 0):
-        raise SchemaError(f"solver.cfl must be finite and positive (got {cfl})")
-    max_substeps = int(vsec.get("max_substeps", 4096))
-    if max_substeps < 1:
-        raise SchemaError(f"solver.max_substeps must be >= 1 (got {max_substeps})")
+    with _section("solver"):
+        vsec = raw.get("solver", {})
+        scheme = vsec.get("scheme", "upwind-fv")
+        if scheme not in ("upwind-fv", "muscl-fv"):
+            raise SchemaError(f"solver.scheme must be upwind-fv or muscl-fv (got '{scheme}')")
+        cfl = float(vsec.get("cfl", 0.9))
+        if not (math.isfinite(cfl) and cfl > 0):
+            raise SchemaError(f"solver.cfl must be finite and positive (got {cfl})")
+        max_substeps = int(vsec.get("max_substeps", 4096))
+        if max_substeps < 1:
+            raise SchemaError(f"solver.max_substeps must be >= 1 (got {max_substeps})")
 
-    out = raw.get("output", {})
-    out_dir = out.get("dir", "out")
-    stride = int(out.get("stride", 1))
-    if stride < 1:
-        raise SchemaError("output.stride must be >= 1")
+    with _section("output"):
+        out = raw.get("output", {})
+        out_dir = out.get("dir", "out")
+        if not isinstance(out_dir, str):
+            raise SchemaError("output.dir must be a string")
+        stride = int(out.get("stride", 1))
+        if stride < 1:
+            raise SchemaError("output.stride must be >= 1")
 
-    ksec2 = raw.get("constants", {})
-    C_universal = float(ksec2.get("C_universal", 1.0))
-    C_cert = float(ksec2.get("C_cert", 2.0))
+    with _section("constants"):
+        ksec2 = raw.get("constants", {})
+        C_universal = float(ksec2.get("C_universal", 1.0))
+        C_cert = float(ksec2.get("C_cert", 2.0))
 
     resolved = {
         "grid": {"dim": grid.dim, "lo": list(grid.lo), "hi": list(grid.hi), "n": list(grid.n)},
@@ -355,16 +370,18 @@ def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
 def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
     drift = DriftSpec(cfg.a0, cfg.initial_control())
     traj = solve_adjoint(cfg.cost, drift, cfg.timegrid, cfg.grid, stride=cfg.stride)
-    fileio.write_adjoint_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
-    _write_snapshots(traj, out_dir, "q")
     report = {
         "command": "adjoint",
         "l2_initial": traj.l2[0],
         "l2_terminal": traj.l2[-1],
     }
-    if traj.h0_negk is not None:
-        report["h0_negk_max"] = float(traj.h0_negk.max())
-        report["neg_k"] = traj.neg_k
+    h0_negk = None
+    if cfg.cost.theta.confining or cfg.cost.phi.confining:
+        report["neg_k"] = confining_weight_index(cfg.grid.dim)
+        h0_negk = traj.norm_history(0, -report["neg_k"])
+        report["h0_negk_max"] = float(h0_negk.max())
+    fileio.write_adjoint_summary(traj, h0_negk, os.path.join(out_dir, "trajectory_summary.csv"))
+    _write_snapshots(traj, out_dir, "q")
     return report
 
 
@@ -490,7 +507,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         rho0 = sample_function(grid, cfg.rho0_preset, cfg.rho0_params)
         traj = solve_forward(
             rho0, drift, None, tg, scheme=cfg.scheme, cfl=cfg.cfl,
-            stride=max(1, nt), max_substeps=cfg.max_substeps, norms=(),
+            stride=max(1, nt), max_substeps=cfg.max_substeps,
         )
         exact = affine_exact_density(
             cfg.rho0_preset, cfg.rho0_params, drift, tg.T, grid.cell_centers()
@@ -523,7 +540,6 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
                 "passed": cert.passed,
             }
             all_pass = all_pass and cert.passed
-    qtraj = solve_adjoint(cfg.cost, drift, cfg.timegrid, cfg.grid, stride=cfg.stride)
     report = {
         "command": "certify",
         "energy_certificates": certs,
@@ -532,10 +548,11 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
         "mass_drift": float(abs(traj.mass[-1] - traj.mass[0] - traj.source_mass[-1])),
         "min_value": float(traj.min_value.min()),
     }
-    if qtraj.h0_negk is not None:
+    if cfg.cost.theta.confining or cfg.cost.phi.confining:
+        qtraj = solve_adjoint(cfg.cost, drift, cfg.timegrid, cfg.grid, stride=cfg.stride)
         acert = adjoint_energy_certificate(qtraj, drift, cfg.cost, C_cert=cfg.C_cert)
         report["adjoint_certificate"] = {
-            "neg_k": qtraj.neg_k,
+            "neg_k": confining_weight_index(cfg.grid.dim),
             "fitted_C": acert.fitted_C if math.isfinite(acert.fitted_C) else None,
             "passed": acert.passed,
         }

@@ -327,6 +327,11 @@ class Potential:
     def time_dependent(self) -> bool:
         return self.name == "tracking"
 
+    @property
+    def confining(self) -> bool:
+        """Grows like |x|^2, so the adjoint is measured in a negative-weight norm."""
+        return self.name in ("quadratic", "tracking")
+
     def target_at(self, t: float) -> np.ndarray:
         ts = np.asarray(self.track_t)
         xs = np.asarray(self.track_x)

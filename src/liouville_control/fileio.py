@@ -89,30 +89,29 @@ def read_control_csv(path: str) -> ControlPath:
     return ControlPath(tg, data[:, 1 : 1 + d], data[:, 1 + d : 1 + 2 * d])
 
 
+def _write_node_table(path: str, timegrid: TimeGrid, columns: dict) -> None:
+    """One row per time node: ``t`` and the named per-node columns."""
+    with open(path, "w") as fh:
+        fh.write(",".join(["t", *columns]) + "\n")
+        for n in range(timegrid.nt + 1):
+            row = [n * timegrid.dt, *(col[n] for col in columns.values())]
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_trajectory_summary(traj: StateTrajectory, path: str) -> None:
-    """Per-step diagnostics: ``t,mass,min,l2`` plus one column per recorded
-    weighted norm (named h<m>k<k>)."""
-    norm_keys = sorted(traj.norms.keys())
-    header = "t,mass,min,l2" + "".join(f",h{m}k{k}" for m, k in norm_keys)
-    dt = traj.timegrid.dt
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for n in range(traj.timegrid.nt + 1):
-            row = [n * dt, traj.mass[n], traj.min_value[n], traj.l2[n]]
-            row += [traj.norms[mk][n] for mk in norm_keys]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """Per-node ``t,mass,min,l2,h0k2``, the last the weighted H^0_2 norm
+    computed from the checkpoints."""
+    _write_node_table(path, traj.timegrid, {
+        "mass": traj.mass, "min": traj.min_value, "l2": traj.l2, "h0k2": traj.norm_history(0, 2),
+    })
 
 
-def write_adjoint_summary(traj: AdjointTrajectory, path: str) -> None:
-    header = "t,l2" + (",h0_negk" if traj.h0_negk is not None else "")
-    dt = traj.timegrid.dt
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for n in range(traj.timegrid.nt + 1):
-            row = [n * dt, traj.l2[n]]
-            if traj.h0_negk is not None:
-                row.append(traj.h0_negk[n])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def write_adjoint_summary(traj: AdjointTrajectory, h0_negk, path: str) -> None:
+    """Per-node ``t,l2``, plus ``h0_negk`` when that norm history is given."""
+    columns = {"l2": traj.l2}
+    if h0_negk is not None:
+        columns["h0_negk"] = h0_negk
+    _write_node_table(path, traj.timegrid, columns)
 
 
 def write_iterations_csv(cost_history, vi_history, steps, path: str) -> None:

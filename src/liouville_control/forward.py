@@ -16,7 +16,8 @@ directly, which is what the regularity probes need.
 
 ``Checkpoints`` is the one store for the forward, tangent and adjoint
 trajectories (stride checkpointing with deterministic replay, as in
-Griewank & Walther's revolve, without its binomial schedule).
+Griewank & Walther's revolve, without its binomial schedule).  Solves record
+no weighted Sobolev norm; ``norm_history`` computes one from the checkpoints.
 """
 
 from __future__ import annotations
@@ -236,6 +237,13 @@ class Checkpoints:
             yield from zip(range(lo + 1, hi), inner)
         yield steps[-1], self._stored[steps[-1]]
 
+    def norm_history(self, m: int, k: int) -> np.ndarray:
+        """The weighted H^m_k norm at nodes 0..nt."""
+        out = np.zeros(self.timegrid.nt + 1)
+        for n, vals in self.dense_values():
+            out[n] = weighted_sobolev_norm(ScalarField(self.grid, vals), m, k)
+        return out
+
 
 @dataclass(kw_only=True)
 class StateTrajectory(Checkpoints):
@@ -244,7 +252,6 @@ class StateTrajectory(Checkpoints):
     mass: np.ndarray
     min_value: np.ndarray
     l2: np.ndarray
-    norms: dict[tuple[int, int], np.ndarray]
     substeps: list[int]
     source_mass: np.ndarray
     boundary_outflux: np.ndarray
@@ -273,7 +280,6 @@ def _solve(
     cfl: float,
     stride: int,
     max_substeps: int,
-    norms: tuple,
     fixed_substeps,
     tangent_control: ControlPath | None,
 ):
@@ -312,8 +318,7 @@ def _solve(
 
     traj = StateTrajectory(
         timegrid, grid, stride, lambda vals, n: full_step(vals, n)[0],
-        mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1),
-        norms={tuple(mk): np.zeros(nt + 1) for mk in norms}, substeps=plan,
+        mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1), substeps=plan,
         source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
     w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
@@ -322,8 +327,6 @@ def _solve(
         traj.mass[n] = vals.sum() * vol
         traj.min_value[n] = vals.min()
         traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
-        for mk, hist in traj.norms.items():
-            hist[n] = weighted_sobolev_norm(ScalarField(grid, vals), *mk)
         traj.keep(n, vals)
         if w_traj is not None:
             w_traj.keep(n, w_vals)
@@ -349,7 +352,6 @@ def solve_forward(
     cfl: float = 0.9,
     stride: int = 1,
     max_substeps: int = 4096,
-    norms: tuple = ((0, 2),),
     fixed_substeps=None,
 ) -> StateTrajectory:
     """Integrate the density forward from rho0 under the controlled drift.
@@ -357,8 +359,8 @@ def solve_forward(
     ``g_eval`` is None or a callable t -> source values on the grid.
     """
     return _solve(
-        rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, norms,
-        fixed_substeps, tangent_control=None,
+        rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        tangent_control=None,
     )
 
 
@@ -381,8 +383,8 @@ def solve_linearized(
     Returns (state trajectory, tangent checkpoints) with matched substeps.
     """
     return _solve(
-        rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, (),
-        fixed_substeps, tangent_control=delta_control,
+        rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        tangent_control=delta_control,
     )
 
 
@@ -438,9 +440,7 @@ def energy_certificate(
     grid = trajectory.grid
     tg = trajectory.timegrid
     dt = tg.dt
-    N = np.zeros(tg.nt + 1)
-    for n, vals in trajectory.dense_values():
-        N[n] = weighted_sobolev_norm(ScalarField(grid, vals), m, k)
+    N = trajectory.norm_history(m, k)
     r = np.zeros(tg.nt)
     s = np.zeros(tg.nt)
     for n in range(tg.nt):

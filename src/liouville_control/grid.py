@@ -172,8 +172,9 @@ class MomentState:
 
 def _gaussian_values(grid: GridSpec, x0, v0: float) -> np.ndarray:
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size == 1 and grid.dim == 2:
-        x0 = np.repeat(x0, 2)
+    if x0.size not in (1, grid.dim):
+        raise ValueError(f"a gaussian centre needs 1 or grid.dim = {grid.dim} coordinates, got {x0.size}")
+    x0 = np.broadcast_to(x0, (grid.dim,))
     if v0 <= 0:
         raise UnknownPreset(f"gaussian preset needs v0 > 0, got {v0}")
     mesh = grid.meshgrid()

@@ -18,7 +18,7 @@ endpoint values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -129,11 +129,13 @@ class ProbeReport:
     degenerate: bool | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
     """Bundle of everything a run needs: grid, horizon, data, and weights.
 
-    ``g_eval`` is None or a callable t -> source values on the grid.
+    ``g_eval`` is None or a callable t -> source values on the grid.  Frozen,
+    as forward solves are memoized per control: ``dataclasses.replace``
+    makes a variant with an empty memo.
     """
 
     grid: GridSpec
@@ -147,7 +149,7 @@ class Problem:
     cfl: float = 0.9
     stride: int = 1
     max_substeps: int = 4096
-    diagnostics_norms: tuple = ((0, 2),)
+    _fwd_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def control_dim(self) -> int:
@@ -162,14 +164,10 @@ class Problem:
     def solve_forward_for(self, control: ControlPath, fixed_substeps=None) -> StateTrajectory:
         # memoize the few most recent solves; the optimizer evaluates cost
         # and gradient at the same control back to back
-        key = None
-        if fixed_substeps is None:
-            key = control.stacked().tobytes()
-            cache = getattr(self, "_fwd_cache", None)
-            if cache is None:
-                cache = self._fwd_cache = {}
-            if key in cache:
-                return cache[key]
+        cache = self._fwd_cache
+        key = control.stacked().tobytes() if fixed_substeps is None else None
+        if key in cache:
+            return cache[key]
         traj = solve_forward(
             self.rho0,
             self.drift_for(control),
@@ -179,7 +177,6 @@ class Problem:
             cfl=self.cfl,
             stride=self.stride,
             max_substeps=self.max_substeps,
-            norms=self.diagnostics_norms,
             fixed_substeps=fixed_substeps,
         )
         if key is not None:

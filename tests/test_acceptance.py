@@ -292,7 +292,8 @@ def test_criterion_09_optimizer_contracts():
     )
     seen = []
     original = quad.reduced_cost
-    quad.reduced_cost = lambda c: (seen.append(c.stacked().copy()), original(c))[1]
+    spy = lambda c: (seen.append(c.stacked().copy()), original(c))[1]
+    object.__setattr__(quad, "reduced_cost", spy)  # Problem is frozen
     res = optimize(quad, OptimConfig(max_iters=30, vi_tol=1e-6),
                    u0=ControlPath.constant(tg, [0.6], [-0.3]))
     assert res.termination == "converged"

@@ -81,14 +81,61 @@ def test_bad_solver_settings_exit_one(tmp_path, solver, key):
         ("a0", {"preset": "affine"}),  # no A
         ("rho0", {"preset": "gaussian", "params": {"x0": 0.0, "v0": 0.0}}),
         ("rho0", {"preset": "gaussian", "params": {"x0": 0.0, "v0": -1.0}}),
+        # a centre or a target with more coordinates than the grid has axes
+        ("rho0", {"preset": "gaussian", "params": {"x0": [0.0, 5.0], "v0": 1.0}}),
+        ("rho0", {"preset": "bimodal-gaussian", "params": {"x0b": [2.0, 5.0]}}),
+        ("cost", {"track_path": [[0.0, [0.0, 1.0]], [1.0, [0.3, 1.0]]], "theta": "tracking"}),
     ],
 )
 def test_bad_presets_exit_one(tmp_path, section, entry):
     bad = dict(MINIMAL, **{section: entry})
-    with pytest.raises(SchemaError, match=re.escape(f"{section}.preset")):
+    with pytest.raises(SchemaError, match=re.escape(f"{section}.{next(iter(entry))}")):
         parse_config(json.dumps(bad))
     cfgp = write_config(tmp_path, bad)
     assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_coordinate_counts_follow_the_grid_in_2d():
+    grid2 = {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]}
+    for x0 in (0.5, [0.5, -0.5]):
+        cfg = dict(MINIMAL, grid=grid2, rho0={"preset": "gaussian", "params": {"x0": x0}})
+        parse_config(json.dumps(cfg))
+    cfg = dict(MINIMAL, grid=grid2, rho0={"preset": "gaussian", "params": {"x0": [0.5, -0.5, 1.0]}})
+    with pytest.raises(SchemaError, match=re.escape("rho0.preset")):
+        parse_config(json.dumps(cfg))
+    for target, ok in ((0.3, True), ([0.3, 0.1], True), ([0.3, 0.1, 0.0], False)):
+        cost = {"theta": "tracking", "track_path": [[0.0, target], [1.0, target]]}
+        text = json.dumps(dict(MINIMAL, grid=grid2, cost=cost))
+        if ok:
+            parse_config(text)
+        else:
+            with pytest.raises(SchemaError, match=re.escape("cost.track_path")):
+                parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "section, patch",
+    [
+        ("control", {"control": {"u1": [0.1, 0.2, 0.3]}}),
+        ("bounds", {"bounds": {"ua": [-1.0, -1.0, -1.0]}}),
+        ("time", {"time": {"T": 1.0, "nt": "abc"}}),
+        ("grid", {"grid": {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": "abc"}}),
+        ("output", {"output": {"stride": "x"}}),
+        ("output", {"output": {"dir": 5}}),
+        ("cost", {"cost": {"gamma": "x"}}),
+        ("rho0", {"rho0": {"preset": "gaussian", "params": [1, 2]}}),
+        ("cost", {"cost": {"theta": "tracking", "track_path": [[0.0], [1.0]]}}),
+    ],
+)
+def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
+    bad = dict(MINIMAL, **patch)
+    with pytest.raises(SchemaError, match=f"^{section}"):
+        parse_config(json.dumps(bad))
+    cfgp = write_config(tmp_path, bad)
+    assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {section}")
+    assert "Traceback" not in err
 
 
 def test_parse_rejects_invalid_json():
@@ -238,6 +285,45 @@ def test_certify_command(tmp_path):
     assert set(rep["energy_certificates"]) == {"m0k0", "m0k2", "m1k0", "m1k2"}
     assert rep["leak"] < 1e-6
     assert "smallness_ratio" in rep
+
+
+def _run_diagnostics(tmp_path, potential, stride):
+    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, output={"stride": stride},
+               cost={"theta": potential, "phi": potential})
+    cfgp = write_config(tmp_path, cfg, name=f"{potential}-{stride}.json")
+    out = {}
+    for command in ("forward", "adjoint", "certify"):
+        o = tmp_path / f"{potential}-{stride}-{command}"
+        assert run_command([command, "--config", cfgp, "--out", str(o)]) == 0
+        out[command] = (
+            json.loads((o / "report.json").read_text()),
+            (o / "trajectory_summary.csv").read_text(),
+        )
+    return out
+
+
+def test_weighted_norm_columns_do_not_depend_on_stride(tmp_path):
+    dense = _run_diagnostics(tmp_path, "quadratic", 1)
+    strided = _run_diagnostics(tmp_path, "quadratic", 8)
+    for command in ("forward", "adjoint", "certify"):
+        assert strided[command] == dense[command]
+    report, csv = dense["adjoint"]
+    assert report["neg_k"] == 3
+    assert csv.splitlines()[0] == "t,l2,h0_negk"
+    column = [float(line.split(",")[2]) for line in csv.splitlines()[1:]]
+    assert len(column) == 33
+    assert report["h0_negk_max"] == max(column) > 0.0
+    assert dense["forward"][1].splitlines()[0] == "t,mass,min,l2,h0k2"
+    assert dense["certify"][0]["adjoint_certificate"]["neg_k"] == 3
+
+
+def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
+    out = _run_diagnostics(tmp_path, "gaussian-well", 1)
+    report, csv = out["adjoint"]
+    assert not {"neg_k", "h0_negk_max"} & set(report)
+    assert csv.splitlines()[0] == "t,l2"
+    assert "adjoint_certificate" not in out["certify"][0]
+    assert out["forward"][1].splitlines()[0] == "t,mass,min,l2,h0k2"
 
 
 def test_all_scenarios_parse_and_match_commands():

@@ -68,7 +68,7 @@ def test_monotone_costs_and_feasible_iterates():
         seen.append(control.stacked().copy())
         return original(control)
 
-    prob.reduced_cost = recording
+    object.__setattr__(prob, "reduced_cost", recording)  # Problem is frozen
     res = optimize(prob, OptimConfig(max_iters=25, vi_tol=1e-4, step0=2.0))
     hist = res.cost_history
     assert all(b <= a + 1e-14 for a, b in zip(hist, hist[1:]))

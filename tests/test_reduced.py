@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -126,15 +127,30 @@ def test_gradient_identical_at_stride_not_dividing_nt():
     s = np.linspace(0.0, 1.0, 65)[:, None]
     grads = []
     for stride in (1, 7):
-        prob = build_problem(nt=64, gamma=0.2, theta=theta, phi=Potential("gaussian-well"),
-                             scheme="muscl-fv")
-        prob.stride = stride
+        prob = dataclasses.replace(
+            build_problem(nt=64, gamma=0.2, theta=theta, phi=Potential("gaussian-well"),
+                          scheme="muscl-fv"),
+            stride=stride,
+        )
         u = ControlPath(prob.timegrid, 0.3 * np.sin(3.0 * s), 0.1 - 0.2 * s)
         grads.append(reduced_gradient(u, prob))
     dense, strided = grads
     assert np.array_equal(strided.u1, dense.u1)
     assert np.array_equal(strided.u2, dense.u2)
     assert strided.ibp_discrepancy == dense.ibp_discrepancy
+
+
+def test_replaced_problem_does_not_reuse_the_forward_memo():
+    # the memo is keyed on the control only, so a variant of the problem
+    # must start its own
+    prob = build_problem(nt=64)
+    u = ControlPath.constant(prob.timegrid, [0.3], [0.1])
+    assert len(prob.solve_forward_for(u).snapshot_steps) == 65
+    assert prob.solve_forward_for(u) is prob.solve_forward_for(u)
+    strided = dataclasses.replace(prob, stride=8)
+    assert len(strided.solve_forward_for(u).snapshot_steps) == 64 // 8 + 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prob.stride = 8
 
 
 def test_assemble_rejects_grid_mismatch():
