@@ -41,18 +41,6 @@ from .reduced import (
     smallness_certificate,
 )
 
-COMMANDS = (
-    "forward",
-    "adjoint",
-    "cost",
-    "grad",
-    "grad-check",
-    "optimize",
-    "multistart",
-    "oracle-compare",
-    "certify",
-)
-
 # allowed keys per section; unknown keys anywhere are configuration errors
 _SCHEMA = {
     "grid": {"dim", "lo", "hi", "n"},
@@ -109,17 +97,9 @@ class RunConfig:
 
     def problem(self) -> Problem:
         return Problem(
-            grid=self.grid,
-            timegrid=self.timegrid,
-            rho0=self.rho0_field(),
-            a0=self.a0,
-            cost=self.cost,
-            bounds=self.bounds,
-            g_eval=self.source_eval(),
-            scheme=self.scheme,
-            cfl=self.cfl,
-            stride=self.stride,
-            max_substeps=self.max_substeps,
+            grid=self.grid, timegrid=self.timegrid, rho0=self.rho0_field(), a0=self.a0,
+            cost=self.cost, bounds=self.bounds, g_eval=self.source_eval(), scheme=self.scheme,
+            cfl=self.cfl, stride=self.stride, max_substeps=self.max_substeps,
         )
 
 
@@ -144,25 +124,33 @@ def _section(name: str):
 
 
 def _potential_from(name, track_path, which: str, dim: int) -> Potential:
-    if name == "tracking":
-        if not track_path:
-            raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
-        pot = Potential.tracking(track_path)
-        if {len(x) for x in pot.track_x} not in ({1}, {dim}):
-            raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
-        return pot
-    if name in ("zero", "gaussian-well", "quadratic"):
-        return Potential(name)
-    raise SchemaError(f"unknown potential preset '{name}' for cost.{which}")
+    if name != "tracking":
+        with _section(f"cost.{which}"):
+            return Potential(name)
+    if not track_path:
+        raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
+    pot = Potential.tracking(track_path)
+    if {len(x) for x in pot.track_x} not in ({1}, {dim}):
+        raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
+    return pot
 
 
-def _check_preset(section: str, name: str, evaluate) -> None:
-    """Evaluate a preset once on the grid, so that an unknown name, unusable
-    parameters or non-finite values fail at parse time."""
+@contextmanager
+def _preset(section: str, name: str):
+    """Build a preset and evaluate it on the grid inside this block, so that
+    a bad name, parameter or value fails naming ``<section>.preset``."""
     with _section(f"{section}.preset {name!r}"), np.errstate(all="ignore"):
-        finite = bool(np.all(np.isfinite(evaluate())))
-    if not finite:
-        raise SchemaError(f"{section}.preset {name!r} gives non-finite values on the grid")
+        yield
+
+
+def _count(key: str, value):
+    """A count, or a list of counts: JSON integers only, so that 64.9 is not
+    truncated and true is not read as 1."""
+    if isinstance(value, list):
+        return [_count(key, v) for v in value]
+    if type(value) is not int:
+        raise SchemaError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -187,32 +175,33 @@ def parse_config(text: str) -> RunConfig:
 
     with _section("grid"):
         gsec = raw["grid"]
-        grid = make_grid(gsec["dim"], gsec["lo"], gsec["hi"], gsec["n"])
+        grid = make_grid(_count("grid.dim", gsec["dim"]), gsec["lo"], gsec["hi"], _count("grid.n", gsec["n"]))
     d = grid.dim
 
     with _section("time"):
-        timegrid = TimeGrid(T=float(raw["time"]["T"]), nt=int(raw["time"]["nt"]))
+        timegrid = TimeGrid(T=float(raw["time"]["T"]), nt=_count("time.nt", raw["time"]["nt"]))
 
     with _section("rho0"):
         rsec = raw.get("rho0", {})
         rho0_preset = rsec.get("preset", "gaussian")
         rho0_params = dict(rsec.get("params", {"x0": 0.0, "v0": 1.0}))
-        _check_preset(
-            "rho0", rho0_preset, lambda: sample_function(grid, rho0_preset, rho0_params).values
-        )
+        with _preset("rho0", rho0_preset):
+            sample_function(grid, rho0_preset, rho0_params)  # ScalarField rejects non-finite values
 
     with _section("source"):
         ssec = raw.get("source", {})
         source_preset = ssec.get("preset", "zero")
         source_params = dict(ssec.get("params", {}))
-        _check_preset(
-            "source", source_preset, lambda: sample_function(grid, source_preset, source_params).values
-        )
+        with _preset("source", source_preset):
+            sample_function(grid, source_preset, source_params)
 
     with _section("a0"):
         asec = raw.get("a0", {})
-        a0 = DriftPreset(asec.get("preset", "zero"), dict(asec.get("params", {})))
-        _check_preset("a0", a0.name, lambda: a0.eval(0.0, grid.cell_centers()))
+        a0_name = asec.get("preset", "zero")
+        with _preset("a0", a0_name):
+            a0 = DriftPreset(a0_name, dict(asec.get("params", {})))
+            if not np.all(np.isfinite(a0.eval(0.0, grid.cell_centers()))):
+                raise ValueError("non-finite values on the grid")
 
     with _section("control"):
         csec = raw.get("control", {})
@@ -240,12 +229,12 @@ def parse_config(text: str) -> RunConfig:
     with _section("optim"):
         osec = raw.get("optim", {})
         optim = OptimConfig(
-            max_iters=int(osec.get("max_iters", 200)),
+            max_iters=_count("optim.max_iters", osec.get("max_iters", 200)),
             step0=float(osec.get("step0", 1.0)),
             c1=float(osec.get("c1", 1e-4)),
             backtrack=float(osec.get("backtrack", 0.5)),
             vi_tol=float(osec.get("vi_tol", 1e-6)),
-            seeds=tuple(int(s) for s in osec.get("seeds", (0, 1, 2, 3, 4))),
+            seeds=tuple(_count("optim.seeds", osec.get("seeds", [0, 1, 2, 3, 4]))),
         )
 
     with _section("solver"):
@@ -256,7 +245,7 @@ def parse_config(text: str) -> RunConfig:
         cfl = float(vsec.get("cfl", 0.9))
         if not (math.isfinite(cfl) and cfl > 0):
             raise SchemaError(f"solver.cfl must be finite and positive (got {cfl})")
-        max_substeps = int(vsec.get("max_substeps", 4096))
+        max_substeps = _count("solver.max_substeps", vsec.get("max_substeps", 4096))
         if max_substeps < 1:
             raise SchemaError(f"solver.max_substeps must be >= 1 (got {max_substeps})")
 
@@ -265,7 +254,7 @@ def parse_config(text: str) -> RunConfig:
         out_dir = out.get("dir", "out")
         if not isinstance(out_dir, str):
             raise SchemaError("output.dir must be a string")
-        stride = int(out.get("stride", 1))
+        stride = _count("output.stride", out.get("stride", 1))
         if stride < 1:
             raise SchemaError("output.stride must be >= 1")
 
@@ -307,26 +296,11 @@ def parse_config(text: str) -> RunConfig:
         resolved["cost"].pop("track_path")
 
     return RunConfig(
-        grid=grid,
-        timegrid=timegrid,
-        rho0_preset=rho0_preset,
-        rho0_params=rho0_params,
-        source_preset=source_preset,
-        source_params=source_params,
-        a0=a0,
-        control_u1=control_u1,
-        control_u2=control_u2,
-        cost=cost,
-        bounds=bounds,
-        optim=optim,
-        scheme=scheme,
-        cfl=cfl,
-        max_substeps=max_substeps,
-        out_dir=out_dir,
-        stride=stride,
-        C_universal=C_universal,
-        C_cert=C_cert,
-        resolved=resolved,
+        grid=grid, timegrid=timegrid, rho0_preset=rho0_preset, rho0_params=rho0_params,
+        source_preset=source_preset, source_params=source_params, a0=a0,
+        control_u1=control_u1, control_u2=control_u2, cost=cost, bounds=bounds, optim=optim,
+        scheme=scheme, cfl=cfl, max_substeps=max_substeps, out_dir=out_dir, stride=stride,
+        C_universal=C_universal, C_cert=C_cert, resolved=resolved,
     )
 
 
@@ -574,6 +548,7 @@ _DISPATCH = {
     "oracle-compare": _cmd_oracle_compare,
     "certify": _cmd_certify,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def scenario_path(name: str) -> str:

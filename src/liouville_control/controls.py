@@ -10,11 +10,12 @@ linear path is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import SchemaError, UnknownPreset
-from .grid import GridSpec, TimeGrid
+from .grid import GridSpec, TimeGrid, resolve_preset
 
 __all__ = [
     "ControlPath",
@@ -121,97 +122,128 @@ class BoxBounds:
         return max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
+def _vector(value, d: int) -> np.ndarray:
+    return np.broadcast_to(np.atleast_1d(np.asarray(value, dtype=float)), (d,))
+
+
+def _rotation(p: dict, d: int):
+    if d != 2:
+        raise UnknownPreset("rotation drift needs d = 2")
+    w = float(p["omega"])
+    return np.array([[0.0, -w], [w, 0.0]]), np.zeros(2)
+
+
+def _rotation_eval(A, b, pts: np.ndarray) -> np.ndarray:
+    w = float(A[1, 0])
+    out = np.empty_like(pts)
+    out[..., 0] = -w * pts[..., 1]
+    out[..., 1] = w * pts[..., 0]
+    return out
+
+
+def _bump_g(pts: np.ndarray, sig: float) -> np.ndarray:
+    return np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig * sig))
+
+
+def _bump_derivative_sup(c, sig: float, grid: GridSpec, order: int) -> float:
+    pts = grid.cell_centers()
+    g, x = _bump_g(pts, sig), np.abs(pts)
+    if order == 1:
+        hi = x / sig**2 * g[:, None]
+    elif order == 2:
+        hi = (x.max(axis=1) ** 2 / sig**4 + 1.0 / sig**2) * g
+    elif order == 3:
+        hi = (x.max(axis=1) ** 3 / sig**6 + 3.0 * x.max(axis=1) / sig**4) * g
+    else:
+        return 0.0
+    return float(np.abs(c).max()) * float(hi.max())
+
+
+class _DriftRow(NamedTuple):
+    """One a0 preset: its parameters with their defaults (None: required),
+    its coefficients on R^d from the parameters, and a0 at points from the
+    coefficients.  An affine preset's coefficients are (A, b) with
+    a0(x) = A x + b and its derivatives follow from A; the bump's are
+    (c, sigma) and it gives its derivatives itself."""
+
+    defaults: dict
+    coefficients: Callable
+    eval: Callable
+    jacobian: Callable | None = None
+    derivative_sup: Callable | None = None
+
+
+_DRIFT_PRESETS = {
+    "zero": _DriftRow({}, lambda p, d: (np.zeros((d, d)), np.zeros(d)), lambda A, b, pts: np.zeros_like(pts)),
+    "constant": _DriftRow(
+        {"b": 0.0},
+        lambda p, d: (np.zeros((d, d)), _vector(p["b"], d)),
+        lambda A, b, pts: np.broadcast_to(b, pts.shape).copy(),
+    ),
+    "affine": _DriftRow(
+        {"A": None, "b": 0.0},
+        lambda p, d: (np.asarray(p["A"], dtype=float).reshape(d, d), _vector(p["b"], d)),
+        lambda A, b, pts: pts @ A.T + b,
+    ),
+    "rotation": _DriftRow({"omega": 1.0}, _rotation, _rotation_eval),  # d = 2 only
+    "gaussian-bump": _DriftRow(
+        {"c": 1.0, "sigma": 1.0},
+        lambda p, d: (_vector(p["c"], d), float(p["sigma"])),
+        lambda c, sig, pts: _bump_g(pts, sig)[..., None] * c,
+        lambda c, sig, pts: -c[:, None] * pts[..., None, :] / sig**2 * _bump_g(pts, sig)[..., None, None],
+        _bump_derivative_sup,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class DriftPreset:
-    """Uncontrolled part a0 of the drift.
+    """Uncontrolled part a0 of the drift, one row of ``_DRIFT_PRESETS``.
 
     Presets: zero; constant(b); affine(A, b); rotation(omega), d = 2 only;
-    gaussian-bump(c, sigma).  All are smooth with bounded derivatives.
+    gaussian-bump(c, sigma).  All are smooth with bounded derivatives.  An
+    unknown name or parameter, or an affine preset without A, raises
+    UnknownPreset.
     """
 
     name: str = "zero"
     params: dict = field(default_factory=dict)
+    _by_dim: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        row, params = resolve_preset(_DRIFT_PRESETS, "drift", self.name, self.params)
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_resolved", params)
+
+    def coefficients(self, d: int) -> tuple:
+        """The preset's coefficients on R^d, resolved once per dimension."""
+        if d not in self._by_dim:
+            self._by_dim[d] = self._row.coefficients(self._resolved, d)
+        return self._by_dim[d]
+
+    def affine_part(self, d: int):
+        """(A, b) with a0(x) = A x + b on R^d, or None if a0 is not affine."""
+        return self.coefficients(d) if self._row.jacobian is None else None
 
     def eval(self, t: float, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        d = pts.shape[-1]
-        if self.name == "zero":
-            return np.zeros_like(pts)
-        if self.name == "constant":
-            b = np.broadcast_to(np.atleast_1d(self.params.get("b", 0.0)), (d,))
-            return np.broadcast_to(b, pts.shape).copy()
-        if self.name == "affine":
-            A = np.asarray(self.params.get("A"), dtype=float).reshape(d, d)
-            b = np.broadcast_to(np.atleast_1d(self.params.get("b", 0.0)), (d,))
-            return pts @ A.T + b
-        if self.name == "rotation":
-            if d != 2:
-                raise UnknownPreset("rotation drift needs d = 2")
-            w = float(self.params.get("omega", 1.0))
-            out = np.empty_like(pts)
-            out[..., 0] = -w * pts[..., 1]
-            out[..., 1] = w * pts[..., 0]
-            return out
-        if self.name == "gaussian-bump":
-            c = np.broadcast_to(np.atleast_1d(self.params.get("c", 1.0)), (d,))
-            sig = float(self.params.get("sigma", 1.0))
-            g = np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig * sig))
-            return g[..., None] * c
-        raise UnknownPreset(f"unknown drift preset {self.name!r}")
+        return self._row.eval(*self.coefficients(pts.shape[-1]), pts)
 
     def jacobian(self, t: float, points: np.ndarray) -> np.ndarray:
         """d a0_r / d x_s at the given points, shape points.shape + (d,)."""
         pts = np.asarray(points, dtype=float)
         d = pts.shape[-1]
-        jshape = pts.shape[:-1] + (d, d)
-        if self.name in ("zero", "constant"):
-            return np.zeros(jshape)
-        if self.name == "affine":
-            A = np.asarray(self.params.get("A"), dtype=float).reshape(d, d)
-            return np.broadcast_to(A, jshape).copy()
-        if self.name == "rotation":
-            w = float(self.params.get("omega", 1.0))
-            J = np.array([[0.0, -w], [w, 0.0]])
-            return np.broadcast_to(J, jshape).copy()
-        if self.name == "gaussian-bump":
-            c = np.broadcast_to(np.atleast_1d(self.params.get("c", 1.0)), (d,))
-            sig2 = float(self.params.get("sigma", 1.0)) ** 2
-            g = np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig2))
-            return -c[:, None] * pts[..., None, :] / sig2 * g[..., None, None]
-        raise UnknownPreset(f"unknown drift preset {self.name!r}")
+        if self._row.jacobian is not None:
+            return self._row.jacobian(*self.coefficients(d), pts)
+        return np.broadcast_to(self.coefficients(d)[0], pts.shape[:-1] + (d, d)).copy()
 
     def derivative_sup(self, grid: GridSpec, order: int) -> float:
         """max over the grid of the largest entry of the order-th derivative
-        tensor of a0 (order >= 1); closed forms for the polynomial presets,
-        grid-sampled for the bump.
-        """
-        d = grid.dim
-        if self.name in ("zero", "constant"):
-            return 0.0
-        if self.name == "affine":
-            A = np.asarray(self.params.get("A"), dtype=float).reshape(d, d)
-            return float(np.abs(A).max()) if order == 1 else 0.0
-        if self.name == "rotation":
-            w = float(self.params.get("omega", 1.0))
-            return abs(w) if order == 1 else 0.0
-        if self.name == "gaussian-bump":
-            c = np.broadcast_to(np.atleast_1d(self.params.get("c", 1.0)), (d,))
-            cmax = float(np.abs(c).max())
-            sig = float(self.params.get("sigma", 1.0))
-            pts = grid.cell_centers()
-            g = np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig * sig))
-            x = np.abs(pts)
-            if order == 1:
-                m = (x / sig**2) * g[:, None]
-                return cmax * float(m.max())
-            if order == 2:
-                hi = (x.max(axis=1) ** 2 / sig**4 + 1.0 / sig**2) * g
-                return cmax * float(hi.max())
-            if order == 3:
-                hi = (x.max(axis=1) ** 3 / sig**6 + 3.0 * x.max(axis=1) / sig**4) * g
-                return cmax * float(hi.max())
-            return 0.0
-        raise UnknownPreset(f"unknown drift preset {self.name!r}")
+        tensor of a0 (order >= 1): max|A| at order 1 for an affine preset,
+        grid-sampled for the bump."""
+        if self._row.derivative_sup is not None:
+            return self._row.derivative_sup(*self.coefficients(grid.dim), grid, order)
+        return float(np.abs(self.coefficients(grid.dim)[0]).max()) if order == 1 else 0.0
 
 
 @dataclass
@@ -299,17 +331,31 @@ def control_cost_terms(control: ControlPath, l1_mode: str = "component"):
     return l2sq, l1, h1sq
 
 
+# potential presets: name -> the potential at points (..., d) and time t
+_POTENTIALS = {
+    "zero": lambda pot, pts, t: np.zeros(pts.shape[:-1]),
+    "gaussian-well": lambda pot, pts, t: 1.0 - np.exp(-(pts**2).sum(axis=-1)),
+    "quadratic": lambda pot, pts, t: (pts**2).sum(axis=-1),
+    "tracking": lambda pot, pts, t: ((pts - pot.target_at(t)) ** 2).sum(axis=-1),
+}
+
+
 @dataclass(frozen=True)
 class Potential:
     """Cost potential preset for theta (running) and phi (terminal).
 
     Menu: zero; gaussian-well 1 - exp(-|x|^2); quadratic |x|^2; tracking
-    |x - x_d(t)|^2 with x_d piecewise linear through track_path nodes.
+    |x - x_d(t)|^2 with x_d piecewise linear through track_path nodes.  An
+    unknown name raises UnknownPreset.
     """
 
     name: str = "zero"
     track_t: tuple[float, ...] = ()
     track_x: tuple[tuple[float, ...], ...] = ()
+
+    def __post_init__(self):
+        if self.name not in _POTENTIALS:
+            raise UnknownPreset(f"unknown potential preset {self.name!r}")
 
     @classmethod
     def tracking(cls, nodes) -> "Potential":
@@ -353,17 +399,7 @@ def potential_eval(potential: Potential, points: np.ndarray, t: float = 0.0) -> 
         pts = pts.reshape(1, 1)
     elif pts.ndim == 1:
         pts = pts[:, None]
-    if potential.name == "zero":
-        out = np.zeros(pts.shape[:-1])
-    elif potential.name == "gaussian-well":
-        out = 1.0 - np.exp(-(pts**2).sum(axis=-1))
-    elif potential.name == "quadratic":
-        out = (pts**2).sum(axis=-1)
-    elif potential.name == "tracking":
-        xd = potential.target_at(t)
-        out = ((pts - xd) ** 2).sum(axis=-1)
-    else:
-        raise UnknownPreset(f"unknown potential preset {potential.name!r}")
+    out = _POTENTIALS[potential.name](potential, pts, t)
     return float(out[0]) if scalar else out
 
 

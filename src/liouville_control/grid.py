@@ -27,6 +27,7 @@ __all__ = [
     "MomentState",
     "make_grid",
     "make_timegrid",
+    "density_preset_eval",
     "sample_function",
     "partial_derivative",
     "integrate",
@@ -98,12 +99,7 @@ def make_grid(dim, lo, hi, n) -> GridSpec:
     lo_t = tuple(float(v) for v in np.atleast_1d(lo))
     hi_t = tuple(float(v) for v in np.atleast_1d(hi))
     n_t = tuple(int(v) for v in np.atleast_1d(n))
-    if len(lo_t) == 1 and dim == 2:
-        lo_t = lo_t * 2
-    if len(hi_t) == 1 and dim == 2:
-        hi_t = hi_t * 2
-    if len(n_t) == 1 and dim == 2:
-        n_t = n_t * 2
+    lo_t, hi_t, n_t = (v * 2 if len(v) == 1 and dim == 2 else v for v in (lo_t, hi_t, n_t))
     if not (len(lo_t) == len(hi_t) == len(n_t) == dim):
         raise InvalidGrid("lo, hi, n must have one entry per axis")
     for a, b, m in zip(lo_t, hi_t, n_t):
@@ -170,41 +166,67 @@ class MomentState:
     variance: tuple[float, ...]
 
 
-def _gaussian_values(grid: GridSpec, x0, v0: float) -> np.ndarray:
+def resolve_preset(table: dict, family: str, name: str, params) -> tuple:
+    """The row of a preset table and the preset's parameters: the row's
+    defaults (its first entry) updated by ``params``.  An unknown name or
+    parameter, or a required parameter (default None) left out, raises
+    UnknownPreset."""
+    if name not in table:
+        raise UnknownPreset(f"unknown {family} preset {name!r}")
+    defaults = table[name][0]
+    resolved = {**defaults, **dict(params or {})}
+    for key, value in resolved.items():
+        if key not in defaults or value is None:
+            problem = "needs" if key in defaults else "has no"
+            takes = ", ".join(defaults) or "none"
+            raise UnknownPreset(f"{family} preset {name!r} {problem} parameter {key!r} (it takes: {takes})")
+    return table[name], resolved
+
+
+def _gaussian(pts: np.ndarray, x0, v0) -> np.ndarray:
+    d = pts.shape[-1]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size not in (1, grid.dim):
-        raise ValueError(f"a gaussian centre needs 1 or grid.dim = {grid.dim} coordinates, got {x0.size}")
-    x0 = np.broadcast_to(x0, (grid.dim,))
+    if x0.size not in (1, d):
+        raise ValueError(f"a gaussian centre needs 1 or grid.dim = {d} coordinates, got {x0.size}")
+    v0 = float(v0)
     if v0 <= 0:
         raise UnknownPreset(f"gaussian preset needs v0 > 0, got {v0}")
-    mesh = grid.meshgrid()
-    sq = sum((m - c) ** 2 for m, c in zip(mesh, x0))
-    return (2.0 * np.pi * v0) ** (-grid.dim / 2.0) * np.exp(-sq / (2.0 * v0))
+    sq = ((pts - x0) ** 2).sum(axis=-1)
+    return (2.0 * np.pi * v0) ** (-d / 2.0) * np.exp(-sq / (2.0 * v0))
+
+
+# density presets (initial data and sources): name -> (parameters with their
+# defaults, values at points (N, d) from the parameters)
+_DENSITY_PRESETS = {
+    "zero": ({}, lambda p, pts: np.zeros(pts.shape[:-1])),
+    "constant": ({"c": 1.0}, lambda p, pts: np.full(pts.shape[:-1], float(p["c"]))),
+    "gaussian": ({"x0": 0.0, "v0": 1.0}, lambda p, pts: _gaussian(pts, p["x0"], p["v0"])),
+    "bimodal-gaussian": (
+        {"x0a": -2.0, "v0a": 0.5, "wa": 0.5, "x0b": 2.0, "v0b": 0.5, "wb": 0.5},
+        lambda p, pts: float(p["wa"]) * _gaussian(pts, p["x0a"], p["v0a"])
+        + float(p["wb"]) * _gaussian(pts, p["x0b"], p["v0b"]),
+    ),
+}
+
+
+def density_preset_eval(preset: str, params: dict | None, points: np.ndarray) -> np.ndarray:
+    """Evaluate a named density preset at arbitrary points (N, d).
+
+    Presets: ``gaussian(x0, v0)`` (normalized density), ``bimodal-gaussian``
+    (``wa`` times the gaussian (``x0a``, ``v0a``) plus ``wb`` times
+    (``x0b``, ``v0b``)), ``constant(c)``, ``zero``.  An unknown name or
+    parameter raises UnknownPreset.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    (_, evaluate), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
+    return evaluate(params, pts)
 
 
 def sample_function(grid: GridSpec, preset: str, params: dict | None = None) -> ScalarField:
-    """Evaluate a named preset at the cell centers.
-
-    Presets: ``gaussian(x0, v0)`` (normalized density), ``bimodal-gaussian``
-    (equal-weight mixture unless ``wa``/``wb`` given), ``constant(c)``,
-    ``zero``.
-    """
-    params = dict(params or {})
-    if preset == "zero":
-        vals = np.zeros(grid.shape)
-    elif preset == "constant":
-        vals = np.full(grid.shape, float(params.get("c", 1.0)))
-    elif preset == "gaussian":
-        vals = _gaussian_values(grid, params.get("x0", 0.0), float(params.get("v0", 1.0)))
-    elif preset == "bimodal-gaussian":
-        wa = float(params.get("wa", 0.5))
-        wb = float(params.get("wb", 0.5))
-        vals = wa * _gaussian_values(
-            grid, params.get("x0a", -2.0), float(params.get("v0a", 0.5))
-        ) + wb * _gaussian_values(grid, params.get("x0b", 2.0), float(params.get("v0b", 0.5)))
-    else:
-        raise UnknownPreset(f"unknown field preset {preset!r}")
-    return ScalarField(grid, vals)
+    """Evaluate a density preset (see density_preset_eval) at the cell centers."""
+    return ScalarField(grid, density_preset_eval(preset, params, grid.cell_centers()).reshape(grid.shape))
 
 
 def partial_derivative(field: ScalarField, axis: int) -> ScalarField:

@@ -16,13 +16,12 @@ import numpy as np
 
 from .controls import ControlPath, CostSpec, DriftSpec, Potential, control_cost_terms
 from .errors import DegenerateProbe, UnsupportedDrift
-from .grid import TimeGrid
+from .grid import TimeGrid, density_preset_eval
 
 __all__ = [
     "AffineFlow",
     "MomentPath",
     "affine_exact_density",
-    "density_preset_eval",
     "moment_ode",
     "fd_directional_derivative",
     "lipschitz_probe",
@@ -43,23 +42,13 @@ def _axis_rates(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray]:
     presets whose flow is not a per-axis closed form.
     """
     ctrl = drift.control
-    d = ctrl.dim
-    alpha = ctrl.u1.copy()
-    beta = ctrl.u2.copy()
-    a0 = drift.a0
-    if a0.name == "zero":
-        pass
-    elif a0.name == "constant":
-        alpha = alpha + np.broadcast_to(np.atleast_1d(a0.params.get("b", 0.0)), (d,))
-    elif a0.name == "affine":
-        A = np.asarray(a0.params.get("A"), dtype=float).reshape(d, d)
-        if np.any(A != np.diag(np.diag(A))):
-            raise UnsupportedDrift("exact flow needs a diagonal affine part")
-        alpha = alpha + np.broadcast_to(np.atleast_1d(a0.params.get("b", 0.0)), (d,))
-        beta = beta + np.diag(A)
-    else:
-        raise UnsupportedDrift(f"no exact flow for a0 preset {a0.name!r}")
-    return alpha, beta
+    ab = drift.a0.affine_part(ctrl.dim)
+    if ab is None:
+        raise UnsupportedDrift(f"no exact flow for a0 preset {drift.a0.name!r}")
+    A, b = ab
+    if np.any(A != np.diag(np.diag(A))):
+        raise UnsupportedDrift("exact flow needs a diagonal affine part")
+    return ctrl.u1 + b, ctrl.u2 + np.diag(A)
 
 
 @dataclass
@@ -126,34 +115,6 @@ class AffineFlow:
         b0, b1 = self.shift(t0), self.shift(t1)
         ratio = s1 / s0
         return ratio * (np.asarray(points, dtype=float) - b0) + b1
-
-
-def density_preset_eval(preset: str, params: dict, points: np.ndarray) -> np.ndarray:
-    """Analytic evaluation of an initial-density preset at arbitrary points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    d = pts.shape[-1]
-    params = dict(params or {})
-
-    def gauss(x0, v0):
-        x0 = np.broadcast_to(np.atleast_1d(x0), (d,))
-        sq = ((pts - x0) ** 2).sum(axis=-1)
-        return (2.0 * np.pi * v0) ** (-d / 2.0) * np.exp(-sq / (2.0 * v0))
-
-    if preset == "zero":
-        return np.zeros(pts.shape[:-1])
-    if preset == "constant":
-        return np.full(pts.shape[:-1], float(params.get("c", 1.0)))
-    if preset == "gaussian":
-        return gauss(params.get("x0", 0.0), float(params.get("v0", 1.0)))
-    if preset == "bimodal-gaussian":
-        return float(params.get("wa", 0.5)) * gauss(
-            params.get("x0a", -2.0), float(params.get("v0a", 0.5))
-        ) + float(params.get("wb", 0.5)) * gauss(
-            params.get("x0b", 2.0), float(params.get("v0b", 0.5))
-        )
-    raise UnsupportedDrift(f"no analytic density for preset {preset!r}")
 
 
 def affine_exact_density(

@@ -71,6 +71,14 @@ def test_bad_solver_settings_exit_one(tmp_path, solver, key):
     assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
+# preset parameters that the named preset does not take
+UNKNOWN_PARAMETERS = [
+    ("rho0", {"preset": "gaussian", "params": {"xo": 1.0}}),
+    ("a0", {"preset": "constant", "params": {"B": 1.0}}),
+    ("rho0", {"preset": "gaussian", "params": {"sigma": 3}}),
+]
+
+
 @pytest.mark.parametrize(
     "section, entry",
     [
@@ -85,6 +93,8 @@ def test_bad_solver_settings_exit_one(tmp_path, solver, key):
         ("rho0", {"preset": "gaussian", "params": {"x0": [0.0, 5.0], "v0": 1.0}}),
         ("rho0", {"preset": "bimodal-gaussian", "params": {"x0b": [2.0, 5.0]}}),
         ("cost", {"track_path": [[0.0, [0.0, 1.0]], [1.0, [0.3, 1.0]]], "theta": "tracking"}),
+        *UNKNOWN_PARAMETERS,
+        ("cost", {"theta": "quadratic-well"}),
     ],
 )
 def test_bad_presets_exit_one(tmp_path, section, entry):
@@ -93,6 +103,13 @@ def test_bad_presets_exit_one(tmp_path, section, entry):
         parse_config(json.dumps(bad))
     cfgp = write_config(tmp_path, bad)
     assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("section, entry", UNKNOWN_PARAMETERS)
+def test_unknown_preset_parameter_is_named(section, entry):
+    (key,) = entry["params"]
+    with pytest.raises(SchemaError, match=re.escape(f"{section}.preset") + f".*no parameter '{key}'"):
+        parse_config(json.dumps(dict(MINIMAL, **{section: entry})))
 
 
 def test_coordinate_counts_follow_the_grid_in_2d():
@@ -125,6 +142,15 @@ def test_coordinate_counts_follow_the_grid_in_2d():
         ("cost", {"cost": {"gamma": "x"}}),
         ("rho0", {"rho0": {"preset": "gaussian", "params": [1, 2]}}),
         ("cost", {"cost": {"theta": "tracking", "track_path": [[0.0], [1.0]]}}),
+        # counts are JSON integers: no truncated fractions, no booleans
+        ("grid", {"grid": {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [64.9]}}),
+        ("time", {"time": {"T": 1.0, "nt": 32.7}}),
+        ("output", {"output": {"stride": 1.9}}),
+        ("solver", {"solver": {"max_substeps": 2.5}}),
+        ("optim", {"optim": {"seeds": [0.5, 1]}}),
+        ("optim", {"optim": {"max_iters": True}}),
+        ("grid", {"grid": {"dim": 1.0, "lo": [-8.0], "hi": [8.0], "n": [64]}}),
+        ("grid", {"grid": {"dim": True, "lo": [-8.0], "hi": [8.0], "n": [64]}}),
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, section, patch):

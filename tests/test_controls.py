@@ -45,20 +45,39 @@ def test_eval_drift_hadamard_2d():
     assert out[0] == pytest.approx([3.0, 8.0], abs=1e-14)
 
 
-def test_eval_drift_affine_jacobian_by_differences():
-    t = tg()
-    A = np.array([[0.3, -0.1], [0.2, 0.4]])
-    ctrl = ControlPath.constant(t, [0.1, -0.2], [0.5, -0.3])
-    spec = DriftSpec(DriftPreset("affine", {"A": A, "b": [0.0, 1.0]}), ctrl)
-    x = np.array([0.7, -1.3])
+DRIFT_CASES = [
+    ("zero", {}, 1),
+    ("zero", {}, 2),
+    ("constant", {"b": 0.4}, 1),
+    ("constant", {"b": [0.4, -0.2]}, 2),
+    ("affine", {"A": [[0.3]], "b": [0.1]}, 1),
+    ("affine", {"A": [[0.3, -0.5], [0.2, 0.4]], "b": [0.0, 1.0]}, 2),
+    ("rotation", {"omega": 0.7}, 2),
+    ("gaussian-bump", {"c": 0.5, "sigma": 1.2}, 1),
+    ("gaussian-bump", {"c": [0.5, -0.3], "sigma": 1.2}, 2),
+]
+
+
+@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
+def test_eval_drift_jacobian_by_differences(name, params, d):
+    a0 = DriftPreset(name, params)
+    u2 = np.array([0.5, -0.3][:d])
+    spec = DriftSpec(a0, ControlPath.constant(tg(), [0.1, -0.2][:d], u2))
+    x = np.array([0.7, -1.3][:d])
     h = 1e-6
-    jac = np.zeros((2, 2))
-    for s in range(2):
-        e = np.zeros(2)
+    jac = np.zeros((d, d))
+    for s in range(d):
+        e = np.zeros(d)
         e[s] = h
         jac[:, s] = (eval_drift(spec, 0.2, (x + e)[None]) - eval_drift(spec, 0.2, (x - e)[None]))[0] / (2 * h)
-    expected = A + np.diag([0.5, -0.3])
+    expected = a0.jacobian(0.2, x[None])[0] + np.diag(u2)
     assert np.abs(jac - expected).max() < 1e-8
+    if name == "affine":
+        assert np.array_equal(a0.jacobian(0.2, x[None])[0], np.asarray(params["A"]))
+    # the order-1 sup is the largest Jacobian entry over the cell centres
+    g = make_grid(d, -4.0, 4.0, 16)
+    sup = np.abs(a0.jacobian(0.0, g.cell_centers())).max()
+    assert a0.derivative_sup(g, 1) == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
 def test_control_linear_interpolation_between_nodes():

@@ -55,6 +55,24 @@ def test_sample_constant_and_zero():
         sample_function(g, "gausian")
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "preset, params",
+    [
+        ("zero", {}),
+        ("constant", {"c": 2.5}),
+        ("gaussian", {"x0": 0.5, "v0": 0.8}),
+        ("bimodal-gaussian", {"x0a": -1.0, "v0b": 0.3, "wb": 0.25}),
+    ],
+)
+def test_sample_function_is_the_preset_at_the_cell_centers(dim, preset, params):
+    g = make_grid(dim, -4, 4, 16)
+    f = sample_function(g, preset, params)
+    assert np.array_equal(f.values.ravel(), density_preset_eval(preset, params, g.cell_centers()))
+    with pytest.raises(UnknownPreset, match="no parameter 'x1'"):
+        sample_function(g, preset, dict(params, x1=0.0))
+
+
 def test_gaussian_peak_value():
     # closed form of the standard normal density at the origin
     val = density_preset_eval("gaussian", {"x0": 0.0, "v0": 1.0}, np.array([[0.0]]))
