@@ -70,6 +70,7 @@ from .grid import (
 from .optimize import MultiStartReport, OptimConfig, OptimResult, multi_start, optimize
 from .oracles import (
     AffineFlow,
+    ConstantAffineFlow,
     MomentPath,
     MomentSurrogateProblem,
     affine_exact_density,

@@ -27,7 +27,7 @@ from .adjoint import adjoint_energy_certificate, confining_weight_index, solve_a
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, DriftSpec, Potential
 from .errors import LinesearchFailure, LiouvilleControlError, SchemaError
 from .forward import boundary_leak, energy_certificate, solve_forward
-from .grid import GridSpec, ScalarField, TimeGrid, make_grid, sample_function
+from .grid import GridSpec, ScalarField, TimeGrid, is_count, make_grid, sample_function
 from .optimize import OptimConfig, multi_start, optimize
 from .oracles import affine_exact_density, fd_directional_derivative, fit_order
 from .reduced import (
@@ -148,7 +148,7 @@ def _count(key: str, value):
     truncated and true is not read as 1."""
     if isinstance(value, list):
         return [_count(key, v) for v in value]
-    if type(value) is not int:
+    if not is_count(value):
         raise SchemaError(f"{key} must be an integer, got {value!r}")
     return value
 

@@ -6,7 +6,13 @@ The update is in flux form, so interior mass changes by exactly the net
 boundary flux.  Boundary handling: outflow faces take the upwind interior
 value, inflow faces carry zero flux (equivalently, ghost cells hold zero for
 the upwind gather).  The drift grows linearly in x, so the time step is
-subdivided per step to keep the Courant number below the configured cap.
+subdivided per step to keep the Courant number below the configured cap;
+the Courant speed is computed once per time node.
+
+Every a0 preset is autonomous, so a0 is evaluated at the faces once per
+solve and each substep adds the control in ``eval_drift``'s order,
+(a0 + u1) + x * u2, which keeps the bits of ``eval_drift``.  A
+time-dependent preset would have to give that cache up.
 
 Schemes: first-order upwind (monotone, the default) and a minmod-limited
 MUSCL variant advanced with two-stage SSP time stepping for accuracy
@@ -28,7 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .controls import ControlPath, DriftSpec, drift_div_bound, drift_grad_bound, eval_drift
+from .controls import ControlPath, DriftSpec, drift_div_bound, drift_grad_bound
+from .controls import eval_drift  # unused here; bench/calltrace.py wraps forward.eval_drift by name
 from .errors import CflUnderflow, NonFinite
 from .grid import GridSpec, ScalarField, TimeGrid, weighted_sobolev_norm
 
@@ -68,22 +75,26 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _face_states(vm: np.ndarray, scheme: str):
     """Left/right states at the faces along axis 0 of vm, with zero ghosts
     (inflow carries nothing in, outflow uses the interior reconstruction)."""
-    zero = np.zeros_like(vm[:1])
+    shape = (vm.shape[0] + 1,) + vm.shape[1:]
+    left, right = np.empty(shape), np.empty(shape)
+    left[0] = right[-1] = 0.0
     if scheme == "upwind-fv":
-        left = np.concatenate([zero, vm], axis=0)
-        right = np.concatenate([vm, zero], axis=0)
+        left[1:] = vm
+        right[:-1] = vm
         return left, right
-    dm = np.diff(vm, axis=0)
-    dminus = np.concatenate([zero, dm], axis=0)
-    dplus = np.concatenate([dm, zero], axis=0)
-    s = _minmod(dminus, dplus)
-    left = np.concatenate([zero, vm + 0.5 * s], axis=0)
-    right = np.concatenate([vm - 0.5 * s, zero], axis=0)
+    # half the limited slope; the boundary cells' slopes are 0
+    half = np.empty_like(vm)
+    half[0] = half[-1] = 0.0
+    dm = vm[1:] - vm[:-1]
+    half[1:-1] = 0.5 * _minmod(dm[:-1], dm[1:])
+    np.add(vm, half, out=left[1:])
+    np.subtract(vm, half, out=right[:-1])
     return left, right
 
 
 class _Stepper:
-    """One-step FV advance bound to a grid, drift, source, and scheme."""
+    """One-step FV advance bound to a grid, drift, source, and scheme; a0
+    at the faces of each axis is evaluated here, stored with that axis first."""
 
     def __init__(self, grid, drift, g_eval, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
@@ -93,50 +104,53 @@ class _Stepper:
         self.g_eval = g_eval
         self.scheme = scheme
         self.tangent_control = tangent_control
-        self.face_pts = [_face_points(grid, ax) for ax in range(grid.dim)]
+        self.h = grid.h
+        self.transverse = [grid.cell_volume / h for h in self.h]
+        self.a0_faces, self.x_faces = [], []
+        for ax in range(grid.dim):
+            pts = _face_points(grid, ax)
+            a0 = drift.a0.eval(0.0, pts.reshape(-1, grid.dim))[:, ax].reshape(pts.shape[:-1])
+            self.a0_faces.append(np.ascontiguousarray(np.swapaxes(a0, 0, ax)))
+            self.x_faces.append(np.ascontiguousarray(np.swapaxes(pts[..., ax], 0, ax)))
 
-    def face_speed(self, t: float, axis: int) -> np.ndarray:
-        pts = self.face_pts[axis]
-        a = eval_drift(self.drift, t, pts.reshape(-1, self.grid.dim))
-        return a[:, axis].reshape(pts.shape[:-1])
+    def face_speeds(self, t: float) -> list[np.ndarray]:
+        """a_axis at the faces of each axis, axis first, summed in
+        eval_drift's order: (a0 + u1) + x * u2."""
+        u1, u2 = self.drift.control.value_at(t)
+        return [(a0 + u1[ax]) + x * u2[ax] for ax, (a0, x) in enumerate(zip(self.a0_faces, self.x_faces))]
 
-    def face_speed_delta(self, t: float, axis: int) -> np.ndarray:
+    def face_speed_deltas(self, t: float) -> list[np.ndarray]:
+        """The tangent control's du1 + x * du2 at the faces, as face_speeds."""
         du1, du2 = self.tangent_control.value_at(t)
-        pts = self.face_pts[axis]
-        da = du1[axis] + pts[..., axis] * du2[axis]
-        return da
+        return [du1[ax] + x * du2[ax] for ax, x in enumerate(self.x_faces)]
 
     def max_speed(self, t: float) -> float:
         """Sum over axes of max |a_axis| / h_axis, for the Courant number."""
-        total = 0.0
-        for ax in range(self.grid.dim):
-            total += float(np.abs(self.face_speed(t, ax)).max()) / self.grid.h[ax]
-        return total
+        return sum(float(np.abs(a).max()) / h for a, h in zip(self.face_speeds(t), self.h))
 
     def _divergence(self, t, values, w_values):
         """Flux divergence of values (and of the tangent pair, if any);
-        also returns the boundary mass outflow rate."""
-        grid = self.grid
+        also returns the boundary mass outflow rate.  Each axis works on
+        axis-first views; ``swapaxes`` is a no-op view on axis 0."""
         div = np.zeros_like(values)
         div_w = np.zeros_like(values) if w_values is not None else None
         out_rate = 0.0
-        for ax in range(grid.dim):
-            a = np.moveaxis(self.face_speed(t, ax), ax, 0)
-            vm = np.moveaxis(values, ax, 0)
-            left, right = _face_states(vm, self.scheme)
+        speeds = self.face_speeds(t)
+        deltas = self.face_speed_deltas(t) if w_values is not None else None
+        for ax, a in enumerate(speeds):
+            left, right = _face_states(np.swapaxes(values, 0, ax), self.scheme)
             ap = np.maximum(a, 0.0)
             am = np.minimum(a, 0.0)
             F = ap * left + am * right
-            div += np.moveaxis(np.diff(F, axis=0), 0, ax) / grid.h[ax]
-            transverse = grid.cell_volume / grid.h[ax]
-            out_rate += float((F[-1].sum() - F[0].sum()) * transverse)
+            div_ax = np.swapaxes(div, 0, ax)
+            div_ax += (F[1:] - F[:-1]) / self.h[ax]
+            out_rate += float((F[-1].sum() - F[0].sum()) * self.transverse[ax])
             if w_values is not None:
-                wm = np.moveaxis(w_values, ax, 0)
-                wl, wr = _face_states(wm, self.scheme)
-                da = np.moveaxis(self.face_speed_delta(t, ax), ax, 0)
+                wl, wr = _face_states(np.swapaxes(w_values, 0, ax), self.scheme)
                 rho_up = np.where(a >= 0.0, left, right)
-                Fw = ap * wl + am * wr + da * rho_up
-                div_w += np.moveaxis(np.diff(Fw, axis=0), 0, ax) / grid.h[ax]
+                Fw = ap * wl + am * wr + deltas[ax] * rho_up
+                div_w_ax = np.swapaxes(div_w, 0, ax)
+                div_w_ax += (Fw[1:] - Fw[:-1]) / self.h[ax]
         return div, div_w, out_rate
 
     def advance(self, values, t, dt, w_values=None):
@@ -259,16 +273,12 @@ class StateTrajectory(Checkpoints):
     cfl: float
 
 
-def required_substeps(
-    stepper: _Stepper, timegrid: TimeGrid, cfl: float, extra_margin: float = 0.0
-) -> list[int]:
-    """Per-step substep counts from the Courant number at the step ends."""
+def required_substeps(stepper: _Stepper, timegrid: TimeGrid, cfl: float) -> list[int]:
+    """Per-step substep counts from the Courant number at the step ends,
+    with the speed computed once per node."""
     dt = timegrid.dt
-    out = []
-    for n in range(timegrid.nt):
-        speed = max(stepper.max_speed(n * dt), stepper.max_speed((n + 1) * dt)) + extra_margin
-        out.append(max(1, int(math.ceil(dt * speed / cfl))))
-    return out
+    speed = [stepper.max_speed(n * dt) for n in range(timegrid.nt + 1)]
+    return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
 def _solve(

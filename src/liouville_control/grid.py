@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "MomentState",
     "make_grid",
     "make_timegrid",
+    "is_count",
     "density_preset_eval",
     "sample_function",
     "partial_derivative",
@@ -88,17 +90,26 @@ class GridSpec:
         return np.sqrt(sum(m * m for m in mesh))
 
 
+def is_count(value) -> bool:
+    """True for a Python or numpy integer that is not a bool.  Counts are
+    never truncated: 64.9 is not 64, and True is not 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def make_grid(dim, lo, hi, n) -> GridSpec:
     """Build a GridSpec, accepting scalars or per-axis sequences.
 
-    Raises InvalidGrid unless bounds are finite with hi > lo and n >= 8
-    per axis.
+    Raises InvalidGrid unless dim and the cell counts are integers, bounds
+    are finite with hi > lo and n >= 8 per axis.
     """
-    if dim not in (1, 2):
-        raise InvalidGrid(f"dim must be 1 or 2, got {dim}")
+    if not is_count(dim) or dim not in (1, 2):
+        raise InvalidGrid(f"dim must be 1 or 2, got {dim!r}")
     lo_t = tuple(float(v) for v in np.atleast_1d(lo))
     hi_t = tuple(float(v) for v in np.atleast_1d(hi))
-    n_t = tuple(int(v) for v in np.atleast_1d(n))
+    n_t = tuple(n) if np.ndim(n) else (n,)
+    if not all(is_count(m) for m in n_t):
+        raise InvalidGrid(f"cell counts must be integers, got {n!r}")
+    n_t = tuple(int(m) for m in n_t)
     lo_t, hi_t, n_t = (v * 2 if len(v) == 1 and dim == 2 else v for v in (lo_t, hi_t, n_t))
     if not (len(lo_t) == len(hi_t) == len(n_t) == dim):
         raise InvalidGrid("lo, hi, n must have one entry per axis")
@@ -122,6 +133,9 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.T > 0 and math.isfinite(self.T)):
             raise InvalidGrid(f"final time must be positive, got {self.T}")
+        if not is_count(self.nt):
+            raise InvalidGrid(f"the number of time steps must be an integer, got {self.nt!r}")
+        object.__setattr__(self, "nt", int(self.nt))
         if self.nt < 2:
             raise InvalidGrid(f"need at least 2 time steps, got {self.nt}")
 
@@ -134,7 +148,7 @@ class TimeGrid:
 
 
 def make_timegrid(T: float, nt: int) -> TimeGrid:
-    return TimeGrid(T=float(T), nt=int(nt))
+    return TimeGrid(T=float(T), nt=nt)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlPath, project_box
+from .grid import is_count
 from .reduced import (
     KktResidual,
     Problem,
@@ -46,6 +47,9 @@ class OptimConfig:
     uniqueness_tol: float = 1e-3
 
     def __post_init__(self):
+        for name in ("max_iters", "max_backtracks"):
+            if not is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.step0 > 0:
             raise ValueError("step0 must be positive")
         if not 0.0 < self.c1 < 1.0:

@@ -1,16 +1,19 @@
 """Independent ground truths used to check the solvers.
 
 The exact-density oracle integrates the characteristic flow of the affine
-drift in closed form (per-axis scale and shift) and pushes the initial
-density through the representation formula rho(t, x) =
-rho0(psi_t^{-1}(x)) / det J(t).  The moment oracle integrates the mean and
-variance ODEs mdot = u1 + m * u2, vdot = 2 v * u2 with RK4.  Both stay
-entirely away from the PDE discretization.
+drift in closed form and pushes the initial density through the
+representation formula rho(t, x) = rho0(psi_t^{-1}(x)) / det J(t): per-axis
+scale and shift when the affine part is diagonal (any controls), and one
+matrix exponential for any affine part under constant controls.  The moment
+oracle integrates the mean and variance ODEs mdot = u1 + m * u2,
+vdot = 2 v * u2 with RK4.  Both stay entirely away from the PDE
+discretization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -20,6 +23,8 @@ from .grid import TimeGrid, density_preset_eval
 
 __all__ = [
     "AffineFlow",
+    "ConstantAffineFlow",
+    "expm",
     "MomentPath",
     "affine_exact_density",
     "moment_ode",
@@ -36,19 +41,50 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
+def _affine_part(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) with a0(x) = A x + b; raises UnsupportedDrift if a0 is not affine."""
+    ab = drift.a0.affine_part(drift.control.dim)
+    if ab is None:
+        raise UnsupportedDrift(f"no exact flow for a0 preset {drift.a0.name!r}")
+    return ab
+
+
+def _is_diagonal(A: np.ndarray) -> bool:
+    return not np.any(A != np.diag(np.diag(A)))
+
+
 def _axis_rates(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis nodal alpha(t) = u1 + b and beta(t) = u2 + diag(A) for the
     decoupled linear ODE xdot = alpha + beta x; raises UnsupportedDrift for
     presets whose flow is not a per-axis closed form.
     """
-    ctrl = drift.control
-    ab = drift.a0.affine_part(ctrl.dim)
-    if ab is None:
-        raise UnsupportedDrift(f"no exact flow for a0 preset {drift.a0.name!r}")
-    A, b = ab
-    if np.any(A != np.diag(np.diag(A))):
+    A, b = _affine_part(drift)
+    if not _is_diagonal(A):
         raise UnsupportedDrift("exact flow needs a diagonal affine part")
-    return ctrl.u1 + b, ctrl.u2 + np.diag(A)
+    return drift.control.u1 + b, drift.control.u2 + np.diag(A)
+
+
+def expm(X: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [6/6] Pade
+    approximant (Golub & Van Loan, Algorithm 11.3.1): X is scaled by 2^-s
+    so that its 1-norm is at most 1/2, where the approximant's relative
+    error is below 4e-16, and the result is squared s times."""
+    X = np.asarray(X, dtype=float)
+    norm = float(np.abs(X).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
+    X = X / 2.0**s
+    q = 6
+    c = 1.0
+    power = N = D = np.eye(X.shape[0])
+    for k in range(1, q + 1):
+        c *= (q - k + 1) / ((2 * q - k + 1) * k)
+        power = X @ power
+        N = N + c * power
+        D = D + (-1) ** k * c * power
+    E = np.linalg.solve(D, N)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 @dataclass
@@ -117,11 +153,44 @@ class AffineFlow:
         return ratio * (np.asarray(points, dtype=float) - b0) + b1
 
 
+@dataclass
+class ConstantAffineFlow:
+    """Exact flow of xdot = M x + c with M = A + diag(u2), c = b + u1, for
+    any affine a0 under constant controls.
+
+    psi_t(x0) = E11 x0 + e12 with [[E11, e12], [0, 1]] = expm(t [[M, c], [0, 0]]),
+    and jacdet = exp(t tr M).
+    """
+
+    drift: DriftSpec
+
+    def __post_init__(self):
+        A, b = _affine_part(self.drift)
+        ctrl = self.drift.control
+        if np.any(ctrl.u1 != ctrl.u1[0]) or np.any(ctrl.u2 != ctrl.u2[0]):
+            raise UnsupportedDrift("exact flow of a non-diagonal affine part needs constant controls")
+        d = ctrl.dim
+        self._B = np.zeros((d + 1, d + 1))
+        self._B[:d, :d] = A + np.diag(ctrl.u2[0])
+        self._B[:d, d] = b + ctrl.u1[0]
+
+    def jacdet(self, t: float) -> float:
+        return math.exp(t * float(np.trace(self._B)))
+
+    def map_inverse(self, t: float, points: np.ndarray) -> np.ndarray:
+        """psi_t^{-1}(x): the flow backward from t to 0, expm(-t B)."""
+        E = expm(-t * self._B)
+        d = self._B.shape[0] - 1
+        return np.asarray(points, dtype=float) @ E[:d, :d].T + E[:d, d]
+
+
 def affine_exact_density(
     rho0_preset: str, rho0_params: dict, drift: DriftSpec, t: float, points: np.ndarray
 ) -> np.ndarray:
-    """rho(t, x) through the representation formula, for integrable flows."""
-    flow = AffineFlow(drift)
+    """rho(t, x) through the representation formula, for integrable flows:
+    AffineFlow for a diagonal affine part, ConstantAffineFlow otherwise."""
+    A, _ = _affine_part(drift)
+    flow = AffineFlow(drift) if _is_diagonal(A) else ConstantAffineFlow(drift)
     back = flow.map_inverse(t, points)
     return density_preset_eval(rho0_preset, rho0_params, back) / flow.jacdet(t)
 

@@ -300,6 +300,15 @@ def test_oracle_compare_command(tmp_path):
     assert run_command(["oracle-compare", "--config", cfgp2, "--out", out]) == 2
 
 
+
+def test_oracle_compare_covers_the_rotation_scenario(tmp_path):
+    # confining-2d has a0 = rotation, a non-diagonal affine part
+    out = str(tmp_path / "o")
+    assert run_command(["oracle-compare", "--config", scenario_path("confining-2d"), "--out", out]) == 0
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert rep["resolutions"] == [12, 24, 48]
+    assert rep["errors"][0] > rep["errors"][1] > rep["errors"][2]
+
 def test_certify_command(tmp_path):
     cfg = dict(MINIMAL)
     cfg["control"] = {"u1": 0.3, "u2": 0.2}

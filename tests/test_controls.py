@@ -80,6 +80,14 @@ def test_eval_drift_jacobian_by_differences(name, params, d):
     assert a0.derivative_sup(g, 1) == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
+
+@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
+def test_drift_presets_are_autonomous(name, params, d):
+    # the forward solve evaluates a0 at the faces once, which needs this
+    a0 = DriftPreset(name, params)
+    pts = np.random.default_rng(1).normal(size=(40, d)) * 3.0
+    assert np.array_equal(a0.eval(0.0, pts), a0.eval(0.7, pts))
+
 def test_control_linear_interpolation_between_nodes():
     t = make_timegrid(1.0, 4)
     u1 = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])

@@ -9,6 +9,7 @@ from liouville_control import (
     DriftPreset,
     DriftSpec,
     NonFinite,
+    eval_drift,
     ScalarField,
     affine_exact_density,
     boundary_leak,
@@ -22,6 +23,8 @@ from liouville_control import (
     solve_forward,
     solve_linearized,
 )
+from liouville_control.forward import _Stepper, _face_points, _face_states, required_substeps
+from test_controls import DRIFT_CASES
 
 
 def gaussian_setup(n=256, nt=256, x0=0.0, v0=1.0, T=1.0):
@@ -260,3 +263,91 @@ def test_two_dimensional_rotation_mean():
     mom = moments(ScalarField(g, traj.snapshots[-1]))
     assert mom.mean[0] == pytest.approx(exact[0], abs=5e-3)
     assert mom.mean[1] == pytest.approx(exact[1], abs=5e-3)
+
+
+# --- the stepper's bits: each piece equals the code it replaced -------------
+
+
+def bits_equal(a, b):
+    """Equal shapes and equal bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def varying_control(tg, d, scale=1.0):
+    nodes = tg.nodes()[:, None]
+    u1 = scale * np.sin(3.0 * nodes + np.arange(d))
+    u2 = scale * 0.4 * np.cos(2.0 * nodes - np.arange(d))
+    return ControlPath(tg, u1, u2)
+
+
+def case_grid(d):
+    return make_grid(1, -4.0, 4.0, 16) if d == 1 else make_grid(2, (-4.0, -3.0), (4.0, 5.0), (16, 12))
+
+
+@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
+def test_face_speeds_are_eval_drift_at_the_faces(name, params, d):
+    g = case_grid(d)
+    tg = make_timegrid(1.0, 8)
+    drift = DriftSpec(DriftPreset(name, params), varying_control(tg, d))
+    delta = varying_control(tg, d, scale=-0.7)
+    stepper = _Stepper(g, drift, None, "muscl-fv", delta)
+    for t in (0.0, 0.3 * tg.dt, 0.55, 1.0):
+        speeds, deltas = stepper.face_speeds(t), stepper.face_speed_deltas(t)
+        du1, du2 = delta.value_at(t)
+        for ax in range(d):
+            pts = _face_points(g, ax)
+            a = eval_drift(drift, t, pts.reshape(-1, d))[:, ax].reshape(pts.shape[:-1])
+            assert bits_equal(speeds[ax], np.moveaxis(a, ax, 0))
+            da = du1[ax] + pts[..., ax] * du2[ax]
+            assert bits_equal(deltas[ax], np.moveaxis(da, ax, 0))
+
+
+def concatenate_face_states(vm, scheme):
+    """The face states as built with concatenate, for comparison."""
+    zero = np.zeros_like(vm[:1])
+    if scheme == "upwind-fv":
+        return np.concatenate([zero, vm], axis=0), np.concatenate([vm, zero], axis=0)
+    dm = np.diff(vm, axis=0)
+    dminus = np.concatenate([zero, dm], axis=0)
+    dplus = np.concatenate([dm, zero], axis=0)
+    s = np.where(dminus * dplus > 0.0, np.where(np.abs(dminus) < np.abs(dplus), dminus, dplus), 0.0)
+    return np.concatenate([zero, vm + 0.5 * s], axis=0), np.concatenate([vm - 0.5 * s, zero], axis=0)
+
+
+@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
+def test_face_states_match_the_concatenate_version(scheme):
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(9, 7))
+    values[2:5, :] = 1.5  # plateaus: zero differences and minmod ties
+    values[:, 3] = values[:, 2]
+    values[0, 0], values[-1, -1], values[4, 0] = -0.0, -0.0, 0.0
+    for ax in range(2):
+        vm = np.moveaxis(values, ax, 0)
+        got = _face_states(np.swapaxes(values, 0, ax), scheme)
+        for a, b in zip(got, concatenate_face_states(vm, scheme)):
+            assert bits_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_required_substeps_match_a_plan_from_both_step_ends(d):
+    g = case_grid(d)
+    tg = make_timegrid(1.0, 12)
+    drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.2}), varying_control(tg, d, scale=6.0))
+    cfl = 0.9
+
+    def courant_speed(t):
+        total = 0.0
+        for ax in range(d):
+            pts = _face_points(g, ax)
+            total += float(np.abs(eval_drift(drift, t, pts.reshape(-1, d))[:, ax]).max()) / g.h[ax]
+        return total
+
+    dt = tg.dt
+    expected = [
+        max(1, int(math.ceil(dt * max(courant_speed(n * dt), courant_speed((n + 1) * dt)) / cfl)))
+        for n in range(tg.nt)
+    ]
+    plan = required_substeps(_Stepper(g, drift, None, "upwind-fv"), tg, cfl)
+    assert plan == expected
+    assert len(set(plan)) > 1

@@ -5,7 +5,9 @@ import pytest
 
 from liouville_control import (
     InvalidGrid,
+    OptimConfig,
     ScalarField,
+    TimeGrid,
     UnknownPreset,
     UnsupportedOrder,
     ZeroMass,
@@ -13,6 +15,7 @@ from liouville_control import (
     interpolate,
     interpolate_flagged,
     make_grid,
+    make_timegrid,
     moments,
     partial_derivative,
     sample_function,
@@ -39,6 +42,31 @@ def test_make_grid_rejects_bad_input():
     with pytest.raises(InvalidGrid):
         make_grid(1, -np.inf, 8, 16)
 
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: make_grid(1, -1, 1, 64.9), InvalidGrid),
+        (lambda: make_grid(2, -1, 1, (32, 32.0)), InvalidGrid),
+        (lambda: make_grid(1, -1, 1, np.float64(64)), InvalidGrid),
+        (lambda: make_grid(1, -1, 1, True), InvalidGrid),
+        (lambda: make_grid(1.0, -1, 1, 64), InvalidGrid),
+        (lambda: make_grid(True, -1, 1, 64), InvalidGrid),
+        (lambda: make_timegrid(1.0, 32.7), InvalidGrid),
+        (lambda: TimeGrid(1.0, 32.7), InvalidGrid),
+        (lambda: TimeGrid(1.0, True), InvalidGrid),
+        (lambda: OptimConfig(max_iters=2.5), ValueError),
+        (lambda: OptimConfig(max_iters=True), ValueError),
+        (lambda: OptimConfig(max_backtracks=40.0), ValueError),
+    ],
+)
+def test_constructors_reject_counts_that_are_not_integers(build, error):
+    with pytest.raises(error, match="integer|dim"):
+        build()
+    # numpy integers are counts
+    assert make_grid(2, -1, 1, np.array([32, 16])).n == (32, 16)
+    assert type(make_timegrid(1.0, np.int64(8)).nt) is int
 
 def test_cell_centers_reproducible():
     g = make_grid(1, -8, 8, 16)

@@ -6,6 +6,7 @@ import pytest
 from liouville_control import (
     AffineFlow,
     BoxBounds,
+    ConstantAffineFlow,
     ControlPath,
     CostSpec,
     DegenerateProbe,
@@ -25,7 +26,7 @@ from liouville_control import (
     path_dot,
     sample_function,
 )
-from liouville_control.oracles import density_preset_eval
+from liouville_control.oracles import density_preset_eval, expm
 
 
 def test_identity_flow():
@@ -89,6 +90,52 @@ def test_affine_diagonal_absorbed():
     with pytest.raises(UnsupportedDrift):
         AffineFlow(DriftSpec(DriftPreset("gaussian-bump"), ControlPath.zeros(tg, 1)))
 
+
+
+@pytest.mark.parametrize(
+    "A, b, u1, u2",
+    [
+        ([[0.3]], [0.2], [0.1], [0.5]),
+        ([[0.0]], [0.0], [0.8], [-0.4]),
+        ([[0.3, 0.0], [0.0, -0.2]], [0.2, -0.1], [0.4, 0.1], [0.6, -0.3]),
+    ],
+)
+def test_constant_affine_flow_reproduces_the_diagonal_flow(A, b, u1, u2):
+    tg = make_timegrid(1.0, 16)
+    drift = DriftSpec(DriftPreset("affine", {"A": A, "b": b}), ControlPath.constant(tg, u1, u2))
+    diag, general = AffineFlow(drift), ConstantAffineFlow(drift)
+    pts = np.random.default_rng(0).normal(size=(20, len(b))) * 3.0
+    for t in (0.0, 0.37, 1.0):
+        ref = diag.map_inverse(t, pts)
+        assert np.abs(general.map_inverse(t, pts) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert general.jacdet(t) == pytest.approx(diag.jacdet(t), rel=1e-13)
+
+
+def test_constant_affine_flow_of_a_rotation():
+    tg = make_timegrid(1.0, 16)
+    w, c2 = 1.3, (0.2, -0.1)
+    ctrl = ControlPath.constant(tg, [0.0, 0.0], c2)
+    flow = ConstantAffineFlow(DriftSpec(DriftPreset("rotation", {"omega": w}), ctrl))
+    t = 0.8
+    assert flow.jacdet(t) == pytest.approx(math.exp(t * sum(c2)), rel=1e-14)
+    # u2 = 0: psi_t^{-1} is the rotation by -w t
+    flow0 = ConstantAffineFlow(DriftSpec(DriftPreset("rotation", {"omega": w}), ControlPath.zeros(tg, 2)))
+    pts = np.array([[1.0, -0.5], [2.0, 3.0]])
+    ct, st = math.cos(w * t), math.sin(w * t)
+    assert np.abs(flow0.map_inverse(t, pts) - pts @ np.array([[ct, -st], [st, ct]])).max() < 1e-14
+    # a non-diagonal affine part under a time-varying control has no closed form here
+    nodes = tg.nodes()[:, None]
+    varying = ControlPath(tg, np.hstack([nodes, nodes]), np.zeros((tg.nt + 1, 2)))
+    with pytest.raises(UnsupportedDrift):
+        ConstantAffineFlow(DriftSpec(DriftPreset("rotation"), varying))
+
+
+def test_expm_matches_the_eigendecomposition():
+    M = np.array([[0.5, 2.0, -1.0], [0.3, -4.0, 0.2], [1.0, 0.0, 3.0]])
+    lam, V = np.linalg.eig(M)
+    ref = ((V * np.exp(lam)) @ np.linalg.inv(V)).real
+    assert np.abs(expm(M) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(expm(np.zeros((2, 2))), np.eye(2))
 
 def test_exact_density_conserves_mass():
     g = make_grid(1, -8, 8, 512)
