@@ -14,11 +14,14 @@ potential there, accumulating the running cost on the way.  The feet and
 their continued values depend only on the control, so they are computed
 once per solve, before the backward pass: every escaped foot of every step
 is marched in one forward sweep, each joining the batch at its own step.
+The feet of every step are kept (nt * N * d floats for N cells in d
+dimensions), so neither the backward pass nor a replay traces them again.
 Interpolated values are clipped to the local stencil range, which keeps the
 discrete maximum principle.
 
 The backward pass keeps its nodes in the forward solver's ``Checkpoints``
-store, which replays any other node backward from the checkpoint above it.
+store, which replays any other node backward from the checkpoint above it
+with the same step and the same stored feet.
 A solve records the L2 norm per node; the negative-weight norm of the
 confining case is computed from the checkpoints by whoever reports it.
 """
@@ -88,16 +91,14 @@ class _BackStepper:
         self.escape_radius = escape_factor * max(
             abs(v) for v in (*grid.lo, *grid.hi)
         )
-        self.offgrid = self._continue_offgrid()
+        # feet[n_next - 1] are the RK4 feet at t_{n_next} of the
+        # characteristics through the cell centres at t_{n_next - 1}; the
+        # backward pass and every replay read them from here
+        self.feet, self.offgrid = self._continue_offgrid()
 
     def _theta_line_integral(self, t0: float, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         mid = 0.5 * (x0 + x1)
         return dt * potential_eval(self.cost.theta, mid, t0 + 0.5 * dt)
-
-    def _feet(self, n_next: int) -> np.ndarray:
-        """RK4 feet at t_{n_next} of the characteristics through the cell
-        centres at t_{n_next - 1}."""
-        return _rk4_feet(self.drift, (n_next - 1) * self.dt, self.dt, self.centers)
 
     def _outside_center_span(self, pts: np.ndarray) -> np.ndarray:
         # the interpolation stencil degrades in the outermost half cells, so
@@ -110,9 +111,10 @@ class _BackStepper:
             )
         return out
 
-    def _continue_offgrid(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Analytic continuation of every foot outside the span of cell
-        centres: {n_next: (cell indices, q(t_{n_next}, feet))}.
+    def _continue_offgrid(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+        """The feet of every step, (nt, N, d), and the analytic continuation
+        of every foot outside the span of cell centres:
+        {n_next: (cell indices, q(t_{n_next}, feet))}.
 
         The feet of step n_next join one batch at time t_{n_next}; the batch
         is marched to T, accumulating the running cost, and the terminal
@@ -120,11 +122,13 @@ class _BackStepper:
         arithmetic as a march of its own, so the values do not depend on
         the batching.
         """
+        all_feet = np.empty((self.nt, self.grid.num_cells, self.grid.dim))
         cells, joined = [], []
         for n_next in range(1, self.nt + 1):
-            feet = self._feet(n_next)
+            feet = _rk4_feet(self.drift, (n_next - 1) * self.dt, self.dt, self.centers)
             if not np.all(np.isfinite(feet)):
                 raise CharacteristicEscape("characteristic tracing produced non-finite feet")
+            all_feet[n_next - 1] = feet
             idx = np.flatnonzero(self._outside_center_span(feet))
             cells.append(idx)
             joined.append(feet[idx])
@@ -149,11 +153,11 @@ class _BackStepper:
             acc[:m] += self._theta_line_integral(t0, dt, x[:m], x_next)
             x[:m] = x_next
         values = -potential_eval(self.cost.phi, x, self.nt * dt) - acc
-        return {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
+        return all_feet, {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
 
     def step_back(self, q_next: np.ndarray, n_next: int) -> np.ndarray:
         """q at step n_next - 1 from q at step n_next."""
-        feet = self._feet(n_next)
+        feet = self.feet[n_next - 1]
         qfield = ScalarField(self.grid, q_next)
         vals, _ = interpolate_flagged(qfield, feet, clip=True)
         idx, continued = self.offgrid[n_next]

@@ -330,8 +330,14 @@ def moments(field: ScalarField) -> MomentState:
     return MomentState(mass=mass, mean=tuple(mean), variance=tuple(var))
 
 
+# stencil nodes relative to cell i, as columns: cubic (-1, 0, 1, 2) and,
+# within one cell of the boundary, the linear pair (0, 1) twice
+_CUBIC_OFFSETS = np.array([[-1], [0], [1], [2]])
+_EDGE_OFFSETS = np.array([[0], [1], [0], [1]])
+
+
 def _axis_stencil(grid: GridSpec, axis: int, coords: np.ndarray):
-    """Per-axis interpolation stencil: (indices (N,4), weights (N,4)).
+    """Per-axis interpolation stencil: (indices (4, N), weights (4, N)).
 
     Cubic Lagrange on the four surrounding centers in the interior, linear
     within one cell of the boundary; query coordinates are clamped to the
@@ -343,28 +349,23 @@ def _axis_stencil(grid: GridSpec, axis: int, coords: np.ndarray):
     s = np.clip((coords - c0) / h, 0.0, float(n - 1))
     i = np.minimum(s.astype(int), n - 2)
     t = s - i
-    idx = np.empty((coords.size, 4), dtype=int)
-    wts = np.zeros((coords.size, 4))
-    interior = (i >= 1) & (i <= n - 3)
     # cubic weights at offset t for nodes (-1, 0, 1, 2) around cell i
-    ti = t[interior]
-    idx[interior, 0] = i[interior] - 1
-    idx[interior, 1] = i[interior]
-    idx[interior, 2] = i[interior] + 1
-    idx[interior, 3] = i[interior] + 2
-    wts[interior, 0] = -ti * (ti - 1.0) * (ti - 2.0) / 6.0
-    wts[interior, 1] = (ti * ti - 1.0) * (ti - 2.0) / 2.0
-    wts[interior, 2] = -ti * (ti + 1.0) * (ti - 2.0) / 2.0
-    wts[interior, 3] = ti * (ti * ti - 1.0) / 6.0
-    edge = ~interior
-    te = t[edge]
-    ie = i[edge]
-    idx[edge, 0] = ie
-    idx[edge, 1] = ie + 1
-    idx[edge, 2] = ie
-    idx[edge, 3] = ie + 1
-    wts[edge, 0] = 1.0 - te
-    wts[edge, 1] = te
+    idx = i + _CUBIC_OFFSETS
+    mt, tm2, tt1 = -t, t - 2.0, t * t - 1.0
+    wts = np.empty((4, t.size))
+    wts[0] = mt * (t - 1.0) * tm2 / 6.0
+    wts[1] = tt1 * tm2 / 2.0
+    wts[2] = mt * (t + 1.0) * tm2 / 2.0
+    wts[3] = t * tt1 / 6.0
+    # within one cell of the boundary: linear weights on the pair (i, i + 1),
+    # zero on its second copy
+    edge = np.flatnonzero((i < 1) | (i > n - 3))
+    if edge.size:
+        idx[:, edge] = i[edge] + _EDGE_OFFSETS
+        te = t[edge]
+        wts[0, edge] = 1.0 - te
+        wts[1, edge] = te
+        wts[2:, edge] = 0.0
     return idx, wts
 
 
@@ -373,7 +374,8 @@ def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = Fal
     outside the domain box (their value is the boundary-clamped one).
 
     With ``clip=True`` the result is limited to the range of the gathered
-    stencil values, which suppresses cubic overshoot near extrema.
+    stencil values, which suppresses cubic overshoot near extrema.  Points
+    must be finite; an empty point set gives empty results.
     """
     grid = field.grid
     pts = np.asarray(points, dtype=float)
@@ -381,23 +383,39 @@ def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = Fal
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise InvalidGrid(f"points must be (N, {grid.dim})")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidGrid("points must be finite")
     out_mask = np.zeros(pts.shape[0], dtype=bool)
     for ax in range(grid.dim):
         out_mask |= (pts[:, ax] < grid.lo[ax]) | (pts[:, ax] > grid.hi[ax])
-    stencils = [_axis_stencil(grid, ax, pts[:, ax]) for ax in range(grid.dim)]
     v = field.values
+    # rows are stencil nodes, columns points.  The products are summed as
+    # numpy's pairwise sum adds one contiguous row of 4 or 16 terms: from
+    # +0.0 and in order for 4; for 16, the partial sums r_j = p_j + p_{j+8}
+    # as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then onto +0.0.
+    # So the values are those of a row-per-point layout, bit for bit.
     if grid.dim == 1:
-        idx, wts = stencils[0]
+        idx, wts = _axis_stencil(grid, 0, pts[:, 0])
         gathered = v[idx]
-        vals = (wts * gathered).sum(axis=1)
+        vals = (wts * gathered).sum(axis=0)
     else:
-        ix, wx = stencils[0]
-        iy, wy = stencils[1]
-        gathered = v[ix[:, :, None], iy[:, None, :]]
-        vals = (wx[:, :, None] * wy[:, None, :] * gathered).sum(axis=(1, 2))
-        gathered = gathered.reshape(pts.shape[0], -1)
+        ix, wx = _axis_stencil(grid, 0, pts[:, 0])
+        iy, wy = _axis_stencil(grid, 1, pts[:, 1])
+        gathered = v.ravel()[(ix[:, None] * grid.n[1] + iy[None, :]).reshape(16, -1)]
+        p = (wx[:, None] * wy[None, :]).reshape(16, -1) * gathered
+        p = p[:8] + p[8:]
+        p = p[0::2] + p[1::2]
+        vals = (p[0::2] + p[1::2]).sum(axis=0)
     if clip:
-        vals = np.clip(vals, gathered.min(axis=1), gathered.max(axis=1))
+        lo, hi = gathered.min(axis=0), gathered.max(axis=0)
+        # which signed zero a zero bound carries depends on the reduction
+        # order; those points take it from a reduction along their own
+        # contiguous stencil values
+        zero = np.flatnonzero((lo == 0.0) | (hi == 0.0))
+        if zero.size:
+            rows = np.ascontiguousarray(gathered[:, zero].T)
+            lo[zero], hi[zero] = rows.min(axis=1), rows.max(axis=1)
+        vals = np.clip(vals, lo, hi)
     return vals, out_mask
 
 

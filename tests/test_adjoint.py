@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import liouville_control.adjoint as adjoint_module
 from liouville_control import (
     AffineFlow,
     CharacteristicEscape,
@@ -173,12 +174,11 @@ def test_offgrid_characteristics_analytic_continuation():
 
 
 def _per_step_reference(cost, drift, tg, g):
-    """The adjoint marched one backward step at a time, with every escaped
-    foot continued to T by a march of its own; returns ({n: q_n}, number of
-    escaped feet)."""
+    """The adjoint marched one backward step at a time, tracing each step's
+    feet afresh and continuing every escaped foot to T by a march of its
+    own; returns ({n: q_n}, number of escaped feet)."""
     dt, nt = tg.dt, tg.nt
     pts = g.cell_centers()
-    lo, hi = g.lo[0] + 0.5 * g.h[0], g.hi[0] - 0.5 * g.h[0]
 
     def rk4(t, x):
         k1 = eval_drift(drift, t, x)
@@ -197,7 +197,10 @@ def _per_step_reference(cost, drift, tg, g):
         t0 = (n_next - 1) * dt
         feet = rk4(t0, pts)
         vals, _ = interpolate_flagged(ScalarField(g, q), feet, clip=True)
-        mask = (feet[:, 0] < lo) | (feet[:, 0] > hi)
+        mask = np.zeros(len(pts), dtype=bool)
+        for ax in range(g.dim):
+            lo, hi = g.lo[ax] + 0.5 * g.h[ax], g.hi[ax] - 0.5 * g.h[ax]
+            mask |= (feet[:, ax] < lo) | (feet[:, ax] > hi)
         escaped += int(mask.sum())
         x = feet[mask].copy()
         acc = np.zeros(x.shape[0])
@@ -209,6 +212,17 @@ def _per_step_reference(cost, drift, tg, g):
         q = (vals - theta_integral(t0, pts, feet)).reshape(g.shape)
         out[n_next - 1] = q
     return out, escaped
+
+
+def _assert_matches_reference(cost, drift, tg, g, ref):
+    for stride in (1, 4):
+        traj = solve_adjoint(cost, drift, tg, g, stride=stride)
+        for n in range(tg.nt + 1):
+            assert np.array_equal(traj.values_at(n), ref[n])
+        dense = list(traj.dense_values())
+        assert [n for n, _ in dense] == list(range(tg.nt + 1))
+        for n, vals in dense:
+            assert np.array_equal(vals, ref[n])
 
 
 def test_batched_offgrid_continuation_matches_per_step_march():
@@ -223,14 +237,47 @@ def test_batched_offgrid_continuation_matches_per_step_march():
     cost = CostSpec(gamma=1.0, theta=track, phi=Potential("quadratic"))
     ref, escaped = _per_step_reference(cost, drift, tg, g)
     assert escaped > tg.nt  # feet leave the span at every step
-    for stride in (1, 4):
-        traj = solve_adjoint(cost, drift, tg, g, stride=stride)
-        for n in range(tg.nt + 1):
-            assert np.array_equal(traj.values_at(n), ref[n])
-        dense = list(traj.dense_values())
-        assert [n for n, _ in dense] == list(range(tg.nt + 1))
-        for n, vals in dense:
-            assert np.array_equal(vals, ref[n])
+    _assert_matches_reference(cost, drift, tg, g, ref)
+
+
+def test_stored_feet_match_per_step_march_in_2d():
+    # a rotation carries the corner cells beyond the span of cell centres,
+    # and the time-varying control pushes feet across both axes
+    g = make_grid(2, (-3, -3), (3, 3), (16, 16))
+    tg = make_timegrid(0.5, 16)
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    drift = DriftSpec(
+        DriftPreset("rotation", {"omega": 1.5}),
+        ControlPath(tg, np.hstack([0.4 * np.cos(4.0 * s), -0.3 + 0.2 * s]), np.full((tg.nt + 1, 2), 0.2)),
+    )
+    cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
+    ref, escaped = _per_step_reference(cost, drift, tg, g)
+    assert escaped > tg.nt
+    _assert_matches_reference(cost, drift, tg, g, ref)
+
+
+def test_feet_are_traced_once_per_solve(monkeypatch):
+    # a contracting drift keeps every foot inside the span, so the only
+    # drift evaluations are the four RK4 stages of each step's feet
+    g, tg = setup(n=64, nt=32)
+    drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.1], [-0.5]))
+    cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
+    calls = []
+
+    def counting_eval_drift(spec, t, points):
+        calls.append(points.shape[0])
+        return eval_drift(spec, t, points)
+
+    monkeypatch.setattr(adjoint_module, "eval_drift", counting_eval_drift)
+    dense = solve_adjoint(cost, drift, tg, g)
+    assert calls == [g.num_cells] * (4 * tg.nt)
+    strided = solve_adjoint(cost, drift, tg, g, stride=8)
+    del calls[:]
+    for n in (3, 13, 31):
+        assert np.array_equal(strided.values_at(n), dense.values_at(n))
+    for n, vals in strided.dense_values():
+        assert np.array_equal(vals, dense.values_at(n))
+    assert calls == []
 
 
 def test_offgrid_sweep_leaving_safety_hull_raises():

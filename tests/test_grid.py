@@ -279,6 +279,121 @@ def test_interpolate_2d_tensor_product():
     assert np.abs(interpolate(f, pts) - exact).max() < 1e-12
 
 
+def test_interpolate_rejects_points_that_are_not_finite():
+    g1 = make_grid(1, -8, 8, 16)
+    f1 = ScalarField(g1, g1.centers(0).copy())
+    g2 = make_grid(2, (-4, -4), (4, 4), (16, 16))
+    f2 = ScalarField(g2, np.ones(g2.shape))
+    for f, pts in (
+        (f1, np.array([0.0, np.nan])),
+        (f1, np.array([[np.inf]])),
+        (f2, np.array([[0.5, 0.5], [np.nan, 0.0]])),
+        (f2, np.array([[-np.inf, 0.0]])),
+    ):
+        for clip in (False, True):
+            with pytest.raises(InvalidGrid, match="points must be finite"):
+                interpolate_flagged(f, pts, clip=clip)
+
+
+def test_interpolate_empty_point_set():
+    g1 = make_grid(1, -8, 8, 16)
+    g2 = make_grid(2, (-4, -4), (4, 4), (16, 16))
+    for g, pts in ((g1, np.zeros(0)), (g1, np.zeros((0, 1))), (g2, np.zeros((0, 2)))):
+        f = ScalarField(g, np.ones(g.shape))
+        for clip in (False, True):
+            vals, mask = interpolate_flagged(f, pts, clip=clip)
+            assert vals.shape == mask.shape == (0,)
+            assert vals.dtype == float and mask.dtype == bool
+
+
+def _masked_axis_stencil(grid, axis, coords):
+    # the per-axis stencil as (N, 4) arrays filled through boolean masks
+    n = grid.n[axis]
+    h = grid.h[axis]
+    c0 = grid.lo[axis] + 0.5 * h
+    s = np.clip((coords - c0) / h, 0.0, float(n - 1))
+    i = np.minimum(s.astype(int), n - 2)
+    t = s - i
+    idx = np.empty((coords.size, 4), dtype=int)
+    wts = np.zeros((coords.size, 4))
+    interior = (i >= 1) & (i <= n - 3)
+    ti = t[interior]
+    for k in range(4):
+        idx[interior, k] = i[interior] + k - 1
+    wts[interior, 0] = -ti * (ti - 1.0) * (ti - 2.0) / 6.0
+    wts[interior, 1] = (ti * ti - 1.0) * (ti - 2.0) / 2.0
+    wts[interior, 2] = -ti * (ti + 1.0) * (ti - 2.0) / 2.0
+    wts[interior, 3] = ti * (ti * ti - 1.0) / 6.0
+    edge = ~interior
+    te = t[edge]
+    ie = i[edge]
+    idx[edge, 0] = ie
+    idx[edge, 1] = ie + 1
+    idx[edge, 2] = ie
+    idx[edge, 3] = ie + 1
+    wts[edge, 0] = 1.0 - te
+    wts[edge, 1] = te
+    return idx, wts
+
+
+def _masked_interpolate(field, pts, clip):
+    # one row of stencil values per point, summed and clipped row by row
+    grid = field.grid
+    stencils = [_masked_axis_stencil(grid, ax, pts[:, ax]) for ax in range(grid.dim)]
+    v = field.values
+    if grid.dim == 1:
+        idx, wts = stencils[0]
+        gathered = v[idx]
+        vals = (wts * gathered).sum(axis=1)
+    else:
+        (ix, wx), (iy, wy) = stencils
+        gathered = v[ix[:, :, None], iy[:, None, :]]
+        vals = (wx[:, :, None] * wy[:, None, :] * gathered).sum(axis=(1, 2))
+        gathered = gathered.reshape(pts.shape[0], -1)
+    if clip:
+        vals = np.clip(vals, gathered.min(axis=1), gathered.max(axis=1))
+    return vals
+
+
+def _query_points(grid, rng, count):
+    # random points in and beyond the box, cell centres, the box edges and
+    # the outermost centres, mixed independently per axis
+    cols = []
+    for ax in range(grid.dim):
+        c = grid.centers(ax)
+        lo, hi = grid.lo[ax], grid.hi[ax]
+        special = np.array([lo, hi, c[0], c[1], c[-2], c[-1], lo - 3.0, hi + 3.0])
+        pick = rng.integers(3, size=count)
+        cols.append(np.select(
+            [pick == 0, pick == 1],
+            [rng.choice(c, count), rng.choice(special, count)],
+            rng.uniform(lo - 1.0, hi + 1.0, count),
+        ))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("dim, n, count", [(1, 16, 64), (1, 768, 768), (2, 48, 48 * 48)])
+def test_interpolate_matches_the_masked_row_version(dim, n, count):
+    rng = np.random.default_rng(n)
+    g = make_grid(dim, -6, 6, n)
+    for trial in range(6):
+        vals = rng.normal(size=g.shape) * 10.0 ** rng.integers(-3, 4)
+        if trial % 2:
+            # nonnegative spikes on zeros of both signs: the cubic undershoot
+            # is clipped to a zero bound whose sign the stencil decides
+            vals = np.abs(vals)
+            vals[rng.random(g.shape) < 0.3] = 0.0
+            vals[(vals == 0.0) & (rng.random(g.shape) < 0.5)] = -0.0
+        else:
+            vals[rng.random(g.shape) < 0.3] = -0.0
+        f = ScalarField(g, vals)
+        pts = _query_points(g, rng, count)
+        for clip in (False, True):
+            got, _ = interpolate_flagged(f, pts, clip=clip)
+            want = _masked_interpolate(f, pts, clip)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_field_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     g = make_grid(1, -8, 8, 32)
