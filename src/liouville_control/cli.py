@@ -2,9 +2,12 @@
 artifact emission.
 
 Subcommands: forward, adjoint, cost, grad, grad-check, optimize,
-multistart, oracle-compare, certify.  Every run echoes the fully resolved
-configuration into the output directory; repeated runs of one configuration
-produce byte-identical CSV artifacts.
+multistart, oracle-compare, certify.  ``_DEFAULTS`` names every
+configuration key with its default; ``parse_config`` merges each section
+with it, checks every value by the kind of its default, builds the run's
+one ``Problem`` and echoes the merged configuration, which every run writes
+to its output directory.  Every command solves through that ``Problem``;
+repeated runs of one configuration produce byte-identical CSV artifacts.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure (a
 diagnostic JSON is written when the output directory is known).
@@ -13,6 +16,7 @@ diagnostic JSON is written when the output directory is known).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .adjoint import adjoint_energy_certificate, confining_weight_index, solve_adjoint
-from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, DriftSpec, Potential
+from .adjoint import adjoint_energy_certificate, confining_weight_index
+from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, Potential
 from .errors import LinesearchFailure, LiouvilleControlError, SchemaError
-from .forward import boundary_leak, energy_certificate, solve_forward
-from .grid import GridSpec, ScalarField, TimeGrid, is_count, make_grid, sample_function
+from .forward import SCHEMES, boundary_leak, energy_certificate
+from .grid import ScalarField, TimeGrid, is_count, make_grid, sample_function
 from .optimize import OptimConfig, multi_start, optimize
 from .oracles import affine_exact_density, fd_directional_derivative, fit_order
 from .reduced import (
@@ -41,74 +45,62 @@ from .reduced import (
     smallness_certificate,
 )
 
-# allowed keys per section; unknown keys anywhere are configuration errors
-_SCHEMA = {
-    "grid": {"dim", "lo", "hi", "n"},
-    "time": {"T", "nt"},
-    "rho0": {"preset", "params"},
-    "source": {"preset", "params"},
-    "a0": {"preset", "params"},
-    "control": {"u1", "u2"},
-    "cost": {"gamma", "delta", "nu", "theta", "phi", "track_path", "l1_norm"},
-    "bounds": {"ua", "ub"},
-    "optim": {"max_iters", "step0", "c1", "backtrack", "vi_tol", "seeds"},
-    "solver": {"scheme", "cfl", "max_substeps"},
-    "output": {"dir", "stride"},
-    "constants": {"C_universal", "C_cert"},
+# Every configuration key, by section, with its default; any other key is a
+# configuration error.  A type in place of a default marks a key that every
+# configuration must give.  A value must be of its default's kind: an int
+# default takes a count (a JSON integer), a float a finite JSON number, a str
+# a name and a dict an object; a list default also takes a list of them.
+# cost.track_path (default None) goes to Potential.tracking as given.
+_DEFAULTS = {
+    "grid": {"dim": int, "lo": [float], "hi": [float], "n": [int]},
+    "time": {"T": float, "nt": int},
+    "rho0": {"preset": "gaussian", "params": {"x0": 0.0, "v0": 1.0}},
+    "source": {"preset": "zero", "params": {}},
+    "a0": {"preset": "zero", "params": {}},
+    "control": {"u1": [0.0], "u2": [0.0]},
+    "cost": {
+        "gamma": 1.0, "delta": 0.0, "nu": 0.0, "theta": "zero", "phi": "zero",
+        "track_path": None, "l1_norm": "component",
+    },
+    "bounds": {"ua": [-1.0], "ub": [1.0]},
+    "optim": {
+        "max_iters": 200, "step0": 1.0, "c1": 1e-4, "backtrack": 0.5, "vi_tol": 1e-6,
+        "seeds": [0, 1, 2, 3, 4],
+    },
+    "solver": {"scheme": "upwind-fv", "cfl": 0.9, "max_substeps": 4096},
+    "output": {"dir": "out", "stride": 1},
+    "constants": {"C_universal": 1.0, "C_cert": 2.0},
+}
+
+# kind -> (what a value must be, test of one value)
+_KINDS = {
+    int: ("an integer", is_count),
+    float: (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration."""
+    """A parsed run configuration: the run's one Problem, the start control,
+    what only some commands read, and the resolved configuration echoed into
+    the output directory."""
 
-    grid: GridSpec
-    timegrid: TimeGrid
-    rho0_preset: str
-    rho0_params: dict
-    source_preset: str
-    source_params: dict
-    a0: DriftPreset
-    control_u1: list
-    control_u2: list
-    cost: CostSpec
-    bounds: BoxBounds
+    _problem: Problem
+    control: ControlPath
+    rho0: tuple  # (preset, params) for the exact-solution oracle
     optim: OptimConfig
-    scheme: str
-    cfl: float
-    max_substeps: int
     out_dir: str
-    stride: int
     C_universal: float
     C_cert: float
     resolved: dict
 
-    def rho0_field(self) -> ScalarField:
-        return sample_function(self.grid, self.rho0_preset, self.rho0_params)
-
-    def source_eval(self):
-        if self.source_preset == "zero":
-            return None
-        vals = sample_function(self.grid, self.source_preset, self.source_params).values
-        return lambda t: vals
-
-    def initial_control(self) -> ControlPath:
-        return ControlPath.constant(self.timegrid, self.control_u1, self.control_u2)
-
     def problem(self) -> Problem:
-        return Problem(
-            grid=self.grid, timegrid=self.timegrid, rho0=self.rho0_field(), a0=self.a0,
-            cost=self.cost, bounds=self.bounds, g_eval=self.source_eval(), scheme=self.scheme,
-            cfl=self.cfl, stride=self.stride, max_substeps=self.max_substeps,
-        )
-
-
-def _check_keys(section: str, value, allowed) -> None:
-    if not isinstance(value, dict):
-        raise SchemaError(f"section '{section}' must be an object")
-    for key in value:
-        if key not in allowed:
-            raise SchemaError(f"unknown key '{section}.{key}'" if section else f"unknown key '{key}'")
+        return self._problem
 
 
 @contextmanager
@@ -123,18 +115,6 @@ def _section(name: str):
         raise SchemaError(f"{name}: {err}") from err
 
 
-def _potential_from(name, track_path, which: str, dim: int) -> Potential:
-    if name != "tracking":
-        with _section(f"cost.{which}"):
-            return Potential(name)
-    if not track_path:
-        raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
-    pot = Potential.tracking(track_path)
-    if {len(x) for x in pot.track_x} not in ({1}, {dim}):
-        raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
-    return pot
-
-
 @contextmanager
 def _preset(section: str, name: str):
     """Build a preset and evaluate it on the grid inside this block, so that
@@ -143,175 +123,127 @@ def _preset(section: str, name: str):
         yield
 
 
-def _count(key: str, value):
-    """A count, or a list of counts: JSON integers only, so that 64.9 is not
-    truncated and true is not read as 1."""
-    if isinstance(value, list):
-        return [_count(key, v) for v in value]
-    if not is_count(value):
-        raise SchemaError(f"{key} must be an integer, got {value!r}")
-    return value
+def _checked(key: str, value, kind: type, listed: bool = False):
+    """``value`` if it is of ``kind`` (or, if ``listed``, a list of such
+    values), with finite numbers as floats; else a SchemaError naming the key."""
+    if listed and isinstance(value, list):
+        return [_checked(key, v, kind) for v in value]
+    what, ok = _KINDS[kind]
+    if not ok(value):
+        raise SchemaError(f"{key} must be {what}, got {value!r}")
+    return float(value) if kind is float else dict(value) if kind is dict else value
+
+
+def _resolve(section: str, given) -> dict:
+    """One configuration section merged with its defaults, every value checked."""
+    defaults = _DEFAULTS[section]
+    if not isinstance(given, dict):
+        raise SchemaError(f"section '{section}' must be an object")
+    for key in given:
+        if key not in defaults:
+            raise SchemaError(f"unknown key '{section}.{key}'")
+    out = {}
+    for key, default in defaults.items():
+        listed = isinstance(default, list)
+        sample = default[0] if listed else default
+        required = isinstance(sample, type)
+        if required and key not in given:
+            raise SchemaError(f"missing key '{section}.{key}'")
+        value = given.get(key, default)
+        if default is not None:
+            value = _checked(f"{section}.{key}", value, sample if required else type(sample), listed)
+        out[key] = value
+    return out
+
+
+def _broadcast(values, size: int) -> list:
+    return [float(v) for v in np.broadcast_to(np.atleast_1d(values), (size,))]
+
+
+def _sample(section: str, grid, preset: str, params: dict) -> ScalarField:
+    with _preset(section, preset):
+        return sample_function(grid, preset, params)  # ScalarField rejects non-finite values
+
+
+def _potential(cost: dict, which: str, dim: int) -> Potential:
+    if cost[which] != "tracking":
+        with _section(f"cost.{which}"):
+            return Potential(cost[which])
+    track_path = cost["track_path"]
+    if not track_path:
+        raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
+    with _section("cost.track_path"):
+        pot = Potential.tracking(track_path)
+    if {len(x) for x in pot.track_x} not in ({1}, {dim}):
+        raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
+    return pot
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration (strict keys, documented
-    defaults); raises SchemaError naming the offending section or key."""
+    """Parse and validate a JSON run configuration (strict keys, the
+    defaults of ``_DEFAULTS``); raises SchemaError naming the offending
+    section or key."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise SchemaError(f"configuration is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise SchemaError("configuration must be a JSON object")
-    _check_keys("", raw, set(_SCHEMA))
-    for section, allowed in _SCHEMA.items():
-        if section in raw:
-            _check_keys(section, raw[section], allowed)
-    for required, keys in (("grid", ("dim", "lo", "hi", "n")), ("time", ("T", "nt"))):
-        if required not in raw:
-            raise SchemaError(f"missing required section '{required}'")
-        for key in keys:
-            if key not in raw[required]:
-                raise SchemaError(f"missing key '{required}.{key}'")
+    for section in raw:
+        if section not in _DEFAULTS:
+            raise SchemaError(f"unknown key '{section}'")
+    cfg = {section: _resolve(section, raw.get(section, {})) for section in _DEFAULTS}
 
     with _section("grid"):
-        gsec = raw["grid"]
-        grid = make_grid(_count("grid.dim", gsec["dim"]), gsec["lo"], gsec["hi"], _count("grid.n", gsec["n"]))
+        grid = make_grid(**cfg["grid"])
+    cfg["grid"] = {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(grid).items()}
     d = grid.dim
-
     with _section("time"):
-        timegrid = TimeGrid(T=float(raw["time"]["T"]), nt=_count("time.nt", raw["time"]["nt"]))
-
-    with _section("rho0"):
-        rsec = raw.get("rho0", {})
-        rho0_preset = rsec.get("preset", "gaussian")
-        rho0_params = dict(rsec.get("params", {"x0": 0.0, "v0": 1.0}))
-        with _preset("rho0", rho0_preset):
-            sample_function(grid, rho0_preset, rho0_params)  # ScalarField rejects non-finite values
-
-    with _section("source"):
-        ssec = raw.get("source", {})
-        source_preset = ssec.get("preset", "zero")
-        source_params = dict(ssec.get("params", {}))
-        with _preset("source", source_preset):
-            sample_function(grid, source_preset, source_params)
-
-    with _section("a0"):
-        asec = raw.get("a0", {})
-        a0_name = asec.get("preset", "zero")
-        with _preset("a0", a0_name):
-            a0 = DriftPreset(a0_name, dict(asec.get("params", {})))
-            if not np.all(np.isfinite(a0.eval(0.0, grid.cell_centers()))):
-                raise ValueError("non-finite values on the grid")
+        timegrid = TimeGrid(**cfg["time"])
+    rho0 = _sample("rho0", grid, **cfg["rho0"])
+    source = _sample("source", grid, **cfg["source"])
+    asec = cfg["a0"]
+    with _preset("a0", asec["preset"]):
+        a0 = DriftPreset(asec["preset"], asec["params"])
+        if not np.all(np.isfinite(a0.eval(0.0, grid.cell_centers()))):
+            raise ValueError("non-finite values on the grid")
 
     with _section("control"):
-        csec = raw.get("control", {})
-        control_u1 = list(np.broadcast_to(np.atleast_1d(csec.get("u1", 0.0)), (d,)).astype(float))
-        control_u2 = list(np.broadcast_to(np.atleast_1d(csec.get("u2", 0.0)), (d,)).astype(float))
-
-    with _section("cost"):
-        ksec = raw.get("cost", {})
-        track_path = ksec.get("track_path")
-        cost = CostSpec(
-            gamma=float(ksec.get("gamma", 1.0)),
-            delta=float(ksec.get("delta", 0.0)),
-            nu=float(ksec.get("nu", 0.0)),
-            theta=_potential_from(ksec.get("theta", "zero"), track_path, "theta", d),
-            phi=_potential_from(ksec.get("phi", "zero"), track_path, "phi", d),
-            l1_mode=ksec.get("l1_norm", "component"),
-        )
-
+        cfg["control"] = {k: _broadcast(v, d) for k, v in cfg["control"].items()}
+        control = ControlPath.constant(timegrid, **cfg["control"])
     with _section("bounds"):
-        bsec = raw.get("bounds", {})
-        ua = list(np.broadcast_to(np.atleast_1d(bsec.get("ua", -1.0)), (2 * d,)).astype(float))
-        ub = list(np.broadcast_to(np.atleast_1d(bsec.get("ub", 1.0)), (2 * d,)).astype(float))
-        bounds = BoxBounds(tuple(ua), tuple(ub))
-
-    with _section("optim"):
-        osec = raw.get("optim", {})
-        optim = OptimConfig(
-            max_iters=_count("optim.max_iters", osec.get("max_iters", 200)),
-            step0=float(osec.get("step0", 1.0)),
-            c1=float(osec.get("c1", 1e-4)),
-            backtrack=float(osec.get("backtrack", 0.5)),
-            vi_tol=float(osec.get("vi_tol", 1e-6)),
-            seeds=tuple(_count("optim.seeds", osec.get("seeds", [0, 1, 2, 3, 4]))),
+        cfg["bounds"] = {k: _broadcast(v, 2 * d) for k, v in cfg["bounds"].items()}
+        bounds = BoxBounds(**{k: tuple(v) for k, v in cfg["bounds"].items()})
+    with _section("cost"):
+        ksec = cfg["cost"]
+        cost = CostSpec(
+            gamma=ksec["gamma"], delta=ksec["delta"], nu=ksec["nu"], theta=_potential(ksec, "theta", d),
+            phi=_potential(ksec, "phi", d), l1_mode=ksec["l1_norm"],
         )
+    with _section("optim"):
+        optim = OptimConfig(**dict(cfg["optim"], seeds=tuple(cfg["optim"]["seeds"])))
 
-    with _section("solver"):
-        vsec = raw.get("solver", {})
-        scheme = vsec.get("scheme", "upwind-fv")
-        if scheme not in ("upwind-fv", "muscl-fv"):
-            raise SchemaError(f"solver.scheme must be upwind-fv or muscl-fv (got '{scheme}')")
-        cfl = float(vsec.get("cfl", 0.9))
-        if not (math.isfinite(cfl) and cfl > 0):
-            raise SchemaError(f"solver.cfl must be finite and positive (got {cfl})")
-        max_substeps = _count("solver.max_substeps", vsec.get("max_substeps", 4096))
-        if max_substeps < 1:
-            raise SchemaError(f"solver.max_substeps must be >= 1 (got {max_substeps})")
+    solver = cfg["solver"]
+    if solver["scheme"] not in SCHEMES:
+        raise SchemaError(f"solver.scheme must be one of {', '.join(SCHEMES)} (got {solver['scheme']!r})")
+    if not solver["cfl"] > 0:
+        raise SchemaError(f"solver.cfl must be positive (got {solver['cfl']})")
+    if solver["max_substeps"] < 1:
+        raise SchemaError(f"solver.max_substeps must be >= 1 (got {solver['max_substeps']})")
+    output = cfg["output"]
+    if output["stride"] < 1:
+        raise SchemaError("output.stride must be >= 1")
 
-    with _section("output"):
-        out = raw.get("output", {})
-        out_dir = out.get("dir", "out")
-        if not isinstance(out_dir, str):
-            raise SchemaError("output.dir must be a string")
-        stride = _count("output.stride", out.get("stride", 1))
-        if stride < 1:
-            raise SchemaError("output.stride must be >= 1")
-
-    with _section("constants"):
-        ksec2 = raw.get("constants", {})
-        C_universal = float(ksec2.get("C_universal", 1.0))
-        C_cert = float(ksec2.get("C_cert", 2.0))
-
-    resolved = {
-        "grid": {"dim": grid.dim, "lo": list(grid.lo), "hi": list(grid.hi), "n": list(grid.n)},
-        "time": {"T": timegrid.T, "nt": timegrid.nt},
-        "rho0": {"preset": rho0_preset, "params": rho0_params},
-        "source": {"preset": source_preset, "params": source_params},
-        "a0": {"preset": a0.name, "params": a0.params},
-        "control": {"u1": control_u1, "u2": control_u2},
-        "cost": {
-            "gamma": cost.gamma,
-            "delta": cost.delta,
-            "nu": cost.nu,
-            "theta": cost.theta.name,
-            "phi": cost.phi.name,
-            "track_path": track_path,
-            "l1_norm": cost.l1_mode,
-        },
-        "bounds": {"ua": ua, "ub": ub},
-        "optim": {
-            "max_iters": optim.max_iters,
-            "step0": optim.step0,
-            "c1": optim.c1,
-            "backtrack": optim.backtrack,
-            "vi_tol": optim.vi_tol,
-            "seeds": list(optim.seeds),
-        },
-        "solver": {"scheme": scheme, "cfl": cfl, "max_substeps": max_substeps},
-        "output": {"dir": out_dir, "stride": stride},
-        "constants": {"C_universal": C_universal, "C_cert": C_cert},
-    }
-    if track_path is None:
-        resolved["cost"].pop("track_path")
-
-    return RunConfig(
-        grid=grid, timegrid=timegrid, rho0_preset=rho0_preset, rho0_params=rho0_params,
-        source_preset=source_preset, source_params=source_params, a0=a0,
-        control_u1=control_u1, control_u2=control_u2, cost=cost, bounds=bounds, optim=optim,
-        scheme=scheme, cfl=cfl, max_substeps=max_substeps, out_dir=out_dir, stride=stride,
-        C_universal=C_universal, C_cert=C_cert, resolved=resolved,
+    problem = Problem(
+        grid=grid, timegrid=timegrid, rho0=rho0, a0=a0, cost=cost, bounds=bounds,
+        g_eval=None if cfg["source"]["preset"] == "zero" else (lambda t: source.values),
+        stride=output["stride"], **solver,
     )
-
-
-def _kkt_dict(kkt) -> dict:
-    return {
-        "stationarity": kkt.stationarity,
-        "complement_upper": kkt.complement_upper,
-        "complement_lower": kkt.complement_lower,
-        "sign_consistency": kkt.sign_consistency,
-        "vi_residual": kkt.vi_residual,
-    }
+    resolved = {s: {k: v for k, v in sec.items() if v is not None} for s, sec in cfg.items()}
+    return RunConfig(
+        _problem=problem, control=control, rho0=tuple(cfg["rho0"].values()), optim=optim,
+        out_dir=output["dir"], resolved=resolved, **cfg["constants"],
+    )
 
 
 def _write_snapshots(traj, out_dir: str, prefix: str) -> None:
@@ -324,8 +256,7 @@ def _write_snapshots(traj, out_dir: str, prefix: str) -> None:
 
 
 def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
-    prob = cfg.problem()
-    traj = prob.solve_forward_for(cfg.initial_control())
+    traj = cfg.problem().solve_forward_for(cfg.control)
     fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
     _write_snapshots(traj, out_dir, "rho")
     return {
@@ -342,16 +273,16 @@ def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
-    drift = DriftSpec(cfg.a0, cfg.initial_control())
-    traj = solve_adjoint(cfg.cost, drift, cfg.timegrid, cfg.grid, stride=cfg.stride)
+    prob = cfg.problem()
+    traj = prob.solve_adjoint_for(cfg.control)
     report = {
         "command": "adjoint",
         "l2_initial": traj.l2[0],
         "l2_terminal": traj.l2[-1],
     }
     h0_negk = None
-    if cfg.cost.theta.confining or cfg.cost.phi.confining:
-        report["neg_k"] = confining_weight_index(cfg.grid.dim)
+    if prob.cost.theta.confining or prob.cost.phi.confining:
+        report["neg_k"] = confining_weight_index(prob.grid.dim)
         h0_negk = traj.norm_history(0, -report["neg_k"])
         report["h0_negk_max"] = float(h0_negk.max())
     fileio.write_adjoint_summary(traj, h0_negk, os.path.join(out_dir, "trajectory_summary.csv"))
@@ -360,57 +291,54 @@ def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_cost(cfg: RunConfig, out_dir: str) -> dict:
-    prob = cfg.problem()
-    value = reduced_cost(cfg.initial_control(), prob)
-    return {"command": "cost", "cost": value}
+    return {"command": "cost", "cost": reduced_cost(cfg.control, cfg.problem())}
 
 
 def _cmd_grad(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
-    u = cfg.initial_control()
+    u = cfg.control
     grad = reduced_gradient(u, prob)
     kkt = kkt_residual(u, prob, gradient=grad)
     fileio.write_control_csv(
-        ControlPath(cfg.timegrid, grad.u1, grad.u2), os.path.join(out_dir, "control_gradient.csv")
+        ControlPath(prob.timegrid, grad.u1, grad.u2), os.path.join(out_dir, "control_gradient.csv")
     )
     return {
         "command": "grad",
         "cost": reduced_cost(u, prob),
-        "grad_l2_norm": path_norm(cfg.timegrid, grad.stacked()),
+        "grad_l2_norm": path_norm(prob.timegrid, grad.stacked()),
         "metric": grad.metric,
         "ibp_discrepancy": grad.ibp_discrepancy,
         "vi_residual": kkt.vi_residual,
-        "kkt": _kkt_dict(kkt),
+        "kkt": dataclasses.asdict(kkt),
     }
 
 
-def _grad_check_direction(cfg: RunConfig) -> ControlPath:
-    ua, ub = cfg.bounds.arrays()
+def _grad_check_direction(prob: Problem) -> ControlPath:
+    ua, ub = prob.bounds.arrays()
     amp = 0.2 * float((ub - ua).min()) / 2.0
-    t = cfg.timegrid.nodes() / cfg.timegrid.T
-    d = cfg.grid.dim
+    t = prob.timegrid.nodes() / prob.timegrid.T
+    d = prob.grid.dim
     u1 = amp * np.sin(np.pi * t)[:, None] * np.ones((1, d))
     u2 = amp * np.cos(np.pi * t)[:, None] * np.ones((1, d))
-    return ControlPath(cfg.timegrid, u1, u2)
+    return ControlPath(prob.timegrid, u1, u2)
 
 
 def _cmd_grad_check(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
-    ua, ub = cfg.bounds.arrays()
-    center = ControlPath.from_stacked(
-        cfg.timegrid, np.tile(0.5 * (ua + ub), (cfg.timegrid.nt + 1, 1))
-    )
-    direction = _grad_check_direction(cfg)
+    tg = prob.timegrid
+    ua, ub = prob.bounds.arrays()
+    center = ControlPath.from_stacked(tg, np.tile(0.5 * (ua + ub), (tg.nt + 1, 1)))
+    direction = _grad_check_direction(prob)
     probe = frechet_probe(center, direction, [0.2, 0.1, 0.05, 0.025], prob)
     grad = reduced_gradient(center, prob)
     fd = fd_directional_derivative(prob, center, direction, 1e-4)
     if grad.metric == "H1tilde":
-        slopes_g = np.diff(grad.stacked(), axis=0) / cfg.timegrid.dt
-        slopes_d = np.diff(direction.stacked(), axis=0) / cfg.timegrid.dt
-        analytic = cfg.cost.gamma * path_dot(cfg.timegrid, grad.stacked(), direction.stacked())
-        analytic += cfg.cost.nu * float((slopes_g * slopes_d).sum() * cfg.timegrid.dt)
+        slopes_g = np.diff(grad.stacked(), axis=0) / tg.dt
+        slopes_d = np.diff(direction.stacked(), axis=0) / tg.dt
+        analytic = prob.cost.gamma * path_dot(tg, grad.stacked(), direction.stacked())
+        analytic += prob.cost.nu * float((slopes_g * slopes_d).sum() * tg.dt)
     else:
-        analytic = path_dot(cfg.timegrid, grad.stacked(), direction.stacked())
+        analytic = path_dot(tg, grad.stacked(), direction.stacked())
     rel = abs(fd - analytic) / max(abs(fd), 1e-300)
     return {
         "command": "grad-check",
@@ -425,10 +353,8 @@ def _cmd_grad_check(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_optimize(cfg: RunConfig, out_dir: str) -> dict:
-    prob = cfg.problem()
-    u0 = cfg.initial_control()
-    result = optimize(prob, cfg.optim, u0=u0)
-    fileio.write_control_csv(u0, os.path.join(out_dir, "control_init.csv"))
+    result = optimize(cfg.problem(), cfg.optim, u0=cfg.control)
+    fileio.write_control_csv(cfg.control, os.path.join(out_dir, "control_init.csv"))
     fileio.write_control_csv(result.control, os.path.join(out_dir, "control_final.csv"))
     fileio.write_iterations_csv(
         result.cost_history, result.vi_history, result.steps, os.path.join(out_dir, "iterations.csv")
@@ -444,13 +370,12 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> dict:
         "iterations": result.iterations,
         "termination": result.termination,
         "vi_residual": result.vi_history[-1] if result.vi_history else 0.0,
-        "kkt": _kkt_dict(result.kkt),
+        "kkt": dataclasses.asdict(result.kkt),
     }
 
 
 def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
-    prob = cfg.problem()
-    report = multi_start(prob, cfg.optim)
+    report = multi_start(cfg.problem(), cfg.optim)
     out = {
         "command": "multistart",
         "seeds": list(report.seeds),
@@ -467,25 +392,23 @@ def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
-    base_n = cfg.grid.n[0]
+    prob = cfg.problem()
+    base = prob.grid
+    base_n = base.n[0]
     resolutions = sorted({max(8, base_n // 4), max(8, base_n // 2), base_n})
     errors = []
     hs = []
     for n in resolutions:
         factor = n / base_n
-        grid = make_grid(cfg.grid.dim, cfg.grid.lo, cfg.grid.hi, tuple(max(8, int(m * factor)) for m in cfg.grid.n))
-        nt = max(2, int(cfg.timegrid.nt * factor))
-        tg = TimeGrid(cfg.timegrid.T, nt)
-        control = ControlPath.constant(tg, cfg.control_u1, cfg.control_u2)
-        drift = DriftSpec(cfg.a0, control)
-        rho0 = sample_function(grid, cfg.rho0_preset, cfg.rho0_params)
-        traj = solve_forward(
-            rho0, drift, None, tg, scheme=cfg.scheme, cfl=cfg.cfl,
-            stride=max(1, nt), max_substeps=cfg.max_substeps,
+        grid = make_grid(base.dim, base.lo, base.hi, tuple(max(8, int(m * factor)) for m in base.n))
+        nt = max(2, int(prob.timegrid.nt * factor))
+        tg = TimeGrid(prob.timegrid.T, nt)
+        coarse = dataclasses.replace(
+            prob, grid=grid, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), g_eval=None, stride=nt
         )
-        exact = affine_exact_density(
-            cfg.rho0_preset, cfg.rho0_params, drift, tg.T, grid.cell_centers()
-        )
+        control = ControlPath.constant(tg, cfg.control.u1[0], cfg.control.u2[0])
+        traj = coarse.solve_forward_for(control)
+        exact = affine_exact_density(*cfg.rho0, coarse.drift_for(control), tg.T, grid.cell_centers())
         err = float(np.abs(traj.snapshots[-1].ravel() - exact).sum() * grid.cell_volume)
         errors.append(err)
         hs.append(grid.h[0])
@@ -499,8 +422,8 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
 
 def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
-    u = cfg.initial_control()
-    drift = DriftSpec(cfg.a0, u)
+    u = cfg.control
+    drift = prob.drift_for(u)
     traj = prob.solve_forward_for(u)
     fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
     certs = {}
@@ -514,19 +437,20 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
                 "passed": cert.passed,
             }
             all_pass = all_pass and cert.passed
+    leak = boundary_leak(traj)
     report = {
         "command": "certify",
         "energy_certificates": certs,
         "energy_all_passed": all_pass,
-        "leak": boundary_leak(traj),
-        "mass_drift": float(abs(traj.mass[-1] - traj.mass[0] - traj.source_mass[-1])),
+        "leak": leak,
+        "mass_drift": leak,
         "min_value": float(traj.min_value.min()),
     }
-    if cfg.cost.theta.confining or cfg.cost.phi.confining:
-        qtraj = solve_adjoint(cfg.cost, drift, cfg.timegrid, cfg.grid, stride=cfg.stride)
-        acert = adjoint_energy_certificate(qtraj, drift, cfg.cost, C_cert=cfg.C_cert)
+    if prob.cost.theta.confining or prob.cost.phi.confining:
+        qtraj = prob.solve_adjoint_for(u)
+        acert = adjoint_energy_certificate(qtraj, drift, prob.cost, C_cert=cfg.C_cert)
         report["adjoint_certificate"] = {
-            "neg_k": confining_weight_index(cfg.grid.dim),
+            "neg_k": confining_weight_index(prob.grid.dim),
             "fitted_C": acert.fitted_C if math.isfinite(acert.fitted_C) else None,
             "passed": acert.passed,
         }

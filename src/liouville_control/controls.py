@@ -9,6 +9,8 @@ linear path is exact.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -90,9 +92,6 @@ class ControlPath:
         arr = np.asarray(arr, dtype=float)
         d = arr.shape[1] // 2
         return cls(timegrid, arr[:, :d].copy(), arr[:, d:].copy())
-
-    def copy(self) -> "ControlPath":
-        return ControlPath(self.timegrid, self.u1.copy(), self.u2.copy())
 
 
 @dataclass(frozen=True)
@@ -340,6 +339,13 @@ _POTENTIALS = {
 }
 
 
+def _finite(value) -> float:
+    """A track_path time or coordinate: a finite number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise SchemaError(f"track_path times and coordinates must be finite numbers, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Potential:
     """Cost potential preset for theta (running) and phi (terminal).
@@ -359,8 +365,8 @@ class Potential:
 
     @classmethod
     def tracking(cls, nodes) -> "Potential":
-        ts = tuple(float(p[0]) for p in nodes)
-        xs = tuple(tuple(float(v) for v in np.atleast_1d(p[1])) for p in nodes)
+        ts = tuple(_finite(p[0]) for p in nodes)
+        xs = tuple(tuple(_finite(v) for v in np.ravel(np.asarray(p[1], dtype=object))) for p in nodes)
         if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
             raise SchemaError("track_path needs at least two strictly increasing times")
         return cls(name="tracking", track_t=ts, track_x=xs)

@@ -155,9 +155,6 @@ class Problem:
     def control_dim(self) -> int:
         return self.grid.dim
 
-    def initial_control(self) -> ControlPath:
-        return project_box(ControlPath.zeros(self.timegrid, self.control_dim), self.bounds)
-
     def drift_for(self, control: ControlPath) -> DriftSpec:
         return DriftSpec(self.a0, control)
 
@@ -197,9 +194,9 @@ class Problem:
         return reduced_gradient(control, self)
 
 
-def reduced_cost(control: ControlPath, problem: Problem, trajectory: StateTrajectory | None = None) -> float:
+def reduced_cost(control: ControlPath, problem: Problem) -> float:
     """J(G(u), u): running + terminal potential terms plus control costs."""
-    traj = trajectory if trajectory is not None else problem.solve_forward_for(control)
+    traj = problem.solve_forward_for(control)
     grid = problem.grid
     vol = grid.cell_volume
     dt = problem.timegrid.dt

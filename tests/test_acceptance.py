@@ -241,9 +241,9 @@ def test_criterion_07_energy_certificates():
     for name in SCENARIOS:
         cfg = load_scenario(name)
         prob = cfg.problem()
-        u = cfg.initial_control()
+        u = cfg.control
         traj = prob.solve_forward_for(u)
-        drift = DriftSpec(cfg.a0, u)
+        drift = prob.drift_for(u)
         for m in (0, 1):
             for k in (0, 2):
                 cert = energy_certificate(traj, drift, prob.g_eval, m, k, C_cert=2.0)
@@ -306,7 +306,7 @@ def test_criterion_09_optimizer_contracts():
     # tracking scenario: residuals of the full first-order system
     cfg = load_scenario("gaussian-tracking-1d")
     prob = cfg.problem()
-    res2 = optimize(prob, cfg.optim, u0=cfg.initial_control())
+    res2 = optimize(prob, cfg.optim, u0=cfg.control)
     assert res2.termination == "converged"
     hist2 = res2.cost_history
     assert all(b <= a + 1e-14 for a, b in zip(hist2, hist2[1:]))
@@ -321,7 +321,7 @@ def test_criterion_09_optimizer_contracts():
 def test_criterion_10_sparsity_ladder():
     cfg = load_scenario("sparse-ladder")
     base = cfg.problem()
-    u0 = ControlPath.zeros(cfg.timegrid, 1)
+    u0 = ControlPath.zeros(base.timegrid, 1)
     integral, _ = assemble_integral_path(base, base.solve_forward_for(u0),
                                          base.solve_adjoint_for(u0))
     max_adjoint_integral = float(np.abs(integral).max())
@@ -337,7 +337,7 @@ def test_criterion_10_sparsity_ladder():
         stacked = res.control.stacked()
         counts.append(int(np.sum(np.max(np.abs(stacked), axis=1) <= 1e-10)))
     assert all(b >= a for a, b in zip(counts, counts[1:])), counts
-    assert counts[-1] == cfg.timegrid.nt + 1, "top rung must annihilate the control"
+    assert counts[-1] == base.timegrid.nt + 1, "top rung must annihilate the control"
     print(
         f"criterion 10 sparsity ladder: PASS (zero nodes {counts}, "
         f"max |adjoint integral| = {max_adjoint_integral:.3f} < {ladder[-1]})"

@@ -23,17 +23,73 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_parse_minimal_resolves_defaults():
     cfg = parse_config(json.dumps(MINIMAL))
-    assert cfg.rho0_preset == "gaussian"
-    assert cfg.cost.gamma == 1.0
-    assert cfg.scheme == "upwind-fv"
-    assert cfg.stride == 1
+    prob = cfg.problem()
+    assert cfg.rho0[0] == "gaussian"
+    assert prob.cost.gamma == 1.0
+    assert prob.scheme == "upwind-fv"
+    assert prob.stride == 1
     assert cfg.resolved["bounds"]["ua"] == [-1.0, -1.0]
 
 
+# every key away from its default: per-axis lists, integers where numbers
+# belong, a source, a tracking path and both constants
+FULL = {
+    "grid": {"dim": 2, "lo": [-6, -5.0], "hi": [6.0, 5.5], "n": [16, 12]},
+    "time": {"T": 0.5, "nt": 8},
+    "rho0": {"preset": "gaussian", "params": {"x0": [0.5, -0.25], "v0": 0.4}},
+    "source": {"preset": "constant", "params": {"c": 0.01}},
+    "a0": {"preset": "rotation", "params": {"omega": 0.5}},
+    "control": {"u1": [0.1, -0.2], "u2": [0.05, 0]},
+    "cost": {
+        "gamma": 0.5, "delta": 0.01, "nu": 0.02, "theta": "tracking", "phi": "quadratic",
+        "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]], "l1_norm": "euclidean",
+    },
+    "bounds": {"ua": [-1.0, -2.0, -0.5, -0.5], "ub": [1.0, 2.0, 0.5, 0.75]},
+    "optim": {"max_iters": 7, "step0": 0.25, "c1": 0.001, "backtrack": 0.3, "vi_tol": 0.01, "seeds": [3, 5]},
+    "solver": {"scheme": "muscl-fv", "cfl": 0.5, "max_substeps": 64},
+    "output": {"dir": "out-full", "stride": 4},
+    "constants": {"C_universal": 0.5, "C_cert": 3},
+}
+
+# its echo, pinned so that a change to a default or to the conversion of a
+# value shows: numbers as floats, counts as integers, params as given
+FULL_RESOLVED = {
+    "a0": {"params": {"omega": 0.5}, "preset": "rotation"},
+    "bounds": {"ua": [-1.0, -2.0, -0.5, -0.5], "ub": [1.0, 2.0, 0.5, 0.75]},
+    "constants": {"C_cert": 3.0, "C_universal": 0.5},
+    "control": {"u1": [0.1, -0.2], "u2": [0.05, 0.0]},
+    "cost": {
+        "delta": 0.01, "gamma": 0.5, "l1_norm": "euclidean", "nu": 0.02, "phi": "quadratic",
+        "theta": "tracking", "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]],
+    },
+    "grid": {"dim": 2, "hi": [6.0, 5.5], "lo": [-6.0, -5.0], "n": [16, 12]},
+    "optim": {"backtrack": 0.3, "c1": 0.001, "max_iters": 7, "seeds": [3, 5], "step0": 0.25, "vi_tol": 0.01},
+    "output": {"dir": "out-full", "stride": 4},
+    "rho0": {"params": {"v0": 0.4, "x0": [0.5, -0.25]}, "preset": "gaussian"},
+    "solver": {"cfl": 0.5, "max_substeps": 64, "scheme": "muscl-fv"},
+    "source": {"params": {"c": 0.01}, "preset": "constant"},
+    "time": {"T": 0.5, "nt": 8},
+}
+
+SCENARIOS = ("gaussian-tracking-1d", "bimodal-stabilize-1d", "confining-2d", "sparse-ladder")
+
+
+def test_resolved_echo_of_a_config_that_sets_every_key(tmp_path):
+    cfgp = write_config(tmp_path, FULL)
+    assert run_command(["cost", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "resolved_config.json").read_text()
+    assert text == json.dumps(FULL_RESOLVED, indent=2, sort_keys=True) + "\n"
+
+
 def test_parse_roundtrip_of_resolved_config():
-    cfg = parse_config(json.dumps(MINIMAL))
-    again = parse_config(json.dumps(cfg.resolved))
-    assert again.resolved == cfg.resolved
+    configs = [json.dumps(MINIMAL), json.dumps(FULL)]
+    for name in SCENARIOS:
+        with open(scenario_path(name)) as fh:
+            configs.append(fh.read())
+    for text in configs:
+        cfg = parse_config(text)
+        again = parse_config(json.dumps(cfg.resolved))
+        assert again.resolved == cfg.resolved
 
 
 def test_parse_rejects_unknown_keys():
@@ -151,6 +207,25 @@ def test_coordinate_counts_follow_the_grid_in_2d():
         ("optim", {"optim": {"max_iters": True}}),
         ("grid", {"grid": {"dim": 1.0, "lo": [-8.0], "hi": [8.0], "n": [64]}}),
         ("grid", {"grid": {"dim": True, "lo": [-8.0], "hi": [8.0], "n": [64]}}),
+        # numbers are finite JSON numbers: no NaN, no Infinity, no strings or booleans
+        ("control.u1", {"control": {"u1": float("nan")}}),
+        ("control.u1", {"control": {"u1": "0.3"}}),
+        ("bounds.ua", {"bounds": {"ua": float("nan")}}),
+        ("bounds.ub", {"bounds": {"ub": float("inf")}}),
+        ("cost.delta", {"cost": {"delta": float("nan")}}),
+        ("cost.nu", {"cost": {"nu": float("nan")}}),
+        ("cost.gamma", {"cost": {"gamma": float("inf")}}),
+        ("cost.gamma", {"cost": {"gamma": "2"}}),
+        ("cost.gamma", {"cost": {"gamma": True}}),
+        ("cost.track_path", {"cost": {"theta": "tracking", "track_path": [[0.0, float("nan")], [1.0, 0.3]]}}),
+        ("cost.track_path", {"cost": {"theta": "tracking", "track_path": [[float("nan"), 0.0], [1.0, 0.3]]}}),
+        ("cost.track_path", {"cost": {"theta": "tracking", "track_path": [[0.0, "0.1"], [1.0, 0.3]]}}),
+        ("constants.C_cert", {"constants": {"C_cert": float("nan")}}),
+        ("constants.C_universal", {"constants": {"C_universal": None}}),
+        ("optim.vi_tol", {"optim": {"vi_tol": float("inf")}}),
+        ("solver.cfl", {"solver": {"cfl": True}}),
+        ("time.T", {"time": {"T": "1.0", "nt": 32}}),
+        ("time.T", {"time": {"T": float("nan"), "nt": 32}}),
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
@@ -162,6 +237,17 @@ def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {section}")
     assert "Traceback" not in err
+
+
+def test_overflowing_number_exits_one(tmp_path, capsys):
+    # Python's json reads 1e999 as inf
+    text = json.dumps(MINIMAL)[:-1] + ', "optim": {"step0": 1e999}}'
+    with pytest.raises(SchemaError, match=r"^optim\.step0"):
+        parse_config(text)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(text)
+    assert run_command(["forward", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: optim.step0")
 
 
 def test_parse_rejects_invalid_json():
@@ -362,9 +448,9 @@ def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
 
 
 def test_all_scenarios_parse_and_match_commands():
-    for name in ("gaussian-tracking-1d", "bimodal-stabilize-1d", "confining-2d", "sparse-ladder"):
+    for name in SCENARIOS:
         cfg = load_scenario(name)
-        assert cfg.timegrid.nt >= 2
+        assert cfg.problem().timegrid.nt >= 2
         assert os.path.exists(scenario_path(name))
     assert set(COMMANDS) == {
         "forward", "adjoint", "cost", "grad", "grad-check",
