@@ -31,7 +31,7 @@ from .adjoint import adjoint_energy_certificate, confining_weight_index
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, Potential
 from .errors import LinesearchFailure, LiouvilleControlError, SchemaError
 from .forward import SCHEMES, boundary_leak, energy_certificate
-from .grid import ScalarField, TimeGrid, is_count, make_grid, sample_function
+from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, sample_function
 from .optimize import OptimConfig, multi_start, optimize
 from .oracles import affine_exact_density, fd_directional_derivative, fit_order
 from .reduced import (
@@ -75,10 +75,7 @@ _DEFAULTS = {
 # kind -> (what a value must be, test of one value)
 _KINDS = {
     int: ("an integer", is_count),
-    float: (
-        "a finite number",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-    ),
+    float: ("a finite number", is_finite_number),
     str: ("a string", lambda v: isinstance(v, str)),
     dict: ("an object", lambda v: isinstance(v, dict)),
 }
@@ -109,7 +106,7 @@ def _section(name: str):
     SchemaError naming the section (errors that name it already pass)."""
     try:
         yield
-    except (ValueError, TypeError, IndexError, LiouvilleControlError) as err:
+    except (ValueError, TypeError, IndexError, OverflowError, LiouvilleControlError) as err:
         if isinstance(err, SchemaError) and str(err).startswith(name):
             raise
         raise SchemaError(f"{name}: {err}") from err
@@ -165,18 +162,25 @@ def _sample(section: str, grid, preset: str, params: dict) -> ScalarField:
         return sample_function(grid, preset, params)  # ScalarField rejects non-finite values
 
 
-def _potential(cost: dict, which: str, dim: int) -> Potential:
-    if cost[which] != "tracking":
-        with _section(f"cost.{which}"):
-            return Potential(cost[which])
-    track_path = cost["track_path"]
-    if not track_path:
-        raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
+def _tracking(track_path, dim: int) -> Potential | None:
+    """The tracking potential of ``cost.track_path``, checked whenever it is
+    given; None if it is not."""
+    if track_path is None:
+        return None
     with _section("cost.track_path"):
         pot = Potential.tracking(track_path)
     if {len(x) for x in pot.track_x} not in ({1}, {dim}):
         raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
     return pot
+
+
+def _potential(cost: dict, which: str, tracking: Potential | None) -> Potential:
+    if cost[which] != "tracking":
+        with _section(f"cost.{which}"):
+            return Potential(cost[which])
+    if tracking is None:
+        raise SchemaError(f"cost.{which} = 'tracking' needs cost.track_path")
+    return tracking
 
 
 def parse_config(text: str) -> RunConfig:
@@ -216,9 +220,10 @@ def parse_config(text: str) -> RunConfig:
         bounds = BoxBounds(**{k: tuple(v) for k, v in cfg["bounds"].items()})
     with _section("cost"):
         ksec = cfg["cost"]
+        tracking = _tracking(ksec["track_path"], d)
         cost = CostSpec(
-            gamma=ksec["gamma"], delta=ksec["delta"], nu=ksec["nu"], theta=_potential(ksec, "theta", d),
-            phi=_potential(ksec, "phi", d), l1_mode=ksec["l1_norm"],
+            gamma=ksec["gamma"], delta=ksec["delta"], nu=ksec["nu"], theta=_potential(ksec, "theta", tracking),
+            phi=_potential(ksec, "phi", tracking), l1_mode=ksec["l1_norm"],
         )
     with _section("optim"):
         optim = OptimConfig(**dict(cfg["optim"], seeds=tuple(cfg["optim"]["seeds"])))

@@ -9,15 +9,13 @@ linear path is exact.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import SchemaError, UnknownPreset
-from .grid import GridSpec, TimeGrid, resolve_preset
+from .grid import GridSpec, TimeGrid, is_finite_number, resolve_preset
 
 __all__ = [
     "ControlPath",
@@ -341,7 +339,7 @@ _POTENTIALS = {
 
 def _finite(value) -> float:
     """A track_path time or coordinate: a finite number, not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not is_finite_number(value):
         raise SchemaError(f"track_path times and coordinates must be finite numbers, got {value!r}")
     return float(value)
 

@@ -29,6 +29,7 @@ __all__ = [
     "make_grid",
     "make_timegrid",
     "is_count",
+    "is_finite_number",
     "density_preset_eval",
     "sample_function",
     "partial_derivative",
@@ -94,6 +95,17 @@ def is_count(value) -> bool:
     """True for a Python or numpy integer that is not a bool.  Counts are
     never truncated: 64.9 is not 64, and True is not 1."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a real number that is not a bool and is finite as a float:
+    not NaN, not infinite, and not an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def make_grid(dim, lo, hi, n) -> GridSpec:

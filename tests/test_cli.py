@@ -220,6 +220,10 @@ def test_coordinate_counts_follow_the_grid_in_2d():
         ("cost.track_path", {"cost": {"theta": "tracking", "track_path": [[0.0, float("nan")], [1.0, 0.3]]}}),
         ("cost.track_path", {"cost": {"theta": "tracking", "track_path": [[float("nan"), 0.0], [1.0, 0.3]]}}),
         ("cost.track_path", {"cost": {"theta": "tracking", "track_path": [[0.0, "0.1"], [1.0, 0.3]]}}),
+        # a given track_path is checked even when no potential tracks it
+        ("cost.track_path", {"cost": {"track_path": [[0.0, float("nan")], [1.0, 0.0]]}}),
+        ("cost.track_path", {"cost": {"theta": "zero", "track_path": "abc"}}),
+        ("cost.track_path", {"cost": {"track_path": 5}}),
         ("constants.C_cert", {"constants": {"C_cert": float("nan")}}),
         ("constants.C_universal", {"constants": {"C_universal": None}}),
         ("optim.vi_tol", {"optim": {"vi_tol": float("inf")}}),
@@ -239,15 +243,31 @@ def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
     assert "Traceback" not in err
 
 
-def test_overflowing_number_exits_one(tmp_path, capsys):
-    # Python's json reads 1e999 as inf
-    text = json.dumps(MINIMAL)[:-1] + ', "optim": {"step0": 1e999}}'
-    with pytest.raises(SchemaError, match=r"^optim\.step0"):
+BIG = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "key, section",
+    [
+        # Python's json reads 1e999 as inf
+        ("optim.step0", '"optim": {"step0": 1e999}'),
+        ("cost.gamma", f'"cost": {{"gamma": {BIG}}}'),
+        ("time.T", f'"time": {{"T": {BIG}, "nt": 32}}'),
+        ("bounds.ua", f'"bounds": {{"ua": -{BIG}}}'),
+        ("cost.track_path", f'"cost": {{"theta": "tracking", "track_path": [[0, {BIG}], [1, 0]]}}'),
+    ],
+)
+def test_overflowing_number_exits_one(tmp_path, capsys, key, section):
+    base = {name: sec for name, sec in MINIMAL.items() if name != key.split(".")[0]}
+    text = json.dumps(base)[:-1] + f", {section}}}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(key)}"):
         parse_config(text)
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(text)
     assert run_command(["forward", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith("configuration error: optim.step0")
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}")
+    assert "Traceback" not in err
 
 
 def test_parse_rejects_invalid_json():

@@ -30,6 +30,7 @@ from pathlib import Path
 
 COMMANDS = ("forward", "adjoint", "cost", "grad", "grad-check", "certify", "oracle-compare", "optimize")
 STRIDES = (1, 8)
+WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -50,7 +51,7 @@ def _run(src: Path, config: Path, command: str, out_dir: Path) -> dict:
     return {"exit": proc.returncode, "stderr": proc.stderr.replace(str(src), "<src>"), "files": files}
 
 
-def fingerprint(src: Path, jobs: int) -> dict:
+def fingerprint(src: Path) -> dict:
     """Exit code, stderr and file hashes of every run, keyed scenario/stride/command."""
     scenarios = sorted((src / "liouville_control" / "scenarios").glob("*.json"))
     if not scenarios:
@@ -66,7 +67,7 @@ def fingerprint(src: Path, jobs: int) -> dict:
                 for command in COMMANDS:
                     key = f"{path.stem}/stride{stride}/{command}"
                     runs.append((key, config, command, Path(tmp) / key.replace("/", "-")))
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = pool.map(lambda r: _run(src, r[1], r[2], r[3]), runs)
             return {key: res for (key, *_), res in zip(runs, results)}
 
@@ -96,7 +97,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC, help="source tree holding liouville_control")
     parser.add_argument("--out", type=Path, help="where to write the fingerprint JSON")
-    parser.add_argument("--jobs", type=int, default=2, help="runs at once (default 2)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args(argv)
     if args.compare:
@@ -106,9 +106,7 @@ def main(argv=None) -> int:
         return 1 if diffs else 0
     if args.out is None:
         parser.error("--out is required unless --compare is given")
-    if not 1 <= args.jobs <= 8:
-        parser.error("--jobs must be between 1 and 8")
-    runs = fingerprint(args.src.resolve(), args.jobs)
+    runs = fingerprint(args.src.resolve())
     args.out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
     print(f"{_summary(runs)}; exit codes {sorted({r['exit'] for r in runs.values()})} -> {args.out}")
     return 0
