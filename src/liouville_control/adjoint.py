@@ -12,8 +12,12 @@ leaves the span of cell centres, its value is continued analytically by
 marching the characteristic to the final time and reading the terminal
 potential there, accumulating the running cost on the way.  The feet and
 their continued values depend only on the control, so they are computed
-once per solve, before the backward pass: every escaped foot of every step
-is marched in one forward sweep, each joining the batch at its own step.
+once per solve, before the backward pass.  The cell-centre feet are traced
+for a block of steps at a time (about 16,384 points, see
+``grid._BLOCK_POINTS``), one RK4 step on the block's copies of the
+centres with each copy at its own time; then every escaped foot of every
+step is marched in one forward sweep, each joining the batch at its own
+step.
 The feet of every step are kept (nt * N * d floats for N cells in d
 dimensions), so neither the backward pass nor a replay traces them again.
 Interpolated values are clipped to the local stencil range, which keeps the
@@ -36,7 +40,7 @@ import numpy as np
 from .controls import CostSpec, DriftSpec, Potential, drift_grad_bound, eval_drift, potential_eval
 from .errors import CharacteristicEscape
 from .forward import Checkpoints, EnergyCertificate
-from .grid import GridSpec, ScalarField, TimeGrid, interpolate_flagged, weighted_sobolev_norm
+from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, interpolate_flagged, weighted_sobolev_norm
 
 __all__ = [
     "AdjointTrajectory",
@@ -122,16 +126,25 @@ class _BackStepper:
         arithmetic as a march of its own, so the values do not depend on
         the batching.
         """
-        all_feet = np.empty((self.nt, self.grid.num_cells, self.grid.dim))
+        cells_n, dim = self.grid.num_cells, self.grid.dim
+        all_feet = np.empty((self.nt, cells_n, dim))
         cells, joined = [], []
-        for n_next in range(1, self.nt + 1):
-            feet = _rk4_feet(self.drift, (n_next - 1) * self.dt, self.dt, self.centers)
+        size = _block_nodes(cells_n)
+        for lo in range(0, self.nt, size):
+            # the feet of steps lo + 1 .. lo + B in one batch of B copies of
+            # the centres, copy b starting at t_{lo + b}
+            steps = np.arange(lo, min(lo + size, self.nt))
+            batch = np.tile(self.centers, (steps.size, 1))
+            feet = _rk4_feet(self.drift, steps * self.dt, self.dt, batch)
             if not np.all(np.isfinite(feet)):
                 raise CharacteristicEscape("characteristic tracing produced non-finite feet")
-            all_feet[n_next - 1] = feet
-            idx = np.flatnonzero(self._outside_center_span(feet))
-            cells.append(idx)
-            joined.append(feet[idx])
+            outside = self._outside_center_span(feet).reshape(steps.size, cells_n)
+            feet = feet.reshape(steps.size, cells_n, dim)
+            all_feet[lo:lo + steps.size] = feet
+            for step_feet, step_out in zip(feet, outside):
+                idx = np.flatnonzero(step_out)
+                cells.append(idx)
+                joined.append(step_feet[idx])
         # rows are ordered by the step their feet belong to, so the batch
         # active at time t_j, the feet of steps 1..j, is the prefix x[:ends[j]]
         ends = np.cumsum([0] + [idx.size for idx in cells])

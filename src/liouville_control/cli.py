@@ -54,7 +54,7 @@ from .reduced import (
 _DEFAULTS = {
     "grid": {"dim": int, "lo": [float], "hi": [float], "n": [int]},
     "time": {"T": float, "nt": int},
-    "rho0": {"preset": "gaussian", "params": {"x0": 0.0, "v0": 1.0}},
+    "rho0": {"preset": "gaussian", "params": {}},
     "source": {"preset": "zero", "params": {}},
     "a0": {"preset": "zero", "params": {}},
     "control": {"u1": [0.0], "u2": [0.0]},
@@ -71,6 +71,11 @@ _DEFAULTS = {
     "output": {"dir": "out", "stride": 1},
     "constants": {"C_universal": 1.0, "C_cert": 2.0},
 }
+
+# A run's largest arrays hold one float per cell, axis and time node (the
+# adjoint's stored feet).  Counts that make them larger than numpy can
+# describe are rejected before anything is allocated.
+_MAX_BYTES = sys.maxsize
 
 # kind -> (what a value must be, test of one value)
 _KINDS = {
@@ -202,8 +207,13 @@ def parse_config(text: str) -> RunConfig:
         grid = make_grid(**cfg["grid"])
     cfg["grid"] = {k: list(v) if isinstance(v, tuple) else v for k, v in dataclasses.asdict(grid).items()}
     d = grid.dim
+    field_bytes = 8 * d * math.prod(grid.n)
+    if field_bytes > _MAX_BYTES:
+        raise SchemaError("grid.n: too many cells for an array to hold")
     with _section("time"):
         timegrid = TimeGrid(**cfg["time"])
+    if (timegrid.nt + 1) * field_bytes > _MAX_BYTES:
+        raise SchemaError("time.nt: too many time steps for an array of every node to hold")
     rho0 = _sample("rho0", grid, **cfg["rho0"])
     source = _sample("source", grid, **cfg["source"])
     asec = cfg["a0"]

@@ -70,12 +70,14 @@ class ControlPath:
         nn = timegrid.nt + 1
         return cls(timegrid, np.tile(u1, (nn, 1)), np.tile(u2, (nn, 1)))
 
-    def value_at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Linear interpolation between nodes; t clamped to [0, T]."""
-        dt = self.timegrid.dt
-        s = min(max(t / dt, 0.0), float(self.timegrid.nt))
-        i = min(int(s), self.timegrid.nt - 1)
-        w = s - i
+    def value_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(u1, u2) at a time or an array of times, each of shape
+        ``t.shape + (d,)``: linear interpolation between nodes, t clamped
+        to [0, T]."""
+        nt = self.timegrid.nt
+        s = np.minimum(np.maximum(np.asarray(t, dtype=float) / self.timegrid.dt, 0.0), float(nt))
+        i = np.minimum(s.astype(int), nt - 1)
+        w = (s - i)[..., None]
         return (
             (1.0 - w) * self.u1[i] + w * self.u1[i + 1],
             (1.0 - w) * self.u2[i] + w * self.u2[i + 1],
@@ -251,15 +253,21 @@ class DriftSpec:
     control: ControlPath
 
 
-def eval_drift(spec: DriftSpec, t: float, points: np.ndarray) -> np.ndarray:
-    """a0(t, x) + u1(t) + x * u2(t) at the given points, shape (..., d)."""
+def eval_drift(spec: DriftSpec, t, points: np.ndarray) -> np.ndarray:
+    """a0(t, x) + u1(t) + x * u2(t) at the given points, shape (..., d).
+
+    ``t`` is one time, or an array of B times for B equal blocks of rows of
+    ``points`` (N, d): block b is evaluated at t[b].
+    """
     pts = np.asarray(points, dtype=float)
     squeeze = False
     if pts.ndim == 1 and spec.control.dim == 1 and pts.shape[-1] != 1:
         pts = pts[:, None]
         squeeze = True
-    u1, u2 = spec.control.value_at(t)
-    out = spec.a0.eval(t, pts) + u1 + pts * u2
+    d = pts.shape[-1]
+    u1, u2 = (np.reshape(u, (-1, 1, d)) for u in spec.control.value_at(t))
+    blocks = pts.reshape(u1.shape[0], -1, d)
+    out = (spec.a0.eval(t, pts).reshape(blocks.shape) + u1 + blocks * u2).reshape(pts.shape)
     return out[..., 0] if squeeze else out
 
 

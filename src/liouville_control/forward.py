@@ -12,7 +12,11 @@ the Courant speed is computed once per time node.
 Every a0 preset is autonomous, so a0 is evaluated at the faces once per
 solve and each substep adds the control in ``eval_drift``'s order,
 (a0 + u1) + x * u2, which keeps the bits of ``eval_drift``.  A
-time-dependent preset would have to give that cache up.
+time-dependent preset would have to give that cache up.  The control (and
+the tangent's control) is looked up once per solve, in one array pass, at
+every node for the substep plan and then at every stage time of the plan,
+n * dt + j * h and (n * dt + j * h) + h; each stage reads its row of that
+table, of (K, d) arrays.
 
 Schemes: first-order upwind (monotone, the default) and a minmod-limited
 MUSCL variant advanced with two-stage SSP time stepping for accuracy
@@ -104,6 +108,7 @@ class _Stepper:
         self.g_eval = g_eval
         self.scheme = scheme
         self.tangent_control = tangent_control
+        self.controls = self.deltas = None  # (u1, u2) and (du1, du2) tables, see look_up
         self.h = grid.h
         self.transverse = [grid.cell_volume / h for h in self.h]
         self.a0_faces, self.x_faces = [], []
@@ -113,30 +118,38 @@ class _Stepper:
             self.a0_faces.append(np.ascontiguousarray(np.swapaxes(a0, 0, ax)))
             self.x_faces.append(np.ascontiguousarray(np.swapaxes(pts[..., ax], 0, ax)))
 
-    def face_speeds(self, t: float) -> list[np.ndarray]:
-        """a_axis at the faces of each axis, axis first, summed in
-        eval_drift's order: (a0 + u1) + x * u2."""
-        u1, u2 = self.drift.control.value_at(t)
+    def look_up(self, times: np.ndarray) -> None:
+        """Tabulate the control, and the tangent control if any, at every
+        time of ``times`` in one pass; row k serves stage k."""
+        self.controls = self.drift.control.value_at(times)
+        if self.tangent_control is not None:
+            self.deltas = self.tangent_control.value_at(times)
+
+    def face_speeds(self, k: int) -> list[np.ndarray]:
+        """a_axis at the faces of each axis, axis first, at table row k,
+        summed in eval_drift's order: (a0 + u1) + x * u2."""
+        u1, u2 = self.controls[0][k], self.controls[1][k]
         return [(a0 + u1[ax]) + x * u2[ax] for ax, (a0, x) in enumerate(zip(self.a0_faces, self.x_faces))]
 
-    def face_speed_deltas(self, t: float) -> list[np.ndarray]:
+    def face_speed_deltas(self, k: int) -> list[np.ndarray]:
         """The tangent control's du1 + x * du2 at the faces, as face_speeds."""
-        du1, du2 = self.tangent_control.value_at(t)
+        du1, du2 = self.deltas[0][k], self.deltas[1][k]
         return [du1[ax] + x * du2[ax] for ax, x in enumerate(self.x_faces)]
 
-    def max_speed(self, t: float) -> float:
-        """Sum over axes of max |a_axis| / h_axis, for the Courant number."""
-        return sum(float(np.abs(a).max()) / h for a, h in zip(self.face_speeds(t), self.h))
+    def max_speed(self, k: int) -> float:
+        """Sum over axes of max |a_axis| / h_axis at table row k, for the
+        Courant number."""
+        return sum(float(np.abs(a).max()) / h for a, h in zip(self.face_speeds(k), self.h))
 
-    def _divergence(self, t, values, w_values):
-        """Flux divergence of values (and of the tangent pair, if any);
-        also returns the boundary mass outflow rate.  Each axis works on
-        axis-first views; ``swapaxes`` is a no-op view on axis 0."""
+    def _divergence(self, k, values, w_values):
+        """Flux divergence of values (and of the tangent pair, if any) at
+        table row k; also returns the boundary mass outflow rate.  Each axis
+        works on axis-first views; ``swapaxes`` is a no-op view on axis 0."""
         div = np.zeros_like(values)
         div_w = np.zeros_like(values) if w_values is not None else None
         out_rate = 0.0
-        speeds = self.face_speeds(t)
-        deltas = self.face_speed_deltas(t) if w_values is not None else None
+        speeds = self.face_speeds(k)
+        deltas = self.face_speed_deltas(k) if w_values is not None else None
         for ax, a in enumerate(speeds):
             left, right = _face_states(np.swapaxes(values, 0, ax), self.scheme)
             ap = np.maximum(a, 0.0)
@@ -153,12 +166,14 @@ class _Stepper:
                 div_w_ax += (Fw[1:] - Fw[:-1]) / self.h[ax]
         return div, div_w, out_rate
 
-    def advance(self, values, t, dt, w_values=None):
-        """Advance one (sub)step; returns new values, new tangent values,
-        boundary outflow mass, and injected source mass."""
+    def advance(self, values, t, dt, k, w_values=None):
+        """Advance one (sub)step from time t, whose first stage reads table
+        row k (MUSCL's second stage, at t + dt, row k + 1); returns new
+        values, new tangent values, boundary outflow mass, and injected
+        source mass."""
         grid = self.grid
         if self.scheme == "upwind-fv":
-            div, div_w, out_rate = self._divergence(t, values, w_values)
+            div, div_w, out_rate = self._divergence(k, values, w_values)
             new = values - dt * div
             src_mass = 0.0
             if self.g_eval is not None:
@@ -170,11 +185,11 @@ class _Stepper:
                 new_w = w_values - dt * div_w
             return new, new_w, out_rate * dt, src_mass
         # muscl-fv: two-stage SSP update
-        div1, divw1, rate1 = self._divergence(t, values, w_values)
+        div1, divw1, rate1 = self._divergence(k, values, w_values)
         g1 = self.g_eval(t) if self.g_eval is not None else None
         stage = values - dt * div1 + (dt * g1 if g1 is not None else 0.0)
         stage_w = w_values - dt * divw1 if w_values is not None else None
-        div2, divw2, rate2 = self._divergence(t + dt, stage, stage_w)
+        div2, divw2, rate2 = self._divergence(k + 1, stage, stage_w)
         g2 = self.g_eval(t + dt) if self.g_eval is not None else None
         new = values - 0.5 * dt * (div1 + div2)
         src_mass = 0.0
@@ -275,9 +290,10 @@ class StateTrajectory(Checkpoints):
 
 def required_substeps(stepper: _Stepper, timegrid: TimeGrid, cfl: float) -> list[int]:
     """Per-step substep counts from the Courant number at the step ends,
-    with the speed computed once per node."""
+    with the speed computed once per node from a table of the nodes."""
+    stepper.look_up(np.arange(timegrid.nt + 1) * timegrid.dt)
     dt = timegrid.dt
-    speed = [stepper.max_speed(n * dt) for n in range(timegrid.nt + 1)]
+    speed = [stepper.max_speed(n) for n in range(timegrid.nt + 1)]
     return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
@@ -311,13 +327,23 @@ def _solve(
             "shrink dt or enlarge the cap"
         )
 
+    # the stage times of every substep, n * dt + j * h and, for MUSCL's
+    # second stage, (n * dt + j * h) + h, tabulated once; substep j of step
+    # n starts at row (first[n] + j) * stages
+    stages = 2 if scheme == "muscl-fv" else 1
+    first = np.cumsum([0] + plan[:-1]).tolist()
+    step_of = np.repeat(np.arange(nt), plan)
+    h_sub = (dt / np.asarray(plan, dtype=float))[step_of]
+    t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first, plan)) * h_sub
+    stepper.look_up(t_sub if stages == 1 else np.column_stack([t_sub, t_sub + h_sub]).ravel())
+
     def full_step(vals, n, w_vals=None):
         """Node n to n + 1, with the tangent and the step's boundary outflow
         and injected source masses."""
         h = dt / plan[n]
         out_acc = src_acc = 0.0
         for j in range(plan[n]):
-            vals, w_vals, out_m, src_m = stepper.advance(vals, n * dt + j * h, h, w_vals)
+            vals, w_vals, out_m, src_m = stepper.advance(vals, n * dt + j * h, h, (first[n] + j) * stages, w_vals)
             out_acc += out_m
             src_acc += src_m
         return vals, w_vals, out_acc, src_acc

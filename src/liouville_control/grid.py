@@ -163,16 +163,31 @@ def make_timegrid(T: float, nt: int) -> TimeGrid:
     return TimeGrid(T=float(T), nt=nt)
 
 
+# per-node work that depends only on the control and the time node runs on
+# blocks of consecutive nodes holding about this many grid points in all
+_BLOCK_POINTS = 16384
+
+
+def _block_nodes(points: int) -> int:
+    """Time nodes per block for fields of ``points`` grid points (at least one)."""
+    return max(1, _BLOCK_POINTS // points)
+
+
 @dataclass
 class ScalarField:
-    """Cell values on a grid; holds densities, adjoints, and potentials."""
+    """Cell values on a grid; holds densities, adjoints, and potentials.
+
+    ``values`` has the grid's shape, or ``(B, *grid.shape)`` for a block of
+    B fields, which ``partial_derivative`` differentiates in one pass; every
+    other function takes one field.
+    """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[-self.grid.dim:] != self.grid.shape or self.values.ndim > self.grid.dim + 1:
             raise InvalidGrid(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
@@ -256,7 +271,8 @@ def sample_function(grid: GridSpec, preset: str, params: dict | None = None) -> 
 
 
 def partial_derivative(field: ScalarField, axis: int) -> ScalarField:
-    """Second-order difference along one axis.
+    """Second-order difference along one grid axis, of one field or of each
+    field of a block.
 
     Central in the interior, one-sided three-point at the two boundary
     layers; both stencils are exact on quadratics.
@@ -264,9 +280,9 @@ def partial_derivative(field: ScalarField, axis: int) -> ScalarField:
     v = field.values
     h = field.grid.h[axis]
     d = np.empty_like(v)
-    vm = np.moveaxis(v, axis, 0)
-    dm = np.moveaxis(d, axis, 0)
-    dm[1:-1] = (vm[2:] - vm[:-2]) / (2.0 * h)
+    vm = np.moveaxis(v, axis - field.grid.dim, 0)
+    dm = np.moveaxis(d, axis - field.grid.dim, 0)
+    np.divide(np.subtract(vm[2:], vm[:-2], out=dm[1:-1]), 2.0 * h, out=dm[1:-1])
     dm[0] = (-3.0 * vm[0] + 4.0 * vm[1] - vm[2]) / (2.0 * h)
     dm[-1] = (3.0 * vm[-1] - 4.0 * vm[-2] + vm[-3]) / (2.0 * h)
     return ScalarField(field.grid, d)

@@ -2,9 +2,10 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 
-from liouville_control import SchemaError
+from liouville_control import SchemaError, sample_function
 from liouville_control.cli import COMMANDS, load_scenario, parse_config, run_command, scenario_path
 from liouville_control.fileio import read_control_csv
 
@@ -168,6 +169,19 @@ def test_unknown_preset_parameter_is_named(section, entry):
         parse_config(json.dumps(dict(MINIMAL, **{section: entry})))
 
 
+@pytest.mark.parametrize("preset", ["gaussian", "bimodal-gaussian", "constant", "zero"])
+def test_density_preset_without_params_takes_its_own_defaults(tmp_path, preset):
+    cfg = parse_config(json.dumps(dict(MINIMAL, rho0={"preset": preset})))
+    assert cfg.resolved["rho0"] == {"preset": preset, "params": {}}
+    grid = cfg.problem().grid
+    assert np.array_equal(cfg.problem().rho0.values, sample_function(grid, preset).values)
+    if preset == "gaussian":
+        given = sample_function(grid, "gaussian", {"x0": 0.0, "v0": 1.0})
+        assert np.array_equal(cfg.problem().rho0.values, given.values)
+    cfgp = write_config(tmp_path, dict(MINIMAL, rho0={"preset": preset}))
+    assert run_command(["cost", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_coordinate_counts_follow_the_grid_in_2d():
     grid2 = {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]}
     for x0 in (0.5, [0.5, -0.5]):
@@ -230,6 +244,11 @@ def test_coordinate_counts_follow_the_grid_in_2d():
         ("solver.cfl", {"solver": {"cfl": True}}),
         ("time.T", {"time": {"T": "1.0", "nt": 32}}),
         ("time.T", {"time": {"T": float("nan"), "nt": 32}}),
+        # counts whose arrays no machine could hold, named before any is made
+        ("time.nt", {"time": {"T": 1.0, "nt": 10**400}}),
+        ("time.nt", {"time": {"T": 1.0, "nt": 2**62}}),
+        ("grid.n", {"grid": {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [10**400]}}),
+        ("grid.n", {"grid": {"dim": 2, "lo": [-8.0], "hi": [8.0], "n": [64, 10**400]}}),
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, section, patch):

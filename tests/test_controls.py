@@ -96,6 +96,65 @@ def test_control_linear_interpolation_between_nodes():
     assert v1[0] == pytest.approx(0.5, abs=1e-14)
 
 
+def bits_equal(a, b):
+    """Equal shapes and equal bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def scalar_value_at(control, t):
+    """The lookup one time at a time in Python floats, for comparison."""
+    dt, nt = control.timegrid.dt, control.timegrid.nt
+    s = min(max(t / dt, 0.0), float(nt))
+    i = min(int(s), nt - 1)
+    w = s - i
+    return (
+        (1.0 - w) * control.u1[i] + w * control.u1[i + 1],
+        (1.0 - w) * control.u2[i] + w * control.u2[i + 1],
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_value_at_on_arrays_of_times_matches_the_scalar_lookup(d):
+    timegrid = tg(nt=12, T=1.3)
+    dt = timegrid.dt
+    rng = np.random.default_rng(5)
+    ctrl = ControlPath(timegrid, rng.normal(size=(13, d)), rng.normal(size=(13, d)))
+    times = [n * dt for n in range(13)] + [(n + 0.5) * dt for n in range(12)]
+    for n in range(12):  # the forward solve's stage times
+        for substeps in (1, 3, 7):
+            h = dt / substeps
+            for j in range(substeps):
+                times += [n * dt + j * h, (n * dt + j * h) + h]
+    times += [-0.4, -1e-300, timegrid.T, timegrid.T * (1.0 + 1e-15), 7.0]
+    u1, u2 = ctrl.value_at(np.array(times))
+    assert u1.shape == u2.shape == (len(times), d)
+    for k, t in enumerate(times):
+        r1, r2 = scalar_value_at(ctrl, t)
+        assert bits_equal(u1[k], r1) and bits_equal(u2[k], r2)
+        s1, s2 = ctrl.value_at(t)
+        assert bits_equal(s1, r1) and bits_equal(s2, r2)
+    grid_of_times = np.array(times[:24]).reshape(6, 4)
+    g1, g2 = ctrl.value_at(grid_of_times)
+    assert bits_equal(g1, u1[:24].reshape(6, 4, d)) and bits_equal(g2, u2[:24].reshape(6, 4, d))
+
+
+@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
+def test_eval_drift_takes_one_time_per_block_of_rows(name, params, d):
+    timegrid = tg(nt=10)
+    s = np.linspace(0.0, 1.0, 11)[:, None]
+    ctrl = ControlPath(timegrid, np.sin(3.0 * s + np.arange(d)), 0.5 - s * np.arange(1, d + 1))
+    spec = DriftSpec(DriftPreset(name, params), ctrl)
+    pts = np.random.default_rng(2).normal(size=(9, d)) * 2.0
+    times = np.array([0.0, 0.37, 0.05, 1.0])
+    got = eval_drift(spec, times, np.tile(pts, (times.size, 1)))
+    for b, t in enumerate(times):
+        assert bits_equal(got[9 * b:9 * (b + 1)], eval_drift(spec, float(t), pts))
+    if d == 1:  # flat points are d = 1 points
+        flat = eval_drift(spec, times, np.tile(pts[:, 0], times.size))
+        assert bits_equal(flat, got[:, 0])
+
+
 def test_project_box():
     t = tg()
     ctrl = ControlPath.constant(t, [5.0], [0.2])

@@ -292,8 +292,10 @@ def test_face_speeds_are_eval_drift_at_the_faces(name, params, d):
     drift = DriftSpec(DriftPreset(name, params), varying_control(tg, d))
     delta = varying_control(tg, d, scale=-0.7)
     stepper = _Stepper(g, drift, None, "muscl-fv", delta)
-    for t in (0.0, 0.3 * tg.dt, 0.55, 1.0):
-        speeds, deltas = stepper.face_speeds(t), stepper.face_speed_deltas(t)
+    times = (0.0, 0.3 * tg.dt, 0.55, 1.0)
+    stepper.look_up(np.array(times))
+    for k, t in enumerate(times):
+        speeds, deltas = stepper.face_speeds(k), stepper.face_speed_deltas(k)
         du1, du2 = delta.value_at(t)
         for ax in range(d):
             pts = _face_points(g, ax)

@@ -10,9 +10,11 @@ from liouville_control import (
     CostSpec,
     DriftPreset,
     GridMismatch,
+    InvalidGrid,
     NotApplicable,
     Potential,
     Problem,
+    ScalarField,
     fd_directional_derivative,
     fit_order,
     frechet_probe,
@@ -20,6 +22,7 @@ from liouville_control import (
     kkt_residual,
     make_grid,
     make_timegrid,
+    partial_derivative,
     optimize,
     path_dot,
     reduced_cost,
@@ -29,6 +32,7 @@ from liouville_control import (
     smallness_certificate,
 )
 from liouville_control.optimize import OptimConfig
+from liouville_control.grid import _block_nodes
 from liouville_control.reduced import assemble_integral_path
 
 
@@ -138,6 +142,82 @@ def test_gradient_identical_at_stride_not_dividing_nt():
     assert np.array_equal(strided.u1, dense.u1)
     assert np.array_equal(strided.u2, dense.u2)
     assert strided.ibp_discrepancy == dense.ibp_discrepancy
+
+
+def per_node_assembly(problem, traj_rho, traj_q):
+    """The integral terms assembled one node and one field at a time, for
+    comparison."""
+    grid = problem.grid
+    d = grid.dim
+    mesh = grid.meshgrid()
+    vol = grid.cell_volume
+    out = np.zeros((problem.timegrid.nt + 1, 2 * d))
+    disc = 0.0
+    for (n, rho_vals), (_, q_vals) in zip(traj_rho.dense_values(), traj_q.dense_values()):
+        rho = ScalarField(grid, rho_vals)
+        q = ScalarField(grid, q_vals)
+        for r in range(d):
+            drho = partial_derivative(rho, r)
+            i1 = float((drho.values * q.values).sum() * vol)
+            xr_rho = ScalarField(grid, mesh[r] * rho.values)
+            dxr = partial_derivative(xr_rho, r)
+            i2 = float((dxr.values * q.values).sum() * vol)
+            dq = partial_derivative(q, r)
+            i1_ibp = -float((rho.values * dq.values).sum() * vol)
+            i2_ibp = -float((xr_rho.values * dq.values).sum() * vol)
+            disc = max(disc, abs(i1 - i1_ibp), abs(i2 - i2_ibp))
+            out[n, r] = i1
+            out[n, d + r] = i2
+    return out, disc
+
+
+def blocked_problem(dim, stride):
+    """A problem whose nodes fill several blocks, the last one ragged."""
+    if dim == 1:
+        g, tg = make_grid(1, -8, 8, 1000), make_timegrid(1.0, 40)
+        a0, x0, theta = DriftPreset("zero"), 0.3, Potential.tracking([[0.0, 0.0], [1.0, 0.5]])
+    else:
+        g, tg = make_grid(2, (-4, -4), (4, 4), (40, 40)), make_timegrid(0.5, 25)
+        a0, x0, theta = DriftPreset("rotation", {"omega": 1.0}), [0.5, -0.3], Potential("quadratic")
+    size = _block_nodes(g.num_cells)
+    assert 1 < size < tg.nt + 1 and (tg.nt + 1) % size
+    prob = Problem(
+        grid=g, timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": x0, "v0": 0.4}), a0=a0,
+        cost=CostSpec(gamma=0.5, theta=theta, phi=Potential("gaussian-well")),
+        bounds=BoxBounds.symmetric(2.0, dim), scheme="muscl-fv", stride=stride,
+    )
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    u = ControlPath(tg, 0.3 * np.sin(3.0 * s + np.arange(dim)), 0.1 - 0.2 * s * np.arange(1, dim + 1))
+    return prob, u
+
+
+def bits_equal(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_blocked_assembly_matches_the_per_node_loop(dim, stride):
+    prob, u = blocked_problem(dim, stride)
+    traj_rho, traj_q = prob.solve_forward_for(u), prob.solve_adjoint_for(u)
+    out, disc = assemble_integral_path(prob, traj_rho, traj_q)
+    ref, ref_disc = per_node_assembly(prob, traj_rho, traj_q)
+    assert bits_equal(out, ref)
+    assert bits_equal(disc, ref_disc) and disc > 0.0
+    assert reduced_gradient(u, prob).ibp_discrepancy == ref_disc
+
+
+@pytest.mark.parametrize("which", ["rho", "q"])
+@pytest.mark.parametrize("node", [0, 17, 40])
+def test_assembly_rejects_a_field_that_is_not_finite(which, node):
+    prob, u = blocked_problem(1, 1)
+    traj_rho, traj_q = prob.solve_forward_for(u), prob.solve_adjoint_for(u)
+    traj = traj_rho if which == "rho" else traj_q
+    traj._stored[node] = traj._stored[node].copy()
+    traj._stored[node][500] = np.nan
+    with pytest.raises(InvalidGrid, match="finite"):
+        assemble_integral_path(prob, traj_rho, traj_q)
 
 
 def test_replaced_problem_does_not_reuse_the_forward_memo():
