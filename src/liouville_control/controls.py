@@ -364,10 +364,13 @@ class Potential:
     name: str = "zero"
     track_t: tuple[float, ...] = ()
     track_x: tuple[tuple[float, ...], ...] = ()
+    # track_t and track_x as arrays, built once for target_at
+    _track: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.name not in _POTENTIALS:
             raise UnknownPreset(f"unknown potential preset {self.name!r}")
+        object.__setattr__(self, "_track", (np.asarray(self.track_t), np.asarray(self.track_x)))
 
     @classmethod
     def tracking(cls, nodes) -> "Potential":
@@ -391,8 +394,7 @@ class Potential:
         return self.name in ("quadratic", "tracking")
 
     def target_at(self, t: float) -> np.ndarray:
-        ts = np.asarray(self.track_t)
-        xs = np.asarray(self.track_x)
+        ts, xs = self._track
         tt = min(max(t, ts[0]), ts[-1])
         i = int(np.searchsorted(ts, tt, side="right") - 1)
         i = min(max(i, 0), len(ts) - 2)

@@ -16,7 +16,14 @@ time-dependent preset would have to give that cache up.  The control (and
 the tangent's control) is looked up once per solve, in one array pass, at
 every node for the substep plan and then at every stage time of the plan,
 n * dt + j * h and (n * dt + j * h) + h; each stage reads its row of that
-table, of (K, d) arrays.
+table, of (K, d) arrays.  The face-speed splits max(a, 0) and min(a, 0) (and,
+for the tangent, the mask a >= 0 and its own face speeds) are tabulated from
+the table a block of rows at a time, about ``grid._BLOCK_POINTS`` values in
+all; a stage whose row is outside the block, as at the start of a replay,
+tabulates the block from that row on.  Each stage writes its face
+states, fluxes and divergences into one workspace of arrays allocated once.
+The block and the workspace are dropped when a solve or a replay ends, so
+stored trajectories do not hold them.
 
 Schemes: first-order upwind (monotone, the default) and a minmod-limited
 MUSCL variant advanced with two-stage SSP time stepping for accuracy
@@ -41,7 +48,7 @@ import numpy as np
 from .controls import ControlPath, DriftSpec, drift_div_bound, drift_grad_bound
 from .controls import eval_drift  # unused here; bench/calltrace.py wraps forward.eval_drift by name
 from .errors import CflUnderflow, NonFinite
-from .grid import GridSpec, ScalarField, TimeGrid, weighted_sobolev_norm
+from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, weighted_sobolev_norm
 
 __all__ = [
     "Checkpoints",
@@ -72,33 +79,110 @@ def _face_points(grid: GridSpec, axis: int) -> np.ndarray:
     return np.stack([X, Y], axis=-1)
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+class _Faces:
+    """Left/right states of one field at the faces along axis 0 of its
+    axis-first cells, with zero ghosts (inflow carries nothing in, outflow
+    uses the interior reconstruction); the buffers and their ghost faces are
+    written once per solve."""
+
+    def __init__(self, cells: tuple, scheme: str):
+        face = (cells[0] + 1,) + cells[1:]
+        self.left, self.right = np.empty(face), np.empty(face)
+        self.left[0] = self.right[-1] = 0.0
+        self._left, self._right = self.left[1:], self.right[:-1]
+        self.muscl = scheme == "muscl-fv"
+        if self.muscl:
+            # half the limited slope; the boundary cells' slopes stay 0
+            self._half = np.zeros(cells)
+            self._slope = self._half[1:-1]
+            diffs = (cells[0] - 1,) + cells[1:]
+            dm, mag = np.empty(diffs), np.empty(diffs)
+            self._dm, self._dm_lo, self._dm_hi = dm, dm[:-1], dm[1:]
+            self._mag, self._mag_lo, self._mag_hi = mag, mag[:-1], mag[1:]
+            self._pos = np.empty(self._slope.shape, dtype=bool)
+
+    def fill(self, vm: np.ndarray) -> None:
+        if not self.muscl:
+            np.copyto(self._left, vm)
+            np.copyto(self._right, vm)
+            return
+        s, pos = self._slope, self._pos
+        np.subtract(vm[1:], vm[:-1], out=self._dm)
+        # minmod of the differences on either side: where their product is
+        # positive (so not where it underflows to 0) they share a sign and it
+        # is the one of smaller magnitude, else 0.  A select is cheaper than
+        # ufuncs masked with where=
+        np.multiply(self._dm_lo, self._dm_hi, out=s)
+        np.greater(s, 0.0, out=pos)
+        np.abs(self._dm, out=self._mag)
+        np.minimum(self._mag_lo, self._mag_hi, out=s)
+        np.copysign(s, self._dm_lo, out=s)
+        np.multiply(np.where(pos, s, 0.0), 0.5, out=s)
+        np.add(vm, self._half, out=self._left)
+        np.subtract(vm, self._half, out=self._right)
 
 
-def _face_states(vm: np.ndarray, scheme: str):
-    """Left/right states at the faces along axis 0 of vm, with zero ghosts
-    (inflow carries nothing in, outflow uses the interior reconstruction)."""
-    shape = (vm.shape[0] + 1,) + vm.shape[1:]
-    left, right = np.empty(shape), np.empty(shape)
-    left[0] = right[-1] = 0.0
-    if scheme == "upwind-fv":
-        left[1:] = vm
-        right[:-1] = vm
-        return left, right
-    # half the limited slope; the boundary cells' slopes are 0
-    half = np.empty_like(vm)
-    half[0] = half[-1] = 0.0
-    dm = vm[1:] - vm[:-1]
-    half[1:-1] = 0.5 * _minmod(dm[:-1], dm[1:])
-    np.add(vm, half, out=left[1:])
-    np.subtract(vm, half, out=right[:-1])
-    return left, right
+class _Axis:
+    """The scratch arrays of one axis for one solve, axis first: the face
+    states of the density (and of the tangent), the flux and its first
+    difference."""
+
+    def __init__(self, cells: tuple, scheme: str, tangent: bool):
+        face = (cells[0] + 1,) + cells[1:]
+        self.faces = _Faces(cells, scheme)
+        self.w_faces = _Faces(cells, scheme) if tangent else None
+        self.F, self._scratch, self._dF = np.empty(face), np.empty(face), np.empty(cells)
+        self._F_hi, self._F_lo = self.F[1:], self.F[:-1]
+
+    def flux(self, ap, left, am, right) -> np.ndarray:
+        """F = ap * left + am * right."""
+        np.multiply(ap, left, out=self.F)
+        np.multiply(am, right, out=self._scratch)
+        return np.add(self.F, self._scratch, out=self.F)
+
+    def tangent_flux(self, ap, am, up, da) -> np.ndarray:
+        """F = ap * wl + am * wr + da * rho_up, rho_up taken from the
+        density's face states on the side a >= 0 points to."""
+        self.flux(ap, self.w_faces.left, am, self.w_faces.right)
+        np.multiply(da, np.where(up, self.faces.left, self.faces.right), out=self._scratch)
+        return np.add(self.F, self._scratch, out=self.F)
+
+    def add_difference(self, h: float, div_ax: np.ndarray, first: bool) -> None:
+        """div_ax += (F[1:] - F[:-1]) / h, onto a zero divergence on the
+        first axis (0.0 + x, which turns -0.0 into +0.0)."""
+        np.subtract(self._F_hi, self._F_lo, out=self._dF)
+        np.divide(self._dF, h, out=self._dF)
+        np.add(self._dF, 0.0 if first else div_ax, out=div_ax)
+
+
+class _Workspace:
+    """What every stage of one solve reuses: each axis's scratch arrays, the
+    divergences of the stages and MUSCL's intermediate stage, for the
+    density and, with a tangent, for the tangent."""
+
+    def __init__(self, shape: tuple, scheme: str, tangent: bool):
+        self.axes = []
+        for ax in range(len(shape)):
+            cells = list(shape)
+            cells[0], cells[ax] = cells[ax], cells[0]
+            self.axes.append(_Axis(tuple(cells), scheme, tangent))
+        self.div = (np.empty(shape), np.empty(shape))
+        self.stage = np.empty(shape)
+        self.div_w = (np.empty(shape), np.empty(shape)) if tangent else (None, None)
+        self.stage_w = np.empty(shape) if tangent else None
+
+
+def _column(u: np.ndarray, ax: int, like: np.ndarray) -> np.ndarray:
+    """Component ax of control rows u, shaped to broadcast over rows of ``like``."""
+    return u[..., ax].reshape(u.shape[:-1] + (1,) * like.ndim)
 
 
 class _Stepper:
     """One-step FV advance bound to a grid, drift, source, and scheme; a0
-    at the faces of each axis is evaluated here, stored with that axis first."""
+    at the faces of each axis is evaluated here, stored with that axis first.
+
+    During a solve or a replay it holds the face-speed splits of a block of
+    table rows and the workspace; ``release`` drops both."""
 
     def __init__(self, grid, drift, g_eval, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
@@ -117,64 +201,122 @@ class _Stepper:
             a0 = drift.a0.eval(0.0, pts.reshape(-1, grid.dim))[:, ax].reshape(pts.shape[:-1])
             self.a0_faces.append(np.ascontiguousarray(np.swapaxes(a0, 0, ax)))
             self.x_faces.append(np.ascontiguousarray(np.swapaxes(pts[..., ax], 0, ax)))
+        # a block's float tables (a+ and a-, and the tangent's face speeds)
+        # hold about _BLOCK_POINTS values in all
+        tables = 2 if tangent_control is None else 3
+        self._rows = _block_nodes(tables * sum(a0.size for a0 in self.a0_faces))
+        self._block = self._tables = self._work = None
+
+    def release(self) -> None:
+        """Drop the split block and the workspace; the next stage rebuilds them."""
+        self._block = self._tables = self._work = None
 
     def look_up(self, times: np.ndarray) -> None:
         """Tabulate the control, and the tangent control if any, at every
         time of ``times`` in one pass; row k serves stage k."""
+        self._block = None
         self.controls = self.drift.control.value_at(times)
         if self.tangent_control is not None:
             self.deltas = self.tangent_control.value_at(times)
 
-    def face_speeds(self, k: int) -> list[np.ndarray]:
-        """a_axis at the faces of each axis, axis first, at table row k,
-        summed in eval_drift's order: (a0 + u1) + x * u2."""
-        u1, u2 = self.controls[0][k], self.controls[1][k]
-        return [(a0 + u1[ax]) + x * u2[ax] for ax, (a0, x) in enumerate(zip(self.a0_faces, self.x_faces))]
+    def face_speeds(self, rows, out=None) -> list[np.ndarray]:
+        """a_axis at the faces of each axis, axis first, at table row(s)
+        ``rows`` (an index or a slice, which leads with a row axis), summed
+        in eval_drift's order: (a0 + u1) + x * u2.  ``out`` holds per axis
+        the array for a and one for x * u2, or None to allocate them."""
+        u1, u2 = self.controls[0][rows], self.controls[1][rows]
+        speeds = []
+        for ax, (a0, x, (a, xu2)) in enumerate(zip(self.a0_faces, self.x_faces, out or [(None, None)] * len(self.h))):
+            a = np.add(a0, _column(u1, ax, a0), out=a)
+            speeds.append(np.add(a, np.multiply(x, _column(u2, ax, x), out=xu2), out=a))
+        return speeds
 
-    def face_speed_deltas(self, k: int) -> list[np.ndarray]:
-        """The tangent control's du1 + x * du2 at the faces, as face_speeds."""
-        du1, du2 = self.deltas[0][k], self.deltas[1][k]
-        return [du1[ax] + x * du2[ax] for ax, x in enumerate(self.x_faces)]
+    def face_speed_deltas(self, rows, out=None) -> list[np.ndarray]:
+        """The tangent control's du1 + x * du2 at the faces, as face_speeds;
+        ``out`` holds one array per axis, or is None."""
+        du1, du2 = self.deltas[0][rows], self.deltas[1][rows]
+        return [
+            np.add(_column(du1, ax, x), np.multiply(x, _column(du2, ax, x), out=da), out=da)
+            for ax, (x, da) in enumerate(zip(self.x_faces, out or [None] * len(self.h)))
+        ]
+
+    def _splits(self, k: int) -> list[list[np.ndarray]]:
+        """Per axis at table row k: a+ = max(a, 0), a- = min(a, 0) and, with
+        a tangent, the mask a >= 0 and the tangent's face speeds.  They are
+        tabulated for a block of rows from k on when k is outside the
+        current block."""
+        block = self._block
+        if block is None or not block[0] <= k < block[1]:
+            block = self._block = self._tabulate(k)
+        r = k - block[0]
+        return [[table[r] for table in axis] for axis in block[2]]
+
+    def _tabulate(self, lo: int):
+        """The splits of table rows lo.. (a block, or what is left of the
+        table), written into one block's arrays allocated at the first call."""
+        tangent = self.tangent_control is not None
+        if self._tables is None:
+            shapes = [(self._rows,) + a0.shape for a0 in self.a0_faces]
+            self._tables = [
+                [np.empty(shape), np.empty(shape)] + ([np.empty(shape, dtype=bool), np.empty(shape)] if tangent else [])
+                for shape in shapes
+            ]
+        hi = min(lo + self._rows, len(self.controls[0]))
+        tables = [[table[: hi - lo] for table in axis] for axis in self._tables]
+        # am holds x * u2 until a is complete
+        speeds = self.face_speeds(slice(lo, hi), [axis[:2] for axis in tables])
+        if tangent:
+            self.face_speed_deltas(slice(lo, hi), [axis[3] for axis in tables])
+        for a, axis in zip(speeds, tables):
+            if tangent:
+                np.greater_equal(a, 0.0, out=axis[2])
+            np.minimum(a, 0.0, out=axis[1])
+            np.maximum(a, 0.0, out=axis[0])
+        return lo, hi, tables
 
     def max_speed(self, k: int) -> float:
         """Sum over axes of max |a_axis| / h_axis at table row k, for the
         Courant number."""
-        return sum(float(np.abs(a).max()) / h for a, h in zip(self.face_speeds(k), self.h))
+        return sum(float(np.maximum(ap.max(), -am.min())) / h for (ap, am, *_), h in zip(self._splits(k), self.h))
 
-    def _divergence(self, k, values, w_values):
+    def _workspace(self, shape: tuple) -> _Workspace:
+        if self._work is None:
+            self._work = _Workspace(shape, self.scheme, self.tangent_control is not None)
+        return self._work
+
+    def _divergence(self, k, values, div, w_values=None, div_w=None) -> float:
         """Flux divergence of values (and of the tangent pair, if any) at
-        table row k; also returns the boundary mass outflow rate.  Each axis
-        works on axis-first views; ``swapaxes`` is a no-op view on axis 0."""
-        div = np.zeros_like(values)
-        div_w = np.zeros_like(values) if w_values is not None else None
+        table row k, written into div (and div_w); returns the boundary mass
+        outflow rate.  Each axis works on axis-first views; ``swapaxes`` is a
+        no-op view on axis 0."""
         out_rate = 0.0
-        speeds = self.face_speeds(k)
-        deltas = self.face_speed_deltas(k) if w_values is not None else None
-        for ax, a in enumerate(speeds):
-            left, right = _face_states(np.swapaxes(values, 0, ax), self.scheme)
-            ap = np.maximum(a, 0.0)
-            am = np.minimum(a, 0.0)
-            F = ap * left + am * right
-            div_ax = np.swapaxes(div, 0, ax)
-            div_ax += (F[1:] - F[:-1]) / self.h[ax]
-            out_rate += float((F[-1].sum() - F[0].sum()) * self.transverse[ax])
+        for ax, (axis, (ap, am, *tangent)) in enumerate(zip(self._workspace(values.shape).axes, self._splits(k))):
+            faces = axis.faces
+            faces.fill(values.swapaxes(0, ax))
+            F = axis.flux(ap, faces.left, am, faces.right)
+            axis.add_difference(self.h[ax], div.swapaxes(0, ax), ax == 0)
+            if F.ndim == 1:
+                # sum() of a numpy scalar would add it to +0.0, which changes
+                # only the sign of a zero; out_rate starts at 0.0 and erases it
+                out_rate += (F.item(-1) - F.item(0)) * self.transverse[ax]
+            else:
+                out_rate += float((F[-1].sum() - F[0].sum()) * self.transverse[ax])
             if w_values is not None:
-                wl, wr = _face_states(np.swapaxes(w_values, 0, ax), self.scheme)
-                rho_up = np.where(a >= 0.0, left, right)
-                Fw = ap * wl + am * wr + deltas[ax] * rho_up
-                div_w_ax = np.swapaxes(div_w, 0, ax)
-                div_w_ax += (Fw[1:] - Fw[:-1]) / self.h[ax]
-        return div, div_w, out_rate
+                axis.w_faces.fill(w_values.swapaxes(0, ax))
+                axis.tangent_flux(ap, am, *tangent)
+                axis.add_difference(self.h[ax], div_w.swapaxes(0, ax), ax == 0)
+        return out_rate
 
     def advance(self, values, t, dt, k, w_values=None):
         """Advance one (sub)step from time t, whose first stage reads table
         row k (MUSCL's second stage, at t + dt, row k + 1); returns new
         values, new tangent values, boundary outflow mass, and injected
         source mass."""
-        grid = self.grid
+        work, grid = self._workspace(values.shape), self.grid
+        (div1, div2), (divw1, divw2) = work.div, work.div_w
         if self.scheme == "upwind-fv":
-            div, div_w, out_rate = self._divergence(k, values, w_values)
-            new = values - dt * div
+            out_rate = self._divergence(k, values, div1, w_values, divw1)
+            new = values - np.multiply(div1, dt, out=div1)
             src_mass = 0.0
             if self.g_eval is not None:
                 gmid = self.g_eval(t + 0.5 * dt)
@@ -182,23 +324,31 @@ class _Stepper:
                 src_mass = float(gmid.sum() * grid.cell_volume) * dt
             new_w = None
             if w_values is not None:
-                new_w = w_values - dt * div_w
+                new_w = w_values - np.multiply(divw1, dt, out=divw1)
             return new, new_w, out_rate * dt, src_mass
         # muscl-fv: two-stage SSP update
-        div1, divw1, rate1 = self._divergence(k, values, w_values)
+        rate1 = self._divergence(k, values, div1, w_values, divw1)
         g1 = self.g_eval(t) if self.g_eval is not None else None
-        stage = values - dt * div1 + (dt * g1 if g1 is not None else 0.0)
-        stage_w = w_values - dt * divw1 if w_values is not None else None
-        div2, divw2, rate2 = self._divergence(k + 1, stage, stage_w)
+        stage = np.subtract(values, np.multiply(div1, dt, out=work.stage), out=work.stage)
+        if g1 is not None:
+            stage += dt * g1
+        stage_w = None
+        if w_values is not None:
+            stage_w = np.subtract(w_values, np.multiply(divw1, dt, out=work.stage_w), out=work.stage_w)
+        rate2 = self._divergence(k + 1, stage, div2, stage_w, divw2)
         g2 = self.g_eval(t + dt) if self.g_eval is not None else None
-        new = values - 0.5 * dt * (div1 + div2)
+        div1 += div2
+        div1 *= 0.5 * dt
+        new = values - div1
         src_mass = 0.0
         if g1 is not None:
             new = new + 0.5 * dt * (g1 + g2)
             src_mass = 0.5 * dt * float((g1 + g2).sum() * grid.cell_volume)
         new_w = None
         if w_values is not None:
-            new_w = w_values - 0.5 * dt * (divw1 + divw2)
+            divw1 += divw2
+            divw1 *= 0.5 * dt
+            new_w = w_values - divw1
         return new, new_w, 0.5 * dt * (rate1 + rate2), src_mass
 
 
@@ -208,8 +358,9 @@ class Checkpoints:
 
     Any other node is replayed, bit-exactly, from the stored node the solve
     passed last by the solve's own step: ``step(values, n)`` gives the node
-    after n in the solve's direction.  Without a step (the tangent) only
-    the stored nodes are available.
+    after n in the solve's direction, and ``release()``, if given, is called
+    when a replay ends.  Without a step (the tangent) only the stored nodes
+    are available.
     """
 
     timegrid: TimeGrid
@@ -217,6 +368,7 @@ class Checkpoints:
     stride: int
     step: Callable | None = field(default=None, repr=False)
     backward: bool = False
+    release: Callable | None = field(default=None, repr=False)
     _stored: dict = field(default_factory=dict, repr=False)
 
     def keep(self, n: int, values: np.ndarray) -> None:
@@ -237,9 +389,13 @@ class Checkpoints:
     def _replay(self, start: int, stop: int):
         """Yield the nodes after the stored ``start`` up to ``stop``."""
         vals = self._stored[start]
-        for n in range(start, stop, 1 if stop > start else -1):
-            vals = self.step(vals, n)
-            yield vals
+        try:
+            for n in range(start, stop, 1 if stop > start else -1):
+                vals = self.step(vals, n)
+                yield vals
+        finally:
+            if self.release is not None:
+                self.release()
 
     def values_at(self, n: int) -> np.ndarray:
         if n in self._stored:
@@ -353,28 +509,33 @@ def _solve(
     vol = grid.cell_volume
 
     traj = StateTrajectory(
-        timegrid, grid, stride, lambda vals, n: full_step(vals, n)[0],
+        timegrid, grid, stride, lambda vals, n: full_step(vals, n)[0], release=stepper.release,
         mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1), substeps=plan,
         source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
     w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
 
-    def record(n, vals, w_vals):
-        traj.mass[n] = vals.sum() * vol
+    def record(n, vals, w_vals, total):
+        traj.mass[n] = total * vol
         traj.min_value[n] = vals.min()
         traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
         traj.keep(n, vals)
         if w_traj is not None:
             w_traj.keep(n, w_vals)
 
-    record(0, values, w_values)
-    for n in range(nt):
-        values, w_values, out_m, src_m = full_step(values, n, w_values)
-        if not np.all(np.isfinite(values)):
-            raise NonFinite(f"solution lost finiteness at step {n + 1}")
-        record(n + 1, values, w_values)
-        traj.source_mass[n + 1] = traj.source_mass[n] + src_m
-        traj.boundary_outflux[n + 1] = traj.boundary_outflux[n] + out_m
+    record(0, values, w_values, values.sum())
+    try:
+        for n in range(nt):
+            values, w_values, out_m, src_m = full_step(values, n, w_values)
+            total = values.sum()
+            # a finite sum proves every value finite
+            if not math.isfinite(total) and not np.all(np.isfinite(values)):
+                raise NonFinite(f"solution lost finiteness at step {n + 1}")
+            record(n + 1, values, w_values, total)
+            traj.source_mass[n + 1] = traj.source_mass[n] + src_m
+            traj.boundary_outflux[n + 1] = traj.boundary_outflux[n] + out_m
+    finally:
+        stepper.release()
 
     return traj if w_traj is None else (traj, w_traj)
 

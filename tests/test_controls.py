@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,34 @@ def test_tracking_path_clamps_outside_horizon():
     assert track.target_at(-0.5)[0] == 1.0
     assert track.target_at(0.5)[0] == 2.0
     assert track.target_at(2.0)[0] == 3.0
+
+
+def tuple_target_at(pot, t):
+    """target_at converting the stored tuples on every call."""
+    ts = np.asarray(pot.track_t)
+    xs = np.asarray(pot.track_x)
+    tt = min(max(t, ts[0]), ts[-1])
+    i = int(np.searchsorted(ts, tt, side="right") - 1)
+    i = min(max(i, 0), len(ts) - 2)
+    w = (tt - ts[i]) / (ts[i + 1] - ts[i])
+    return (1.0 - w) * xs[i] + w * xs[i + 1]
+
+
+@pytest.mark.parametrize("path", [
+    [[0.0, 1.0], [0.3, -0.7], [0.55, 2.5], [1.0, -0.0]],
+    [[0.1, [0.0, -1.0]], [0.4, [1.0 / 3.0, 2.0]], [0.9, [-2.5, 0.25]]],
+], ids=["1d", "2d"])
+def test_target_at_matches_the_tuple_version(path):
+    pot = Potential.tracking(path)
+    ts = pot.track_t
+    between = [a + f * (b - a) for a, b in zip(ts, ts[1:]) for f in (1e-9, 0.3, 0.5, 0.999)]
+    beyond = [-1.0, ts[0] - 1e-300, np.nextafter(ts[-1], 2.0), ts[-1] + 3.0]
+    for t in [*ts, *between, *beyond]:
+        assert bits_equal(pot.target_at(t), tuple_target_at(pot, t))
+    same = Potential.tracking(path)
+    assert same == pot and hash(same) == hash(pot) and "_track" not in repr(pot)
+    assert dataclasses.replace(pot) == pot
+    assert pot != Potential.tracking([[t, 0.0] for t, _ in path])
 
 
 def test_drift_bounds():

@@ -23,7 +23,7 @@ from liouville_control import (
     solve_forward,
     solve_linearized,
 )
-from liouville_control.forward import _Stepper, _face_points, _face_states, required_substeps
+from liouville_control.forward import _Faces, _Stepper, _face_points, required_substeps
 from test_controls import DRIFT_CASES
 
 
@@ -326,8 +326,9 @@ def test_face_states_match_the_concatenate_version(scheme):
     values[0, 0], values[-1, -1], values[4, 0] = -0.0, -0.0, 0.0
     for ax in range(2):
         vm = np.moveaxis(values, ax, 0)
-        got = _face_states(np.swapaxes(values, 0, ax), scheme)
-        for a, b in zip(got, concatenate_face_states(vm, scheme)):
+        faces = _Faces(vm.shape, scheme)
+        faces.fill(np.swapaxes(values, 0, ax))
+        for a, b in zip((faces.left, faces.right), concatenate_face_states(vm, scheme)):
             assert bits_equal(a, b)
 
 
@@ -353,3 +354,225 @@ def test_required_substeps_match_a_plan_from_both_step_ends(d):
     plan = required_substeps(_Stepper(g, drift, None, "upwind-fv"), tg, cfl)
     assert plan == expected
     assert len(set(plan)) > 1
+
+
+def reference_minmod(a, b):
+    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+
+
+def reference_face_states(vm, scheme):
+    """The face states as built with fresh arrays on every call."""
+    shape = (vm.shape[0] + 1,) + vm.shape[1:]
+    left, right = np.empty(shape), np.empty(shape)
+    left[0] = right[-1] = 0.0
+    if scheme == "upwind-fv":
+        left[1:] = vm
+        right[:-1] = vm
+        return left, right
+    half = np.empty_like(vm)
+    half[0] = half[-1] = 0.0
+    dm = vm[1:] - vm[:-1]
+    half[1:-1] = 0.5 * reference_minmod(dm[:-1], dm[1:])
+    np.add(vm, half, out=left[1:])
+    np.subtract(vm, half, out=right[:-1])
+    return left, right
+
+
+def reference_divergence(stepper, k, values, w_values):
+    """The flux divergence with the face speeds formed at every stage."""
+    div = np.zeros_like(values)
+    div_w = np.zeros_like(values) if w_values is not None else None
+    out_rate = 0.0
+    speeds = stepper.face_speeds(k)
+    deltas = stepper.face_speed_deltas(k) if w_values is not None else None
+    for ax, a in enumerate(speeds):
+        left, right = reference_face_states(np.swapaxes(values, 0, ax), stepper.scheme)
+        ap = np.maximum(a, 0.0)
+        am = np.minimum(a, 0.0)
+        F = ap * left + am * right
+        div_ax = np.swapaxes(div, 0, ax)
+        div_ax += (F[1:] - F[:-1]) / stepper.h[ax]
+        out_rate += float((F[-1].sum() - F[0].sum()) * stepper.transverse[ax])
+        if w_values is not None:
+            wl, wr = reference_face_states(np.swapaxes(w_values, 0, ax), stepper.scheme)
+            rho_up = np.where(a >= 0.0, left, right)
+            Fw = ap * wl + am * wr + deltas[ax] * rho_up
+            div_w_ax = np.swapaxes(div_w, 0, ax)
+            div_w_ax += (Fw[1:] - Fw[:-1]) / stepper.h[ax]
+    return div, div_w, out_rate
+
+
+def reference_advance(stepper, values, t, dt, k, w_values=None):
+    vol = stepper.grid.cell_volume
+    g_eval = stepper.g_eval
+    if stepper.scheme == "upwind-fv":
+        div, div_w, out_rate = reference_divergence(stepper, k, values, w_values)
+        new = values - dt * div
+        src_mass = 0.0
+        if g_eval is not None:
+            gmid = g_eval(t + 0.5 * dt)
+            new = new + dt * gmid
+            src_mass = float(gmid.sum() * vol) * dt
+        new_w = w_values - dt * div_w if w_values is not None else None
+        return new, new_w, out_rate * dt, src_mass
+    div1, divw1, rate1 = reference_divergence(stepper, k, values, w_values)
+    g1 = g_eval(t) if g_eval is not None else None
+    stage = values - dt * div1 + (dt * g1 if g1 is not None else 0.0)
+    stage_w = w_values - dt * divw1 if w_values is not None else None
+    div2, divw2, rate2 = reference_divergence(stepper, k + 1, stage, stage_w)
+    g2 = g_eval(t + dt) if g_eval is not None else None
+    new = values - 0.5 * dt * (div1 + div2)
+    src_mass = 0.0
+    if g1 is not None:
+        new = new + 0.5 * dt * (g1 + g2)
+        src_mass = 0.5 * dt * float((g1 + g2).sum() * vol)
+    new_w = w_values - 0.5 * dt * (divw1 + divw2) if w_values is not None else None
+    return new, new_w, 0.5 * dt * (rate1 + rate2), src_mass
+
+
+def adversarial_field(shape, seed):
+    """Normal values with plateaus (zero differences), runs of equal
+    differences (minmod ties), differences whose product underflows, negative
+    values and zeros of both signs, along both axes."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=shape)
+    for line in (v.reshape(-1), v.reshape(shape[0], -1)[:, 0]):
+        line[5:12] = 1.5
+        line[12:20] = 0.25 * np.arange(8)
+        line[20:26] = 1e-170 * np.arange(6)
+        line[26:32] = [0.0, -0.0, -0.0, 0.0, -1e-170, -2e-170]
+        line[32:38] = -3.0 - 0.5 * np.arange(6)
+    flat = v.reshape(-1)
+    flat[rng.choice(flat.size, flat.size // 16)] = -0.0
+    flat[rng.choice(flat.size, flat.size // 16)] = 0.0
+    flat[:2] = [-0.0, -1.0]
+    flat[-2:] = [-2.0, -0.0]
+    return v
+
+
+def stage_case(d, scheme, tangent, g_eval=None):
+    """A stepper on a grid fine enough for a split block of a few table
+    rows, over a table whose rows are the control's nodes: speeds of both
+    signs, exact zeros and -0.0 among them."""
+    g = make_grid(1, -4.0, 4.0, 1024) if d == 1 else make_grid(2, (-4.0, -3.0), (4.0, 5.0), (40, 44))
+    tg = make_timegrid(1.0, 23)
+    u1 = np.tile([0.0, -0.0, 0.7, -0.7, 0.0, 1.3, -0.2, 0.0, 0.5, -1.1, 0.3, 0.0], 2)
+    u2 = np.tile([0.0, -0.0, -0.5, 0.4, -1.0, 0.0, 0.9, -0.3, -0.0, 0.2, -0.6, 0.8], 2)
+    control = ControlPath(tg, np.column_stack([u1, -u1[::-1]][:d]), np.column_stack([u2, u2[::-1]][:d]))
+    delta = ControlPath(tg, np.column_stack([u2, u1][:d]), np.column_stack([-u1, u2][:d])) if tangent else None
+    # a0 = 0 in 1D puts exact zero speeds at the face x = 0 and on the rows
+    # where u1 = u2 = 0; the 2D rotation's a0 is nowhere zero on the faces
+    drift = DriftSpec(DriftPreset("zero" if d == 1 else "rotation"), control)
+    stepper = _Stepper(g, drift, g_eval, scheme, delta)
+    stepper.look_up(tg.nodes())
+    assert 3 * stepper._rows < tg.nt  # the table spans several blocks
+    return g, stepper
+
+
+@pytest.mark.parametrize("tangent", [False, True], ids=["state", "tangent"])
+@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stage_matches_the_allocating_version(d, scheme, tangent):
+    g, stepper = stage_case(d, scheme, tangent)
+    values = adversarial_field(g.shape, 1)
+    w_values = adversarial_field(g.shape, 2) if tangent else None
+    rows = stepper._rows
+    # rows of the first block, of the next, then of the first again (a
+    # rebuild); MUSCL's stage at rows - 1 reads its second row in the next block
+    for k in (0, 1, rows - 1, rows + 1, 3 * rows // 2, 2, 2 * rows + 1):
+        div, div_w = np.empty(g.shape), np.empty(g.shape) if tangent else None
+        rate = stepper._divergence(k, values, div, w_values, div_w)
+        ref_div, ref_div_w, ref_rate = reference_divergence(stepper, k, values, w_values)
+        assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
+        if tangent:
+            assert bits_equal(div_w, ref_div_w)
+        got = stepper.advance(values, 0.1, 0.013, k, w_values)
+        ref = reference_advance(stepper, values, 0.1, 0.013, k, w_values)
+        assert bits_equal(got[0], ref[0])
+        assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
+        assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
+
+
+@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
+def test_stage_with_a_source_matches_the_allocating_version(scheme):
+    source = adversarial_field((1024,), 3)
+    g, stepper = stage_case(1, scheme, True, g_eval=lambda t: (1.0 + t) * source)
+    values, w_values = adversarial_field(g.shape, 4), adversarial_field(g.shape, 5)
+    got = stepper.advance(values, 0.2, 0.01, 4, w_values)
+    ref = reference_advance(stepper, values, 0.2, 0.01, 4, w_values)
+    for a, b in zip(got, ref):
+        assert bits_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def stepper_of(traj):
+    return traj.release.__self__
+
+
+def holds_nothing(stepper):
+    return stepper._block is None and stepper._tables is None and stepper._work is None
+
+
+@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
+def test_solves_release_their_workspace_and_split_block(scheme):
+    g, tg, rho0 = gaussian_setup(n=128, nt=16)
+    drift = DriftSpec(DriftPreset("zero"), varying_control(tg, 1))
+    traj = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=4)
+    assert holds_nothing(stepper_of(traj))
+    traj.values_at(6)
+    assert holds_nothing(stepper_of(traj))
+    for _ in traj.dense_values():
+        pass
+    assert holds_nothing(stepper_of(traj))
+    base, _ = solve_linearized(rho0, drift, varying_control(tg, 1, scale=0.3), None, tg, scheme=scheme)
+    assert holds_nothing(stepper_of(base))
+
+
+@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
+def test_stride_replay_rebuilds_its_blocks(scheme):
+    g = make_grid(1, -8.0, 8.0, 2048)
+    tg = make_timegrid(1.0, 30)
+    rho0 = sample_function(g, "gaussian", {"x0": 0.5, "v0": 1.0})
+    drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.2}), varying_control(tg, 1, scale=3.0))
+    dense = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=1)
+    strided = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=7)
+    assert len(set(strided.substeps)) > 1
+    stepper = stepper_of(strided)
+    starts = []
+    tabulate = stepper._tabulate
+    stepper._tabulate = lambda lo: starts.append(lo) or tabulate(lo)
+    for n in (3, 13, 20, 29):
+        assert bits_equal(strided.values_at(n), dense.values_at(n))
+    # a replay of many substeps spans more than one block of rows
+    assert len(starts) > 4 and len(set(starts)) == len(starts)
+    got = {n: v.copy() for n, v in strided.dense_values()}
+    assert sorted(got) == list(range(tg.nt + 1))
+    for n in range(tg.nt + 1):
+        assert bits_equal(got[n], dense.values_at(n))
+    assert holds_nothing(stepper)
+
+
+@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("step", [1, 5])
+def test_non_finite_value_is_reported_at_its_step(scheme, bad, step):
+    g, tg, rho0 = gaussian_setup(n=64, nt=8)
+    dt = tg.dt
+    spike = np.zeros(g.shape)
+    spike[20] = bad
+
+    def source(t):
+        # only inside step `step`: its midpoint and (MUSCL) its end
+        return spike if (step - 0.75) * dt < t < (step + 0.25) * dt else np.zeros(g.shape)
+
+    drift = drift_const(tg, 0.3, 0.0)
+    with pytest.raises(NonFinite, match=f"at step {step}$"):
+        solve_forward(rho0, drift, source, tg, scheme=scheme, fixed_substeps=1)
+
+
+def test_mass_that_overflows_is_not_a_non_finite_value():
+    g, tg, _ = gaussian_setup(n=64, nt=4)
+    big = np.zeros(g.shape)
+    big[30:32] = 1.5e308  # finite values whose sum overflows
+    with np.errstate(over="ignore"):
+        traj = solve_forward(ScalarField(g, big), drift_const(tg, 0.0, 0.0), None, tg)
+    assert np.isinf(traj.mass).all() and np.array_equal(traj.values_at(tg.nt), big)
