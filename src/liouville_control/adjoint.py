@@ -20,6 +20,11 @@ step is marched in one forward sweep, each joining the batch at its own
 step.
 The feet of every step are kept (nt * N * d floats for N cells in d
 dimensions), so neither the backward pass nor a replay traces them again.
+The running-cost term of a step, dt * theta at the midpoints between the
+centres and their feet, is tabulated from the stored feet for a block of
+steps (about ``grid._BLOCK_POINTS`` values) down from the first step that
+needs it, in one ``potential_eval`` call; the block is dropped when the
+backward pass or a replay ends.
 Interpolated values are clipped to the local stencil range, which keeps the
 discrete maximum principle.
 
@@ -99,8 +104,30 @@ class _BackStepper:
         # characteristics through the cell centres at t_{n_next - 1}; the
         # backward pass and every replay read them from here
         self.feet, self.offgrid = self._continue_offgrid()
+        self._rows = _block_nodes(grid.num_cells)
+        self._running = None  # (lo, hi, running-cost terms of steps lo..hi-1)
 
-    def _theta_line_integral(self, t0: float, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    def release(self) -> None:
+        """Drop the block of running-cost terms; the next step rebuilds it."""
+        self._running = None
+
+    def _running_term(self, k: int) -> np.ndarray:
+        """The running-cost term of step k (t_k to t_{k+1}) at the cell
+        centres, _theta_line_integral from the centres to their stored feet.
+        The terms are tabulated for a block of steps down from k, the order
+        of a backward pass or a replay, when k is outside the current
+        block."""
+        block = self._running
+        if block is None or not block[0] <= k < block[1]:
+            lo = max(0, k + 1 - self._rows)
+            steps = np.arange(lo, k + 1)
+            terms = self._theta_line_integral(steps * self.dt, self.dt, self.centers, self.feet[lo:k + 1])
+            block = self._running = (lo, k + 1, terms)
+        return block[2][k - block[0]]
+
+    def _theta_line_integral(self, t0, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+        """dt * theta at the midpoints of the segments x0 -> x1, at t0 + dt / 2;
+        t0 is one time or one per leading row of x1 (see potential_eval)."""
         mid = 0.5 * (x0 + x1)
         return dt * potential_eval(self.cost.theta, mid, t0 + 0.5 * dt)
 
@@ -175,7 +202,7 @@ class _BackStepper:
         vals, _ = interpolate_flagged(qfield, feet, clip=True)
         idx, continued = self.offgrid[n_next]
         vals[idx] = continued
-        vals = vals - self._theta_line_integral((n_next - 1) * self.dt, self.dt, self.centers, feet)
+        vals = vals - self._running_term(n_next - 1)
         return vals.reshape(self.grid.shape)
 
 
@@ -194,7 +221,7 @@ def solve_adjoint(
 
     vol = grid.cell_volume
     traj = AdjointTrajectory(
-        timegrid, grid, stride, stepper.step_back, backward=True, l2=np.zeros(nt + 1)
+        timegrid, grid, stride, stepper.step_back, backward=True, release=stepper.release, l2=np.zeros(nt + 1)
     )
 
     def record(n, vals):
@@ -202,9 +229,12 @@ def solve_adjoint(
         traj.keep(n, vals)
 
     record(nt, q)
-    for n_next in range(nt, 0, -1):
-        q = stepper.step_back(q, n_next)
-        record(n_next - 1, q)
+    try:
+        for n_next in range(nt, 0, -1):
+            q = stepper.step_back(q, n_next)
+            record(n_next - 1, q)
+    finally:
+        stepper.release()
     return traj
 
 

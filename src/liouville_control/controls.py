@@ -336,12 +336,13 @@ def control_cost_terms(control: ControlPath, l1_mode: str = "component"):
     return l2sq, l1, h1sq
 
 
-# potential presets: name -> the potential at points (..., d) and time t
+# potential presets: name -> the potential at points (..., M, d) and a time,
+# or an array of times that leads the points' shape (see potential_eval)
 _POTENTIALS = {
     "zero": lambda pot, pts, t: np.zeros(pts.shape[:-1]),
     "gaussian-well": lambda pot, pts, t: 1.0 - np.exp(-(pts**2).sum(axis=-1)),
     "quadratic": lambda pot, pts, t: (pts**2).sum(axis=-1),
-    "tracking": lambda pot, pts, t: ((pts - pot.target_at(t)) ** 2).sum(axis=-1),
+    "tracking": lambda pot, pts, t: ((pts - pot.target_at(t)[..., None, :]) ** 2).sum(axis=-1),
 }
 
 
@@ -393,19 +394,26 @@ class Potential:
         """Grows like |x|^2, so the adjoint is measured in a negative-weight norm."""
         return self.name in ("quadratic", "tracking")
 
-    def target_at(self, t: float) -> np.ndarray:
+    def target_at(self, t) -> np.ndarray:
+        """x_d at a time or an array of times, of shape ``t.shape + (d,)``:
+        linear interpolation between track nodes, t clamped to the track's
+        ends."""
         ts, xs = self._track
-        tt = min(max(t, ts[0]), ts[-1])
-        i = int(np.searchsorted(ts, tt, side="right") - 1)
-        i = min(max(i, 0), len(ts) - 2)
-        w = (tt - ts[i]) / (ts[i + 1] - ts[i])
+        tt = np.minimum(np.maximum(np.asarray(t, dtype=float), ts[0]), ts[-1])
+        # tt >= ts[0], so the node index is at least 0
+        i = np.minimum(np.searchsorted(ts, tt, side="right") - 1, len(ts) - 2)
+        w = ((tt - ts[i]) / (ts[i + 1] - ts[i]))[..., None]
         return (1.0 - w) * xs[i] + w * xs[i + 1]
 
 
-def potential_eval(potential: Potential, points: np.ndarray, t: float = 0.0) -> np.ndarray:
+def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarray:
     """Exact analytic evaluation of a potential at points of shape (..., d).
 
-    Scalars and flat arrays are read as d = 1 points.
+    Scalars and flat arrays are read as d = 1 points.  ``t`` is one time,
+    or an array of times of shape S for points of shape S + (M, d), or
+    (M, d) shared by every time: the values have shape S + (M,), row s at
+    time t[s].  A preset that does not depend on time gives
+    ``points.shape[:-1]``, which broadcasts against S + (M,).
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0

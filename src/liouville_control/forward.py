@@ -35,6 +35,15 @@ directly, which is what the regularity probes need.
 trajectories (stride checkpointing with deterministic replay, as in
 Griewank & Walther's revolve, without its binomial schedule).  Solves record
 no weighted Sobolev norm; ``norm_history`` computes one from the checkpoints.
+
+The per-node diagnostics are recorded at every node, whatever the stride:
+the mass with the finiteness check of each step, and the minimum, the L2
+norm and, given a running potential theta, the running cost int theta rho dx
+from a block of node copies (about ``grid._BLOCK_POINTS`` values with
+theta's table), one row reduction each when the block is full, with theta
+tabulated at the block's node times in one call.  ``reduced_cost``
+integrates the running cost in time from these, so the objective does not
+depend on the stride.
 """
 
 from __future__ import annotations
@@ -45,10 +54,10 @@ from typing import Callable
 
 import numpy as np
 
-from .controls import ControlPath, DriftSpec, drift_div_bound, drift_grad_bound
+from .controls import ControlPath, DriftSpec, Potential, drift_div_bound, drift_grad_bound, potential_eval
 from .controls import eval_drift  # unused here; bench/calltrace.py wraps forward.eval_drift by name
 from .errors import CflUnderflow, NonFinite
-from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, weighted_sobolev_norm
+from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, _row_sums, weighted_sobolev_norm
 
 __all__ = [
     "Checkpoints",
@@ -432,11 +441,14 @@ class Checkpoints:
 
 @dataclass(kw_only=True)
 class StateTrajectory(Checkpoints):
-    """Checkpoints plus per-step diagnostics of a forward solve."""
+    """Checkpoints plus per-node diagnostics of a forward solve, every node
+    0..nt whatever the stride: ``running`` is the running cost int theta rho
+    dx at each node (zero when the solve was given no theta)."""
 
     mass: np.ndarray
     min_value: np.ndarray
     l2: np.ndarray
+    running: np.ndarray
     substeps: list[int]
     source_mass: np.ndarray
     boundary_outflux: np.ndarray
@@ -453,6 +465,38 @@ def required_substeps(stepper: _Stepper, timegrid: TimeGrid, cfl: float) -> list
     return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
+class _NodeBlock:
+    """Copies of a block of consecutive nodes of a solve; when the block is
+    full, or at node nt, one row reduction per diagnostic fills the block's
+    entries of min_value, l2 and running, with the bits of each node's own
+    ``min()`` and ``sum()``.  The copies and the theta table hold about
+    ``grid._BLOCK_POINTS`` values in all."""
+
+    def __init__(self, traj: StateTrajectory, theta: Potential | None):
+        grid, nt = traj.grid, traj.timegrid.nt
+        self.traj = traj
+        self.theta = None if theta is None or theta.is_zero else theta
+        self.size = _block_nodes((1 if self.theta is None else 2) * grid.num_cells)
+        self.nodes = np.empty((min(self.size, nt + 1), *grid.shape))
+        self.centers = None if self.theta is None else grid.cell_centers()
+
+    def add(self, n: int, values: np.ndarray) -> None:
+        b = n % self.size
+        self.nodes[b] = values
+        if b == self.size - 1 or n == self.traj.timegrid.nt:
+            self._reduce(n - b, self.nodes[: b + 1])
+
+    def _reduce(self, lo: int, rows: np.ndarray) -> None:
+        traj = self.traj
+        grid, hi, vol = traj.grid, lo + len(rows), traj.grid.cell_volume
+        traj.min_value[lo:hi] = rows.reshape(len(rows), -1).min(axis=1)
+        traj.l2[lo:hi] = np.sqrt(_row_sums(rows * rows) * vol)
+        if self.theta is not None:
+            times = np.arange(lo, hi) * traj.timegrid.dt
+            theta = potential_eval(self.theta, self.centers, times).reshape((-1, *grid.shape))
+            traj.running[lo:hi] = _row_sums(theta * rows) * vol
+
+
 def _solve(
     rho0: ScalarField,
     drift: DriftSpec,
@@ -464,6 +508,7 @@ def _solve(
     max_substeps: int,
     fixed_substeps,
     tangent_control: ControlPath | None,
+    theta: Potential | None = None,
 ):
     grid = rho0.grid
     stepper = _Stepper(grid, drift, g_eval, scheme, tangent_control)
@@ -510,15 +555,15 @@ def _solve(
 
     traj = StateTrajectory(
         timegrid, grid, stride, lambda vals, n: full_step(vals, n)[0], release=stepper.release,
-        mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1), substeps=plan,
-        source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
+        mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1), running=np.zeros(nt + 1),
+        substeps=plan, source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
     w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
+    block = _NodeBlock(traj, theta)
 
     def record(n, vals, w_vals, total):
         traj.mass[n] = total * vol
-        traj.min_value[n] = vals.min()
-        traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
+        block.add(n, vals)
         traj.keep(n, vals)
         if w_traj is not None:
             w_traj.keep(n, w_vals)
@@ -550,14 +595,17 @@ def solve_forward(
     stride: int = 1,
     max_substeps: int = 4096,
     fixed_substeps=None,
+    theta: Potential | None = None,
 ) -> StateTrajectory:
     """Integrate the density forward from rho0 under the controlled drift.
 
-    ``g_eval`` is None or a callable t -> source values on the grid.
+    ``g_eval`` is None or a callable t -> source values on the grid.  With a
+    running potential ``theta``, the trajectory's ``running`` holds int theta
+    rho dx at every node.
     """
     return _solve(
         rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
-        tangent_control=None,
+        tangent_control=None, theta=theta,
     )
 
 

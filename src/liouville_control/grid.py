@@ -173,6 +173,12 @@ def _block_nodes(points: int) -> int:
     return max(1, _BLOCK_POINTS // points)
 
 
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each field of a block, over its contiguous row, which
+    gives the bits of the field's own ``sum()``."""
+    return values.reshape(values.shape[0], -1).sum(axis=1)
+
+
 @dataclass
 class ScalarField:
     """Cell values on a grid; holds densities, adjoints, and potentials.

@@ -121,7 +121,10 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
         cost = cost_cand
         cost_history.append(cost)
         it += 1
-    kkt = kkt_residual(u, problem) if compute_kkt else None
+    # a loop that stopped before max_iters stopped at the u of its last
+    # gradient; after max_iters accepted steps (or none) it is recomputed
+    at_u = grad if termination != "max_iters" else None
+    kkt = kkt_residual(u, problem, gradient=at_u) if compute_kkt else None
     return OptimResult(
         control=u,
         cost_history=cost_history,

@@ -1,6 +1,12 @@
 """The reduced ensemble control problem: cost, gradients, optimality
 residuals, and analytical probes.
 
+The discrete objective is defined once, in ``reduced_cost``: the trapezoid
+rule in time over every node of the running cost int theta rho dx, which
+the forward solve reduces node by node (``StateTrajectory.running``), plus
+the terminal cost int phi rho(T) dx and the control costs.  It reads no
+stored node but the last, so ``output.stride`` does not change it.
+
 Gradients discretize the continuous optimality system (optimize then
 discretize): per time node and axis r,
 
@@ -35,7 +41,7 @@ from .controls import (
     DriftPreset,
     DriftSpec,
     control_cost_terms,
-    potential_eval,
+    potential_eval,  # unused here; bench/calltrace.py wraps reduced.potential_eval by name
     project_box,
 )
 from .errors import GridMismatch, NotApplicable
@@ -45,6 +51,7 @@ from .grid import (
     ScalarField,
     TimeGrid,
     _block_nodes,
+    _row_sums,
     partial_derivative,
     weighted_sobolev_norm,
 )
@@ -180,6 +187,7 @@ class Problem:
             stride=self.stride,
             max_substeps=self.max_substeps,
             fixed_substeps=fixed_substeps,
+            theta=self.cost.theta,
         )
         if key is not None:
             if len(cache) >= 4:
@@ -200,22 +208,15 @@ class Problem:
 
 
 def reduced_cost(control: ControlPath, problem: Problem) -> float:
-    """J(G(u), u): running + terminal potential terms plus control costs."""
+    """J(G(u), u), the one discrete objective: the trapezoid rule in time
+    over every node of the running cost int theta rho dx that the forward
+    solve reduced, plus the terminal and control costs.  No node is read
+    back, so the cost does not depend on the stride."""
     traj = problem.solve_forward_for(control)
     grid = problem.grid
     vol = grid.cell_volume
-    dt = problem.timegrid.dt
-    theta = problem.cost.theta
-    running = 0.0
-    if not theta.is_zero:
-        times = []
-        vals = []
-        pts = grid.cell_centers()
-        for n, rho in traj.stored_items():
-            th = potential_eval(theta, pts, n * dt).reshape(grid.shape)
-            times.append(n * dt)
-            vals.append(float((th * rho).sum() * vol))
-        running = float(np.trapezoid(np.asarray(vals), x=np.asarray(times)))
+    tg = problem.timegrid
+    running = float(np.trapezoid(traj.running, x=np.arange(tg.nt + 1) * tg.dt))
     terminal = 0.0
     if not problem.cost.phi.is_zero:
         phi = sample_potential(grid, problem.cost.phi, problem.timegrid.T)
@@ -249,12 +250,6 @@ def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: 
         if b == size - 1 or n == tg.nt:
             disc = max(disc, _assemble_block(grid, rho_block[:b + 1], q_block[:b + 1], out[n - b:n + 1]))
     return out, disc
-
-
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    """The sum of each field of a block, over its contiguous row, which
-    gives the bits of the field's own ``sum()``."""
-    return values.reshape(values.shape[0], -1).sum(axis=1)
 
 
 def _assemble_block(grid: GridSpec, rho_vals: np.ndarray, q_vals: np.ndarray, out: np.ndarray) -> float:

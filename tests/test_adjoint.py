@@ -215,8 +215,8 @@ def _per_step_reference(cost, drift, tg, g):
     return out, escaped
 
 
-def _assert_matches_reference(cost, drift, tg, g, ref):
-    for stride in (1, 4):
+def _assert_matches_reference(cost, drift, tg, g, ref, strides=(1, 4)):
+    for stride in strides:
         traj = solve_adjoint(cost, drift, tg, g, stride=stride)
         for n in range(tg.nt + 1):
             assert np.array_equal(traj.values_at(n), ref[n])
@@ -224,6 +224,8 @@ def _assert_matches_reference(cost, drift, tg, g, ref):
         assert [n for n, _ in dense] == list(range(tg.nt + 1))
         for n, vals in dense:
             assert np.array_equal(vals, ref[n])
+        # neither the backward pass nor a replay keeps its block of terms
+        assert traj.step.__self__._running is None
 
 
 def test_batched_offgrid_continuation_matches_per_step_march():
@@ -288,6 +290,38 @@ def test_blocked_feet_match_per_step_rk4(dim):
         assert np.array_equal(cells, np.flatnonzero(stepper._outside_center_span(feet)))
         escaped += cells.size
     assert escaped > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
+    # several blocks of steps, the last ragged; a tracking theta in 1D and a
+    # quadratic one in 2D
+    if dim == 1:
+        g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
+        a0, theta = DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), Potential.tracking([[0.1, -1.0], [0.8, 2.0]])
+    else:
+        g, tg = make_grid(2, (-3, -3), (3, 3), (40, 40)), make_timegrid(0.5, 25)
+        a0, theta = DriftPreset("rotation", {"omega": 1.5}), Potential("quadratic")
+    size = _block_nodes(g.num_cells)
+    assert 1 < size < tg.nt and tg.nt % size
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    drift = DriftSpec(a0, ControlPath(tg, 0.8 * np.cos(4.0 * s + np.arange(dim)), 0.3 - 0.5 * s * np.arange(1, dim + 1)))
+    cost = CostSpec(gamma=1.0, theta=theta, phi=Potential("quadratic"))
+    stepper = adjoint_module._BackStepper(g, drift, cost, tg)
+    centers, dt = g.cell_centers(), tg.dt
+
+    def per_step(k):
+        # _theta_line_integral((n_next - 1) * dt, dt, centers, feet) of one step
+        return dt * potential_eval(theta, 0.5 * (centers + stepper.feet[k]), k * dt + 0.5 * dt)
+
+    # downward as a backward pass, upward, and jumping between blocks
+    order = [*range(tg.nt - 1, -1, -1), *range(tg.nt), 3, tg.nt - 1, 0, size, size - 1]
+    for k in order:
+        assert bits_equal(stepper._running_term(k), per_step(k))
+    # the backward pass and every replay, at a stride that does not divide
+    # nt too, give the adjoint of the per-step march
+    ref, _ = _per_step_reference(cost, drift, tg, g)
+    _assert_matches_reference(cost, drift, tg, g, ref, strides=(1, 7))
 
 
 def test_feet_are_traced_once_per_solve(monkeypatch):

@@ -288,6 +288,46 @@ def test_target_at_matches_the_tuple_version(path):
     assert pot != Potential.tracking([[t, 0.0] for t, _ in path])
 
 
+POTENTIAL_CASES = [
+    (Potential("zero"), 1),
+    (Potential("gaussian-well"), 1),
+    (Potential("quadratic"), 1),
+    (Potential.tracking([[0.1, 1.0], [0.3, -0.7], [0.55, 2.5], [0.9, -0.0]]), 1),
+    (Potential("zero"), 2),
+    (Potential("gaussian-well"), 2),
+    (Potential("quadratic"), 2),
+    (Potential.tracking([[0.1, [0.0, -1.0]], [0.4, [1.0 / 3.0, 2.0]], [0.9, [-2.5, 0.25]]]), 2),
+]
+
+
+@pytest.mark.parametrize("pot, dim", POTENTIAL_CASES, ids=[f"{p.name}-{d}d" for p, d in POTENTIAL_CASES])
+def test_potential_at_an_array_of_times_matches_scalar_calls(pot, dim):
+    # time nodes, their midpoints, the track's nodes, and times before and
+    # after the track's ends (0.1 and 0.9 for the tracking presets)
+    dt = 1.0 / 16
+    nodes = np.arange(17) * dt
+    times = np.concatenate([nodes, nodes[:-1] + 0.5 * dt, pot.track_t, [-1.0, 0.05, 0.95, 3.0]])
+    rng = np.random.default_rng(7)
+    pts = rng.uniform(-3.0, 3.0, size=(11, dim))
+    # one set of points shared by every time; a preset that does not
+    # depend on time gives one row, which broadcasts over the times
+    shared = np.broadcast_to(potential_eval(pot, pts, times), (times.size, 11))
+    for b, t in enumerate(times):
+        assert bits_equal(shared[b], potential_eval(pot, pts, float(t)))
+    # each row of points at its own time
+    pts_rows = rng.uniform(-3.0, 3.0, size=(times.size, 11, dim))
+    per_time = potential_eval(pot, pts_rows, times)
+    assert per_time.shape == (times.size, 11)
+    for b, t in enumerate(times):
+        assert bits_equal(per_time[b], potential_eval(pot, pts_rows[b], float(t)))
+    if pot.name == "tracking":
+        targets = pot.target_at(times)
+        assert targets.shape == (times.size, dim)
+        for b, t in enumerate(times):
+            assert bits_equal(targets[b], pot.target_at(float(t)))
+            assert bits_equal(targets[b], tuple_target_at(pot, float(t)))
+
+
 def test_drift_bounds():
     g = make_grid(1, -8, 8, 64)
     t = tg()

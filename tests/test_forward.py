@@ -9,6 +9,7 @@ from liouville_control import (
     DriftPreset,
     DriftSpec,
     NonFinite,
+    Potential,
     eval_drift,
     ScalarField,
     affine_exact_density,
@@ -19,11 +20,13 @@ from liouville_control import (
     make_timegrid,
     moment_ode,
     moments,
+    potential_eval,
     sample_function,
     solve_forward,
     solve_linearized,
 )
 from liouville_control.forward import _Faces, _Stepper, _face_points, required_substeps
+from liouville_control.grid import _block_nodes
 from test_controls import DRIFT_CASES
 
 
@@ -576,3 +579,41 @@ def test_mass_that_overflows_is_not_a_non_finite_value():
     with np.errstate(over="ignore"):
         traj = solve_forward(ScalarField(g, big), drift_const(tg, 0.0, 0.0), None, tg)
     assert np.isinf(traj.mass).all() and np.array_equal(traj.values_at(tg.nt), big)
+
+
+# --- per-node diagnostics reduced over blocks of nodes ----------------------
+
+
+DIAGNOSTIC_CASES = [
+    # (grid, nt, theta): several blocks with a ragged last one, in 1D and
+    # 2D; nt + 1 nodes inside one block; and no running cost
+    (make_grid(1, -8.0, 8.0, 1000), 40, Potential.tracking([[0.0, 0.0], [1.0, 0.5]])),
+    (make_grid(2, (-4.0, -4.0), (4.0, 4.0), (40, 40)), 25, Potential("quadratic")),
+    (make_grid(1, -8.0, 8.0, 64), 16, Potential("gaussian-well")),
+    (make_grid(1, -8.0, 8.0, 1000), 40, Potential("zero")),
+]
+
+
+@pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=["1d-ragged", "2d-ragged", "one-block", "no-theta"])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride):
+    tg = make_timegrid(1.0, nt)
+    size = _block_nodes((1 if theta.is_zero else 2) * g.num_cells)
+    if g.num_cells == 64:
+        assert size > nt + 1
+    else:
+        assert 1 < size < nt + 1 and (nt + 1) % size
+    x0 = 0.3 if g.dim == 1 else [0.5, -0.3]
+    rho0 = sample_function(g, "gaussian", {"x0": x0, "v0": 0.4})
+    drift = DriftSpec(DriftPreset("zero"), varying_control(tg, g.dim, scale=0.5))
+    # a solve given no theta has no running cost
+    traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", stride=stride,
+                         theta=None if theta.is_zero else theta)
+    vol, pts = g.cell_volume, g.cell_centers()
+    for n, vals in traj.dense_values():
+        th = potential_eval(theta, pts, n * tg.dt).reshape(g.shape)
+        assert bits_equal(traj.mass[n], vals.sum() * vol)
+        assert bits_equal(traj.min_value[n], vals.min())
+        assert bits_equal(traj.l2[n], math.sqrt(float((vals * vals).sum() * vol)))
+        assert bits_equal(traj.running[n], float((th * vals).sum() * vol))
+    assert np.all(traj.running == 0.0) == theta.is_zero

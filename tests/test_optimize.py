@@ -13,6 +13,7 @@ from liouville_control import (
     Potential,
     Problem,
     ScalarField,
+    kkt_residual,
     make_grid,
     make_timegrid,
     moments,
@@ -88,6 +89,32 @@ def test_fixed_point_returns_unchanged():
     assert again.iterations == 0
     assert again.termination == "converged"
     assert np.array_equal(again.control.stacked(), res.control.stacked())
+
+
+@pytest.mark.parametrize("config, termination", [
+    (OptimConfig(max_iters=60, vi_tol=2e-3, step0=2.0), "converged"),
+    (OptimConfig(max_iters=60, vi_tol=1e-12, step0=1e3, max_backtracks=1), "linesearch_failure"),
+    (OptimConfig(max_iters=3, vi_tol=1e-12, step0=2.0), "max_iters"),
+    (OptimConfig(max_iters=0, vi_tol=2e-3, step0=2.0), "max_iters"),
+], ids=["converged", "linesearch-failure", "max-iters", "no-iterations"])
+def test_final_kkt_takes_the_gradient_at_the_final_control(config, termination):
+    # one gradient per iteration and one more: the last loop gradient when
+    # the loop stopped at its control, else a fresh one at the final control
+    theta = Potential.tracking([[0.0, 0.0], [1.0, 0.3]])
+    prob = build_problem(gamma=0.2, theta=theta, phi=Potential("gaussian-well"), scheme="muscl-fv")
+    grads = []
+    original = prob.descent_gradient
+
+    def counting(control):
+        grads.append(control.stacked().copy())
+        return original(control)
+
+    object.__setattr__(prob, "descent_gradient", counting)  # Problem is frozen
+    res = optimize(prob, config)
+    assert res.termination == termination
+    assert len(grads) == res.iterations + 1
+    assert np.array_equal(grads[-1], res.control.stacked())
+    assert res.kkt == kkt_residual(res.control, prob, gradient=original(res.control))
 
 
 def test_tracking_beats_zero_control_by_surrogate_margin():

@@ -208,6 +208,43 @@ def test_blocked_assembly_matches_the_per_node_loop(dim, stride):
     assert reduced_gradient(u, prob).ibp_discrepancy == ref_disc
 
 
+def running_cost_over(problem, items):
+    """The trapezoid rule of int theta rho dx over (n, rho) pairs, each node
+    evaluated on its own."""
+    grid, dt = problem.grid, problem.timegrid.dt
+    times, vals = [], []
+    for n, rho in items:
+        th = sample_potential(grid, problem.cost.theta, n * dt).values
+        times.append(n * dt)
+        vals.append(float((th * rho).sum() * grid.cell_volume))
+    return float(np.trapezoid(np.asarray(vals), x=np.asarray(times)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cost_is_the_same_at_every_stride(dim):
+    prob, u = blocked_problem(dim, 1)
+    path = [[0.0, 0.0], [1.0, 0.5]] if dim == 1 else [[0.0, [0.0, 0.5]], [0.5, [0.4, -0.2]]]
+    prob = dataclasses.replace(prob, cost=dataclasses.replace(prob.cost, theta=Potential.tracking(path)))
+    dense = prob.solve_forward_for(u)
+    costs = []
+    for stride in (1, 7, 64):
+        strided = dataclasses.replace(prob, stride=stride)
+        costs.append(reduced_cost(u, strided))  # as `liouctl cost`
+        strided = dataclasses.replace(strided)  # an empty forward memo
+        reduced_gradient(u, strided)
+        costs.append(reduced_cost(u, strided))  # as `liouctl grad`
+        if stride > 1:
+            # a running cost read from the stored nodes only would differ
+            stored = strided.solve_forward_for(u).stored_items()
+            assert running_cost_over(strided, stored) != running_cost_over(prob, dense.dense_values())
+    assert all(bits_equal(c, costs[0]) for c in costs)
+    # the running term is the trapezoid over every node of the per-node
+    # integrals, so at stride 1 the cost keeps its bits
+    tg = prob.timegrid
+    running = float(np.trapezoid(dense.running, x=np.arange(tg.nt + 1) * tg.dt))
+    assert bits_equal(running, running_cost_over(prob, dense.dense_values()))
+
+
 @pytest.mark.parametrize("which", ["rho", "q"])
 @pytest.mark.parametrize("node", [0, 17, 40])
 def test_assembly_rejects_a_field_that_is_not_finite(which, node):
