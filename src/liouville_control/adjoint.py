@@ -20,17 +20,18 @@ step is marched in one forward sweep, each joining the batch at its own
 step.
 The feet of every step are kept (nt * N * d floats for N cells in d
 dimensions), so neither the backward pass nor a replay traces them again.
-The running-cost term of a step, dt * theta at the midpoints between the
-centres and their feet, is tabulated from the stored feet for a block of
-steps (about ``grid._BLOCK_POINTS`` values) down from the first step that
-needs it, in one ``potential_eval`` call; the block is dropped when the
-backward pass or a replay ends.
+The backward pass and every replay are sweeps down a range of steps.  A
+sweep tabulates the running-cost term of its steps, dt * theta at the
+midpoints between the centres and their feet, from the stored feet for a
+block of steps at a time (about ``grid._BLOCK_POINTS`` values) down from the
+first step that needs it, in one ``potential_eval`` call; a block never
+reaches below the sweep's last step, and it lives as long as the sweep.
 Interpolated values are clipped to the local stencil range, which keeps the
 discrete maximum principle.
 
 The backward pass keeps its nodes in the forward solver's ``Checkpoints``
 store, which replays any other node backward from the checkpoint above it
-with the same step and the same stored feet.
+by a sweep on the same stored feet.
 A solve records the L2 norm per node; the negative-weight norm of the
 confining case is computed from the checkpoints by whoever reports it.
 """
@@ -82,22 +83,20 @@ def _rk4_feet(drift: DriftSpec, t: float, dt: float, pts: np.ndarray) -> np.ndar
     return pts + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# an off-grid march that leaves this multiple of the box's largest
+# coordinate has escaped
+_ESCAPE_FACTOR = 50.0
+
+
 class _BackStepper:
-    def __init__(
-        self,
-        grid: GridSpec,
-        drift: DriftSpec,
-        cost: CostSpec,
-        timegrid: TimeGrid,
-        escape_factor: float = 50.0,
-    ):
+    def __init__(self, grid: GridSpec, drift: DriftSpec, cost: CostSpec, timegrid: TimeGrid):
         self.grid = grid
         self.drift = drift
         self.cost = cost
         self.dt = timegrid.dt
         self.nt = timegrid.nt
         self.centers = grid.cell_centers()
-        self.escape_radius = escape_factor * max(
+        self.escape_radius = _ESCAPE_FACTOR * max(
             abs(v) for v in (*grid.lo, *grid.hi)
         )
         # feet[n_next - 1] are the RK4 feet at t_{n_next} of the
@@ -105,25 +104,6 @@ class _BackStepper:
         # backward pass and every replay read them from here
         self.feet, self.offgrid = self._continue_offgrid()
         self._rows = _block_nodes(grid.num_cells)
-        self._running = None  # (lo, hi, running-cost terms of steps lo..hi-1)
-
-    def release(self) -> None:
-        """Drop the block of running-cost terms; the next step rebuilds it."""
-        self._running = None
-
-    def _running_term(self, k: int) -> np.ndarray:
-        """The running-cost term of step k (t_k to t_{k+1}) at the cell
-        centres, _theta_line_integral from the centres to their stored feet.
-        The terms are tabulated for a block of steps down from k, the order
-        of a backward pass or a replay, when k is outside the current
-        block."""
-        block = self._running
-        if block is None or not block[0] <= k < block[1]:
-            lo = max(0, k + 1 - self._rows)
-            steps = np.arange(lo, k + 1)
-            terms = self._theta_line_integral(steps * self.dt, self.dt, self.centers, self.feet[lo:k + 1])
-            block = self._running = (lo, k + 1, terms)
-        return block[2][k - block[0]]
 
     def _theta_line_integral(self, t0, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         """dt * theta at the midpoints of the segments x0 -> x1, at t0 + dt / 2;
@@ -195,15 +175,22 @@ class _BackStepper:
         values = -potential_eval(self.cost.phi, x, self.nt * dt) - acc
         return all_feet, {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
 
-    def step_back(self, q_next: np.ndarray, n_next: int) -> np.ndarray:
-        """q at step n_next - 1 from q at step n_next."""
-        feet = self.feet[n_next - 1]
-        qfield = ScalarField(self.grid, q_next)
-        vals, _ = interpolate_flagged(qfield, feet, clip=True)
-        idx, continued = self.offgrid[n_next]
-        vals[idx] = continued
-        vals = vals - self._running_term(n_next - 1)
-        return vals.reshape(self.grid.shape)
+    def sweep(self, q: np.ndarray, start: int, stop: int):
+        """Yield q at nodes start - 1 down to stop, from q at node start.
+        The running-cost term of step k (t_k to t_{k+1}) at the cell
+        centres, _theta_line_integral from the centres to their stored feet,
+        is tabulated for a block of steps down from the first step outside
+        the current block, and no lower than step stop."""
+        lo = start
+        for k in range(start - 1, stop - 1, -1):
+            if k < lo:
+                lo = max(stop, k + 1 - self._rows)
+                terms = self._theta_line_integral(np.arange(lo, k + 1) * self.dt, self.dt, self.centers, self.feet[lo:k + 1])
+            vals, _ = interpolate_flagged(ScalarField(self.grid, q), self.feet[k], clip=True)
+            idx, continued = self.offgrid[k + 1]
+            vals[idx] = continued
+            q = (vals - terms[k - lo]).reshape(self.grid.shape)
+            yield q
 
 
 def solve_adjoint(
@@ -220,21 +207,15 @@ def solve_adjoint(
     q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
 
     vol = grid.cell_volume
-    traj = AdjointTrajectory(
-        timegrid, grid, stride, stepper.step_back, backward=True, release=stepper.release, l2=np.zeros(nt + 1)
-    )
+    traj = AdjointTrajectory(timegrid, grid, stride, stepper.sweep, backward=True, l2=np.zeros(nt + 1))
 
     def record(n, vals):
         traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
         traj.keep(n, vals)
 
     record(nt, q)
-    try:
-        for n_next in range(nt, 0, -1):
-            q = stepper.step_back(q, n_next)
-            record(n_next - 1, q)
-    finally:
-        stepper.release()
+    for n, q in zip(range(nt - 1, -1, -1), stepper.sweep(q, nt, 0)):
+        record(n, q)
     return traj
 
 

@@ -14,16 +14,19 @@ solve and each substep adds the control in ``eval_drift``'s order,
 (a0 + u1) + x * u2, which keeps the bits of ``eval_drift``.  A
 time-dependent preset would have to give that cache up.  The control (and
 the tangent's control) is looked up once per solve, in one array pass, at
-every node for the substep plan and then at every stage time of the plan,
-n * dt + j * h and (n * dt + j * h) + h; each stage reads its row of that
-table, of (K, d) arrays.  The face-speed splits max(a, 0) and min(a, 0) (and,
-for the tangent, the mask a >= 0 and its own face speeds) are tabulated from
-the table a block of rows at a time, about ``grid._BLOCK_POINTS`` values in
-all; a stage whose row is outside the block, as at the start of a replay,
-tabulates the block from that row on.  Each stage writes its face
-states, fluxes and divergences into one workspace of arrays allocated once.
-The block and the workspace are dropped when a solve or a replay ends, so
-stored trajectories do not hold them.
+every stage time of the substep plan, n * dt + j * h and
+(n * dt + j * h) + h; each stage reads its row of that table, of (K, d)
+arrays.  The plan itself reads max |a| from the face speeds of a table of
+the nodes, a block of nodes at a time.
+
+Each sweep, a solve or a checkpoint replay, owns its scratch state
+(``_Sweep``), made when it starts and dropped with it, so no solver object
+or stored trajectory holds any between sweeps.  It holds the face-speed
+splits max(a, 0) and min(a, 0) (and, for the tangent, the mask a >= 0 and
+its own face speeds) of a block of the sweep's table rows, about
+``grid._BLOCK_POINTS`` values in all and never past the sweep's last row,
+and one workspace of arrays into which each stage writes its face states,
+fluxes and divergences.
 
 Schemes: first-order upwind (monotone, the default) and a minmod-limited
 MUSCL variant advanced with two-stage SSP time stepping for accuracy
@@ -92,7 +95,7 @@ class _Faces:
     """Left/right states of one field at the faces along axis 0 of its
     axis-first cells, with zero ghosts (inflow carries nothing in, outflow
     uses the interior reconstruction); the buffers and their ghost faces are
-    written once per solve."""
+    written once per sweep."""
 
     def __init__(self, cells: tuple, scheme: str):
         face = (cells[0] + 1,) + cells[1:]
@@ -132,7 +135,7 @@ class _Faces:
 
 
 class _Axis:
-    """The scratch arrays of one axis for one solve, axis first: the face
+    """The scratch arrays of one axis for one sweep, axis first: the face
     states of the density (and of the tangent), the flux and its first
     difference."""
 
@@ -164,34 +167,15 @@ class _Axis:
         np.add(self._dF, 0.0 if first else div_ax, out=div_ax)
 
 
-class _Workspace:
-    """What every stage of one solve reuses: each axis's scratch arrays, the
-    divergences of the stages and MUSCL's intermediate stage, for the
-    density and, with a tangent, for the tangent."""
-
-    def __init__(self, shape: tuple, scheme: str, tangent: bool):
-        self.axes = []
-        for ax in range(len(shape)):
-            cells = list(shape)
-            cells[0], cells[ax] = cells[ax], cells[0]
-            self.axes.append(_Axis(tuple(cells), scheme, tangent))
-        self.div = (np.empty(shape), np.empty(shape))
-        self.stage = np.empty(shape)
-        self.div_w = (np.empty(shape), np.empty(shape)) if tangent else (None, None)
-        self.stage_w = np.empty(shape) if tangent else None
-
-
 def _column(u: np.ndarray, ax: int, like: np.ndarray) -> np.ndarray:
     """Component ax of control rows u, shaped to broadcast over rows of ``like``."""
     return u[..., ax].reshape(u.shape[:-1] + (1,) * like.ndim)
 
 
 class _Stepper:
-    """One-step FV advance bound to a grid, drift, source, and scheme; a0
-    at the faces of each axis is evaluated here, stored with that axis first.
-
-    During a solve or a replay it holds the face-speed splits of a block of
-    table rows and the workspace; ``release`` drops both."""
+    """The constants of one solve: grid, drift, source and scheme, a0 and x
+    at the faces of each axis (stored with that axis first), and the control
+    table that ``look_up`` fills.  A sweep over the table is a ``_Sweep``."""
 
     def __init__(self, grid, drift, g_eval, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
@@ -214,16 +198,10 @@ class _Stepper:
         # hold about _BLOCK_POINTS values in all
         tables = 2 if tangent_control is None else 3
         self._rows = _block_nodes(tables * sum(a0.size for a0 in self.a0_faces))
-        self._block = self._tables = self._work = None
-
-    def release(self) -> None:
-        """Drop the split block and the workspace; the next stage rebuilds them."""
-        self._block = self._tables = self._work = None
 
     def look_up(self, times: np.ndarray) -> None:
         """Tabulate the control, and the tangent control if any, at every
         time of ``times`` in one pass; row k serves stage k."""
-        self._block = None
         self.controls = self.drift.control.value_at(times)
         if self.tangent_control is not None:
             self.deltas = self.tangent_control.value_at(times)
@@ -249,33 +227,55 @@ class _Stepper:
             for ax, (x, da) in enumerate(zip(self.x_faces, out or [None] * len(self.h)))
         ]
 
-    def _splits(self, k: int) -> list[list[np.ndarray]]:
+
+class _Sweep:
+    """The scratch state of one sweep over a stepper's table rows first_row
+    to end_row - 1, made when a solve or a replay starts and dropped with
+    it: each axis's scratch arrays, the divergences of the stages and
+    MUSCL's intermediate stage (for the density and, with a tangent, for the
+    tangent), and the face-speed splits of a block of rows that ends at
+    end_row at the latest."""
+
+    def __init__(self, stepper: _Stepper, first_row: int, end_row: int):
+        shape, scheme, tangent = stepper.grid.shape, stepper.scheme, stepper.tangent_control is not None
+        self.stepper, self.end_row = stepper, end_row
+        self.axes = []
+        for ax in range(len(shape)):
+            cells = list(shape)
+            cells[0], cells[ax] = cells[ax], cells[0]
+            self.axes.append(_Axis(tuple(cells), scheme, tangent))
+        self.div = (np.empty(shape), np.empty(shape))
+        self.stage = np.empty(shape)
+        self.div_w = (np.empty(shape), np.empty(shape)) if tangent else (None, None)
+        self.stage_w = np.empty(shape) if tangent else None
+        self._tables = []
+        for a0 in stepper.a0_faces:
+            block = (min(stepper._rows, end_row - first_row),) + a0.shape
+            mask_and_deltas = [np.empty(block, dtype=bool), np.empty(block)] if tangent else []
+            self._tables.append([np.empty(block), np.empty(block)] + mask_and_deltas)
+        self._block = (first_row, first_row, None)
+
+    def splits(self, k: int) -> list[list[np.ndarray]]:
         """Per axis at table row k: a+ = max(a, 0), a- = min(a, 0) and, with
         a tangent, the mask a >= 0 and the tangent's face speeds.  They are
         tabulated for a block of rows from k on when k is outside the
         current block."""
-        block = self._block
-        if block is None or not block[0] <= k < block[1]:
-            block = self._block = self._tabulate(k)
-        r = k - block[0]
-        return [[table[r] for table in axis] for axis in block[2]]
+        lo, hi, tables = self._block
+        if not lo <= k < hi:
+            lo, hi, tables = self._block = self._tabulate(k)
+        return [[table[k - lo] for table in axis] for axis in tables]
 
     def _tabulate(self, lo: int):
-        """The splits of table rows lo.. (a block, or what is left of the
-        table), written into one block's arrays allocated at the first call."""
-        tangent = self.tangent_control is not None
-        if self._tables is None:
-            shapes = [(self._rows,) + a0.shape for a0 in self.a0_faces]
-            self._tables = [
-                [np.empty(shape), np.empty(shape)] + ([np.empty(shape, dtype=bool), np.empty(shape)] if tangent else [])
-                for shape in shapes
-            ]
-        hi = min(lo + self._rows, len(self.controls[0]))
+        """The splits of table rows lo.. up to a block's or the sweep's end,
+        written into the sweep's block arrays."""
+        stepper = self.stepper
+        hi = min(lo + len(self._tables[0][0]), self.end_row)
         tables = [[table[: hi - lo] for table in axis] for axis in self._tables]
         # am holds x * u2 until a is complete
-        speeds = self.face_speeds(slice(lo, hi), [axis[:2] for axis in tables])
+        speeds = stepper.face_speeds(slice(lo, hi), [axis[:2] for axis in tables])
+        tangent = stepper.tangent_control is not None
         if tangent:
-            self.face_speed_deltas(slice(lo, hi), [axis[3] for axis in tables])
+            stepper.face_speed_deltas(slice(lo, hi), [axis[3] for axis in tables])
         for a, axis in zip(speeds, tables):
             if tangent:
                 np.greater_equal(a, 0.0, out=axis[2])
@@ -283,37 +283,28 @@ class _Stepper:
             np.maximum(a, 0.0, out=axis[0])
         return lo, hi, tables
 
-    def max_speed(self, k: int) -> float:
-        """Sum over axes of max |a_axis| / h_axis at table row k, for the
-        Courant number."""
-        return sum(float(np.maximum(ap.max(), -am.min())) / h for (ap, am, *_), h in zip(self._splits(k), self.h))
-
-    def _workspace(self, shape: tuple) -> _Workspace:
-        if self._work is None:
-            self._work = _Workspace(shape, self.scheme, self.tangent_control is not None)
-        return self._work
-
-    def _divergence(self, k, values, div, w_values=None, div_w=None) -> float:
+    def divergence(self, k, values, div, w_values=None, div_w=None) -> float:
         """Flux divergence of values (and of the tangent pair, if any) at
         table row k, written into div (and div_w); returns the boundary mass
         outflow rate.  Each axis works on axis-first views; ``swapaxes`` is a
         no-op view on axis 0."""
+        h, transverse = self.stepper.h, self.stepper.transverse
         out_rate = 0.0
-        for ax, (axis, (ap, am, *tangent)) in enumerate(zip(self._workspace(values.shape).axes, self._splits(k))):
+        for ax, (axis, (ap, am, *tangent)) in enumerate(zip(self.axes, self.splits(k))):
             faces = axis.faces
             faces.fill(values.swapaxes(0, ax))
             F = axis.flux(ap, faces.left, am, faces.right)
-            axis.add_difference(self.h[ax], div.swapaxes(0, ax), ax == 0)
+            axis.add_difference(h[ax], div.swapaxes(0, ax), ax == 0)
             if F.ndim == 1:
                 # sum() of a numpy scalar would add it to +0.0, which changes
                 # only the sign of a zero; out_rate starts at 0.0 and erases it
-                out_rate += (F.item(-1) - F.item(0)) * self.transverse[ax]
+                out_rate += (F.item(-1) - F.item(0)) * transverse[ax]
             else:
-                out_rate += float((F[-1].sum() - F[0].sum()) * self.transverse[ax])
+                out_rate += float((F[-1].sum() - F[0].sum()) * transverse[ax])
             if w_values is not None:
                 axis.w_faces.fill(w_values.swapaxes(0, ax))
                 axis.tangent_flux(ap, am, *tangent)
-                axis.add_difference(self.h[ax], div_w.swapaxes(0, ax), ax == 0)
+                axis.add_difference(h[ax], div_w.swapaxes(0, ax), ax == 0)
         return out_rate
 
     def advance(self, values, t, dt, k, w_values=None):
@@ -321,14 +312,14 @@ class _Stepper:
         row k (MUSCL's second stage, at t + dt, row k + 1); returns new
         values, new tangent values, boundary outflow mass, and injected
         source mass."""
-        work, grid = self._workspace(values.shape), self.grid
-        (div1, div2), (divw1, divw2) = work.div, work.div_w
-        if self.scheme == "upwind-fv":
-            out_rate = self._divergence(k, values, div1, w_values, divw1)
+        g_eval, grid = self.stepper.g_eval, self.stepper.grid
+        (div1, div2), (divw1, divw2) = self.div, self.div_w
+        if self.stepper.scheme == "upwind-fv":
+            out_rate = self.divergence(k, values, div1, w_values, divw1)
             new = values - np.multiply(div1, dt, out=div1)
             src_mass = 0.0
-            if self.g_eval is not None:
-                gmid = self.g_eval(t + 0.5 * dt)
+            if g_eval is not None:
+                gmid = g_eval(t + 0.5 * dt)
                 new = new + dt * gmid
                 src_mass = float(gmid.sum() * grid.cell_volume) * dt
             new_w = None
@@ -336,16 +327,16 @@ class _Stepper:
                 new_w = w_values - np.multiply(divw1, dt, out=divw1)
             return new, new_w, out_rate * dt, src_mass
         # muscl-fv: two-stage SSP update
-        rate1 = self._divergence(k, values, div1, w_values, divw1)
-        g1 = self.g_eval(t) if self.g_eval is not None else None
-        stage = np.subtract(values, np.multiply(div1, dt, out=work.stage), out=work.stage)
+        rate1 = self.divergence(k, values, div1, w_values, divw1)
+        g1 = g_eval(t) if g_eval is not None else None
+        stage = np.subtract(values, np.multiply(div1, dt, out=self.stage), out=self.stage)
         if g1 is not None:
             stage += dt * g1
         stage_w = None
         if w_values is not None:
-            stage_w = np.subtract(w_values, np.multiply(divw1, dt, out=work.stage_w), out=work.stage_w)
-        rate2 = self._divergence(k + 1, stage, div2, stage_w, divw2)
-        g2 = self.g_eval(t + dt) if self.g_eval is not None else None
+            stage_w = np.subtract(w_values, np.multiply(divw1, dt, out=self.stage_w), out=self.stage_w)
+        rate2 = self.divergence(k + 1, stage, div2, stage_w, divw2)
+        g2 = g_eval(t + dt) if g_eval is not None else None
         div1 += div2
         div1 *= 0.5 * dt
         new = values - div1
@@ -366,18 +357,17 @@ class Checkpoints:
     """Node 0, node nt and every ``stride``-th time node of a solve.
 
     Any other node is replayed, bit-exactly, from the stored node the solve
-    passed last by the solve's own step: ``step(values, n)`` gives the node
-    after n in the solve's direction, and ``release()``, if given, is called
-    when a replay ends.  Without a step (the tangent) only the stored nodes
-    are available.
+    passed last by a sweep of the solve's own: ``sweep(values, start, stop)``
+    yields the nodes after ``start`` up to ``stop`` in the solve's direction,
+    from the values at ``start``.  Without a sweep (the tangent) only the
+    stored nodes are available.
     """
 
     timegrid: TimeGrid
     grid: GridSpec
     stride: int
-    step: Callable | None = field(default=None, repr=False)
+    sweep: Callable | None = field(default=None, repr=False)
     backward: bool = False
-    release: Callable | None = field(default=None, repr=False)
     _stored: dict = field(default_factory=dict, repr=False)
 
     def keep(self, n: int, values: np.ndarray) -> None:
@@ -395,17 +385,6 @@ class Checkpoints:
     def stored_items(self):
         return [(n, self._stored[n]) for n in self.snapshot_steps]
 
-    def _replay(self, start: int, stop: int):
-        """Yield the nodes after the stored ``start`` up to ``stop``."""
-        vals = self._stored[start]
-        try:
-            for n in range(start, stop, 1 if stop > start else -1):
-                vals = self.step(vals, n)
-                yield vals
-        finally:
-            if self.release is not None:
-                self.release()
-
     def values_at(self, n: int) -> np.ndarray:
         if n in self._stored:
             return self._stored[n]
@@ -413,22 +392,24 @@ class Checkpoints:
             start = min(k for k in self._stored if k > n)
         else:
             start = max(k for k in self._stored if k < n)
-        for vals in self._replay(start, n):
+        for vals in self.sweep(self._stored[start], start, n):
             pass
         return vals
 
     def dense_values(self):
         """Yield (n, values) for every node n = 0..nt in ascending order; a
         backward trajectory replays each segment downward, buffers it and
-        yields it upward."""
+        yields it upward.  Each segment's sweep runs to its end, and so
+        drops its scratch state, before the next stored node is yielded."""
         steps = self.snapshot_steps
         for lo, hi in zip(steps, steps[1:]):
             yield lo, self._stored[lo]
-            if self.backward:
-                inner = list(self._replay(hi, lo + 1))[::-1]
-            else:
-                inner = self._replay(lo, hi - 1)
-            yield from zip(range(lo + 1, hi), inner)
+            if hi > lo + 1:
+                if self.backward:
+                    inner = list(self.sweep(self._stored[hi], hi, lo + 1))[::-1]
+                else:
+                    inner = self.sweep(self._stored[lo], lo, hi - 1)
+                yield from enumerate(inner, lo + 1)
         yield steps[-1], self._stored[steps[-1]]
 
     def norm_history(self, m: int, k: int) -> np.ndarray:
@@ -456,12 +437,18 @@ class StateTrajectory(Checkpoints):
     cfl: float
 
 
-def required_substeps(stepper: _Stepper, timegrid: TimeGrid, cfl: float) -> list[int]:
-    """Per-step substep counts from the Courant number at the step ends,
-    with the speed computed once per node from a table of the nodes."""
-    stepper.look_up(np.arange(timegrid.nt + 1) * timegrid.dt)
-    dt = timegrid.dt
-    speed = [stepper.max_speed(n) for n in range(timegrid.nt + 1)]
+def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl: float) -> list[int]:
+    """Per-step substep counts from the Courant number at the step ends:
+    at each node, the sum over axes of max |a_axis| / h_axis, read from the
+    face speeds of a block of nodes at a time.  The scheme does not enter."""
+    stepper = _Stepper(grid, drift, None, SCHEMES[0])
+    dt, nodes = timegrid.dt, timegrid.nt + 1
+    stepper.look_up(np.arange(nodes) * dt)
+    speed = np.zeros(nodes)
+    for lo in range(0, nodes, stepper._rows):
+        rows = slice(lo, lo + stepper._rows)
+        for a, h in zip(stepper.face_speeds(rows), grid.h):
+            speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
     return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
@@ -516,7 +503,7 @@ def _solve(
     nt = timegrid.nt
 
     if fixed_substeps is None:
-        plan = required_substeps(stepper, timegrid, cfl)
+        plan = required_substeps(grid, drift, timegrid, cfl)
     elif np.isscalar(fixed_substeps):
         plan = [int(fixed_substeps)] * nt
     else:
@@ -532,29 +519,32 @@ def _solve(
     # second stage, (n * dt + j * h) + h, tabulated once; substep j of step
     # n starts at row (first[n] + j) * stages
     stages = 2 if scheme == "muscl-fv" else 1
-    first = np.cumsum([0] + plan[:-1]).tolist()
+    first = np.cumsum([0] + plan).tolist()
     step_of = np.repeat(np.arange(nt), plan)
     h_sub = (dt / np.asarray(plan, dtype=float))[step_of]
-    t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first, plan)) * h_sub
+    t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first[:-1], plan)) * h_sub
     stepper.look_up(t_sub if stages == 1 else np.column_stack([t_sub, t_sub + h_sub]).ravel())
 
-    def full_step(vals, n, w_vals=None):
-        """Node n to n + 1, with the tangent and the step's boundary outflow
-        and injected source masses."""
-        h = dt / plan[n]
-        out_acc = src_acc = 0.0
-        for j in range(plan[n]):
-            vals, w_vals, out_m, src_m = stepper.advance(vals, n * dt + j * h, h, (first[n] + j) * stages, w_vals)
-            out_acc += out_m
-            src_acc += src_m
-        return vals, w_vals, out_acc, src_acc
+    def sweep(vals, start, stop, w_vals=None):
+        """Yield, for each step from node start to node stop, the next node,
+        its tangent and the step's boundary outflow and injected source
+        masses."""
+        run = _Sweep(stepper, first[start] * stages, first[stop] * stages)
+        for n in range(start, stop):
+            h = dt / plan[n]
+            out_acc = src_acc = 0.0
+            for j in range(plan[n]):
+                vals, w_vals, out_m, src_m = run.advance(vals, n * dt + j * h, h, (first[n] + j) * stages, w_vals)
+                out_acc += out_m
+                src_acc += src_m
+            yield vals, w_vals, out_acc, src_acc
 
     values = rho0.values.copy()
     w_values = np.zeros_like(values) if tangent_control is not None else None
     vol = grid.cell_volume
 
     traj = StateTrajectory(
-        timegrid, grid, stride, lambda vals, n: full_step(vals, n)[0], release=stepper.release,
+        timegrid, grid, stride, lambda vals, start, stop: (step[0] for step in sweep(vals, start, stop)),
         mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1), running=np.zeros(nt + 1),
         substeps=plan, source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
@@ -569,19 +559,14 @@ def _solve(
             w_traj.keep(n, w_vals)
 
     record(0, values, w_values, values.sum())
-    try:
-        for n in range(nt):
-            values, w_values, out_m, src_m = full_step(values, n, w_values)
-            total = values.sum()
-            # a finite sum proves every value finite
-            if not math.isfinite(total) and not np.all(np.isfinite(values)):
-                raise NonFinite(f"solution lost finiteness at step {n + 1}")
-            record(n + 1, values, w_values, total)
-            traj.source_mass[n + 1] = traj.source_mass[n] + src_m
-            traj.boundary_outflux[n + 1] = traj.boundary_outflux[n] + out_m
-    finally:
-        stepper.release()
-
+    for n, (values, w_values, out_m, src_m) in enumerate(sweep(values, 0, nt, w_values), 1):
+        total = values.sum()
+        # a finite sum proves every value finite
+        if not math.isfinite(total) and not np.all(np.isfinite(values)):
+            raise NonFinite(f"solution lost finiteness at step {n}")
+        record(n, values, w_values, total)
+        traj.source_mass[n] = traj.source_mass[n - 1] + src_m
+        traj.boundary_outflux[n] = traj.boundary_outflux[n - 1] + out_m
     return traj if w_traj is None else (traj, w_traj)
 
 

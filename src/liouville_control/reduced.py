@@ -45,7 +45,7 @@ from .controls import (
     project_box,
 )
 from .errors import GridMismatch, NotApplicable
-from .forward import StateTrajectory, required_substeps, solve_forward, solve_linearized, _Stepper
+from .forward import StateTrajectory, required_substeps, solve_forward, solve_linearized
 from .grid import (
     GridSpec,
     ScalarField,
@@ -134,7 +134,6 @@ class ProbeReport:
     epsilons: tuple = ()
     remainders: tuple = ()
     slope: float = 0.0
-    lipschitz_ratio: float | None = None
     smallness_K: float | None = None
     smallness_ratio: float | None = None
     passed: bool | None = None
@@ -307,18 +306,11 @@ def h1_riesz(rhs, gamma: float, nu: float, timegrid: TimeGrid) -> np.ndarray:
     return mu[:, 0] if squeeze else mu
 
 
-def reduced_gradient(
-    control: ControlPath,
-    problem: Problem,
-    traj_rho: StateTrajectory | None = None,
-    traj_q: AdjointTrajectory | None = None,
-) -> GradientPath:
+def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
     """Sparsity-free gradient of the reduced cost in the active metric."""
-    if traj_rho is None:
-        traj_rho = problem.solve_forward_for(control)
-    if traj_q is None:
-        traj_q = problem.solve_adjoint_for(control)
-    integral, disc = assemble_integral_path(problem, traj_rho, traj_q)
+    integral, disc = assemble_integral_path(
+        problem, problem.solve_forward_for(control), problem.solve_adjoint_for(control)
+    )
     d = problem.control_dim
     if problem.cost.nu > 0:
         mu = h1_riesz(integral, problem.cost.gamma, problem.cost.nu, problem.timegrid)
@@ -337,7 +329,7 @@ def reduced_gradient(
 
 
 def kkt_residual(control: ControlPath, problem: Problem, multipliers: dict | None = None,
-                 gradient: GradientPath | None = None, zero_tol: float = 1e-10) -> KktResidual:
+                 gradient: GradientPath | None = None) -> KktResidual:
     """Residuals of the coupled optimality system at a given control.
 
     Multipliers may be supplied (keys lambda_hat, lambda_plus,
@@ -352,7 +344,7 @@ def kkt_residual(control: ControlPath, problem: Problem, multipliers: dict | Non
     u = control.stacked()
     ua, ub = problem.bounds.arrays()
     delta = problem.cost.delta
-    tol_b = 1e-10
+    tol_b = zero_tol = 1e-10
 
     if multipliers and "lambda_hat" in multipliers:
         lam_hat = np.asarray(multipliers["lambda_hat"], dtype=float)
@@ -417,8 +409,7 @@ def frechet_probe(
 
     plan = None
     for cand in (control, control_plus(eps[0]), control_plus(-eps[0])):
-        stepper = _Stepper(problem.grid, problem.drift_for(cand), None, problem.scheme)
-        p = required_substeps(stepper, tg, problem.cfl)
+        p = required_substeps(problem.grid, problem.drift_for(cand), tg, problem.cfl)
         plan = p if plan is None else [max(a, b) for a, b in zip(plan, p)]
 
     base, wtraj = solve_linearized(

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -224,8 +225,6 @@ def _assert_matches_reference(cost, drift, tg, g, ref, strides=(1, 4)):
         assert [n for n, _ in dense] == list(range(tg.nt + 1))
         for n, vals in dense:
             assert np.array_equal(vals, ref[n])
-        # neither the backward pass nor a replay keeps its block of terms
-        assert traj.step.__self__._running is None
 
 
 def test_batched_offgrid_continuation_matches_per_step_march():
@@ -308,20 +307,55 @@ def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
     drift = DriftSpec(a0, ControlPath(tg, 0.8 * np.cos(4.0 * s + np.arange(dim)), 0.3 - 0.5 * s * np.arange(1, dim + 1)))
     cost = CostSpec(gamma=1.0, theta=theta, phi=Potential("quadratic"))
     stepper = adjoint_module._BackStepper(g, drift, cost, tg)
-    centers, dt = g.cell_centers(), tg.dt
-
-    def per_step(k):
-        # _theta_line_integral((n_next - 1) * dt, dt, centers, feet) of one step
-        return dt * potential_eval(theta, 0.5 * (centers + stepper.feet[k]), k * dt + 0.5 * dt)
-
-    # downward as a backward pass, upward, and jumping between blocks
-    order = [*range(tg.nt - 1, -1, -1), *range(tg.nt), 3, tg.nt - 1, 0, size, size - 1]
-    for k in order:
-        assert bits_equal(stepper._running_term(k), per_step(k))
+    rows = []
+    integral = stepper._theta_line_integral
+    stepper._theta_line_integral = lambda t0, *args: rows.append(np.size(t0)) or integral(t0, *args)
+    # the per-step march evaluates each step's term on its own
+    ref, _ = _per_step_reference(cost, drift, tg, g)
+    # the whole backward pass; sweeps of several blocks, the last ragged,
+    # from a node inside a block and from the first node of one; one step
+    for start, stop in [(tg.nt, 0), (tg.nt - 3, 2), (size + 1, size - 1), (2 * size, 1), (5, 4)]:
+        rows.clear()
+        got = list(stepper.sweep(ref[start], start, stop))
+        assert len(got) == start - stop
+        for n, q in zip(range(start - 1, stop - 1, -1), got):
+            assert bits_equal(q, ref[n])
+        # the blocks of terms cover the sweep's steps and no others
+        assert sum(rows) == start - stop and max(rows) <= size
     # the backward pass and every replay, at a stride that does not divide
     # nt too, give the adjoint of the per-step march
-    ref, _ = _per_step_reference(cost, drift, tg, g)
     _assert_matches_reference(cost, drift, tg, g, ref, strides=(1, 7))
+
+
+def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
+    # every running-cost block a backward pass or a replay tabulates is gone
+    # once it ends, also at the stored nodes of a dense pass
+    g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, np.cos(4.0 * s), 0.3 - s))
+    cost = CostSpec(gamma=1.0, theta=Potential.tracking([[0.1, -1.0], [0.8, 2.0]]), phi=Potential("quadratic"))
+    blocks = []
+    integral = adjoint_module._BackStepper._theta_line_integral
+
+    def tracked(self, t0, *args):
+        terms = integral(self, t0, *args)
+        if np.ndim(t0):
+            blocks.append(weakref.ref(terms))
+        return terms
+
+    def alive():
+        return [ref for ref in blocks if ref() is not None]
+
+    monkeypatch.setattr(adjoint_module._BackStepper, "_theta_line_integral", tracked)
+    traj = solve_adjoint(cost, drift, tg, g, stride=7)
+    assert len(blocks) > 1 and not alive()
+    made = len(blocks)
+    traj.values_at(16)
+    assert len(blocks) > made and not alive()
+    for n, _ in traj.dense_values():
+        if n in traj.snapshot_steps:
+            assert not alive()
+    assert not alive()
 
 
 def test_feet_are_traced_once_per_solve(monkeypatch):

@@ -1,0 +1,42 @@
+"""Every name the benchmark's call tracer patches exists in the package.
+
+``bench/calltrace.py`` wraps call sites by name when the benchmark runs with
+``--trace 1``; a renamed or removed name would otherwise fail only a traced
+benchmark run.  The tracer module is read, never changed.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+CALLTRACE = Path(__file__).resolve().parent.parent / "bench" / "calltrace.py"
+
+
+def load_calltrace():
+    spec = importlib.util.spec_from_file_location("calltrace", CALLTRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_in_the_package():
+    calltrace = load_calltrace()
+    for site, names in calltrace.CALL_SITES.items():
+        module = importlib.import_module(f"liouville_control.{site}")
+        for attr in names:
+            assert callable(getattr(module, attr, None)), f"{site}.{attr}"
+    for (site, cls_name, attr) in calltrace.METHOD_SITES:
+        cls = getattr(importlib.import_module(f"liouville_control.{site}"), cls_name, None)
+        assert callable(getattr(cls, attr, None)), f"{site}.{cls_name}.{attr}"
+    fileio = importlib.import_module("liouville_control.cli").fileio
+    for attr in calltrace.FILEIO_WRITERS:
+        assert callable(getattr(fileio, attr, None)), f"cli.fileio.{attr}"
+
+
+def test_assembly_takes_the_trajectories_first():
+    # the tracer's replay counters read (problem, traj_rho, traj_q) by position
+    from liouville_control.reduced import assemble_integral_path
+
+    params = list(inspect.signature(assemble_integral_path).parameters)
+    assert params[:3] == ["problem", "traj_rho", "traj_q"]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from liouville_control import (
     solve_forward,
     solve_linearized,
 )
-from liouville_control.forward import _Faces, _Stepper, _face_points, required_substeps
+from liouville_control.forward import _Faces, _Stepper, _Sweep, _face_points, required_substeps
 from liouville_control.grid import _block_nodes
 from test_controls import DRIFT_CASES
 
@@ -354,7 +355,7 @@ def test_required_substeps_match_a_plan_from_both_step_ends(d):
         max(1, int(math.ceil(dt * max(courant_speed(n * dt), courant_speed((n + 1) * dt)) / cfl)))
         for n in range(tg.nt)
     ]
-    plan = required_substeps(_Stepper(g, drift, None, "upwind-fv"), tg, cfl)
+    plan = required_substeps(g, drift, tg, cfl)
     assert plan == expected
     assert len(set(plan)) > 1
 
@@ -455,8 +456,8 @@ def adversarial_field(shape, seed):
 
 def stage_case(d, scheme, tangent, g_eval=None):
     """A stepper on a grid fine enough for a split block of a few table
-    rows, over a table whose rows are the control's nodes: speeds of both
-    signs, exact zeros and -0.0 among them."""
+    rows, over a table whose rows are the control's nodes (24 rows): speeds
+    of both signs, exact zeros and -0.0 among them."""
     g = make_grid(1, -4.0, 4.0, 1024) if d == 1 else make_grid(2, (-4.0, -3.0), (4.0, 5.0), (40, 44))
     tg = make_timegrid(1.0, 23)
     u1 = np.tile([0.0, -0.0, 0.7, -0.7, 0.0, 1.3, -0.2, 0.0, 0.5, -1.1, 0.3, 0.0], 2)
@@ -480,20 +481,28 @@ def test_stage_matches_the_allocating_version(d, scheme, tangent):
     values = adversarial_field(g.shape, 1)
     w_values = adversarial_field(g.shape, 2) if tangent else None
     rows = stepper._rows
-    # rows of the first block, of the next, then of the first again (a
-    # rebuild); MUSCL's stage at rows - 1 reads its second row in the next block
-    for k in (0, 1, rows - 1, rows + 1, 3 * rows // 2, 2, 2 * rows + 1):
-        div, div_w = np.empty(g.shape), np.empty(g.shape) if tangent else None
-        rate = stepper._divergence(k, values, div, w_values, div_w)
-        ref_div, ref_div_w, ref_rate = reference_divergence(stepper, k, values, w_values)
-        assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
-        if tangent:
-            assert bits_equal(div_w, ref_div_w)
-        got = stepper.advance(values, 0.1, 0.013, k, w_values)
-        ref = reference_advance(stepper, values, 0.1, 0.013, k, w_values)
-        assert bits_equal(got[0], ref[0])
-        assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
-        assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
+    # a sweep of the whole table: rows of the first block, of the next, then
+    # of the first again (a rebuild), and of the ragged last block; MUSCL's
+    # stage at rows - 1 reads its second row in the next block.  A sweep of
+    # rows 3 .. rows + 4 only: a full block, then a last one of two rows
+    cases = [(0, 24, (0, 1, rows - 1, rows + 1, 3 * rows // 2, 2, 2 * rows + 1, 22)),
+             (3, rows + 5, (3, rows + 2, rows + 3))]
+    for first_row, end_row, ks in cases:
+        sweep = _Sweep(stepper, first_row, end_row)
+        for k in ks:
+            div, div_w = np.empty(g.shape), np.empty(g.shape) if tangent else None
+            rate = sweep.divergence(k, values, div, w_values, div_w)
+            ref_div, ref_div_w, ref_rate = reference_divergence(stepper, k, values, w_values)
+            assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
+            if tangent:
+                assert bits_equal(div_w, ref_div_w)
+            got = sweep.advance(values, 0.1, 0.013, k, w_values)
+            ref = reference_advance(stepper, values, 0.1, 0.013, k, w_values)
+            assert bits_equal(got[0], ref[0])
+            assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
+            assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
+            # no block runs past the sweep's last row
+            assert first_row <= sweep._block[0] and sweep._block[1] <= end_row
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
@@ -501,37 +510,42 @@ def test_stage_with_a_source_matches_the_allocating_version(scheme):
     source = adversarial_field((1024,), 3)
     g, stepper = stage_case(1, scheme, True, g_eval=lambda t: (1.0 + t) * source)
     values, w_values = adversarial_field(g.shape, 4), adversarial_field(g.shape, 5)
-    got = stepper.advance(values, 0.2, 0.01, 4, w_values)
+    got = _Sweep(stepper, 0, 24).advance(values, 0.2, 0.01, 4, w_values)
     ref = reference_advance(stepper, values, 0.2, 0.01, 4, w_values)
     for a, b in zip(got, ref):
         assert bits_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-def stepper_of(traj):
-    return traj.release.__self__
-
-
-def holds_nothing(stepper):
-    return stepper._block is None and stepper._tables is None and stepper._work is None
-
-
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
-def test_solves_release_their_workspace_and_split_block(scheme):
+def test_no_sweep_outlives_its_solve_or_replay(scheme, monkeypatch):
+    made = []
+    init = _Sweep.__init__
+
+    def tracked(self, *args):
+        init(self, *args)
+        made.append(weakref.ref(self))
+
+    def alive():
+        return [ref for ref in made if ref() is not None]
+
+    monkeypatch.setattr(_Sweep, "__init__", tracked)
     g, tg, rho0 = gaussian_setup(n=128, nt=16)
     drift = DriftSpec(DriftPreset("zero"), varying_control(tg, 1))
     traj = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=4)
-    assert holds_nothing(stepper_of(traj))
+    assert len(made) == 1 and not alive()
     traj.values_at(6)
-    assert holds_nothing(stepper_of(traj))
-    for _ in traj.dense_values():
-        pass
-    assert holds_nothing(stepper_of(traj))
+    assert len(made) == 2 and not alive()
+    # a dense pass: each segment's replay has ended by the next stored node
+    for n, _ in traj.dense_values():
+        if n % 4 == 0:
+            assert len(made) == 2 + n // 4 and not alive()
+    assert not alive()
     base, _ = solve_linearized(rho0, drift, varying_control(tg, 1, scale=0.3), None, tg, scheme=scheme)
-    assert holds_nothing(stepper_of(base))
+    assert len(made) == 7 and not alive()
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
-def test_stride_replay_rebuilds_its_blocks(scheme):
+def test_stride_replay_rebuilds_its_blocks(scheme, monkeypatch):
     g = make_grid(1, -8.0, 8.0, 2048)
     tg = make_timegrid(1.0, 30)
     rho0 = sample_function(g, "gaussian", {"x0": 0.5, "v0": 1.0})
@@ -539,19 +553,18 @@ def test_stride_replay_rebuilds_its_blocks(scheme):
     dense = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=1)
     strided = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=7)
     assert len(set(strided.substeps)) > 1
-    stepper = stepper_of(strided)
     starts = []
-    tabulate = stepper._tabulate
-    stepper._tabulate = lambda lo: starts.append(lo) or tabulate(lo)
-    for n in (3, 13, 20, 29):
-        assert bits_equal(strided.values_at(n), dense.values_at(n))
+    tabulate = _Sweep._tabulate
+    with monkeypatch.context() as patched:
+        patched.setattr(_Sweep, "_tabulate", lambda self, lo: starts.append(lo) or tabulate(self, lo))
+        for n in (3, 13, 20, 29):
+            assert bits_equal(strided.values_at(n), dense.values_at(n))
     # a replay of many substeps spans more than one block of rows
     assert len(starts) > 4 and len(set(starts)) == len(starts)
     got = {n: v.copy() for n, v in strided.dense_values()}
     assert sorted(got) == list(range(tg.nt + 1))
     for n in range(tg.nt + 1):
         assert bits_equal(got[n], dense.values_at(n))
-    assert holds_nothing(stepper)
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])

@@ -31,6 +31,9 @@ from liouville_control import (
     sample_potential,
     smallness_certificate,
 )
+import liouville_control.adjoint as adjoint_module
+import liouville_control.forward as forward_module
+from liouville_control.cli import load_scenario
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
 from liouville_control.reduced import assemble_integral_path
@@ -243,6 +246,35 @@ def test_cost_is_the_same_at_every_stride(dim):
     tg = prob.timegrid
     running = float(np.trapezoid(dense.running, x=np.arange(tg.nt + 1) * tg.dt))
     assert bits_equal(running, running_cost_over(prob, dense.dense_values()))
+
+
+def test_a_dense_pass_tabulates_only_the_rows_it_replays(monkeypatch):
+    # at stride 8, bimodal-stabilize-1d (MUSCL, one substep per step)
+    # replays 7 of every 8 steps forward and backward; the blocks of split
+    # rows and of running-cost terms end at each replay's last row
+    cfg = load_scenario("bimodal-stabilize-1d")
+    prob = dataclasses.replace(cfg.problem(), stride=8)
+    traj_rho, traj_q = prob.solve_forward_for(cfg.control), prob.solve_adjoint_for(cfg.control)
+    rows = {"split": 0, "theta": 0}
+    face_speeds = forward_module._Stepper.face_speeds
+    integral = adjoint_module._BackStepper._theta_line_integral
+
+    def counted_face_speeds(self, table_rows, out=None):
+        speeds = face_speeds(self, table_rows, out)
+        rows["split"] += len(speeds[0])
+        return speeds
+
+    def counted_integral(self, t0, *args):
+        rows["theta"] += np.size(t0)
+        return integral(self, t0, *args)
+
+    monkeypatch.setattr(forward_module._Stepper, "face_speeds", counted_face_speeds)
+    monkeypatch.setattr(adjoint_module._BackStepper, "_theta_line_integral", counted_integral)
+    assemble_integral_path(prob, traj_rho, traj_q)
+    nt, stored = prob.timegrid.nt, set(traj_rho.snapshot_steps)
+    replayed = [n for n in range(nt) if n + 1 not in stored]
+    assert rows["split"] == 2 * sum(traj_rho.substeps[n] for n in replayed) == 224
+    assert rows["theta"] == nt + 1 - len(traj_q.snapshot_steps) == 112
 
 
 @pytest.mark.parametrize("which", ["rho", "q"])
