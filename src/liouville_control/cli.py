@@ -251,7 +251,7 @@ def parse_config(text: str) -> RunConfig:
 
     problem = Problem(
         grid=grid, timegrid=timegrid, rho0=rho0, a0=a0, cost=cost, bounds=bounds,
-        g_eval=None if cfg["source"]["preset"] == "zero" else (lambda t: source.values),
+        source=None if cfg["source"]["preset"] == "zero" else source.values,
         stride=output["stride"], **solver,
     )
     resolved = {s: {k: v for k, v in sec.items() if v is not None} for s, sec in cfg.items()}
@@ -419,7 +419,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         nt = max(2, int(prob.timegrid.nt * factor))
         tg = TimeGrid(prob.timegrid.T, nt)
         coarse = dataclasses.replace(
-            prob, grid=grid, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), g_eval=None, stride=nt
+            prob, grid=grid, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), source=None, stride=nt
         )
         control = ControlPath.constant(tg, cfg.control.u1[0], cfg.control.u2[0])
         traj = coarse.solve_forward_for(control)
@@ -445,7 +445,7 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
     all_pass = True
     for m in (0, 1):
         for k in (0, 2):
-            cert = energy_certificate(traj, drift, prob.g_eval, m, k, C_cert=cfg.C_cert)
+            cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=cfg.C_cert)
             certs[f"m{m}k{k}"] = {
                 "fitted_C": cert.fitted_C if math.isfinite(cert.fitted_C) else None,
                 "C_cert": cert.C_cert,

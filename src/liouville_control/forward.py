@@ -1,6 +1,6 @@
 """Conservative finite-volume integration of the density transport equation
-d rho / dt + div(a rho) = g, plus runtime conservation and energy
-certificates.
+d rho / dt + div(a rho) = g, with a source g constant in time, plus runtime
+conservation and energy certificates.
 
 The update is in flux form, so interior mass changes by exactly the net
 boundary flux.  Boundary handling: outflow faces take the upwind interior
@@ -28,11 +28,12 @@ its own face speeds) of a block of the sweep's table rows, about
 and one workspace of arrays into which each stage writes its face states,
 fluxes and divergences.
 
-Schemes: first-order upwind (monotone, the default) and a minmod-limited
-MUSCL variant advanced with two-stage SSP time stepping for accuracy
-studies.  A tangent mode co-evolves the density with its linearization with
-respect to a control perturbation; it differentiates the discrete flux
-directly, which is what the regularity probes need.
+Schemes (``SCHEMES`` gives each one's stages per substep, run by one stage
+loop): first-order upwind (monotone, the default), one forward Euler stage,
+and a minmod-limited MUSCL variant for accuracy studies, two stages of SSP
+Runge-Kutta (Shu & Osher 1988).  A tangent mode co-evolves the density with
+its linearization with respect to a control perturbation; it differentiates
+the discrete flux directly, which is what the regularity probes need.
 
 ``Checkpoints`` is the one store for the forward, tangent and adjoint
 trajectories (stride checkpointing with deterministic replay, as in
@@ -59,7 +60,7 @@ import numpy as np
 
 from .controls import ControlPath, DriftSpec, Potential, drift_div_bound, drift_grad_bound, potential_eval
 from .controls import eval_drift  # unused here; bench/calltrace.py wraps forward.eval_drift by name
-from .errors import CflUnderflow, NonFinite
+from .errors import CflUnderflow, InvalidGrid, NonFinite
 from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, _row_sums, weighted_sobolev_norm
 
 __all__ = [
@@ -73,7 +74,9 @@ __all__ = [
     "required_substeps",
 ]
 
-SCHEMES = ("upwind-fv", "muscl-fv")
+# scheme -> stages per substep; a scheme of two stages reconstructs its face
+# states with minmod-limited slopes
+SCHEMES = {"upwind-fv": 1, "muscl-fv": 2}
 
 
 def _face_points(grid: GridSpec, axis: int) -> np.ndarray:
@@ -102,8 +105,8 @@ class _Faces:
         self.left, self.right = np.empty(face), np.empty(face)
         self.left[0] = self.right[-1] = 0.0
         self._left, self._right = self.left[1:], self.right[:-1]
-        self.muscl = scheme == "muscl-fv"
-        if self.muscl:
+        self.limited = SCHEMES[scheme] > 1
+        if self.limited:
             # half the limited slope; the boundary cells' slopes stay 0
             self._half = np.zeros(cells)
             self._slope = self._half[1:-1]
@@ -114,7 +117,7 @@ class _Faces:
             self._pos = np.empty(self._slope.shape, dtype=bool)
 
     def fill(self, vm: np.ndarray) -> None:
-        if not self.muscl:
+        if not self.limited:
             np.copyto(self._left, vm)
             np.copyto(self._right, vm)
             return
@@ -173,17 +176,20 @@ def _column(u: np.ndarray, ax: int, like: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """The constants of one solve: grid, drift, source and scheme, a0 and x
-    at the faces of each axis (stored with that axis first), and the control
-    table that ``look_up`` fills.  A sweep over the table is a ``_Sweep``."""
+    """The constants of one solve: grid, drift, the source and its mass per
+    unit time, the scheme and its stages per substep, a0 and x at the faces
+    of each axis (stored with that axis first), and the control table that
+    ``look_up`` fills.  A sweep over the table is a ``_Sweep``."""
 
-    def __init__(self, grid, drift, g_eval, scheme, tangent_control: ControlPath | None = None):
+    def __init__(self, grid, drift, source, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
         self.grid = grid
         self.drift = drift
-        self.g_eval = g_eval
+        self.source = source
+        self.source_rate = 0.0 if source is None else float(source.sum() * grid.cell_volume)
         self.scheme = scheme
+        self.stages = SCHEMES[scheme]
         self.tangent_control = tangent_control
         self.controls = self.deltas = None  # (u1, u2) and (du1, du2) tables, see look_up
         self.h = grid.h
@@ -231,8 +237,8 @@ class _Stepper:
 class _Sweep:
     """The scratch state of one sweep over a stepper's table rows first_row
     to end_row - 1, made when a solve or a replay starts and dropped with
-    it: each axis's scratch arrays, the divergences of the stages and
-    MUSCL's intermediate stage (for the density and, with a tangent, for the
+    it: each axis's scratch arrays, the divergence of each stage and the
+    forward Euler stage (for the density and, with a tangent, for the
     tangent), and the face-speed splits of a block of rows that ends at
     end_row at the latest."""
 
@@ -244,9 +250,10 @@ class _Sweep:
             cells = list(shape)
             cells[0], cells[ax] = cells[ax], cells[0]
             self.axes.append(_Axis(tuple(cells), scheme, tangent))
-        self.div = (np.empty(shape), np.empty(shape))
+        stages = range(stepper.stages)
+        self.div = [np.empty(shape) for _ in stages]
+        self.div_w = [np.empty(shape) if tangent else None for _ in stages]
         self.stage = np.empty(shape)
-        self.div_w = (np.empty(shape), np.empty(shape)) if tangent else (None, None)
         self.stage_w = np.empty(shape) if tangent else None
         self._tables = []
         for a0 in stepper.a0_faces:
@@ -307,49 +314,35 @@ class _Sweep:
                 axis.add_difference(h[ax], div_w.swapaxes(0, ax), ax == 0)
         return out_rate
 
-    def advance(self, values, t, dt, k, w_values=None):
-        """Advance one (sub)step from time t, whose first stage reads table
-        row k (MUSCL's second stage, at t + dt, row k + 1); returns new
-        values, new tangent values, boundary outflow mass, and injected
-        source mass."""
-        g_eval, grid = self.stepper.g_eval, self.stepper.grid
-        (div1, div2), (divw1, divw2) = self.div, self.div_w
-        if self.stepper.scheme == "upwind-fv":
-            out_rate = self.divergence(k, values, div1, w_values, divw1)
-            new = values - np.multiply(div1, dt, out=div1)
-            src_mass = 0.0
-            if g_eval is not None:
-                gmid = g_eval(t + 0.5 * dt)
-                new = new + dt * gmid
-                src_mass = float(gmid.sum() * grid.cell_volume) * dt
-            new_w = None
+    def advance(self, values, dt, k, w_values=None):
+        """Advance one (sub)step of length dt: stage i reads table row k + i,
+        the first at the values, the second (MUSCL's) at the forward Euler
+        stage from them, and the update subtracts dt / stages times the sum
+        of the stage divergences, as the outflow mass sums their outflow
+        rates.  Returns new values, new tangent values, boundary outflow
+        mass, and injected source mass."""
+        stepper = self.stepper
+        source, scale = stepper.source, dt / stepper.stages
+        (div, *later), (div_w, *later_w) = self.div, self.div_w
+        rate = self.divergence(k, values, div, w_values, div_w)
+        for i, (div_i, div_w_i) in enumerate(zip(later, later_w), 1):
+            stage = np.subtract(values, np.multiply(div, dt, out=self.stage), out=self.stage)
+            if source is not None:
+                stage += dt * source
+            stage_w = None
             if w_values is not None:
-                new_w = w_values - np.multiply(divw1, dt, out=divw1)
-            return new, new_w, out_rate * dt, src_mass
-        # muscl-fv: two-stage SSP update
-        rate1 = self.divergence(k, values, div1, w_values, divw1)
-        g1 = g_eval(t) if g_eval is not None else None
-        stage = np.subtract(values, np.multiply(div1, dt, out=self.stage), out=self.stage)
-        if g1 is not None:
-            stage += dt * g1
-        stage_w = None
-        if w_values is not None:
-            stage_w = np.subtract(w_values, np.multiply(divw1, dt, out=self.stage_w), out=self.stage_w)
-        rate2 = self.divergence(k + 1, stage, div2, stage_w, divw2)
-        g2 = g_eval(t + dt) if g_eval is not None else None
-        div1 += div2
-        div1 *= 0.5 * dt
-        new = values - div1
-        src_mass = 0.0
-        if g1 is not None:
-            new = new + 0.5 * dt * (g1 + g2)
-            src_mass = 0.5 * dt * float((g1 + g2).sum() * grid.cell_volume)
+                stage_w = np.subtract(w_values, np.multiply(div_w, dt, out=self.stage_w), out=self.stage_w)
+            rate += self.divergence(k + i, stage, div_i, stage_w, div_w_i)
+            div += div_i
+            if w_values is not None:
+                div_w += div_w_i
+        new = values - np.multiply(div, scale, out=div)
+        if source is not None:
+            new += dt * source
         new_w = None
         if w_values is not None:
-            divw1 += divw2
-            divw1 *= 0.5 * dt
-            new_w = w_values - divw1
-        return new, new_w, 0.5 * dt * (rate1 + rate2), src_mass
+            new_w = w_values - np.multiply(div_w, scale, out=div_w)
+        return new, new_w, scale * rate, stepper.source_rate * dt
 
 
 @dataclass
@@ -441,7 +434,7 @@ def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl:
     """Per-step substep counts from the Courant number at the step ends:
     at each node, the sum over axes of max |a_axis| / h_axis, read from the
     face speeds of a block of nodes at a time.  The scheme does not enter."""
-    stepper = _Stepper(grid, drift, None, SCHEMES[0])
+    stepper = _Stepper(grid, drift, None, next(iter(SCHEMES)))
     dt, nodes = timegrid.dt, timegrid.nt + 1
     stepper.look_up(np.arange(nodes) * dt)
     speed = np.zeros(nodes)
@@ -487,7 +480,7 @@ class _NodeBlock:
 def _solve(
     rho0: ScalarField,
     drift: DriftSpec,
-    g_eval,
+    source,
     timegrid: TimeGrid,
     scheme: str,
     cfl: float,
@@ -498,14 +491,16 @@ def _solve(
     theta: Potential | None = None,
 ):
     grid = rho0.grid
-    stepper = _Stepper(grid, drift, g_eval, scheme, tangent_control)
+    if source is not None:
+        source = np.asarray(source)
+        if source.shape != grid.shape:
+            raise InvalidGrid(f"source must be an array of the grid's shape {grid.shape}, got {source.shape}")
+    stepper = _Stepper(grid, drift, source, scheme, tangent_control)
     dt = timegrid.dt
     nt = timegrid.nt
 
     if fixed_substeps is None:
         plan = required_substeps(grid, drift, timegrid, cfl)
-    elif np.isscalar(fixed_substeps):
-        plan = [int(fixed_substeps)] * nt
     else:
         plan = [int(v) for v in fixed_substeps]
     worst = max(plan)
@@ -515,15 +510,15 @@ def _solve(
             "shrink dt or enlarge the cap"
         )
 
-    # the stage times of every substep, n * dt + j * h and, for MUSCL's
-    # second stage, (n * dt + j * h) + h, tabulated once; substep j of step
-    # n starts at row (first[n] + j) * stages
-    stages = 2 if scheme == "muscl-fv" else 1
+    # the stage times of every substep, n * dt + j * h plus i * h at stage i
+    # (MUSCL's second stage is at the substep's end), tabulated once;
+    # substep j of step n starts at row (first[n] + j) * stages
+    stages = stepper.stages
     first = np.cumsum([0] + plan).tolist()
     step_of = np.repeat(np.arange(nt), plan)
     h_sub = (dt / np.asarray(plan, dtype=float))[step_of]
     t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first[:-1], plan)) * h_sub
-    stepper.look_up(t_sub if stages == 1 else np.column_stack([t_sub, t_sub + h_sub]).ravel())
+    stepper.look_up(np.column_stack([t_sub + i * h_sub for i in range(stages)]).ravel())
 
     def sweep(vals, start, stop, w_vals=None):
         """Yield, for each step from node start to node stop, the next node,
@@ -534,7 +529,7 @@ def _solve(
             h = dt / plan[n]
             out_acc = src_acc = 0.0
             for j in range(plan[n]):
-                vals, w_vals, out_m, src_m = run.advance(vals, n * dt + j * h, h, (first[n] + j) * stages, w_vals)
+                vals, w_vals, out_m, src_m = run.advance(vals, h, (first[n] + j) * stages, w_vals)
                 out_acc += out_m
                 src_acc += src_m
             yield vals, w_vals, out_acc, src_acc
@@ -573,7 +568,7 @@ def _solve(
 def solve_forward(
     rho0: ScalarField,
     drift: DriftSpec,
-    g_eval,
+    source,
     timegrid: TimeGrid,
     scheme: str = "upwind-fv",
     cfl: float = 0.9,
@@ -584,12 +579,14 @@ def solve_forward(
 ) -> StateTrajectory:
     """Integrate the density forward from rho0 under the controlled drift.
 
-    ``g_eval`` is None or a callable t -> source values on the grid.  With a
-    running potential ``theta``, the trajectory's ``running`` holds int theta
-    rho dx at every node.
+    ``source`` is None or the cell values of a source constant in time, an
+    array of the grid's shape (else InvalidGrid).  ``fixed_substeps`` is None
+    (the plan from the Courant number) or the substeps of each step.  With
+    a running potential ``theta``, the trajectory's ``running`` holds int
+    theta rho dx at every node.
     """
     return _solve(
-        rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=None, theta=theta,
     )
 
@@ -598,7 +595,7 @@ def solve_linearized(
     rho0: ScalarField,
     drift: DriftSpec,
     delta_control: ControlPath,
-    g_eval,
+    source,
     timegrid: TimeGrid,
     scheme: str = "upwind-fv",
     cfl: float = 0.9,
@@ -613,7 +610,7 @@ def solve_linearized(
     Returns (state trajectory, tangent checkpoints) with matched substeps.
     """
     return _solve(
-        rho0, drift, g_eval, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=delta_control,
     )
 
@@ -656,7 +653,7 @@ class EnergyCertificate:
 def energy_certificate(
     trajectory: StateTrajectory,
     drift: DriftSpec,
-    g_eval,
+    source,
     m: int,
     k: int,
     C_cert: float = 2.0,
@@ -664,21 +661,21 @@ def energy_certificate(
     """Certify the weighted-norm growth of a stored run.
 
     For m = 0 the drift factor is the sup of |div a|; for m >= 1 it is the
-    discrete C^m_b norm of grad a.  The smallest feasible constant is
-    reported alongside the pass flag at the configured C_cert.
+    discrete C^m_b norm of grad a.  ``source`` is the solve's: None or cell
+    values constant in time, so its norm is the same at every step.  The
+    smallest feasible constant is reported alongside the pass flag at the
+    configured C_cert.
     """
     grid = trajectory.grid
     tg = trajectory.timegrid
     dt = tg.dt
     N = trajectory.norm_history(m, k)
     r = np.zeros(tg.nt)
-    s = np.zeros(tg.nt)
     for n in range(tg.nt):
         t = n * dt
         if m == 0:
             r[n] = drift_div_bound(drift, t, grid)
         else:
             r[n] = drift_grad_bound(drift, t, grid, m)
-        if g_eval is not None:
-            s[n] = weighted_sobolev_norm(ScalarField(grid, g_eval(t)), m, k)
+    s = np.full(tg.nt, 0.0 if source is None else weighted_sobolev_norm(ScalarField(grid, source), m, k))
     return EnergyCertificate.check(m, k, N[:-1], N[1:], r, s, dt, C_cert)

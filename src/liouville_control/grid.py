@@ -14,6 +14,7 @@ decaying scale used for adjoint states with quadratically growing data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 import numbers
 
@@ -46,7 +47,9 @@ class GridSpec:
     """Uniform cell-centered tensor grid on a box, d in {1, 2}.
 
     Cell centers sit at ``lo + (i + 1/2) h`` per axis; ``values`` arrays are
-    row-major over axes (C order).
+    row-major over axes (C order).  ``h``, ``num_cells`` and ``cell_volume``
+    are computed once per grid; ``==``, ``hash``, ``asdict`` and ``replace``
+    read the fields only.
     """
 
     dim: int
@@ -54,7 +57,7 @@ class GridSpec:
     hi: tuple[float, ...]
     n: tuple[int, ...]
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple((b - a) / m for a, b, m in zip(self.lo, self.hi, self.n))
 
@@ -62,11 +65,11 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return self.n
 
-    @property
+    @cached_property
     def num_cells(self) -> int:
         return int(np.prod(self.n))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 

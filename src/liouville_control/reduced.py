@@ -144,9 +144,9 @@ class ProbeReport:
 class Problem:
     """Bundle of everything a run needs: grid, horizon, data, and weights.
 
-    ``g_eval`` is None or a callable t -> source values on the grid.  Frozen,
-    as forward solves are memoized per control: ``dataclasses.replace``
-    makes a variant with an empty memo.
+    ``source`` is None or the cell values of a source constant in time, an
+    array of the grid's shape.  Frozen, as forward solves are memoized per
+    control: ``dataclasses.replace`` makes a variant with an empty memo.
     """
 
     grid: GridSpec
@@ -155,7 +155,7 @@ class Problem:
     a0: DriftPreset
     cost: CostSpec
     bounds: BoxBounds
-    g_eval: object = None
+    source: np.ndarray | None = None
     scheme: str = "upwind-fv"
     cfl: float = 0.9
     stride: int = 1
@@ -179,7 +179,7 @@ class Problem:
         traj = solve_forward(
             self.rho0,
             self.drift_for(control),
-            self.g_eval,
+            self.source,
             self.timegrid,
             scheme=self.scheme,
             cfl=self.cfl,
@@ -416,7 +416,7 @@ def frechet_probe(
         problem.rho0,
         problem.drift_for(control),
         direction,
-        problem.g_eval,
+        problem.source,
         tg,
         scheme=problem.scheme,
         cfl=problem.cfl,
@@ -446,16 +446,6 @@ def frechet_probe(
     return ProbeReport(epsilons=tuple(eps), remainders=tuple(remainders), slope=slope)
 
 
-def _source_norm_time_integral(problem: Problem, m: int, k: int, samples: int = 16) -> float:
-    if problem.g_eval is None:
-        return 0.0
-    ts = np.linspace(0.0, problem.timegrid.T, samples + 1)
-    vals = [
-        weighted_sobolev_norm(ScalarField(problem.grid, problem.g_eval(t)), m, k) for t in ts
-    ]
-    return float(np.trapezoid(np.asarray(vals), x=ts))
-
-
 def _potential_norm_time_integral(problem: Problem, pot, samples: int = 16) -> float:
     if pot.is_zero:
         return 0.0
@@ -482,7 +472,10 @@ def smallness_certificate(problem: Problem, C_universal: float = 1.0, horizon: f
     T = problem.timegrid.T if horizon is None else float(horizon)
     grad_a0_l1 = T * sum(problem.a0.derivative_sup(problem.grid, o) for o in (1, 2, 3))
     bound_term = T * problem.bounds.max_radius()
-    data_term = weighted_sobolev_norm(problem.rho0, 2, 2) + _source_norm_time_integral(problem, 2, 2)
+    data_term = weighted_sobolev_norm(problem.rho0, 2, 2)
+    if problem.source is not None:  # constant in time
+        source = ScalarField(problem.grid, problem.source)
+        data_term += problem.timegrid.T * weighted_sobolev_norm(source, 2, 2)
     phi_norm = 0.0
     if not problem.cost.phi.is_zero:
         phi_norm = weighted_sobolev_norm(

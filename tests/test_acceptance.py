@@ -98,8 +98,8 @@ def test_criterion_02_positivity():
     rho0 = desk_gaussian()
     src = sample_function(g, "gaussian", {"x0": 1.0, "v0": 0.3}).values * 0.1
     worst = np.inf
-    for u1, u2, g_eval in ((0.5, 0.3, None), (0.4, 0.2, lambda t: src)):
-        traj = solve_forward(rho0, zero_a0_drift(tg, u1, u2), g_eval, tg, scheme="upwind-fv")
+    for u1, u2, source in ((0.5, 0.3, None), (0.4, 0.2, src)):
+        traj = solve_forward(rho0, zero_a0_drift(tg, u1, u2), source, tg, scheme="upwind-fv")
         worst = min(worst, float(traj.min_value.min()))
     assert worst >= -1e-14
     print(f"criterion 02 positivity: PASS (min rho = {worst:.3e})")
@@ -246,7 +246,7 @@ def test_criterion_07_energy_certificates():
         drift = prob.drift_for(u)
         for m in (0, 1):
             for k in (0, 2):
-                cert = energy_certificate(traj, drift, prob.g_eval, m, k, C_cert=2.0)
+                cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=2.0)
                 assert cert.passed, f"{name} m={m} k={k} fitted C = {cert.fitted_C}"
 
     # constant-divergence exact decay: |rho|_L2 = e^{-ct/2} |rho0|_L2

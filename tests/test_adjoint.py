@@ -368,11 +368,11 @@ def test_feet_are_traced_once_per_solve(monkeypatch):
     cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     calls = []
 
-    def counting_eval_drift(spec, t, points):
+    def eval_drift_counted(spec, t, points):
         calls.append(points.shape[0])
         return eval_drift(spec, t, points)
 
-    monkeypatch.setattr(adjoint_module, "eval_drift", counting_eval_drift)
+    monkeypatch.setattr(adjoint_module, "eval_drift", eval_drift_counted)
     dense = solve_adjoint(cost, drift, tg, g)
     assert min(calls) >= g.num_cells
     assert sum(calls) == 4 * tg.nt * g.num_cells

@@ -7,6 +7,7 @@ import pytest
 from liouville_control import (
     CflUnderflow,
     ControlPath,
+    InvalidGrid,
     DriftPreset,
     DriftSpec,
     NonFinite,
@@ -61,7 +62,7 @@ def test_mass_identity_every_step():
 def test_positivity_upwind():
     g, tg, rho0 = gaussian_setup(n=256, nt=256)
     src = sample_function(g, "gaussian", {"x0": 1.0, "v0": 0.3}).values * 0.1
-    traj = solve_forward(rho0, drift_const(tg, 0.5, 0.3), lambda t: src, tg, scheme="upwind-fv")
+    traj = solve_forward(rho0, drift_const(tg, 0.5, 0.3), src, tg, scheme="upwind-fv")
     assert traj.min_value.min() >= -1e-14
 
 
@@ -182,9 +183,9 @@ def test_energy_certificate_with_source_term():
     g, tg, rho0 = gaussian_setup(n=128, nt=128)
     src = sample_function(g, "gaussian", {"x0": 0.0, "v0": 0.5}).values * 0.2
     drift = drift_const(tg, 0.3, 0.2)
-    traj = solve_forward(rho0, drift, lambda t: src, tg)
+    traj = solve_forward(rho0, drift, src, tg)
     for m, k in ((0, 0), (1, 2)):
-        cert = energy_certificate(traj, drift, lambda t: src, m, k, C_cert=2.0)
+        cert = energy_certificate(traj, drift, src, m, k, C_cert=2.0)
         assert cert.passed
 
 
@@ -206,7 +207,16 @@ def test_non_finite_source_raises():
     bad = np.zeros(g.shape)
     bad[0] = np.inf
     with pytest.raises(NonFinite):
-        solve_forward(rho0, drift_const(tg, 0.0, 0.0), lambda t: bad, tg)
+        solve_forward(rho0, drift_const(tg, 0.0, 0.0), bad, tg)
+
+
+@pytest.mark.parametrize("source", [lambda t: np.zeros(64), 0.5, np.zeros(63)], ids=["callable", "scalar", "shape"])
+def test_source_that_is_not_a_field_on_the_grid_is_rejected(source):
+    # a scalar would broadcast over the cells in the step, but its mass
+    # would be counted once, not once per cell
+    g, tg, rho0 = gaussian_setup(n=64, nt=4)
+    with pytest.raises(InvalidGrid, match="source"):
+        solve_forward(rho0, drift_const(tg, 0.3, 0.0), source, tg)
 
 
 def test_snapshot_stride_replay_is_exact():
@@ -232,13 +242,13 @@ def test_linearized_solve_matches_central_difference():
     nodes = tg.nodes()
     du = ControlPath(tg, np.sin(np.pi * nodes)[:, None], 0.3 * np.cos(np.pi * nodes)[:, None])
     drift = DriftSpec(DriftPreset("zero"), u)
-    base, wtraj = solve_linearized(rho0, drift, du, None, tg, fixed_substeps=2)
+    base, wtraj = solve_linearized(rho0, drift, du, None, tg, fixed_substeps=[2] * tg.nt)
     eps = 1e-4
 
     def solve_at(scale):
         ctrl = ControlPath(tg, u.u1 + scale * du.u1, u.u2 + scale * du.u2)
         return solve_forward(
-            rho0, DriftSpec(DriftPreset("zero"), ctrl), None, tg, fixed_substeps=2
+            rho0, DriftSpec(DriftPreset("zero"), ctrl), None, tg, fixed_substeps=[2] * tg.nt
         ).snapshots[-1]
 
     fd = (solve_at(eps) - solve_at(-eps)) / (2 * eps)
@@ -406,25 +416,27 @@ def reference_divergence(stepper, k, values, w_values):
     return div, div_w, out_rate
 
 
-def reference_advance(stepper, values, t, dt, k, w_values=None):
+def reference_advance(stepper, values, dt, k, w_values=None):
+    """Forward Euler for upwind, with the source at the midpoint, and SSP
+    Runge-Kutta for MUSCL, with the trapezoid of the source at both ends."""
     vol = stepper.grid.cell_volume
-    g_eval = stepper.g_eval
+    source = stepper.source
     if stepper.scheme == "upwind-fv":
         div, div_w, out_rate = reference_divergence(stepper, k, values, w_values)
         new = values - dt * div
         src_mass = 0.0
-        if g_eval is not None:
-            gmid = g_eval(t + 0.5 * dt)
+        if source is not None:
+            gmid = source
             new = new + dt * gmid
             src_mass = float(gmid.sum() * vol) * dt
         new_w = w_values - dt * div_w if w_values is not None else None
         return new, new_w, out_rate * dt, src_mass
     div1, divw1, rate1 = reference_divergence(stepper, k, values, w_values)
-    g1 = g_eval(t) if g_eval is not None else None
+    g1 = source
     stage = values - dt * div1 + (dt * g1 if g1 is not None else 0.0)
     stage_w = w_values - dt * divw1 if w_values is not None else None
     div2, divw2, rate2 = reference_divergence(stepper, k + 1, stage, stage_w)
-    g2 = g_eval(t + dt) if g_eval is not None else None
+    g2 = source
     new = values - 0.5 * dt * (div1 + div2)
     src_mass = 0.0
     if g1 is not None:
@@ -454,7 +466,7 @@ def adversarial_field(shape, seed):
     return v
 
 
-def stage_case(d, scheme, tangent, g_eval=None):
+def stage_case(d, scheme, tangent, source=None):
     """A stepper on a grid fine enough for a split block of a few table
     rows, over a table whose rows are the control's nodes (24 rows): speeds
     of both signs, exact zeros and -0.0 among them."""
@@ -467,7 +479,7 @@ def stage_case(d, scheme, tangent, g_eval=None):
     # a0 = 0 in 1D puts exact zero speeds at the face x = 0 and on the rows
     # where u1 = u2 = 0; the 2D rotation's a0 is nowhere zero on the faces
     drift = DriftSpec(DriftPreset("zero" if d == 1 else "rotation"), control)
-    stepper = _Stepper(g, drift, g_eval, scheme, delta)
+    stepper = _Stepper(g, drift, source, scheme, delta)
     stepper.look_up(tg.nodes())
     assert 3 * stepper._rows < tg.nt  # the table spans several blocks
     return g, stepper
@@ -496,8 +508,8 @@ def test_stage_matches_the_allocating_version(d, scheme, tangent):
             assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
             if tangent:
                 assert bits_equal(div_w, ref_div_w)
-            got = sweep.advance(values, 0.1, 0.013, k, w_values)
-            ref = reference_advance(stepper, values, 0.1, 0.013, k, w_values)
+            got = sweep.advance(values, 0.013, k, w_values)
+            ref = reference_advance(stepper, values, 0.013, k, w_values)
             assert bits_equal(got[0], ref[0])
             assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
             assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
@@ -508,10 +520,10 @@ def test_stage_matches_the_allocating_version(d, scheme, tangent):
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
 def test_stage_with_a_source_matches_the_allocating_version(scheme):
     source = adversarial_field((1024,), 3)
-    g, stepper = stage_case(1, scheme, True, g_eval=lambda t: (1.0 + t) * source)
+    g, stepper = stage_case(1, scheme, True, source=source)
     values, w_values = adversarial_field(g.shape, 4), adversarial_field(g.shape, 5)
-    got = _Sweep(stepper, 0, 24).advance(values, 0.2, 0.01, 4, w_values)
-    ref = reference_advance(stepper, values, 0.2, 0.01, 4, w_values)
+    got = _Sweep(stepper, 0, 24).advance(values, 0.01, 4, w_values)
+    ref = reference_advance(stepper, values, 0.01, 4, w_values)
     for a, b in zip(got, ref):
         assert bits_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
@@ -568,21 +580,25 @@ def test_stride_replay_rebuilds_its_blocks(scheme, monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("step", [1, 5])
-def test_non_finite_value_is_reported_at_its_step(scheme, bad, step):
+@pytest.mark.parametrize("step, case", [(1, "nan"), (1, "inf"), (1, "-inf"), (1, "overflow"), (5, "overflow"),
+                                        (1, "-overflow"), (5, "-overflow")])
+def test_non_finite_value_is_reported_at_its_step(scheme, step, case):
     g, tg, rho0 = gaussian_setup(n=64, nt=8)
-    dt = tg.dt
-    spike = np.zeros(g.shape)
-    spike[20] = bad
-
-    def source(t):
-        # only inside step `step`: its midpoint and (MUSCL) its end
-        return spike if (step - 0.75) * dt < t < (step + 0.25) * dt else np.zeros(g.shape)
-
     drift = drift_const(tg, 0.3, 0.0)
-    with pytest.raises(NonFinite, match=f"at step {step}$"):
-        solve_forward(rho0, drift, source, tg, scheme=scheme, fixed_substeps=1)
+    source = np.zeros(g.shape)
+    if case.endswith("overflow"):
+        # a finite source overflows one cell during step `step`: under zero
+        # drift the cell starts at +-(max - (step - 1/2) 1e306) and gains
+        # +-1e306 a step
+        sign = -1.0 if case.startswith("-") else 1.0
+        values = np.zeros(g.shape)
+        values[20] = sign * (np.finfo(float).max - (step - 0.5) * 1e306)
+        rho0, drift = ScalarField(g, values), drift_const(tg, 0.0, 0.0)
+        source[20] = sign * 1e306 / tg.dt
+    else:
+        source[20] = float(case)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match=f"at step {step}$"):
+        solve_forward(rho0, drift, source, tg, scheme=scheme, fixed_substeps=[1] * tg.nt)
 
 
 def test_mass_that_overflows_is_not_a_non_finite_value():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,19 @@ def test_make_grid_spacing():
     assert g.h == (1.0,)
     g2 = make_grid(2, (-4, -4), (4, 4), (64, 64))
     assert g2.h == (0.125, 0.125)
+
+
+def test_grid_quantities_are_computed_once_per_grid():
+    g = make_grid(2, (-4.0, -3.0), (4.0, 5.0), (16, 12))
+    assert g.h is g.h and g.num_cells is g.num_cells and g.cell_volume is g.cell_volume
+    assert (g.h, g.num_cells, g.cell_volume) == ((0.5, 8.0 / 12), 192, 0.5 * (8.0 / 12))
+    # equality, hashing and asdict read the fields only, read values or not
+    fresh = make_grid(2, (-4.0, -3.0), (4.0, 5.0), (16, 12))
+    assert g == fresh and hash(g) == hash(fresh)
+    assert dataclasses.asdict(g) == dataclasses.asdict(fresh) == {
+        "dim": 2, "lo": (-4.0, -3.0), "hi": (4.0, 5.0), "n": (16, 12),
+    }
+    assert dataclasses.replace(g, n=(8, 8)).h == (1.0, 1.0)
 
 
 def test_make_grid_rejects_bad_input():

@@ -1,11 +1,12 @@
 """Fingerprint every output of the ``liouctl`` commands on the shipped scenarios.
 
 Runs forward, adjoint, cost, grad, grad-check, certify, oracle-compare and
-optimize on each shipped scenario at ``output.stride`` 1 and 8, each run in a
-fresh process, and writes one JSON record per run: its exit code, its stderr
-and the sha256 of every file in its output directory.  A refactor that must
-not change any output is checked by fingerprinting the source trees before and
-after it and comparing the two records:
+optimize on each shipped scenario, and on the variants in ``VARIANTS``, at
+``output.stride`` 1 and 8, each run in a fresh process, and writes one JSON
+record per run: its exit code, its stderr and the sha256 of every file in its
+output directory.  A refactor that must not change any output is checked by
+fingerprinting the source trees before and after it and comparing the two
+records:
 
     python tools/output_hashes.py --src /path/to/before/src --out before.json
     python tools/output_hashes.py --out after.json        # this checkout's src
@@ -32,6 +33,17 @@ COMMANDS = ("forward", "adjoint", "cost", "grad", "grad-check", "certify", "orac
 STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+# shipped scenarios with sections replaced, for the code paths that none of
+# them runs: a source, and the upwind scheme
+VARIANTS = {
+    "sparse-ladder+source": ("sparse-ladder", {
+        "source": {"preset": "bimodal-gaussian", "params": {"wa": 0.05, "wb": 0.05}},
+    }),
+    "bimodal-stabilize-1d+upwind+source": ("bimodal-stabilize-1d", {
+        "solver": {"scheme": "upwind-fv"},
+        "source": {"preset": "gaussian", "params": {"v0": 0.5}},
+    }),
+}
 
 
 def _digest(path: Path) -> str:
@@ -53,19 +65,21 @@ def _run(src: Path, config: Path, command: str, out_dir: Path) -> dict:
 
 def fingerprint(src: Path) -> dict:
     """Exit code, stderr and file hashes of every run, keyed scenario/stride/command."""
-    scenarios = sorted((src / "liouville_control" / "scenarios").glob("*.json"))
-    if not scenarios:
+    shipped = {p.stem: json.loads(p.read_text()) for p in (src / "liouville_control" / "scenarios").glob("*.json")}
+    if not shipped:
         raise SystemExit(f"error: no shipped scenarios under {src}")
+    configs = dict(sorted(shipped.items()))
+    for name, (base, sections) in VARIANTS.items():
+        configs[name] = dict(shipped[base], **sections)
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
-        for path in scenarios:
+        for name, cfg in configs.items():
             for stride in STRIDES:
-                raw = json.loads(path.read_text())
-                raw.setdefault("output", {})["stride"] = stride
-                config = Path(tmp) / f"{path.stem}-stride{stride}.json"
+                raw = dict(cfg, output=dict(cfg.get("output", {}), stride=stride))
+                config = Path(tmp) / f"{name}-stride{stride}.json"
                 config.write_text(json.dumps(raw))
                 for command in COMMANDS:
-                    key = f"{path.stem}/stride{stride}/{command}"
+                    key = f"{name}/stride{stride}/{command}"
                     runs.append((key, config, command, Path(tmp) / key.replace("/", "-")))
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = pool.map(lambda r: _run(src, r[1], r[2], r[3]), runs)
