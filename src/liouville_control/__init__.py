@@ -46,7 +46,6 @@ from .forward import (
     solve_linearized,
 )
 from .adjoint import (
-    AdjointTrajectory,
     adjoint_energy_certificate,
     confining_weight_index,
     sample_potential,

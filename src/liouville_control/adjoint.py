@@ -31,15 +31,12 @@ discrete maximum principle.
 
 The backward pass keeps its nodes in the forward solver's ``Checkpoints``
 store, which replays any other node backward from the checkpoint above it
-by a sweep on the same stored feet.
-A solve records the L2 norm per node; the negative-weight norm of the
-confining case is computed from the checkpoints by whoever reports it.
+by a sweep on the same stored feet.  A solve records nothing per node;
+its L2 norm and the negative-weight norm of the confining case are computed
+from the checkpoints by whoever reports them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-import math
 
 import numpy as np
 
@@ -49,7 +46,6 @@ from .forward import Checkpoints, EnergyCertificate
 from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, interpolate_flagged, weighted_sobolev_norm
 
 __all__ = [
-    "AdjointTrajectory",
     "solve_adjoint",
     "potential_eval",
     "sample_potential",
@@ -66,13 +62,6 @@ def confining_weight_index(dim: int) -> int:
 def sample_potential(grid: GridSpec, potential: Potential, t: float = 0.0) -> ScalarField:
     pts = grid.cell_centers()
     return ScalarField(grid, potential_eval(potential, pts, t).reshape(grid.shape))
-
-
-@dataclass(kw_only=True)
-class AdjointTrajectory(Checkpoints):
-    """Checkpoints of the backward solve plus the L2 norm per node."""
-
-    l2: np.ndarray
 
 
 def _rk4_feet(drift: DriftSpec, t: float, dt: float, pts: np.ndarray) -> np.ndarray:
@@ -199,28 +188,22 @@ def solve_adjoint(
     timegrid: TimeGrid,
     grid: GridSpec,
     stride: int = 1,
-) -> AdjointTrajectory:
+) -> Checkpoints:
     """Solve the adjoint problem backward from q(T) = -phi."""
     stepper = _BackStepper(grid, drift, cost, timegrid)
     nt = timegrid.nt
     pts = grid.cell_centers()
     q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
 
-    vol = grid.cell_volume
-    traj = AdjointTrajectory(timegrid, grid, stride, stepper.sweep, backward=True, l2=np.zeros(nt + 1))
-
-    def record(n, vals):
-        traj.l2[n] = math.sqrt(float((vals * vals).sum() * vol))
-        traj.keep(n, vals)
-
-    record(nt, q)
+    traj = Checkpoints(timegrid, grid, stride, stepper.sweep, backward=True)
+    traj.keep(nt, q)
     for n, q in zip(range(nt - 1, -1, -1), stepper.sweep(q, nt, 0)):
-        record(n, q)
+        traj.keep(n, q)
     return traj
 
 
 def adjoint_energy_certificate(
-    trajectory: AdjointTrajectory,
+    trajectory: Checkpoints,
     drift: DriftSpec,
     cost: CostSpec,
     C_cert: float = 2.0,

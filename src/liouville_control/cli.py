@@ -272,7 +272,7 @@ def _write_snapshots(traj, out_dir: str, prefix: str) -> None:
 
 def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
     traj = cfg.problem().solve_forward_for(cfg.control)
-    fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
+    summary = fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
     _write_snapshots(traj, out_dir, "rho")
     return {
         "command": "forward",
@@ -282,7 +282,7 @@ def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
         "substeps_total": int(sum(traj.substeps)),
         "mass_initial": traj.mass[0],
         "mass_final": traj.mass[-1],
-        "min_value": float(traj.min_value.min()),
+        "min_value": float(summary["min"].min()),
         "leak": boundary_leak(traj),
     }
 
@@ -290,18 +290,13 @@ def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
 def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
     traj = prob.solve_adjoint_for(cfg.control)
-    report = {
-        "command": "adjoint",
-        "l2_initial": traj.l2[0],
-        "l2_terminal": traj.l2[-1],
-    }
-    h0_negk = None
-    if prob.cost.theta.confining or prob.cost.phi.confining:
-        report["neg_k"] = confining_weight_index(prob.grid.dim)
-        h0_negk = traj.norm_history(0, -report["neg_k"])
-        report["h0_negk_max"] = float(h0_negk.max())
-    fileio.write_adjoint_summary(traj, h0_negk, os.path.join(out_dir, "trajectory_summary.csv"))
+    neg_k = confining_weight_index(prob.grid.dim) if prob.cost.theta.confining or prob.cost.phi.confining else None
+    summary = fileio.write_adjoint_summary(traj, neg_k, os.path.join(out_dir, "trajectory_summary.csv"))
     _write_snapshots(traj, out_dir, "q")
+    report = {"command": "adjoint", "l2_initial": summary["l2"][0], "l2_terminal": summary["l2"][-1]}
+    if neg_k is not None:
+        report["neg_k"] = neg_k
+        report["h0_negk_max"] = float(summary["h0_negk"].max())
     return report
 
 
@@ -440,7 +435,7 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
     u = cfg.control
     drift = prob.drift_for(u)
     traj = prob.solve_forward_for(u)
-    fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
+    summary = fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
     certs = {}
     all_pass = True
     for m in (0, 1):
@@ -459,7 +454,7 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
         "energy_all_passed": all_pass,
         "leak": leak,
         "mass_drift": leak,
-        "min_value": float(traj.min_value.min()),
+        "min_value": float(summary["min"].min()),
     }
     if prob.cost.theta.confining or prob.cost.phi.confining:
         qtraj = prob.solve_adjoint_for(u)

@@ -13,10 +13,9 @@ import os
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory
 from .controls import ControlPath
 from .errors import SchemaError
-from .forward import StateTrajectory
+from .forward import Checkpoints, StateTrajectory
 from .grid import GridSpec, ScalarField, TimeGrid
 
 __all__ = [
@@ -98,20 +97,23 @@ def _write_node_table(path: str, timegrid: TimeGrid, columns: dict) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_trajectory_summary(traj: StateTrajectory, path: str) -> None:
-    """Per-node ``t,mass,min,l2,h0k2``, the last the weighted H^0_2 norm
-    computed from the checkpoints."""
-    _write_node_table(path, traj.timegrid, {
-        "mass": traj.mass, "min": traj.min_value, "l2": traj.l2, "h0k2": traj.norm_history(0, 2),
-    })
-
-
-def write_adjoint_summary(traj: AdjointTrajectory, h0_negk, path: str) -> None:
-    """Per-node ``t,l2``, plus ``h0_negk`` when that norm history is given."""
-    columns = {"l2": traj.l2}
-    if h0_negk is not None:
-        columns["h0_negk"] = h0_negk
+def write_trajectory_summary(traj: StateTrajectory, path: str) -> dict:
+    """Per-node ``t,mass,min,l2,h0k2`` (the weighted H^0_2 norm), all but the
+    mass from one pass over the checkpoints; returns the columns."""
+    columns = {"mass": traj.mass, **traj.history(min=np.min, l2=traj.norm(0, 0), h0k2=traj.norm(0, 2))}
     _write_node_table(path, traj.timegrid, columns)
+    return columns
+
+
+def write_adjoint_summary(traj: Checkpoints, neg_k: int | None, path: str) -> dict:
+    """Per-node ``t,l2``, plus the H^0_{-neg_k} norm ``h0_negk`` when neg_k is
+    given, from one pass over the checkpoints; returns the columns."""
+    norms = {"l2": traj.norm(0, 0)}
+    if neg_k is not None:
+        norms["h0_negk"] = traj.norm(0, -neg_k)
+    columns = traj.history(**norms)
+    _write_node_table(path, traj.timegrid, columns)
+    return columns
 
 
 def write_iterations_csv(cost_history, vi_history, steps, path: str) -> None:

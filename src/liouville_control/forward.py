@@ -38,16 +38,16 @@ the discrete flux directly, which is what the regularity probes need.
 ``Checkpoints`` is the one store for the forward, tangent and adjoint
 trajectories (stride checkpointing with deterministic replay, as in
 Griewank & Walther's revolve, without its binomial schedule).  Solves record
-no weighted Sobolev norm; ``norm_history`` computes one from the checkpoints.
+only what the objective reads; ``history`` computes any other per-node value,
+such as a minimum or a weighted Sobolev norm, from the checkpoints.
 
-The per-node diagnostics are recorded at every node, whatever the stride:
-the mass with the finiteness check of each step, and the minimum, the L2
-norm and, given a running potential theta, the running cost int theta rho dx
-from a block of node copies (about ``grid._BLOCK_POINTS`` values with
-theta's table), one row reduction each when the block is full, with theta
-tabulated at the block's node times in one call.  ``reduced_cost``
-integrates the running cost in time from these, so the objective does not
-depend on the stride.
+A forward solve records at every node, whatever the stride, the mass with
+the finiteness check of each step and, given a nonzero running potential
+theta, the running cost int theta rho dx from a block of node copies (about
+``grid._BLOCK_POINTS`` values with theta's table), one row reduction when
+the block is full, with theta tabulated at the block's node times in one
+call.  ``reduced_cost`` integrates the running cost in time from these, so
+the objective does not depend on the stride.
 """
 
 from __future__ import annotations
@@ -405,23 +405,30 @@ class Checkpoints:
                 yield from enumerate(inner, lo + 1)
         yield steps[-1], self._stored[steps[-1]]
 
+    def history(self, **per_node: Callable) -> dict[str, np.ndarray]:
+        """Each named function of a node's values at nodes 0..nt, in one dense pass."""
+        out = {name: np.zeros(self.timegrid.nt + 1) for name in per_node}
+        for n, vals in self.dense_values():
+            for name, f in per_node.items():
+                out[name][n] = f(vals)
+        return out
+
+    def norm(self, m: int, k: int) -> Callable:
+        """The weighted H^m_k norm of one node's values; H^0_0 is the L2 norm."""
+        return lambda vals: weighted_sobolev_norm(ScalarField(self.grid, vals), m, k)
+
     def norm_history(self, m: int, k: int) -> np.ndarray:
         """The weighted H^m_k norm at nodes 0..nt."""
-        out = np.zeros(self.timegrid.nt + 1)
-        for n, vals in self.dense_values():
-            out[n] = weighted_sobolev_norm(ScalarField(self.grid, vals), m, k)
-        return out
+        return self.history(norm=self.norm(m, k))["norm"]
 
 
 @dataclass(kw_only=True)
 class StateTrajectory(Checkpoints):
-    """Checkpoints plus per-node diagnostics of a forward solve, every node
-    0..nt whatever the stride: ``running`` is the running cost int theta rho
-    dx at each node (zero when the solve was given no theta)."""
+    """Checkpoints plus what the objective reads of a forward solve, at every
+    node 0..nt whatever the stride: the ``mass`` and the running cost int
+    theta rho dx, ``running`` (zero when the solve was given no theta)."""
 
     mass: np.ndarray
-    min_value: np.ndarray
-    l2: np.ndarray
     running: np.ndarray
     substeps: list[int]
     source_mass: np.ndarray
@@ -446,19 +453,18 @@ def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl:
 
 
 class _NodeBlock:
-    """Copies of a block of consecutive nodes of a solve; when the block is
-    full, or at node nt, one row reduction per diagnostic fills the block's
-    entries of min_value, l2 and running, with the bits of each node's own
-    ``min()`` and ``sum()``.  The copies and the theta table hold about
+    """Copies of a block of consecutive nodes of a solve given a nonzero
+    theta; when the block is full, or at node nt, one row reduction fills the
+    block's entries of ``running``, with the bits of each node's own
+    ``sum()``.  The copies and the theta table hold about
     ``grid._BLOCK_POINTS`` values in all."""
 
-    def __init__(self, traj: StateTrajectory, theta: Potential | None):
+    def __init__(self, traj: StateTrajectory, theta: Potential):
         grid, nt = traj.grid, traj.timegrid.nt
-        self.traj = traj
-        self.theta = None if theta is None or theta.is_zero else theta
-        self.size = _block_nodes((1 if self.theta is None else 2) * grid.num_cells)
+        self.traj, self.theta = traj, theta
+        self.size = _block_nodes(2 * grid.num_cells)
         self.nodes = np.empty((min(self.size, nt + 1), *grid.shape))
-        self.centers = None if self.theta is None else grid.cell_centers()
+        self.centers = grid.cell_centers()
 
     def add(self, n: int, values: np.ndarray) -> None:
         b = n % self.size
@@ -468,13 +474,10 @@ class _NodeBlock:
 
     def _reduce(self, lo: int, rows: np.ndarray) -> None:
         traj = self.traj
-        grid, hi, vol = traj.grid, lo + len(rows), traj.grid.cell_volume
-        traj.min_value[lo:hi] = rows.reshape(len(rows), -1).min(axis=1)
-        traj.l2[lo:hi] = np.sqrt(_row_sums(rows * rows) * vol)
-        if self.theta is not None:
-            times = np.arange(lo, hi) * traj.timegrid.dt
-            theta = potential_eval(self.theta, self.centers, times).reshape((-1, *grid.shape))
-            traj.running[lo:hi] = _row_sums(theta * rows) * vol
+        grid, hi = traj.grid, lo + len(rows)
+        times = np.arange(lo, hi) * traj.timegrid.dt
+        theta = potential_eval(self.theta, self.centers, times).reshape((-1, *grid.shape))
+        traj.running[lo:hi] = _row_sums(theta * rows) * grid.cell_volume
 
 
 def _solve(
@@ -540,15 +543,16 @@ def _solve(
 
     traj = StateTrajectory(
         timegrid, grid, stride, lambda vals, start, stop: (step[0] for step in sweep(vals, start, stop)),
-        mass=np.zeros(nt + 1), min_value=np.zeros(nt + 1), l2=np.zeros(nt + 1), running=np.zeros(nt + 1),
-        substeps=plan, source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
+        mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan, source_mass=np.zeros(nt + 1),
+        boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
     w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
-    block = _NodeBlock(traj, theta)
+    block = None if theta is None or theta.is_zero else _NodeBlock(traj, theta)
 
     def record(n, vals, w_vals, total):
         traj.mass[n] = total * vol
-        block.add(n, vals)
+        if block is not None:
+            block.add(n, vals)
         traj.keep(n, vals)
         if w_traj is not None:
             w_traj.keep(n, w_vals)

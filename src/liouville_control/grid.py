@@ -303,9 +303,9 @@ def integrate(field: ScalarField) -> float:
 
 
 def _weight_values(grid: GridSpec, k: int) -> np.ndarray:
-    r = grid.radius()
     if k == 0:
         return np.ones(grid.shape)
+    r = grid.radius()
     if k > 0:
         return 1.0 + r**k
     return (1.0 + r) ** float(k)

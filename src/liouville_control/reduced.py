@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, sample_potential, solve_adjoint
+from .adjoint import sample_potential, solve_adjoint
 from .controls import (
     BoxBounds,
     ControlPath,
@@ -45,7 +45,7 @@ from .controls import (
     project_box,
 )
 from .errors import GridMismatch, NotApplicable
-from .forward import StateTrajectory, required_substeps, solve_forward, solve_linearized
+from .forward import Checkpoints, StateTrajectory, required_substeps, solve_forward, solve_linearized
 from .grid import (
     GridSpec,
     ScalarField,
@@ -194,7 +194,7 @@ class Problem:
             cache[key] = traj
         return traj
 
-    def solve_adjoint_for(self, control: ControlPath) -> AdjointTrajectory:
+    def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
         return solve_adjoint(
             self.cost, self.drift_for(control), self.timegrid, self.grid, stride=self.stride
         )
@@ -230,7 +230,7 @@ def reduced_cost(control: ControlPath, problem: Problem) -> float:
     )
 
 
-def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: AdjointTrajectory):
+def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: Checkpoints):
     """Per-node integral terms of the gradient, direct and integrated by
     parts; returns (stacked path (nt + 1, 2 d), worst discrepancy)."""
     grid = problem.grid
@@ -328,15 +328,13 @@ def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
     )
 
 
-def kkt_residual(control: ControlPath, problem: Problem, multipliers: dict | None = None,
-                 gradient: GradientPath | None = None) -> KktResidual:
+def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath | None = None) -> KktResidual:
     """Residuals of the coupled optimality system at a given control.
 
-    Multipliers may be supplied (keys lambda_hat, lambda_plus,
-    lambda_minus, stacked layout); otherwise they are reconstructed from
-    the gradient: the sparsity multiplier is delta sign(u) off the zero set
-    and the clipped stationarity residual on it, and the bound multipliers
-    absorb the residual on the active sets.
+    The multipliers are reconstructed from the gradient: the sparsity
+    multiplier is delta sign(u) off the zero set and the clipped
+    stationarity residual on it, and the bound multipliers absorb the
+    residual on the active sets.
     """
     if gradient is None:
         gradient = problem.descent_gradient(control)
@@ -346,9 +344,7 @@ def kkt_residual(control: ControlPath, problem: Problem, multipliers: dict | Non
     delta = problem.cost.delta
     tol_b = zero_tol = 1e-10
 
-    if multipliers and "lambda_hat" in multipliers:
-        lam_hat = np.asarray(multipliers["lambda_hat"], dtype=float)
-    elif delta > 0:
+    if delta > 0:
         lam_hat = np.where(np.abs(u) > zero_tol, delta * np.sign(u), np.clip(-gf, -delta, delta))
     else:
         lam_hat = np.zeros_like(u)
@@ -356,12 +352,8 @@ def kkt_residual(control: ControlPath, problem: Problem, multipliers: dict | Non
     r = gf + lam_hat
     upper_active = u >= ub - tol_b
     lower_active = u <= ua + tol_b
-    if multipliers and "lambda_plus" in multipliers:
-        lam_p = np.asarray(multipliers["lambda_plus"], dtype=float)
-        lam_m = np.asarray(multipliers["lambda_minus"], dtype=float)
-    else:
-        lam_p = np.where(upper_active, np.maximum(-r, 0.0), 0.0)
-        lam_m = np.where(lower_active & ~upper_active, np.maximum(r, 0.0), 0.0)
+    lam_p = np.where(upper_active, np.maximum(-r, 0.0), 0.0)
+    lam_m = np.where(lower_active & ~upper_active, np.maximum(r, 0.0), 0.0)
 
     stationarity = float(np.abs(r + lam_p - lam_m).max())
     complement_upper = float(np.abs(lam_p * (ub - u)).max())
@@ -460,7 +452,7 @@ def _potential_norm_time_integral(problem: Problem, pot, samples: int = 16) -> f
     return float(np.trapezoid(np.asarray(vals), x=ts))
 
 
-def smallness_certificate(problem: Problem, C_universal: float = 1.0, horizon: float | None = None) -> ProbeReport:
+def smallness_certificate(problem: Problem, C_universal: float = 1.0) -> ProbeReport:
     """Evaluate the uniqueness smallness constant from its closed formula
     with discrete norms of the data, and report the ratio K T / gamma with
     the pass threshold 2.
@@ -469,13 +461,13 @@ def smallness_certificate(problem: Problem, C_universal: float = 1.0, horizon: f
     the caller supplies it (default 1), so the certificate is indicative
     rather than a proof.
     """
-    T = problem.timegrid.T if horizon is None else float(horizon)
+    T = problem.timegrid.T
     grad_a0_l1 = T * sum(problem.a0.derivative_sup(problem.grid, o) for o in (1, 2, 3))
     bound_term = T * problem.bounds.max_radius()
     data_term = weighted_sobolev_norm(problem.rho0, 2, 2)
     if problem.source is not None:  # constant in time
         source = ScalarField(problem.grid, problem.source)
-        data_term += problem.timegrid.T * weighted_sobolev_norm(source, 2, 2)
+        data_term += T * weighted_sobolev_norm(source, 2, 2)
     phi_norm = 0.0
     if not problem.cost.phi.is_zero:
         phi_norm = weighted_sobolev_norm(

@@ -424,3 +424,22 @@ def test_2d_confining_certificate():
     cert = adjoint_energy_certificate(traj, drift, cost, C_cert=2.0)
     assert cert.k == -confining_weight_index(2) == -4
     assert cert.passed
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("stride", [1, 8])
+def test_l2_history_is_the_per_node_sum_of_squares(dim, stride):
+    # the L2 norm read from the checkpoints has the bits of each node's own
+    # sum of squares
+    if dim == 1:
+        g, tg = setup(n=64, nt=32)
+        drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.4], [0.1]))
+        cost = CostSpec(gamma=1.0, theta=Potential("gaussian-well"), phi=Potential("gaussian-well"))
+    else:
+        g, tg = make_grid(2, (-6, -6), (6, 6), (24, 24)), make_timegrid(0.5, 20)
+        drift = DriftSpec(DriftPreset("rotation", {"omega": 1.0}), ControlPath.constant(tg, [0.1, -0.2], [0.0, 0.1]))
+        cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
+    traj = solve_adjoint(cost, drift, tg, g, stride=stride)
+    l2, vol = traj.norm_history(0, 0), g.cell_volume
+    for n, q in traj.dense_values():
+        assert bits_equal(l2[n], math.sqrt(float((q * q).sum() * vol)))

@@ -8,6 +8,7 @@ import pytest
 from liouville_control import SchemaError, sample_function
 from liouville_control.cli import COMMANDS, load_scenario, parse_config, run_command, scenario_path
 from liouville_control.fileio import read_control_csv
+from liouville_control.forward import Checkpoints
 
 
 MINIMAL = {
@@ -484,6 +485,26 @@ def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
     assert csv.splitlines()[0] == "t,l2"
     assert "adjoint_certificate" not in out["certify"][0]
     assert out["forward"][1].splitlines()[0] == "t,mass,min,l2,h0k2"
+
+
+@pytest.mark.parametrize("potential, passes", [
+    ("gaussian-well", {"forward": 1, "adjoint": 1, "certify": 5}),
+    ("quadratic", {"forward": 1, "adjoint": 1, "certify": 6}),
+])
+def test_dense_passes_per_command(tmp_path, monkeypatch, potential, passes):
+    # a summary reads all its columns in one pass over the nodes; certify adds
+    # one per energy certificate and, with confining potentials, the adjoint's
+    dense_values, calls = Checkpoints.dense_values, []
+    monkeypatch.setattr(Checkpoints, "dense_values", lambda self: calls.append(self) or dense_values(self))
+    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, output={"stride": 4},
+               cost={"theta": potential, "phi": potential})
+    cfgp = write_config(tmp_path, cfg)
+    counts = {}
+    for command in passes:
+        del calls[:]
+        assert run_command([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
+        counts[command] = len(calls)
+    assert counts == passes
 
 
 def test_all_scenarios_parse_and_match_commands():

@@ -27,7 +27,8 @@ from liouville_control import (
     solve_forward,
     solve_linearized,
 )
-from liouville_control.forward import _Faces, _Stepper, _Sweep, _face_points, required_substeps
+import liouville_control.forward as forward_module
+from liouville_control.forward import _Faces, _NodeBlock, _Stepper, _Sweep, _face_points, required_substeps
 from liouville_control.grid import _block_nodes
 from test_controls import DRIFT_CASES
 
@@ -63,7 +64,7 @@ def test_positivity_upwind():
     g, tg, rho0 = gaussian_setup(n=256, nt=256)
     src = sample_function(g, "gaussian", {"x0": 1.0, "v0": 0.3}).values * 0.1
     traj = solve_forward(rho0, drift_const(tg, 0.5, 0.3), src, tg, scheme="upwind-fv")
-    assert traj.min_value.min() >= -1e-14
+    assert traj.history(min=np.min)["min"].min() >= -1e-14
 
 
 def test_translation_tracks_moment_ode():
@@ -162,9 +163,10 @@ def test_energy_certificate_exact_decay():
     exact = None
     for scheme, tol in (("muscl-fv", 5e-3), ("upwind-fv", 2e-2)):
         traj = solve_forward(rho0, drift, None, tg, scheme=scheme)
-        exact = traj.l2[0] * math.exp(-c * tg.T / 2.0)
-        assert traj.l2[-1] == pytest.approx(exact, rel=tol)
-        assert traj.l2[-1] <= exact * (1.0 + 5e-3)
+        l2 = traj.norm_history(0, 0)
+        exact = l2[0] * math.exp(-c * tg.T / 2.0)
+        assert l2[-1] == pytest.approx(exact, rel=tol)
+        assert l2[-1] <= exact * (1.0 + 5e-3)
         cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.5)
         assert cert.passed
 
@@ -263,7 +265,7 @@ def test_two_dimensional_rotation_mean():
     rho0 = sample_function(g, "gaussian", {"x0": (1.0, -0.5), "v0": 0.3})
     drift = DriftSpec(DriftPreset("rotation", {"omega": 1.0}), ControlPath.zeros(tg, 2))
     traj = solve_forward(rho0, drift, None, tg, scheme="upwind-fv")
-    assert traj.min_value.min() >= -1e-14
+    assert traj.history(min=np.min)["min"].min() >= -1e-14
     # flux-form identity exact; the tiny absolute drift is diffusion-fed tail
     # mass crossing the boundary, not a conservation defect
     resid = np.abs(traj.mass - traj.mass[0] + traj.boundary_outflux - traj.source_mass)
@@ -610,7 +612,7 @@ def test_mass_that_overflows_is_not_a_non_finite_value():
     assert np.isinf(traj.mass).all() and np.array_equal(traj.values_at(tg.nt), big)
 
 
-# --- per-node diagnostics reduced over blocks of nodes ----------------------
+# --- per-node values from blocks of nodes and from the checkpoints ----------
 
 
 DIAGNOSTIC_CASES = [
@@ -625,9 +627,9 @@ DIAGNOSTIC_CASES = [
 
 @pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=["1d-ragged", "2d-ragged", "one-block", "no-theta"])
 @pytest.mark.parametrize("stride", [1, 7])
-def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride):
+def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride, monkeypatch):
     tg = make_timegrid(1.0, nt)
-    size = _block_nodes((1 if theta.is_zero else 2) * g.num_cells)
+    size = _block_nodes(2 * g.num_cells)
     if g.num_cells == 64:
         assert size > nt + 1
     else:
@@ -635,14 +637,25 @@ def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride)
     x0 = 0.3 if g.dim == 1 else [0.5, -0.3]
     rho0 = sample_function(g, "gaussian", {"x0": x0, "v0": 0.4})
     drift = DriftSpec(DriftPreset("zero"), varying_control(tg, g.dim, scale=0.5))
-    # a solve given no theta has no running cost
+    blocks = []
+
+    class CountedBlock(_NodeBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            blocks.append(self)
+
+    monkeypatch.setattr(forward_module, "_NodeBlock", CountedBlock)
+    # a solve given no theta has no running cost and makes no block
     traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", stride=stride,
                          theta=None if theta.is_zero else theta)
+    assert [b.size for b in blocks] == ([] if theta.is_zero else [size])
+    # the minimum and the L2 norm come from the checkpoints
+    hist = traj.history(min=np.min, l2=traj.norm(0, 0))
     vol, pts = g.cell_volume, g.cell_centers()
     for n, vals in traj.dense_values():
         th = potential_eval(theta, pts, n * tg.dt).reshape(g.shape)
         assert bits_equal(traj.mass[n], vals.sum() * vol)
-        assert bits_equal(traj.min_value[n], vals.min())
-        assert bits_equal(traj.l2[n], math.sqrt(float((vals * vals).sum() * vol)))
+        assert bits_equal(hist["min"][n], vals.min())
+        assert bits_equal(hist["l2"][n], math.sqrt(float((vals * vals).sum() * vol)))
         assert bits_equal(traj.running[n], float((th * vals).sum() * vol))
     assert np.all(traj.running == 0.0) == theta.is_zero

@@ -408,18 +408,6 @@ def test_kkt_active_upper_bound():
     assert kkt.stationarity < 1e-6
 
 
-def test_kkt_accepts_supplied_multipliers():
-    prob = build_problem(gamma=1.0, delta=0.5)
-    u = ControlPath.zeros(prob.timegrid, 1)
-    grad = reduced_gradient(u, prob)
-    nn = prob.timegrid.nt + 1
-    lam = {"lambda_hat": np.full((nn, 2), 0.7), "lambda_plus": np.zeros((nn, 2)),
-           "lambda_minus": np.zeros((nn, 2))}
-    res = kkt_residual(u, prob, multipliers=lam, gradient=grad)
-    assert res.sign_consistency == pytest.approx(0.2, abs=1e-14)  # |0.7| - 0.5 on the zero set
-    assert res.stationarity == pytest.approx(0.7, abs=1e-14)
-
-
 def test_frechet_probe_zero_direction():
     prob = build_problem(n=64, nt=32)
     u = ControlPath.constant(prob.timegrid, [0.2], [0.1])
@@ -462,7 +450,9 @@ def test_smallness_certificate_limits():
     rep = smallness_certificate(prob, C_universal=1.0)
     assert rep.passed
     assert rep.smallness_ratio < 1e-3
-    rep0 = smallness_certificate(prob, C_universal=1.0, horizon=0.0)
+    # zero potentials: no potential term, so K = 0
+    rep0 = smallness_certificate(build_problem(), C_universal=1.0)
+    assert rep0.smallness_K == 0.0
     assert rep0.smallness_ratio == 0.0
     assert rep0.degenerate
     small = build_problem(gamma=0.01, theta=theta, phi=Potential("gaussian-well"))

@@ -1,12 +1,12 @@
 """Fingerprint every output of the ``liouctl`` commands on the shipped scenarios.
 
-Runs forward, adjoint, cost, grad, grad-check, certify, oracle-compare and
-optimize on each shipped scenario, and on the variants in ``VARIANTS``, at
-``output.stride`` 1 and 8, each run in a fresh process, and writes one JSON
-record per run: its exit code, its stderr and the sha256 of every file in its
-output directory.  A refactor that must not change any output is checked by
-fingerprinting the source trees before and after it and comparing the two
-records:
+Runs forward, adjoint, cost, grad, grad-check, certify, oracle-compare,
+optimize and multistart on each shipped scenario, and on the variants in
+``VARIANTS``, at ``output.stride`` 1 and 8, each run in a fresh process, and
+writes one JSON record per run: its exit code, its stderr and the sha256 of
+every file in its output directory.  A refactor that must not change any
+output is checked by fingerprinting the source trees before and after it and
+comparing the two records:
 
     python tools/output_hashes.py --src /path/to/before/src --out before.json
     python tools/output_hashes.py --out after.json        # this checkout's src
@@ -29,7 +29,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-COMMANDS = ("forward", "adjoint", "cost", "grad", "grad-check", "certify", "oracle-compare", "optimize")
+COMMANDS = ("forward", "adjoint", "cost", "grad", "grad-check", "certify", "oracle-compare", "optimize", "multistart")
 STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
