@@ -435,12 +435,17 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
     u = cfg.control
     drift = prob.drift_for(u)
     traj = prob.solve_forward_for(u)
-    summary = fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
+    # the summary's pass also gives the certificates' norms: its l2 is
+    # H^0_0 and its h0k2 is H^0_2
+    summary = fileio.write_trajectory_summary(
+        traj, os.path.join(out_dir, "trajectory_summary.csv"), h1k0=traj.norm(1, 0), h1k2=traj.norm(1, 2)
+    )
+    norms = {(0, 0): "l2", (0, 2): "h0k2", (1, 0): "h1k0", (1, 2): "h1k2"}
     certs = {}
     all_pass = True
     for m in (0, 1):
         for k in (0, 2):
-            cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=cfg.C_cert)
+            cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=cfg.C_cert, norms=summary[norms[m, k]])
             certs[f"m{m}k{k}"] = {
                 "fitted_C": cert.fitted_C if math.isfinite(cert.fitted_C) else None,
                 "C_cert": cert.C_cert,

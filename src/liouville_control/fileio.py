@@ -97,11 +97,12 @@ def _write_node_table(path: str, timegrid: TimeGrid, columns: dict) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_trajectory_summary(traj: StateTrajectory, path: str) -> dict:
+def write_trajectory_summary(traj: StateTrajectory, path: str, **more) -> dict:
     """Per-node ``t,mass,min,l2,h0k2`` (the weighted H^0_2 norm), all but the
-    mass from one pass over the checkpoints; returns the columns."""
-    columns = {"mass": traj.mass, **traj.history(min=np.min, l2=traj.norm(0, 0), h0k2=traj.norm(0, 2))}
-    _write_node_table(path, traj.timegrid, columns)
+    mass from one pass over the checkpoints, which also computes the named
+    per-node functions ``more`` (not written); returns all the columns."""
+    columns = {"mass": traj.mass, **traj.history(min=np.min, l2=traj.norm(0, 0), h0k2=traj.norm(0, 2), **more)}
+    _write_node_table(path, traj.timegrid, {name: columns[name] for name in ("mass", "min", "l2", "h0k2")})
     return columns
 
 

@@ -28,6 +28,17 @@ its own face speeds) of a block of the sweep's table rows, about
 and one workspace of arrays into which each stage writes its face states,
 fluxes and divergences.
 
+A sweep may advance K densities that share one substep plan, each under
+its own control (``solve_forward_batch``): every field has a member axis
+after its first axis, trailing in 1D, so each elementwise pass of a stage
+runs over all K at once, and a single solve keeps its cells-only arrays
+(member shape ()).  After axis 0, the member axis keeps the inner loops of
+every axis-first view longer than K; for the same reason each member's face
+speeds are formed on their own and split into the member's column of the
+tables.  Elementwise ufuncs give the same bits in any layout; sums do not,
+so each per-member sum runs over that member's contiguous row.  A member's
+checkpoint replay runs alone, under its own control.
+
 Schemes (``SCHEMES`` gives each one's stages per substep, run by one stage
 loop): first-order upwind (monotone, the default), one forward Euler stage,
 and a minmod-limited MUSCL variant for accuracy studies, two stages of SSP
@@ -53,6 +64,7 @@ the objective does not depend on the stride.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 from typing import Callable
 
@@ -68,6 +80,7 @@ __all__ = [
     "StateTrajectory",
     "EnergyCertificate",
     "solve_forward",
+    "solve_forward_batch",
     "solve_linearized",
     "boundary_leak",
     "energy_certificate",
@@ -175,23 +188,37 @@ def _column(u: np.ndarray, ax: int, like: np.ndarray) -> np.ndarray:
     return u[..., ax].reshape(u.shape[:-1] + (1,) * like.ndim)
 
 
+def _member_first(values: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a batch's values with the member axis first, so
+    each member's field is a contiguous row."""
+    return np.ascontiguousarray(values.swapaxes(0, 1))
+
+
 class _Stepper:
     """The constants of one solve: grid, drift, the source and its mass per
     unit time, the scheme and its stages per substep, a0 and x at the faces
     of each axis (stored with that axis first), and the control table that
-    ``look_up`` fills.  A sweep over the table is a ``_Sweep``."""
+    ``look_up`` fills.  A sweep over the table is a ``_Sweep``.
+
+    The member shape is () for a drift of one control path and (K,) for a
+    ``ControlBatch`` of K: every field of a sweep then has the member axis
+    after its first axis (``with_members``), trailing in 1D, and the source
+    broadcasts over it.  ``axis_of`` gives the array axis of each grid axis.
+    A batch takes no tangent."""
 
     def __init__(self, grid, drift, source, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
         self.grid = grid
         self.drift = drift
-        self.source = source
+        self.members = drift.control.u1.shape[1:-1]
+        self.axis_of = [0] + [ax + len(self.members) for ax in range(1, grid.dim)]
+        self.source = None if source is None else source.reshape(self.with_members(source.shape, 1))
         self.source_rate = 0.0 if source is None else float(source.sum() * grid.cell_volume)
         self.scheme = scheme
         self.stages = SCHEMES[scheme]
         self.tangent_control = tangent_control
-        self.controls = self.deltas = None  # (u1, u2) and (du1, du2) tables, see look_up
+        self.times = self.controls = self.deltas = None  # the (u1, u2) and (du1, du2) tables, see look_up
         self.h = grid.h
         self.transverse = [grid.cell_volume / h for h in self.h]
         self.a0_faces, self.x_faces = [], []
@@ -201,23 +228,49 @@ class _Stepper:
             self.a0_faces.append(np.ascontiguousarray(np.swapaxes(a0, 0, ax)))
             self.x_faces.append(np.ascontiguousarray(np.swapaxes(pts[..., ax], 0, ax)))
         # a block's float tables (a+ and a-, and the tangent's face speeds)
-        # hold about _BLOCK_POINTS values in all
+        # hold about _BLOCK_POINTS values per member in all
         tables = 2 if tangent_control is None else 3
         self._rows = _block_nodes(tables * sum(a0.size for a0 in self.a0_faces))
+
+    def with_members(self, shape: tuple, size=None) -> tuple:
+        """``shape`` with the member axis after its first axis (of length
+        ``size``, else K): after axis 0, every axis-first view of a field
+        keeps its inner axes longer than K."""
+        members = self.members if size is None else (size,) * len(self.members)
+        return shape[:1] + members + shape[1:]
 
     def look_up(self, times: np.ndarray) -> None:
         """Tabulate the control, and the tangent control if any, at every
         time of ``times`` in one pass; row k serves stage k."""
+        self.times = times
         self.controls = self.drift.control.value_at(times)
         if self.tangent_control is not None:
             self.deltas = self.tangent_control.value_at(times)
 
+    @functools.cached_property
+    def alone(self) -> list["_Stepper"]:
+        """Each member of a batch as a stepper of its own (member shape ()),
+        under its own control path, looked up at the same times, made at
+        first use: a member's replay runs on it, and a batch sweep splits
+        each member's face speeds from it."""
+        source = None if self.source is None else self.source.reshape(self.grid.shape)
+        steppers = [_Stepper(self.grid, DriftSpec(self.drift.a0, path), source, self.scheme)
+                    for path in self.drift.control.paths]
+        for own in steppers:
+            own.look_up(self.times)
+        return steppers
+
     def face_speeds(self, rows, out=None) -> list[np.ndarray]:
         """a_axis at the faces of each axis, axis first, at table row(s)
         ``rows`` (an index or a slice, which leads with a row axis), summed
-        in eval_drift's order: (a0 + u1) + x * u2.  ``out`` holds per axis
-        the array for a and one for x * u2, or None to allocate them."""
+        in eval_drift's order: (a0 + u1) + x * u2.  A batch's lead with the
+        member axis, so every pass runs along the faces (broadcast over the
+        member axis, numpy's inner loops would take K values at a time).
+        ``out`` holds per axis the array for a and one for x * u2, or None
+        to allocate them."""
         u1, u2 = self.controls[0][rows], self.controls[1][rows]
+        if self.members:
+            u1, u2 = np.moveaxis(u1, -2, 0), np.moveaxis(u2, -2, 0)
         speeds = []
         for ax, (a0, x, (a, xu2)) in enumerate(zip(self.a0_faces, self.x_faces, out or [(None, None)] * len(self.h))):
             a = np.add(a0, _column(u1, ax, a0), out=a)
@@ -243,23 +296,27 @@ class _Sweep:
     end_row at the latest."""
 
     def __init__(self, stepper: _Stepper, first_row: int, end_row: int):
-        shape, scheme, tangent = stepper.grid.shape, stepper.scheme, stepper.tangent_control is not None
+        grid_shape, members = stepper.grid.shape, stepper.members
+        shape, scheme, tangent = stepper.with_members(grid_shape), stepper.scheme, stepper.tangent_control is not None
         self.stepper, self.end_row = stepper, end_row
         self.axes = []
-        for ax in range(len(shape)):
-            cells = list(shape)
+        for ax in range(len(grid_shape)):
+            cells = list(grid_shape)
             cells[0], cells[ax] = cells[ax], cells[0]
-            self.axes.append(_Axis(tuple(cells), scheme, tangent))
+            self.axes.append(_Axis(stepper.with_members(tuple(cells)), scheme, tangent))
         stages = range(stepper.stages)
         self.div = [np.empty(shape) for _ in stages]
         self.div_w = [np.empty(shape) if tangent else None for _ in stages]
         self.stage = np.empty(shape)
         self.stage_w = np.empty(shape) if tangent else None
-        self._tables = []
+        self._tables, self._speeds = [], []
+        rows = min(stepper._rows, end_row - first_row)
         for a0 in stepper.a0_faces:
-            block = (min(stepper._rows, end_row - first_row),) + a0.shape
+            block = (rows,) + stepper.with_members(a0.shape)
             mask_and_deltas = [np.empty(block, dtype=bool), np.empty(block)] if tangent else []
             self._tables.append([np.empty(block), np.empty(block)] + mask_and_deltas)
+            # a batch member's face speeds until they are split
+            self._speeds.append([np.empty((rows,) + a0.shape) for _ in "ax"] if members else None)
         self._block = (first_row, first_row, None)
 
     def splits(self, k: int) -> list[list[np.ndarray]]:
@@ -278,40 +335,50 @@ class _Sweep:
         stepper = self.stepper
         hi = min(lo + len(self._tables[0][0]), self.end_row)
         tables = [[table[: hi - lo] for table in axis] for axis in self._tables]
-        # am holds x * u2 until a is complete
-        speeds = stepper.face_speeds(slice(lo, hi), [axis[:2] for axis in tables])
         tangent = stepper.tangent_control is not None
         if tangent:
             stepper.face_speed_deltas(slice(lo, hi), [axis[3] for axis in tables])
-        for a, axis in zip(speeds, tables):
-            if tangent:
-                np.greater_equal(a, 0.0, out=axis[2])
-            np.minimum(a, 0.0, out=axis[1])
-            np.maximum(a, 0.0, out=axis[0])
+        # a single solve's am holds x * u2 until a is complete; a batch's
+        # members run one at a time, each split into its column
+        out = [axis[:2] if speeds is None else [v[: hi - lo] for v in speeds]
+               for axis, speeds in zip(tables, self._speeds)]
+        for m, own in enumerate(stepper.alone if stepper.members else [stepper]):
+            column = (slice(None), slice(None), m) if stepper.members else (...,)
+            for a, axis in zip(own.face_speeds(slice(lo, hi), out), tables):
+                if tangent:
+                    np.greater_equal(a, 0.0, out=axis[2])
+                np.minimum(a, 0.0, out=axis[1][column])
+                np.maximum(a, 0.0, out=axis[0][column])
         return lo, hi, tables
 
-    def divergence(self, k, values, div, w_values=None, div_w=None) -> float:
+    def divergence(self, k, values, div, w_values=None, div_w=None):
         """Flux divergence of values (and of the tangent pair, if any) at
         table row k, written into div (and div_w); returns the boundary mass
-        outflow rate.  Each axis works on axis-first views; ``swapaxes`` is a
-        no-op view on axis 0."""
+        outflow rate, a float or one per member.  Each axis works on
+        axis-first views; ``swapaxes`` is a no-op view on axis 0."""
         h, transverse = self.stepper.h, self.stepper.transverse
         out_rate = 0.0
-        for ax, (axis, (ap, am, *tangent)) in enumerate(zip(self.axes, self.splits(k))):
+        for ax, (first, axis, (ap, am, *tangent)) in enumerate(zip(self.stepper.axis_of, self.axes, self.splits(k))):
             faces = axis.faces
-            faces.fill(values.swapaxes(0, ax))
+            faces.fill(values.swapaxes(0, first))
             F = axis.flux(ap, faces.left, am, faces.right)
-            axis.add_difference(h[ax], div.swapaxes(0, ax), ax == 0)
+            axis.add_difference(h[ax], div.swapaxes(0, first), ax == 0)
             if F.ndim == 1:
                 # sum() of a numpy scalar would add it to +0.0, which changes
                 # only the sign of a zero; out_rate starts at 0.0 and erases it
                 out_rate += (F.item(-1) - F.item(0)) * transverse[ax]
-            else:
+            elif not self.stepper.members:
                 out_rate += float((F[-1].sum() - F[0].sum()) * transverse[ax])
+            elif F.ndim == 2:
+                # a 1D batch: one end face per member
+                out_rate += (F[-1] - F[0]) * transverse[ax]
+            else:
+                # each member's sum over its contiguous row of end faces
+                out_rate += (_row_sums(F[-1]) - _row_sums(F[0])) * transverse[ax]
             if w_values is not None:
-                axis.w_faces.fill(w_values.swapaxes(0, ax))
+                axis.w_faces.fill(w_values.swapaxes(0, first))
                 axis.tangent_flux(ap, am, *tangent)
-                axis.add_difference(h[ax], div_w.swapaxes(0, ax), ax == 0)
+                axis.add_difference(h[ax], div_w.swapaxes(0, first), ax == 0)
         return out_rate
 
     def advance(self, values, dt, k, w_values=None):
@@ -437,47 +504,58 @@ class StateTrajectory(Checkpoints):
     cfl: float
 
 
-def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl: float) -> list[int]:
+def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl: float) -> list:
     """Per-step substep counts from the Courant number at the step ends:
     at each node, the sum over axes of max |a_axis| / h_axis, read from the
-    face speeds of a block of nodes at a time.  The scheme does not enter."""
+    face speeds of a block of nodes at a time.  The scheme does not enter.
+    For a drift over a ``ControlBatch``, one plan per member, from the same
+    table pass."""
     stepper = _Stepper(grid, drift, None, next(iter(SCHEMES)))
-    dt, nodes = timegrid.dt, timegrid.nt + 1
+    dt, nodes, members = timegrid.dt, timegrid.nt + 1, stepper.members
     stepper.look_up(np.arange(nodes) * dt)
-    speed = np.zeros(nodes)
+    speed = np.zeros(members + (nodes,))
     for lo in range(0, nodes, stepper._rows):
         rows = slice(lo, lo + stepper._rows)
         for a, h in zip(stepper.face_speeds(rows), grid.h):
-            speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
-    return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
+            # a's rows, member first for a batch, each a row of faces
+            rows_a = a.shape[: len(members) + 1]
+            speed[..., rows] += np.abs(a).reshape(rows_a + (-1,)).max(axis=-1) / h
+
+    def plan(speed):
+        return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
+
+    return [plan(member) for member in speed] if members else plan(speed)
 
 
 class _NodeBlock:
     """Copies of a block of consecutive nodes of a solve given a nonzero
-    theta; when the block is full, or at node nt, one row reduction fills the
-    block's entries of ``running``, with the bits of each node's own
-    ``sum()``.  The copies and the theta table hold about
-    ``grid._BLOCK_POINTS`` values in all."""
+    theta, each node's member fields (K, *grid.shape); when the block is
+    full, or at node nt, one row reduction fills the block's entries of
+    every member's ``running``, with the bits of each field's own
+    ``sum()``.  Theta is tabulated once per block for every member.  A
+    block holds the same nodes whatever K, about ``grid._BLOCK_POINTS``
+    values with theta's table for one member."""
 
-    def __init__(self, traj: StateTrajectory, theta: Potential):
-        grid, nt = traj.grid, traj.timegrid.nt
-        self.traj, self.theta = traj, theta
+    def __init__(self, trajs: list[StateTrajectory], theta: Potential):
+        grid, self.timegrid = trajs[0].grid, trajs[0].timegrid
+        self.trajs, self.theta, self.last = trajs, theta, self.timegrid.nt
         self.size = _block_nodes(2 * grid.num_cells)
-        self.nodes = np.empty((min(self.size, nt + 1), *grid.shape))
+        self.nodes = np.empty((min(self.size, self.last + 1), len(trajs), *grid.shape))
         self.centers = grid.cell_centers()
 
-    def add(self, n: int, values: np.ndarray) -> None:
+    def add(self, n: int, fields: np.ndarray) -> None:
         b = n % self.size
-        self.nodes[b] = values
-        if b == self.size - 1 or n == self.traj.timegrid.nt:
+        self.nodes[b] = fields
+        if b == self.size - 1 or n == self.last:
             self._reduce(n - b, self.nodes[: b + 1])
 
     def _reduce(self, lo: int, rows: np.ndarray) -> None:
-        traj = self.traj
-        grid, hi = traj.grid, lo + len(rows)
-        times = np.arange(lo, hi) * traj.timegrid.dt
-        theta = potential_eval(self.theta, self.centers, times).reshape((-1, *grid.shape))
-        traj.running[lo:hi] = _row_sums(theta * rows) * grid.cell_volume
+        grid, hi = self.trajs[0].grid, lo + len(rows)
+        times = np.arange(lo, hi) * self.timegrid.dt
+        theta = potential_eval(self.theta, self.centers, times).reshape((-1, 1, *grid.shape))
+        sums = _row_sums((theta * rows).reshape(-1, *grid.shape)) * grid.cell_volume
+        for traj, member_sums in zip(self.trajs, sums.reshape(len(rows), -1).T):
+            traj.running[lo:hi] = member_sums
 
 
 def _solve(
@@ -493,12 +571,15 @@ def _solve(
     tangent_control: ControlPath | None,
     theta: Potential | None = None,
 ):
+    """Returns one StateTrajectory per member of the drift's control (one
+    for a ControlPath) and the tangent's checkpoints, or None."""
     grid = rho0.grid
     if source is not None:
         source = np.asarray(source)
         if source.shape != grid.shape:
             raise InvalidGrid(f"source must be an array of the grid's shape {grid.shape}, got {source.shape}")
     stepper = _Stepper(grid, drift, source, scheme, tangent_control)
+    members = stepper.members
     dt = timegrid.dt
     nt = timegrid.nt
 
@@ -523,7 +604,7 @@ def _solve(
     t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first[:-1], plan)) * h_sub
     stepper.look_up(np.column_stack([t_sub + i * h_sub for i in range(stages)]).ravel())
 
-    def sweep(vals, start, stop, w_vals=None):
+    def sweep(stepper, vals, start, stop, w_vals=None):
         """Yield, for each step from node start to node stop, the next node,
         its tangent and the step's boundary outflow and injected source
         masses."""
@@ -537,36 +618,60 @@ def _solve(
                 src_acc += src_m
             yield vals, w_vals, out_acc, src_acc
 
-    values = rho0.values.copy()
+    def replay(k):
+        """The checkpoint sweep of member k: a batch's member replays alone,
+        under its own control."""
+        return lambda vals, start, stop: (
+            step[0] for step in sweep(stepper.alone[k] if members else stepper, vals, start, stop)
+        )
+
+    values = np.broadcast_to(rho0.values.reshape(stepper.with_members(grid.shape, 1)), stepper.with_members(grid.shape))
+    values = values.copy()
     w_values = np.zeros_like(values) if tangent_control is not None else None
     vol = grid.cell_volume
 
-    traj = StateTrajectory(
-        timegrid, grid, stride, lambda vals, start, stop: (step[0] for step in sweep(vals, start, stop)),
-        mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan, source_mass=np.zeros(nt + 1),
-        boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
-    )
+    trajs = [
+        StateTrajectory(
+            timegrid, grid, stride, replay(k), mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan,
+            source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
+        )
+        for k in range(math.prod(members))
+    ]
     w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
-    block = None if theta is None or theta.is_zero else _NodeBlock(traj, theta)
+    block = None if theta is None or theta.is_zero else _NodeBlock(trajs, theta)
 
-    def record(n, vals, w_vals, total):
+    def record_member(traj, n, field, out_m, src_m):
+        total = field.sum()
+        # a finite sum proves every value finite
+        if not math.isfinite(total) and not np.all(np.isfinite(field)):
+            raise NonFinite(f"solution lost finiteness at step {n}")
         traj.mass[n] = total * vol
+        if n:
+            traj.source_mass[n] = traj.source_mass[n - 1] + src_m
+            traj.boundary_outflux[n] = traj.boundary_outflux[n - 1] + out_m
+        traj.keep(n, field)
+
+    def record(n, vals, w_vals, out_m, src_m):
+        """Record node n of every member from the values and the step's
+        outflow (one per member for a batch) and source masses."""
+        if members:
+            # each member's field is a contiguous row of a member-first
+            # copy, so its sum() has the bits of the member's own solve's
+            fields = _member_first(vals)
+            for traj, field, out_k in zip(trajs, fields, out_m):
+                record_member(traj, n, field, out_k, src_m)
+        else:
+            fields = vals[None]
+            record_member(trajs[0], n, vals, out_m, src_m)
         if block is not None:
-            block.add(n, vals)
-        traj.keep(n, vals)
+            block.add(n, fields)
         if w_traj is not None:
             w_traj.keep(n, w_vals)
 
-    record(0, values, w_values, values.sum())
-    for n, (values, w_values, out_m, src_m) in enumerate(sweep(values, 0, nt, w_values), 1):
-        total = values.sum()
-        # a finite sum proves every value finite
-        if not math.isfinite(total) and not np.all(np.isfinite(values)):
-            raise NonFinite(f"solution lost finiteness at step {n}")
-        record(n, values, w_values, total)
-        traj.source_mass[n] = traj.source_mass[n - 1] + src_m
-        traj.boundary_outflux[n] = traj.boundary_outflux[n - 1] + out_m
-    return traj if w_traj is None else (traj, w_traj)
+    record(0, values, w_values, np.zeros(members), 0.0)
+    for n, (values, w_values, out_m, src_m) in enumerate(sweep(stepper, values, 0, nt, w_values), 1):
+        record(n, values, w_values, out_m, src_m)
+    return trajs, w_traj
 
 
 def solve_forward(
@@ -589,10 +694,34 @@ def solve_forward(
     a running potential ``theta``, the trajectory's ``running`` holds int
     theta rho dx at every node.
     """
-    return _solve(
+    trajs, _ = _solve(
         rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=None, theta=theta,
     )
+    return trajs[0]
+
+
+def solve_forward_batch(
+    rho0: ScalarField,
+    drift: DriftSpec,
+    source,
+    timegrid: TimeGrid,
+    fixed_substeps,
+    scheme: str = "upwind-fv",
+    cfl: float = 0.9,
+    stride: int = 1,
+    max_substeps: int = 4096,
+    theta: Potential | None = None,
+) -> list[StateTrajectory]:
+    """``solve_forward`` from one rho0 under each member of a drift over a
+    ``ControlBatch``, all at the substep plan ``fixed_substeps``, in one
+    sweep along a trailing member axis; one trajectory per member, each
+    with the bits of that member's own solve at that plan."""
+    trajs, _ = _solve(
+        rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        tangent_control=None, theta=theta,
+    )
+    return trajs
 
 
 def solve_linearized(
@@ -613,10 +742,11 @@ def solve_linearized(
 
     Returns (state trajectory, tangent checkpoints) with matched substeps.
     """
-    return _solve(
+    trajs, w_traj = _solve(
         rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=delta_control,
     )
+    return trajs[0], w_traj
 
 
 def boundary_leak(trajectory: StateTrajectory) -> float:
@@ -661,19 +791,22 @@ def energy_certificate(
     m: int,
     k: int,
     C_cert: float = 2.0,
+    norms: np.ndarray | None = None,
 ) -> EnergyCertificate:
     """Certify the weighted-norm growth of a stored run.
 
     For m = 0 the drift factor is the sup of |div a|; for m >= 1 it is the
     discrete C^m_b norm of grad a.  ``source`` is the solve's: None or cell
-    values constant in time, so its norm is the same at every step.  The
+    values constant in time, so its norm is the same at every step.
+    ``norms`` is the run's H^m_k norm at nodes 0..nt when a pass over the
+    checkpoints already computed it, else None for a pass of its own.  The
     smallest feasible constant is reported alongside the pass flag at the
     configured C_cert.
     """
     grid = trajectory.grid
     tg = trajectory.timegrid
     dt = tg.dt
-    N = trajectory.norm_history(m, k)
+    N = trajectory.norm_history(m, k) if norms is None else norms
     r = np.zeros(tg.nt)
     for n in range(tg.nt):
         t = n * dt

@@ -47,9 +47,9 @@ class GridSpec:
     """Uniform cell-centered tensor grid on a box, d in {1, 2}.
 
     Cell centers sit at ``lo + (i + 1/2) h`` per axis; ``values`` arrays are
-    row-major over axes (C order).  ``h``, ``num_cells`` and ``cell_volume``
-    are computed once per grid; ``==``, ``hash``, ``asdict`` and ``replace``
-    read the fields only.
+    row-major over axes (C order).  ``h``, ``num_cells``, ``cell_volume`` and
+    each norm weight (``weight``) are computed once per grid; ``==``,
+    ``hash``, ``asdict`` and ``replace`` read the fields only.
     """
 
     dim: int
@@ -92,6 +92,26 @@ class GridSpec:
         """|x| at every cell center, shaped like a field."""
         mesh = self.meshgrid()
         return np.sqrt(sum(m * m for m in mesh))
+
+    @cached_property
+    def _weights(self) -> dict:
+        return {}
+
+    def weight(self, k: int) -> np.ndarray:
+        """The weight of the H^m_k norms at every cell center, read-only and
+        computed once per k: 1 for k = 0, 1 + |x|^k for k > 0 and
+        (1 + |x|)^k for k < 0."""
+        w = self._weights.get(k)
+        if w is None:
+            if k == 0:
+                w = np.ones(self.shape)
+            elif k > 0:
+                w = 1.0 + self.radius() ** k
+            else:
+                w = (1.0 + self.radius()) ** float(k)
+            w.flags.writeable = False
+            self._weights[k] = w
+        return w
 
 
 def is_count(value) -> bool:
@@ -302,15 +322,6 @@ def integrate(field: ScalarField) -> float:
     return float(field.values.sum() * field.grid.cell_volume)
 
 
-def _weight_values(grid: GridSpec, k: int) -> np.ndarray:
-    if k == 0:
-        return np.ones(grid.shape)
-    r = grid.radius()
-    if k > 0:
-        return 1.0 + r**k
-    return (1.0 + r) ** float(k)
-
-
 def _derivative_multiindices(dim: int, m: int) -> list[tuple[int, ...]]:
     # derivative orders per axis, all |alpha| <= m
     out = []
@@ -338,7 +349,7 @@ def weighted_sobolev_norm(field: ScalarField, m: int, k: int) -> float:
     """
     if m < 0 or m > 2:
         raise UnsupportedOrder(f"supported derivative orders are 0..2, got {m}")
-    w = _weight_values(field.grid, int(k))
+    w = field.grid.weight(int(k))
     vol = field.grid.cell_volume
     total = 0.0
     for alpha in _derivative_multiindices(field.grid.dim, m):

@@ -36,6 +36,7 @@ import numpy as np
 from .adjoint import sample_potential, solve_adjoint
 from .controls import (
     BoxBounds,
+    ControlBatch,
     ControlPath,
     CostSpec,
     DriftPreset,
@@ -45,7 +46,14 @@ from .controls import (
     project_box,
 )
 from .errors import GridMismatch, NotApplicable
-from .forward import Checkpoints, StateTrajectory, required_substeps, solve_forward, solve_linearized
+from .forward import (
+    Checkpoints,
+    StateTrajectory,
+    required_substeps,
+    solve_forward,
+    solve_forward_batch,
+    solve_linearized,
+)
 from .grid import (
     GridSpec,
     ScalarField,
@@ -166,7 +174,7 @@ class Problem:
     def control_dim(self) -> int:
         return self.grid.dim
 
-    def drift_for(self, control: ControlPath) -> DriftSpec:
+    def drift_for(self, control: ControlPath | ControlBatch) -> DriftSpec:
         return DriftSpec(self.a0, control)
 
     def solve_forward_for(self, control: ControlPath, fixed_substeps=None) -> StateTrajectory:
@@ -176,23 +184,57 @@ class Problem:
         key = control.stacked().tobytes() if fixed_substeps is None else None
         if key in cache:
             return cache[key]
-        traj = solve_forward(
-            self.rho0,
-            self.drift_for(control),
-            self.source,
-            self.timegrid,
-            scheme=self.scheme,
-            cfl=self.cfl,
-            stride=self.stride,
-            max_substeps=self.max_substeps,
-            fixed_substeps=fixed_substeps,
-            theta=self.cost.theta,
-        )
+        (traj,) = self._solve([control], fixed_substeps)
         if key is not None:
-            if len(cache) >= 4:
-                cache.pop(next(iter(cache)))
-            cache[key] = traj
+            self._remember(key, traj)
         return traj
+
+    def _solve(self, controls, fixed_substeps) -> list[StateTrajectory]:
+        """The forward solves of the controls at the plan ``fixed_substeps``
+        (None: the natural plan, for one control), with the running cost:
+        one control alone, more in one sweep."""
+        options = dict(scheme=self.scheme, cfl=self.cfl, stride=self.stride, max_substeps=self.max_substeps,
+                       theta=self.cost.theta)
+        if len(controls) == 1:
+            drift = self.drift_for(controls[0])
+            return [solve_forward(self.rho0, drift, self.source, self.timegrid, fixed_substeps=fixed_substeps, **options)]
+        drift = self.drift_for(ControlBatch(controls))
+        return solve_forward_batch(self.rho0, drift, self.source, self.timegrid, fixed_substeps, **options)
+
+    def _remember(self, key: bytes, traj: StateTrajectory) -> None:
+        cache = self._fwd_cache
+        if len(cache) >= 4:
+            cache.pop(next(iter(cache)))
+        cache[key] = traj
+
+    def solve_forward_all(self, controls) -> list[StateTrajectory]:
+        """``solve_forward_for`` of each control, in order: the controls that
+        the memo lacks are grouped by their natural substep plans, found in
+        one table pass, and each group runs in one sweep at its plan and is
+        memoized."""
+        solved = dict(self._memoized(controls))
+        return [solved[i] for i in range(len(controls))]
+
+    def _memoized(self, controls):
+        """Yield (index, trajectory) per control, as solve_forward_all
+        groups them, each memoized as it is yielded."""
+        pending = {}
+        for i, control in enumerate(controls):
+            key = control.stacked().tobytes()
+            if key in self._fwd_cache:
+                yield i, self._fwd_cache[key]
+            else:
+                pending[i] = control
+        if not pending:
+            return
+        plans = required_substeps(self.grid, self.drift_for(ControlBatch(pending.values())), self.timegrid, self.cfl)
+        groups = {}
+        for i, plan in zip(pending, plans):
+            groups.setdefault(tuple(plan), []).append(i)
+        for plan, group in groups.items():
+            for i, traj in zip(group, self._solve([pending[i] for i in group], list(plan))):
+                self._remember(pending[i].stacked().tobytes(), traj)
+                yield i, traj
 
     def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
         return solve_adjoint(
@@ -201,6 +243,14 @@ class Problem:
 
     def reduced_cost(self, control: ControlPath) -> float:
         return reduced_cost(control, self)
+
+    def reduced_costs(self, controls) -> list[float]:
+        """``reduced_cost`` of each control, in order, after the forward
+        solves of ``solve_forward_all``: the controls that share a natural
+        substep plan run in one sweep.  Each cost reads its solve from the
+        memo right after it is memoized."""
+        costs = {i: reduced_cost(controls[i], self) for i, _ in self._memoized(controls)}
+        return [costs[i] for i in range(len(controls))]
 
     def descent_gradient(self, control: ControlPath) -> GradientPath:
         return reduced_gradient(control, self)
@@ -386,7 +436,7 @@ def frechet_probe(
     Solves the linearized transport problem for the derivative state, then
     fits the slope of log ||G(u + eps du) - G(u) - eps DG(u) du|| against
     log eps.  All solves share one substep plan so the discrete map stays
-    smooth across the ladder.
+    smooth across the ladder, and the ladder's solves run in one sweep.
     """
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -399,10 +449,8 @@ def frechet_probe(
         cand = ControlPath.from_stacked(tg, control.stacked() + scale * direction.stacked())
         return project_box(cand, problem.bounds)
 
-    plan = None
-    for cand in (control, control_plus(eps[0]), control_plus(-eps[0])):
-        p = required_substeps(problem.grid, problem.drift_for(cand), tg, problem.cfl)
-        plan = p if plan is None else [max(a, b) for a, b in zip(plan, p)]
+    ends = ControlBatch([control, control_plus(eps[0]), control_plus(-eps[0])])
+    plan = [max(p) for p in zip(*required_substeps(problem.grid, problem.drift_for(ends), tg, problem.cfl))]
 
     base, wtraj = solve_linearized(
         problem.rho0,
@@ -416,10 +464,21 @@ def frechet_probe(
         max_substeps=problem.max_substeps,
         fixed_substeps=plan,
     )
+    # the ladder in one sweep; like the tangent solve, it needs no running cost
+    ladder = solve_forward_batch(
+        problem.rho0,
+        problem.drift_for(ControlBatch([control_plus(e) for e in eps])),
+        problem.source,
+        tg,
+        plan,
+        scheme=problem.scheme,
+        cfl=problem.cfl,
+        stride=problem.stride,
+        max_substeps=problem.max_substeps,
+    )
     vol = problem.grid.cell_volume
     remainders = []
-    for e in eps:
-        traj_e = problem.solve_forward_for(control_plus(e), fixed_substeps=plan)
+    for e, traj_e in zip(eps, ladder):
         worst = 0.0
         for (n, rho_e), (_, rho_0), (_, w) in zip(
             traj_e.stored_items(), base.stored_items(), wtraj.stored_items()

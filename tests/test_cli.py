@@ -488,12 +488,13 @@ def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
 
 
 @pytest.mark.parametrize("potential, passes", [
-    ("gaussian-well", {"forward": 1, "adjoint": 1, "certify": 5}),
-    ("quadratic", {"forward": 1, "adjoint": 1, "certify": 6}),
+    ("gaussian-well", {"forward": 1, "adjoint": 1, "certify": 1}),
+    ("quadratic", {"forward": 1, "adjoint": 1, "certify": 2}),
 ])
 def test_dense_passes_per_command(tmp_path, monkeypatch, potential, passes):
-    # a summary reads all its columns in one pass over the nodes; certify adds
-    # one per energy certificate and, with confining potentials, the adjoint's
+    # a summary reads all its columns in one pass over the nodes; certify's
+    # energy certificates read theirs from the same pass, and with confining
+    # potentials the adjoint's certificate adds one
     dense_values, calls = Checkpoints.dense_values, []
     monkeypatch.setattr(Checkpoints, "dense_values", lambda self: calls.append(self) or dense_values(self))
     cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, output={"stride": 4},

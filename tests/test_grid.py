@@ -214,6 +214,41 @@ def test_weighted_norm_k0_is_unweighted():
     assert weighted_sobolev_norm(f, 0, 0) == pytest.approx(l2, rel=1e-13)
 
 
+def reference_weighted_norm(field, m, k):
+    """The weighted H^m_k norm with its weight built afresh on every call."""
+    grid = field.grid
+    r = np.sqrt(sum(c * c for c in grid.meshgrid()))
+    w = np.ones(grid.shape) if k == 0 else 1.0 + r**k if k > 0 else (1.0 + r) ** float(k)
+    total = 0.0
+    for alpha in ([(a,) for a in range(m + 1)] if grid.dim == 1 else
+                  [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]):
+        df = field
+        for axis, order in enumerate(alpha):
+            for _ in range(order):
+                df = partial_derivative(df, axis)
+        total += math.sqrt(float(((w * df.values) ** 2).sum() * grid.cell_volume))
+    return total
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, -8, 8, 96), make_grid(2, (-3, -2), (3, 4), (20, 18))],
+                         ids=["1d", "2d"])
+def test_norm_weights_are_cached_read_only_and_keep_the_norms_bits(grid):
+    rng = np.random.default_rng(5)
+    f = ScalarField(grid, rng.normal(size=grid.shape))
+    for m, k in [(0, 0), (1, 0), (0, 2), (1, 2), (2, 1), (0, -3), (1, -4)]:
+        norm = weighted_sobolev_norm(f, m, k)
+        assert np.float64(norm).view(np.int64) == np.float64(reference_weighted_norm(f, m, k)).view(np.int64)
+        assert weighted_sobolev_norm(f, m, k) == norm
+    for k in (0, 2, -3):
+        w = grid.weight(k)
+        assert grid.weight(k) is w and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+    # equal grids compare and hash by their fields only
+    twin = dataclasses.replace(grid)
+    assert twin == grid and hash(twin) == hash(grid) and twin.weight(2) is not grid.weight(2)
+
+
 def test_moments_of_gaussians():
     g = make_grid(1, -8, 8, 512)
     f = sample_function(g, "gaussian", {"x0": 0.0, "v0": 1.0})

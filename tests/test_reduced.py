@@ -33,7 +33,8 @@ from liouville_control import (
 )
 import liouville_control.adjoint as adjoint_module
 import liouville_control.forward as forward_module
-from liouville_control.cli import load_scenario
+import liouville_control.reduced as reduced_module
+from liouville_control.cli import load_scenario, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
 from liouville_control.reduced import assemble_integral_path
@@ -300,6 +301,69 @@ def test_replaced_problem_does_not_reuse_the_forward_memo():
     assert len(strided.solve_forward_for(u).snapshot_steps) == 64 // 8 + 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         prob.stride = 8
+
+
+def counted_solves(monkeypatch):
+    """The member count of every FV sweep, and the count of substep plan
+    passes, from here on."""
+    solves, plans = [], []
+    solve, plan = forward_module._solve, forward_module.required_substeps
+
+    def counted_solve(rho0, drift, *args, **kwargs):
+        solves.append(len(getattr(drift.control, "paths", [drift.control])))
+        return solve(rho0, drift, *args, **kwargs)
+
+    def counted_plan(*args):
+        plans.append(args[1].control)
+        return plan(*args)
+
+    monkeypatch.setattr(forward_module, "_solve", counted_solve)
+    for module in (forward_module, reduced_module):
+        monkeypatch.setattr(module, "required_substeps", counted_plan)
+    return solves, plans
+
+
+def test_controls_that_share_a_plan_are_solved_in_one_sweep(monkeypatch):
+    prob = build_problem(n=128, nt=32, theta=Potential.tracking([[0.0, 0.0], [1.0, 0.5]]),
+                         phi=Potential("gaussian-well"), scheme="muscl-fv")
+    tg = prob.timegrid
+    slow = [ControlPath.constant(tg, [u1], [0.1]) for u1 in (0.2, -0.2)]
+    fast = ControlPath.constant(tg, [1.9], [0.5])
+    controls = [slow[0], fast, slow[1]]
+    plans = [dataclasses.replace(prob).solve_forward_for(c).substeps for c in controls]
+    assert plans[0] == plans[2] != plans[1]
+    expected = [reduced_cost(c, dataclasses.replace(prob)) for c in controls]
+    solves, plan_passes = counted_solves(monkeypatch)
+    costs = prob.reduced_costs(controls)
+    # one table pass finds the plans; a sweep per plan, the pair's in one
+    assert len(plan_passes) == 1 and sorted(solves) == [1, 2]
+    assert all(bits_equal(c, e) for c, e in zip(costs, expected))
+    # each solve is memoized with the bits of its own
+    for c in controls:
+        traj = prob.solve_forward_for(c)
+        alone = dataclasses.replace(prob).solve_forward_for(c)
+        assert bits_equal(traj.snapshots[-1], alone.snapshots[-1]) and bits_equal(traj.running, alone.running)
+    assert len(solves) == 2 + len(controls)
+    # memo hits are not solved again
+    del solves[:]
+    assert prob.reduced_costs(controls) == costs and solves == []
+    # the central difference has the bits of the two separate costs
+    d = ControlPath.constant(tg, [0.5], [-0.3])
+    up, dn = (ControlPath.from_stacked(tg, slow[0].stacked() + s * 1e-4 * d.stacked()) for s in (1.0, -1.0))
+    fresh = dataclasses.replace(prob)
+    fd = (reduced_cost(up, fresh) - reduced_cost(dn, fresh)) / (2.0 * 1e-4)
+    assert bits_equal(fd_directional_derivative(prob, slow[0], d, 1e-4), fd)
+
+
+def test_grad_check_makes_four_sweeps_and_three_plan_passes(monkeypatch, tmp_path):
+    # the tangent solve, the eps ladder as one batch, the centre, and the
+    # finite-difference pair as one batch; plans for the ladder's ends, the
+    # centre and the pair
+    solves, plans = counted_solves(monkeypatch)
+    args = ["grad-check", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
+    assert run_command(args) == 0
+    assert solves == [1, 4, 1, 2]
+    assert [len(getattr(c, "paths", [c])) for c in plans] == [3, 1, 2]
 
 
 def test_assemble_rejects_grid_mismatch():
