@@ -445,7 +445,7 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
     all_pass = True
     for m in (0, 1):
         for k in (0, 2):
-            cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=cfg.C_cert, norms=summary[norms[m, k]])
+            cert = energy_certificate(traj, drift, prob.source, m, k, summary[norms[m, k]], C_cert=cfg.C_cert)
             certs[f"m{m}k{k}"] = {
                 "fitted_C": cert.fitted_C if math.isfinite(cert.fitted_C) else None,
                 "C_cert": cert.C_cert,

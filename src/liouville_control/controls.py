@@ -19,7 +19,6 @@ from .grid import GridSpec, TimeGrid, is_finite_number, resolve_preset
 
 __all__ = [
     "ControlPath",
-    "ControlBatch",
     "BoxBounds",
     "DriftPreset",
     "DriftSpec",
@@ -78,7 +77,7 @@ class ControlPath:
         nt = self.timegrid.nt
         s = np.minimum(np.maximum(np.asarray(t, dtype=float) / self.timegrid.dt, 0.0), float(nt))
         i = np.minimum(s.astype(int), nt - 1)
-        w = (s - i).reshape(s.shape + (1,) * (self.u1.ndim - 1))
+        w = (s - i)[..., None]
         return (
             (1.0 - w) * self.u1[i] + w * self.u1[i + 1],
             (1.0 - w) * self.u2[i] + w * self.u2[i + 1],
@@ -93,23 +92,6 @@ class ControlPath:
         arr = np.asarray(arr, dtype=float)
         d = arr.shape[1] // 2
         return cls(timegrid, arr[:, :d].copy(), arr[:, d:].copy())
-
-
-class ControlBatch:
-    """K control paths on one time grid, looked up together: ``u1`` and
-    ``u2`` hold every path's nodes, (nt + 1, K, d), and ``value_at`` gives
-    tables of shape ``t.shape + (K, d)``, each member's with the bits of
-    its own path's."""
-
-    def __init__(self, paths):
-        self.paths = tuple(paths)
-        self.timegrid = self.paths[0].timegrid
-        if any(p.timegrid != self.timegrid for p in self.paths):
-            raise SchemaError("the paths of a batch must share one time grid")
-        self.u1 = np.stack([p.u1 for p in self.paths], axis=1)
-        self.u2 = np.stack([p.u2 for p in self.paths], axis=1)
-
-    value_at = ControlPath.value_at
 
 
 @dataclass(frozen=True)
@@ -266,10 +248,10 @@ class DriftPreset:
 @dataclass
 class DriftSpec:
     """Full controlled drift: preset a0 plus a control path.  The FV solver
-    also takes a ``ControlBatch``, one drift per member."""
+    also takes a tuple of control paths, one drift per member of a batch."""
 
     a0: DriftPreset
-    control: ControlPath | ControlBatch
+    control: ControlPath | tuple[ControlPath, ...]
 
 
 def eval_drift(spec: DriftSpec, t, points: np.ndarray) -> np.ndarray:

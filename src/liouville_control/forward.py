@@ -29,14 +29,15 @@ and one workspace of arrays into which each stage writes its face states,
 fluxes and divergences.
 
 A sweep may advance K densities that share one substep plan, each under
-its own control (``solve_forward_batch``): every field has a member axis
-after its first axis, trailing in 1D, so each elementwise pass of a stage
-runs over all K at once, and a single solve keeps its cells-only arrays
-(member shape ()).  After axis 0, the member axis keeps the inner loops of
-every axis-first view longer than K; for the same reason each member's face
-speeds are formed on their own and split into the member's column of the
-tables.  Elementwise ufuncs give the same bits in any layout; sums do not,
-so each per-member sum runs over that member's contiguous row.  A member's
+its own control path (``solve_forward_batch``, a drift over a tuple of K
+paths): every field has a member axis after its first axis, trailing in 1D,
+so each elementwise pass of a stage runs over all K at once, and a single
+solve keeps its cells-only arrays (member shape ()).  After axis 0, the
+member axis keeps the inner loops of every axis-first view longer than K;
+for the same reason each member's face speeds are formed on their own from
+its own control table and split into the member's column of the tables.
+Elementwise ufuncs give the same bits in any layout; sums do not, so each
+per-member sum runs over that member's contiguous row.  A member's
 checkpoint replay runs alone, under its own control.
 
 Schemes (``SCHEMES`` gives each one's stages per substep, run by one stage
@@ -64,7 +65,8 @@ the objective does not depend on the stride.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
+import copy
+import itertools
 import math
 from typing import Callable
 
@@ -195,30 +197,33 @@ def _member_first(values: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """The constants of one solve: grid, drift, the source and its mass per
-    unit time, the scheme and its stages per substep, a0 and x at the faces
-    of each axis (stored with that axis first), and the control table that
-    ``look_up`` fills.  A sweep over the table is a ``_Sweep``.
+    """The constants of one solve: grid, the control paths, the source and
+    its mass per unit time, the scheme and its stages per substep, a0 and x
+    at the faces of each axis (stored with that axis first), and the control
+    tables that ``look_up`` fills.  A sweep over the tables is a ``_Sweep``.
 
     The member shape is () for a drift of one control path and (K,) for a
-    ``ControlBatch`` of K: every field of a sweep then has the member axis
-    after its first axis (``with_members``), trailing in 1D, and the source
-    broadcasts over it.  ``axis_of`` gives the array axis of each grid axis.
-    A batch takes no tangent."""
+    drift of a tuple of K paths, a batch: every field of a sweep then has
+    the member axis after its first axis (``with_members``), trailing in 1D,
+    and the source broadcasts over it.  ``axis_of`` gives the array axis of
+    each grid axis.  A batch takes no tangent."""
 
     def __init__(self, grid, drift, source, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
         self.grid = grid
-        self.drift = drift
-        self.members = drift.control.u1.shape[1:-1]
+        batch = isinstance(drift.control, tuple)
+        if batch and tangent_control is not None:
+            raise ValueError("a batch of control paths takes no tangent")
+        self.paths = drift.control if batch else (drift.control,)
+        self.members = (len(self.paths),) if batch else ()
         self.axis_of = [0] + [ax + len(self.members) for ax in range(1, grid.dim)]
         self.source = None if source is None else source.reshape(self.with_members(source.shape, 1))
         self.source_rate = 0.0 if source is None else float(source.sum() * grid.cell_volume)
         self.scheme = scheme
         self.stages = SCHEMES[scheme]
         self.tangent_control = tangent_control
-        self.times = self.controls = self.deltas = None  # the (u1, u2) and (du1, du2) tables, see look_up
+        self.controls = self.deltas = self.alone = None  # (u1, u2) and (du1, du2) tables, see look_up
         self.h = grid.h
         self.transverse = [grid.cell_volume / h for h in self.h]
         self.a0_faces, self.x_faces = [], []
@@ -241,36 +246,33 @@ class _Stepper:
 
     def look_up(self, times: np.ndarray) -> None:
         """Tabulate the control, and the tangent control if any, at every
-        time of ``times`` in one pass; row k serves stage k."""
-        self.times = times
-        self.controls = self.drift.control.value_at(times)
+        time of ``times`` in one pass; row k serves stage k.  A batch's
+        members each tabulate theirs on a stepper of their own (``alone``,
+        member shape ()), which shares the batch's faces: a member's face
+        speeds are formed on it, and its checkpoint replay runs on it."""
+        if self.members:
+            alone = []
+            for path in self.paths:
+                own = copy.copy(self)
+                own.paths, own.members, own.axis_of = (path,), (), list(range(self.grid.dim))
+                own.source = None if self.source is None else self.source.reshape(self.grid.shape)
+                own.look_up(times)
+                alone.append(own)
+            self.alone = alone
+            return
+        self.controls = self.paths[0].value_at(times)
         if self.tangent_control is not None:
             self.deltas = self.tangent_control.value_at(times)
-
-    @functools.cached_property
-    def alone(self) -> list["_Stepper"]:
-        """Each member of a batch as a stepper of its own (member shape ()),
-        under its own control path, looked up at the same times, made at
-        first use: a member's replay runs on it, and a batch sweep splits
-        each member's face speeds from it."""
-        source = None if self.source is None else self.source.reshape(self.grid.shape)
-        steppers = [_Stepper(self.grid, DriftSpec(self.drift.a0, path), source, self.scheme)
-                    for path in self.drift.control.paths]
-        for own in steppers:
-            own.look_up(self.times)
-        return steppers
 
     def face_speeds(self, rows, out=None) -> list[np.ndarray]:
         """a_axis at the faces of each axis, axis first, at table row(s)
         ``rows`` (an index or a slice, which leads with a row axis), summed
-        in eval_drift's order: (a0 + u1) + x * u2.  A batch's lead with the
-        member axis, so every pass runs along the faces (broadcast over the
-        member axis, numpy's inner loops would take K values at a time).
-        ``out`` holds per axis the array for a and one for x * u2, or None
-        to allocate them."""
+        in eval_drift's order: (a0 + u1) + x * u2.  A batch forms its
+        members' one at a time (see look_up), so every pass runs along the
+        faces (broadcast over the member axis, numpy's inner loops would take
+        K values at a time).  ``out`` holds per axis the array for a and one
+        for x * u2, or None to allocate them."""
         u1, u2 = self.controls[0][rows], self.controls[1][rows]
-        if self.members:
-            u1, u2 = np.moveaxis(u1, -2, 0), np.moveaxis(u2, -2, 0)
         speeds = []
         for ax, (a0, x, (a, xu2)) in enumerate(zip(self.a0_faces, self.x_faces, out or [(None, None)] * len(self.h))):
             a = np.add(a0, _column(u1, ax, a0), out=a)
@@ -343,7 +345,7 @@ class _Sweep:
         out = [axis[:2] if speeds is None else [v[: hi - lo] for v in speeds]
                for axis, speeds in zip(tables, self._speeds)]
         for m, own in enumerate(stepper.alone if stepper.members else [stepper]):
-            column = (slice(None), slice(None), m) if stepper.members else (...,)
+            column = (slice(None), slice(None), m) if stepper.members else ...
             for a, axis in zip(own.face_speeds(slice(lo, hi), out), tables):
                 if tangent:
                     np.greater_equal(a, 0.0, out=axis[2])
@@ -358,7 +360,8 @@ class _Sweep:
         axis-first views; ``swapaxes`` is a no-op view on axis 0."""
         h, transverse = self.stepper.h, self.stepper.transverse
         out_rate = 0.0
-        for ax, (first, axis, (ap, am, *tangent)) in enumerate(zip(self.stepper.axis_of, self.axes, self.splits(k))):
+        splits = zip(self.stepper.axis_of, self.axes, self.splits(k))
+        for ax, (first, axis, (ap, am, *tangent)) in enumerate(splits):
             faces = axis.faces
             faces.fill(values.swapaxes(0, first))
             F = axis.flux(ap, faces.left, am, faces.right)
@@ -504,43 +507,39 @@ class StateTrajectory(Checkpoints):
     cfl: float
 
 
-def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl: float) -> list:
+def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl: float) -> list[int]:
     """Per-step substep counts from the Courant number at the step ends:
     at each node, the sum over axes of max |a_axis| / h_axis, read from the
     face speeds of a block of nodes at a time.  The scheme does not enter.
-    For a drift over a ``ControlBatch``, one plan per member, from the same
-    table pass."""
+    The drift is over one control path; a batch's paths each have a plan."""
+    if isinstance(drift.control, tuple):
+        raise ValueError("the substep plan is of one control path, not of a batch")
     stepper = _Stepper(grid, drift, None, next(iter(SCHEMES)))
-    dt, nodes, members = timegrid.dt, timegrid.nt + 1, stepper.members
+    dt, nodes = timegrid.dt, timegrid.nt + 1
     stepper.look_up(np.arange(nodes) * dt)
-    speed = np.zeros(members + (nodes,))
+    speed = np.zeros(nodes)
     for lo in range(0, nodes, stepper._rows):
         rows = slice(lo, lo + stepper._rows)
         for a, h in zip(stepper.face_speeds(rows), grid.h):
-            # a's rows, member first for a batch, each a row of faces
-            rows_a = a.shape[: len(members) + 1]
-            speed[..., rows] += np.abs(a).reshape(rows_a + (-1,)).max(axis=-1) / h
-
-    def plan(speed):
-        return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
-
-    return [plan(member) for member in speed] if members else plan(speed)
+            speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
+    return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
 class _NodeBlock:
     """Copies of a block of consecutive nodes of a solve given a nonzero
-    theta, each node's member fields (K, *grid.shape); when the block is
-    full, or at node nt, one row reduction fills the block's entries of
-    every member's ``running``, with the bits of each field's own
-    ``sum()``.  Theta is tabulated once per block for every member.  A
-    block holds the same nodes whatever K, about ``grid._BLOCK_POINTS``
-    values with theta's table for one member."""
+    theta, each node's fields of shape ``members + grid.shape`` (a batch's
+    member first); when the block is full, or at node nt, one row reduction
+    fills the block's entries of every member's ``running``, with the bits
+    of each field's own ``sum()``.  Theta is tabulated once per block for
+    every member.  A block holds the same nodes whatever K, about
+    ``grid._BLOCK_POINTS`` values with theta's table for one member."""
 
-    def __init__(self, trajs: list[StateTrajectory], theta: Potential):
+    def __init__(self, trajs: list[StateTrajectory], theta: Potential, members: tuple = ()):
         grid, self.timegrid = trajs[0].grid, trajs[0].timegrid
         self.trajs, self.theta, self.last = trajs, theta, self.timegrid.nt
         self.size = _block_nodes(2 * grid.num_cells)
-        self.nodes = np.empty((min(self.size, self.last + 1), len(trajs), *grid.shape))
+        self.nodes = np.empty((min(self.size, self.last + 1), *members, *grid.shape))
+        self.theta_shape = (-1, *(1,) * len(members), *grid.shape)  # broadcast over the members
         self.centers = grid.cell_centers()
 
     def add(self, n: int, fields: np.ndarray) -> None:
@@ -552,7 +551,7 @@ class _NodeBlock:
     def _reduce(self, lo: int, rows: np.ndarray) -> None:
         grid, hi = self.trajs[0].grid, lo + len(rows)
         times = np.arange(lo, hi) * self.timegrid.dt
-        theta = potential_eval(self.theta, self.centers, times).reshape((-1, 1, *grid.shape))
+        theta = potential_eval(self.theta, self.centers, times).reshape(self.theta_shape)
         sums = _row_sums((theta * rows).reshape(-1, *grid.shape)) * grid.cell_volume
         for traj, member_sums in zip(self.trajs, sums.reshape(len(rows), -1).T):
             traj.running[lo:hi] = member_sums
@@ -618,59 +617,54 @@ def _solve(
                 src_acc += src_m
             yield vals, w_vals, out_acc, src_acc
 
-    def replay(k):
-        """The checkpoint sweep of member k: a batch's member replays alone,
-        under its own control."""
-        return lambda vals, start, stop: (
-            step[0] for step in sweep(stepper.alone[k] if members else stepper, vals, start, stop)
-        )
+    def replay(own):
+        """The checkpoint sweep of one member; a batch's replays alone, under
+        its own control."""
+        return lambda vals, start, stop: (step[0] for step in sweep(own, vals, start, stop))
 
-    values = np.broadcast_to(rho0.values.reshape(stepper.with_members(grid.shape, 1)), stepper.with_members(grid.shape))
-    values = values.copy()
+    values = np.empty(stepper.with_members(grid.shape))
+    values[...] = rho0.values.reshape(stepper.with_members(grid.shape, 1))
     w_values = np.zeros_like(values) if tangent_control is not None else None
     vol = grid.cell_volume
 
     trajs = [
         StateTrajectory(
-            timegrid, grid, stride, replay(k), mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan,
+            timegrid, grid, stride, replay(own), mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan,
             source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
         )
-        for k in range(math.prod(members))
+        for own in (stepper.alone if members else [stepper])
     ]
     w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
-    block = None if theta is None or theta.is_zero else _NodeBlock(trajs, theta)
+    block = None if theta is None or theta.is_zero else _NodeBlock(trajs, theta, members)
 
-    def record_member(traj, n, field, out_m, src_m):
-        total = field.sum()
+    def record(traj, n, vals, out_m, src_m):
+        """Record node n of one member: its mass, after the finiteness check,
+        the step's boundary outflow and source masses, and its checkpoint."""
+        total = vals.sum()
         # a finite sum proves every value finite
-        if not math.isfinite(total) and not np.all(np.isfinite(field)):
+        if not math.isfinite(total) and not np.all(np.isfinite(vals)):
             raise NonFinite(f"solution lost finiteness at step {n}")
         traj.mass[n] = total * vol
         if n:
             traj.source_mass[n] = traj.source_mass[n - 1] + src_m
             traj.boundary_outflux[n] = traj.boundary_outflux[n - 1] + out_m
-        traj.keep(n, field)
+        traj.keep(n, vals)
 
-    def record(n, vals, w_vals, out_m, src_m):
-        """Record node n of every member from the values and the step's
-        outflow (one per member for a batch) and source masses."""
+    nodes = itertools.chain([(values, w_values, np.zeros(members), 0.0)], sweep(stepper, values, 0, nt, w_values))
+    for n, (vals, w_vals, out_m, src_m) in enumerate(nodes):
         if members:
             # each member's field is a contiguous row of a member-first
-            # copy, so its sum() has the bits of the member's own solve's
-            fields = _member_first(vals)
-            for traj, field, out_k in zip(trajs, fields, out_m):
-                record_member(traj, n, field, out_k, src_m)
+            # copy, so its sum() has the bits of the member's own solve's;
+            # the outflow is one per member
+            vals = _member_first(vals)
+            for traj, field, out_k in zip(trajs, vals, out_m):
+                record(traj, n, field, out_k, src_m)
         else:
-            fields = vals[None]
-            record_member(trajs[0], n, vals, out_m, src_m)
+            record(trajs[0], n, vals, out_m, src_m)
         if block is not None:
-            block.add(n, fields)
+            block.add(n, vals)
         if w_traj is not None:
             w_traj.keep(n, w_vals)
-
-    record(0, values, w_values, np.zeros(members), 0.0)
-    for n, (values, w_values, out_m, src_m) in enumerate(sweep(stepper, values, 0, nt, w_values), 1):
-        record(n, values, w_values, out_m, src_m)
     return trajs, w_traj
 
 
@@ -694,11 +688,11 @@ def solve_forward(
     a running potential ``theta``, the trajectory's ``running`` holds int
     theta rho dx at every node.
     """
-    trajs, _ = _solve(
+    (traj,), _ = _solve(
         rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=None, theta=theta,
     )
-    return trajs[0]
+    return traj
 
 
 def solve_forward_batch(
@@ -714,9 +708,12 @@ def solve_forward_batch(
     theta: Potential | None = None,
 ) -> list[StateTrajectory]:
     """``solve_forward`` from one rho0 under each member of a drift over a
-    ``ControlBatch``, all at the substep plan ``fixed_substeps``, in one
-    sweep along a trailing member axis; one trajectory per member, each
-    with the bits of that member's own solve at that plan."""
+    tuple of control paths, all at the substep plan ``fixed_substeps`` (a
+    batch has no plan of its own), in one sweep along a member axis; one
+    trajectory per member, each with the bits of that member's own solve at
+    that plan."""
+    if not isinstance(drift.control, tuple) or fixed_substeps is None:
+        raise ValueError("a batch solve takes a drift over a tuple of control paths and their fixed_substeps")
     trajs, _ = _solve(
         rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=None, theta=theta,
@@ -742,11 +739,11 @@ def solve_linearized(
 
     Returns (state trajectory, tangent checkpoints) with matched substeps.
     """
-    trajs, w_traj = _solve(
+    (traj,), w_traj = _solve(
         rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
         tangent_control=delta_control,
     )
-    return trajs[0], w_traj
+    return traj, w_traj
 
 
 def boundary_leak(trajectory: StateTrajectory) -> float:
@@ -790,23 +787,22 @@ def energy_certificate(
     source,
     m: int,
     k: int,
+    norms: np.ndarray,
     C_cert: float = 2.0,
-    norms: np.ndarray | None = None,
 ) -> EnergyCertificate:
     """Certify the weighted-norm growth of a stored run.
 
     For m = 0 the drift factor is the sup of |div a|; for m >= 1 it is the
     discrete C^m_b norm of grad a.  ``source`` is the solve's: None or cell
     values constant in time, so its norm is the same at every step.
-    ``norms`` is the run's H^m_k norm at nodes 0..nt when a pass over the
-    checkpoints already computed it, else None for a pass of its own.  The
+    ``norms`` is the run's H^m_k norm at nodes 0..nt, from a pass over its
+    checkpoints (``norm_history``, or ``history`` with other columns).  The
     smallest feasible constant is reported alongside the pass flag at the
     configured C_cert.
     """
     grid = trajectory.grid
     tg = trajectory.timegrid
     dt = tg.dt
-    N = trajectory.norm_history(m, k) if norms is None else norms
     r = np.zeros(tg.nt)
     for n in range(tg.nt):
         t = n * dt
@@ -815,4 +811,4 @@ def energy_certificate(
         else:
             r[n] = drift_grad_bound(drift, t, grid, m)
     s = np.full(tg.nt, 0.0 if source is None else weighted_sobolev_norm(ScalarField(grid, source), m, k))
-    return EnergyCertificate.check(m, k, N[:-1], N[1:], r, s, dt, C_cert)
+    return EnergyCertificate.check(m, k, norms[:-1], norms[1:], r, s, dt, C_cert)

@@ -36,7 +36,6 @@ import numpy as np
 from .adjoint import sample_potential, solve_adjoint
 from .controls import (
     BoxBounds,
-    ControlBatch,
     ControlPath,
     CostSpec,
     DriftPreset,
@@ -174,7 +173,7 @@ class Problem:
     def control_dim(self) -> int:
         return self.grid.dim
 
-    def drift_for(self, control: ControlPath | ControlBatch) -> DriftSpec:
+    def drift_for(self, control: ControlPath | tuple[ControlPath, ...]) -> DriftSpec:
         return DriftSpec(self.a0, control)
 
     def solve_forward_for(self, control: ControlPath, fixed_substeps=None) -> StateTrajectory:
@@ -198,7 +197,7 @@ class Problem:
         if len(controls) == 1:
             drift = self.drift_for(controls[0])
             return [solve_forward(self.rho0, drift, self.source, self.timegrid, fixed_substeps=fixed_substeps, **options)]
-        drift = self.drift_for(ControlBatch(controls))
+        drift = self.drift_for(tuple(controls))
         return solve_forward_batch(self.rho0, drift, self.source, self.timegrid, fixed_substeps, **options)
 
     def _remember(self, key: bytes, traj: StateTrajectory) -> None:
@@ -209,9 +208,8 @@ class Problem:
 
     def solve_forward_all(self, controls) -> list[StateTrajectory]:
         """``solve_forward_for`` of each control, in order: the controls that
-        the memo lacks are grouped by their natural substep plans, found in
-        one table pass, and each group runs in one sweep at its plan and is
-        memoized."""
+        the memo lacks are grouped by their natural substep plans, and each
+        group runs in one sweep at its plan and is memoized."""
         solved = dict(self._memoized(controls))
         return [solved[i] for i in range(len(controls))]
 
@@ -227,7 +225,7 @@ class Problem:
                 pending[i] = control
         if not pending:
             return
-        plans = required_substeps(self.grid, self.drift_for(ControlBatch(pending.values())), self.timegrid, self.cfl)
+        plans = [required_substeps(self.grid, self.drift_for(c), self.timegrid, self.cfl) for c in pending.values()]
         groups = {}
         for i, plan in zip(pending, plans):
             groups.setdefault(tuple(plan), []).append(i)
@@ -449,8 +447,8 @@ def frechet_probe(
         cand = ControlPath.from_stacked(tg, control.stacked() + scale * direction.stacked())
         return project_box(cand, problem.bounds)
 
-    ends = ControlBatch([control, control_plus(eps[0]), control_plus(-eps[0])])
-    plan = [max(p) for p in zip(*required_substeps(problem.grid, problem.drift_for(ends), tg, problem.cfl))]
+    ends = (control, control_plus(eps[0]), control_plus(-eps[0]))
+    plan = [max(p) for p in zip(*(required_substeps(problem.grid, problem.drift_for(c), tg, problem.cfl) for c in ends))]
 
     base, wtraj = solve_linearized(
         problem.rho0,
@@ -467,7 +465,7 @@ def frechet_probe(
     # the ladder in one sweep; like the tangent solve, it needs no running cost
     ladder = solve_forward_batch(
         problem.rho0,
-        problem.drift_for(ControlBatch([control_plus(e) for e in eps])),
+        problem.drift_for(tuple(control_plus(e) for e in eps)),
         problem.source,
         tg,
         plan,

@@ -246,7 +246,7 @@ def test_criterion_07_energy_certificates():
         drift = prob.drift_for(u)
         for m in (0, 1):
             for k in (0, 2):
-                cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=2.0)
+                cert = energy_certificate(traj, drift, prob.source, m, k, traj.norm_history(m, k), C_cert=2.0)
                 assert cert.passed, f"{name} m={m} k={k} fitted C = {cert.fitted_C}"
 
     # constant-divergence exact decay: |rho|_L2 = e^{-ct/2} |rho0|_L2
@@ -260,7 +260,7 @@ def test_criterion_07_energy_certificates():
     rel = abs(l2[-1] - exact) / exact
     assert rel <= 5e-3
     assert l2[-1] <= exact * (1.0 + 5e-3)  # dissipation only lowers the norm
-    cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.5)
+    cert = energy_certificate(traj, drift, None, 0, 0, traj.norm_history(0, 0), C_cert=0.5)
     assert cert.passed
     print(
         f"criterion 07 energy certificates: PASS (4 scenarios x 4 (m,k) at C=2; "

@@ -28,7 +28,6 @@ from liouville_control import (
     solve_linearized,
 )
 import liouville_control.forward as forward_module
-from liouville_control.controls import ControlBatch
 from liouville_control.forward import (
     _Faces,
     _NodeBlock,
@@ -159,7 +158,7 @@ def test_energy_certificate_zero_drift_passes_trivially():
     g, tg, rho0 = gaussian_setup(n=128, nt=64)
     drift = drift_const(tg, 0.0, 0.0)
     traj = solve_forward(rho0, drift, None, tg)
-    cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.0)
+    cert = energy_certificate(traj, drift, None, 0, 0, traj.norm_history(0, 0), C_cert=0.0)
     assert cert.passed and cert.fitted_C == 0.0
 
 
@@ -176,7 +175,7 @@ def test_energy_certificate_exact_decay():
         exact = l2[0] * math.exp(-c * tg.T / 2.0)
         assert l2[-1] == pytest.approx(exact, rel=tol)
         assert l2[-1] <= exact * (1.0 + 5e-3)
-        cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.5)
+        cert = energy_certificate(traj, drift, None, 0, 0, traj.norm_history(0, 0), C_cert=0.5)
         assert cert.passed
 
 
@@ -184,7 +183,7 @@ def test_energy_certificate_weighted_growth_bounded():
     g, tg, rho0 = gaussian_setup()
     drift = drift_const(tg, 0.0, 0.5)
     traj = solve_forward(rho0, drift, None, tg)
-    cert = energy_certificate(traj, drift, None, 0, 2, C_cert=2.0)
+    cert = energy_certificate(traj, drift, None, 0, 2, traj.norm_history(0, 2), C_cert=2.0)
     assert cert.passed
     assert 0.0 < cert.fitted_C <= 2.0
     assert np.all(cert.lhs <= cert.rhs + 1e-12)
@@ -196,7 +195,7 @@ def test_energy_certificate_with_source_term():
     drift = drift_const(tg, 0.3, 0.2)
     traj = solve_forward(rho0, drift, src, tg)
     for m, k in ((0, 0), (1, 2)):
-        cert = energy_certificate(traj, drift, src, m, k, C_cert=2.0)
+        cert = energy_certificate(traj, drift, src, m, k, traj.norm_history(m, k), C_cert=2.0)
         assert cert.passed
 
 
@@ -693,9 +692,8 @@ def batch_case(d):
 def test_batched_solves_match_separate_solves_bit_for_bit(d, scheme, stride):
     g, tg, rho0, a0, source, controls = batch_case(d)
     theta = Potential.tracking([[0.0, 0.5], [1.0, -0.5]] if d == 1 else [[0.0, [0.5, 0.0]], [1.0, [-0.5, 0.3]]])
-    plans = required_substeps(g, DriftSpec(a0, ControlBatch(controls)), tg, 0.9)
-    plan = [max(p) for p in zip(*plans)]
-    batch = solve_forward_batch(rho0, DriftSpec(a0, ControlBatch(controls)), source, tg, plan,
+    plan = [max(p) for p in zip(*(required_substeps(g, DriftSpec(a0, c), tg, 0.9) for c in controls))]
+    batch = solve_forward_batch(rho0, DriftSpec(a0, tuple(controls)), source, tg, plan,
                                 scheme=scheme, stride=stride, theta=theta)
     assert len(batch) == len(controls)
     for control, traj in zip(controls, batch):
@@ -714,15 +712,19 @@ def test_batched_solves_match_separate_solves_bit_for_bit(d, scheme, stride):
             assert n == m and bits_equal(got, want)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_required_substeps_gives_each_member_its_own_plan(d):
-    g = case_grid(d)
-    tg = make_timegrid(1.0, 12)
-    a0 = DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.2})
-    controls = [varying_control(tg, d, scale=s) for s in (6.0, 0.5, -3.0)]
-    plans = required_substeps(g, DriftSpec(a0, ControlBatch(controls)), tg, 0.9)
-    assert plans == [required_substeps(g, DriftSpec(a0, c), tg, 0.9) for c in controls]
-    assert len({tuple(p) for p in plans}) == 3
+def test_a_batch_needs_a_fixed_plan_and_a_single_solve_one_path():
+    g, tg, rho0 = gaussian_setup(n=64, nt=8)
+    controls = tuple(varying_control(tg, 1, scale=s) for s in (0.5, -0.5))
+    batch, single = DriftSpec(DriftPreset("zero"), controls), DriftSpec(DriftPreset("zero"), controls[0])
+    with pytest.raises(ValueError, match="fixed_substeps"):
+        solve_forward_batch(rho0, batch, None, tg, None)
+    with pytest.raises(ValueError, match="tuple of control paths"):
+        solve_forward_batch(rho0, single, None, tg, [1] * 8)
+    with pytest.raises(ValueError, match="one control path"):
+        required_substeps(g, batch, tg, 0.9)
+    for solve in (solve_forward, lambda *args, **kw: solve_linearized(args[0], args[1], controls[0], *args[2:], **kw)):
+        with pytest.raises(ValueError):
+            solve(rho0, batch, None, tg, fixed_substeps=[1] * 8)
 
 
 def test_a_single_solve_has_no_member_axis(monkeypatch):
@@ -738,7 +740,7 @@ def test_a_single_solve_has_no_member_axis(monkeypatch):
     controls = [varying_control(tg, 1, scale=s) for s in (0.5, -0.5)]
     solve_forward(rho0, DriftSpec(DriftPreset("zero"), controls[0]), None, tg, scheme="muscl-fv")
     assert sweeps == [((), (64,), (65,))]
-    batch = solve_forward_batch(rho0, DriftSpec(DriftPreset("zero"), ControlBatch(controls)), None, tg, [2] * 8,
+    batch = solve_forward_batch(rho0, DriftSpec(DriftPreset("zero"), tuple(controls)), None, tg, [2] * 8,
                                 scheme="muscl-fv", stride=4)
     assert sweeps[1:] == [((2,), (64, 2), (65, 2))]
     # a member's replay runs alone, under its own control

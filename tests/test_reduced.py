@@ -304,13 +304,13 @@ def test_replaced_problem_does_not_reuse_the_forward_memo():
 
 
 def counted_solves(monkeypatch):
-    """The member count of every FV sweep, and the count of substep plan
-    passes, from here on."""
+    """The member count of every FV sweep, and the control path of every
+    substep plan pass, from here on."""
     solves, plans = [], []
     solve, plan = forward_module._solve, forward_module.required_substeps
 
     def counted_solve(rho0, drift, *args, **kwargs):
-        solves.append(len(getattr(drift.control, "paths", [drift.control])))
+        solves.append(len(drift.control) if isinstance(drift.control, tuple) else 1)
         return solve(rho0, drift, *args, **kwargs)
 
     def counted_plan(*args):
@@ -335,8 +335,8 @@ def test_controls_that_share_a_plan_are_solved_in_one_sweep(monkeypatch):
     expected = [reduced_cost(c, dataclasses.replace(prob)) for c in controls]
     solves, plan_passes = counted_solves(monkeypatch)
     costs = prob.reduced_costs(controls)
-    # one table pass finds the plans; a sweep per plan, the pair's in one
-    assert len(plan_passes) == 1 and sorted(solves) == [1, 2]
+    # a plan pass per control; a sweep per plan, the pair's in one
+    assert plan_passes == controls and sorted(solves) == [1, 2]
     assert all(bits_equal(c, e) for c, e in zip(costs, expected))
     # each solve is memoized with the bits of its own
     for c in controls:
@@ -355,15 +355,15 @@ def test_controls_that_share_a_plan_are_solved_in_one_sweep(monkeypatch):
     assert bits_equal(fd_directional_derivative(prob, slow[0], d, 1e-4), fd)
 
 
-def test_grad_check_makes_four_sweeps_and_three_plan_passes(monkeypatch, tmp_path):
+def test_grad_check_makes_four_sweeps(monkeypatch, tmp_path):
     # the tangent solve, the eps ladder as one batch, the centre, and the
-    # finite-difference pair as one batch; plans for the ladder's ends, the
-    # centre and the pair
+    # finite-difference pair as one batch; a plan pass per control path: the
+    # ladder's ends, the centre and the pair
     solves, plans = counted_solves(monkeypatch)
     args = ["grad-check", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
     assert run_command(args) == 0
     assert solves == [1, 4, 1, 2]
-    assert [len(getattr(c, "paths", [c])) for c in plans] == [3, 1, 2]
+    assert len(plans) == 6
 
 
 def test_assemble_rejects_grid_mismatch():
