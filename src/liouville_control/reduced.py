@@ -434,7 +434,7 @@ def frechet_probe(
     Solves the linearized transport problem for the derivative state, then
     fits the slope of log ||G(u + eps du) - G(u) - eps DG(u) du|| against
     log eps.  All solves share one substep plan so the discrete map stays
-    smooth across the ladder, and the ladder's solves run in one sweep.
+    smooth across the ladder, and the ladder's solves run two to a sweep.
     """
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -447,8 +447,10 @@ def frechet_probe(
         cand = ControlPath.from_stacked(tg, control.stacked() + scale * direction.stacked())
         return project_box(cand, problem.bounds)
 
-    ends = (control, control_plus(eps[0]), control_plus(-eps[0]))
-    plan = [max(p) for p in zip(*(required_substeps(problem.grid, problem.drift_for(c), tg, problem.cfl) for c in ends))]
+    plan = None
+    for cand in (control, control_plus(eps[0]), control_plus(-eps[0])):
+        p = required_substeps(problem.grid, problem.drift_for(cand), tg, problem.cfl)
+        plan = p if plan is None else [max(a, b) for a, b in zip(plan, p)]
 
     base, wtraj = solve_linearized(
         problem.rho0,
@@ -462,28 +464,32 @@ def frechet_probe(
         max_substeps=problem.max_substeps,
         fixed_substeps=plan,
     )
-    # the ladder in one sweep; like the tangent solve, it needs no running cost
-    ladder = solve_forward_batch(
-        problem.rho0,
-        problem.drift_for(tuple(control_plus(e) for e in eps)),
-        problem.source,
-        tg,
-        plan,
-        scheme=problem.scheme,
-        cfl=problem.cfl,
-        stride=problem.stride,
-        max_substeps=problem.max_substeps,
-    )
     vol = problem.grid.cell_volume
     remainders = []
-    for e, traj_e in zip(eps, ladder):
-        worst = 0.0
-        for (n, rho_e), (_, rho_0), (_, w) in zip(
-            traj_e.stored_items(), base.stored_items(), wtraj.stored_items()
-        ):
-            diff = rho_e - rho_0 - e * w
-            worst = max(worst, math.sqrt(float((diff * diff).sum() * vol)))
-        remainders.append(worst)
+    # the ladder in sweeps of two members; like the tangent solve, it needs
+    # no running cost.  Each pair is dropped before the next is solved, so
+    # at most two ladder solves are held at once
+    for pair in (eps[i : i + 2] for i in range(0, len(eps), 2)):
+        ladder = solve_forward_batch(
+            problem.rho0,
+            problem.drift_for(tuple(control_plus(e) for e in pair)),
+            problem.source,
+            tg,
+            plan,
+            scheme=problem.scheme,
+            cfl=problem.cfl,
+            stride=problem.stride,
+            max_substeps=problem.max_substeps,
+        )
+        for e, traj_e in zip(pair, ladder):
+            worst = 0.0
+            for (n, rho_e), (_, rho_0), (_, w) in zip(
+                traj_e.stored_items(), base.stored_items(), wtraj.stored_items()
+            ):
+                diff = rho_e - rho_0 - e * w
+                worst = max(worst, math.sqrt(float((diff * diff).sum() * vol)))
+            remainders.append(worst)
+        del ladder, traj_e
     positive = [(e, r) for e, r in zip(eps, remainders) if r > 1e-250]
     if len(positive) >= 2:
         le = np.log([p[0] for p in positive])

@@ -355,14 +355,14 @@ def test_controls_that_share_a_plan_are_solved_in_one_sweep(monkeypatch):
     assert bits_equal(fd_directional_derivative(prob, slow[0], d, 1e-4), fd)
 
 
-def test_grad_check_makes_four_sweeps(monkeypatch, tmp_path):
-    # the tangent solve, the eps ladder as one batch, the centre, and the
-    # finite-difference pair as one batch; a plan pass per control path: the
-    # ladder's ends, the centre and the pair
+def test_grad_check_makes_five_sweeps(monkeypatch, tmp_path):
+    # the tangent solve, the eps ladder as two batches of two, the centre,
+    # and the finite-difference pair as one batch; a plan pass per control
+    # path: the ladder's ends, the centre and the pair
     solves, plans = counted_solves(monkeypatch)
     args = ["grad-check", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
     assert run_command(args) == 0
-    assert solves == [1, 4, 1, 2]
+    assert solves == [1, 2, 2, 1, 2]
     assert len(plans) == 6
 
 
