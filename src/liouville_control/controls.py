@@ -247,11 +247,10 @@ class DriftPreset:
 
 @dataclass
 class DriftSpec:
-    """Full controlled drift: preset a0 plus a control path.  The FV solver
-    also takes a tuple of control paths, one drift per member of a batch."""
+    """Full controlled drift: preset a0 plus a control path."""
 
     a0: DriftPreset
-    control: ControlPath | tuple[ControlPath, ...]
+    control: ControlPath
 
 
 def eval_drift(spec: DriftSpec, t, points: np.ndarray) -> np.ndarray:

@@ -243,8 +243,7 @@ def fd_directional_derivative(problem, control: ControlPath, direction: ControlP
             raise ValueError("u +/- eps * direction leaves the admissible box")
     up = ControlPath.from_stacked(control.timegrid, control.stacked() + eps * direction.stacked())
     dn = ControlPath.from_stacked(control.timegrid, control.stacked() - eps * direction.stacked())
-    cost_up, cost_dn = problem.reduced_costs([up, dn])
-    return (cost_up - cost_dn) / (2.0 * eps)
+    return (problem.reduced_cost(up) - problem.reduced_cost(dn)) / (2.0 * eps)
 
 
 def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
@@ -255,7 +254,8 @@ def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
     cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))])
     if cum[-1] <= 0.0:
         raise DegenerateProbe("controls coincide; Lipschitz ratio undefined")
-    tru, trv = problem.solve_forward_all([u, v])
+    tru = problem.solve_forward_for(u)
+    trv = problem.solve_forward_for(v)
     vol = problem.grid.cell_volume
     ratio = 0.0
     for (nu_, fu), (nv_, fv) in zip(tru.stored_items(), trv.stored_items()):
@@ -315,9 +315,6 @@ class MomentSurrogateProblem:
     cost: CostSpec
     bounds: object
     control_dim: int = 1
-
-    def reduced_costs(self, controls) -> list[float]:
-        return [self.reduced_cost(control) for control in controls]
 
     def reduced_cost(self, control: ControlPath) -> float:
         path = moment_ode(control, self.x0, self.v0, self.timegrid)

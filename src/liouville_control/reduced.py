@@ -45,14 +45,7 @@ from .controls import (
     project_box,
 )
 from .errors import GridMismatch, NotApplicable
-from .forward import (
-    Checkpoints,
-    StateTrajectory,
-    required_substeps,
-    solve_forward,
-    solve_forward_batch,
-    solve_linearized,
-)
+from .forward import Checkpoints, StateTrajectory, required_substeps, solve_forward, solve_linearized
 from .grid import (
     GridSpec,
     ScalarField,
@@ -173,7 +166,7 @@ class Problem:
     def control_dim(self) -> int:
         return self.grid.dim
 
-    def drift_for(self, control: ControlPath | tuple[ControlPath, ...]) -> DriftSpec:
+    def drift_for(self, control: ControlPath) -> DriftSpec:
         return DriftSpec(self.a0, control)
 
     def solve_forward_for(self, control: ControlPath, fixed_substeps=None) -> StateTrajectory:
@@ -183,56 +176,23 @@ class Problem:
         key = control.stacked().tobytes() if fixed_substeps is None else None
         if key in cache:
             return cache[key]
-        (traj,) = self._solve([control], fixed_substeps)
+        traj = solve_forward(
+            self.rho0,
+            self.drift_for(control),
+            self.source,
+            self.timegrid,
+            scheme=self.scheme,
+            cfl=self.cfl,
+            stride=self.stride,
+            max_substeps=self.max_substeps,
+            fixed_substeps=fixed_substeps,
+            theta=self.cost.theta,
+        )
         if key is not None:
-            self._remember(key, traj)
+            if len(cache) >= 4:
+                cache.pop(next(iter(cache)))
+            cache[key] = traj
         return traj
-
-    def _solve(self, controls, fixed_substeps) -> list[StateTrajectory]:
-        """The forward solves of the controls at the plan ``fixed_substeps``
-        (None: the natural plan, for one control), with the running cost:
-        one control alone, more in one sweep."""
-        options = dict(scheme=self.scheme, cfl=self.cfl, stride=self.stride, max_substeps=self.max_substeps,
-                       theta=self.cost.theta)
-        if len(controls) == 1:
-            drift = self.drift_for(controls[0])
-            return [solve_forward(self.rho0, drift, self.source, self.timegrid, fixed_substeps=fixed_substeps, **options)]
-        drift = self.drift_for(tuple(controls))
-        return solve_forward_batch(self.rho0, drift, self.source, self.timegrid, fixed_substeps, **options)
-
-    def _remember(self, key: bytes, traj: StateTrajectory) -> None:
-        cache = self._fwd_cache
-        if len(cache) >= 4:
-            cache.pop(next(iter(cache)))
-        cache[key] = traj
-
-    def solve_forward_all(self, controls) -> list[StateTrajectory]:
-        """``solve_forward_for`` of each control, in order: the controls that
-        the memo lacks are grouped by their natural substep plans, and each
-        group runs in one sweep at its plan and is memoized."""
-        solved = dict(self._memoized(controls))
-        return [solved[i] for i in range(len(controls))]
-
-    def _memoized(self, controls):
-        """Yield (index, trajectory) per control, as solve_forward_all
-        groups them, each memoized as it is yielded."""
-        pending = {}
-        for i, control in enumerate(controls):
-            key = control.stacked().tobytes()
-            if key in self._fwd_cache:
-                yield i, self._fwd_cache[key]
-            else:
-                pending[i] = control
-        if not pending:
-            return
-        plans = [required_substeps(self.grid, self.drift_for(c), self.timegrid, self.cfl) for c in pending.values()]
-        groups = {}
-        for i, plan in zip(pending, plans):
-            groups.setdefault(tuple(plan), []).append(i)
-        for plan, group in groups.items():
-            for i, traj in zip(group, self._solve([pending[i] for i in group], list(plan))):
-                self._remember(pending[i].stacked().tobytes(), traj)
-                yield i, traj
 
     def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
         return solve_adjoint(
@@ -241,14 +201,6 @@ class Problem:
 
     def reduced_cost(self, control: ControlPath) -> float:
         return reduced_cost(control, self)
-
-    def reduced_costs(self, controls) -> list[float]:
-        """``reduced_cost`` of each control, in order, after the forward
-        solves of ``solve_forward_all``: the controls that share a natural
-        substep plan run in one sweep.  Each cost reads its solve from the
-        memo right after it is memoized."""
-        costs = {i: reduced_cost(controls[i], self) for i, _ in self._memoized(controls)}
-        return [costs[i] for i in range(len(controls))]
 
     def descent_gradient(self, control: ControlPath) -> GradientPath:
         return reduced_gradient(control, self)
@@ -434,7 +386,7 @@ def frechet_probe(
     Solves the linearized transport problem for the derivative state, then
     fits the slope of log ||G(u + eps du) - G(u) - eps DG(u) du|| against
     log eps.  All solves share one substep plan so the discrete map stays
-    smooth across the ladder, and the ladder's solves run two to a sweep.
+    smooth across the ladder.
     """
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -447,10 +399,12 @@ def frechet_probe(
         cand = ControlPath.from_stacked(tg, control.stacked() + scale * direction.stacked())
         return project_box(cand, problem.bounds)
 
-    plan = None
-    for cand in (control, control_plus(eps[0]), control_plus(-eps[0])):
+    # the centre's plan is that of its forward solve, which the memo keeps
+    # for the gradient at the same control
+    plan = problem.solve_forward_for(control).substeps
+    for cand in (control_plus(eps[0]), control_plus(-eps[0])):
         p = required_substeps(problem.grid, problem.drift_for(cand), tg, problem.cfl)
-        plan = p if plan is None else [max(a, b) for a, b in zip(plan, p)]
+        plan = [max(a, b) for a, b in zip(plan, p)]
 
     base, wtraj = solve_linearized(
         problem.rho0,
@@ -466,30 +420,28 @@ def frechet_probe(
     )
     vol = problem.grid.cell_volume
     remainders = []
-    # the ladder in sweeps of two members; like the tangent solve, it needs
-    # no running cost.  Each pair is dropped before the next is solved, so
-    # at most two ladder solves are held at once
-    for pair in (eps[i : i + 2] for i in range(0, len(eps), 2)):
-        ladder = solve_forward_batch(
+    # like the tangent solve, the ladder needs no running cost.  Each solve
+    # is dropped before the next, so one ladder solve is held at a time
+    for e in eps:
+        traj_e = solve_forward(
             problem.rho0,
-            problem.drift_for(tuple(control_plus(e) for e in pair)),
+            problem.drift_for(control_plus(e)),
             problem.source,
             tg,
-            plan,
             scheme=problem.scheme,
             cfl=problem.cfl,
             stride=problem.stride,
             max_substeps=problem.max_substeps,
+            fixed_substeps=plan,
         )
-        for e, traj_e in zip(pair, ladder):
-            worst = 0.0
-            for (n, rho_e), (_, rho_0), (_, w) in zip(
-                traj_e.stored_items(), base.stored_items(), wtraj.stored_items()
-            ):
-                diff = rho_e - rho_0 - e * w
-                worst = max(worst, math.sqrt(float((diff * diff).sum() * vol)))
-            remainders.append(worst)
-        del ladder, traj_e
+        worst = 0.0
+        for (n, rho_e), (_, rho_0), (_, w) in zip(
+            traj_e.stored_items(), base.stored_items(), wtraj.stored_items()
+        ):
+            diff = rho_e - rho_0 - e * w
+            worst = max(worst, math.sqrt(float((diff * diff).sum() * vol)))
+        remainders.append(worst)
+        del traj_e
     positive = [(e, r) for e, r in zip(eps, remainders) if r > 1e-250]
     if len(positive) >= 2:
         le = np.log([p[0] for p in positive])

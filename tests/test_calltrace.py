@@ -40,3 +40,35 @@ def test_assembly_takes_the_trajectories_first():
 
     params = list(inspect.signature(assemble_integral_path).parameters)
     assert params[:3] == ["problem", "traj_rho", "traj_q"]
+
+
+def test_the_tracer_sees_every_forward_solve(monkeypatch, tmp_path):
+    # every FV solve of a grad-check goes through a traced name, and the
+    # traced substep count is that of the solves
+    import liouville_control.forward as forward_module
+    from liouville_control.cli import load_scenario, run_command, scenario_path
+
+    calltrace = load_calltrace()
+    solves = []
+    solve = forward_module._solve
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solves.append(sum((result[0] if isinstance(result, tuple) else result).substeps))
+        return result
+
+    monkeypatch.setattr(forward_module, "_solve", counted)
+    tracer = calltrace.Tracer()
+    cells = load_scenario("gaussian-tracking-1d").problem().grid.num_cells
+    restore = calltrace.instrument(tracer, "liouville_control", cells)
+    try:
+        args = ["grad-check", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
+        assert run_command(args) == 0
+    finally:
+        restore()
+    traced = sum(
+        rec[calltrace.CALLS] for rec in tracer.records
+        if rec[calltrace.NAME] in ("forward.solve_forward", "forward.solve_linearized")
+    )
+    assert solves and traced == len(solves)
+    assert tracer.counters["forward.substeps"] == sum(solves)

@@ -28,15 +28,7 @@ from liouville_control import (
     solve_linearized,
 )
 import liouville_control.forward as forward_module
-from liouville_control.forward import (
-    _Faces,
-    _NodeBlock,
-    _Stepper,
-    _Sweep,
-    _face_points,
-    required_substeps,
-    solve_forward_batch,
-)
+from liouville_control.forward import _Faces, _NodeBlock, _Stepper, _Sweep, _face_points, required_substeps
 from liouville_control.grid import _block_nodes
 from test_controls import DRIFT_CASES
 
@@ -667,82 +659,3 @@ def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride,
         assert bits_equal(hist["l2"][n], math.sqrt(float((vals * vals).sum() * vol)))
         assert bits_equal(traj.running[n], float((th * vals).sum() * vol))
     assert np.all(traj.running == 0.0) == theta.is_zero
-
-
-# --- batched solves: K densities in one sweep along a trailing member axis --
-
-
-def batch_case(d):
-    """Three controls, a source and a running potential, on grids where mass
-    leaves through the boundary; in 2D the rotation's a0 is nowhere zero."""
-    if d == 1:
-        g, a0, x0 = make_grid(1, -3.0, 3.0, 96), DriftPreset("zero"), 1.5
-    else:
-        g, a0, x0 = make_grid(2, (-3.0, -2.5), (3.0, 3.5), (20, 24)), DriftPreset("rotation"), [1.5, -1.0]
-    tg = make_timegrid(1.0, 23)
-    rho0 = sample_function(g, "gaussian", {"x0": x0, "v0": 0.4})
-    source = 0.05 * np.random.default_rng(7).random(g.shape)
-    controls = [varying_control(tg, d, scale=s) for s in (1.0, -0.6, 1.7)]
-    return g, tg, rho0, a0, source, controls
-
-
-@pytest.mark.parametrize("stride", [1, 7])
-@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_batched_solves_match_separate_solves_bit_for_bit(d, scheme, stride):
-    g, tg, rho0, a0, source, controls = batch_case(d)
-    theta = Potential.tracking([[0.0, 0.5], [1.0, -0.5]] if d == 1 else [[0.0, [0.5, 0.0]], [1.0, [-0.5, 0.3]]])
-    plan = [max(p) for p in zip(*(required_substeps(g, DriftSpec(a0, c), tg, 0.9) for c in controls))]
-    batch = solve_forward_batch(rho0, DriftSpec(a0, tuple(controls)), source, tg, plan,
-                                scheme=scheme, stride=stride, theta=theta)
-    assert len(batch) == len(controls)
-    for control, traj in zip(controls, batch):
-        alone = solve_forward(rho0, DriftSpec(a0, control), source, tg, scheme=scheme, stride=stride,
-                              fixed_substeps=plan, theta=theta)
-        assert traj.substeps == alone.substeps == plan
-        assert traj.snapshot_steps == alone.snapshot_steps
-        for (n, got), (_, want) in zip(traj.stored_items(), alone.stored_items()):
-            assert bits_equal(got, want), n
-        for name in ("mass", "running", "boundary_outflux", "source_mass"):
-            assert bits_equal(getattr(traj, name), getattr(alone, name)), name
-        assert np.any(traj.boundary_outflux != 0.0) and np.any(traj.running != 0.0)
-        # a replayed node, and every node of a dense pass
-        assert bits_equal(traj.values_at(12), alone.values_at(12))
-        for (n, got), (m, want) in zip(traj.dense_values(), alone.dense_values()):
-            assert n == m and bits_equal(got, want)
-
-
-def test_a_batch_needs_a_fixed_plan_and_a_single_solve_one_path():
-    g, tg, rho0 = gaussian_setup(n=64, nt=8)
-    controls = tuple(varying_control(tg, 1, scale=s) for s in (0.5, -0.5))
-    batch, single = DriftSpec(DriftPreset("zero"), controls), DriftSpec(DriftPreset("zero"), controls[0])
-    with pytest.raises(ValueError, match="fixed_substeps"):
-        solve_forward_batch(rho0, batch, None, tg, None)
-    with pytest.raises(ValueError, match="tuple of control paths"):
-        solve_forward_batch(rho0, single, None, tg, [1] * 8)
-    with pytest.raises(ValueError, match="one control path"):
-        required_substeps(g, batch, tg, 0.9)
-    for solve in (solve_forward, lambda *args, **kw: solve_linearized(args[0], args[1], controls[0], *args[2:], **kw)):
-        with pytest.raises(ValueError):
-            solve(rho0, batch, None, tg, fixed_substeps=[1] * 8)
-
-
-def test_a_single_solve_has_no_member_axis(monkeypatch):
-    sweeps = []
-    init = _Sweep.__init__
-
-    def tracked(self, *args):
-        init(self, *args)
-        sweeps.append((self.stepper.members, self.stage.shape, self.axes[0].F.shape))
-
-    monkeypatch.setattr(_Sweep, "__init__", tracked)
-    g, tg, rho0 = gaussian_setup(n=64, nt=8)
-    controls = [varying_control(tg, 1, scale=s) for s in (0.5, -0.5)]
-    solve_forward(rho0, DriftSpec(DriftPreset("zero"), controls[0]), None, tg, scheme="muscl-fv")
-    assert sweeps == [((), (64,), (65,))]
-    batch = solve_forward_batch(rho0, DriftSpec(DriftPreset("zero"), tuple(controls)), None, tg, [2] * 8,
-                                scheme="muscl-fv", stride=4)
-    assert sweeps[1:] == [((2,), (64, 2), (65, 2))]
-    # a member's replay runs alone, under its own control
-    batch[1].values_at(3)
-    assert sweeps[2:] == [((), (64,), (65,))]

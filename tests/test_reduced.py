@@ -304,13 +304,13 @@ def test_replaced_problem_does_not_reuse_the_forward_memo():
 
 
 def counted_solves(monkeypatch):
-    """The member count of every FV sweep, and the control path of every
-    substep plan pass, from here on."""
+    """The drift of every FV solve, and the control path of every substep
+    plan pass, from here on."""
     solves, plans = [], []
     solve, plan = forward_module._solve, forward_module.required_substeps
 
     def counted_solve(rho0, drift, *args, **kwargs):
-        solves.append(len(drift.control) if isinstance(drift.control, tuple) else 1)
+        solves.append(drift)
         return solve(rho0, drift, *args, **kwargs)
 
     def counted_plan(*args):
@@ -323,47 +323,32 @@ def counted_solves(monkeypatch):
     return solves, plans
 
 
-def test_controls_that_share_a_plan_are_solved_in_one_sweep(monkeypatch):
+def test_fd_derivative_is_two_costs_and_memo_hits_are_not_solved_again(monkeypatch):
     prob = build_problem(n=128, nt=32, theta=Potential.tracking([[0.0, 0.0], [1.0, 0.5]]),
                          phi=Potential("gaussian-well"), scheme="muscl-fv")
     tg = prob.timegrid
-    slow = [ControlPath.constant(tg, [u1], [0.1]) for u1 in (0.2, -0.2)]
-    fast = ControlPath.constant(tg, [1.9], [0.5])
-    controls = [slow[0], fast, slow[1]]
-    plans = [dataclasses.replace(prob).solve_forward_for(c).substeps for c in controls]
-    assert plans[0] == plans[2] != plans[1]
-    expected = [reduced_cost(c, dataclasses.replace(prob)) for c in controls]
-    solves, plan_passes = counted_solves(monkeypatch)
-    costs = prob.reduced_costs(controls)
-    # a plan pass per control; a sweep per plan, the pair's in one
-    assert plan_passes == controls and sorted(solves) == [1, 2]
-    assert all(bits_equal(c, e) for c, e in zip(costs, expected))
-    # each solve is memoized with the bits of its own
-    for c in controls:
-        traj = prob.solve_forward_for(c)
-        alone = dataclasses.replace(prob).solve_forward_for(c)
-        assert bits_equal(traj.snapshots[-1], alone.snapshots[-1]) and bits_equal(traj.running, alone.running)
-    assert len(solves) == 2 + len(controls)
-    # memo hits are not solved again
-    del solves[:]
-    assert prob.reduced_costs(controls) == costs and solves == []
-    # the central difference has the bits of the two separate costs
-    d = ControlPath.constant(tg, [0.5], [-0.3])
-    up, dn = (ControlPath.from_stacked(tg, slow[0].stacked() + s * 1e-4 * d.stacked()) for s in (1.0, -1.0))
+    u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.5], [-0.3])
+    up, dn = (ControlPath.from_stacked(tg, u.stacked() + s * 1e-4 * d.stacked()) for s in (1.0, -1.0))
     fresh = dataclasses.replace(prob)
-    fd = (reduced_cost(up, fresh) - reduced_cost(dn, fresh)) / (2.0 * 1e-4)
-    assert bits_equal(fd_directional_derivative(prob, slow[0], d, 1e-4), fd)
+    expected = (reduced_cost(up, fresh) - reduced_cost(dn, fresh)) / (2.0 * 1e-4)
+    solves, _ = counted_solves(monkeypatch)
+    # the central difference has the bits of the two separate costs
+    assert bits_equal(fd_directional_derivative(prob, u, d, 1e-4), expected)
+    assert [drift.control.stacked().tobytes() for drift in solves] == [c.stacked().tobytes() for c in (up, dn)]
+    # memo hits are not solved again
+    assert fd_directional_derivative(prob, u, d, 1e-4) == expected and len(solves) == 2
 
 
-def test_grad_check_makes_five_sweeps(monkeypatch, tmp_path):
-    # the tangent solve, the eps ladder as two batches of two, the centre,
-    # and the finite-difference pair as one batch; a plan pass per control
-    # path: the ladder's ends, the centre and the pair
+def test_grad_check_makes_eight_solves_and_five_plan_passes(monkeypatch, tmp_path):
+    # the centre, the tangent, the eps ladder one solve each, and the
+    # finite-difference pair; the gradient reads the centre's from the memo.
+    # A plan pass per natural plan: the centre's solve, the ladder's ends
+    # and the pair's solves
     solves, plans = counted_solves(monkeypatch)
     args = ["grad-check", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
     assert run_command(args) == 0
-    assert solves == [1, 2, 2, 1, 2]
-    assert len(plans) == 6
+    assert len(solves) == 8 and all(isinstance(drift.control, ControlPath) for drift in solves)
+    assert len(plans) == 5
 
 
 def test_assemble_rejects_grid_mismatch():
