@@ -18,22 +18,22 @@ for a block of steps at a time (about 16,384 points, see
 centres with each copy at its own time; then every escaped foot of every
 step is marched in one forward sweep, each joining the batch at its own
 step.
-The feet of every step are kept (nt * N * d floats for N cells in d
-dimensions), so neither the backward pass nor a replay traces them again.
-The backward pass and every replay are sweeps down a range of steps.  A
-sweep tabulates the running-cost term of its steps, dt * theta at the
+The feet of every step are kept for the backward pass (nt * N * d floats
+for N cells in d dimensions), which runs down from step nt - 1 to step 0.
+It tabulates the running-cost term of its steps, dt * theta at the
 midpoints between the centres and their feet, from the stored feet for a
 block of steps at a time (about ``grid._BLOCK_POINTS`` values) down from the
-first step that needs it, in one ``potential_eval`` call; a block never
-reaches below the sweep's last step, and it lives as long as the sweep.
+first step that needs it, in one ``potential_eval`` call.
 Interpolated values are clipped to the local stencil range, which keeps the
 discrete maximum principle.
 
-The backward pass keeps its nodes in the forward solver's ``Checkpoints``
-store, which replays any other node backward from the checkpoint above it
-by a sweep on the same stored feet.  A solve records nothing per node;
-its L2 norm and the negative-weight norm of the confining case are computed
-from the checkpoints by whoever reports them.
+The backward pass keeps every node, 0..nt, in the forward solver's
+``Checkpoints`` store, whatever ``output.stride``: the nodes, (nt + 1) * N
+floats, weigh about as much as the feet in 1D and half as much in 2D, and
+the feet are dropped, with the off-grid table, when the solve returns.  So
+nothing replays the adjoint.  A solve records
+nothing per node; its L2 norm and the negative-weight norm of the confining
+case are computed from the stored nodes by whoever reports them.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class _BackStepper:
         )
         # feet[n_next - 1] are the RK4 feet at t_{n_next} of the
         # characteristics through the cell centres at t_{n_next - 1}; the
-        # backward pass and every replay read them from here
+        # backward pass reads them from here
         self.feet, self.offgrid = self._continue_offgrid()
         self._rows = _block_nodes(grid.num_cells)
 
@@ -164,16 +164,16 @@ class _BackStepper:
         values = -potential_eval(self.cost.phi, x, self.nt * dt) - acc
         return all_feet, {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
 
-    def sweep(self, q: np.ndarray, start: int, stop: int):
-        """Yield q at nodes start - 1 down to stop, from q at node start.
+    def sweep(self, q: np.ndarray):
+        """Yield q at nodes nt - 1 down to 0, from q at node nt.
         The running-cost term of step k (t_k to t_{k+1}) at the cell
         centres, _theta_line_integral from the centres to their stored feet,
         is tabulated for a block of steps down from the first step outside
-        the current block, and no lower than step stop."""
-        lo = start
-        for k in range(start - 1, stop - 1, -1):
+        the current block."""
+        lo = self.nt
+        for k in range(self.nt - 1, -1, -1):
             if k < lo:
-                lo = max(stop, k + 1 - self._rows)
+                lo = max(0, k + 1 - self._rows)
                 terms = self._theta_line_integral(np.arange(lo, k + 1) * self.dt, self.dt, self.centers, self.feet[lo:k + 1])
             vals, _ = interpolate_flagged(ScalarField(self.grid, q), self.feet[k], clip=True)
             idx, continued = self.offgrid[k + 1]
@@ -182,22 +182,16 @@ class _BackStepper:
             yield q
 
 
-def solve_adjoint(
-    cost: CostSpec,
-    drift: DriftSpec,
-    timegrid: TimeGrid,
-    grid: GridSpec,
-    stride: int = 1,
-) -> Checkpoints:
-    """Solve the adjoint problem backward from q(T) = -phi."""
+def solve_adjoint(cost: CostSpec, drift: DriftSpec, timegrid: TimeGrid, grid: GridSpec) -> Checkpoints:
+    """Solve the adjoint problem backward from q(T) = -phi, keeping every node."""
     stepper = _BackStepper(grid, drift, cost, timegrid)
     nt = timegrid.nt
     pts = grid.cell_centers()
     q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
 
-    traj = Checkpoints(timegrid, grid, stride, stepper.sweep, backward=True)
+    traj = Checkpoints(timegrid, grid, 1)
     traj.keep(nt, q)
-    for n, q in zip(range(nt - 1, -1, -1), stepper.sweep(q, nt, 0)):
+    for n, q in zip(range(nt - 1, -1, -1), stepper.sweep(q)):
         traj.keep(n, q)
     return traj
 

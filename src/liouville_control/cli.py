@@ -261,19 +261,24 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _write_snapshots(traj, out_dir: str, prefix: str) -> None:
+def _write_snapshots(traj, stride: int, out_dir: str, prefix: str) -> None:
+    """The stored nodes at node nt and every ``stride``-th node; the adjoint
+    stores every node, the forward solve these only."""
     snap_dir = os.path.join(out_dir, "snapshots")
     fileio.ensure_dir(snap_dir)
     for n, vals in traj.stored_items():
+        if n % stride and n != traj.timegrid.nt:
+            continue
         fileio.write_field_csv(
             ScalarField(traj.grid, np.array(vals)), os.path.join(snap_dir, f"{prefix}_{n:06d}.csv")
         )
 
 
 def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
-    traj = cfg.problem().solve_forward_for(cfg.control)
+    prob = cfg.problem()
+    traj = prob.solve_forward_for(cfg.control)
     summary = fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
-    _write_snapshots(traj, out_dir, "rho")
+    _write_snapshots(traj, prob.stride, out_dir, "rho")
     return {
         "command": "forward",
         "scheme": traj.scheme,
@@ -292,7 +297,7 @@ def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
     traj = prob.solve_adjoint_for(cfg.control)
     neg_k = confining_weight_index(prob.grid.dim) if prob.cost.theta.confining or prob.cost.phi.confining else None
     summary = fileio.write_adjoint_summary(traj, neg_k, os.path.join(out_dir, "trajectory_summary.csv"))
-    _write_snapshots(traj, out_dir, "q")
+    _write_snapshots(traj, prob.stride, out_dir, "q")
     report = {"command": "adjoint", "l2_initial": summary["l2"][0], "l2_terminal": summary["l2"][-1]}
     if neg_k is not None:
         report["neg_k"] = neg_k

@@ -36,10 +36,13 @@ its linearization with respect to a control perturbation; it differentiates
 the discrete flux directly, which is what the regularity probes need.
 
 ``Checkpoints`` is the one store for the forward, tangent and adjoint
-trajectories (stride checkpointing with deterministic replay, as in
-Griewank & Walther's revolve, without its binomial schedule).  Solves record
-only what the objective reads; ``history`` computes any other per-node value,
-such as a minimum or a weighted Sobolev norm, from the checkpoints.
+trajectories.  A forward solve keeps every ``stride``-th node and replays
+the others from the stored node below (stride checkpointing with
+deterministic replay, as in Griewank & Walther's revolve, without its
+binomial schedule); this is the only replay, since the adjoint keeps every
+node (see ``adjoint``).  Solves record only what the objective reads;
+``history`` computes any other per-node value, such as a minimum or a
+weighted Sobolev norm, from the checkpoints.
 
 A forward solve records at every node, whatever the stride, the mass with
 the finiteness check of each step and, given a nonzero running potential
@@ -349,18 +352,17 @@ class _Sweep:
 class Checkpoints:
     """Node 0, node nt and every ``stride``-th time node of a solve.
 
-    Any other node is replayed, bit-exactly, from the stored node the solve
-    passed last by a sweep of the solve's own: ``sweep(values, start, stop)``
-    yields the nodes after ``start`` up to ``stop`` in the solve's direction,
-    from the values at ``start``.  Without a sweep (the tangent) only the
-    stored nodes are available.
+    Any other node is replayed, bit-exactly, from the stored node below it
+    by a forward sweep of the solve's own: ``sweep(values, start, stop)``
+    yields the nodes after ``start`` up to ``stop`` from the values at
+    ``start``.  Without a sweep (the tangent, and the adjoint, which keeps
+    every node) only the stored nodes are available.
     """
 
     timegrid: TimeGrid
     grid: GridSpec
     stride: int
     sweep: Callable | None = field(default=None, repr=False)
-    backward: bool = False
     _stored: dict = field(default_factory=dict, repr=False)
 
     def keep(self, n: int, values: np.ndarray) -> None:
@@ -381,28 +383,20 @@ class Checkpoints:
     def values_at(self, n: int) -> np.ndarray:
         if n in self._stored:
             return self._stored[n]
-        if self.backward:
-            start = min(k for k in self._stored if k > n)
-        else:
-            start = max(k for k in self._stored if k < n)
+        start = max(k for k in self._stored if k < n)
         for vals in self.sweep(self._stored[start], start, n):
             pass
         return vals
 
     def dense_values(self):
-        """Yield (n, values) for every node n = 0..nt in ascending order; a
-        backward trajectory replays each segment downward, buffers it and
-        yields it upward.  Each segment's sweep runs to its end, and so
-        drops its scratch state, before the next stored node is yielded."""
+        """Yield (n, values) for every node n = 0..nt in ascending order.
+        Each segment's sweep runs to its end, and so drops its scratch
+        state, before the next stored node is yielded."""
         steps = self.snapshot_steps
         for lo, hi in zip(steps, steps[1:]):
             yield lo, self._stored[lo]
             if hi > lo + 1:
-                if self.backward:
-                    inner = list(self.sweep(self._stored[hi], hi, lo + 1))[::-1]
-                else:
-                    inner = self.sweep(self._stored[lo], lo, hi - 1)
-                yield from enumerate(inner, lo + 1)
+                yield from enumerate(self.sweep(self._stored[lo], lo, hi - 1), lo + 1)
         yield steps[-1], self._stored[steps[-1]]
 
     def history(self, **per_node: Callable) -> dict[str, np.ndarray]:

@@ -195,9 +195,7 @@ class Problem:
         return traj
 
     def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
-        return solve_adjoint(
-            self.cost, self.drift_for(control), self.timegrid, self.grid, stride=self.stride
-        )
+        return solve_adjoint(self.cost, self.drift_for(control), self.timegrid, self.grid)
 
     def reduced_cost(self, control: ControlPath) -> float:
         return reduced_cost(control, self)

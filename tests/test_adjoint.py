@@ -216,15 +216,14 @@ def _per_step_reference(cost, drift, tg, g):
     return out, escaped
 
 
-def _assert_matches_reference(cost, drift, tg, g, ref, strides=(1, 4)):
-    for stride in strides:
-        traj = solve_adjoint(cost, drift, tg, g, stride=stride)
-        for n in range(tg.nt + 1):
-            assert np.array_equal(traj.values_at(n), ref[n])
-        dense = list(traj.dense_values())
-        assert [n for n, _ in dense] == list(range(tg.nt + 1))
-        for n, vals in dense:
-            assert np.array_equal(vals, ref[n])
+def _assert_matches_reference(cost, drift, tg, g, ref):
+    traj = solve_adjoint(cost, drift, tg, g)
+    for n in range(tg.nt + 1):
+        assert np.array_equal(traj.values_at(n), ref[n])
+    dense = list(traj.dense_values())
+    assert [n for n, _ in dense] == list(range(tg.nt + 1))
+    for n, vals in dense:
+        assert np.array_equal(vals, ref[n])
 
 
 def test_batched_offgrid_continuation_matches_per_step_march():
@@ -312,24 +311,20 @@ def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
     stepper._theta_line_integral = lambda t0, *args: rows.append(np.size(t0)) or integral(t0, *args)
     # the per-step march evaluates each step's term on its own
     ref, _ = _per_step_reference(cost, drift, tg, g)
-    # the whole backward pass; sweeps of several blocks, the last ragged,
-    # from a node inside a block and from the first node of one; one step
-    for start, stop in [(tg.nt, 0), (tg.nt - 3, 2), (size + 1, size - 1), (2 * size, 1), (5, 4)]:
-        rows.clear()
-        got = list(stepper.sweep(ref[start], start, stop))
-        assert len(got) == start - stop
-        for n, q in zip(range(start - 1, stop - 1, -1), got):
-            assert bits_equal(q, ref[n])
-        # the blocks of terms cover the sweep's steps and no others
-        assert sum(rows) == start - stop and max(rows) <= size
-    # the backward pass and every replay, at a stride that does not divide
-    # nt too, give the adjoint of the per-step march
-    _assert_matches_reference(cost, drift, tg, g, ref, strides=(1, 7))
+    # the whole backward pass, over several blocks of steps, the last ragged
+    rows.clear()
+    got = list(stepper.sweep(ref[tg.nt]))
+    assert len(got) == tg.nt
+    for n, q in zip(range(tg.nt - 1, -1, -1), got):
+        assert bits_equal(q, ref[n])
+    # the blocks of terms cover every step once
+    assert sum(rows) == tg.nt and len(rows) == -(-tg.nt // size) and max(rows) == size
+    _assert_matches_reference(cost, drift, tg, g, ref)
 
 
 def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
-    # every running-cost block a backward pass or a replay tabulates is gone
-    # once it ends, also at the stored nodes of a dense pass
+    # every running-cost block the backward pass tabulates is gone once the
+    # solve returns, and reading the nodes back tabulates none
     g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, np.cos(4.0 * s), 0.3 - s))
@@ -347,15 +342,12 @@ def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
         return [ref for ref in blocks if ref() is not None]
 
     monkeypatch.setattr(adjoint_module._BackStepper, "_theta_line_integral", tracked)
-    traj = solve_adjoint(cost, drift, tg, g, stride=7)
+    traj = solve_adjoint(cost, drift, tg, g)
     assert len(blocks) > 1 and not alive()
     made = len(blocks)
     traj.values_at(16)
-    assert len(blocks) > made and not alive()
-    for n, _ in traj.dense_values():
-        if n in traj.snapshot_steps:
-            assert not alive()
-    assert not alive()
+    list(traj.dense_values())
+    assert len(blocks) == made
 
 
 def test_feet_are_traced_once_per_solve(monkeypatch):
@@ -373,15 +365,14 @@ def test_feet_are_traced_once_per_solve(monkeypatch):
         return eval_drift(spec, t, points)
 
     monkeypatch.setattr(adjoint_module, "eval_drift", eval_drift_counted)
-    dense = solve_adjoint(cost, drift, tg, g)
+    traj = solve_adjoint(cost, drift, tg, g)
     assert min(calls) >= g.num_cells
     assert sum(calls) == 4 * tg.nt * g.num_cells
-    strided = solve_adjoint(cost, drift, tg, g, stride=8)
+    # reading the nodes back evaluates no drift
     del calls[:]
     for n in (3, 13, 31):
-        assert np.array_equal(strided.values_at(n), dense.values_at(n))
-    for n, vals in strided.dense_values():
-        assert np.array_equal(vals, dense.values_at(n))
+        traj.values_at(n)
+    list(traj.dense_values())
     assert calls == []
 
 
@@ -395,22 +386,24 @@ def test_offgrid_sweep_leaving_safety_hull_raises():
         solve_adjoint(cost, drift, tg, g)
 
 
-def test_adjoint_stride_replay_matches_dense():
+def test_adjoint_keeps_every_node_and_drops_its_feet(monkeypatch):
+    # the solve stores nodes 0..nt, so nothing replays the adjoint, and its
+    # stepper, with the feet of every step, is freed when it returns
     g, tg = setup(n=64, nt=64)
     drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.4], [0.1]))
     cost = CostSpec(gamma=1.0, theta=Potential("gaussian-well"), phi=Potential("gaussian-well"))
-    dense = solve_adjoint(cost, drift, tg, g, stride=1)
-    rho0 = sample_function(g, "gaussian", {"x0": 0.0, "v0": 1.0})
-    for stride in (8, 7):  # 7 does not divide nt: the top segment is short
-        strided = solve_adjoint(cost, drift, tg, g, stride=stride)
-        forward = solve_forward(rho0, drift, None, tg, stride=stride)
-        assert strided.snapshot_steps == forward.snapshot_steps
-        for n in (5, 13, 31, 60, 63):
-            assert np.array_equal(strided.values_at(n), dense.values_at(n))
-        got = [(n, v.copy()) for n, v in strided.dense_values()]
-        assert [n for n, _ in got] == list(range(tg.nt + 1))
-        for n, vals in got:
-            assert np.array_equal(vals, dense.values_at(n))
+    made = []
+
+    class Tracked(adjoint_module._BackStepper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((weakref.ref(self), weakref.ref(self.feet)))
+
+    monkeypatch.setattr(adjoint_module, "_BackStepper", Tracked)
+    traj = solve_adjoint(cost, drift, tg, g)
+    assert len(made) == 1 and all(ref() is None for ref in made[0])
+    assert traj.snapshot_steps == list(range(tg.nt + 1)) and traj.sweep is None
+    assert [n for n, _ in traj.dense_values()] == traj.snapshot_steps
 
 
 def test_2d_confining_certificate():
@@ -427,8 +420,7 @@ def test_2d_confining_certificate():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("stride", [1, 8])
-def test_l2_history_is_the_per_node_sum_of_squares(dim, stride):
+def test_l2_history_is_the_per_node_sum_of_squares(dim):
     # the L2 norm read from the checkpoints has the bits of each node's own
     # sum of squares
     if dim == 1:
@@ -439,7 +431,7 @@ def test_l2_history_is_the_per_node_sum_of_squares(dim, stride):
         g, tg = make_grid(2, (-6, -6), (6, 6), (24, 24)), make_timegrid(0.5, 20)
         drift = DriftSpec(DriftPreset("rotation", {"omega": 1.0}), ControlPath.constant(tg, [0.1, -0.2], [0.0, 0.1]))
         cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
-    traj = solve_adjoint(cost, drift, tg, g, stride=stride)
+    traj = solve_adjoint(cost, drift, tg, g)
     l2, vol = traj.norm_history(0, 0), g.cell_volume
     for n, q in traj.dense_values():
         assert bits_equal(l2[n], math.sqrt(float((q * q).sum() * vol)))

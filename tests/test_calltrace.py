@@ -8,6 +8,7 @@ benchmark run.  The tracer module is read, never changed.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 CALLTRACE = Path(__file__).resolve().parent.parent / "bench" / "calltrace.py"
@@ -72,3 +73,37 @@ def test_the_tracer_sees_every_forward_solve(monkeypatch, tmp_path):
     )
     assert solves and traced == len(solves)
     assert tracer.counters["forward.substeps"] == sum(solves)
+
+
+def test_the_tracer_sees_the_adjoint_of_a_strided_grad(monkeypatch, tmp_path):
+    # at output.stride 8 on bimodal-stabilize-1d (nt = 128), the one
+    # assembly of a grad replays 112 forward steps and no adjoint step, and
+    # every adjoint solve goes through the traced name
+    import liouville_control.adjoint as adjoint_module
+    from liouville_control.cli import load_scenario, run_command, scenario_path
+
+    calltrace = load_calltrace()
+    made = []
+    init = adjoint_module._BackStepper.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(adjoint_module._BackStepper, "__init__", counted)
+    with open(scenario_path("bimodal-stabilize-1d")) as fh:
+        cfg = json.load(fh)
+    cfg["output"] = {"stride": 8}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(cfg))
+    tracer = calltrace.Tracer()
+    cells = load_scenario("bimodal-stabilize-1d").problem().grid.num_cells
+    restore = calltrace.instrument(tracer, "liouville_control", cells)
+    try:
+        assert run_command(["grad", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        restore()
+    traced = sum(rec[calltrace.CALLS] for rec in tracer.records if rec[calltrace.NAME] == "adjoint.solve_adjoint")
+    assert made and traced == len(made)
+    assert tracer.counters["adjoint.replay_steps"] == 0
+    assert tracer.counters["forward.replay_steps"] == 112

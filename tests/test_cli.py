@@ -478,6 +478,35 @@ def test_weighted_norm_columns_do_not_depend_on_stride(tmp_path):
     assert dense["certify"][0]["adjoint_certificate"]["neg_k"] == 3
 
 
+@pytest.mark.parametrize("scenario, stride", [
+    ("bimodal-stabilize-1d", 8),
+    ("bimodal-stabilize-1d", 7),  # 7 does not divide nt = 128
+    ("confining-2d", 8),
+])
+def test_adjoint_files_do_not_depend_on_stride(tmp_path, scenario, stride):
+    # the adjoint keeps every node, and the command writes the snapshots at
+    # node nt and every stride-th node: those of a stride-1 run, byte for byte
+    outputs = {}
+    for s in (1, stride):
+        with open(scenario_path(scenario)) as fh:
+            cfg = json.load(fh)
+        cfg["output"] = {"stride": s}
+        out = tmp_path / str(s)
+        assert run_command(["adjoint", "--config", write_config(tmp_path, cfg, f"{s}.json"), "--out", str(out)]) == 0
+        outputs[s] = {
+            str(f.relative_to(out)): f.read_bytes()
+            for f in sorted(out.rglob("*")) if f.is_file() and f.name != "resolved_config.json"
+        }
+    dense, strided = outputs[1], outputs[stride]
+    nt = load_scenario(scenario).problem().timegrid.nt
+    nodes = sorted({*range(0, nt + 1, stride), nt})
+    assert sorted(n for n in strided if n.startswith("snapshots/")) == [
+        os.path.join("snapshots", f"q_{n:06d}.csv") for n in nodes
+    ]
+    assert len([n for n in dense if n.startswith("snapshots/")]) == nt + 1
+    assert strided == {name: dense[name] for name in strided}
+
+
 def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
     out = _run_diagnostics(tmp_path, "gaussian-well", 1)
     report, csv = out["adjoint"]

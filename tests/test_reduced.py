@@ -130,7 +130,8 @@ def test_ibp_cross_check_small_and_shrinking():
 
 def test_gradient_identical_at_stride_not_dividing_nt():
     # the assembly pairs each forward node with the adjoint at the same node;
-    # at stride 7 both are replayed, the adjoint downward and then ascending
+    # at stride 7 the forward nodes are replayed and the adjoint keeps every
+    # node
     theta = Potential.tracking([[0.0, 0.0], [1.0, 0.5]])
     s = np.linspace(0.0, 1.0, 65)[:, None]
     grads = []
@@ -251,8 +252,9 @@ def test_cost_is_the_same_at_every_stride(dim):
 
 def test_a_dense_pass_tabulates_only_the_rows_it_replays(monkeypatch):
     # at stride 8, bimodal-stabilize-1d (MUSCL, one substep per step)
-    # replays 7 of every 8 steps forward and backward; the blocks of split
-    # rows and of running-cost terms end at each replay's last row
+    # replays 7 of every 8 steps forward, and the blocks of split rows end at
+    # each replay's last row; the adjoint keeps every node, so the pass
+    # tabulates no running-cost term
     cfg = load_scenario("bimodal-stabilize-1d")
     prob = dataclasses.replace(cfg.problem(), stride=8)
     traj_rho, traj_q = prob.solve_forward_for(cfg.control), prob.solve_adjoint_for(cfg.control)
@@ -275,7 +277,7 @@ def test_a_dense_pass_tabulates_only_the_rows_it_replays(monkeypatch):
     nt, stored = prob.timegrid.nt, set(traj_rho.snapshot_steps)
     replayed = [n for n in range(nt) if n + 1 not in stored]
     assert rows["split"] == 2 * sum(traj_rho.substeps[n] for n in replayed) == 224
-    assert rows["theta"] == nt + 1 - len(traj_q.snapshot_steps) == 112
+    assert traj_q.snapshot_steps == list(range(nt + 1)) and rows["theta"] == 0
 
 
 @pytest.mark.parametrize("which", ["rho", "q"])
