@@ -16,8 +16,13 @@ time-dependent preset would have to give that cache up.  The control (and
 the tangent's control) is looked up once per solve, in one array pass, at
 every stage time of the substep plan, n * dt + j * h and
 (n * dt + j * h) + h; each stage reads its row of that table.  The plan
-itself reads max |a| from the face speeds of a table of the nodes, a block
-of nodes at a time.
+(``_Stepper.plan``) is made by the solve's own stepper, so a0 is evaluated
+at the faces once per solve, plan included: it reads max |a| from the face
+speeds of a table of the nodes, a block of nodes at a time.
+
+A solve's settings are checked before anything is allocated: ``cfl`` must
+be a positive finite number, ``stride`` and ``max_substeps`` integers of at
+least 1, else ``ValueError`` names the argument.
 
 Each sweep, a solve or a checkpoint replay, owns its scratch state
 (``_Sweep``), made when it starts and dropped with it, so no solver object
@@ -64,7 +69,8 @@ import numpy as np
 from .controls import ControlPath, DriftSpec, Potential, drift_div_bound, drift_grad_bound, potential_eval
 from .controls import eval_drift  # unused here; bench/calltrace.py wraps forward.eval_drift by name
 from .errors import CflUnderflow, InvalidGrid, NonFinite
-from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, _row_sums, weighted_sobolev_norm
+from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, _row_sums, is_count, is_finite_number
+from .grid import weighted_sobolev_norm
 
 __all__ = [
     "Checkpoints",
@@ -95,6 +101,11 @@ def _face_points(grid: GridSpec, axis: int) -> np.ndarray:
             coords.append(grid.centers(ax))
     X, Y = np.meshgrid(coords[0], coords[1], indexing="ij")
     return np.stack([X, Y], axis=-1)
+
+
+def _check_cfl(cfl) -> None:
+    if not (is_finite_number(cfl) and cfl > 0):
+        raise ValueError(f"cfl must be a positive finite number, got {cfl!r}")
 
 
 class _Faces:
@@ -182,7 +193,8 @@ class _Stepper:
     """The constants of one solve: grid, drift, the source and its mass per
     unit time, the scheme and its stages per substep, a0 and x at the faces
     of each axis (stored with that axis first), and the control table that
-    ``look_up`` fills.  A sweep over the table is a ``_Sweep``."""
+    ``look_up`` fills.  ``plan`` reads the solve's substep plan from the same
+    face values.  A sweep over the table is a ``_Sweep``."""
 
     def __init__(self, grid, drift, source, scheme, tangent_control: ControlPath | None = None):
         if scheme not in SCHEMES:
@@ -235,6 +247,20 @@ class _Stepper:
             np.add(_column(du1, ax, x), np.multiply(x, _column(du2, ax, x), out=da), out=da)
             for ax, (x, da) in enumerate(zip(self.x_faces, out or [None] * len(self.h)))
         ]
+
+    def plan(self, timegrid: TimeGrid, cfl: float) -> list[int]:
+        """Per-step substep counts from the Courant number at the step ends:
+        at each node, the sum over axes of max |a_axis| / h_axis, read from
+        the face speeds of a block of nodes at a time.  Leaves the control
+        table at the nodes, for ``look_up`` to replace."""
+        dt, nodes = timegrid.dt, timegrid.nt + 1
+        self.controls = self.drift.control.value_at(np.arange(nodes) * dt)
+        speed = np.zeros(nodes)
+        for lo in range(0, nodes, self._rows):
+            rows = slice(lo, lo + self._rows)
+            for a, h in zip(self.face_speeds(rows), self.h):
+                speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
+        return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
 class _Sweep:
@@ -432,18 +458,11 @@ class StateTrajectory(Checkpoints):
 
 
 def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl: float) -> list[int]:
-    """Per-step substep counts from the Courant number at the step ends:
-    at each node, the sum over axes of max |a_axis| / h_axis, read from the
-    face speeds of a block of nodes at a time.  The scheme does not enter."""
-    stepper = _Stepper(grid, drift, None, next(iter(SCHEMES)))
-    dt, nodes = timegrid.dt, timegrid.nt + 1
-    stepper.look_up(np.arange(nodes) * dt)
-    speed = np.zeros(nodes)
-    for lo in range(0, nodes, stepper._rows):
-        rows = slice(lo, lo + stepper._rows)
-        for a, h in zip(stepper.face_speeds(rows), grid.h):
-            speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
-    return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
+    """Per-step substep counts from the Courant number at the step ends, as
+    planned by a solve (``_Stepper.plan``) on a stepper of its own; the
+    scheme does not enter."""
+    _check_cfl(cfl)
+    return _Stepper(grid, drift, None, next(iter(SCHEMES))).plan(timegrid, cfl)
 
 
 class _NodeBlock:
@@ -487,6 +506,10 @@ def _solve(
     tangent_control: ControlPath | None,
     theta: Potential | None = None,
 ):
+    _check_cfl(cfl)
+    for name, value in (("stride", stride), ("max_substeps", max_substeps)):
+        if not (is_count(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     grid = rho0.grid
     if source is not None:
         source = np.asarray(source)
@@ -497,7 +520,7 @@ def _solve(
     nt = timegrid.nt
 
     if fixed_substeps is None:
-        plan = required_substeps(grid, drift, timegrid, cfl)
+        plan = stepper.plan(timegrid, cfl)
     else:
         plan = [int(v) for v in fixed_substeps]
     worst = max(plan)

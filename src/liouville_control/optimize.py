@@ -23,14 +23,7 @@ import numpy as np
 
 from .controls import ControlPath, project_box
 from .grid import is_count
-from .reduced import (
-    KktResidual,
-    Problem,
-    kkt_residual,
-    path_norm,
-    shrink,
-    smallness_certificate,
-)
+from .reduced import KktResidual, kkt_residual, path_norm, shrink
 
 __all__ = ["OptimConfig", "OptimResult", "MultiStartReport", "optimize", "multi_start"]
 
@@ -144,8 +137,6 @@ class MultiStartReport:
     within_tol: bool
     terminations: tuple
     final_costs: tuple
-    smallness_ratio: float | None = None
-    smallness_pass: bool | None = None
     controls: list = field(default_factory=list, repr=False)
 
 
@@ -168,7 +159,6 @@ def multi_start(problem, config: OptimConfig) -> MultiStartReport:
         for j in range(i + 1, len(results)):
             d = path_norm(tg, results[i].control.stacked() - results[j].control.stacked())
             worst = max(worst, d)
-    smallness = smallness_certificate(problem) if isinstance(problem, Problem) else None
     return MultiStartReport(
         seeds=tuple(config.seeds),
         max_pairwise_distance=worst,
@@ -176,7 +166,5 @@ def multi_start(problem, config: OptimConfig) -> MultiStartReport:
         within_tol=bool(worst <= config.uniqueness_tol),
         terminations=tuple(r.termination for r in results),
         final_costs=tuple(r.cost_history[-1] for r in results),
-        smallness_ratio=None if smallness is None else smallness.smallness_ratio,
-        smallness_pass=None if smallness is None else smallness.passed,
         controls=[r.control for r in results],
     )

@@ -169,30 +169,23 @@ class Problem:
     def drift_for(self, control: ControlPath) -> DriftSpec:
         return DriftSpec(self.a0, control)
 
-    def solve_forward_for(self, control: ControlPath, fixed_substeps=None) -> StateTrajectory:
+    @property
+    def solver(self) -> dict:
+        """The settings every forward solve of the problem takes."""
+        return dict(scheme=self.scheme, cfl=self.cfl, stride=self.stride, max_substeps=self.max_substeps)
+
+    def solve_forward_for(self, control: ControlPath) -> StateTrajectory:
         # memoize the few most recent solves; the optimizer evaluates cost
         # and gradient at the same control back to back
-        cache = self._fwd_cache
-        key = control.stacked().tobytes() if fixed_substeps is None else None
-        if key in cache:
-            return cache[key]
-        traj = solve_forward(
-            self.rho0,
-            self.drift_for(control),
-            self.source,
-            self.timegrid,
-            scheme=self.scheme,
-            cfl=self.cfl,
-            stride=self.stride,
-            max_substeps=self.max_substeps,
-            fixed_substeps=fixed_substeps,
-            theta=self.cost.theta,
-        )
-        if key is not None:
+        cache, key = self._fwd_cache, control.stacked().tobytes()
+        if key not in cache:
+            traj = solve_forward(
+                self.rho0, self.drift_for(control), self.source, self.timegrid, theta=self.cost.theta, **self.solver
+            )
             if len(cache) >= 4:
                 cache.pop(next(iter(cache)))
             cache[key] = traj
-        return traj
+        return cache[key]
 
     def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
         return solve_adjoint(self.cost, self.drift_for(control), self.timegrid, self.grid)
@@ -405,16 +398,7 @@ def frechet_probe(
         plan = [max(a, b) for a, b in zip(plan, p)]
 
     base, wtraj = solve_linearized(
-        problem.rho0,
-        problem.drift_for(control),
-        direction,
-        problem.source,
-        tg,
-        scheme=problem.scheme,
-        cfl=problem.cfl,
-        stride=problem.stride,
-        max_substeps=problem.max_substeps,
-        fixed_substeps=plan,
+        problem.rho0, problem.drift_for(control), direction, problem.source, tg, fixed_substeps=plan, **problem.solver
     )
     vol = problem.grid.cell_volume
     remainders = []
@@ -422,15 +406,7 @@ def frechet_probe(
     # is dropped before the next, so one ladder solve is held at a time
     for e in eps:
         traj_e = solve_forward(
-            problem.rho0,
-            problem.drift_for(control_plus(e)),
-            problem.source,
-            tg,
-            scheme=problem.scheme,
-            cfl=problem.cfl,
-            stride=problem.stride,
-            max_substeps=problem.max_substeps,
-            fixed_substeps=plan,
+            problem.rho0, problem.drift_for(control_plus(e)), problem.source, tg, fixed_substeps=plan, **problem.solver
         )
         worst = 0.0
         for (n, rho_e), (_, rho_0), (_, w) in zip(

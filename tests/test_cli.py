@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from liouville_control import SchemaError, sample_function
+from liouville_control import SchemaError, sample_function, smallness_certificate
 from liouville_control.cli import COMMANDS, load_scenario, parse_config, run_command, scenario_path
 from liouville_control.fileio import read_control_csv
 from liouville_control.forward import Checkpoints
@@ -407,6 +407,23 @@ def test_multistart_command(tmp_path):
     rep = json.loads((tmp_path / "o" / "multistart_report.json").read_text())
     assert rep["max_pairwise_distance"] == 0.0
     assert rep["within_tol"]
+
+
+def test_multistart_and_certify_report_the_same_smallness(tmp_path):
+    # both read constants.C_universal; here the ratio differs from C = 1's
+    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, constants={"C_universal": 0.5},
+               cost={"gamma": 0.5, "theta": "tracking", "phi": "gaussian-well",
+                     "track_path": [[0.0, 0.0], [1.0, 0.3]]},
+               optim={"max_iters": 10, "vi_tol": 1e-3, "seeds": [0, 1]}, solver={"scheme": "muscl-fv"})
+    cfgp = write_config(tmp_path, cfg)
+    reports = {}
+    for command, name in (("multistart", "multistart_report.json"), ("certify", "report.json")):
+        assert run_command([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
+        rep = json.loads((tmp_path / command / name).read_text())
+        reports[command] = (rep["smallness_ratio"], rep["smallness_pass"])
+    assert reports["multistart"] == reports["certify"]
+    assert reports["multistart"][1] is False
+    assert reports["multistart"][0] != smallness_certificate(parse_config(json.dumps(cfg)).problem()).smallness_ratio
 
 
 def test_oracle_compare_command(tmp_path):

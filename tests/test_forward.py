@@ -372,6 +372,49 @@ def test_required_substeps_match_a_plan_from_both_step_ends(d):
     assert len(set(plan)) > 1
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_solve_evaluates_the_faces_once_per_axis(d, monkeypatch):
+    # the plan is read from the solve's own stepper, not from a second one
+    g = case_grid(d)
+    tg = make_timegrid(1.0, 8)
+    drift = DriftSpec(DriftPreset("gaussian-bump"), varying_control(tg, d))
+    rho0 = sample_function(g, "gaussian", {"v0": 0.5})
+    calls = []
+
+    def counted(grid, axis):
+        calls.append(axis)
+        return _face_points(grid, axis)
+
+    monkeypatch.setattr(forward_module, "_face_points", counted)
+    solve_forward(rho0, drift, None, tg, scheme="muscl-fv")
+    assert calls == list(range(d))
+
+
+BAD_SETTINGS = [
+    ("cfl", -1.0), ("cfl", 0.0), ("cfl", math.nan), ("cfl", math.inf), ("cfl", True),
+    ("stride", -3), ("stride", 0), ("stride", 2.5), ("stride", True),
+    ("max_substeps", 0), ("max_substeps", 64.0),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_SETTINGS, ids=[f"{n}={v}" for n, v in BAD_SETTINGS])
+def test_bad_solve_settings_raise_before_anything_is_built(name, value, monkeypatch):
+    g, tg, rho0 = gaussian_setup(n=32, nt=8)
+    drift = drift_const(tg, 0.3, 0.1)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(forward_module, "_Stepper", unbuilt)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_forward(rho0, drift, None, tg, **{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        solve_linearized(rho0, drift, drift.control, None, tg, fixed_substeps=[1] * tg.nt, **{name: value})
+    if name == "cfl":
+        with pytest.raises(ValueError, match="^cfl must be"):
+            required_substeps(g, drift, tg, value)
+
+
 def reference_minmod(a, b):
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 

@@ -167,7 +167,8 @@ def test_multistart_reports_without_claims_outside_smallness():
     prob = build_problem(gamma=0.5, theta=theta, phi=Potential("gaussian-well"),
                          n=64, nt=32, scheme="muscl-fv")
     report = multi_start(prob, OptimConfig(max_iters=40, vi_tol=1e-3, seeds=(0, 1)))
-    assert report.smallness_pass is False
+    # the smallness certificate is the caller's, at its universal constant
+    assert not any(f.name.startswith("smallness") for f in dataclasses.fields(report))
     assert np.isfinite(report.max_pairwise_distance)
 
 

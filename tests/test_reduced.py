@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -33,7 +34,6 @@ from liouville_control import (
 )
 import liouville_control.adjoint as adjoint_module
 import liouville_control.forward as forward_module
-import liouville_control.reduced as reduced_module
 from liouville_control.cli import load_scenario, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
@@ -305,23 +305,57 @@ def test_replaced_problem_does_not_reuse_the_forward_memo():
         prob.stride = 8
 
 
+def test_a_problem_hands_its_settings_to_every_forward_solve():
+    prob = dataclasses.replace(build_problem(), scheme="muscl-fv", cfl=0.5, stride=4, max_substeps=64)
+    assert prob.solver == {"scheme": "muscl-fv", "cfl": 0.5, "stride": 4, "max_substeps": 64}
+    assert list(inspect.signature(Problem.solve_forward_for).parameters) == ["self", "control"]
+    traj = prob.solve_forward_for(ControlPath.constant(prob.timegrid, [0.3], [0.1]))
+    assert (traj.scheme, traj.cfl, traj.snapshot_steps[1]) == ("muscl-fv", 0.5, 4)
+
+
+def test_frechet_probe_solves_with_the_problems_settings():
+    # the probe on a variant problem has the bits of the same probe with
+    # every solve given those settings by hand
+    settings = dict(scheme="muscl-fv", cfl=0.5, stride=4, max_substeps=64)
+    prob = dataclasses.replace(build_problem(n=64, nt=32, theta=Potential("gaussian-well")), **settings)
+    tg = prob.timegrid
+    u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.5], [-0.3])
+    eps = [0.2, 0.1, 0.05]
+    rep = frechet_probe(u, d, eps, prob)
+
+    def drift(scale):
+        return prob.drift_for(ControlPath.from_stacked(tg, u.stacked() + scale * d.stacked()))
+
+    plan = forward_module.solve_forward(prob.rho0, drift(0.0), None, tg, **settings).substeps
+    for end in (eps[0], -eps[0]):
+        plan = [max(a, b) for a, b in zip(plan, forward_module.required_substeps(prob.grid, drift(end), tg, 0.5))]
+    base, w = forward_module.solve_linearized(prob.rho0, drift(0.0), d, None, tg, fixed_substeps=plan, **settings)
+    remainders = []
+    for e in eps:
+        traj = forward_module.solve_forward(prob.rho0, drift(e), None, tg, fixed_substeps=plan, **settings)
+        diffs = [a - b - e * c for (_, a), (_, b), (_, c) in zip(*(t.stored_items() for t in (traj, base, w)))]
+        remainders.append(max(math.sqrt(float((x * x).sum() * prob.grid.cell_volume)) for x in diffs))
+    assert len(base.snapshot_steps) == 32 // 4 + 1
+    assert rep.remainders == tuple(remainders)
+    assert rep.remainders != frechet_probe(u, d, eps, build_problem(n=64, nt=32)).remainders
+
+
 def counted_solves(monkeypatch):
     """The drift of every FV solve, and the control path of every substep
     plan pass, from here on."""
     solves, plans = [], []
-    solve, plan = forward_module._solve, forward_module.required_substeps
+    solve, plan = forward_module._solve, forward_module._Stepper.plan
 
     def counted_solve(rho0, drift, *args, **kwargs):
         solves.append(drift)
         return solve(rho0, drift, *args, **kwargs)
 
-    def counted_plan(*args):
-        plans.append(args[1].control)
-        return plan(*args)
+    def counted_plan(stepper, *args):
+        plans.append(stepper.drift.control)
+        return plan(stepper, *args)
 
     monkeypatch.setattr(forward_module, "_solve", counted_solve)
-    for module in (forward_module, reduced_module):
-        monkeypatch.setattr(module, "required_substeps", counted_plan)
+    monkeypatch.setattr(forward_module._Stepper, "plan", counted_plan)
     return solves, plans
 
 
