@@ -1,10 +1,16 @@
-"""Controls, controlled drift, box projection, control costs, and potentials.
+"""Controls, controlled drift, box projection, and the cost functional.
 
 The drift is ``a(t, x; u) = a0(t, x) + u1(t) + x * u2(t)`` with the product
 taken componentwise.  Controls are continuous piecewise-linear in time on the
 nodes of a TimeGrid, one representation serving both the plain L2 case and
 the H1 (slowly varying control) case, where the seminorm of a piecewise
 linear path is exact.
+
+The cost functional is defined here only: ``CostSpec.total`` adds the
+control costs 1/2 gamma ||u||^2 + delta ||u||_1 + 1/2 nu ||u'||^2 onto a
+state cost, with the componentwise L1 norm that the optimizer's
+soft-threshold step solves, and each potential preset is one row of
+``_POTENTIALS``.
 """
 
 from __future__ import annotations
@@ -302,47 +308,60 @@ def project_box(control: ControlPath, bounds: BoxBounds) -> ControlPath:
     return ControlPath(control.timegrid, u1, u2)
 
 
-def _segment_abs_integral(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """Exact integral of |linear segment| from value a to value b over dt."""
-    same = a * b >= 0.0
-    out = np.where(
-        same,
-        0.5 * dt * (np.abs(a) + np.abs(b)),
-        0.5 * dt * (a * a + b * b) / np.maximum(np.abs(a) + np.abs(b), 1e-300),
-    )
-    return out
-
-
-def control_cost_terms(control: ControlPath, l1_mode: str = "component"):
+def control_cost_terms(control: ControlPath):
     """(L2 squared, L1, H1 seminorm squared) of the control path.
 
-    L2sq by the trapezoid rule on nodes; L1 exactly per linear segment for
-    the componentwise norm (sign changes handled in closed form), trapezoid
-    fallback for the Euclidean variant; H1sq exactly from segment slopes.
+    L2sq by the trapezoid rule on nodes; the componentwise L1 norm exactly
+    per linear segment, a segment that changes sign in closed form; H1sq
+    exactly from segment slopes.
     """
     dt = control.timegrid.dt
     u = control.stacked()
-    sq = (u * u).sum(axis=1)
-    l2sq = float(np.trapezoid(sq, dx=dt))
-    if l1_mode == "component":
-        seg = _segment_abs_integral(u[:-1], u[1:], dt)
-        l1 = float(seg.sum())
-    elif l1_mode == "euclidean":
-        l1 = float(np.trapezoid(np.sqrt(sq), dx=dt))
-    else:
-        raise SchemaError(f"unknown l1 mode {l1_mode!r}")
-    slopes = (u[1:] - u[:-1]) / dt
+    l2sq = float(np.trapezoid((u * u).sum(axis=1), dx=dt))
+    a, b = u[:-1], u[1:]
+    seg = np.where(
+        a * b >= 0.0,
+        0.5 * dt * (np.abs(a) + np.abs(b)),
+        0.5 * dt * (a * a + b * b) / np.maximum(np.abs(a) + np.abs(b), 1e-300),
+    )
+    slopes = (b - a) / dt
     h1sq = float(((slopes * slopes).sum(axis=1) * dt).sum())
-    return l2sq, l1, h1sq
+    return l2sq, float(seg.sum()), h1sq
 
 
-# potential presets: name -> the potential at points (..., M, d) and a time,
-# or an array of times that leads the points' shape (see potential_eval)
+def _well_moments(pot, m, v, t):
+    w = 1.0 + 2.0 * v
+    s = np.exp(-m * m / w) / np.sqrt(w)
+    return 1.0 - s, -(s * (-2.0 * m / w)), -(s * (-1.0 / w + 2.0 * m * m / w**2))
+
+
+def _tracking_moments(pot, m, v, t):
+    xd = float(pot.target_at(t)[0])
+    return (m - xd) ** 2 + v, 2.0 * (m - xd), 1.0
+
+
+class _PotentialRow(NamedTuple):
+    """One potential preset: its values at points (..., M, d) and a time or times (see
+    potential_eval), its 1D gaussian closure (E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v) at a
+    time, and whether it depends on time (then it needs a track), grows like |x|^2, or vanishes."""
+
+    evaluate: Callable
+    moments: Callable
+    time_dependent: bool = False
+    confining: bool = False
+    is_zero: bool = False
+
+
 _POTENTIALS = {
-    "zero": lambda pot, pts, t: np.zeros(pts.shape[:-1]),
-    "gaussian-well": lambda pot, pts, t: 1.0 - np.exp(-(pts**2).sum(axis=-1)),
-    "quadratic": lambda pot, pts, t: (pts**2).sum(axis=-1),
-    "tracking": lambda pot, pts, t: ((pts - pot.target_at(t)[..., None, :]) ** 2).sum(axis=-1),
+    "zero": _PotentialRow(lambda pot, x, t: np.zeros(x.shape[:-1]), lambda *_: (0.0, 0.0, 0.0), is_zero=True),
+    "gaussian-well": _PotentialRow(lambda pot, x, t: 1.0 - np.exp(-(x**2).sum(axis=-1)), _well_moments),
+    "quadratic": _PotentialRow(
+        lambda pot, x, t: (x**2).sum(axis=-1), lambda pot, m, v, t: (m * m + v, 2.0 * m, 1.0), confining=True
+    ),
+    "tracking": _PotentialRow(
+        lambda pot, x, t: ((x - pot.target_at(t)[..., None, :]) ** 2).sum(axis=-1), _tracking_moments,
+        time_dependent=True, confining=True,
+    ),
 }
 
 
@@ -355,11 +374,13 @@ def _finite(value) -> float:
 
 @dataclass(frozen=True)
 class Potential:
-    """Cost potential preset for theta (running) and phi (terminal).
+    """A cost potential, theta (running) or phi (terminal): one row of ``_POTENTIALS``.
 
     Menu: zero; gaussian-well 1 - exp(-|x|^2); quadratic |x|^2; tracking
     |x - x_d(t)|^2 with x_d piecewise linear through track_path nodes.  An
-    unknown name raises UnknownPreset.
+    unknown name raises UnknownPreset; a time-dependent preset without at
+    least two strictly increasing track times, each with a point, raises
+    SchemaError.
     """
 
     name: str = "zero"
@@ -371,28 +392,27 @@ class Potential:
     def __post_init__(self):
         if self.name not in _POTENTIALS:
             raise UnknownPreset(f"unknown potential preset {self.name!r}")
-        object.__setattr__(self, "_track", (np.asarray(self.track_t), np.asarray(self.track_x)))
+        row = _POTENTIALS[self.name]
+        ts, xs = self.track_t, self.track_x
+        if row.time_dependent and (len(ts) < 2 or len(xs) != len(ts) or any(b <= a for a, b in zip(ts, ts[1:]))):
+            raise SchemaError("track_path needs at least two strictly increasing times, each with a point")
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_track", (np.asarray(ts), np.asarray(xs)))
 
     @classmethod
     def tracking(cls, nodes) -> "Potential":
         ts = tuple(_finite(p[0]) for p in nodes)
         xs = tuple(tuple(_finite(v) for v in np.ravel(np.asarray(p[1], dtype=object))) for p in nodes)
-        if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise SchemaError("track_path needs at least two strictly increasing times")
         return cls(name="tracking", track_t=ts, track_x=xs)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.name == "zero"
+    is_zero = property(lambda self: self._row.is_zero)
+    time_dependent = property(lambda self: self._row.time_dependent)
+    # grows like |x|^2, so the adjoint is measured in a negative-weight norm
+    confining = property(lambda self: self._row.confining)
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.name == "tracking"
-
-    @property
-    def confining(self) -> bool:
-        """Grows like |x|^2, so the adjoint is measured in a negative-weight norm."""
-        return self.name in ("quadratic", "tracking")
+    def gaussian_moments(self, m, v, t: float):
+        """(E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v) in 1D, at time t."""
+        return self._row.moments(self, m, v, t)
 
     def target_at(self, t) -> np.ndarray:
         """x_d at a time or an array of times, of shape ``t.shape + (d,)``:
@@ -421,7 +441,7 @@ def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarra
         pts = pts.reshape(1, 1)
     elif pts.ndim == 1:
         pts = pts[:, None]
-    out = _POTENTIALS[potential.name](potential, pts, t)
+    out = potential._row.evaluate(potential, pts, t)
     return float(out[0]) if scalar else out
 
 
@@ -434,12 +454,19 @@ class CostSpec:
     nu: float = 0.0
     theta: Potential = Potential("zero")
     phi: Potential = Potential("zero")
-    l1_mode: str = "component"
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise SchemaError(f"gamma must be positive, got {self.gamma}")
         if self.delta < 0 or self.nu < 0:
             raise SchemaError("delta and nu must be nonnegative")
-        if self.l1_mode not in ("component", "euclidean"):
-            raise SchemaError(f"unknown l1 mode {self.l1_mode!r}")
+
+    @property
+    def confining(self) -> bool:
+        """theta or phi grows like |x|^2: the adjoint takes a negative-weight norm."""
+        return self.theta.confining or self.phi.confining
+
+    def total(self, state: float, control: ControlPath) -> float:
+        """A state cost plus 1/2 gamma ||u||^2 + delta ||u||_1 + 1/2 nu ||u'||^2, in that order."""
+        l2sq, l1, h1sq = control_cost_terms(control)
+        return state + 0.5 * self.gamma * l2sq + self.delta * l1 + 0.5 * self.nu * h1sq

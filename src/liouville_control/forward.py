@@ -510,6 +510,11 @@ def _solve(
     for name, value in (("stride", stride), ("max_substeps", max_substeps)):
         if not (is_count(value) and value >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if fixed_substeps is not None and not (
+        np.ndim(fixed_substeps) == 1 and len(fixed_substeps) == timegrid.nt
+        and all(is_count(v) and v >= 1 for v in fixed_substeps)
+    ):
+        raise ValueError(f"fixed_substeps must be {timegrid.nt} integers >= 1, one per step")
     grid = rho0.grid
     if source is not None:
         source = np.asarray(source)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .controls import ControlPath, project_box
 from .grid import is_count
-from .reduced import KktResidual, kkt_residual, path_norm, shrink
+from .reduced import KktResidual, kkt_residual, path_norm, prox_step
 
 __all__ = ["OptimConfig", "OptimResult", "MultiStartReport", "optimize", "multi_start"]
 
@@ -64,10 +64,6 @@ class OptimResult:
     termination: str
 
 
-def _prox_step(u: np.ndarray, g: np.ndarray, alpha: float, delta: float, ua, ub) -> np.ndarray:
-    return np.clip(shrink(u - alpha * g, alpha * delta), ua, ub)
-
-
 def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
              compute_kkt: bool = True) -> OptimResult:
     """Minimize the reduced cost over the admissible box."""
@@ -88,7 +84,7 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
         grad = problem.descent_gradient(u)
         gf = grad.stacked()
         ustk = u.stacked()
-        vi = path_norm(tg, ustk - _prox_step(ustk, gf, 1.0, delta, ua, ub))
+        vi = path_norm(tg, ustk - prox_step(ustk, gf, 1.0, delta, ua, ub))
         vi_history.append(vi)
         if vi <= config.vi_tol:
             termination = "converged"
@@ -96,7 +92,7 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
         alpha = min(config.step0, 2.0 * steps[-1]) if steps else config.step0
         accepted = False
         for _ in range(config.max_backtracks):
-            cand = _prox_step(ustk, gf, alpha, delta, ua, ub)
+            cand = prox_step(ustk, gf, alpha, delta, ua, ub)
             move = path_norm(tg, cand - ustk)
             u_cand = ControlPath.from_stacked(tg, cand)
             cost_cand = problem.reduced_cost(u_cand)

@@ -7,7 +7,10 @@ scale and shift when the affine part is diagonal (any controls), and one
 matrix exponential for any affine part under constant controls.  The moment
 oracle integrates the mean and variance ODEs mdot = u1 + m * u2,
 vdot = 2 v * u2 with RK4.  Both stay entirely away from the PDE
-discretization.
+discretization.  The moment surrogate prices a gaussian ensemble by each
+potential's gaussian moment closure (``Potential.gaussian_moments``) and
+adds the control costs by ``CostSpec.total``, so it minimizes the cost that
+``controls`` defines.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from .controls import ControlPath, CostSpec, DriftSpec, Potential, control_cost_terms
+from .controls import ControlPath, CostSpec, DriftSpec
 from .errors import DegenerateProbe, UnsupportedDrift
 from .grid import TimeGrid, density_preset_eval
 
@@ -284,23 +287,6 @@ def fit_order(hs, errors) -> float:
 # proximal loop.
 
 
-def _potential_gaussian_expectation(pot: Potential, m: float, v: float, t: float):
-    """(E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v), d = 1."""
-    if pot.name == "zero":
-        return 0.0, 0.0, 0.0
-    if pot.name == "quadratic":
-        return m * m + v, 2.0 * m, 1.0
-    if pot.name == "tracking":
-        xd = float(pot.target_at(t)[0])
-        return (m - xd) ** 2 + v, 2.0 * (m - xd), 1.0
-    if pot.name == "gaussian-well":
-        s = np.exp(-m * m / (1.0 + 2.0 * v)) / np.sqrt(1.0 + 2.0 * v)
-        ds_dm = s * (-2.0 * m / (1.0 + 2.0 * v))
-        ds_dv = s * (-1.0 / (1.0 + 2.0 * v) + 2.0 * m * m / (1.0 + 2.0 * v) ** 2)
-        return 1.0 - s, -ds_dm, -ds_dv
-    raise UnsupportedDrift(f"no gaussian expectation for potential {pot.name!r}")
-
-
 @dataclass
 class MomentSurrogateProblem:
     """Gaussian-restricted twin of a d = 1 ensemble problem (a0 = 0).
@@ -318,22 +304,11 @@ class MomentSurrogateProblem:
 
     def reduced_cost(self, control: ControlPath) -> float:
         path = moment_ode(control, self.x0, self.v0, self.timegrid)
-        tg = self.timegrid
-        dt = tg.dt
-        run = np.array(
-            [
-                _potential_gaussian_expectation(
-                    self.cost.theta, float(path.m[i, 0]), float(path.v[i, 0]), i * dt
-                )[0]
-                for i in range(tg.nt + 1)
-            ]
-        )
-        j = float(np.trapezoid(run, dx=dt))
-        j += _potential_gaussian_expectation(
-            self.cost.phi, float(path.m[-1, 0]), float(path.v[-1, 0]), tg.T
-        )[0]
-        l2sq, l1, h1sq = control_cost_terms(control, self.cost.l1_mode)
-        return j + 0.5 * self.cost.gamma * l2sq + self.cost.delta * l1 + 0.5 * self.cost.nu * h1sq
+        m, v, dt = path.m[:, 0], path.v[:, 0], self.timegrid.dt
+        run = [self.cost.theta.gaussian_moments(float(m[i]), float(v[i]), i * dt)[0] for i in range(m.size)]
+        j = float(np.trapezoid(np.array(run), dx=dt))
+        j += self.cost.phi.gaussian_moments(float(m[-1]), float(v[-1]), self.timegrid.T)[0]
+        return self.cost.total(j, control)
 
     def descent_gradient(self, control: ControlPath):
         """delta-free L2 gradient via the backward adjoint of the moment ODEs."""
@@ -343,12 +318,11 @@ class MomentSurrogateProblem:
         m, v = path.m[:, 0], path.v[:, 0]
         lm = np.zeros(tg.nt + 1)
         lv = np.zeros(tg.nt + 1)
-        _, dEm, dEv = _potential_gaussian_expectation(self.cost.phi, m[-1], v[-1], tg.T)
-        lm[-1], lv[-1] = dEm, dEv
+        _, lm[-1], lv[-1] = self.cost.phi.gaussian_moments(m[-1], v[-1], tg.T)
 
         def lrhs(i_node_t, mm, vv, lmm, lvv):
             u1, u2 = control.value_at(i_node_t)
-            _, em, ev = _potential_gaussian_expectation(self.cost.theta, mm, vv, i_node_t)
+            _, em, ev = self.cost.theta.gaussian_moments(mm, vv, i_node_t)
             return -em - lmm * u2[0], -ev - 2.0 * lvv * u2[0]
 
         for i in range(tg.nt, 0, -1):

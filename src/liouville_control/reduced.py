@@ -40,7 +40,6 @@ from .controls import (
     CostSpec,
     DriftPreset,
     DriftSpec,
-    control_cost_terms,
     potential_eval,  # unused here; bench/calltrace.py wraps reduced.potential_eval by name
     project_box,
 )
@@ -66,10 +65,11 @@ __all__ = [
     "reduced_cost",
     "reduced_gradient",
     "h1_riesz",
+    "metric_dot",
     "kkt_residual",
     "frechet_probe",
     "smallness_certificate",
-    "shrink",
+    "prox_step",
 ]
 
 
@@ -89,9 +89,11 @@ def path_norm(timegrid: TimeGrid, a: np.ndarray) -> float:
     return math.sqrt(max(path_dot(timegrid, a, a), 0.0))
 
 
-def shrink(values: np.ndarray, amount: float) -> np.ndarray:
-    """Componentwise soft threshold."""
-    return np.sign(values) * np.maximum(np.abs(values) - amount, 0.0)
+def prox_step(u: np.ndarray, g: np.ndarray, alpha: float, delta: float, ua, ub) -> np.ndarray:
+    """Proj_box(shrink_{alpha delta}(u - alpha g)) with the componentwise soft
+    threshold shrink: the proximal step of the L1 + box part of the cost."""
+    v = u - alpha * g
+    return np.clip(np.sign(v) * np.maximum(np.abs(v) - alpha * delta, 0.0), ua, ub)
 
 
 @dataclass
@@ -203,22 +205,13 @@ def reduced_cost(control: ControlPath, problem: Problem) -> float:
     solve reduced, plus the terminal and control costs.  No node is read
     back, so the cost does not depend on the stride."""
     traj = problem.solve_forward_for(control)
-    grid = problem.grid
-    vol = grid.cell_volume
     tg = problem.timegrid
     running = float(np.trapezoid(traj.running, x=np.arange(tg.nt + 1) * tg.dt))
     terminal = 0.0
     if not problem.cost.phi.is_zero:
-        phi = sample_potential(grid, problem.cost.phi, problem.timegrid.T)
-        terminal = float((phi.values * traj.snapshots[-1]).sum() * vol)
-    l2sq, l1, h1sq = control_cost_terms(control, problem.cost.l1_mode)
-    return (
-        running
-        + terminal
-        + 0.5 * problem.cost.gamma * l2sq
-        + problem.cost.delta * l1
-        + 0.5 * problem.cost.nu * h1sq
-    )
+        phi = sample_potential(problem.grid, problem.cost.phi, tg.T)
+        terminal = float((phi.values * traj.snapshots[-1]).sum() * problem.grid.cell_volume)
+    return problem.cost.total(running + terminal, control)
 
 
 def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: Checkpoints):
@@ -297,6 +290,17 @@ def h1_riesz(rhs, gamma: float, nu: float, timegrid: TimeGrid) -> np.ndarray:
     return mu[:, 0] if squeeze else mu
 
 
+def metric_dot(problem: Problem, gradient: GradientPath, direction: ControlPath) -> float:
+    """<gradient, direction> in the gradient's metric: the trapezoid L2 product, or for H1tilde
+    gamma <g, d> + nu <g', d'> with exact slopes, the product whose Riesz map h1_riesz solves."""
+    tg = problem.timegrid
+    g, dvec = gradient.stacked(), direction.stacked()
+    if gradient.metric == "L2":
+        return path_dot(tg, g, dvec)
+    slopes_g, slopes_d = np.diff(g, axis=0) / tg.dt, np.diff(dvec, axis=0) / tg.dt
+    return problem.cost.gamma * path_dot(tg, g, dvec) + problem.cost.nu * float((slopes_g * slopes_d).sum() * tg.dt)
+
+
 def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
     """Sparsity-free gradient of the reduced cost in the active metric."""
     integral, disc = assemble_integral_path(
@@ -358,8 +362,7 @@ def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath 
             float((np.maximum(np.abs(lam_hat) - delta, 0.0) * ~nonzero).max()),
         )
 
-    step = np.clip(shrink(u - gf, delta), ua, ub)
-    vi = path_norm(problem.timegrid, u - step)
+    vi = path_norm(problem.timegrid, u - prox_step(u, gf, 1.0, delta, ua, ub))
     return KktResidual(
         stationarity=stationarity,
         complement_upper=complement_upper,

@@ -5,8 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from liouville_control import SchemaError, sample_function, smallness_certificate
-from liouville_control.cli import COMMANDS, load_scenario, parse_config, run_command, scenario_path
+from liouville_control import (
+    ControlPath,
+    SchemaError,
+    path_dot,
+    reduced_gradient,
+    sample_function,
+    smallness_certificate,
+)
+from liouville_control.cli import COMMANDS, _grad_check_direction, load_scenario, parse_config, run_command, scenario_path
 from liouville_control.fileio import read_control_csv
 from liouville_control.forward import Checkpoints
 
@@ -34,7 +41,8 @@ def test_parse_minimal_resolves_defaults():
 
 
 # every key away from its default: per-axis lists, integers where numbers
-# belong, a source, a tracking path and both constants
+# belong, a source, a tracking path and both constants.  cost.l1_norm takes
+# only its default, the componentwise norm, so it is given as that
 FULL = {
     "grid": {"dim": 2, "lo": [-6, -5.0], "hi": [6.0, 5.5], "n": [16, 12]},
     "time": {"T": 0.5, "nt": 8},
@@ -44,7 +52,7 @@ FULL = {
     "control": {"u1": [0.1, -0.2], "u2": [0.05, 0]},
     "cost": {
         "gamma": 0.5, "delta": 0.01, "nu": 0.02, "theta": "tracking", "phi": "quadratic",
-        "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]], "l1_norm": "euclidean",
+        "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]], "l1_norm": "component",
     },
     "bounds": {"ua": [-1.0, -2.0, -0.5, -0.5], "ub": [1.0, 2.0, 0.5, 0.75]},
     "optim": {"max_iters": 7, "step0": 0.25, "c1": 0.001, "backtrack": 0.3, "vi_tol": 0.01, "seeds": [3, 5]},
@@ -61,7 +69,7 @@ FULL_RESOLVED = {
     "constants": {"C_cert": 3.0, "C_universal": 0.5},
     "control": {"u1": [0.1, -0.2], "u2": [0.05, 0.0]},
     "cost": {
-        "delta": 0.01, "gamma": 0.5, "l1_norm": "euclidean", "nu": 0.02, "phi": "quadratic",
+        "delta": 0.01, "gamma": 0.5, "l1_norm": "component", "nu": 0.02, "phi": "quadratic",
         "theta": "tracking", "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]],
     },
     "grid": {"dim": 2, "hi": [6.0, 5.5], "lo": [-6.0, -5.0], "n": [16, 12]},
@@ -112,17 +120,21 @@ def test_parse_rejects_nonpositive_gamma():
         parse_config(json.dumps(bad))
 
 
+# the solve settings: the solver section and output.stride, each given as
+# the sections it replaces
 @pytest.mark.parametrize(
     "solver, key",
     [
-        ({"cfl": -1.0}, "solver.cfl"),
-        ({"cfl": 0.0}, "solver.cfl"),
-        ({"cfl": float("inf")}, "solver.cfl"),
-        ({"max_substeps": 0}, "solver.max_substeps"),
+        ({"solver": {"cfl": -1.0}}, "solver.cfl"),
+        ({"solver": {"cfl": 0.0}}, "solver.cfl"),
+        ({"solver": {"cfl": float("inf")}}, "solver.cfl"),
+        ({"solver": {"max_substeps": 0}}, "solver.max_substeps"),
+        ({"solver": {"scheme": "weno"}}, "solver.scheme"),
+        ({"output": {"stride": 0}}, "output.stride"),
     ],
 )
 def test_bad_solver_settings_exit_one(tmp_path, solver, key):
-    bad = dict(MINIMAL, solver=solver)
+    bad = dict(MINIMAL, **solver)
     with pytest.raises(SchemaError, match=re.escape(key)):
         parse_config(json.dumps(bad))
     cfgp = write_config(tmp_path, bad)
@@ -153,6 +165,10 @@ UNKNOWN_PARAMETERS = [
         ("cost", {"track_path": [[0.0, [0.0, 1.0]], [1.0, [0.3, 1.0]]], "theta": "tracking"}),
         *UNKNOWN_PARAMETERS,
         ("cost", {"theta": "quadratic-well"}),
+        # the L1 term is the componentwise norm, which the proximal step solves
+        ("cost", {"l1_norm": "euclidean"}),
+        ("cost", {"theta": "tracking"}),  # no track_path
+        ("cost", {"phi": "tracking"}),
     ],
 )
 def test_bad_presets_exit_one(tmp_path, section, entry):
@@ -372,6 +388,33 @@ def test_grad_check_reports_slope(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert "slope" in rep
     assert rep["fd_rel_err"] < 0.1
+
+
+def test_grad_check_pairs_an_h1_gradient_in_the_h1_metric(tmp_path):
+    # with nu > 0 the gradient is the H1tilde representative, and grad-check
+    # pairs it as gamma <g, d> + nu <g', d'> with the exact slopes
+    cfg = dict(MINIMAL)
+    cfg["cost"] = {
+        "gamma": 0.5,
+        "nu": 0.05,
+        "theta": "tracking",
+        "phi": "quadratic",
+        "track_path": [[0.0, 0.0], [1.0, 0.5]],
+    }
+    cfgp = write_config(tmp_path, cfg)
+    assert run_command(["grad-check", "--config", cfgp, "--out", str(tmp_path / "o")]) == 0
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    prob = parse_config(json.dumps(cfg)).problem()
+    tg = prob.timegrid
+    ua, ub = prob.bounds.arrays()
+    center = ControlPath.from_stacked(tg, np.tile(0.5 * (ua + ub), (tg.nt + 1, 1)))
+    grad = reduced_gradient(center, prob)
+    assert grad.metric == "H1tilde"
+    g, d = grad.stacked(), _grad_check_direction(prob).stacked()
+    slopes_g, slopes_d = np.diff(g, axis=0) / tg.dt, np.diff(d, axis=0) / tg.dt
+    pairing = 0.5 * path_dot(tg, g, d) + 0.05 * float((slopes_g * slopes_d).sum() * tg.dt)
+    assert rep["analytic_directional"] == pairing
+    assert rep["analytic_directional"] != path_dot(tg, g, d)
 
 
 def test_optimize_command_deterministic(tmp_path):

@@ -83,6 +83,30 @@ def test_eval_drift_jacobian_by_differences(name, params, d):
 
 
 
+@pytest.mark.parametrize("params, d", [({"c": 0.5, "sigma": 1.2}, 1), ({"c": [0.5, -0.3], "sigma": 1.2}, 2)])
+def test_bump_derivative_sup_bounds_the_higher_derivatives(params, d):
+    # central differences of the analytic Jacobian at the cell centres give
+    # every entry of the order-2 and order-3 derivative tensors; the sup
+    # bounds the largest of them without being vacuous
+    a0 = DriftPreset("gaussian-bump", params)
+    g = make_grid(d, -4.0, 4.0, 16)
+    x = g.cell_centers()
+    h = 1e-4
+    e = np.eye(d) * h
+
+    def jac(pts):
+        return a0.jacobian(0.0, pts)
+
+    order2 = max(np.abs(jac(x + e[s]) - jac(x - e[s])).max() / (2 * h) for s in range(d))
+    order3 = max(
+        np.abs(jac(x + e[s] + e[r]) - jac(x + e[s] - e[r]) - jac(x - e[s] + e[r]) + jac(x - e[s] - e[r])).max()
+        / (4 * h * h)
+        for s in range(d) for r in range(d)
+    )
+    for order, fd in ((2, order2), (3, order3)):
+        assert fd <= a0.derivative_sup(g, order) <= 3.0 * fd
+
+
 @pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
 def test_drift_presets_are_autonomous(name, params, d):
     # the forward solve evaluates a0 at the faces once, which needs this
@@ -227,13 +251,22 @@ def test_cost_terms_scaling():
     assert scaled[2] == pytest.approx(alpha**2 * base[2], rel=1e-12)
 
 
-def test_cost_terms_euclidean_mode():
+def test_cost_terms_component_l1():
     t = make_timegrid(1.0, 16)
     ctrl = ControlPath.constant(t, [0.3], [0.4])
-    _, l1c, _ = control_cost_terms(ctrl, "component")
-    _, l1e, _ = control_cost_terms(ctrl, "euclidean")
+    _, l1c, _ = control_cost_terms(ctrl)
     assert l1c == pytest.approx(0.7, abs=1e-13)
-    assert l1e == pytest.approx(0.5, abs=1e-13)  # sqrt(0.09 + 0.16)
+
+
+def test_cost_total_adds_the_control_terms_in_order():
+    rng = np.random.default_rng(5)
+    t = make_timegrid(1.0, 12)
+    ctrl = ControlPath(t, rng.normal(size=(13, 2)), rng.normal(size=(13, 2)))
+    cost = CostSpec(gamma=0.3, delta=0.07, nu=0.011)
+    l2sq, l1, h1sq = control_cost_terms(ctrl)
+    for state in (0.0, 1.234567, -3.5e-3):
+        expected = ((state + 0.5 * 0.3 * l2sq) + 0.07 * l1) + 0.5 * 0.011 * h1sq
+        assert bits_equal(cost.total(state, ctrl), expected)
 
 
 def test_costspec_validates_weights():
@@ -251,6 +284,58 @@ def test_potential_eval_presets():
     assert potential_eval(track, np.array(1.0), t=1.0) == pytest.approx(0.0, abs=1e-14)
     track2d = Potential.tracking([[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]])
     assert potential_eval(track2d, np.array([[1.0, 1.0]]), t=1.0)[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("times", [(), (0.5,), (0.0, 0.0), (0.0, 1.0, 0.5)])
+def test_tracking_potential_needs_a_track(times):
+    points = tuple((0.0,) for _ in times)
+    with pytest.raises(SchemaError, match="track_path needs at least two strictly increasing times"):
+        Potential("tracking", track_t=times, track_x=points)
+    with pytest.raises(SchemaError, match="track_path needs at least two strictly increasing times"):
+        Potential.tracking([[t, 0.0] for t in times])
+    # a potential that does not depend on time needs no track
+    Potential("quadratic", track_t=times, track_x=points)
+
+
+@pytest.mark.parametrize("points", [(), ((0.0,),), ((0.0,), (1.0,), (2.0,))])
+def test_tracking_potential_needs_a_point_per_time(points):
+    with pytest.raises(SchemaError, match="each with a point"):
+        Potential("tracking", track_t=(0.0, 1.0), track_x=points)
+
+
+def test_potential_rows_give_the_flags():
+    flags = {
+        "zero": (True, False, False),
+        "gaussian-well": (False, False, False),
+        "quadratic": (False, False, True),
+        "tracking": (False, True, True),
+    }
+    track = Potential.tracking([[0.0, 0.5], [1.0, -0.5]])
+    for name, expected in flags.items():
+        pot = track if name == "tracking" else Potential(name)
+        assert (pot.is_zero, pot.time_dependent, pot.confining) == expected
+    assert not CostSpec(theta=Potential("gaussian-well")).confining
+    assert CostSpec(theta=Potential("gaussian-well"), phi=Potential("quadratic")).confining
+    assert CostSpec(theta=track).confining
+
+
+@pytest.mark.parametrize("name", ["zero", "gaussian-well", "quadratic", "tracking"])
+def test_gaussian_closure_matches_quadrature_of_the_potential(name):
+    # E[pot(X)] for X ~ N(m, v) by 80-point Gauss-Hermite quadrature of
+    # potential_eval, and its m and v derivatives by central differences
+    pot = Potential.tracking([[0.0, 0.5], [1.0, -0.5]]) if name == "tracking" else Potential(name)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights = weights / weights.sum()
+
+    def expectation(m, v, t):
+        return float((weights * potential_eval(pot, m + np.sqrt(v) * nodes, t)).sum())
+
+    h = 1e-5
+    for m, v, t in ((0.0, 1.0, 0.0), (0.7, 0.3, 0.25), (-1.2, 2.5, 0.8)):
+        e, de_dm, de_dv = pot.gaussian_moments(m, v, t)
+        assert e == pytest.approx(expectation(m, v, t), rel=1e-12, abs=1e-13)
+        assert de_dm == pytest.approx((expectation(m + h, v, t) - expectation(m - h, v, t)) / (2 * h), abs=1e-8)
+        assert de_dv == pytest.approx((expectation(m, v + h, t) - expectation(m, v - h, t)) / (2 * h), abs=1e-8)
 
 
 def test_tracking_path_clamps_outside_horizon():

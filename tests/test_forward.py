@@ -415,6 +415,43 @@ def test_bad_solve_settings_raise_before_anything_is_built(name, value, monkeypa
             required_substeps(g, drift, tg, value)
 
 
+BAD_PLANS = {
+    "fraction": [1.7] * 8,
+    "zero": [0] * 8,
+    "negative": [-1] * 8,
+    "short": [1] * 7,
+    "long": [1] * 9,
+    "bools": [True] * 8,
+    "float-array": np.ones(8),
+    "scalar": 3,
+    "nested": [[1]] * 8,
+}
+
+
+@pytest.mark.parametrize("plan", BAD_PLANS.values(), ids=BAD_PLANS)
+def test_bad_fixed_substeps_raise_before_anything_is_built(plan, monkeypatch):
+    g, tg, rho0 = gaussian_setup(n=32, nt=8)
+    drift = drift_const(tg, 0.3, 0.1)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a stepper was built")
+
+    monkeypatch.setattr(forward_module, "_Stepper", unbuilt)
+    with pytest.raises(ValueError, match="^fixed_substeps must be 8 integers >= 1"):
+        solve_forward(rho0, drift, None, tg, fixed_substeps=plan)
+    with pytest.raises(ValueError, match="^fixed_substeps must be 8 integers >= 1"):
+        solve_linearized(rho0, drift, drift.control, None, tg, fixed_substeps=plan)
+
+
+def test_an_integer_array_plan_is_a_plan():
+    g, tg, rho0 = gaussian_setup(n=32, nt=8)
+    drift = drift_const(tg, 0.3, 0.1)
+    plan = [1, 2, 1, 3, 1, 1, 2, 1]
+    traj = solve_forward(rho0, drift, None, tg, fixed_substeps=np.array(plan))
+    assert traj.substeps == plan and all(type(k) is int for k in traj.substeps)
+    assert np.array_equal(traj.snapshots[-1], solve_forward(rho0, drift, None, tg, fixed_substeps=plan).snapshots[-1])
+
+
 def reference_minmod(a, b):
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 

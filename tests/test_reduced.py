@@ -37,7 +37,7 @@ import liouville_control.forward as forward_module
 from liouville_control.cli import load_scenario, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
-from liouville_control.reduced import assemble_integral_path
+from liouville_control.reduced import assemble_integral_path, metric_dot
 
 
 def build_problem(n=128, nt=64, gamma=1.0, delta=0.0, nu=0.0, theta=None, phi=None,
@@ -456,6 +456,17 @@ def test_gradient_h1_metric_uses_riesz_representative():
     h1dot = prob.cost.gamma * path_dot(prob.timegrid, grad.stacked(), d.stacked())
     h1dot += prob.cost.nu * float((sg * sd).sum() * dt)
     assert h1dot == pytest.approx(fd, rel=5e-2)
+    assert metric_dot(prob, grad, d) == h1dot
+
+
+def test_metric_dot_of_an_l2_gradient_is_the_trapezoid_product():
+    prob = build_problem(n=64, nt=16, gamma=0.5, theta=Potential.tracking([[0.0, 0.0], [1.0, 0.4]]))
+    u = ControlPath.constant(prob.timegrid, [0.2], [0.1])
+    grad = reduced_gradient(u, prob)
+    assert grad.metric == "L2"
+    t = prob.timegrid.nodes()
+    d = ControlPath(prob.timegrid, np.sin(np.pi * t)[:, None], np.cos(np.pi * t)[:, None])
+    assert metric_dot(prob, grad, d) == path_dot(prob.timegrid, grad.stacked(), d.stacked())
 
 
 def test_kkt_zero_at_unconstrained_stationary_point():
