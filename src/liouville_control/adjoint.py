@@ -28,12 +28,12 @@ Interpolated values are clipped to the local stencil range, which keeps the
 discrete maximum principle.
 
 The backward pass keeps every node, 0..nt, in the forward solver's
-``Checkpoints`` store, whatever ``output.stride``: the nodes, (nt + 1) * N
+``Checkpoints`` store, as the forward solve does: the nodes, (nt + 1) * N
 floats, weigh about as much as the feet in 1D and half as much in 2D, and
-the feet are dropped, with the off-grid table, when the solve returns.  So
-nothing replays the adjoint.  A solve records
-nothing per node; its L2 norm and the negative-weight norm of the confining
-case are computed from the stored nodes by whoever reports them.
+the feet are dropped, with the off-grid table, when the solve returns.  A
+solve records nothing per node; its L2 norm and the negative-weight norm of
+the confining case are computed from the stored nodes by whoever reports
+them.
 """
 
 from __future__ import annotations
@@ -189,10 +189,10 @@ def solve_adjoint(cost: CostSpec, drift: DriftSpec, timegrid: TimeGrid, grid: Gr
     pts = grid.cell_centers()
     q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
 
-    traj = Checkpoints(timegrid, grid, 1)
-    traj.keep(nt, q)
+    traj = Checkpoints(timegrid, grid)
+    traj.nodes[nt] = q
     for n, q in zip(range(nt - 1, -1, -1), stepper.sweep(q)):
-        traj.keep(n, q)
+        traj.nodes[n] = q
     return traj
 
 

@@ -50,7 +50,8 @@ from .reduced import (
 # configuration must give.  A value must be of its default's kind: an int
 # default takes a count (a JSON integer), a float a finite JSON number, a str
 # a name and a dict an object; a list default also takes a list of them.
-# cost.track_path (default None) goes to Potential.tracking as given.
+# cost.track_path (default None) goes to Potential.tracking as given, for a
+# cost.theta or cost.phi of "tracking".
 _DEFAULTS = {
     "grid": {"dim": int, "lo": [float], "hi": [float], "n": [int]},
     "time": {"T": float, "nt": int},
@@ -97,6 +98,7 @@ class RunConfig:
     rho0: tuple  # (preset, params) for the exact-solution oracle
     optim: OptimConfig
     out_dir: str
+    stride: int  # forward and adjoint write node nt and every stride-th node
     C_universal: float
     C_cert: float
     resolved: dict
@@ -229,6 +231,8 @@ def parse_config(text: str) -> RunConfig:
     with _section("cost"):
         ksec = cfg["cost"]
         tracking = _tracking(ksec["track_path"], d)
+        if tracking is not None and "tracking" not in (ksec["theta"], ksec["phi"]):
+            raise SchemaError("cost.track_path is given, but neither cost.theta nor cost.phi is 'tracking'")
         if ksec["l1_norm"] != "component":
             raise SchemaError(f"cost.l1_norm must be 'component', the componentwise norm (got {ksec['l1_norm']!r})")
         cost = CostSpec(
@@ -251,26 +255,23 @@ def parse_config(text: str) -> RunConfig:
 
     problem = Problem(
         grid=grid, timegrid=timegrid, rho0=rho0, a0=a0, cost=cost, bounds=bounds,
-        source=None if cfg["source"]["preset"] == "zero" else source.values,
-        stride=output["stride"], **solver,
+        source=None if cfg["source"]["preset"] == "zero" else source.values, **solver,
     )
     resolved = {s: {k: v for k, v in sec.items() if v is not None} for s, sec in cfg.items()}
     return RunConfig(
         _problem=problem, control=control, rho0=tuple(cfg["rho0"].values()), optim=optim,
-        out_dir=output["dir"], resolved=resolved, **cfg["constants"],
+        out_dir=output["dir"], stride=output["stride"], resolved=resolved, **cfg["constants"],
     )
 
 
 def _write_snapshots(traj, stride: int, out_dir: str, prefix: str) -> None:
-    """The stored nodes at node nt and every ``stride``-th node; the adjoint
-    stores every node, the forward solve these only."""
+    """The nodes at node nt and every ``stride``-th node."""
     snap_dir = os.path.join(out_dir, "snapshots")
     fileio.ensure_dir(snap_dir)
-    for n, vals in traj.stored_items():
-        if n % stride and n != traj.timegrid.nt:
-            continue
+    nt = traj.timegrid.nt
+    for n in sorted({*range(0, nt + 1, stride), nt}):
         fileio.write_field_csv(
-            ScalarField(traj.grid, np.array(vals)), os.path.join(snap_dir, f"{prefix}_{n:06d}.csv")
+            ScalarField(traj.grid, traj.nodes[n]), os.path.join(snap_dir, f"{prefix}_{n:06d}.csv")
         )
 
 
@@ -278,7 +279,7 @@ def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
     traj = prob.solve_forward_for(cfg.control)
     summary = fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
-    _write_snapshots(traj, prob.stride, out_dir, "rho")
+    _write_snapshots(traj, cfg.stride, out_dir, "rho")
     return {
         "command": "forward",
         "scheme": traj.scheme,
@@ -297,7 +298,7 @@ def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
     traj = prob.solve_adjoint_for(cfg.control)
     neg_k = confining_weight_index(prob.grid.dim) if prob.cost.confining else None
     summary = fileio.write_adjoint_summary(traj, neg_k, os.path.join(out_dir, "trajectory_summary.csv"))
-    _write_snapshots(traj, prob.stride, out_dir, "q")
+    _write_snapshots(traj, cfg.stride, out_dir, "q")
     report = {"command": "adjoint", "l2_initial": summary["l2"][0], "l2_terminal": summary["l2"][-1]}
     if neg_k is not None:
         report["neg_k"] = neg_k
@@ -415,12 +416,12 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         nt = max(2, int(prob.timegrid.nt * factor))
         tg = TimeGrid(prob.timegrid.T, nt)
         coarse = dataclasses.replace(
-            prob, grid=grid, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), source=None, stride=nt
+            prob, grid=grid, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), source=None
         )
         control = ControlPath.constant(tg, cfg.control.u1[0], cfg.control.u2[0])
         traj = coarse.solve_forward_for(control)
         exact = affine_exact_density(*cfg.rho0, coarse.drift_for(control), tg.T, grid.cell_centers())
-        err = float(np.abs(traj.snapshots[-1].ravel() - exact).sum() * grid.cell_volume)
+        err = float(np.abs(traj.nodes[-1].ravel() - exact).sum() * grid.cell_volume)
         errors.append(err)
         hs.append(grid.h[0])
     return {

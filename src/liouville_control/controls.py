@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, UnknownPreset
+from .errors import NotApplicable, SchemaError, UnknownPreset
 from .grid import GridSpec, TimeGrid, is_finite_number, resolve_preset
 
 __all__ = [
@@ -336,6 +336,8 @@ def _well_moments(pot, m, v, t):
 
 
 def _tracking_moments(pot, m, v, t):
+    if len(pot.track_x[0]) > 1:
+        raise NotApplicable("the 1D gaussian closure of a tracking potential needs a track of one coordinate")
     xd = float(pot.target_at(t)[0])
     return (m - xd) ** 2 + v, 2.0 * (m - xd), 1.0
 

@@ -21,17 +21,16 @@ at the faces once per solve, plan included: it reads max |a| from the face
 speeds of a table of the nodes, a block of nodes at a time.
 
 A solve's settings are checked before anything is allocated: ``cfl`` must
-be a positive finite number, ``stride`` and ``max_substeps`` integers of at
-least 1, else ``ValueError`` names the argument.
+be a positive finite number and ``max_substeps`` an integer of at least 1,
+else ``ValueError`` names the argument.
 
-Each sweep, a solve or a checkpoint replay, owns its scratch state
-(``_Sweep``), made when it starts and dropped with it, so no solver object
-or stored trajectory holds any between sweeps.  It holds the face-speed
-splits max(a, 0) and min(a, 0) (and, for the tangent, the mask a >= 0 and
-its own face speeds) of a block of the sweep's table rows, about
-``grid._BLOCK_POINTS`` values in all and never past the sweep's last row,
-and one workspace of arrays into which each stage writes its face states,
-fluxes and divergences.
+Each solve owns its scratch state (``_Sweep``), made when it starts and
+dropped with it, so no solver object or stored trajectory holds any after
+it.  It holds the face-speed splits max(a, 0) and min(a, 0) (and, for the
+tangent, the mask a >= 0 and its own face speeds) of a block of the table's
+rows, about ``grid._BLOCK_POINTS`` values in all, and one workspace of
+arrays into which each stage writes its face states, fluxes and
+divergences.
 
 Schemes (``SCHEMES`` gives each one's stages per substep, run by one stage
 loop): first-order upwind (monotone, the default), one forward Euler stage,
@@ -41,21 +40,20 @@ its linearization with respect to a control perturbation; it differentiates
 the discrete flux directly, which is what the regularity probes need.
 
 ``Checkpoints`` is the one store for the forward, tangent and adjoint
-trajectories.  A forward solve keeps every ``stride``-th node and replays
-the others from the stored node below (stride checkpointing with
-deterministic replay, as in Griewank & Walther's revolve, without its
-binomial schedule); this is the only replay, since the adjoint keeps every
-node (see ``adjoint``).  Solves record only what the objective reads;
-``history`` computes any other per-node value, such as a minimum or a
-weighted Sobolev norm, from the checkpoints.
+trajectories: every node 0..nt of a solve in one preallocated
+``(nt + 1, *grid.shape)`` array, the store-everything end of Griewank &
+Walther's revolve trade-off, so nothing is ever replayed.  ``output.stride``
+only chooses which of the nodes the CLI writes.  Solves record only what
+the objective reads; ``history`` computes any other per-node value, such as
+a minimum or a weighted Sobolev norm, from the stored nodes.
 
-A forward solve records at every node, whatever the stride, the mass with
-the finiteness check of each step and, given a nonzero running potential
-theta, the running cost int theta rho dx from a block of node copies (about
-``grid._BLOCK_POINTS`` values with theta's table), one row reduction when
-the block is full, with theta tabulated at the block's node times in one
-call.  ``reduced_cost`` integrates the running cost in time from these, so
-the objective does not depend on the stride.
+A forward solve records at every node the mass, with the finiteness check
+of each step, and, given a nonzero running potential theta, the running
+cost int theta rho dx, reduced from slices of the node array a block of
+nodes at a time: theta tabulated at the block's node times in one call
+(the table and its product with the nodes hold about ``grid._BLOCK_POINTS``
+values), one row sum per node.  ``reduced_cost`` integrates the running
+cost in time from these.
 """
 
 from __future__ import annotations
@@ -264,16 +262,15 @@ class _Stepper:
 
 
 class _Sweep:
-    """The scratch state of one sweep over a stepper's table rows first_row
-    to end_row - 1, made when a solve or a replay starts and dropped with
-    it: each axis's scratch arrays, the divergence of each stage and the
-    forward Euler stage (for the density and, with a tangent, for the
-    tangent), and the face-speed splits of a block of rows that ends at
-    end_row at the latest."""
+    """The scratch state of one solve's sweep over its stepper's table, made
+    when the solve starts and dropped with it: each axis's scratch arrays,
+    the divergence of each stage and the forward Euler stage (for the
+    density and, with a tangent, for the tangent), and the face-speed splits
+    of a block of table rows."""
 
-    def __init__(self, stepper: _Stepper, first_row: int, end_row: int):
+    def __init__(self, stepper: _Stepper):
         shape, scheme, tangent = stepper.grid.shape, stepper.scheme, stepper.tangent_control is not None
-        self.stepper, self.end_row = stepper, end_row
+        self.stepper, self.end_row = stepper, len(stepper.controls[0])
         self.axes = []
         for ax in range(len(shape)):
             cells = list(shape)
@@ -286,10 +283,10 @@ class _Sweep:
         self.stage_w = np.empty(shape) if tangent else None
         self._tables = []
         for a0 in stepper.a0_faces:
-            block = (min(stepper._rows, end_row - first_row),) + a0.shape
+            block = (min(stepper._rows, self.end_row),) + a0.shape
             mask_and_deltas = [np.empty(block, dtype=bool), np.empty(block)] if tangent else []
             self._tables.append([np.empty(block), np.empty(block)] + mask_and_deltas)
-        self._block = (first_row, first_row, None)
+        self._block = (0, 0, None)
 
     def splits(self, k: int) -> list[list[np.ndarray]]:
         """Per axis at table row k: a+ = max(a, 0), a- = min(a, 0) and, with
@@ -302,7 +299,7 @@ class _Sweep:
         return [[table[k - lo] for table in axis] for axis in tables]
 
     def _tabulate(self, lo: int):
-        """The splits of table rows lo.. up to a block's or the sweep's end,
+        """The splits of table rows lo.. up to a block's or the table's end,
         written into the sweep's block arrays."""
         stepper = self.stepper
         hi = min(lo + len(self._tables[0][0]), self.end_row)
@@ -376,59 +373,24 @@ class _Sweep:
 
 @dataclass
 class Checkpoints:
-    """Node 0, node nt and every ``stride``-th time node of a solve.
-
-    Any other node is replayed, bit-exactly, from the stored node below it
-    by a forward sweep of the solve's own: ``sweep(values, start, stop)``
-    yields the nodes after ``start`` up to ``stop`` from the values at
-    ``start``.  Without a sweep (the tangent, and the adjoint, which keeps
-    every node) only the stored nodes are available.
-    """
+    """Every time node 0..nt of a solve: row n of ``nodes`` holds node n.
+    ``snapshot_steps`` names them (the benchmark's call tracer reads it)."""
 
     timegrid: TimeGrid
     grid: GridSpec
-    stride: int
-    sweep: Callable | None = field(default=None, repr=False)
-    _stored: dict = field(default_factory=dict, repr=False)
+    nodes: np.ndarray = field(init=False, repr=False)
 
-    def keep(self, n: int, values: np.ndarray) -> None:
-        if n % self.stride == 0 or n == self.timegrid.nt:
-            self._stored[n] = values.copy()
+    def __post_init__(self):
+        self.nodes = np.empty((self.timegrid.nt + 1, *self.grid.shape))
 
     @property
     def snapshot_steps(self) -> list[int]:
-        return sorted(self._stored)
-
-    @property
-    def snapshots(self) -> list[np.ndarray]:
-        return [self._stored[n] for n in self.snapshot_steps]
-
-    def stored_items(self):
-        return [(n, self._stored[n]) for n in self.snapshot_steps]
-
-    def values_at(self, n: int) -> np.ndarray:
-        if n in self._stored:
-            return self._stored[n]
-        start = max(k for k in self._stored if k < n)
-        for vals in self.sweep(self._stored[start], start, n):
-            pass
-        return vals
-
-    def dense_values(self):
-        """Yield (n, values) for every node n = 0..nt in ascending order.
-        Each segment's sweep runs to its end, and so drops its scratch
-        state, before the next stored node is yielded."""
-        steps = self.snapshot_steps
-        for lo, hi in zip(steps, steps[1:]):
-            yield lo, self._stored[lo]
-            if hi > lo + 1:
-                yield from enumerate(self.sweep(self._stored[lo], lo, hi - 1), lo + 1)
-        yield steps[-1], self._stored[steps[-1]]
+        return list(range(len(self.nodes)))
 
     def history(self, **per_node: Callable) -> dict[str, np.ndarray]:
         """Each named function of a node's values at nodes 0..nt, in one dense pass."""
         out = {name: np.zeros(self.timegrid.nt + 1) for name in per_node}
-        for n, vals in self.dense_values():
+        for n, vals in enumerate(self.nodes):
             for name, f in per_node.items():
                 out[name][n] = f(vals)
         return out
@@ -445,8 +407,8 @@ class Checkpoints:
 @dataclass(kw_only=True)
 class StateTrajectory(Checkpoints):
     """Checkpoints plus what the objective reads of a forward solve, at every
-    node 0..nt whatever the stride: the ``mass`` and the running cost int
-    theta rho dx, ``running`` (zero when the solve was given no theta)."""
+    node 0..nt: the ``mass`` and the running cost int theta rho dx,
+    ``running`` (zero when the solve was given no theta)."""
 
     mass: np.ndarray
     running: np.ndarray
@@ -465,32 +427,19 @@ def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl:
     return _Stepper(grid, drift, None, next(iter(SCHEMES))).plan(timegrid, cfl)
 
 
-class _NodeBlock:
-    """Copies of a block of consecutive nodes of a solve given a nonzero
-    theta; when the block is full, or at node nt, one row reduction fills the
-    block's entries of ``running``, with the bits of each node's own
-    ``sum()``.  The copies and the theta table hold about
-    ``grid._BLOCK_POINTS`` values in all."""
-
-    def __init__(self, traj: StateTrajectory, theta: Potential):
-        grid, nt = traj.grid, traj.timegrid.nt
-        self.traj, self.theta = traj, theta
-        self.size = _block_nodes(2 * grid.num_cells)
-        self.nodes = np.empty((min(self.size, nt + 1), *grid.shape))
-        self.centers = grid.cell_centers()
-
-    def add(self, n: int, values: np.ndarray) -> None:
-        b = n % self.size
-        self.nodes[b] = values
-        if b == self.size - 1 or n == self.traj.timegrid.nt:
-            self._reduce(n - b, self.nodes[: b + 1])
-
-    def _reduce(self, lo: int, rows: np.ndarray) -> None:
-        traj = self.traj
-        grid, hi = traj.grid, lo + len(rows)
-        times = np.arange(lo, hi) * traj.timegrid.dt
-        theta = potential_eval(self.theta, self.centers, times).reshape((-1, *grid.shape))
-        traj.running[lo:hi] = _row_sums(theta * rows) * grid.cell_volume
+def _running_cost(traj: StateTrajectory, theta: Potential) -> None:
+    """Fill ``running`` with int theta rho dx at every node, a block of nodes
+    at a time: theta tabulated at the block's node times in one call, and
+    one row sum per node, with the bits of the node's own ``sum()``.  The
+    table and its product with the block hold about ``grid._BLOCK_POINTS``
+    values in all."""
+    grid, dt = traj.grid, traj.timegrid.dt
+    size, centers = _block_nodes(2 * grid.num_cells), grid.cell_centers()
+    for lo in range(0, len(traj.nodes), size):
+        rows = traj.nodes[lo:lo + size]
+        times = np.arange(lo, lo + len(rows)) * dt
+        theta_rows = potential_eval(theta, centers, times).reshape((-1, *grid.shape))
+        traj.running[lo:lo + len(rows)] = _row_sums(theta_rows * rows) * grid.cell_volume
 
 
 def _solve(
@@ -500,16 +449,14 @@ def _solve(
     timegrid: TimeGrid,
     scheme: str,
     cfl: float,
-    stride: int,
     max_substeps: int,
     fixed_substeps,
     tangent_control: ControlPath | None,
     theta: Potential | None = None,
 ):
     _check_cfl(cfl)
-    for name, value in (("stride", stride), ("max_substeps", max_substeps)):
-        if not (is_count(value) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (is_count(max_substeps) and max_substeps >= 1):
+        raise ValueError(f"max_substeps must be an integer >= 1, got {max_substeps!r}")
     if fixed_substeps is not None and not (
         np.ndim(fixed_substeps) == 1 and len(fixed_substeps) == timegrid.nt
         and all(is_count(v) and v >= 1 for v in fixed_substeps)
@@ -544,50 +491,37 @@ def _solve(
     h_sub = (dt / np.asarray(plan, dtype=float))[step_of]
     t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first[:-1], plan)) * h_sub
     stepper.look_up(np.column_stack([t_sub + i * h_sub for i in range(stages)]).ravel())
+    run = _Sweep(stepper)
 
-    def sweep(vals, start, stop, w_vals=None):
-        """Yield, for each step from node start to node stop, the next node,
-        its tangent and the step's boundary outflow and injected source
-        masses."""
-        run = _Sweep(stepper, first[start] * stages, first[stop] * stages)
-        for n in range(start, stop):
-            h = dt / plan[n]
-            out_acc = src_acc = 0.0
-            for j in range(plan[n]):
-                vals, w_vals, out_m, src_m = run.advance(vals, h, (first[n] + j) * stages, w_vals)
-                out_acc += out_m
-                src_acc += src_m
-            yield vals, w_vals, out_acc, src_acc
-
-    values = rho0.values.copy()
-    w_values = np.zeros_like(values) if tangent_control is not None else None
     vol = grid.cell_volume
-
     traj = StateTrajectory(
-        timegrid, grid, stride, lambda vals, start, stop: (step[0] for step in sweep(vals, start, stop)),
-        mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan, source_mass=np.zeros(nt + 1),
-        boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
+        timegrid, grid, mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan,
+        source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
-    w_traj = Checkpoints(timegrid, grid, stride) if tangent_control is not None else None
-    block = None if theta is None or theta.is_zero else _NodeBlock(traj, theta)
-
-    def record(n, vals, w_vals, total):
-        traj.mass[n] = total * vol
-        if block is not None:
-            block.add(n, vals)
-        traj.keep(n, vals)
-        if w_traj is not None:
-            w_traj.keep(n, w_vals)
-
-    record(0, values, w_values, values.sum())
-    for n, (values, w_values, out_m, src_m) in enumerate(sweep(values, 0, nt, w_values), 1):
+    w_traj = Checkpoints(timegrid, grid) if tangent_control is not None else None
+    values = rho0.values
+    w_values = None if w_traj is None else np.zeros_like(values)
+    traj.nodes[0], traj.mass[0] = values, values.sum() * vol
+    if w_traj is not None:
+        w_traj.nodes[0] = w_values
+    for n in range(1, nt + 1):
+        h = dt / plan[n - 1]
+        out_m = src_m = 0.0
+        for j in range(plan[n - 1]):
+            values, w_values, out_j, src_j = run.advance(values, h, (first[n - 1] + j) * stages, w_values)
+            out_m += out_j
+            src_m += src_j
         total = values.sum()
         # a finite sum proves every value finite
         if not math.isfinite(total) and not np.all(np.isfinite(values)):
             raise NonFinite(f"solution lost finiteness at step {n}")
-        record(n, values, w_values, total)
+        traj.nodes[n], traj.mass[n] = values, total * vol
+        if w_traj is not None:
+            w_traj.nodes[n] = w_values
         traj.source_mass[n] = traj.source_mass[n - 1] + src_m
         traj.boundary_outflux[n] = traj.boundary_outflux[n - 1] + out_m
+    if theta is not None and not theta.is_zero:
+        _running_cost(traj, theta)
     return traj if w_traj is None else (traj, w_traj)
 
 
@@ -598,7 +532,6 @@ def solve_forward(
     timegrid: TimeGrid,
     scheme: str = "upwind-fv",
     cfl: float = 0.9,
-    stride: int = 1,
     max_substeps: int = 4096,
     fixed_substeps=None,
     theta: Potential | None = None,
@@ -612,7 +545,7 @@ def solve_forward(
     theta rho dx at every node.
     """
     return _solve(
-        rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps,
         tangent_control=None, theta=theta,
     )
 
@@ -625,7 +558,6 @@ def solve_linearized(
     timegrid: TimeGrid,
     scheme: str = "upwind-fv",
     cfl: float = 0.9,
-    stride: int = 1,
     max_substeps: int = 4096,
     fixed_substeps=None,
 ):
@@ -636,7 +568,7 @@ def solve_linearized(
     Returns (state trajectory, tangent checkpoints) with matched substeps.
     """
     return _solve(
-        rho0, drift, source, timegrid, scheme, cfl, stride, max_substeps, fixed_substeps,
+        rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps,
         tangent_control=delta_control,
     )
 

@@ -250,7 +250,7 @@ def fd_directional_derivative(problem, control: ControlPath, direction: ControlP
 
 
 def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
-    """max over stored times of ||G(u)(t) - G(v)(t)||_{L2} / int_0^t |u - v|."""
+    """max over time nodes of ||G(u)(t) - G(v)(t)||_{L2} / int_0^t |u - v|."""
     diff = u.stacked() - v.stacked()
     speed = np.sqrt((diff * diff).sum(axis=1))
     dt = u.timegrid.dt
@@ -261,11 +261,11 @@ def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
     trv = problem.solve_forward_for(v)
     vol = problem.grid.cell_volume
     ratio = 0.0
-    for (nu_, fu), (nv_, fv) in zip(tru.stored_items(), trv.stored_items()):
-        if nu_ == 0 or cum[nu_] <= 0.0:
+    for n, (fu, fv) in enumerate(zip(tru.nodes, trv.nodes)):
+        if n == 0 or cum[n] <= 0.0:
             continue
         l2 = np.sqrt((((fu - fv) ** 2).sum()) * vol)
-        ratio = max(ratio, float(l2 / cum[nu_]))
+        ratio = max(ratio, float(l2 / cum[n]))
     return ratio
 
 

@@ -4,8 +4,7 @@ residuals, and analytical probes.
 The discrete objective is defined once, in ``reduced_cost``: the trapezoid
 rule in time over every node of the running cost int theta rho dx, which
 the forward solve reduces node by node (``StateTrajectory.running``), plus
-the terminal cost int phi rho(T) dx and the control costs.  It reads no
-stored node but the last, so ``output.stride`` does not change it.
+the terminal cost int phi rho(T) dx and the control costs.
 
 Gradients discretize the continuous optimality system (optimize then
 discretize): per time node and axis r,
@@ -13,13 +12,14 @@ discretize): per time node and axis r,
     grad_u1^r = gamma u1^r + int d_r(rho) q dx
     grad_u2^r = gamma u2^r + int d_r(x^r rho) q dx
 
-with the forward density rho and backward adjoint q on matched grids.  An
-integrated-by-parts assembly (-int rho d_r q, -int x^r rho d_r q) is
-computed as a cross-check and the worst discrepancy reported.  The nodes
-are assembled in blocks of consecutive nodes (about 16,384 grid points,
-see ``grid._BLOCK_POINTS``): one difference stencil per block and axis,
-and one sum per node over its contiguous row, which gives the bits of a
-node-by-node assembly.  The sparsity
+with the forward density rho and backward adjoint q on matched grids, both
+solves keeping every node.  An integrated-by-parts assembly (-int rho d_r
+q, -int x^r rho d_r q) is computed as a cross-check and the worst
+discrepancy reported.  The nodes are assembled in blocks of consecutive
+nodes (about 16,384 grid points, see ``grid._BLOCK_POINTS``), slices of the
+two node arrays: one difference stencil per block and axis, and one sum per
+node over its contiguous row, which gives the bits of a node-by-node
+assembly.  The sparsity
 weight delta never enters the gradient; the proximal step in the optimizer
 owns it.  For nu > 0 the gradient is expressed in the weighted H1 metric as
 u + mu, where mu solves (-nu d^2/dt^2 + gamma) mu = integral path with zero
@@ -160,7 +160,6 @@ class Problem:
     source: np.ndarray | None = None
     scheme: str = "upwind-fv"
     cfl: float = 0.9
-    stride: int = 1
     max_substeps: int = 4096
     _fwd_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -174,7 +173,7 @@ class Problem:
     @property
     def solver(self) -> dict:
         """The settings every forward solve of the problem takes."""
-        return dict(scheme=self.scheme, cfl=self.cfl, stride=self.stride, max_substeps=self.max_substeps)
+        return dict(scheme=self.scheme, cfl=self.cfl, max_substeps=self.max_substeps)
 
     def solve_forward_for(self, control: ControlPath) -> StateTrajectory:
         # memoize the few most recent solves; the optimizer evaluates cost
@@ -202,15 +201,14 @@ class Problem:
 def reduced_cost(control: ControlPath, problem: Problem) -> float:
     """J(G(u), u), the one discrete objective: the trapezoid rule in time
     over every node of the running cost int theta rho dx that the forward
-    solve reduced, plus the terminal and control costs.  No node is read
-    back, so the cost does not depend on the stride."""
+    solve reduced, plus the terminal and control costs."""
     traj = problem.solve_forward_for(control)
     tg = problem.timegrid
     running = float(np.trapezoid(traj.running, x=np.arange(tg.nt + 1) * tg.dt))
     terminal = 0.0
     if not problem.cost.phi.is_zero:
         phi = sample_potential(problem.grid, problem.cost.phi, tg.T)
-        terminal = float((phi.values * traj.snapshots[-1]).sum() * problem.grid.cell_volume)
+        terminal = float((phi.values * traj.nodes[-1]).sum() * problem.grid.cell_volume)
     return problem.cost.total(running + terminal, control)
 
 
@@ -224,14 +222,11 @@ def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: 
         raise GridMismatch("forward and adjoint runs use different time grids")
     tg = problem.timegrid
     size = _block_nodes(grid.num_cells)
-    rho_block, q_block = np.empty((size, *grid.shape)), np.empty((size, *grid.shape))
     out = np.zeros((tg.nt + 1, 2 * grid.dim))
     disc = 0.0
-    for (n, rho_vals), (_, q_vals) in zip(traj_rho.dense_values(), traj_q.dense_values()):
-        b = n % size
-        rho_block[b], q_block[b] = rho_vals, q_vals
-        if b == size - 1 or n == tg.nt:
-            disc = max(disc, _assemble_block(grid, rho_block[:b + 1], q_block[:b + 1], out[n - b:n + 1]))
+    for lo in range(0, tg.nt + 1, size):
+        block = slice(lo, lo + size)
+        disc = max(disc, _assemble_block(grid, traj_rho.nodes[block], traj_q.nodes[block], out[block]))
     return out, disc
 
 
@@ -379,8 +374,9 @@ def frechet_probe(
 
     Solves the linearized transport problem for the derivative state, then
     fits the slope of log ||G(u + eps du) - G(u) - eps DG(u) du|| against
-    log eps.  All solves share one substep plan so the discrete map stays
-    smooth across the ladder.
+    log eps, the norm being the largest L2 norm over the time nodes.  All
+    solves share one substep plan so the discrete map stays smooth across
+    the ladder.
     """
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -412,9 +408,7 @@ def frechet_probe(
             problem.rho0, problem.drift_for(control_plus(e)), problem.source, tg, fixed_substeps=plan, **problem.solver
         )
         worst = 0.0
-        for (n, rho_e), (_, rho_0), (_, w) in zip(
-            traj_e.stored_items(), base.stored_items(), wtraj.stored_items()
-        ):
+        for rho_e, rho_0, w in zip(traj_e.nodes, base.nodes, wtraj.nodes):
             diff = rho_e - rho_0 - e * w
             worst = max(worst, math.sqrt(float((diff * diff).sum() * vol)))
         remainders.append(worst)

@@ -114,7 +114,7 @@ def test_criterion_03_oracle_convergence():
                              drift, None, tg, scheme=scheme)
         exact = affine_exact_density("gaussian", {"x0": 0.0, "v0": 1.0}, drift, tg.T,
                                      g.cell_centers())
-        return float(np.abs(traj.snapshots[-1].ravel() - exact).sum() * g.cell_volume)
+        return float(np.abs(traj.nodes[-1].ravel() - exact).sum() * g.cell_volume)
 
     ns = [64, 128, 256, 512]
     hs = [(DOMAIN[1] - DOMAIN[0]) / n for n in ns]
@@ -140,7 +140,7 @@ def test_criterion_04_moment_fidelity():
             ctrl = ControlPath.constant(tg, [u1], [u2])
             traj = solve_forward(rho0, DriftSpec(DriftPreset("zero"), ctrl), None, tg,
                                  scheme=scheme)
-            mom = moments(ScalarField(g, traj.snapshots[-1]))
+            mom = moments(ScalarField(g, traj.nodes[-1]))
             ode = moment_ode(ctrl, 0.0, 1.0)
             em = abs(mom.mean[0] - ode.m[-1, 0])
             ev = abs(mom.variance[0] - ode.v[-1, 0])
@@ -160,7 +160,7 @@ def test_criterion_05_adjoint_exactness():
     for n in range(0, tg.nt + 1, 16):
         t = n * tg.dt
         exact = -potential_eval(cost.phi, pts) - (tg.T - t) * potential_eval(cost.theta, pts)
-        worst = max(worst, float(np.abs(traj.values_at(n).ravel() - exact).max()))
+        worst = max(worst, float(np.abs(traj.nodes[n].ravel() - exact).max()))
     assert worst <= 1e-12
 
     def l2_err(n):
@@ -173,7 +173,7 @@ def test_criterion_05_adjoint_exactness():
         for nstep in (0, n // 2):
             mapped = flow.map_between(nstep * tgg.dt, tgg.T, gg.cell_centers())
             exact = -potential_eval(Potential("gaussian-well"), mapped)
-            diff = qq.values_at(nstep).ravel() - exact
+            diff = qq.nodes[nstep].ravel() - exact
             out = max(out, math.sqrt(float((diff**2).sum() * gg.cell_volume)))
         return out
 

@@ -45,7 +45,7 @@ def test_static_characteristics_exact():
     for n in (0, tg.nt // 2, tg.nt):
         t = n * tg.dt
         exact = -potential_eval(cost.phi, pts) - (tg.T - t) * potential_eval(cost.theta, pts)
-        assert np.abs(traj.values_at(n).ravel() - exact).max() < 1e-12
+        assert np.abs(traj.nodes[n].ravel() - exact).max() < 1e-12
 
 
 def test_static_characteristics_quadratic_potential():
@@ -55,15 +55,15 @@ def test_static_characteristics_quadratic_potential():
     traj = solve_adjoint(cost, zero_drift(tg), tg, g)
     pts = g.cell_centers()
     exact = -potential_eval(cost.phi, pts) - tg.T * potential_eval(cost.theta, pts)
-    assert np.abs(traj.values_at(0).ravel() - exact).max() < 5e-11
+    assert np.abs(traj.nodes[0].ravel() - exact).max() < 5e-11
 
 
 def test_zero_running_cost_transports_terminal_data():
     g, tg = setup(n=128, nt=64)
     cost = CostSpec(gamma=1.0, theta=Potential("zero"), phi=Potential("gaussian-well"))
     traj = solve_adjoint(cost, zero_drift(tg), tg, g)
-    terminal = traj.snapshots[-1]
-    for n, vals in traj.stored_items():
+    terminal = traj.nodes[-1]
+    for vals in traj.nodes:
         assert np.abs(vals - terminal).max() < 1e-13
 
 
@@ -72,7 +72,7 @@ def test_terminal_snapshot_is_minus_phi():
     cost = CostSpec(gamma=1.0, phi=Potential("gaussian-well"))
     traj = solve_adjoint(cost, zero_drift(tg), tg, g)
     phi = sample_potential(g, cost.phi, tg.T)
-    assert np.array_equal(traj.values_at(tg.nt), -phi.values)
+    assert np.array_equal(traj.nodes[tg.nt], -phi.values)
 
 
 def test_affine_drift_matches_flow_composition():
@@ -88,7 +88,7 @@ def test_affine_drift_matches_flow_composition():
         for nstep in (0, nt // 2):
             mapped = flow.map_between(nstep * tg.dt, tg.T, pts)
             exact = -potential_eval(cost.phi, mapped)
-            diff = traj.values_at(nstep).ravel() - exact
+            diff = traj.nodes[nstep].ravel() - exact
             worst = max(worst, math.sqrt(float((diff**2).sum() * g.cell_volume)))
         return worst
 
@@ -104,7 +104,7 @@ def test_maximum_principle_zero_source():
     traj = solve_adjoint(cost, drift, tg, g)
     phi = sample_potential(g, cost.phi, tg.T).values
     lo, hi = (-phi).min(), (-phi).max()
-    for n, vals in traj.stored_items():
+    for vals in traj.nodes:
         assert vals.min() >= lo - 1e-12
         assert vals.max() <= hi + 1e-12
 
@@ -120,8 +120,8 @@ def test_forward_backward_duality():
     vol = g.cell_volume
     theta = sample_potential(g, cost.theta).values
     steps = range(0, tg.nt + 1, 8)
-    pair = np.array([(ftraj.values_at(n) * qtraj.values_at(n)).sum() * vol for n in steps])
-    theta_rho = np.array([(theta * ftraj.values_at(n)).sum() * vol for n in steps])
+    pair = np.array([(ftraj.nodes[n] * qtraj.nodes[n]).sum() * vol for n in steps])
+    theta_rho = np.array([(theta * ftraj.nodes[n]).sum() * vol for n in steps])
     dtc = 8 * tg.dt
     dpair = (pair[2:] - pair[:-2]) / (2 * dtc)
     assert np.abs(dpair - theta_rho[1:-1]).max() < 1e-3
@@ -136,7 +136,7 @@ def test_tracking_source_time_integral():
     pts = g.cell_centers()
     svals = np.linspace(0.0, 1.0, 20001)
     xd = 0.8 * svals
-    q0 = traj.values_at(0).ravel()
+    q0 = traj.nodes[0].ravel()
     exact = -np.trapezoid((pts[:, 0][:, None] - xd[None, :]) ** 2, x=svals, axis=1)
     assert np.abs(q0 - exact).max() < 1e-5
 
@@ -171,7 +171,7 @@ def test_offgrid_characteristics_analytic_continuation():
     # X(s) = x + c1 s; q(0, x) = -(x + c1 T)^2 - int_0^T (x + c1 s)^2 ds
     T = tg.T
     exact = -((x + c1 * T) ** 2) - (x * x * T + x * c1 * T**2 + c1 * c1 * T**3 / 3.0)
-    got = traj.values_at(0).ravel()[-1]
+    got = traj.nodes[0].ravel()[-1]
     assert got == pytest.approx(exact, rel=1e-6)
 
 
@@ -218,11 +218,8 @@ def _per_step_reference(cost, drift, tg, g):
 
 def _assert_matches_reference(cost, drift, tg, g, ref):
     traj = solve_adjoint(cost, drift, tg, g)
-    for n in range(tg.nt + 1):
-        assert np.array_equal(traj.values_at(n), ref[n])
-    dense = list(traj.dense_values())
-    assert [n for n, _ in dense] == list(range(tg.nt + 1))
-    for n, vals in dense:
+    assert len(traj.nodes) == tg.nt + 1
+    for n, vals in enumerate(traj.nodes):
         assert np.array_equal(vals, ref[n])
 
 
@@ -324,7 +321,7 @@ def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
 
 def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
     # every running-cost block the backward pass tabulates is gone once the
-    # solve returns, and reading the nodes back tabulates none
+    # solve returns
     g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, np.cos(4.0 * s), 0.3 - s))
@@ -344,10 +341,6 @@ def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
     monkeypatch.setattr(adjoint_module._BackStepper, "_theta_line_integral", tracked)
     traj = solve_adjoint(cost, drift, tg, g)
     assert len(blocks) > 1 and not alive()
-    made = len(blocks)
-    traj.values_at(16)
-    list(traj.dense_values())
-    assert len(blocks) == made
 
 
 def test_feet_are_traced_once_per_solve(monkeypatch):
@@ -365,15 +358,9 @@ def test_feet_are_traced_once_per_solve(monkeypatch):
         return eval_drift(spec, t, points)
 
     monkeypatch.setattr(adjoint_module, "eval_drift", eval_drift_counted)
-    traj = solve_adjoint(cost, drift, tg, g)
+    solve_adjoint(cost, drift, tg, g)
     assert min(calls) >= g.num_cells
     assert sum(calls) == 4 * tg.nt * g.num_cells
-    # reading the nodes back evaluates no drift
-    del calls[:]
-    for n in (3, 13, 31):
-        traj.values_at(n)
-    list(traj.dense_values())
-    assert calls == []
 
 
 def test_offgrid_sweep_leaving_safety_hull_raises():
@@ -387,8 +374,8 @@ def test_offgrid_sweep_leaving_safety_hull_raises():
 
 
 def test_adjoint_keeps_every_node_and_drops_its_feet(monkeypatch):
-    # the solve stores nodes 0..nt, so nothing replays the adjoint, and its
-    # stepper, with the feet of every step, is freed when it returns
+    # the solve stores nodes 0..nt, and its stepper, with the feet of every
+    # step, is freed when it returns
     g, tg = setup(n=64, nt=64)
     drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.4], [0.1]))
     cost = CostSpec(gamma=1.0, theta=Potential("gaussian-well"), phi=Potential("gaussian-well"))
@@ -402,8 +389,7 @@ def test_adjoint_keeps_every_node_and_drops_its_feet(monkeypatch):
     monkeypatch.setattr(adjoint_module, "_BackStepper", Tracked)
     traj = solve_adjoint(cost, drift, tg, g)
     assert len(made) == 1 and all(ref() is None for ref in made[0])
-    assert traj.snapshot_steps == list(range(tg.nt + 1)) and traj.sweep is None
-    assert [n for n, _ in traj.dense_values()] == traj.snapshot_steps
+    assert traj.snapshot_steps == list(range(tg.nt + 1)) and traj.nodes.shape == (tg.nt + 1, *g.shape)
 
 
 def test_2d_confining_certificate():
@@ -433,5 +419,5 @@ def test_l2_history_is_the_per_node_sum_of_squares(dim):
         cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     traj = solve_adjoint(cost, drift, tg, g)
     l2, vol = traj.norm_history(0, 0), g.cell_volume
-    for n, q in traj.dense_values():
+    for n, q in enumerate(traj.nodes):
         assert bits_equal(l2[n], math.sqrt(float((q * q).sum() * vol)))

@@ -77,8 +77,8 @@ def test_the_tracer_sees_every_forward_solve(monkeypatch, tmp_path):
 
 def test_the_tracer_sees_the_adjoint_of_a_strided_grad(monkeypatch, tmp_path):
     # at output.stride 8 on bimodal-stabilize-1d (nt = 128), the one
-    # assembly of a grad replays 112 forward steps and no adjoint step, and
-    # every adjoint solve goes through the traced name
+    # assembly of a grad replays no step, as both solves keep every node,
+    # and every adjoint solve goes through the traced name
     import liouville_control.adjoint as adjoint_module
     from liouville_control.cli import load_scenario, run_command, scenario_path
 
@@ -106,4 +106,4 @@ def test_the_tracer_sees_the_adjoint_of_a_strided_grad(monkeypatch, tmp_path):
     traced = sum(rec[calltrace.CALLS] for rec in tracer.records if rec[calltrace.NAME] == "adjoint.solve_adjoint")
     assert made and traced == len(made)
     assert tracer.counters["adjoint.replay_steps"] == 0
-    assert tracer.counters["forward.replay_steps"] == 112
+    assert tracer.counters["forward.replay_steps"] == 0

@@ -36,7 +36,7 @@ def test_parse_minimal_resolves_defaults():
     assert cfg.rho0[0] == "gaussian"
     assert prob.cost.gamma == 1.0
     assert prob.scheme == "upwind-fv"
-    assert prob.stride == 1
+    assert cfg.stride == 1
     assert cfg.resolved["bounds"]["ua"] == [-1.0, -1.0]
 
 
@@ -169,6 +169,8 @@ UNKNOWN_PARAMETERS = [
         ("cost", {"l1_norm": "euclidean"}),
         ("cost", {"theta": "tracking"}),  # no track_path
         ("cost", {"phi": "tracking"}),
+        # a track that no potential tracks
+        ("cost", {"track_path": [[0.0, 0.0], [1.0, 0.5]], "theta": "quadratic"}),
     ],
 )
 def test_bad_presets_exit_one(tmp_path, section, entry):
@@ -538,21 +540,17 @@ def test_weighted_norm_columns_do_not_depend_on_stride(tmp_path):
     assert dense["certify"][0]["adjoint_certificate"]["neg_k"] == 3
 
 
-@pytest.mark.parametrize("scenario, stride", [
-    ("bimodal-stabilize-1d", 8),
-    ("bimodal-stabilize-1d", 7),  # 7 does not divide nt = 128
-    ("confining-2d", 8),
-])
-def test_adjoint_files_do_not_depend_on_stride(tmp_path, scenario, stride):
-    # the adjoint keeps every node, and the command writes the snapshots at
-    # node nt and every stride-th node: those of a stride-1 run, byte for byte
+def check_snapshot_files(tmp_path, command, prefix, scenario, stride):
+    """``command`` writes the snapshots at node nt and every stride-th node,
+    and every file it writes is the same bytes as in a stride-1 run."""
     outputs = {}
     for s in (1, stride):
         with open(scenario_path(scenario)) as fh:
             cfg = json.load(fh)
         cfg["output"] = {"stride": s}
-        out = tmp_path / str(s)
-        assert run_command(["adjoint", "--config", write_config(tmp_path, cfg, f"{s}.json"), "--out", str(out)]) == 0
+        out = tmp_path / f"{command}-{s}"
+        config = write_config(tmp_path, cfg, f"{command}-{s}.json")
+        assert run_command([command, "--config", config, "--out", str(out)]) == 0
         outputs[s] = {
             str(f.relative_to(out)): f.read_bytes()
             for f in sorted(out.rglob("*")) if f.is_file() and f.name != "resolved_config.json"
@@ -561,10 +559,37 @@ def test_adjoint_files_do_not_depend_on_stride(tmp_path, scenario, stride):
     nt = load_scenario(scenario).problem().timegrid.nt
     nodes = sorted({*range(0, nt + 1, stride), nt})
     assert sorted(n for n in strided if n.startswith("snapshots/")) == [
-        os.path.join("snapshots", f"q_{n:06d}.csv") for n in nodes
+        os.path.join("snapshots", f"{prefix}_{n:06d}.csv") for n in nodes
     ]
     assert len([n for n in dense if n.startswith("snapshots/")]) == nt + 1
     assert strided == {name: dense[name] for name in strided}
+
+
+@pytest.mark.parametrize("scenario, stride", [
+    ("bimodal-stabilize-1d", 8),
+    ("bimodal-stabilize-1d", 7),  # 7 does not divide nt = 128
+    ("confining-2d", 8),
+])
+def test_adjoint_files_do_not_depend_on_stride(tmp_path, scenario, stride):
+    check_snapshot_files(tmp_path, "adjoint", "q", scenario, stride)
+
+
+def test_forward_files_do_not_depend_on_stride(tmp_path):
+    check_snapshot_files(tmp_path, "forward", "rho", "bimodal-stabilize-1d", 7)
+
+
+def test_grad_check_does_not_depend_on_stride(tmp_path):
+    # the Taylor remainders are sups over every time node, whatever
+    # output.stride, so the report is the same bytes.  On this wide box the
+    # probe's direction is large, and some remainders peak between the
+    # nodes that stride 4 would keep
+    reports = []
+    for stride in (1, 4):
+        cfg = dict(MINIMAL, bounds={"ua": -4.0, "ub": 4.0}, solver={"scheme": "muscl-fv"}, output={"stride": stride})
+        out = tmp_path / f"grad-check-{stride}"
+        assert run_command(["grad-check", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
@@ -584,8 +609,8 @@ def test_dense_passes_per_command(tmp_path, monkeypatch, potential, passes):
     # a summary reads all its columns in one pass over the nodes; certify's
     # energy certificates read theirs from the same pass, and with confining
     # potentials the adjoint's certificate adds one
-    dense_values, calls = Checkpoints.dense_values, []
-    monkeypatch.setattr(Checkpoints, "dense_values", lambda self: calls.append(self) or dense_values(self))
+    history, calls = Checkpoints.history, []
+    monkeypatch.setattr(Checkpoints, "history", lambda self, **f: calls.append(self) or history(self, **f))
     cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, output={"stride": 4},
                cost={"theta": potential, "phi": potential})
     cfgp = write_config(tmp_path, cfg)

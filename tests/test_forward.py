@@ -28,7 +28,7 @@ from liouville_control import (
     solve_linearized,
 )
 import liouville_control.forward as forward_module
-from liouville_control.forward import _Faces, _NodeBlock, _Stepper, _Sweep, _face_points, required_substeps
+from liouville_control.forward import _Faces, _Stepper, _Sweep, _face_points, required_substeps
 from liouville_control.grid import _block_nodes
 from test_controls import DRIFT_CASES
 
@@ -48,7 +48,7 @@ def test_zero_drift_is_exact():
     g, tg, rho0 = gaussian_setup(n=128, nt=64)
     for scheme in ("upwind-fv", "muscl-fv"):
         traj = solve_forward(rho0, drift_const(tg, 0.0, 0.0), None, tg, scheme=scheme)
-        assert np.array_equal(traj.snapshots[-1], rho0.values)
+        assert np.array_equal(traj.nodes[-1], rho0.values)
         assert np.abs(traj.mass - traj.mass[0]).max() == 0.0
 
 
@@ -74,7 +74,7 @@ def test_translation_tracks_moment_ode():
     ode = moment_ode(ctrl, 0.0, 1.0)
     for frac in (0.5, 1.0):
         n = int(frac * tg.nt)
-        mom = moments(ScalarField(g, traj.values_at(n)))
+        mom = moments(ScalarField(g, traj.nodes[n]))
         assert mom.mean[0] == pytest.approx(ode.m[n, 0], abs=2e-3)
 
 
@@ -82,7 +82,7 @@ def test_dilation_variance_closed_form():
     g, tg, rho0 = gaussian_setup()
     c = 0.5
     traj = solve_forward(rho0, drift_const(tg, 0.0, c), None, tg, scheme="muscl-fv")
-    mom = moments(ScalarField(g, traj.snapshots[-1]))
+    mom = moments(ScalarField(g, traj.nodes[-1]))
     assert mom.variance[0] == pytest.approx(math.exp(2 * c), rel=2e-3)
 
 
@@ -92,7 +92,7 @@ def test_convergence_orders_against_flow_oracle():
         drift = drift_const(tg, 0.0, 0.5)
         traj = solve_forward(rho0, drift, None, tg, scheme=scheme)
         exact = affine_exact_density("gaussian", {"x0": 0.0, "v0": 1.0}, drift, tg.T, g.cell_centers())
-        return float(np.abs(traj.snapshots[-1].ravel() - exact).sum() * g.cell_volume)
+        return float(np.abs(traj.nodes[-1].ravel() - exact).sum() * g.cell_volume)
 
     ns = [64, 128, 256]
     hs = [16.0 / n for n in ns]
@@ -221,18 +221,18 @@ def test_source_that_is_not_a_field_on_the_grid_is_rejected(source):
         solve_forward(rho0, drift_const(tg, 0.3, 0.0), source, tg)
 
 
-def test_snapshot_stride_replay_is_exact():
-    g, tg, rho0 = gaussian_setup(n=128, nt=64)
+def test_a_solve_stores_every_node():
+    # the state and the tangent keep nodes 0..nt, each in one array, and
+    # node n is where a solve of the first n steps ends
+    g, tg, rho0 = gaussian_setup(n=128, nt=16)
     drift = drift_const(tg, 0.4, 0.3)
-    dense = solve_forward(rho0, drift, None, tg, stride=1)
-    for stride in (8, 7):  # 7 does not divide nt: the top segment is short
-        strided = solve_forward(rho0, drift, None, tg, stride=stride)
-        assert strided.snapshot_steps[0] == 0 and strided.snapshot_steps[-1] == tg.nt
-        for n in (3, 17, 40, 63):
-            assert np.array_equal(strided.values_at(n), dense.values_at(n))
-        got = {n: v.copy() for n, v in strided.dense_values()}
-        for n in range(tg.nt + 1):
-            assert np.array_equal(got[n], dense.values_at(n))
+    traj, wtraj = solve_linearized(rho0, drift, drift.control, None, tg)
+    for t in (traj, wtraj):
+        assert t.nodes.shape == (tg.nt + 1, *g.shape) and t.snapshot_steps == list(range(tg.nt + 1))
+    assert np.array_equal(traj.nodes[0], rho0.values) and not wtraj.nodes[0].any()
+    short = make_timegrid(tg.T * (tg.nt - 1) / tg.nt, tg.nt - 1)
+    head = solve_forward(rho0, drift_const(short, 0.4, 0.3), None, short, fixed_substeps=traj.substeps[:-1])
+    assert np.array_equal(head.nodes, traj.nodes[:-1])
 
 
 def test_linearized_solve_matches_central_difference():
@@ -251,10 +251,10 @@ def test_linearized_solve_matches_central_difference():
         ctrl = ControlPath(tg, u.u1 + scale * du.u1, u.u2 + scale * du.u2)
         return solve_forward(
             rho0, DriftSpec(DriftPreset("zero"), ctrl), None, tg, fixed_substeps=[2] * tg.nt
-        ).snapshots[-1]
+        ).nodes[-1]
 
     fd = (solve_at(eps) - solve_at(-eps)) / (2 * eps)
-    w = wtraj.snapshots[-1]
+    w = wtraj.nodes[-1]
     scale = np.abs(fd).max()
     assert np.abs(w - fd).max() <= 1e-5 * scale + 1e-12
 
@@ -276,7 +276,7 @@ def test_two_dimensional_rotation_mean():
         math.cos(th) * 1.0 - math.sin(th) * (-0.5),
         math.sin(th) * 1.0 + math.cos(th) * (-0.5),
     )
-    mom = moments(ScalarField(g, traj.snapshots[-1]))
+    mom = moments(ScalarField(g, traj.nodes[-1]))
     assert mom.mean[0] == pytest.approx(exact[0], abs=5e-3)
     assert mom.mean[1] == pytest.approx(exact[1], abs=5e-3)
 
@@ -392,7 +392,6 @@ def test_a_solve_evaluates_the_faces_once_per_axis(d, monkeypatch):
 
 BAD_SETTINGS = [
     ("cfl", -1.0), ("cfl", 0.0), ("cfl", math.nan), ("cfl", math.inf), ("cfl", True),
-    ("stride", -3), ("stride", 0), ("stride", 2.5), ("stride", True),
     ("max_substeps", 0), ("max_substeps", 64.0),
 ]
 
@@ -449,7 +448,7 @@ def test_an_integer_array_plan_is_a_plan():
     plan = [1, 2, 1, 3, 1, 1, 2, 1]
     traj = solve_forward(rho0, drift, None, tg, fixed_substeps=np.array(plan))
     assert traj.substeps == plan and all(type(k) is int for k in traj.substeps)
-    assert np.array_equal(traj.snapshots[-1], solve_forward(rho0, drift, None, tg, fixed_substeps=plan).snapshots[-1])
+    assert np.array_equal(traj.nodes[-1], solve_forward(rho0, drift, None, tg, fixed_substeps=plan).nodes[-1])
 
 
 def reference_minmod(a, b):
@@ -575,28 +574,24 @@ def test_stage_matches_the_allocating_version(d, scheme, tangent):
     values = adversarial_field(g.shape, 1)
     w_values = adversarial_field(g.shape, 2) if tangent else None
     rows = stepper._rows
-    # a sweep of the whole table: rows of the first block, of the next, then
-    # of the first again (a rebuild), and of the ragged last block; MUSCL's
-    # stage at rows - 1 reads its second row in the next block.  A sweep of
-    # rows 3 .. rows + 4 only: a full block, then a last one of two rows
-    cases = [(0, 24, (0, 1, rows - 1, rows + 1, 3 * rows // 2, 2, 2 * rows + 1, 22)),
-             (3, rows + 5, (3, rows + 2, rows + 3))]
-    for first_row, end_row, ks in cases:
-        sweep = _Sweep(stepper, first_row, end_row)
-        for k in ks:
-            div, div_w = np.empty(g.shape), np.empty(g.shape) if tangent else None
-            rate = sweep.divergence(k, values, div, w_values, div_w)
-            ref_div, ref_div_w, ref_rate = reference_divergence(stepper, k, values, w_values)
-            assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
-            if tangent:
-                assert bits_equal(div_w, ref_div_w)
-            got = sweep.advance(values, 0.013, k, w_values)
-            ref = reference_advance(stepper, values, 0.013, k, w_values)
-            assert bits_equal(got[0], ref[0])
-            assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
-            assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
-            # no block runs past the sweep's last row
-            assert first_row <= sweep._block[0] and sweep._block[1] <= end_row
+    # rows of the first block, of the next, then of the first again (a
+    # rebuild), and of the ragged last block; MUSCL's stage at rows - 1
+    # reads its second row in the next block
+    sweep = _Sweep(stepper)
+    for k in (0, 1, rows - 1, rows + 1, 3 * rows // 2, 2, 2 * rows + 1, 22):
+        div, div_w = np.empty(g.shape), np.empty(g.shape) if tangent else None
+        rate = sweep.divergence(k, values, div, w_values, div_w)
+        ref_div, ref_div_w, ref_rate = reference_divergence(stepper, k, values, w_values)
+        assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
+        if tangent:
+            assert bits_equal(div_w, ref_div_w)
+        got = sweep.advance(values, 0.013, k, w_values)
+        ref = reference_advance(stepper, values, 0.013, k, w_values)
+        assert bits_equal(got[0], ref[0])
+        assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
+        assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
+        # no block runs past the table's last row
+        assert sweep._block[1] <= 24
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
@@ -604,14 +599,14 @@ def test_stage_with_a_source_matches_the_allocating_version(scheme):
     source = adversarial_field((1024,), 3)
     g, stepper = stage_case(1, scheme, True, source=source)
     values, w_values = adversarial_field(g.shape, 4), adversarial_field(g.shape, 5)
-    got = _Sweep(stepper, 0, 24).advance(values, 0.01, 4, w_values)
+    got = _Sweep(stepper).advance(values, 0.01, 4, w_values)
     ref = reference_advance(stepper, values, 0.01, 4, w_values)
     for a, b in zip(got, ref):
         assert bits_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
-def test_no_sweep_outlives_its_solve_or_replay(scheme, monkeypatch):
+def test_no_sweep_outlives_its_solve(scheme, monkeypatch):
     made = []
     init = _Sweep.__init__
 
@@ -625,40 +620,10 @@ def test_no_sweep_outlives_its_solve_or_replay(scheme, monkeypatch):
     monkeypatch.setattr(_Sweep, "__init__", tracked)
     g, tg, rho0 = gaussian_setup(n=128, nt=16)
     drift = DriftSpec(DriftPreset("zero"), varying_control(tg, 1))
-    traj = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=4)
+    solve_forward(rho0, drift, None, tg, scheme=scheme)
     assert len(made) == 1 and not alive()
-    traj.values_at(6)
+    solve_linearized(rho0, drift, varying_control(tg, 1, scale=0.3), None, tg, scheme=scheme)
     assert len(made) == 2 and not alive()
-    # a dense pass: each segment's replay has ended by the next stored node
-    for n, _ in traj.dense_values():
-        if n % 4 == 0:
-            assert len(made) == 2 + n // 4 and not alive()
-    assert not alive()
-    base, _ = solve_linearized(rho0, drift, varying_control(tg, 1, scale=0.3), None, tg, scheme=scheme)
-    assert len(made) == 7 and not alive()
-
-
-@pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
-def test_stride_replay_rebuilds_its_blocks(scheme, monkeypatch):
-    g = make_grid(1, -8.0, 8.0, 2048)
-    tg = make_timegrid(1.0, 30)
-    rho0 = sample_function(g, "gaussian", {"x0": 0.5, "v0": 1.0})
-    drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.2}), varying_control(tg, 1, scale=3.0))
-    dense = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=1)
-    strided = solve_forward(rho0, drift, None, tg, scheme=scheme, stride=7)
-    assert len(set(strided.substeps)) > 1
-    starts = []
-    tabulate = _Sweep._tabulate
-    with monkeypatch.context() as patched:
-        patched.setattr(_Sweep, "_tabulate", lambda self, lo: starts.append(lo) or tabulate(self, lo))
-        for n in (3, 13, 20, 29):
-            assert bits_equal(strided.values_at(n), dense.values_at(n))
-    # a replay of many substeps spans more than one block of rows
-    assert len(starts) > 4 and len(set(starts)) == len(starts)
-    got = {n: v.copy() for n, v in strided.dense_values()}
-    assert sorted(got) == list(range(tg.nt + 1))
-    for n in range(tg.nt + 1):
-        assert bits_equal(got[n], dense.values_at(n))
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
@@ -689,7 +654,7 @@ def test_mass_that_overflows_is_not_a_non_finite_value():
     big[30:32] = 1.5e308  # finite values whose sum overflows
     with np.errstate(over="ignore"):
         traj = solve_forward(ScalarField(g, big), drift_const(tg, 0.0, 0.0), None, tg)
-    assert np.isinf(traj.mass).all() and np.array_equal(traj.values_at(tg.nt), big)
+    assert np.isinf(traj.mass).all() and np.array_equal(traj.nodes[tg.nt], big)
 
 
 # --- per-node values from blocks of nodes and from the checkpoints ----------
@@ -706,8 +671,10 @@ DIAGNOSTIC_CASES = [
 
 
 @pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=["1d-ragged", "2d-ragged", "one-block", "no-theta"])
-@pytest.mark.parametrize("stride", [1, 7])
-def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride, monkeypatch):
+@pytest.mark.parametrize("refine", [1, 7])
+def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine, monkeypatch):
+    # each step takes refine times its planned substeps, and each node is
+    # recorded once its step's last substep is done
     tg = make_timegrid(1.0, nt)
     size = _block_nodes(2 * g.num_cells)
     if g.num_cells == 64:
@@ -717,22 +684,23 @@ def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, stride,
     x0 = 0.3 if g.dim == 1 else [0.5, -0.3]
     rho0 = sample_function(g, "gaussian", {"x0": x0, "v0": 0.4})
     drift = DriftSpec(DriftPreset("zero"), varying_control(tg, g.dim, scale=0.5))
+    plan = [refine * k for k in required_substeps(g, drift, tg, 0.9)]
     blocks = []
 
-    class CountedBlock(_NodeBlock):
-        def __init__(self, *args):
-            super().__init__(*args)
-            blocks.append(self)
+    def counted(pot, points, times):
+        blocks.append(len(times))
+        return potential_eval(pot, points, times)
 
-    monkeypatch.setattr(forward_module, "_NodeBlock", CountedBlock)
-    # a solve given no theta has no running cost and makes no block
-    traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", stride=stride,
+    monkeypatch.setattr(forward_module, "potential_eval", counted)
+    # theta is tabulated once per block of node times; a solve given no
+    # theta has no running cost and tabulates none
+    traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", fixed_substeps=plan,
                          theta=None if theta.is_zero else theta)
-    assert [b.size for b in blocks] == ([] if theta.is_zero else [size])
-    # the minimum and the L2 norm come from the checkpoints
+    assert blocks == ([] if theta.is_zero else [len(range(lo, min(lo + size, nt + 1))) for lo in range(0, nt + 1, size)])
+    # the minimum and the L2 norm come from the stored nodes
     hist = traj.history(min=np.min, l2=traj.norm(0, 0))
     vol, pts = g.cell_volume, g.cell_centers()
-    for n, vals in traj.dense_values():
+    for n, vals in enumerate(traj.nodes):
         th = potential_eval(theta, pts, n * tg.dt).reshape(g.shape)
         assert bits_equal(traj.mass[n], vals.sum() * vol)
         assert bits_equal(hist["min"][n], vals.min())

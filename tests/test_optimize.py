@@ -134,7 +134,7 @@ def test_tracking_beats_zero_control_by_surrogate_margin():
     assert margin_surrogate > 0.1
     assert margin_pde >= 0.5 * margin_surrogate
     # final state actually moved toward the target
-    mom = moments(ScalarField(prob.grid, prob.solve_forward_for(res.control).snapshots[-1]))
+    mom = moments(ScalarField(prob.grid, prob.solve_forward_for(res.control).nodes[-1]))
     assert abs(mom.mean[0] - 0.3) < abs(0.0 - 0.3)
 
 

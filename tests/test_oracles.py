@@ -13,6 +13,7 @@ from liouville_control import (
     DriftPreset,
     DriftSpec,
     MomentSurrogateProblem,
+    NotApplicable,
     Potential,
     Problem,
     UnsupportedDrift,
@@ -257,3 +258,19 @@ def test_surrogate_gradient_matches_fd():
     grad = sur.descent_gradient(u)
     an = path_dot(tg, grad.stacked(), d.stacked())
     assert an == pytest.approx(fd, rel=2e-3)
+
+
+def test_surrogate_of_a_2d_track_fails():
+    # the 1D closure would price a 2D track by its x-coordinate alone
+    tg = make_timegrid(1.0, 16)
+    track = Potential.tracking([[0.0, [0.0, 1.0]], [1.0, [0.5, -1.0]]])
+    with pytest.raises(NotApplicable, match="one coordinate"):
+        track.gaussian_moments(0.0, 1.0, 0.5)
+    u = ControlPath.constant(tg, [0.2], [-0.1])
+    for theta, phi in ((track, Potential("zero")), (Potential("zero"), track)):
+        sur = MomentSurrogateProblem(timegrid=tg, x0=0.0, v0=0.5, cost=CostSpec(theta=theta, phi=phi),
+                                     bounds=BoxBounds.symmetric(2.0, 1))
+        with pytest.raises(NotApplicable):
+            sur.reduced_cost(u)
+        with pytest.raises(NotApplicable):
+            sur.descent_gradient(u)

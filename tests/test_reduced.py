@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import math
 
 import numpy as np
@@ -32,9 +33,8 @@ from liouville_control import (
     sample_potential,
     smallness_certificate,
 )
-import liouville_control.adjoint as adjoint_module
 import liouville_control.forward as forward_module
-from liouville_control.cli import load_scenario, run_command, scenario_path
+from liouville_control.cli import parse_config, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
 from liouville_control.reduced import assemble_integral_path, metric_dot
@@ -128,25 +128,40 @@ def test_ibp_cross_check_small_and_shrinking():
     assert d256 < d128
 
 
-def test_gradient_identical_at_stride_not_dividing_nt():
-    # the assembly pairs each forward node with the adjoint at the same node;
-    # at stride 7 the forward nodes are replayed and the adjoint keeps every
-    # node
-    theta = Potential.tracking([[0.0, 0.0], [1.0, 0.5]])
-    s = np.linspace(0.0, 1.0, 65)[:, None]
-    grads = []
-    for stride in (1, 7):
-        prob = dataclasses.replace(
-            build_problem(nt=64, gamma=0.2, theta=theta, phi=Potential("gaussian-well"),
-                          scheme="muscl-fv"),
-            stride=stride,
-        )
-        u = ControlPath(prob.timegrid, 0.3 * np.sin(3.0 * s), 0.1 - 0.2 * s)
-        grads.append(reduced_gradient(u, prob))
-    dense, strided = grads
-    assert np.array_equal(strided.u1, dense.u1)
-    assert np.array_equal(strided.u2, dense.u2)
-    assert strided.ibp_discrepancy == dense.ibp_discrepancy
+def blocked_config(dim, stride):
+    """The run configuration of ``blocked_problem`` under constant controls
+    and a tracking running cost, at ``output.stride``."""
+    if dim == 1:
+        grid, time = {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [1000]}, {"T": 1.0, "nt": 40}
+        a0, x0, path = {"preset": "zero"}, 0.3, [[0.0, 0.0], [1.0, 0.5]]
+    else:
+        grid, time = {"dim": 2, "lo": [-4.0, -4.0], "hi": [4.0, 4.0], "n": [40, 40]}, {"T": 0.5, "nt": 25}
+        a0, x0 = {"preset": "rotation", "params": {"omega": 1.0}}, [0.5, -0.3]
+        path = [[0.0, [0.0, 0.5]], [0.5, [0.4, -0.2]]]
+    return {
+        "grid": grid, "time": time, "a0": a0, "rho0": {"preset": "gaussian", "params": {"x0": x0, "v0": 0.4}},
+        "control": {"u1": 0.3, "u2": -0.1}, "bounds": {"ua": -2.0, "ub": 2.0}, "solver": {"scheme": "muscl-fv"},
+        "cost": {"gamma": 0.5, "theta": "tracking", "phi": "gaussian-well", "track_path": path},
+        "output": {"stride": stride},
+    }
+
+
+def cli_outputs(tmp_path, command, cfg, files=("report.json",)):
+    """The bytes of ``files`` that ``liouctl command`` writes for ``cfg``."""
+    name = f"{command}-{cfg['grid']['dim']}-{cfg['output']['stride']}"
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(cfg))
+    assert run_command([command, "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    return tuple((tmp_path / name / f).read_bytes() for f in files)
+
+
+def test_gradient_identical_at_stride_not_dividing_nt(tmp_path):
+    # the assembly pairs each forward node with the adjoint at the same
+    # node, and both solves keep every node whatever output.stride, so
+    # ``grad`` writes the same bytes at a stride that does not divide nt
+    outputs = [cli_outputs(tmp_path, "grad", blocked_config(1, s), ("report.json", "control_gradient.csv"))
+               for s in (1, 7)]
+    assert outputs[0] == outputs[1]
 
 
 def per_node_assembly(problem, traj_rho, traj_q):
@@ -158,7 +173,7 @@ def per_node_assembly(problem, traj_rho, traj_q):
     vol = grid.cell_volume
     out = np.zeros((problem.timegrid.nt + 1, 2 * d))
     disc = 0.0
-    for (n, rho_vals), (_, q_vals) in zip(traj_rho.dense_values(), traj_q.dense_values()):
+    for n, (rho_vals, q_vals) in enumerate(zip(traj_rho.nodes, traj_q.nodes)):
         rho = ScalarField(grid, rho_vals)
         q = ScalarField(grid, q_vals)
         for r in range(d):
@@ -176,7 +191,7 @@ def per_node_assembly(problem, traj_rho, traj_q):
     return out, disc
 
 
-def blocked_problem(dim, stride):
+def blocked_problem(dim):
     """A problem whose nodes fill several blocks, the last one ragged."""
     if dim == 1:
         g, tg = make_grid(1, -8, 8, 1000), make_timegrid(1.0, 40)
@@ -189,7 +204,7 @@ def blocked_problem(dim, stride):
     prob = Problem(
         grid=g, timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": x0, "v0": 0.4}), a0=a0,
         cost=CostSpec(gamma=0.5, theta=theta, phi=Potential("gaussian-well")),
-        bounds=BoxBounds.symmetric(2.0, dim), scheme="muscl-fv", stride=stride,
+        bounds=BoxBounds.symmetric(2.0, dim), scheme="muscl-fv",
     )
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     u = ControlPath(tg, 0.3 * np.sin(3.0 * s + np.arange(dim)), 0.1 - 0.2 * s * np.arange(1, dim + 1))
@@ -202,9 +217,8 @@ def bits_equal(a, b):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("stride", [1, 7])
-def test_blocked_assembly_matches_the_per_node_loop(dim, stride):
-    prob, u = blocked_problem(dim, stride)
+def test_blocked_assembly_matches_the_per_node_loop(dim):
+    prob, u = blocked_problem(dim)
     traj_rho, traj_q = prob.solve_forward_for(u), prob.solve_adjoint_for(u)
     out, disc = assemble_integral_path(prob, traj_rho, traj_q)
     ref, ref_disc = per_node_assembly(prob, traj_rho, traj_q)
@@ -226,68 +240,31 @@ def running_cost_over(problem, items):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_cost_is_the_same_at_every_stride(dim):
-    prob, u = blocked_problem(dim, 1)
-    path = [[0.0, 0.0], [1.0, 0.5]] if dim == 1 else [[0.0, [0.0, 0.5]], [0.5, [0.4, -0.2]]]
-    prob = dataclasses.replace(prob, cost=dataclasses.replace(prob.cost, theta=Potential.tracking(path)))
-    dense = prob.solve_forward_for(u)
-    costs = []
+def test_cost_is_the_same_at_every_stride(dim, tmp_path):
+    # ``cost`` and ``grad`` report the same cost at every output.stride, and
+    # ``grad`` the same report
+    costs, grads = [], []
     for stride in (1, 7, 64):
-        strided = dataclasses.replace(prob, stride=stride)
-        costs.append(reduced_cost(u, strided))  # as `liouctl cost`
-        strided = dataclasses.replace(strided)  # an empty forward memo
-        reduced_gradient(u, strided)
-        costs.append(reduced_cost(u, strided))  # as `liouctl grad`
-        if stride > 1:
-            # a running cost read from the stored nodes only would differ
-            stored = strided.solve_forward_for(u).stored_items()
-            assert running_cost_over(strided, stored) != running_cost_over(prob, dense.dense_values())
-    assert all(bits_equal(c, costs[0]) for c in costs)
+        cfg = blocked_config(dim, stride)
+        grads.append(cli_outputs(tmp_path, "grad", cfg)[0])
+        costs += [json.loads(cli_outputs(tmp_path, "cost", cfg)[0])["cost"], json.loads(grads[-1])["cost"]]
+    assert len(set(grads)) == 1 and all(bits_equal(c, costs[0]) for c in costs)
     # the running term is the trapezoid over every node of the per-node
-    # integrals, so at stride 1 the cost keeps its bits
-    tg = prob.timegrid
-    running = float(np.trapezoid(dense.running, x=np.arange(tg.nt + 1) * tg.dt))
-    assert bits_equal(running, running_cost_over(prob, dense.dense_values()))
-
-
-def test_a_dense_pass_tabulates_only_the_rows_it_replays(monkeypatch):
-    # at stride 8, bimodal-stabilize-1d (MUSCL, one substep per step)
-    # replays 7 of every 8 steps forward, and the blocks of split rows end at
-    # each replay's last row; the adjoint keeps every node, so the pass
-    # tabulates no running-cost term
-    cfg = load_scenario("bimodal-stabilize-1d")
-    prob = dataclasses.replace(cfg.problem(), stride=8)
-    traj_rho, traj_q = prob.solve_forward_for(cfg.control), prob.solve_adjoint_for(cfg.control)
-    rows = {"split": 0, "theta": 0}
-    face_speeds = forward_module._Stepper.face_speeds
-    integral = adjoint_module._BackStepper._theta_line_integral
-
-    def counted_face_speeds(self, table_rows, out=None):
-        speeds = face_speeds(self, table_rows, out)
-        rows["split"] += len(speeds[0])
-        return speeds
-
-    def counted_integral(self, t0, *args):
-        rows["theta"] += np.size(t0)
-        return integral(self, t0, *args)
-
-    monkeypatch.setattr(forward_module._Stepper, "face_speeds", counted_face_speeds)
-    monkeypatch.setattr(adjoint_module._BackStepper, "_theta_line_integral", counted_integral)
-    assemble_integral_path(prob, traj_rho, traj_q)
-    nt, stored = prob.timegrid.nt, set(traj_rho.snapshot_steps)
-    replayed = [n for n in range(nt) if n + 1 not in stored]
-    assert rows["split"] == 2 * sum(traj_rho.substeps[n] for n in replayed) == 224
-    assert traj_q.snapshot_steps == list(range(nt + 1)) and rows["theta"] == 0
+    # integrals, so the cost keeps its bits
+    cfg = parse_config(json.dumps(blocked_config(dim, 1)))
+    prob, u = cfg.problem(), cfg.control
+    traj, tg = prob.solve_forward_for(u), prob.timegrid
+    running = float(np.trapezoid(traj.running, x=np.arange(tg.nt + 1) * tg.dt))
+    assert bits_equal(running, running_cost_over(prob, enumerate(traj.nodes)))
+    assert bits_equal(reduced_cost(u, prob), costs[0])
 
 
 @pytest.mark.parametrize("which", ["rho", "q"])
 @pytest.mark.parametrize("node", [0, 17, 40])
 def test_assembly_rejects_a_field_that_is_not_finite(which, node):
-    prob, u = blocked_problem(1, 1)
+    prob, u = blocked_problem(1)
     traj_rho, traj_q = prob.solve_forward_for(u), prob.solve_adjoint_for(u)
-    traj = traj_rho if which == "rho" else traj_q
-    traj._stored[node] = traj._stored[node].copy()
-    traj._stored[node][500] = np.nan
+    (traj_rho if which == "rho" else traj_q).nodes[node, 500] = np.nan
     with pytest.raises(InvalidGrid, match="finite"):
         assemble_integral_path(prob, traj_rho, traj_q)
 
@@ -297,26 +274,26 @@ def test_replaced_problem_does_not_reuse_the_forward_memo():
     # must start its own
     prob = build_problem(nt=64)
     u = ControlPath.constant(prob.timegrid, [0.3], [0.1])
-    assert len(prob.solve_forward_for(u).snapshot_steps) == 65
+    assert prob.solve_forward_for(u).scheme == "upwind-fv"
     assert prob.solve_forward_for(u) is prob.solve_forward_for(u)
-    strided = dataclasses.replace(prob, stride=8)
-    assert len(strided.solve_forward_for(u).snapshot_steps) == 64 // 8 + 1
+    muscl = dataclasses.replace(prob, scheme="muscl-fv")
+    assert muscl.solve_forward_for(u).scheme == "muscl-fv"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        prob.stride = 8
+        prob.scheme = "muscl-fv"
 
 
 def test_a_problem_hands_its_settings_to_every_forward_solve():
-    prob = dataclasses.replace(build_problem(), scheme="muscl-fv", cfl=0.5, stride=4, max_substeps=64)
-    assert prob.solver == {"scheme": "muscl-fv", "cfl": 0.5, "stride": 4, "max_substeps": 64}
+    prob = dataclasses.replace(build_problem(), scheme="muscl-fv", cfl=0.5, max_substeps=64)
+    assert prob.solver == {"scheme": "muscl-fv", "cfl": 0.5, "max_substeps": 64}
     assert list(inspect.signature(Problem.solve_forward_for).parameters) == ["self", "control"]
     traj = prob.solve_forward_for(ControlPath.constant(prob.timegrid, [0.3], [0.1]))
-    assert (traj.scheme, traj.cfl, traj.snapshot_steps[1]) == ("muscl-fv", 0.5, 4)
+    assert (traj.scheme, traj.cfl) == ("muscl-fv", 0.5)
 
 
 def test_frechet_probe_solves_with_the_problems_settings():
     # the probe on a variant problem has the bits of the same probe with
     # every solve given those settings by hand
-    settings = dict(scheme="muscl-fv", cfl=0.5, stride=4, max_substeps=64)
+    settings = dict(scheme="muscl-fv", cfl=0.5, max_substeps=64)
     prob = dataclasses.replace(build_problem(n=64, nt=32, theta=Potential("gaussian-well")), **settings)
     tg = prob.timegrid
     u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.5], [-0.3])
@@ -333,9 +310,8 @@ def test_frechet_probe_solves_with_the_problems_settings():
     remainders = []
     for e in eps:
         traj = forward_module.solve_forward(prob.rho0, drift(e), None, tg, fixed_substeps=plan, **settings)
-        diffs = [a - b - e * c for (_, a), (_, b), (_, c) in zip(*(t.stored_items() for t in (traj, base, w)))]
+        diffs = [a - b - e * c for a, b, c in zip(traj.nodes, base.nodes, w.nodes)]
         remainders.append(max(math.sqrt(float((x * x).sum() * prob.grid.cell_volume)) for x in diffs))
-    assert len(base.snapshot_steps) == 32 // 4 + 1
     assert rep.remainders == tuple(remainders)
     assert rep.remainders != frechet_probe(u, d, eps, build_problem(n=64, nt=32)).remainders
 

@@ -1,12 +1,16 @@
-"""Check that the objective does not depend on ``output.stride``.
+"""Check that the objective and its probes do not depend on ``output.stride``.
 
-The cost integrates the running cost over every time node, whatever the
-stride stores, and the gradient pairs the replayed forward nodes with the
-adjoint's, which are all kept.  So on every shipped scenario:
+Every solve keeps every time node, and the stride only thins the snapshot
+files that ``forward`` and ``adjoint`` write: the cost integrates the
+running cost over every node, the gradient pairs the forward and adjoint
+nodes, and the Taylor remainders of ``grad-check`` are sups over every
+node.  So on every shipped scenario:
 
 - ``cost`` reports the same cost at strides 1, 8 and 64;
 - ``grad`` writes the same bytes of ``report.json`` and
   ``control_gradient.csv`` at strides 1, 8 and 64;
+- ``grad-check`` writes the same bytes of ``report.json`` at strides 1, 8
+  and 64;
 
 and ``optimize`` on gaussian-tracking-1d at stride 16 exits 0 (it stalled
 there while the running cost was read from the stored nodes only).  Each run
@@ -53,12 +57,12 @@ def main() -> int:
             print(scenario.stem, costs)
             if None in costs.values() or len(set(costs.values())) != 1:
                 failed = True
-            grads = {s: run("grad", scenario, s, tmp)[1] for s in STRIDES}
-            grads = {s: out and tuple((out / f).read_bytes() for f in ("report.json", "control_gradient.csv"))
-                     for s, out in grads.items()}
-            same = None not in grads.values() and len(set(grads.values())) == 1
-            print(scenario.stem, "grad report and control_gradient.csv the same at strides 1, 8, 64:", same)
-            failed = failed or not same
+            for command, files in (("grad", ("report.json", "control_gradient.csv")), ("grad-check", ("report.json",))):
+                outs = {s: run(command, scenario, s, tmp)[1] for s in STRIDES}
+                outs = {s: out and tuple((out / f).read_bytes() for f in files) for s, out in outs.items()}
+                same = None not in outs.values() and len(set(outs.values())) == 1
+                print(scenario.stem, command, " and ".join(files), "the same at strides 1, 8, 64:", same)
+                failed = failed or not same
         code, _ = run("optimize", SCENARIOS / "gaussian-tracking-1d.json", 16, tmp)
         print("gaussian-tracking-1d optimize at stride 16: exit", code)
         failed = failed or code != 0
