@@ -17,15 +17,18 @@ for a block of steps at a time (about 16,384 points, see
 ``grid._BLOCK_POINTS``), one RK4 step on the block's copies of the
 centres with each copy at its own time; then every escaped foot of every
 step is marched in one forward sweep, each joining the batch at its own
-step.
+step, and reads the control at its stage times t_j, t_j + dt/2 and t_j + dt
+of every step j from one ``value_at`` call.
 The feet of every step are kept for the backward pass (nt * N * d floats
 for N cells in d dimensions), which runs down from step nt - 1 to step 0.
-It tabulates the running-cost term of its steps, dt * theta at the
-midpoints between the centres and their feet, from the stored feet for a
-block of steps at a time (about ``grid._BLOCK_POINTS`` values) down from the
-first step that needs it, in one ``potential_eval`` call.
-Interpolated values are clipped to the local stencil range, which keeps the
-discrete maximum principle.
+It builds two tables from the stored feet for a block of steps at a time,
+down from the first step that needs them: the running-cost term, dt * theta
+at the midpoints between the centres and their feet, in one
+``potential_eval`` call for about ``grid._BLOCK_POINTS`` values, and the
+feet's interpolation stencils for about as many stencil nodes (5 steps at
+768 cells, one at 48 x 48); a step only gathers and sums.  Interpolated
+values are clipped to the local stencil range, which keeps the discrete
+maximum principle.
 
 The backward pass keeps every node, 0..nt, in the forward solver's
 ``Checkpoints`` store, as the forward solve does: the nodes, (nt + 1) * N
@@ -43,7 +46,8 @@ import numpy as np
 from .controls import CostSpec, DriftSpec, Potential, drift_grad_bound, eval_drift, potential_eval
 from .errors import CharacteristicEscape
 from .forward import Checkpoints, EnergyCertificate
-from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, interpolate_flagged, weighted_sobolev_norm
+from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, apply_stencil, interpolation_stencil, weighted_sobolev_norm
+from .grid import interpolate_flagged  # unused here; bench/calltrace.py wraps adjoint.interpolate_flagged by name
 
 __all__ = [
     "solve_adjoint",
@@ -64,12 +68,21 @@ def sample_potential(grid: GridSpec, potential: Potential, t: float = 0.0) -> Sc
     return ScalarField(grid, potential_eval(potential, pts, t).reshape(grid.shape))
 
 
-def _rk4_feet(drift: DriftSpec, t: float, dt: float, pts: np.ndarray) -> np.ndarray:
-    k1 = eval_drift(drift, t, pts)
-    k2 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k1)
-    k3 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k2)
-    k4 = eval_drift(drift, t + dt, pts + dt * k3)
+def _rk4_feet(drift: DriftSpec, t, dt: float, pts: np.ndarray, controls=None) -> np.ndarray:
+    """The feet of one RK4 step from ``pts`` at ``t``; ``controls``, if given, is
+    (u1, u2) at the stage times t, t + dt/2 and t + dt, stacked on a first axis."""
+    rows = [()] * 3 if controls is None else [(row,) for row in zip(*controls)]
+    k1 = eval_drift(drift, t, pts, *rows[0])
+    k2 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k1, *rows[1])
+    k3 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k2, *rows[1])
+    k4 = eval_drift(drift, t + dt, pts + dt * k3, *rows[2])
     return pts + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rows_down(nt: int, size: int, tabulate):
+    """The rows of ``tabulate(lo, hi)``, a block of steps lo..hi - 1, for steps nt - 1 down to 0."""
+    for hi in range(nt, 0, -size):
+        yield from tabulate(max(0, hi - size), hi)[::-1]
 
 
 # an off-grid march that leaves this multiple of the box's largest
@@ -92,7 +105,6 @@ class _BackStepper:
         # characteristics through the cell centres at t_{n_next - 1}; the
         # backward pass reads them from here
         self.feet, self.offgrid = self._continue_offgrid()
-        self._rows = _block_nodes(grid.num_cells)
 
     def _theta_line_integral(self, t0, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
         """dt * theta at the midpoints of the segments x0 -> x1, at t0 + dt / 2;
@@ -147,15 +159,17 @@ class _BackStepper:
         x = np.concatenate(joined)
         acc = np.zeros(x.shape[0])
         dt = self.dt
+        # (u1, u2) at the stage times of march step j, row j - 1
+        times = np.arange(1, self.nt) * dt
+        u1, u2 = self.drift.control.value_at(np.stack([times, times + 0.5 * dt, times + dt]))
         for j in range(1, self.nt):
             m = ends[j]
             if m == 0:
                 continue
             t0 = j * dt
-            x_next = _rk4_feet(self.drift, t0, dt, x[:m])
-            if not np.all(np.isfinite(x_next)) or np.any(
-                np.abs(x_next).max(axis=-1) > self.escape_radius
-            ):
+            x_next = _rk4_feet(self.drift, t0, dt, x[:m], (u1[:, j - 1], u2[:, j - 1]))
+            # non-finite or beyond the hull: a NaN fails the comparison too
+            if not np.abs(x_next).max() <= self.escape_radius:
                 raise CharacteristicEscape(
                     "characteristic left the safety hull during analytic continuation"
                 )
@@ -164,21 +178,25 @@ class _BackStepper:
         values = -potential_eval(self.cost.phi, x, self.nt * dt) - acc
         return all_feet, {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
 
+    def _stencils(self, lo: int, hi: int) -> list:
+        """The stencils of the feet of steps lo..hi - 1 in one call, one contiguous
+        (indices, weights) pair per step (a strided one gathers slower)."""
+        tables = interpolation_stencil(self.grid, self.feet[lo:hi].reshape(-1, self.grid.dim))
+        return list(zip(*(np.ascontiguousarray(a.reshape(a.shape[0], hi - lo, -1).swapaxes(0, 1)) for a in tables)))
+
     def sweep(self, q: np.ndarray):
-        """Yield q at nodes nt - 1 down to 0, from q at node nt.
-        The running-cost term of step k (t_k to t_{k+1}) at the cell
-        centres, _theta_line_integral from the centres to their stored feet,
-        is tabulated for a block of steps down from the first step outside
-        the current block."""
-        lo = self.nt
-        for k in range(self.nt - 1, -1, -1):
-            if k < lo:
-                lo = max(0, k + 1 - self._rows)
-                terms = self._theta_line_integral(np.arange(lo, k + 1) * self.dt, self.dt, self.centers, self.feet[lo:k + 1])
-            vals, _ = interpolate_flagged(ScalarField(self.grid, q), self.feet[k], clip=True)
-            idx, continued = self.offgrid[k + 1]
-            vals[idx] = continued
-            q = (vals - terms[k - lo]).reshape(self.grid.shape)
+        """Yield q at nodes nt - 1 down to 0, from q at node nt.  Step k (t_k to
+        t_{k+1}) reads the running-cost term from the centres to their stored
+        feet (_theta_line_integral) and the feet's stencils, built per block."""
+        dt, cells = self.dt, self.grid.num_cells
+        terms = _rows_down(self.nt, _block_nodes(cells), lambda lo, hi: self._theta_line_integral(
+            np.arange(lo, hi) * dt, dt, self.centers, self.feet[lo:hi]))
+        stencils = _rows_down(self.nt, _block_nodes(4 ** self.grid.dim * cells), self._stencils)
+        for k, term, (idx, wts) in zip(range(self.nt - 1, -1, -1), terms, stencils):
+            vals = apply_stencil(ScalarField(self.grid, q).values, idx, wts, clip=True)
+            offgrid, continued = self.offgrid[k + 1]
+            vals[offgrid] = continued
+            q = (vals - term).reshape(self.grid.shape)
             yield q
 
 

@@ -259,11 +259,12 @@ class DriftSpec:
     control: ControlPath
 
 
-def eval_drift(spec: DriftSpec, t, points: np.ndarray) -> np.ndarray:
+def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarray:
     """a0(t, x) + u1(t) + x * u2(t) at the given points, shape (..., d).
 
     ``t`` is one time, or an array of B times for B equal blocks of rows of
-    ``points`` (N, d): block b is evaluated at t[b].
+    ``points`` (N, d): block b is evaluated at t[b].  ``control`` is
+    ``spec.control.value_at(t)`` if the caller has it already looked up.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = False
@@ -271,7 +272,7 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray) -> np.ndarray:
         pts = pts[:, None]
         squeeze = True
     d = pts.shape[-1]
-    u1, u2 = (np.reshape(u, (-1, 1, d)) for u in spec.control.value_at(t))
+    u1, u2 = (np.reshape(u, (-1, 1, d)) for u in (spec.control.value_at(t) if control is None else control))
     blocks = pts.reshape(u1.shape[0], -1, d)
     out = (spec.a0.eval(t, pts).reshape(blocks.shape) + u1 + blocks * u2).reshape(pts.shape)
     return out[..., 0] if squeeze else out

@@ -417,13 +417,52 @@ def _axis_stencil(grid: GridSpec, axis: int, coords: np.ndarray):
     return idx, wts
 
 
+def interpolation_stencil(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a field's values and weights, each (4**d, N), of the
+    stencils of N finite points (N, d); 2D rows are (x node, y node) pairs."""
+    ix, wx = _axis_stencil(grid, 0, pts[:, 0])
+    if grid.dim == 1:
+        return ix, wx
+    iy, wy = _axis_stencil(grid, 1, pts[:, 1])
+    return (ix[:, None] * grid.n[1] + iy[None, :]).reshape(16, -1), (wx[:, None] * wy[None, :]).reshape(16, -1)
+
+
+def apply_stencil(values: np.ndarray, idx: np.ndarray, wts: np.ndarray, clip: bool = False) -> np.ndarray:
+    """``values`` interpolated with an ``interpolation_stencil`` (see interpolate_flagged)."""
+    gathered = values.ravel()[idx]
+    # rows are stencil nodes, columns points.  The products are summed as
+    # numpy's pairwise sum adds one contiguous row of 4 or 16 terms: from
+    # +0.0 and in order for 4; for 16, the partial sums r_j = p_j + p_{j+8}
+    # as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then onto +0.0.
+    # So the values are those of a row-per-point layout, bit for bit.
+    p = wts * gathered
+    if idx.shape[0] == 16:
+        p = p[:8] + p[8:]
+        p = p[0::2] + p[1::2]
+        p = p[0::2] + p[1::2]
+    vals = p.sum(axis=0)
+    if clip:
+        lo, hi = gathered.min(axis=0), gathered.max(axis=0)
+        # which signed zero a zero bound carries depends on the reduction
+        # order; those points take it from a reduction along their own
+        # contiguous stencil values
+        zero = np.flatnonzero((lo == 0.0) | (hi == 0.0))
+        if zero.size:
+            rows = np.ascontiguousarray(gathered[:, zero].T)
+            lo[zero], hi[zero] = rows.min(axis=1), rows.max(axis=1)
+        vals = np.clip(vals, lo, hi)
+    return vals
+
+
 def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = False):
     """Interpolate at arbitrary points; also report which points fell
     outside the domain box (their value is the boundary-clamped one).
 
     With ``clip=True`` the result is limited to the range of the gathered
     stencil values, which suppresses cubic overshoot near extrema.  Points
-    must be finite; an empty point set gives empty results.
+    must be finite; an empty point set gives empty results.  Its halves,
+    ``interpolation_stencil`` and ``apply_stencil``, let a caller build the
+    stencils of points known in advance many at a time.
     """
     grid = field.grid
     pts = np.asarray(points, dtype=float)
@@ -436,35 +475,7 @@ def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = Fal
     out_mask = np.zeros(pts.shape[0], dtype=bool)
     for ax in range(grid.dim):
         out_mask |= (pts[:, ax] < grid.lo[ax]) | (pts[:, ax] > grid.hi[ax])
-    v = field.values
-    # rows are stencil nodes, columns points.  The products are summed as
-    # numpy's pairwise sum adds one contiguous row of 4 or 16 terms: from
-    # +0.0 and in order for 4; for 16, the partial sums r_j = p_j + p_{j+8}
-    # as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then onto +0.0.
-    # So the values are those of a row-per-point layout, bit for bit.
-    if grid.dim == 1:
-        idx, wts = _axis_stencil(grid, 0, pts[:, 0])
-        gathered = v[idx]
-        vals = (wts * gathered).sum(axis=0)
-    else:
-        ix, wx = _axis_stencil(grid, 0, pts[:, 0])
-        iy, wy = _axis_stencil(grid, 1, pts[:, 1])
-        gathered = v.ravel()[(ix[:, None] * grid.n[1] + iy[None, :]).reshape(16, -1)]
-        p = (wx[:, None] * wy[None, :]).reshape(16, -1) * gathered
-        p = p[:8] + p[8:]
-        p = p[0::2] + p[1::2]
-        vals = (p[0::2] + p[1::2]).sum(axis=0)
-    if clip:
-        lo, hi = gathered.min(axis=0), gathered.max(axis=0)
-        # which signed zero a zero bound carries depends on the reduction
-        # order; those points take it from a reduction along their own
-        # contiguous stencil values
-        zero = np.flatnonzero((lo == 0.0) | (hi == 0.0))
-        if zero.size:
-            rows = np.ascontiguousarray(gathered[:, zero].T)
-            lo[zero], hi[zero] = rows.min(axis=1), rows.max(axis=1)
-        vals = np.clip(vals, lo, hi)
-    return vals, out_mask
+    return apply_stencil(field.values, *interpolation_stencil(grid, pts), clip=clip), out_mask
 
 
 def interpolate(field: ScalarField, points: np.ndarray, clip: bool = False) -> np.ndarray:

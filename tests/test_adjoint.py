@@ -319,6 +319,50 @@ def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
     _assert_matches_reference(cost, drift, tg, g, ref)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_across_stencil_blocks_matches_the_per_step_march(dim):
+    # the backward pass builds the interpolation stencils of several blocks
+    # of steps, the last ragged; feet leave the span at every step
+    if dim == 1:
+        g, tg = make_grid(1, -4, 4, 300), make_timegrid(1.0, 40)
+        a0, theta = DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), Potential.tracking([[0.0, -1.0], [1.0, 2.0]])
+    else:
+        g, tg = make_grid(2, (-3, -3), (3, 3), (16, 16)), make_timegrid(0.5, 18)
+        a0, theta = DriftPreset("rotation", {"omega": 1.5}), Potential("quadratic")
+    size = _block_nodes(4**dim * g.num_cells)
+    assert 1 < size < tg.nt and tg.nt % size
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    drift = DriftSpec(a0, ControlPath(tg, 1.0 + 0.5 * np.sin(3.0 * s + np.arange(dim)), 0.3 - 0.2 * s * np.arange(1, dim + 1)))
+    cost = CostSpec(gamma=1.0, theta=theta, phi=Potential("quadratic"))
+    ref, escaped = _per_step_reference(cost, drift, tg, g)
+    assert escaped > tg.nt
+    traj = solve_adjoint(cost, drift, tg, g)
+    for n in range(tg.nt + 1):
+        assert bits_equal(traj.nodes[n], ref[n])
+
+
+def test_march_looks_the_control_up_once(monkeypatch):
+    # the off-grid march reads the control at all of its stage times from
+    # one lookup; the blocks of centre feet look it up once per RK4 stage
+    g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
+    s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
+    drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, 1.0 + 0.5 * np.sin(3.0 * s), 0.3 - 0.2 * s))
+    cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
+    calls = []
+    value_at = ControlPath.value_at
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return value_at(self, t)
+
+    monkeypatch.setattr(ControlPath, "value_at", counted)
+    stepper = adjoint_module._BackStepper(g, drift, cost, tg)
+    assert sum(cells.size for cells, _ in stepper.offgrid.values()) > tg.nt  # the march runs
+    blocks = -(-tg.nt // _block_nodes(g.num_cells))
+    assert len(calls) == 1 + 4 * blocks
+    assert (3, tg.nt - 1) in calls
+
+
 def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
     # every running-cost block the backward pass tabulates is gone once the
     # solve returns

@@ -23,6 +23,7 @@ from liouville_control import (
     weighted_sobolev_norm,
 )
 from liouville_control.fileio import read_field_csv, write_field_csv
+from liouville_control.grid import apply_stencil, interpolation_stencil
 from liouville_control.oracles import density_preset_eval
 
 
@@ -437,10 +438,15 @@ def test_interpolate_matches_the_masked_row_version(dim, n, count):
             vals[rng.random(g.shape) < 0.3] = -0.0
         f = ScalarField(g, vals)
         pts = _query_points(g, rng, count)
+        idx, wts = interpolation_stencil(g, pts)
+        assert idx.shape == wts.shape == (4**dim, count)
         for clip in (False, True):
             got, _ = interpolate_flagged(f, pts, clip=clip)
             want = _masked_interpolate(f, pts, clip)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            # the two halves on their own, the clipped signed zeros included
+            halves = apply_stencil(f.values, idx, wts, clip=clip)
+            assert np.array_equal(halves.view(np.int64), got.view(np.int64))
 
 
 def test_field_csv_roundtrip(tmp_path):
