@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NotApplicable, SchemaError, UnknownPreset
-from .grid import GridSpec, TimeGrid, is_finite_number, resolve_preset
+from .grid import GridSpec, TimeGrid, _squared_norm, is_finite_number, resolve_preset
 
 __all__ = [
     "ControlPath",
@@ -147,7 +147,7 @@ def _rotation_eval(A, b, pts: np.ndarray) -> np.ndarray:
 
 
 def _bump_g(pts: np.ndarray, sig: float) -> np.ndarray:
-    return np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig * sig))
+    return np.exp(-_squared_norm(pts) / (2.0 * sig * sig))
 
 
 def _bump_derivative_sup(c, sig: float, grid: GridSpec, order: int) -> float:
@@ -231,6 +231,7 @@ class DriftPreset:
         return self.coefficients(d) if self._row.jacobian is None else None
 
     def eval(self, t: float, points: np.ndarray) -> np.ndarray:
+        """a0 at points (..., d), as a new array, which eval_drift writes into."""
         pts = np.asarray(points, dtype=float)
         return self._row.eval(*self.coefficients(pts.shape[-1]), pts)
 
@@ -265,6 +266,8 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
     ``t`` is one time, or an array of B times for B equal blocks of rows of
     ``points`` (N, d): block b is evaluated at t[b].  ``control`` is
     ``spec.control.value_at(t)`` if the caller has it already looked up.
+    Each coordinate column in turn gets (a0 + u1) + x * u2 in a0's new array,
+    so that numpy's inner loop runs over the points, not over d coordinates.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = False
@@ -272,9 +275,14 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
         pts = pts[:, None]
         squeeze = True
     d = pts.shape[-1]
-    u1, u2 = (np.reshape(u, (-1, 1, d)) for u in (spec.control.value_at(t) if control is None else control))
+    u1, u2 = (np.asarray(u).reshape(-1, 1, d) for u in (spec.control.value_at(t) if control is None else control))
     blocks = pts.reshape(u1.shape[0], -1, d)
-    out = (spec.a0.eval(t, pts).reshape(blocks.shape) + u1 + blocks * u2).reshape(pts.shape)
+    out = spec.a0.eval(t, pts).reshape(blocks.shape)
+    for k in range(d):
+        col = out[..., k]
+        col += u1[..., k]
+        col += blocks[..., k] * u2[..., k]
+    out = out.reshape(pts.shape)
     return out[..., 0] if squeeze else out
 
 
@@ -344,9 +352,9 @@ def _tracking_moments(pot, m, v, t):
 
 
 class _PotentialRow(NamedTuple):
-    """One potential preset: its values at points (..., M, d) and a time or times (see
-    potential_eval), its 1D gaussian closure (E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v) at a
-    time, and whether it depends on time (then it needs a track), grows like |x|^2, or vanishes."""
+    """One potential preset: its values at points (..., M, d) and a time or times (see potential_eval;
+    |x|^2 from grid._squared_norm), its 1D gaussian closure (E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v)
+    at a time, and whether it depends on time (then it needs a track), grows like |x|^2, or vanishes."""
 
     evaluate: Callable
     moments: Callable
@@ -357,12 +365,12 @@ class _PotentialRow(NamedTuple):
 
 _POTENTIALS = {
     "zero": _PotentialRow(lambda pot, x, t: np.zeros(x.shape[:-1]), lambda *_: (0.0, 0.0, 0.0), is_zero=True),
-    "gaussian-well": _PotentialRow(lambda pot, x, t: 1.0 - np.exp(-(x**2).sum(axis=-1)), _well_moments),
+    "gaussian-well": _PotentialRow(lambda pot, x, t: 1.0 - np.exp(-_squared_norm(x)), _well_moments),
     "quadratic": _PotentialRow(
-        lambda pot, x, t: (x**2).sum(axis=-1), lambda pot, m, v, t: (m * m + v, 2.0 * m, 1.0), confining=True
+        lambda pot, x, t: _squared_norm(x), lambda pot, m, v, t: (m * m + v, 2.0 * m, 1.0), confining=True
     ),
     "tracking": _PotentialRow(
-        lambda pot, x, t: ((x - pot.target_at(t)[..., None, :]) ** 2).sum(axis=-1), _tracking_moments,
+        lambda pot, x, t: _squared_norm(x, pot.target_at(t)[..., None, :]), _tracking_moments,
         time_dependent=True, confining=True,
     ),
 }

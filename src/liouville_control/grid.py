@@ -253,6 +253,18 @@ def resolve_preset(table: dict, family: str, name: str, params) -> tuple:
     return table[name], resolved
 
 
+def _squared_norm(pts: np.ndarray, centre=None) -> np.ndarray:
+    """|x - centre|^2 of points (..., d), or |x|^2 without a centre (whose last axis, if
+    given, has d entries): the squared coordinate columns added in index order, so that
+    numpy's inner loop runs over the points, not over the d = 2 coordinates of one point as
+    in ``(v**2).sum(axis=-1)``, whose bits this gives (a square carries no -0.0)."""
+    cols = (pts[..., k] if centre is None else pts[..., k] - centre[..., k] for k in range(pts.shape[-1]))
+    sq = next(cols) ** 2
+    for col in cols:
+        sq += col**2
+    return sq
+
+
 def _gaussian(pts: np.ndarray, x0, v0) -> np.ndarray:
     d = pts.shape[-1]
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -261,7 +273,7 @@ def _gaussian(pts: np.ndarray, x0, v0) -> np.ndarray:
     v0 = float(v0)
     if v0 <= 0:
         raise UnknownPreset(f"gaussian preset needs v0 > 0, got {v0}")
-    sq = ((pts - x0) ** 2).sum(axis=-1)
+    sq = _squared_norm(pts, np.broadcast_to(x0, (d,)))
     return (2.0 * np.pi * v0) ** (-d / 2.0) * np.exp(-sq / (2.0 * v0))
 
 

@@ -399,18 +399,22 @@ def frechet_probe(
     base, wtraj = solve_linearized(
         problem.rho0, problem.drift_for(control), direction, problem.source, tg, fixed_substeps=plan, **problem.solver
     )
-    vol = problem.grid.cell_volume
+    vol, size = problem.grid.cell_volume, _block_nodes(problem.grid.num_cells)
     remainders = []
     # like the tangent solve, the ladder needs no running cost.  Each solve
-    # is dropped before the next, so one ladder solve is held at a time
+    # is dropped before the next, so one ladder solve is held at a time; its
+    # nodes are overwritten with the squared remainders, a block at a time
     for e in eps:
         traj_e = solve_forward(
             problem.rho0, problem.drift_for(control_plus(e)), problem.source, tg, fixed_substeps=plan, **problem.solver
         )
         worst = 0.0
-        for rho_e, rho_0, w in zip(traj_e.nodes, base.nodes, wtraj.nodes):
-            diff = rho_e - rho_0 - e * w
-            worst = max(worst, math.sqrt(float((diff * diff).sum() * vol)))
+        for lo in range(0, tg.nt + 1, size):
+            diff = traj_e.nodes[lo:lo + size]
+            diff -= base.nodes[lo:lo + size]
+            diff -= e * wtraj.nodes[lo:lo + size]
+            diff *= diff
+            worst = max(worst, float(np.sqrt(_row_sums(diff) * vol).max()))
         remainders.append(worst)
         del traj_e
     positive = [(e, r) for e, r in zip(eps, remainders) if r > 1e-250]

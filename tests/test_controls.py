@@ -19,6 +19,7 @@ from liouville_control import (
     project_box,
 )
 from liouville_control.controls import drift_div_bound, drift_grad_bound
+from liouville_control.grid import density_preset_eval
 
 
 def tg(nt=8, T=1.0):
@@ -179,6 +180,77 @@ def test_eval_drift_takes_one_time_per_block_of_rows(name, params, d):
     if d == 1:  # flat points are d = 1 points
         flat = eval_drift(spec, times, np.tile(pts[:, 0], times.size))
         assert bits_equal(flat, got[:, 0])
+
+
+# coordinates with both signed zeros, ordinary values, and values whose
+# squares are huge or overflow (the tests that take them let numpy's
+# overflow warning pass)
+EDGE_COORDS = np.array([0.0, -0.0, 1.5, -2.25, 1e150, -3e200, 7e-160])
+overflowing = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
+def edge_points(d, n=9):
+    """Every edge coordinate in 1D, every pair of them in 2D, then n random
+    points; shape (len(EDGE_COORDS)**d + n, d)."""
+    grid = np.stack(np.meshgrid(*[EDGE_COORDS] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return np.vstack([grid, np.random.default_rng(4).normal(size=(n, d)) * 3.0])
+
+
+def broadcast_drift(spec, t, pts, control=None):
+    """eval_drift as one broadcast expression over (B, M, d), the reference
+    whose bits the per-coordinate kernel must give."""
+    d = pts.shape[-1]
+    u1, u2 = (np.reshape(u, (-1, 1, d)) for u in (spec.control.value_at(t) if control is None else control))
+    x = pts.reshape(u1.shape[0], -1, d)
+    return ((spec.a0.eval(t, pts).reshape(x.shape) + u1) + x * u2).reshape(pts.shape)
+
+
+@overflowing
+@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
+def test_eval_drift_keeps_the_bits_of_the_broadcast_expression(name, params, d):
+    timegrid = tg(nt=4)
+    # nodes with signed zeros, so that the order of the additions shows
+    u1 = np.array([[0.0, -0.0], [-0.0, -0.0], [0.3, 0.0], [-0.0, 1e200], [0.25, -1.5]])[:, :d]
+    u2 = np.array([[-0.0, 0.0], [-0.0, -0.0], [0.5, -0.0], [2.0, -1e-300], [0.0, 0.75]])[:, :d]
+    spec = DriftSpec(DriftPreset(name, params), ControlPath(timegrid, u1, u2))
+    pts = edge_points(d)
+    frozen = pts.copy()
+    for t in (0.0, 0.25, 0.4, 1.0):
+        assert bits_equal(eval_drift(spec, t, pts), broadcast_drift(spec, t, pts))
+        control = spec.control.value_at(t)
+        assert bits_equal(eval_drift(spec, t, pts, control), broadcast_drift(spec, t, pts, control))
+    times = np.array([0.0, 0.25, 0.4, 1.0])
+    block = np.tile(pts, (times.size, 1))
+    control = spec.control.value_at(times)
+    assert bits_equal(eval_drift(spec, times, block), broadcast_drift(spec, times, block))
+    assert bits_equal(eval_drift(spec, times, block, control), broadcast_drift(spec, times, block, control))
+    # the points and the control rows are read, never written
+    assert bits_equal(pts, frozen) and all(map(bits_equal, control, spec.control.value_at(times)))
+
+
+@overflowing
+@pytest.mark.parametrize("name, params", [(n, p) for n, p, d in DRIFT_CASES if d == 2])
+def test_drift_preset_eval_returns_a_new_array(name, params):
+    a0 = DriftPreset(name, params)
+    pts = edge_points(2)
+    first = a0.eval(0.3, pts)
+    assert first.flags.writeable and not np.shares_memory(first, pts)
+    assert not any(np.shares_memory(first, c) for c in a0.coefficients(2) if isinstance(c, np.ndarray))
+    kept = first.copy()
+    first[...] = np.nan
+    assert bits_equal(a0.eval(0.3, pts), kept)
+
+
+@overflowing
+def test_bump_keeps_the_bits_of_the_summed_squares():
+    c, sig = np.array([0.5, -0.3]), 1.2
+    for d in (1, 2):
+        pts = edge_points(d)
+        g = np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig * sig))
+        a0 = DriftPreset("gaussian-bump", {"c": list(c[:d]), "sigma": sig})
+        assert bits_equal(a0.eval(0.0, pts), g[..., None] * c[:d])
+        jac = -c[:d, None] * pts[..., None, :] / sig**2 * g[..., None, None]
+        assert bits_equal(a0.jacobian(0.0, pts), jac)
 
 
 def test_project_box():
@@ -411,6 +483,38 @@ def test_potential_at_an_array_of_times_matches_scalar_calls(pot, dim):
         for b, t in enumerate(times):
             assert bits_equal(targets[b], pot.target_at(float(t)))
             assert bits_equal(targets[b], tuple_target_at(pot, float(t)))
+
+
+def summed_squares_potential(pot, x, t):
+    """A potential row with |v|^2 as ``(v**2).sum(axis=-1)``, the reference
+    whose bits the per-coordinate kernel must give."""
+    if pot.name == "tracking":
+        return ((x - pot.target_at(t)[..., None, :]) ** 2).sum(axis=-1)
+    sq = (x**2).sum(axis=-1)
+    return {"zero": np.zeros(x.shape[:-1]), "gaussian-well": 1.0 - np.exp(-sq), "quadratic": sq}[pot.name]
+
+
+@overflowing
+@pytest.mark.parametrize("pot, dim", POTENTIAL_CASES, ids=[f"{p.name}-{d}d" for p, d in POTENTIAL_CASES])
+def test_potentials_keep_the_bits_of_the_summed_squares(pot, dim):
+    pts = edge_points(dim)
+    for t in (0.0, 0.3, 0.9, 2.0):
+        assert bits_equal(potential_eval(pot, pts, t), summed_squares_potential(pot, pts, t))
+    times = np.array([0.0, 0.3, 0.9, 2.0])
+    rows = np.stack([pts, -pts, 2.0 * pts, pts[::-1]])
+    assert bits_equal(potential_eval(pot, rows, times), summed_squares_potential(pot, rows, times))
+    assert bits_equal(potential_eval(pot, pts, times), summed_squares_potential(pot, pts, times))
+
+
+@overflowing
+@pytest.mark.parametrize("x0, d", [(0.0, 1), (-0.0, 1), (1.25, 1), (0.0, 2), (-0.0, 2), (1.25, 2), ([1.0, -0.5], 2)])
+def test_gaussian_density_keeps_the_bits_of_the_summed_squares(x0, d):
+    pts = edge_points(d)
+    v0 = 0.3
+    got = density_preset_eval("gaussian", {"x0": x0, "v0": v0}, pts)
+    centre = np.atleast_1d(np.asarray(x0, dtype=float))
+    want = (2.0 * np.pi * v0) ** (-d / 2.0) * np.exp(-((pts - centre) ** 2).sum(axis=-1) / (2.0 * v0))
+    assert bits_equal(got, want)
 
 
 def test_drift_bounds():

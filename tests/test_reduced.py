@@ -34,6 +34,7 @@ from liouville_control import (
     smallness_certificate,
 )
 import liouville_control.forward as forward_module
+import liouville_control.reduced as reduced_module
 from liouville_control.cli import parse_config, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
@@ -314,6 +315,20 @@ def test_frechet_probe_solves_with_the_problems_settings():
         remainders.append(max(math.sqrt(float((x * x).sum() * prob.grid.cell_volume)) for x in diffs))
     assert rep.remainders == tuple(remainders)
     assert rep.remainders != frechet_probe(u, d, eps, build_problem(n=64, nt=32)).remainders
+
+
+def test_frechet_probe_takes_the_remainders_a_block_of_nodes_at_a_time(monkeypatch):
+    # the 33 nodes fit one block (the test above pins that against a
+    # node-by-node pass); blocks of 5 nodes, the last one ragged, give the
+    # same bits
+    prob = build_problem(n=64, nt=32, theta=Potential("gaussian-well"))
+    tg = prob.timegrid
+    u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.5], [-0.3])
+    eps = [0.2, 0.1, 0.05]
+    assert _block_nodes(prob.grid.num_cells) > tg.nt
+    whole = frechet_probe(u, d, eps, prob)
+    monkeypatch.setattr(reduced_module, "_block_nodes", lambda points: 5)
+    assert frechet_probe(u, d, eps, prob).remainders == whole.remainders
 
 
 def counted_solves(monkeypatch):

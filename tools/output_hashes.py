@@ -34,7 +34,8 @@ STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # shipped scenarios with sections replaced, for the code paths that none of
-# them runs: a source, and the upwind scheme
+# them runs: a source, the upwind scheme, and a 2D drift other than the
+# rotation
 VARIANTS = {
     "sparse-ladder+source": ("sparse-ladder", {
         "source": {"preset": "bimodal-gaussian", "params": {"wa": 0.05, "wb": 0.05}},
@@ -42,6 +43,9 @@ VARIANTS = {
     "bimodal-stabilize-1d+upwind+source": ("bimodal-stabilize-1d", {
         "solver": {"scheme": "upwind-fv"},
         "source": {"preset": "gaussian", "params": {"v0": 0.5}},
+    }),
+    "confining-2d+affine": ("confining-2d", {
+        "a0": {"preset": "affine", "params": {"A": [[-0.4, 1.0], [-1.0, -0.4]], "b": [0.1, -0.1]}},
     }),
 }
 
