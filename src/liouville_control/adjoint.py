@@ -17,8 +17,9 @@ for a block of steps at a time (about 16,384 points, see
 ``grid._BLOCK_POINTS``), one RK4 step on the block's copies of the
 centres with each copy at its own time; then every escaped foot of every
 step is marched in one forward sweep, each joining the batch at its own
-step, and reads the control at its stage times t_j, t_j + dt/2 and t_j + dt
-of every step j from one ``value_at`` call.
+step.  Both read the control at their stage times t_j, t_j + dt/2 and
+t_j + dt from one ``value_at`` call: one per block of centre feet, one for
+every step j of the march.
 The feet of every step are kept for the backward pass (nt * N * d floats
 for N cells in d dimensions), which runs down from step nt - 1 to step 0.
 It builds two tables from the stored feet for a block of steps at a time,
@@ -68,14 +69,15 @@ def sample_potential(grid: GridSpec, potential: Potential, t: float = 0.0) -> Sc
     return ScalarField(grid, potential_eval(potential, pts, t).reshape(grid.shape))
 
 
-def _rk4_feet(drift: DriftSpec, t, dt: float, pts: np.ndarray, controls=None) -> np.ndarray:
-    """The feet of one RK4 step from ``pts`` at ``t``; ``controls``, if given, is
-    (u1, u2) at the stage times t, t + dt/2 and t + dt, stacked on a first axis."""
-    rows = [()] * 3 if controls is None else [(row,) for row in zip(*controls)]
-    k1 = eval_drift(drift, t, pts, *rows[0])
-    k2 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k1, *rows[1])
-    k3 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k2, *rows[1])
-    k4 = eval_drift(drift, t + dt, pts + dt * k3, *rows[2])
+def _rk4_feet(drift: DriftSpec, t, dt: float, pts: np.ndarray, controls) -> np.ndarray:
+    """The feet of one RK4 step from ``pts`` at ``t`` (one time, or one per
+    block of rows, see eval_drift); ``controls`` is (u1, u2) at the stage
+    times t, t + dt/2 and t + dt, stacked on a first axis."""
+    rows = list(zip(*controls))
+    k1 = eval_drift(drift, t, pts, rows[0])
+    k2 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k1, rows[1])
+    k3 = eval_drift(drift, t + 0.5 * dt, pts + 0.5 * dt * k2, rows[1])
+    k4 = eval_drift(drift, t + dt, pts + dt * k3, rows[2])
     return pts + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -141,14 +143,15 @@ class _BackStepper:
         for lo in range(0, self.nt, size):
             # the feet of steps lo + 1 .. lo + B in one batch of B copies of
             # the centres, copy b starting at t_{lo + b}
-            steps = np.arange(lo, min(lo + size, self.nt))
-            batch = np.tile(self.centers, (steps.size, 1))
-            feet = _rk4_feet(self.drift, steps * self.dt, self.dt, batch)
+            t = np.arange(lo, min(lo + size, self.nt)) * self.dt
+            batch = np.tile(self.centers, (t.size, 1))
+            controls = self.drift.control.value_at(np.stack([t, t + 0.5 * self.dt, t + self.dt]))
+            feet = _rk4_feet(self.drift, t, self.dt, batch, controls)
             if not np.all(np.isfinite(feet)):
                 raise CharacteristicEscape("characteristic tracing produced non-finite feet")
-            outside = self._outside_center_span(feet).reshape(steps.size, cells_n)
-            feet = feet.reshape(steps.size, cells_n, dim)
-            all_feet[lo:lo + steps.size] = feet
+            outside = self._outside_center_span(feet).reshape(t.size, cells_n)
+            feet = feet.reshape(t.size, cells_n, dim)
+            all_feet[lo:lo + t.size] = feet
             for step_feet, step_out in zip(feet, outside):
                 idx = np.flatnonzero(step_out)
                 cells.append(idx)

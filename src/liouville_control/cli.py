@@ -316,12 +316,12 @@ def _cmd_grad(cfg: RunConfig, out_dir: str) -> dict:
     grad = reduced_gradient(u, prob)
     kkt = kkt_residual(u, prob, gradient=grad)
     fileio.write_control_csv(
-        ControlPath(prob.timegrid, grad.u1, grad.u2), os.path.join(out_dir, "control_gradient.csv")
+        ControlPath.from_stacked(prob.timegrid, grad.values), os.path.join(out_dir, "control_gradient.csv")
     )
     return {
         "command": "grad",
         "cost": reduced_cost(u, prob),
-        "grad_l2_norm": path_norm(prob.timegrid, grad.stacked()),
+        "grad_l2_norm": path_norm(prob.timegrid, grad.values),
         "metric": grad.metric,
         "ibp_discrepancy": grad.ibp_discrepancy,
         "vi_residual": kkt.vi_residual,

@@ -41,24 +41,31 @@ __all__ = [
 
 @dataclass
 class ControlPath:
-    """Nodal values of u = (u1, u2), each (nt + 1, d), piecewise linear."""
+    """Nodal values of u = (u1, u2), each (nt + 1, d), piecewise linear.
+
+    The nodes are stored once, as one read-only (nt + 1, 2 d) array,
+    ``nodes``: the u1 columns, then the u2 columns.  ``u1`` and ``u2`` are
+    views of it, and ``stacked()`` returns it without a copy.
+    """
 
     timegrid: TimeGrid
     u1: np.ndarray
     u2: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.u1 = np.atleast_2d(np.asarray(self.u1, dtype=float))
-        self.u2 = np.atleast_2d(np.asarray(self.u2, dtype=float))
+        u1 = np.atleast_2d(np.asarray(self.u1, dtype=float))
+        u2 = np.atleast_2d(np.asarray(self.u2, dtype=float))
         nn = self.timegrid.nt + 1
-        if self.u1.shape[0] != nn or self.u2.shape[0] != nn:
-            raise SchemaError(
-                f"control needs {nn} nodes, got {self.u1.shape[0]} and {self.u2.shape[0]}"
-            )
-        if self.u1.shape != self.u2.shape:
+        if u1.shape[0] != nn or u2.shape[0] != nn:
+            raise SchemaError(f"control needs {nn} nodes, got {u1.shape[0]} and {u2.shape[0]}")
+        if u1.shape != u2.shape:
             raise SchemaError("u1 and u2 must share the node layout")
-        if not (np.all(np.isfinite(self.u1)) and np.all(np.isfinite(self.u2))):
+        self.nodes = np.hstack([u1, u2])
+        if not np.all(np.isfinite(self.nodes)):
             raise SchemaError("control values must be finite")
+        self.nodes.flags.writeable = False
+        self.u1, self.u2 = self.nodes[:, : u1.shape[1]], self.nodes[:, u1.shape[1]:]
 
     @property
     def dim(self) -> int:
@@ -67,7 +74,7 @@ class ControlPath:
     @classmethod
     def zeros(cls, timegrid: TimeGrid, dim: int) -> "ControlPath":
         z = np.zeros((timegrid.nt + 1, dim))
-        return cls(timegrid, z, z.copy())
+        return cls(timegrid, z, z)
 
     @classmethod
     def constant(cls, timegrid: TimeGrid, u1, u2) -> "ControlPath":
@@ -79,25 +86,23 @@ class ControlPath:
     def value_at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(u1, u2) at a time or an array of times, each of shape
         ``t.shape + (d,)``: linear interpolation between nodes, t clamped
-        to [0, T]."""
+        to [0, T], in one pass over the stacked nodes."""
         nt = self.timegrid.nt
         s = np.minimum(np.maximum(np.asarray(t, dtype=float) / self.timegrid.dt, 0.0), float(nt))
         i = np.minimum(s.astype(int), nt - 1)
         w = (s - i)[..., None]
-        return (
-            (1.0 - w) * self.u1[i] + w * self.u1[i + 1],
-            (1.0 - w) * self.u2[i] + w * self.u2[i + 1],
-        )
+        u = (1.0 - w) * self.nodes[i] + w * self.nodes[i + 1]
+        return u[..., : self.dim], u[..., self.dim:]
 
     def stacked(self) -> np.ndarray:
-        """Node values as (nt + 1, 2 d): u1 columns then u2 columns."""
-        return np.hstack([self.u1, self.u2])
+        """Node values as (nt + 1, 2 d): u1 columns then u2 columns (``nodes``, read-only)."""
+        return self.nodes
 
     @classmethod
     def from_stacked(cls, timegrid: TimeGrid, arr: np.ndarray) -> "ControlPath":
         arr = np.asarray(arr, dtype=float)
         d = arr.shape[1] // 2
-        return cls(timegrid, arr[:, :d].copy(), arr[:, d:].copy())
+        return cls(timegrid, arr[:, :d], arr[:, d:])
 
 
 @dataclass(frozen=True)
@@ -310,11 +315,7 @@ def drift_div_bound(spec: DriftSpec, t: float, grid: GridSpec) -> float:
 
 def project_box(control: ControlPath, bounds: BoxBounds) -> ControlPath:
     """Componentwise clamp of every node into the box; idempotent."""
-    ua, ub = bounds.arrays()
-    d = control.dim
-    u1 = np.clip(control.u1, ua[:d], ub[:d])
-    u2 = np.clip(control.u2, ua[d:], ub[d:])
-    return ControlPath(control.timegrid, u1, u2)
+    return ControlPath.from_stacked(control.timegrid, np.clip(control.nodes, *bounds.arrays()))
 
 
 def control_cost_terms(control: ControlPath):

@@ -67,12 +67,10 @@ def write_control_csv(control: ControlPath, path: str) -> None:
     header = "t," + ",".join(f"u1_{r + 1}" for r in range(d)) + "," + ",".join(
         f"u2_{r + 1}" for r in range(d)
     )
-    nodes = control.timegrid.nodes()
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i, t in enumerate(nodes):
-            row = [t, *control.u1[i], *control.u2[i]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for t, row in zip(control.timegrid.nodes(), control.stacked()):
+            fh.write(",".join(_fmt(v) for v in [t, *row]) + "\n")
 
 
 def read_control_csv(path: str) -> ControlPath:

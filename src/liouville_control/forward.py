@@ -12,25 +12,28 @@ the Courant speed is computed once per time node.
 Every a0 preset is autonomous, so a0 is evaluated at the faces once per
 solve and each substep adds the control in ``eval_drift``'s order,
 (a0 + u1) + x * u2, which keeps the bits of ``eval_drift``.  A
-time-dependent preset would have to give that cache up.  The control (and
-the tangent's control) is looked up once per solve, in one array pass, at
+time-dependent preset would have to give that cache up.  The stepper
+(``_Stepper``) holds only these constants; each loop that reads the control
+looks it up itself, in one array pass, and owns the table.  The plan
+(``_Stepper.plan``) tabulates it at the nodes and reads max |a| from their
+face speeds, a block of nodes at a time; it is made by the solve's own
+stepper, so a0 is evaluated at the faces once per solve, plan included.
+The sweep (``_Sweep``) tabulates the control (and the tangent's control) at
 every stage time of the substep plan, n * dt + j * h and
-(n * dt + j * h) + h; each stage reads its row of that table.  The plan
-(``_Stepper.plan``) is made by the solve's own stepper, so a0 is evaluated
-at the faces once per solve, plan included: it reads max |a| from the face
-speeds of a table of the nodes, a block of nodes at a time.
+(n * dt + j * h) + h; each stage reads its row of that table.
 
-A solve's settings are checked before anything is allocated: ``cfl`` must
-be a positive finite number and ``max_substeps`` an integer of at least 1,
-else ``ValueError`` names the argument.
+A solve's settings are checked before anything is allocated: ``scheme``
+must be a key of ``SCHEMES``, ``cfl`` a positive finite number and
+``max_substeps`` an integer of at least 1, else ``ValueError`` names the
+argument.
 
 Each solve owns its scratch state (``_Sweep``), made when it starts and
 dropped with it, so no solver object or stored trajectory holds any after
-it.  It holds the face-speed splits max(a, 0) and min(a, 0) (and, for the
-tangent, the mask a >= 0 and its own face speeds) of a block of the table's
-rows, about ``grid._BLOCK_POINTS`` values in all, and one workspace of
-arrays into which each stage writes its face states, fluxes and
-divergences.
+it.  Besides its control table, it holds the face-speed splits max(a, 0)
+and min(a, 0) (and, for the tangent, the mask a >= 0 and its own face
+speeds) of a block of the table's rows, about ``grid._BLOCK_POINTS`` values
+in all, and one workspace of arrays into which each stage writes its face
+states, fluxes and divergences.
 
 Schemes (``SCHEMES`` gives each one's stages per substep, run by one stage
 loop): first-order upwind (monotone, the default), one forward Euler stage,
@@ -189,22 +192,16 @@ def _column(u: np.ndarray, ax: int, like: np.ndarray) -> np.ndarray:
 
 class _Stepper:
     """The constants of one solve: grid, drift, the source and its mass per
-    unit time, the scheme and its stages per substep, a0 and x at the faces
-    of each axis (stored with that axis first), and the control table that
-    ``look_up`` fills.  ``plan`` reads the solve's substep plan from the same
-    face values.  A sweep over the table is a ``_Sweep``."""
+    unit time, and a0 and x at the faces of each axis (stored with that axis
+    first).  ``plan`` reads the solve's substep plan from the same face
+    values; a sweep over the control table of its stage times is a
+    ``_Sweep``."""
 
-    def __init__(self, grid, drift, source, scheme, tangent_control: ControlPath | None = None):
-        if scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
+    def __init__(self, grid, drift, source):
         self.grid = grid
         self.drift = drift
         self.source = source
         self.source_rate = 0.0 if source is None else float(source.sum() * grid.cell_volume)
-        self.scheme = scheme
-        self.stages = SCHEMES[scheme]
-        self.tangent_control = tangent_control
-        self.controls = self.deltas = None  # (u1, u2) and (du1, du2) tables, see look_up
         self.h = grid.h
         self.transverse = [grid.cell_volume / h for h in self.h]
         self.a0_faces, self.x_faces = [], []
@@ -213,34 +210,22 @@ class _Stepper:
             a0 = drift.a0.eval(0.0, pts.reshape(-1, grid.dim))[:, ax].reshape(pts.shape[:-1])
             self.a0_faces.append(np.ascontiguousarray(np.swapaxes(a0, 0, ax)))
             self.x_faces.append(np.ascontiguousarray(np.swapaxes(pts[..., ax], 0, ax)))
-        # a block's float tables (a+ and a-, and the tangent's face speeds)
-        # hold about _BLOCK_POINTS values in all
-        tables = 2 if tangent_control is None else 3
-        self._rows = _block_nodes(tables * sum(a0.size for a0 in self.a0_faces))
+        self.faces = sum(a0.size for a0 in self.a0_faces)  # over all axes
 
-    def look_up(self, times: np.ndarray) -> None:
-        """Tabulate the control, and the tangent control if any, at every
-        time of ``times`` in one pass; row k serves stage k."""
-        self.controls = self.drift.control.value_at(times)
-        if self.tangent_control is not None:
-            self.deltas = self.tangent_control.value_at(times)
-
-    def face_speeds(self, rows, out=None) -> list[np.ndarray]:
-        """a_axis at the faces of each axis, axis first, at table row(s)
-        ``rows`` (an index or a slice, which leads with a row axis), summed
-        in eval_drift's order: (a0 + u1) + x * u2.  ``out`` holds per axis
-        the array for a and one for x * u2, or None to allocate them."""
-        u1, u2 = self.controls[0][rows], self.controls[1][rows]
+    def face_speeds(self, u1, u2, out=None) -> list[np.ndarray]:
+        """a_axis at the faces of each axis, axis first, at control rows u1
+        and u2 (one row, or rows on a leading axis), summed in eval_drift's
+        order: (a0 + u1) + x * u2.  ``out`` holds per axis the array for a
+        and one for x * u2, or None to allocate them."""
         speeds = []
         for ax, (a0, x, (a, xu2)) in enumerate(zip(self.a0_faces, self.x_faces, out or [(None, None)] * len(self.h))):
             a = np.add(a0, _column(u1, ax, a0), out=a)
             speeds.append(np.add(a, np.multiply(x, _column(u2, ax, x), out=xu2), out=a))
         return speeds
 
-    def face_speed_deltas(self, rows, out=None) -> list[np.ndarray]:
-        """The tangent control's du1 + x * du2 at the faces, as face_speeds;
-        ``out`` holds one array per axis, or is None."""
-        du1, du2 = self.deltas[0][rows], self.deltas[1][rows]
+    def face_speed_deltas(self, du1, du2, out=None) -> list[np.ndarray]:
+        """du1 + x * du2 at the faces of a tangent control's rows, as
+        face_speeds; ``out`` holds one array per axis, or is None."""
         return [
             np.add(_column(du1, ax, x), np.multiply(x, _column(du2, ax, x), out=da), out=da)
             for ax, (x, da) in enumerate(zip(self.x_faces, out or [None] * len(self.h)))
@@ -249,41 +234,46 @@ class _Stepper:
     def plan(self, timegrid: TimeGrid, cfl: float) -> list[int]:
         """Per-step substep counts from the Courant number at the step ends:
         at each node, the sum over axes of max |a_axis| / h_axis, read from
-        the face speeds of a block of nodes at a time.  Leaves the control
-        table at the nodes, for ``look_up`` to replace."""
+        the face speeds of a block of nodes at a time."""
         dt, nodes = timegrid.dt, timegrid.nt + 1
-        self.controls = self.drift.control.value_at(np.arange(nodes) * dt)
-        speed = np.zeros(nodes)
-        for lo in range(0, nodes, self._rows):
-            rows = slice(lo, lo + self._rows)
-            for a, h in zip(self.face_speeds(rows), self.h):
+        u1, u2 = self.drift.control.value_at(np.arange(nodes) * dt)
+        size, speed = _block_nodes(2 * self.faces), np.zeros(nodes)
+        for lo in range(0, nodes, size):
+            rows = slice(lo, lo + size)
+            for a, h in zip(self.face_speeds(u1[rows], u2[rows]), self.h):
                 speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
         return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
 
 
 class _Sweep:
-    """The scratch state of one solve's sweep over its stepper's table, made
-    when the solve starts and dropped with it: each axis's scratch arrays,
-    the divergence of each stage and the forward Euler stage (for the
-    density and, with a tangent, for the tangent), and the face-speed splits
-    of a block of table rows."""
+    """The scratch state of one solve's sweep, made when the solve starts
+    and dropped with it: the control (and the tangent control) looked up in
+    one array pass at every stage time of ``times``, row k serving stage k;
+    each axis's scratch arrays; the divergence of each stage and the forward
+    Euler stage (for the density and, with a tangent, for the tangent); and
+    the face-speed splits of a block of table rows."""
 
-    def __init__(self, stepper: _Stepper):
-        shape, scheme, tangent = stepper.grid.shape, stepper.scheme, stepper.tangent_control is not None
-        self.stepper, self.end_row = stepper, len(stepper.controls[0])
+    def __init__(self, stepper: _Stepper, scheme: str, times: np.ndarray, tangent_control: ControlPath | None):
+        shape, tangent = stepper.grid.shape, tangent_control is not None
+        self.stepper, self.stages, self.end_row = stepper, SCHEMES[scheme], len(times)
+        self.controls = stepper.drift.control.value_at(times)
+        self.deltas = tangent_control.value_at(times) if tangent else None
         self.axes = []
         for ax in range(len(shape)):
             cells = list(shape)
             cells[0], cells[ax] = cells[ax], cells[0]
             self.axes.append(_Axis(tuple(cells), scheme, tangent))
-        stages = range(stepper.stages)
+        stages = range(self.stages)
         self.div = [np.empty(shape) for _ in stages]
         self.div_w = [np.empty(shape) if tangent else None for _ in stages]
         self.stage = np.empty(shape)
         self.stage_w = np.empty(shape) if tangent else None
+        # a block's float tables (a+ and a-, and the tangent's face speeds)
+        # hold about _BLOCK_POINTS values in all
+        self._rows = _block_nodes((3 if tangent else 2) * stepper.faces)
         self._tables = []
         for a0 in stepper.a0_faces:
-            block = (min(stepper._rows, self.end_row),) + a0.shape
+            block = (min(self._rows, self.end_row),) + a0.shape
             mask_and_deltas = [np.empty(block, dtype=bool), np.empty(block)] if tangent else []
             self._tables.append([np.empty(block), np.empty(block)] + mask_and_deltas)
         self._block = (0, 0, None)
@@ -305,10 +295,10 @@ class _Sweep:
         hi = min(lo + len(self._tables[0][0]), self.end_row)
         tables = [[table[: hi - lo] for table in axis] for axis in self._tables]
         # am holds x * u2 until a is complete
-        speeds = stepper.face_speeds(slice(lo, hi), [axis[:2] for axis in tables])
-        tangent = stepper.tangent_control is not None
+        speeds = stepper.face_speeds(*(u[lo:hi] for u in self.controls), [axis[:2] for axis in tables])
+        tangent = self.deltas is not None
         if tangent:
-            stepper.face_speed_deltas(slice(lo, hi), [axis[3] for axis in tables])
+            stepper.face_speed_deltas(*(du[lo:hi] for du in self.deltas), [axis[3] for axis in tables])
         for a, axis in zip(speeds, tables):
             if tangent:
                 np.greater_equal(a, 0.0, out=axis[2])
@@ -348,7 +338,7 @@ class _Sweep:
         rates.  Returns new values, new tangent values, boundary outflow
         mass, and injected source mass."""
         stepper = self.stepper
-        source, scale = stepper.source, dt / stepper.stages
+        source, scale = stepper.source, dt / self.stages
         (div, *later), (div_w, *later_w) = self.div, self.div_w
         rate = self.divergence(k, values, div, w_values, div_w)
         for i, (div_i, div_w_i) in enumerate(zip(later, later_w), 1):
@@ -424,7 +414,7 @@ def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl:
     planned by a solve (``_Stepper.plan``) on a stepper of its own; the
     scheme does not enter."""
     _check_cfl(cfl)
-    return _Stepper(grid, drift, None, next(iter(SCHEMES))).plan(timegrid, cfl)
+    return _Stepper(grid, drift, None).plan(timegrid, cfl)
 
 
 def _running_cost(traj: StateTrajectory, theta: Potential) -> None:
@@ -454,6 +444,8 @@ def _solve(
     tangent_control: ControlPath | None,
     theta: Potential | None = None,
 ):
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
     _check_cfl(cfl)
     if not (is_count(max_substeps) and max_substeps >= 1):
         raise ValueError(f"max_substeps must be an integer >= 1, got {max_substeps!r}")
@@ -467,7 +459,7 @@ def _solve(
         source = np.asarray(source)
         if source.shape != grid.shape:
             raise InvalidGrid(f"source must be an array of the grid's shape {grid.shape}, got {source.shape}")
-    stepper = _Stepper(grid, drift, source, scheme, tangent_control)
+    stepper = _Stepper(grid, drift, source)
     dt = timegrid.dt
     nt = timegrid.nt
 
@@ -485,13 +477,12 @@ def _solve(
     # the stage times of every substep, n * dt + j * h plus i * h at stage i
     # (MUSCL's second stage is at the substep's end), tabulated once;
     # substep j of step n starts at row (first[n] + j) * stages
-    stages = stepper.stages
+    stages = SCHEMES[scheme]
     first = np.cumsum([0] + plan).tolist()
     step_of = np.repeat(np.arange(nt), plan)
     h_sub = (dt / np.asarray(plan, dtype=float))[step_of]
     t_sub = step_of * dt + (np.arange(step_of.size) - np.repeat(first[:-1], plan)) * h_sub
-    stepper.look_up(np.column_stack([t_sub + i * h_sub for i in range(stages)]).ravel())
-    run = _Sweep(stepper)
+    run = _Sweep(stepper, scheme, np.column_stack([t_sub + i * h_sub for i in range(stages)]).ravel(), tangent_control)
 
     vol = grid.cell_volume
     traj = StateTrajectory(

@@ -219,17 +219,18 @@ def moment_ode(control: ControlPath, x0, v0, timegrid: TimeGrid | None = None) -
     m = np.zeros((tg.nt + 1, d))
     v = np.zeros((tg.nt + 1, d))
     m[0], v[0] = x0, v0
+    # (u1, u2) at the stage times t, t + dt/2 and t + dt of every step, from one lookup
+    t = np.arange(tg.nt) * dt
+    u1, u2 = control.value_at(np.stack([t, t + dt / 2, t + dt]))
 
-    def rhs(t, mm, vv):
-        u1, u2 = control.value_at(t)
-        return u1 + mm * u2, 2.0 * vv * u2
+    def rhs(stage, i, mm, vv):
+        return u1[stage, i] + mm * u2[stage, i], 2.0 * vv * u2[stage, i]
 
     for i in range(tg.nt):
-        t = i * dt
-        k1m, k1v = rhs(t, m[i], v[i])
-        k2m, k2v = rhs(t + dt / 2, m[i] + dt / 2 * k1m, v[i] + dt / 2 * k1v)
-        k3m, k3v = rhs(t + dt / 2, m[i] + dt / 2 * k2m, v[i] + dt / 2 * k2v)
-        k4m, k4v = rhs(t + dt, m[i] + dt * k3m, v[i] + dt * k3v)
+        k1m, k1v = rhs(0, i, m[i], v[i])
+        k2m, k2v = rhs(1, i, m[i] + dt / 2 * k1m, v[i] + dt / 2 * k1v)
+        k3m, k3v = rhs(1, i, m[i] + dt / 2 * k2m, v[i] + dt / 2 * k2v)
+        k4m, k4v = rhs(2, i, m[i] + dt * k3m, v[i] + dt * k3v)
         m[i + 1] = m[i] + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
         v[i + 1] = v[i] + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
     return MomentPath(tg, m, v)
@@ -319,19 +320,21 @@ class MomentSurrogateProblem:
         lm = np.zeros(tg.nt + 1)
         lv = np.zeros(tg.nt + 1)
         _, lm[-1], lv[-1] = self.cost.phi.gaussian_moments(m[-1], v[-1], tg.T)
+        # step i runs back from node t1 to the midpoint tm of (t1 - dt, t1);
+        # u2 at both, for every step, from one lookup
+        t1 = np.arange(tg.nt + 1) * dt
+        tm = 0.5 * ((t1 - dt) + t1)
+        times = np.stack([t1, tm])
+        u2 = control.value_at(times)[1][..., 0]
 
-        def lrhs(i_node_t, mm, vv, lmm, lvv):
-            u1, u2 = control.value_at(i_node_t)
-            _, em, ev = self.cost.theta.gaussian_moments(mm, vv, i_node_t)
-            return -em - lmm * u2[0], -ev - 2.0 * lvv * u2[0]
+        def lrhs(stage, i, mm, vv, lmm, lvv):
+            _, em, ev = self.cost.theta.gaussian_moments(mm, vv, times[stage, i])
+            return -em - lmm * u2[stage, i], -ev - 2.0 * lvv * u2[stage, i]
 
         for i in range(tg.nt, 0, -1):
-            t1 = i * dt
-            t0 = t1 - dt
-            tm = 0.5 * (t0 + t1)
             mmid, vmid = 0.5 * (m[i] + m[i - 1]), 0.5 * (v[i] + v[i - 1])
-            k1m, k1v = lrhs(t1, m[i], v[i], lm[i], lv[i])
-            k2m, k2v = lrhs(tm, mmid, vmid, lm[i] - 0.5 * dt * k1m, lv[i] - 0.5 * dt * k1v)
+            k1m, k1v = lrhs(0, i, m[i], v[i], lm[i], lv[i])
+            k2m, k2v = lrhs(1, i, mmid, vmid, lm[i] - 0.5 * dt * k1m, lv[i] - 0.5 * dt * k1v)
             lm[i - 1] = lm[i] - dt * k2m
             lv[i - 1] = lv[i] - dt * k2v
         g1 = self.cost.gamma * control.u1[:, 0] + lm

@@ -98,16 +98,17 @@ def prox_step(u: np.ndarray, g: np.ndarray, alpha: float, delta: float, ua, ub) 
 
 @dataclass
 class GradientPath:
-    """Gradient of the reduced cost on the control nodes."""
+    """Gradient of the reduced cost on the control nodes, stacked as a
+    control path's: ``values`` is (nt + 1, 2 d), the u1 columns then the u2
+    columns."""
 
     timegrid: TimeGrid
-    u1: np.ndarray
-    u2: np.ndarray
+    values: np.ndarray
     metric: str = "L2"
     ibp_discrepancy: float = 0.0
 
     def stacked(self) -> np.ndarray:
-        return np.hstack([self.u1, self.u2])
+        return self.values
 
 
 @dataclass(frozen=True)
@@ -301,21 +302,10 @@ def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
     integral, disc = assemble_integral_path(
         problem, problem.solve_forward_for(control), problem.solve_adjoint_for(control)
     )
-    d = problem.control_dim
     if problem.cost.nu > 0:
         mu = h1_riesz(integral, problem.cost.gamma, problem.cost.nu, problem.timegrid)
-        g = control.stacked() + mu
-        metric = "H1tilde"
-    else:
-        g = problem.cost.gamma * control.stacked() + integral
-        metric = "L2"
-    return GradientPath(
-        timegrid=problem.timegrid,
-        u1=g[:, :d],
-        u2=g[:, d:],
-        metric=metric,
-        ibp_discrepancy=disc,
-    )
+        return GradientPath(problem.timegrid, control.stacked() + mu, "H1tilde", disc)
+    return GradientPath(problem.timegrid, problem.cost.gamma * control.stacked() + integral, "L2", disc)
 
 
 def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath | None = None) -> KktResidual:

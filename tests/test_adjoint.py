@@ -279,7 +279,10 @@ def test_blocked_feet_match_per_step_rk4(dim):
     centers = g.cell_centers()
     escaped = 0
     for n in range(tg.nt):
-        feet = adjoint_module._rk4_feet(drift, n * tg.dt, tg.dt, centers)
+        t = n * tg.dt
+        # this step's control rows at its stage times t, t + dt/2 and t + dt
+        rows = drift.control.value_at(np.array([t, t + 0.5 * tg.dt, t + tg.dt]))
+        feet = adjoint_module._rk4_feet(drift, t, tg.dt, centers, rows)
         assert bits_equal(stepper.feet[n], feet)
         cells, _ = stepper.offgrid[n + 1]
         assert np.array_equal(cells, np.flatnonzero(stepper._outside_center_span(feet)))
@@ -343,7 +346,7 @@ def test_sweep_across_stencil_blocks_matches_the_per_step_march(dim):
 
 def test_march_looks_the_control_up_once(monkeypatch):
     # the off-grid march reads the control at all of its stage times from
-    # one lookup; the blocks of centre feet look it up once per RK4 stage
+    # one lookup, and each block of centre feet at its own from one more
     g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, 1.0 + 0.5 * np.sin(3.0 * s), 0.3 - 0.2 * s))
@@ -358,9 +361,10 @@ def test_march_looks_the_control_up_once(monkeypatch):
     monkeypatch.setattr(ControlPath, "value_at", counted)
     stepper = adjoint_module._BackStepper(g, drift, cost, tg)
     assert sum(cells.size for cells, _ in stepper.offgrid.values()) > tg.nt  # the march runs
-    blocks = -(-tg.nt // _block_nodes(g.num_cells))
-    assert len(calls) == 1 + 4 * blocks
-    assert (3, tg.nt - 1) in calls
+    size = _block_nodes(g.num_cells)
+    blocks = -(-tg.nt // size)
+    assert len(calls) == 1 + blocks
+    assert (3, tg.nt - 1) in calls and (3, size) in calls
 
 
 def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
@@ -397,9 +401,9 @@ def test_feet_are_traced_once_per_solve(monkeypatch):
     cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     calls = []
 
-    def eval_drift_counted(spec, t, points):
+    def eval_drift_counted(spec, t, points, control):
         calls.append(points.shape[0])
-        return eval_drift(spec, t, points)
+        return eval_drift(spec, t, points, control)
 
     monkeypatch.setattr(adjoint_module, "eval_drift", eval_drift_counted)
     solve_adjoint(cost, drift, tg, g)

@@ -115,6 +115,25 @@ def test_drift_presets_are_autonomous(name, params, d):
     pts = np.random.default_rng(1).normal(size=(40, d)) * 3.0
     assert np.array_equal(a0.eval(0.0, pts), a0.eval(0.7, pts))
 
+
+def test_control_nodes_are_one_read_only_array():
+    timegrid = tg(nt=6)
+    rng = np.random.default_rng(8)
+    u1, u2 = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
+    ctrl = ControlPath(timegrid, u1, u2)
+    assert ctrl.stacked() is ctrl.nodes
+    assert ctrl.nodes.shape == (7, 4)
+    assert np.array_equal(ctrl.nodes, np.hstack([u1, u2]))
+    assert np.shares_memory(ctrl.u1, ctrl.nodes) and np.shares_memory(ctrl.u2, ctrl.nodes)
+    assert np.array_equal(ctrl.u1, u1) and np.array_equal(ctrl.u2, u2)
+    for view in (ctrl.nodes, ctrl.u1, ctrl.u2):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0
+    # the caller's arrays are copied, not aliased
+    u1[0, 0] = 99.0
+    assert ctrl.u1[0, 0] != 99.0
+
+
 def test_control_linear_interpolation_between_nodes():
     t = make_timegrid(1.0, 4)
     u1 = np.array([[0.0], [1.0], [0.0], [1.0], [0.0]])
@@ -146,7 +165,10 @@ def test_value_at_on_arrays_of_times_matches_the_scalar_lookup(d):
     timegrid = tg(nt=12, T=1.3)
     dt = timegrid.dt
     rng = np.random.default_rng(5)
-    ctrl = ControlPath(timegrid, rng.normal(size=(13, d)), rng.normal(size=(13, d)))
+    u1, u2 = rng.normal(size=(13, d)), rng.normal(size=(13, d))
+    # nodes of both signed zeros, alone and next to each other
+    u1[3], u1[4], u2[4], u2[9] = 0.0, -0.0, -0.0, 0.0
+    ctrl = ControlPath(timegrid, u1, u2)
     times = [n * dt for n in range(13)] + [(n + 0.5) * dt for n in range(12)]
     for n in range(12):  # the forward solve's stage times
         for substeps in (1, 3, 7):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 import weakref
 
 import numpy as np
@@ -307,11 +308,13 @@ def test_face_speeds_are_eval_drift_at_the_faces(name, params, d):
     tg = make_timegrid(1.0, 8)
     drift = DriftSpec(DriftPreset(name, params), varying_control(tg, d))
     delta = varying_control(tg, d, scale=-0.7)
-    stepper = _Stepper(g, drift, None, "muscl-fv", delta)
+    stepper = _Stepper(g, drift, None)
     times = (0.0, 0.3 * tg.dt, 0.55, 1.0)
-    stepper.look_up(np.array(times))
+    # the rows of a table, as a sweep looks them up
+    controls, delta_rows = drift.control.value_at(np.array(times)), delta.value_at(np.array(times))
     for k, t in enumerate(times):
-        speeds, deltas = stepper.face_speeds(k), stepper.face_speed_deltas(k)
+        speeds = stepper.face_speeds(*(u[k] for u in controls))
+        deltas = stepper.face_speed_deltas(*(du[k] for du in delta_rows))
         du1, du2 = delta.value_at(t)
         for ax in range(d):
             pts = _face_points(g, ax)
@@ -392,7 +395,7 @@ def test_a_solve_evaluates_the_faces_once_per_axis(d, monkeypatch):
 
 BAD_SETTINGS = [
     ("cfl", -1.0), ("cfl", 0.0), ("cfl", math.nan), ("cfl", math.inf), ("cfl", True),
-    ("max_substeps", 0), ("max_substeps", 64.0),
+    ("max_substeps", 0), ("max_substeps", 64.0), ("scheme", "weno"),
 ]
 
 
@@ -473,15 +476,17 @@ def reference_face_states(vm, scheme):
     return left, right
 
 
-def reference_divergence(stepper, k, values, w_values):
-    """The flux divergence with the face speeds formed at every stage."""
+def reference_divergence(case, k, values, w_values):
+    """The flux divergence with the face speeds formed at every stage, from
+    row k of the case's own control tables."""
+    stepper = case.stepper
     div = np.zeros_like(values)
     div_w = np.zeros_like(values) if w_values is not None else None
     out_rate = 0.0
-    speeds = stepper.face_speeds(k)
-    deltas = stepper.face_speed_deltas(k) if w_values is not None else None
+    speeds = stepper.face_speeds(*(u[k] for u in case.controls))
+    deltas = stepper.face_speed_deltas(*(du[k] for du in case.deltas)) if w_values is not None else None
     for ax, a in enumerate(speeds):
-        left, right = reference_face_states(np.swapaxes(values, 0, ax), stepper.scheme)
+        left, right = reference_face_states(np.swapaxes(values, 0, ax), case.scheme)
         ap = np.maximum(a, 0.0)
         am = np.minimum(a, 0.0)
         F = ap * left + am * right
@@ -489,7 +494,7 @@ def reference_divergence(stepper, k, values, w_values):
         div_ax += (F[1:] - F[:-1]) / stepper.h[ax]
         out_rate += float((F[-1].sum() - F[0].sum()) * stepper.transverse[ax])
         if w_values is not None:
-            wl, wr = reference_face_states(np.swapaxes(w_values, 0, ax), stepper.scheme)
+            wl, wr = reference_face_states(np.swapaxes(w_values, 0, ax), case.scheme)
             rho_up = np.where(a >= 0.0, left, right)
             Fw = ap * wl + am * wr + deltas[ax] * rho_up
             div_w_ax = np.swapaxes(div_w, 0, ax)
@@ -497,13 +502,13 @@ def reference_divergence(stepper, k, values, w_values):
     return div, div_w, out_rate
 
 
-def reference_advance(stepper, values, dt, k, w_values=None):
+def reference_advance(case, values, dt, k, w_values=None):
     """Forward Euler for upwind, with the source at the midpoint, and SSP
     Runge-Kutta for MUSCL, with the trapezoid of the source at both ends."""
-    vol = stepper.grid.cell_volume
-    source = stepper.source
-    if stepper.scheme == "upwind-fv":
-        div, div_w, out_rate = reference_divergence(stepper, k, values, w_values)
+    vol = case.stepper.grid.cell_volume
+    source = case.stepper.source
+    if case.scheme == "upwind-fv":
+        div, div_w, out_rate = reference_divergence(case, k, values, w_values)
         new = values - dt * div
         src_mass = 0.0
         if source is not None:
@@ -512,11 +517,11 @@ def reference_advance(stepper, values, dt, k, w_values=None):
             src_mass = float(gmid.sum() * vol) * dt
         new_w = w_values - dt * div_w if w_values is not None else None
         return new, new_w, out_rate * dt, src_mass
-    div1, divw1, rate1 = reference_divergence(stepper, k, values, w_values)
+    div1, divw1, rate1 = reference_divergence(case, k, values, w_values)
     g1 = source
     stage = values - dt * div1 + (dt * g1 if g1 is not None else 0.0)
     stage_w = w_values - dt * divw1 if w_values is not None else None
-    div2, divw2, rate2 = reference_divergence(stepper, k + 1, stage, stage_w)
+    div2, divw2, rate2 = reference_divergence(case, k + 1, stage, stage_w)
     g2 = source
     new = values - 0.5 * dt * (div1 + div2)
     src_mass = 0.0
@@ -549,8 +554,10 @@ def adversarial_field(shape, seed):
 
 def stage_case(d, scheme, tangent, source=None):
     """A stepper on a grid fine enough for a split block of a few table
-    rows, over a table whose rows are the control's nodes (24 rows): speeds
-    of both signs, exact zeros and -0.0 among them."""
+    rows, and a sweep over a table whose rows are the control's nodes (24
+    rows): speeds of both signs, exact zeros and -0.0 among them.  The case
+    holds the stepper, the sweep, and the control tables that the reference
+    reads, looked up here."""
     g = make_grid(1, -4.0, 4.0, 1024) if d == 1 else make_grid(2, (-4.0, -3.0), (4.0, 5.0), (40, 44))
     tg = make_timegrid(1.0, 23)
     u1 = np.tile([0.0, -0.0, 0.7, -0.7, 0.0, 1.3, -0.2, 0.0, 0.5, -1.1, 0.3, 0.0], 2)
@@ -560,33 +567,34 @@ def stage_case(d, scheme, tangent, source=None):
     # a0 = 0 in 1D puts exact zero speeds at the face x = 0 and on the rows
     # where u1 = u2 = 0; the 2D rotation's a0 is nowhere zero on the faces
     drift = DriftSpec(DriftPreset("zero" if d == 1 else "rotation"), control)
-    stepper = _Stepper(g, drift, source, scheme, delta)
-    stepper.look_up(tg.nodes())
-    assert 3 * stepper._rows < tg.nt  # the table spans several blocks
-    return g, stepper
+    stepper = _Stepper(g, drift, source)
+    sweep = _Sweep(stepper, scheme, tg.nodes(), delta)
+    assert 3 * sweep._rows < tg.nt  # the table spans several blocks
+    controls, deltas = control.value_at(tg.nodes()), delta.value_at(tg.nodes()) if tangent else None
+    return g, SimpleNamespace(stepper=stepper, scheme=scheme, sweep=sweep, controls=controls, deltas=deltas)
 
 
 @pytest.mark.parametrize("tangent", [False, True], ids=["state", "tangent"])
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_stage_matches_the_allocating_version(d, scheme, tangent):
-    g, stepper = stage_case(d, scheme, tangent)
+    g, case = stage_case(d, scheme, tangent)
     values = adversarial_field(g.shape, 1)
     w_values = adversarial_field(g.shape, 2) if tangent else None
-    rows = stepper._rows
+    sweep = case.sweep
+    rows = sweep._rows
     # rows of the first block, of the next, then of the first again (a
     # rebuild), and of the ragged last block; MUSCL's stage at rows - 1
     # reads its second row in the next block
-    sweep = _Sweep(stepper)
     for k in (0, 1, rows - 1, rows + 1, 3 * rows // 2, 2, 2 * rows + 1, 22):
         div, div_w = np.empty(g.shape), np.empty(g.shape) if tangent else None
         rate = sweep.divergence(k, values, div, w_values, div_w)
-        ref_div, ref_div_w, ref_rate = reference_divergence(stepper, k, values, w_values)
+        ref_div, ref_div_w, ref_rate = reference_divergence(case, k, values, w_values)
         assert bits_equal(div, ref_div) and bits_equal(np.float64(rate), np.float64(ref_rate))
         if tangent:
             assert bits_equal(div_w, ref_div_w)
         got = sweep.advance(values, 0.013, k, w_values)
-        ref = reference_advance(stepper, values, 0.013, k, w_values)
+        ref = reference_advance(case, values, 0.013, k, w_values)
         assert bits_equal(got[0], ref[0])
         assert bits_equal(np.float64(got[2]), np.float64(ref[2])) and got[3] == ref[3]
         assert bits_equal(got[1], ref[1]) if tangent else got[1] is None
@@ -597,10 +605,10 @@ def test_stage_matches_the_allocating_version(d, scheme, tangent):
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])
 def test_stage_with_a_source_matches_the_allocating_version(scheme):
     source = adversarial_field((1024,), 3)
-    g, stepper = stage_case(1, scheme, True, source=source)
+    g, case = stage_case(1, scheme, True, source=source)
     values, w_values = adversarial_field(g.shape, 4), adversarial_field(g.shape, 5)
-    got = _Sweep(stepper).advance(values, 0.01, 4, w_values)
-    ref = reference_advance(stepper, values, 0.01, 4, w_values)
+    got = case.sweep.advance(values, 0.01, 4, w_values)
+    ref = reference_advance(case, values, 0.01, 4, w_values)
     for a, b in zip(got, ref):
         assert bits_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 

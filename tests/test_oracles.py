@@ -170,6 +170,30 @@ def test_moment_ode_time_varying_control():
     assert np.all(path.v > 0)
 
 
+def test_moment_ode_and_the_surrogate_gradient_look_the_control_up_once(monkeypatch):
+    # every RK stage time of a solve comes from one lookup, not one per stage
+    tg = make_timegrid(1.0, 16)
+    ctrl = ControlPath(tg, np.sin(tg.nodes())[:, None], 0.3 * np.cos(tg.nodes())[:, None])
+    surrogate = MomentSurrogateProblem(
+        tg, 0.1, 0.8, CostSpec(gamma=0.5, theta=Potential("gaussian-well"), phi=Potential("gaussian-well")),
+        BoxBounds.symmetric(1.0, 1),
+    )
+    calls = []
+    value_at = ControlPath.value_at
+
+    def counted(self, t):
+        calls.append(np.shape(t))
+        return value_at(self, t)
+
+    monkeypatch.setattr(ControlPath, "value_at", counted)
+    moment_ode(ctrl, 0.0, 1.0)
+    assert calls == [(3, tg.nt)]
+    calls.clear()
+    surrogate.descent_gradient(ctrl)
+    # one for the moment path, one for the backward pass's node and midpoint times
+    assert calls == [(3, tg.nt), (2, tg.nt + 1)]
+
+
 def quad_problem(gamma=2.0, n=64, nt=32):
     g = make_grid(1, -8, 8, n)
     tg = make_timegrid(1.0, nt)

@@ -34,8 +34,8 @@ STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # shipped scenarios with sections replaced, for the code paths that none of
-# them runs: a source, the upwind scheme, and a 2D drift other than the
-# rotation
+# them runs: a source, the upwind scheme in 1D and in 2D, and a 2D drift
+# other than the rotation
 VARIANTS = {
     "sparse-ladder+source": ("sparse-ladder", {
         "source": {"preset": "bimodal-gaussian", "params": {"wa": 0.05, "wb": 0.05}},
@@ -47,6 +47,7 @@ VARIANTS = {
     "confining-2d+affine": ("confining-2d", {
         "a0": {"preset": "affine", "params": {"A": [[-0.4, 1.0], [-1.0, -0.4]], "b": [0.1, -0.1]}},
     }),
+    "confining-2d+upwind": ("confining-2d", {"solver": {"scheme": "upwind-fv"}}),
 }
 
 
@@ -108,7 +109,8 @@ def compare(before: dict, after: dict) -> list[str]:
 
 
 def _summary(runs: dict) -> str:
-    return f"{len(runs)} runs, {sum(len(r['files']) for r in runs.values())} files"
+    files = sum(len(r["files"]) for r in runs.values())
+    return f"{len(runs)} runs, {files} files; exit codes {sorted({r['exit'] for r in runs.values()})}"
 
 
 def main(argv=None) -> int:
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
         parser.error("--out is required unless --compare is given")
     runs = fingerprint(args.src.resolve())
     args.out.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
-    print(f"{_summary(runs)}; exit codes {sorted({r['exit'] for r in runs.values()})} -> {args.out}")
+    print(f"{_summary(runs)} -> {args.out}")
     return 0
 
 
