@@ -17,9 +17,8 @@ for a block of steps at a time (about 16,384 points, see
 ``grid._BLOCK_POINTS``), one RK4 step on the block's copies of the
 centres with each copy at its own time; then every escaped foot of every
 step is marched in one forward sweep, each joining the batch at its own
-step.  Both read the control at their stage times t_j, t_j + dt/2 and
-t_j + dt from one ``value_at`` call: one per block of centre feet, one for
-every step j of the march.
+step.  Both read the control at the stage times t_j, t_j + dt/2 and
+t_j + dt of step j from one table, one ``value_at`` call per solve.
 The feet of every step are kept for the backward pass (nt * N * d floats
 for N cells in d dimensions), which runs down from step nt - 1 to step 0.
 It builds two tables from the stored feet for a block of steps at a time,
@@ -34,7 +33,7 @@ maximum principle.
 The backward pass keeps every node, 0..nt, in the forward solver's
 ``Checkpoints`` store, as the forward solve does: the nodes, (nt + 1) * N
 floats, weigh about as much as the feet in 1D and half as much in 2D, and
-the feet are dropped, with the off-grid table, when the solve returns.  A
+the feet are dropped, with the continued values, when the solve returns.  A
 solve records nothing per node; its L2 norm and the negative-weight norm of
 the confining case are computed from the stored nodes by whoever reports
 them.
@@ -87,133 +86,104 @@ def _rows_down(nt: int, size: int, tabulate):
         yield from tabulate(max(0, hi - size), hi)[::-1]
 
 
+def _theta_line_integral(theta: Potential, t0, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """dt * theta at the midpoints of the segments x0 -> x1, at t0 + dt / 2;
+    t0 is one time or one per leading row of x1 (see potential_eval)."""
+    mid = 0.5 * (x0 + x1)
+    return dt * potential_eval(theta, mid, t0 + 0.5 * dt)
+
+
+def _outside_center_span(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
+    # the interpolation stencil degrades in the outermost half cells, so
+    # feet beyond the span of cell centers go to analytic continuation
+    out = np.zeros(pts.shape[0], dtype=bool)
+    for ax in range(grid.dim):
+        h = grid.h[ax]
+        out |= (pts[:, ax] < grid.lo[ax] + 0.5 * h) | (pts[:, ax] > grid.hi[ax] - 0.5 * h)
+    return out
+
+
 # an off-grid march that leaves this multiple of the box's largest
 # coordinate has escaped
 _ESCAPE_FACTOR = 50.0
 
 
-class _BackStepper:
-    def __init__(self, grid: GridSpec, drift: DriftSpec, cost: CostSpec, timegrid: TimeGrid):
-        self.grid = grid
-        self.drift = drift
-        self.cost = cost
-        self.dt = timegrid.dt
-        self.nt = timegrid.nt
-        self.centers = grid.cell_centers()
-        self.escape_radius = _ESCAPE_FACTOR * max(
-            abs(v) for v in (*grid.lo, *grid.hi)
-        )
-        # feet[n_next - 1] are the RK4 feet at t_{n_next} of the
-        # characteristics through the cell centres at t_{n_next - 1}; the
-        # backward pass reads them from here
-        self.feet, self.offgrid = self._continue_offgrid()
+def _trace(grid: GridSpec, drift: DriftSpec, cost: CostSpec, timegrid: TimeGrid):
+    """The feet of every step, (nt, N, d), and the analytic continuation of
+    every foot outside the span of cell centres as flat arrays (cells,
+    values, ends): step k's cell indices and q(t_{k+1}, feet) are
+    ``cells[ends[k]:ends[k + 1]]`` and ``values[ends[k]:ends[k + 1]]``.
 
-    def _theta_line_integral(self, t0, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-        """dt * theta at the midpoints of the segments x0 -> x1, at t0 + dt / 2;
-        t0 is one time or one per leading row of x1 (see potential_eval)."""
-        mid = 0.5 * (x0 + x1)
-        return dt * potential_eval(self.cost.theta, mid, t0 + 0.5 * dt)
+    feet[k] are the RK4 feet at t_{k+1} of the characteristics through the
+    cell centres at t_k.  The escaped feet of step k join one batch at time
+    t_{k+1}; the batch is marched to T, accumulating the running cost, and
+    the terminal potential is read there.  Each point sees the same
+    per-point arithmetic as a march of its own, so the values do not depend
+    on the batching.
+    """
+    nt, dt = timegrid.nt, timegrid.dt
+    cells_n, dim = grid.num_cells, grid.dim
+    centers = grid.cell_centers()
+    # (u1, u2) at the stage times t_j, t_j + dt/2 and t_j + dt of step j, column j
+    t = np.arange(nt) * dt
+    u1, u2 = drift.control.value_at(np.stack([t, t + 0.5 * dt, t + dt]))
+    feet = np.empty((nt, cells_n, dim))
+    size = _block_nodes(cells_n)
+    for lo in range(0, nt, size):
+        # the feet of steps lo .. hi - 1 in one batch of copies of the
+        # centres, copy b starting at t_{lo + b}
+        hi = min(lo + size, nt)
+        block = _rk4_feet(drift, t[lo:hi], dt, np.tile(centers, (hi - lo, 1)), (u1[:, lo:hi], u2[:, lo:hi]))
+        if not np.all(np.isfinite(block)):
+            raise CharacteristicEscape("characteristic tracing produced non-finite feet")
+        feet[lo:hi] = block.reshape(hi - lo, cells_n, dim)
+    outside = _outside_center_span(grid, feet.reshape(-1, dim)).reshape(nt, cells_n)
+    escaped = [np.flatnonzero(row) for row in outside]
+    # rows are ordered by the step their feet belong to, so the batch
+    # active at time t_j, the feet of steps 0..j - 1, is the prefix x[:ends[j]]
+    ends = np.cumsum([0] + [idx.size for idx in escaped])
+    x = np.concatenate([step[idx] for step, idx in zip(feet, escaped)])
+    acc = np.zeros(x.shape[0])
+    escape_radius = _ESCAPE_FACTOR * max(abs(v) for v in (*grid.lo, *grid.hi))
+    for j in range(1, nt):
+        m = ends[j]
+        if m == 0:
+            continue
+        x_next = _rk4_feet(drift, j * dt, dt, x[:m], (u1[:, j], u2[:, j]))
+        # non-finite or beyond the hull: a NaN fails the comparison too
+        if not np.abs(x_next).max() <= escape_radius:
+            raise CharacteristicEscape("characteristic left the safety hull during analytic continuation")
+        acc[:m] += _theta_line_integral(cost.theta, j * dt, dt, x[:m], x_next)
+        x[:m] = x_next
+    return feet, np.concatenate(escaped), -potential_eval(cost.phi, x, nt * dt) - acc, ends
 
-    def _outside_center_span(self, pts: np.ndarray) -> np.ndarray:
-        # the interpolation stencil degrades in the outermost half cells, so
-        # feet beyond the span of cell centers go to analytic continuation
-        out = np.zeros(pts.shape[0], dtype=bool)
-        for ax in range(self.grid.dim):
-            h = self.grid.h[ax]
-            out |= (pts[:, ax] < self.grid.lo[ax] + 0.5 * h) | (
-                pts[:, ax] > self.grid.hi[ax] - 0.5 * h
-            )
-        return out
 
-    def _continue_offgrid(self) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """The feet of every step, (nt, N, d), and the analytic continuation
-        of every foot outside the span of cell centres:
-        {n_next: (cell indices, q(t_{n_next}, feet))}.
-
-        The feet of step n_next join one batch at time t_{n_next}; the batch
-        is marched to T, accumulating the running cost, and the terminal
-        potential is read there.  Each point sees the same per-point
-        arithmetic as a march of its own, so the values do not depend on
-        the batching.
-        """
-        cells_n, dim = self.grid.num_cells, self.grid.dim
-        all_feet = np.empty((self.nt, cells_n, dim))
-        cells, joined = [], []
-        size = _block_nodes(cells_n)
-        for lo in range(0, self.nt, size):
-            # the feet of steps lo + 1 .. lo + B in one batch of B copies of
-            # the centres, copy b starting at t_{lo + b}
-            t = np.arange(lo, min(lo + size, self.nt)) * self.dt
-            batch = np.tile(self.centers, (t.size, 1))
-            controls = self.drift.control.value_at(np.stack([t, t + 0.5 * self.dt, t + self.dt]))
-            feet = _rk4_feet(self.drift, t, self.dt, batch, controls)
-            if not np.all(np.isfinite(feet)):
-                raise CharacteristicEscape("characteristic tracing produced non-finite feet")
-            outside = self._outside_center_span(feet).reshape(t.size, cells_n)
-            feet = feet.reshape(t.size, cells_n, dim)
-            all_feet[lo:lo + t.size] = feet
-            for step_feet, step_out in zip(feet, outside):
-                idx = np.flatnonzero(step_out)
-                cells.append(idx)
-                joined.append(step_feet[idx])
-        # rows are ordered by the step their feet belong to, so the batch
-        # active at time t_j, the feet of steps 1..j, is the prefix x[:ends[j]]
-        ends = np.cumsum([0] + [idx.size for idx in cells])
-        x = np.concatenate(joined)
-        acc = np.zeros(x.shape[0])
-        dt = self.dt
-        # (u1, u2) at the stage times of march step j, row j - 1
-        times = np.arange(1, self.nt) * dt
-        u1, u2 = self.drift.control.value_at(np.stack([times, times + 0.5 * dt, times + dt]))
-        for j in range(1, self.nt):
-            m = ends[j]
-            if m == 0:
-                continue
-            t0 = j * dt
-            x_next = _rk4_feet(self.drift, t0, dt, x[:m], (u1[:, j - 1], u2[:, j - 1]))
-            # non-finite or beyond the hull: a NaN fails the comparison too
-            if not np.abs(x_next).max() <= self.escape_radius:
-                raise CharacteristicEscape(
-                    "characteristic left the safety hull during analytic continuation"
-                )
-            acc[:m] += self._theta_line_integral(t0, dt, x[:m], x_next)
-            x[:m] = x_next
-        values = -potential_eval(self.cost.phi, x, self.nt * dt) - acc
-        return all_feet, {n: (cells[n - 1], values[ends[n - 1]:ends[n]]) for n in range(1, self.nt + 1)}
-
-    def _stencils(self, lo: int, hi: int) -> list:
-        """The stencils of the feet of steps lo..hi - 1 in one call, one contiguous
-        (indices, weights) pair per step (a strided one gathers slower)."""
-        tables = interpolation_stencil(self.grid, self.feet[lo:hi].reshape(-1, self.grid.dim))
-        return list(zip(*(np.ascontiguousarray(a.reshape(a.shape[0], hi - lo, -1).swapaxes(0, 1)) for a in tables)))
-
-    def sweep(self, q: np.ndarray):
-        """Yield q at nodes nt - 1 down to 0, from q at node nt.  Step k (t_k to
-        t_{k+1}) reads the running-cost term from the centres to their stored
-        feet (_theta_line_integral) and the feet's stencils, built per block."""
-        dt, cells = self.dt, self.grid.num_cells
-        terms = _rows_down(self.nt, _block_nodes(cells), lambda lo, hi: self._theta_line_integral(
-            np.arange(lo, hi) * dt, dt, self.centers, self.feet[lo:hi]))
-        stencils = _rows_down(self.nt, _block_nodes(4 ** self.grid.dim * cells), self._stencils)
-        for k, term, (idx, wts) in zip(range(self.nt - 1, -1, -1), terms, stencils):
-            vals = apply_stencil(ScalarField(self.grid, q).values, idx, wts, clip=True)
-            offgrid, continued = self.offgrid[k + 1]
-            vals[offgrid] = continued
-            q = (vals - term).reshape(self.grid.shape)
-            yield q
+def _stencils(grid: GridSpec, feet: np.ndarray) -> list:
+    """The stencils of a block of steps' feet (B, N, d) in one call, one
+    contiguous (indices, weights) pair per step (a strided one gathers slower)."""
+    tables = interpolation_stencil(grid, feet.reshape(-1, grid.dim))
+    return list(zip(*(np.ascontiguousarray(a.reshape(a.shape[0], len(feet), -1).swapaxes(0, 1)) for a in tables)))
 
 
 def solve_adjoint(cost: CostSpec, drift: DriftSpec, timegrid: TimeGrid, grid: GridSpec) -> Checkpoints:
-    """Solve the adjoint problem backward from q(T) = -phi, keeping every node."""
-    stepper = _BackStepper(grid, drift, cost, timegrid)
-    nt = timegrid.nt
-    pts = grid.cell_centers()
-    q = (-potential_eval(cost.phi, pts, timegrid.T)).reshape(grid.shape)
+    """Solve the adjoint problem backward from q(T) = -phi, keeping every node.
 
+    Step k (t_k to t_{k+1}) reads the running-cost term from the centres to
+    their stored feet (_theta_line_integral) and the feet's stencils, both
+    built per block of steps, and then the continued values of its escaped
+    feet."""
+    feet, cells, values, ends = _trace(grid, drift, cost, timegrid)
+    nt, dt, n = timegrid.nt, timegrid.dt, grid.num_cells
+    centers = grid.cell_centers()
+    terms = _rows_down(nt, _block_nodes(n), lambda lo, hi: _theta_line_integral(
+        cost.theta, np.arange(lo, hi) * dt, dt, centers, feet[lo:hi]))
+    stencils = _rows_down(nt, _block_nodes(4 ** grid.dim * n), lambda lo, hi: _stencils(grid, feet[lo:hi]))
     traj = Checkpoints(timegrid, grid)
-    traj.nodes[nt] = q
-    for n, q in zip(range(nt - 1, -1, -1), stepper.sweep(q)):
-        traj.nodes[n] = q
+    traj.nodes[nt] = (-potential_eval(cost.phi, centers, timegrid.T)).reshape(grid.shape)
+    for k, term, (idx, wts) in zip(range(nt - 1, -1, -1), terms, stencils):
+        vals = apply_stencil(ScalarField(grid, traj.nodes[k + 1]).values, idx, wts, clip=True)
+        vals[cells[ends[k]:ends[k + 1]]] = values[ends[k]:ends[k + 1]]
+        traj.nodes[k] = (vals - term).reshape(grid.shape)
     return traj
 
 

@@ -252,6 +252,11 @@ def parse_config(text: str) -> RunConfig:
     output = cfg["output"]
     if output["stride"] < 1:
         raise SchemaError("output.stride must be >= 1")
+    constants = cfg["constants"]
+    if constants["C_cert"] < 0:
+        raise SchemaError(f"constants.C_cert must be >= 0 (got {constants['C_cert']})")
+    if not constants["C_universal"] > 0:
+        raise SchemaError(f"constants.C_universal must be positive (got {constants['C_universal']})")
 
     problem = Problem(
         grid=grid, timegrid=timegrid, rho0=rho0, a0=a0, cost=cost, bounds=bounds,
@@ -379,7 +384,7 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> dict:
         "cost": result.cost_history[-1],
         "iterations": result.iterations,
         "termination": result.termination,
-        "vi_residual": result.vi_history[-1] if result.vi_history else 0.0,
+        "vi_residual": result.kkt.vi_residual,
         "kkt": dataclasses.asdict(result.kkt),
     }
 

@@ -223,9 +223,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise InvalidGrid("field values must be finite")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
 
 @dataclass(frozen=True)
 class MomentState:

@@ -41,8 +41,11 @@ class OptimConfig:
 
     def __post_init__(self):
         for name in ("max_iters", "max_backtracks"):
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (is_count(value) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if len(self.seeds) < 2 or not all(is_count(s) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be at least two integers >= 0, got {list(self.seeds)!r}")
         if not self.step0 > 0:
             raise ValueError("step0 must be positive")
         if not 0.0 < self.c1 < 1.0:
@@ -139,8 +142,6 @@ class MultiStartReport:
 def multi_start(problem, config: OptimConfig) -> MultiStartReport:
     """Run the optimizer from deterministic pseudo-random admissible starts
     and report the worst pairwise distance between the minimizers."""
-    if len(config.seeds) < 2:
-        raise ValueError("multistart needs at least two seeds")
     tg = problem.timegrid
     ua, ub = problem.bounds.arrays()
     nn = tg.nt + 1

@@ -271,18 +271,17 @@ def h1_riesz(rhs, gamma: float, nu: float, timegrid: TimeGrid) -> np.ndarray:
     diag = gamma + 2.0 * nu / dt**2
     m = nn - 2
     mu = np.zeros_like(rhs)
-    if m > 0:
-        cp = np.zeros(m)
-        b = rhs[1:-1].copy()
-        cp[0] = off / diag
-        b[0] = b[0] / diag
-        for i in range(1, m):
-            denom = diag - off * cp[i - 1]
-            cp[i] = off / denom
-            b[i] = (b[i] - off * b[i - 1]) / denom
-        for i in range(m - 2, -1, -1):
-            b[i] = b[i] - cp[i] * b[i + 1]
-        mu[1:-1] = b
+    cp = np.zeros(m)
+    b = rhs[1:-1].copy()
+    cp[0] = off / diag
+    b[0] = b[0] / diag
+    for i in range(1, m):
+        denom = diag - off * cp[i - 1]
+        cp[i] = off / denom
+        b[i] = (b[i] - off * b[i - 1]) / denom
+    for i in range(m - 2, -1, -1):
+        b[i] = b[i] - cp[i] * b[i + 1]
+    mu[1:-1] = b
     return mu[:, 0] if squeeze else mu
 
 

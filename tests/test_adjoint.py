@@ -275,7 +275,7 @@ def test_blocked_feet_match_per_step_rk4(dim):
     u1 = 0.8 * np.cos(4.0 * s + np.arange(dim))
     drift = DriftSpec(a0, ControlPath(tg, u1, 0.3 - 0.5 * s * np.arange(1, dim + 1)))
     cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
-    stepper = adjoint_module._BackStepper(g, drift, cost, tg)
+    stored, cells, _, ends = adjoint_module._trace(g, drift, cost, tg)
     centers = g.cell_centers()
     escaped = 0
     for n in range(tg.nt):
@@ -283,15 +283,15 @@ def test_blocked_feet_match_per_step_rk4(dim):
         # this step's control rows at its stage times t, t + dt/2 and t + dt
         rows = drift.control.value_at(np.array([t, t + 0.5 * tg.dt, t + tg.dt]))
         feet = adjoint_module._rk4_feet(drift, t, tg.dt, centers, rows)
-        assert bits_equal(stepper.feet[n], feet)
-        cells, _ = stepper.offgrid[n + 1]
-        assert np.array_equal(cells, np.flatnonzero(stepper._outside_center_span(feet)))
-        escaped += cells.size
+        assert bits_equal(stored[n], feet)
+        step_cells = cells[ends[n]:ends[n + 1]]
+        assert np.array_equal(step_cells, np.flatnonzero(adjoint_module._outside_center_span(g, feet)))
+        escaped += step_cells.size
     assert escaped > 0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
+def test_blocked_running_cost_term_matches_the_per_step_integral(dim, monkeypatch):
     # several blocks of steps, the last ragged; a tracking theta in 1D and a
     # quadratic one in 2D
     if dim == 1:
@@ -305,18 +305,23 @@ def test_blocked_running_cost_term_matches_the_per_step_integral(dim):
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     drift = DriftSpec(a0, ControlPath(tg, 0.8 * np.cos(4.0 * s + np.arange(dim)), 0.3 - 0.5 * s * np.arange(1, dim + 1)))
     cost = CostSpec(gamma=1.0, theta=theta, phi=Potential("quadratic"))
-    stepper = adjoint_module._BackStepper(g, drift, cost, tg)
     rows = []
-    integral = stepper._theta_line_integral
-    stepper._theta_line_integral = lambda t0, *args: rows.append(np.size(t0)) or integral(t0, *args)
+    integral = adjoint_module._theta_line_integral
+
+    def counted(theta, t0, *args):
+        # calls with one time are the off-grid march's
+        if np.ndim(t0):
+            rows.append(np.size(t0))
+        return integral(theta, t0, *args)
+
+    monkeypatch.setattr(adjoint_module, "_theta_line_integral", counted)
     # the per-step march evaluates each step's term on its own
     ref, _ = _per_step_reference(cost, drift, tg, g)
     # the whole backward pass, over several blocks of steps, the last ragged
-    rows.clear()
-    got = list(stepper.sweep(ref[tg.nt]))
-    assert len(got) == tg.nt
-    for n, q in zip(range(tg.nt - 1, -1, -1), got):
-        assert bits_equal(q, ref[n])
+    got = solve_adjoint(cost, drift, tg, g).nodes
+    assert len(got) == tg.nt + 1
+    for n in range(tg.nt, -1, -1):
+        assert bits_equal(got[n], ref[n])
     # the blocks of terms cover every step once
     assert sum(rows) == tg.nt and len(rows) == -(-tg.nt // size) and max(rows) == size
     _assert_matches_reference(cost, drift, tg, g, ref)
@@ -345,8 +350,8 @@ def test_sweep_across_stencil_blocks_matches_the_per_step_march(dim):
 
 
 def test_march_looks_the_control_up_once(monkeypatch):
-    # the off-grid march reads the control at all of its stage times from
-    # one lookup, and each block of centre feet at its own from one more
+    # the off-grid march and every block of centre feet read the control
+    # at their stage times from one lookup
     g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, 1.0 + 0.5 * np.sin(3.0 * s), 0.3 - 0.2 * s))
@@ -359,12 +364,10 @@ def test_march_looks_the_control_up_once(monkeypatch):
         return value_at(self, t)
 
     monkeypatch.setattr(ControlPath, "value_at", counted)
-    stepper = adjoint_module._BackStepper(g, drift, cost, tg)
-    assert sum(cells.size for cells, _ in stepper.offgrid.values()) > tg.nt  # the march runs
-    size = _block_nodes(g.num_cells)
-    blocks = -(-tg.nt // size)
-    assert len(calls) == 1 + blocks
-    assert (3, tg.nt - 1) in calls and (3, size) in calls
+    _, cells, _, _ = adjoint_module._trace(g, drift, cost, tg)
+    assert cells.size > tg.nt  # the march runs
+    assert 1 < _block_nodes(g.num_cells) < tg.nt  # over several blocks of centre feet
+    assert calls == [(3, tg.nt)]
 
 
 def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
@@ -375,10 +378,10 @@ def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
     drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, np.cos(4.0 * s), 0.3 - s))
     cost = CostSpec(gamma=1.0, theta=Potential.tracking([[0.1, -1.0], [0.8, 2.0]]), phi=Potential("quadratic"))
     blocks = []
-    integral = adjoint_module._BackStepper._theta_line_integral
+    integral = adjoint_module._theta_line_integral
 
-    def tracked(self, t0, *args):
-        terms = integral(self, t0, *args)
+    def tracked(theta, t0, *args):
+        terms = integral(theta, t0, *args)
         if np.ndim(t0):
             blocks.append(weakref.ref(terms))
         return terms
@@ -386,7 +389,7 @@ def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
     def alive():
         return [ref for ref in blocks if ref() is not None]
 
-    monkeypatch.setattr(adjoint_module._BackStepper, "_theta_line_integral", tracked)
+    monkeypatch.setattr(adjoint_module, "_theta_line_integral", tracked)
     traj = solve_adjoint(cost, drift, tg, g)
     assert len(blocks) > 1 and not alive()
 
@@ -421,20 +424,31 @@ def test_offgrid_sweep_leaving_safety_hull_raises():
         solve_adjoint(cost, drift, tg, g)
 
 
+def test_non_finite_feet_raise():
+    # b = inf: every foot is +inf (u2 > 0 keeps x * u2 from reading inf * 0)
+    g, tg = setup(n=64, nt=16)
+    drift = DriftSpec(DriftPreset("constant", {"b": math.inf}), ControlPath.constant(tg, [0.0], [0.5]))
+    cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
+    with pytest.raises(CharacteristicEscape, match="non-finite feet"):
+        solve_adjoint(cost, drift, tg, g)
+
+
 def test_adjoint_keeps_every_node_and_drops_its_feet(monkeypatch):
-    # the solve stores nodes 0..nt, and its stepper, with the feet of every
-    # step, is freed when it returns
+    # the solve stores nodes 0..nt, and the feet of every step and their
+    # continued values are freed when it returns
     g, tg = setup(n=64, nt=64)
     drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.4], [0.1]))
     cost = CostSpec(gamma=1.0, theta=Potential("gaussian-well"), phi=Potential("gaussian-well"))
     made = []
 
-    class Tracked(adjoint_module._BackStepper):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append((weakref.ref(self), weakref.ref(self.feet)))
+    trace = adjoint_module._trace
 
-    monkeypatch.setattr(adjoint_module, "_BackStepper", Tracked)
+    def tracked(*args):
+        out = trace(*args)
+        made.append([weakref.ref(a) for a in out])
+        return out
+
+    monkeypatch.setattr(adjoint_module, "_trace", tracked)
     traj = solve_adjoint(cost, drift, tg, g)
     assert len(made) == 1 and all(ref() is None for ref in made[0])
     assert traj.snapshot_steps == list(range(tg.nt + 1)) and traj.nodes.shape == (tg.nt + 1, *g.shape)

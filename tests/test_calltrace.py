@@ -84,13 +84,13 @@ def test_the_tracer_sees_the_adjoint_of_a_strided_grad(monkeypatch, tmp_path):
 
     calltrace = load_calltrace()
     made = []
-    init = adjoint_module._BackStepper.__init__
+    trace = adjoint_module._trace
 
-    def counted(self, *args):
+    def counted(*args):
         made.append(1)
-        init(self, *args)
+        return trace(*args)
 
-    monkeypatch.setattr(adjoint_module._BackStepper, "__init__", counted)
+    monkeypatch.setattr(adjoint_module, "_trace", counted)
     with open(scenario_path("bimodal-stabilize-1d")) as fh:
         cfg = json.load(fh)
     cfg["output"] = {"stride": 8}

@@ -268,6 +268,15 @@ def test_coordinate_counts_follow_the_grid_in_2d():
         ("time.nt", {"time": {"T": 1.0, "nt": 2**62}}),
         ("grid.n", {"grid": {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [10**400]}}),
         ("grid.n", {"grid": {"dim": 2, "lo": [-8.0], "hi": [8.0], "n": [64, 10**400]}}),
+        # values of the right kind out of range: a negative count, a seed
+        # numpy cannot take, one seed for a multistart, constants of the
+        # wrong sign
+        ("optim", {"optim": {"max_iters": -3}}),
+        ("optim", {"optim": {"seeds": [-1, 2]}}),
+        ("optim", {"optim": {"seeds": [3]}}),
+        ("constants.C_cert", {"constants": {"C_cert": -1.0}}),
+        ("constants.C_universal", {"constants": {"C_universal": 0.0}}),
+        ("constants.C_universal", {"constants": {"C_universal": -0.5}}),
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
@@ -441,6 +450,25 @@ def test_optimize_command_deterministic(tmp_path):
     assert f1 == f2
     rep = json.loads((tmp_path / "a" / "report.json").read_text())
     assert rep["termination"] in ("converged", "max_iters")
+
+
+@pytest.mark.parametrize("max_iters", [0, 2])
+def test_optimize_reports_the_vi_of_the_returned_control(tmp_path, max_iters):
+    # a run that stops at max_iters reports the VI at the control it returns,
+    # not at the iterate before it (nor 0 after no iteration)
+    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2},
+               cost={"gamma": 0.2, "theta": "tracking", "phi": "gaussian-well", "track_path": [[0.0, 0.0], [1.0, 0.3]]},
+               optim={"max_iters": max_iters, "vi_tol": 1e-8, "step0": 2.0}, solver={"scheme": "muscl-fv"})
+    out = tmp_path / "o"
+    assert run_command(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["termination"] == "max_iters" and rep["iterations"] == max_iters
+    assert rep["vi_residual"] == rep["kkt"]["vi_residual"] > 0
+    # iterations.csv holds the VI of each iterate before the returned control
+    iterations = (out / "iterations.csv").read_text().splitlines()[1:]
+    assert len(iterations) == max_iters
+    if max_iters:
+        assert float(iterations[-1].split(",")[2]) != pytest.approx(rep["vi_residual"], rel=1e-3)
 
 
 def test_multistart_command(tmp_path):

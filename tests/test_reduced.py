@@ -32,6 +32,7 @@ from liouville_control import (
     sample_function,
     sample_potential,
     smallness_certificate,
+    weighted_sobolev_norm,
 )
 import liouville_control.forward as forward_module
 import liouville_control.reduced as reduced_module
@@ -385,7 +386,11 @@ def test_assemble_rejects_grid_mismatch():
     u = ControlPath.zeros(prob.timegrid, 1)
     traj = prob.solve_forward_for(u)
     qtraj = other.solve_adjoint_for(u)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(GridMismatch, match="different grids"):
+        assemble_integral_path(prob, traj, qtraj)
+    # the same grid, a different time grid
+    qtraj = build_problem(n=128, nt=32).solve_adjoint_for(ControlPath.zeros(make_timegrid(1.0, 32), 1))
+    with pytest.raises(GridMismatch, match="different time grids"):
         assemble_integral_path(prob, traj, qtraj)
 
 
@@ -545,6 +550,20 @@ def test_smallness_certificate_limits():
     assert rep0.degenerate
     small = build_problem(gamma=0.01, theta=theta, phi=Potential("gaussian-well"))
     assert not smallness_certificate(small, C_universal=1.0).passed
+
+
+def test_smallness_certificate_counts_a_source():
+    # a source adds T ||s||_{2,2} to the data term rho0's ||rho0||_{2,2}
+    theta = Potential.tracking([[0.0, 0.0], [1.0, 0.3]])
+    prob = build_problem(theta=theta, phi=Potential("gaussian-well"))
+    source = sample_function(prob.grid, "gaussian", {"x0": 1.0, "v0": 0.5})
+    with_source = dataclasses.replace(prob, source=source.values)
+    data = weighted_sobolev_norm(prob.rho0, 2, 2)
+    extra = prob.timegrid.T * weighted_sobolev_norm(source, 2, 2)
+    assert extra > 0
+    base, rep = smallness_certificate(prob, 1.0), smallness_certificate(with_source, 1.0)
+    assert rep.smallness_K == pytest.approx(base.smallness_K * (data + extra) / data, rel=1e-12)
+    assert rep.smallness_ratio > base.smallness_ratio
 
 
 def test_smallness_ratio_scales_inversely_with_gamma():
