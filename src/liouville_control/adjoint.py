@@ -195,16 +195,13 @@ def adjoint_energy_certificate(
 ) -> EnergyCertificate:
     """Check the backward Gronwall recursion for the negative-weight norm:
     N_n <= (1 + C dt r_n) N_{n+1} + dt s_n with s_n the weighted norm of the
-    running potential."""
-    grid = trajectory.grid
-    tg = trajectory.timegrid
-    dt = tg.dt
+    running potential.  The drift factors and the potential's norms are
+    tabulated at the step starts, theta in one ``potential_eval`` table."""
+    grid, tg = trajectory.grid, trajectory.timegrid
     k = confining_weight_index(grid.dim)
-    N = trajectory.norm_history(0, -k)
-    r = np.zeros(tg.nt)
-    s = np.zeros(tg.nt)
-    for n in range(tg.nt):
-        t = n * dt
-        r[n] = drift_grad_bound(drift, t, grid, 0)
-        s[n] = weighted_sobolev_norm(sample_potential(grid, cost.theta, t), 0, -k)
-    return EnergyCertificate.check(0, -k, N[1:], N[:-1], r, s, dt, C_cert)
+    N = trajectory.norms(0, -k)
+    t = np.arange(tg.nt) * tg.dt
+    r = drift_grad_bound(drift, t, grid, 0)
+    theta = np.broadcast_to(potential_eval(cost.theta, grid.cell_centers(), t), (tg.nt, grid.num_cells))
+    s = weighted_sobolev_norm(ScalarField(grid, theta.reshape(-1, *grid.shape)), 0, -k)
+    return EnergyCertificate.check(0, -k, N[1:], N[:-1], r, s, tg.dt, C_cert)

@@ -1,6 +1,6 @@
 """Controls, controlled drift, box projection, and the cost functional.
 
-The drift is ``a(t, x; u) = a0(t, x) + u1(t) + x * u2(t)`` with the product
+The drift is ``a(t, x; u) = a0(x) + u1(t) + x * u2(t)`` with the product
 taken componentwise.  Controls are continuous piecewise-linear in time on the
 nodes of a TimeGrid, one representation serving both the plain L2 case and
 the H1 (slowly varying control) case, where the seminorm of a piecewise
@@ -235,12 +235,12 @@ class DriftPreset:
         """(A, b) with a0(x) = A x + b on R^d, or None if a0 is not affine."""
         return self.coefficients(d) if self._row.jacobian is None else None
 
-    def eval(self, t: float, points: np.ndarray) -> np.ndarray:
+    def eval(self, points: np.ndarray) -> np.ndarray:
         """a0 at points (..., d), as a new array, which eval_drift writes into."""
         pts = np.asarray(points, dtype=float)
         return self._row.eval(*self.coefficients(pts.shape[-1]), pts)
 
-    def jacobian(self, t: float, points: np.ndarray) -> np.ndarray:
+    def jacobian(self, points: np.ndarray) -> np.ndarray:
         """d a0_r / d x_s at the given points, shape points.shape + (d,)."""
         pts = np.asarray(points, dtype=float)
         d = pts.shape[-1]
@@ -266,7 +266,7 @@ class DriftSpec:
 
 
 def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarray:
-    """a0(t, x) + u1(t) + x * u2(t) at the given points, shape (..., d).
+    """a0(x) + u1(t) + x * u2(t) at the given points, shape (..., d).
 
     ``t`` is one time, or an array of B times for B equal blocks of rows of
     ``points`` (N, d): block b is evaluated at t[b].  ``control`` is
@@ -282,7 +282,7 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
     d = pts.shape[-1]
     u1, u2 = (np.asarray(u).reshape(-1, 1, d) for u in (spec.control.value_at(t) if control is None else control))
     blocks = pts.reshape(u1.shape[0], -1, d)
-    out = spec.a0.eval(t, pts).reshape(blocks.shape)
+    out = spec.a0.eval(pts).reshape(blocks.shape)
     for k in range(d):
         col = out[..., k]
         col += u1[..., k]
@@ -291,26 +291,31 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
     return out[..., 0] if squeeze else out
 
 
-def drift_grad_bound(spec: DriftSpec, t: float, grid: GridSpec, m: int) -> float:
-    """Discrete C^m_b norm of grad a at time t: sup-norms of the derivative
-    tensors of a of orders 1..m+1, summed."""
-    u1, u2 = spec.control.value_at(t)
-    pts = grid.cell_centers()
-    jac = spec.a0.jacobian(t, pts)
-    jac = jac + np.diag(u2)
-    total = float(np.abs(jac).max())
+def _sup_shifted(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """max |values + shift| over points (rows of values) and entries, per row
+    of shifts.  A rounded sum is monotone in each term, so each entry's sup
+    is at its extremes over the points: the bits of the full table's max."""
+    sup = np.maximum(np.abs(values.min(axis=0) + shifts), np.abs(values.max(axis=0) + shifts))
+    return sup.reshape(len(shifts), -1).max(axis=1)
+
+
+def drift_grad_bound(spec: DriftSpec, t: np.ndarray, grid: GridSpec, m: int) -> np.ndarray:
+    """Discrete C^m_b norm of grad a at each of the times t: sup-norms of
+    the derivative tensors of a of orders 1..m+1, summed.  The control adds
+    diag(u2) to a0's Jacobian, which is evaluated once."""
+    u2 = spec.control.value_at(t)[1]
+    total = _sup_shifted(spec.a0.jacobian(grid.cell_centers()), u2[:, :, None] * np.eye(grid.dim))
     for order in range(2, m + 2):
         total += spec.a0.derivative_sup(grid, order)
     return total
 
 
-def drift_div_bound(spec: DriftSpec, t: float, grid: GridSpec) -> float:
-    """Discrete sup norm of div a at time t."""
-    u1, u2 = spec.control.value_at(t)
-    pts = grid.cell_centers()
-    jac = spec.a0.jacobian(t, pts)
-    div = np.trace(jac, axis1=-2, axis2=-1) + u2.sum()
-    return float(np.abs(div).max())
+def drift_div_bound(spec: DriftSpec, t: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Discrete sup norm of div a at each of the times t, from one
+    evaluation of a0's Jacobian."""
+    u2 = spec.control.value_at(t)[1]
+    div0 = np.trace(spec.a0.jacobian(grid.cell_centers()), axis1=-2, axis2=-1)
+    return _sup_shifted(div0, u2.sum(axis=-1))
 
 
 def project_box(control: ControlPath, bounds: BoxBounds) -> ControlPath:

@@ -95,22 +95,22 @@ def _write_node_table(path: str, timegrid: TimeGrid, columns: dict) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_trajectory_summary(traj: StateTrajectory, path: str, **more) -> dict:
+def write_trajectory_summary(traj: StateTrajectory, path: str) -> dict:
     """Per-node ``t,mass,min,l2,h0k2`` (the weighted H^0_2 norm), all but the
-    mass from one pass over the checkpoints, which also computes the named
-    per-node functions ``more`` (not written); returns all the columns."""
-    columns = {"mass": traj.mass, **traj.history(min=np.min, l2=traj.norm(0, 0), h0k2=traj.norm(0, 2), **more)}
-    _write_node_table(path, traj.timegrid, {name: columns[name] for name in ("mass", "min", "l2", "h0k2")})
+    mass reduced from the checkpoints (the minimum as one row minimum per
+    node); returns the columns."""
+    mins = traj.nodes.reshape(len(traj.nodes), -1).min(axis=1)
+    columns = {"mass": traj.mass, "min": mins, "l2": traj.norms(0, 0), "h0k2": traj.norms(0, 2)}
+    _write_node_table(path, traj.timegrid, columns)
     return columns
 
 
 def write_adjoint_summary(traj: Checkpoints, neg_k: int | None, path: str) -> dict:
     """Per-node ``t,l2``, plus the H^0_{-neg_k} norm ``h0_negk`` when neg_k is
-    given, from one pass over the checkpoints; returns the columns."""
-    norms = {"l2": traj.norm(0, 0)}
+    given, from the checkpoints; returns the columns."""
+    columns = {"l2": traj.norms(0, 0)}
     if neg_k is not None:
-        norms["h0_negk"] = traj.norm(0, -neg_k)
-    columns = traj.history(**norms)
+        columns["h0_negk"] = traj.norms(0, -neg_k)
     _write_node_table(path, traj.timegrid, columns)
     return columns
 

@@ -9,10 +9,10 @@ the upwind gather).  The drift grows linearly in x, so the time step is
 subdivided per step to keep the Courant number below the configured cap;
 the Courant speed is computed once per time node.
 
-Every a0 preset is autonomous, so a0 is evaluated at the faces once per
-solve and each substep adds the control in ``eval_drift``'s order,
-(a0 + u1) + x * u2, which keeps the bits of ``eval_drift``.  A
-time-dependent preset would have to give that cache up.  The stepper
+a0 is autonomous (``DriftPreset.eval`` takes no time), so it is evaluated
+at the faces once per solve and each substep adds the control in
+``eval_drift``'s order, (a0 + u1) + x * u2, which keeps the bits of
+``eval_drift``.  The stepper
 (``_Stepper``) holds only these constants; each loop that reads the control
 looks it up itself, in one array pass, and owns the table.  The plan
 (``_Stepper.plan``) tabulates it at the nodes and reads max |a| from their
@@ -47,8 +47,9 @@ trajectories: every node 0..nt of a solve in one preallocated
 ``(nt + 1, *grid.shape)`` array, the store-everything end of Griewank &
 Walther's revolve trade-off, so nothing is ever replayed.  ``output.stride``
 only chooses which of the nodes the CLI writes.  Solves record only what
-the objective reads; ``history`` computes any other per-node value, such as
-a minimum or a weighted Sobolev norm, from the stored nodes.
+the objective reads; any other per-node value is reduced from the stored
+nodes by whoever reports it, a block of nodes at a time, as ``norms`` gives
+the weighted Sobolev norms.
 
 A forward solve records at every node the mass, with the finiteness check
 of each step, and, given a nonzero running potential theta, the running
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -207,7 +207,7 @@ class _Stepper:
         self.a0_faces, self.x_faces = [], []
         for ax in range(grid.dim):
             pts = _face_points(grid, ax)
-            a0 = drift.a0.eval(0.0, pts.reshape(-1, grid.dim))[:, ax].reshape(pts.shape[:-1])
+            a0 = drift.a0.eval(pts.reshape(-1, grid.dim))[:, ax].reshape(pts.shape[:-1])
             self.a0_faces.append(np.ascontiguousarray(np.swapaxes(a0, 0, ax)))
             self.x_faces.append(np.ascontiguousarray(np.swapaxes(pts[..., ax], 0, ax)))
         self.faces = sum(a0.size for a0 in self.a0_faces)  # over all axes
@@ -377,21 +377,13 @@ class Checkpoints:
     def snapshot_steps(self) -> list[int]:
         return list(range(len(self.nodes)))
 
-    def history(self, **per_node: Callable) -> dict[str, np.ndarray]:
-        """Each named function of a node's values at nodes 0..nt, in one dense pass."""
-        out = {name: np.zeros(self.timegrid.nt + 1) for name in per_node}
-        for n, vals in enumerate(self.nodes):
-            for name, f in per_node.items():
-                out[name][n] = f(vals)
-        return out
-
-    def norm(self, m: int, k: int) -> Callable:
-        """The weighted H^m_k norm of one node's values; H^0_0 is the L2 norm."""
-        return lambda vals: weighted_sobolev_norm(ScalarField(self.grid, vals), m, k)
-
-    def norm_history(self, m: int, k: int) -> np.ndarray:
-        """The weighted H^m_k norm at nodes 0..nt."""
-        return self.history(norm=self.norm(m, k))["norm"]
+    def norms(self, m: int, k: int) -> np.ndarray:
+        """The weighted H^m_k norm at nodes 0..nt (H^0_0 is the L2 norm), a
+        block of ``grid._block_nodes`` nodes at a time, each with the bits of
+        the node's own norm."""
+        size, nodes = _block_nodes(self.grid.num_cells), self.nodes
+        blocks = (ScalarField(self.grid, nodes[lo:lo + size]) for lo in range(0, len(nodes), size))
+        return np.concatenate([weighted_sobolev_norm(block, m, k) for block in blocks])
 
 
 @dataclass(kw_only=True)
@@ -575,7 +567,7 @@ def boundary_leak(trajectory: StateTrajectory) -> float:
 class EnergyCertificate:
     """Per-step check of the discrete Gronwall recursion
     N_{n+1} <= (1 + C dt r_n) N_n + dt s_n  with r_n the discrete drift
-    regularity factor and s_n the source norm."""
+    regularity factor and s_n the source norm, over every step at once."""
 
     m: int
     k: int
@@ -591,11 +583,10 @@ class EnergyCertificate:
         with the smallest C that passes."""
         rhs = (1.0 + C_cert * dt * r) * before + dt * s
         passed = bool(np.all(after <= rhs + 1e-12 * np.maximum(before, 1.0)))
-        fitted = 0.0
-        for growth, denom in zip(after - before - dt * s, dt * r * before):
-            if growth <= 0.0:
-                continue
-            fitted = math.inf if denom <= 0.0 else max(fitted, growth / denom)
+        # a step that grows with no room to grow (denom <= 0) needs C = inf
+        growth, denom = after - before - dt * s, dt * r * before
+        growth, denom = growth[growth > 0.0], denom[growth > 0.0]
+        fitted = math.inf if np.any(denom <= 0.0) else float(np.max(growth / denom, initial=0.0))
         return cls(m=m, k=k, lhs=after, rhs=rhs, fitted_C=fitted, C_cert=C_cert, passed=passed)
 
 
@@ -605,28 +596,20 @@ def energy_certificate(
     source,
     m: int,
     k: int,
-    norms: np.ndarray,
     C_cert: float = 2.0,
 ) -> EnergyCertificate:
-    """Certify the weighted-norm growth of a stored run.
+    """Certify the weighted-norm growth of a stored run, whose H^m_k norms
+    are read from its checkpoints (``Checkpoints.norms``).
 
     For m = 0 the drift factor is the sup of |div a|; for m >= 1 it is the
-    discrete C^m_b norm of grad a.  ``source`` is the solve's: None or cell
-    values constant in time, so its norm is the same at every step.
-    ``norms`` is the run's H^m_k norm at nodes 0..nt, from a pass over its
-    checkpoints (``norm_history``, or ``history`` with other columns).  The
-    smallest feasible constant is reported alongside the pass flag at the
-    configured C_cert.
+    discrete C^m_b norm of grad a; both are tabulated at the step starts in
+    one call.  ``source`` is the solve's: None or cell values constant in
+    time, so its norm is the same at every step.  The smallest feasible
+    constant is reported alongside the pass flag at the configured C_cert.
     """
-    grid = trajectory.grid
-    tg = trajectory.timegrid
-    dt = tg.dt
-    r = np.zeros(tg.nt)
-    for n in range(tg.nt):
-        t = n * dt
-        if m == 0:
-            r[n] = drift_div_bound(drift, t, grid)
-        else:
-            r[n] = drift_grad_bound(drift, t, grid, m)
+    grid, tg = trajectory.grid, trajectory.timegrid
+    t = np.arange(tg.nt) * tg.dt
+    r = drift_div_bound(drift, t, grid) if m == 0 else drift_grad_bound(drift, t, grid, m)
     s = np.full(tg.nt, 0.0 if source is None else weighted_sobolev_norm(ScalarField(grid, source), m, k))
-    return EnergyCertificate.check(m, k, norms[:-1], norms[1:], r, s, dt, C_cert)
+    norms = trajectory.norms(m, k)
+    return EnergyCertificate.check(m, k, norms[:-1], norms[1:], r, s, tg.dt, C_cert)

@@ -207,8 +207,9 @@ class ScalarField:
     """Cell values on a grid; holds densities, adjoints, and potentials.
 
     ``values`` has the grid's shape, or ``(B, *grid.shape)`` for a block of
-    B fields, which ``partial_derivative`` differentiates in one pass; every
-    other function takes one field.
+    B fields, which ``partial_derivative`` differentiates and
+    ``weighted_sobolev_norm`` measures in one pass; every other function
+    takes one field.
     """
 
     grid: GridSpec
@@ -352,19 +353,21 @@ def _apply_derivative(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField
     return out
 
 
-def weighted_sobolev_norm(field: ScalarField, m: int, k: int) -> float:
+def weighted_sobolev_norm(field: ScalarField, m: int, k: int):
     """Discrete H^m_k norm: sum over |alpha| <= m of the weighted L2 norms
-    of the difference-quotient derivatives.
+    of the difference-quotient derivatives.  A float for one field; for a
+    block of fields, an array of their norms, each with the bits of the
+    field's own (see ``_row_sums``).
     """
     if m < 0 or m > 2:
         raise UnsupportedOrder(f"supported derivative orders are 0..2, got {m}")
-    w = field.grid.weight(int(k))
-    vol = field.grid.cell_volume
+    grid = field.grid
+    w = grid.weight(int(k))
     total = 0.0
-    for alpha in _derivative_multiindices(field.grid.dim, m):
-        df = _apply_derivative(field, alpha)
-        total += math.sqrt(float(((w * df.values) ** 2).sum() * vol))
-    return total
+    for alpha in _derivative_multiindices(grid.dim, m):
+        squares = (w * _apply_derivative(field, alpha).values) ** 2
+        total = total + np.sqrt(_row_sums(squares.reshape(-1, grid.num_cells)) * grid.cell_volume)
+    return total if field.values.ndim > grid.dim else float(total[0])
 
 
 def moments(field: ScalarField) -> MomentState:

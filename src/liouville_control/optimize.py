@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controls import ControlPath, project_box
-from .grid import is_count
+from .grid import is_count, is_finite_number
 from .reduced import KktResidual, kkt_residual, path_norm, prox_step
 
 __all__ = ["OptimConfig", "OptimResult", "MultiStartReport", "optimize", "multi_start"]
@@ -40,10 +40,11 @@ class OptimConfig:
     uniqueness_tol: float = 1e-3
 
     def __post_init__(self):
-        for name in ("max_iters", "max_backtracks"):
+        # one backtrack at least: with none, every line search fails
+        for name, least in (("max_iters", 0), ("max_backtracks", 1)):
             value = getattr(self, name)
-            if not (is_count(value) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+            if not (is_count(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if len(self.seeds) < 2 or not all(is_count(s) and s >= 0 for s in self.seeds):
             raise ValueError(f"seeds must be at least two integers >= 0, got {list(self.seeds)!r}")
         if not self.step0 > 0:
@@ -54,6 +55,8 @@ class OptimConfig:
             raise ValueError("the backtrack factor must lie in (0, 1)")
         if not self.vi_tol > 0:
             raise ValueError("vi_tol must be positive")
+        if not (is_finite_number(self.uniqueness_tol) and self.uniqueness_tol >= 0):
+            raise ValueError(f"uniqueness_tol must be a finite number >= 0, got {self.uniqueness_tol!r}")
 
 
 @dataclass

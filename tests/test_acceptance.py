@@ -100,7 +100,7 @@ def test_criterion_02_positivity():
     worst = np.inf
     for u1, u2, source in ((0.5, 0.3, None), (0.4, 0.2, src)):
         traj = solve_forward(rho0, zero_a0_drift(tg, u1, u2), source, tg, scheme="upwind-fv")
-        worst = min(worst, float(traj.history(min=np.min)["min"].min()))
+        worst = min(worst, float(traj.nodes.min()))
     assert worst >= -1e-14
     print(f"criterion 02 positivity: PASS (min rho = {worst:.3e})")
 
@@ -246,7 +246,7 @@ def test_criterion_07_energy_certificates():
         drift = prob.drift_for(u)
         for m in (0, 1):
             for k in (0, 2):
-                cert = energy_certificate(traj, drift, prob.source, m, k, traj.norm_history(m, k), C_cert=2.0)
+                cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=2.0)
                 assert cert.passed, f"{name} m={m} k={k} fitted C = {cert.fitted_C}"
 
     # constant-divergence exact decay: |rho|_L2 = e^{-ct/2} |rho0|_L2
@@ -255,12 +255,12 @@ def test_criterion_07_energy_certificates():
     c = 0.5
     drift = zero_a0_drift(tg, 0.0, c)
     traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv")
-    l2 = traj.norm_history(0, 0)
+    l2 = traj.norms(0, 0)
     exact = l2[0] * math.exp(-c * tg.T / 2.0)
     rel = abs(l2[-1] - exact) / exact
     assert rel <= 5e-3
     assert l2[-1] <= exact * (1.0 + 5e-3)  # dissipation only lowers the norm
-    cert = energy_certificate(traj, drift, None, 0, 0, traj.norm_history(0, 0), C_cert=0.5)
+    cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.5)
     assert cert.passed
     print(
         f"criterion 07 energy certificates: PASS (4 scenarios x 4 (m,k) at C=2; "

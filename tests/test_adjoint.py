@@ -147,7 +147,7 @@ def test_confining_diagnostic_and_certificate():
     cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     traj = solve_adjoint(cost, drift, tg, g)
     assert confining_weight_index(1) == 3
-    assert np.all(np.isfinite(traj.norm_history(0, -3)))
+    assert np.all(np.isfinite(traj.norms(0, -3)))
     # translation-dominated drift: the weight-advection term makes the
     # fitted constant exceed the gradient factor alone, so just require the
     # reported envelope to be finite and not wildly large
@@ -480,6 +480,6 @@ def test_l2_history_is_the_per_node_sum_of_squares(dim):
         drift = DriftSpec(DriftPreset("rotation", {"omega": 1.0}), ControlPath.constant(tg, [0.1, -0.2], [0.0, 0.1]))
         cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     traj = solve_adjoint(cost, drift, tg, g)
-    l2, vol = traj.norm_history(0, 0), g.cell_volume
+    l2, vol = traj.norms(0, 0), g.cell_volume
     for n, q in enumerate(traj.nodes):
         assert bits_equal(l2[n], math.sqrt(float((q * q).sum() * vol)))

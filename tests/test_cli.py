@@ -15,7 +15,8 @@ from liouville_control import (
 )
 from liouville_control.cli import COMMANDS, _grad_check_direction, load_scenario, parse_config, run_command, scenario_path
 from liouville_control.fileio import read_control_csv
-from liouville_control.forward import Checkpoints
+import liouville_control.forward as forward_module
+from liouville_control.grid import _block_nodes, weighted_sobolev_norm
 
 
 MINIMAL = {
@@ -375,6 +376,7 @@ def test_cost_grad_and_adjoint_commands(tmp_path):
     assert run_command(["grad", "--config", cfgp, "--out", out]) == 0
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert {"cost", "grad_l2_norm", "vi_residual", "kkt", "ibp_discrepancy"} <= set(rep)
+    assert set(rep["kkt"]) == {"stationarity", "complement_upper", "complement_lower", "vi_residual"}
     grad = read_control_csv(os.path.join(out, "control_gradient.csv"))
     assert grad.timegrid.nt == 32
     assert run_command(["adjoint", "--config", cfgp, "--out", out]) == 0
@@ -630,24 +632,41 @@ def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
 
 
 @pytest.mark.parametrize("potential, passes", [
-    ("gaussian-well", {"forward": 1, "adjoint": 1, "certify": 1}),
-    ("quadratic", {"forward": 1, "adjoint": 1, "certify": 2}),
+    ("gaussian-well", {
+        "forward": [(0, 0), (0, 2)],
+        "adjoint": [(0, 0)],
+        "certify": [(0, 0), (0, 2), (0, 0), (0, 2), (1, 0), (1, 2)],
+    }),
+    ("quadratic", {
+        "forward": [(0, 0), (0, 2)],
+        "adjoint": [(0, 0), (0, -3)],
+        "certify": [(0, 0), (0, 2), (0, 0), (0, 2), (1, 0), (1, 2), (0, -3)],
+    }),
 ])
 def test_dense_passes_per_command(tmp_path, monkeypatch, potential, passes):
-    # a summary reads all its columns in one pass over the nodes; certify's
-    # energy certificates read theirs from the same pass, and with confining
-    # potentials the adjoint's certificate adds one
-    history, calls = Checkpoints.history, []
-    monkeypatch.setattr(Checkpoints, "history", lambda self, **f: calls.append(self) or history(self, **f))
+    # each norm a command reads of the nodes is one pass over them, in
+    # blocks of _block_nodes nodes (here all 33 nodes in one block): a
+    # summary's l2 and h0k2 (the forward one's also in the summary
+    # certify writes), each of certify's four energy certificates, and with
+    # confining potentials the negative-weight norm of the adjoint summary
+    # or certificate
+    calls = []
+
+    def counted(field, m, k):
+        calls.append((m, k, len(field.values)))
+        return weighted_sobolev_norm(field, m, k)
+
+    monkeypatch.setattr(forward_module, "weighted_sobolev_norm", counted)
     cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, output={"stride": 4},
                cost={"theta": potential, "phi": potential})
     cfgp = write_config(tmp_path, cfg)
+    assert _block_nodes(64) > 33
     counts = {}
     for command in passes:
         del calls[:]
         assert run_command([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
-        counts[command] = len(calls)
-    assert counts == passes
+        counts[command] = calls[:]
+    assert counts == {command: [(m, k, 33) for m, k in norms] for command, norms in passes.items()}
 
 
 def test_all_scenarios_parse_and_match_commands():

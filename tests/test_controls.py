@@ -73,13 +73,13 @@ def test_eval_drift_jacobian_by_differences(name, params, d):
         e = np.zeros(d)
         e[s] = h
         jac[:, s] = (eval_drift(spec, 0.2, (x + e)[None]) - eval_drift(spec, 0.2, (x - e)[None]))[0] / (2 * h)
-    expected = a0.jacobian(0.2, x[None])[0] + np.diag(u2)
+    expected = a0.jacobian(x[None])[0] + np.diag(u2)
     assert np.abs(jac - expected).max() < 1e-8
     if name == "affine":
-        assert np.array_equal(a0.jacobian(0.2, x[None])[0], np.asarray(params["A"]))
+        assert np.array_equal(a0.jacobian(x[None])[0], np.asarray(params["A"]))
     # the order-1 sup is the largest Jacobian entry over the cell centres
     g = make_grid(d, -4.0, 4.0, 16)
-    sup = np.abs(a0.jacobian(0.0, g.cell_centers())).max()
+    sup = np.abs(a0.jacobian(g.cell_centers())).max()
     assert a0.derivative_sup(g, 1) == pytest.approx(sup, rel=1e-12, abs=0.0)
 
 
@@ -96,7 +96,7 @@ def test_bump_derivative_sup_bounds_the_higher_derivatives(params, d):
     e = np.eye(d) * h
 
     def jac(pts):
-        return a0.jacobian(0.0, pts)
+        return a0.jacobian(pts)
 
     order2 = max(np.abs(jac(x + e[s]) - jac(x - e[s])).max() / (2 * h) for s in range(d))
     order3 = max(
@@ -106,14 +106,6 @@ def test_bump_derivative_sup_bounds_the_higher_derivatives(params, d):
     )
     for order, fd in ((2, order2), (3, order3)):
         assert fd <= a0.derivative_sup(g, order) <= 3.0 * fd
-
-
-@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
-def test_drift_presets_are_autonomous(name, params, d):
-    # the forward solve evaluates a0 at the faces once, which needs this
-    a0 = DriftPreset(name, params)
-    pts = np.random.default_rng(1).normal(size=(40, d)) * 3.0
-    assert np.array_equal(a0.eval(0.0, pts), a0.eval(0.7, pts))
 
 
 def test_control_nodes_are_one_read_only_array():
@@ -224,7 +216,7 @@ def broadcast_drift(spec, t, pts, control=None):
     d = pts.shape[-1]
     u1, u2 = (np.reshape(u, (-1, 1, d)) for u in (spec.control.value_at(t) if control is None else control))
     x = pts.reshape(u1.shape[0], -1, d)
-    return ((spec.a0.eval(t, pts).reshape(x.shape) + u1) + x * u2).reshape(pts.shape)
+    return ((spec.a0.eval(pts).reshape(x.shape) + u1) + x * u2).reshape(pts.shape)
 
 
 @overflowing
@@ -255,12 +247,12 @@ def test_eval_drift_keeps_the_bits_of_the_broadcast_expression(name, params, d):
 def test_drift_preset_eval_returns_a_new_array(name, params):
     a0 = DriftPreset(name, params)
     pts = edge_points(2)
-    first = a0.eval(0.3, pts)
+    first = a0.eval(pts)
     assert first.flags.writeable and not np.shares_memory(first, pts)
     assert not any(np.shares_memory(first, c) for c in a0.coefficients(2) if isinstance(c, np.ndarray))
     kept = first.copy()
     first[...] = np.nan
-    assert bits_equal(a0.eval(0.3, pts), kept)
+    assert bits_equal(a0.eval(pts), kept)
 
 
 @overflowing
@@ -270,9 +262,9 @@ def test_bump_keeps_the_bits_of_the_summed_squares():
         pts = edge_points(d)
         g = np.exp(-(pts**2).sum(axis=-1) / (2.0 * sig * sig))
         a0 = DriftPreset("gaussian-bump", {"c": list(c[:d]), "sigma": sig})
-        assert bits_equal(a0.eval(0.0, pts), g[..., None] * c[:d])
+        assert bits_equal(a0.eval(pts), g[..., None] * c[:d])
         jac = -c[:d, None] * pts[..., None, :] / sig**2 * g[..., None, None]
-        assert bits_equal(a0.jacobian(0.0, pts), jac)
+        assert bits_equal(a0.jacobian(pts), jac)
 
 
 def test_project_box():
@@ -544,10 +536,34 @@ def test_drift_bounds():
     t = tg()
     ctrl = ControlPath.constant(t, [0.7], [0.2])
     spec = DriftSpec(DriftPreset("affine", {"A": [[0.3]], "b": [0.0]}), ctrl)
-    assert drift_grad_bound(spec, 0.0, g, 0) == pytest.approx(0.5, abs=1e-12)
-    assert drift_div_bound(spec, 0.0, g) == pytest.approx(0.5, abs=1e-12)
+    at0 = np.array([0.0])
+    assert drift_grad_bound(spec, at0, g, 0) == pytest.approx([0.5], abs=1e-12)
+    assert drift_div_bound(spec, at0, g) == pytest.approx([0.5], abs=1e-12)
     bump = DriftSpec(DriftPreset("gaussian-bump", {"c": [1.0], "sigma": 1.0}), ControlPath.zeros(t, 1))
     # discrete sup of |d/dx exp(-x^2/2)| over cell centers, just below the
     # continuous maximum exp(-1/2) attained at x = 1
-    val = drift_grad_bound(bump, 0.0, g, 0)
+    (val,) = drift_grad_bound(bump, at0, g, 0)
     assert 0.95 * np.exp(-0.5) <= val <= np.exp(-0.5)
+
+
+@pytest.mark.parametrize("name, params, d", DRIFT_CASES, ids=[f"{n}-{d}d" for n, _, d in DRIFT_CASES])
+def test_drift_bound_tables_match_the_per_time_loop(name, params, d):
+    # one control lookup and one Jacobian for every time give the bits of
+    # the bounds computed one time at a time from the full Jacobian table
+    timegrid = tg(nt=5)
+    u2 = np.array([[0.0, -0.0], [-0.4, 0.3], [1.5, -0.0], [-0.0, -2.0], [0.25, 0.75], [-3.0, 0.5]])[:, :d]
+    spec = DriftSpec(DriftPreset(name, params), ControlPath(timegrid, np.zeros_like(u2), u2))
+    g = make_grid(d, -4.0, 4.0, 12)
+    times = np.concatenate([np.arange(timegrid.nt) * timegrid.dt, [0.05, 0.93, 1.0]])
+    jac = spec.a0.jacobian(g.cell_centers())
+    for m in (0, 1, 2):
+        want = []
+        for t in times:
+            w2 = spec.control.value_at(t)[1]
+            total = float(np.abs(jac + np.diag(w2)).max())
+            for order in range(2, m + 2):
+                total += spec.a0.derivative_sup(g, order)
+            want.append(total)
+        assert bits_equal(drift_grad_bound(spec, times, g, m), want)
+    want = [float(np.abs(np.trace(jac, axis1=-2, axis2=-1) + spec.control.value_at(t)[1].sum()).max()) for t in times]
+    assert bits_equal(drift_div_bound(spec, times, g), want)

@@ -30,7 +30,8 @@ from liouville_control import (
 )
 import liouville_control.forward as forward_module
 from liouville_control.forward import _Faces, _Stepper, _Sweep, _face_points, required_substeps
-from liouville_control.grid import _block_nodes
+from liouville_control.fileio import write_trajectory_summary
+from liouville_control.grid import _block_nodes, partial_derivative, weighted_sobolev_norm
 from test_controls import DRIFT_CASES
 
 
@@ -65,7 +66,7 @@ def test_positivity_upwind():
     g, tg, rho0 = gaussian_setup(n=256, nt=256)
     src = sample_function(g, "gaussian", {"x0": 1.0, "v0": 0.3}).values * 0.1
     traj = solve_forward(rho0, drift_const(tg, 0.5, 0.3), src, tg, scheme="upwind-fv")
-    assert traj.history(min=np.min)["min"].min() >= -1e-14
+    assert traj.nodes.min() >= -1e-14
 
 
 def test_translation_tracks_moment_ode():
@@ -151,7 +152,7 @@ def test_energy_certificate_zero_drift_passes_trivially():
     g, tg, rho0 = gaussian_setup(n=128, nt=64)
     drift = drift_const(tg, 0.0, 0.0)
     traj = solve_forward(rho0, drift, None, tg)
-    cert = energy_certificate(traj, drift, None, 0, 0, traj.norm_history(0, 0), C_cert=0.0)
+    cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.0)
     assert cert.passed and cert.fitted_C == 0.0
 
 
@@ -164,11 +165,11 @@ def test_energy_certificate_exact_decay():
     exact = None
     for scheme, tol in (("muscl-fv", 5e-3), ("upwind-fv", 2e-2)):
         traj = solve_forward(rho0, drift, None, tg, scheme=scheme)
-        l2 = traj.norm_history(0, 0)
+        l2 = traj.norms(0, 0)
         exact = l2[0] * math.exp(-c * tg.T / 2.0)
         assert l2[-1] == pytest.approx(exact, rel=tol)
         assert l2[-1] <= exact * (1.0 + 5e-3)
-        cert = energy_certificate(traj, drift, None, 0, 0, traj.norm_history(0, 0), C_cert=0.5)
+        cert = energy_certificate(traj, drift, None, 0, 0, C_cert=0.5)
         assert cert.passed
 
 
@@ -176,7 +177,7 @@ def test_energy_certificate_weighted_growth_bounded():
     g, tg, rho0 = gaussian_setup()
     drift = drift_const(tg, 0.0, 0.5)
     traj = solve_forward(rho0, drift, None, tg)
-    cert = energy_certificate(traj, drift, None, 0, 2, traj.norm_history(0, 2), C_cert=2.0)
+    cert = energy_certificate(traj, drift, None, 0, 2, C_cert=2.0)
     assert cert.passed
     assert 0.0 < cert.fitted_C <= 2.0
     assert np.all(cert.lhs <= cert.rhs + 1e-12)
@@ -188,7 +189,7 @@ def test_energy_certificate_with_source_term():
     drift = drift_const(tg, 0.3, 0.2)
     traj = solve_forward(rho0, drift, src, tg)
     for m, k in ((0, 0), (1, 2)):
-        cert = energy_certificate(traj, drift, src, m, k, traj.norm_history(m, k), C_cert=2.0)
+        cert = energy_certificate(traj, drift, src, m, k, C_cert=2.0)
         assert cert.passed
 
 
@@ -266,7 +267,7 @@ def test_two_dimensional_rotation_mean():
     rho0 = sample_function(g, "gaussian", {"x0": (1.0, -0.5), "v0": 0.3})
     drift = DriftSpec(DriftPreset("rotation", {"omega": 1.0}), ControlPath.zeros(tg, 2))
     traj = solve_forward(rho0, drift, None, tg, scheme="upwind-fv")
-    assert traj.history(min=np.min)["min"].min() >= -1e-14
+    assert traj.nodes.min() >= -1e-14
     # flux-form identity exact; the tiny absolute drift is diffusion-fed tail
     # mass crossing the boundary, not a conservation defect
     resid = np.abs(traj.mass - traj.mass[0] + traj.boundary_outflux - traj.source_mass)
@@ -680,7 +681,7 @@ DIAGNOSTIC_CASES = [
 
 @pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=["1d-ragged", "2d-ragged", "one-block", "no-theta"])
 @pytest.mark.parametrize("refine", [1, 7])
-def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine, monkeypatch):
+def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine, monkeypatch, tmp_path):
     # each step takes refine times its planned substeps, and each node is
     # recorded once its step's last substep is done
     tg = make_timegrid(1.0, nt)
@@ -705,13 +706,75 @@ def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine,
     traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", fixed_substeps=plan,
                          theta=None if theta.is_zero else theta)
     assert blocks == ([] if theta.is_zero else [len(range(lo, min(lo + size, nt + 1))) for lo in range(0, nt + 1, size)])
-    # the minimum and the L2 norm come from the stored nodes
-    hist = traj.history(min=np.min, l2=traj.norm(0, 0))
+    # the summary's minimum and L2 norm come from the stored nodes
+    summary = write_trajectory_summary(traj, str(tmp_path / "summary.csv"))
     vol, pts = g.cell_volume, g.cell_centers()
     for n, vals in enumerate(traj.nodes):
         th = potential_eval(theta, pts, n * tg.dt).reshape(g.shape)
         assert bits_equal(traj.mass[n], vals.sum() * vol)
-        assert bits_equal(hist["min"][n], vals.min())
-        assert bits_equal(hist["l2"][n], math.sqrt(float((vals * vals).sum() * vol)))
+        assert bits_equal(summary["min"][n], vals.min())
+        assert bits_equal(summary["l2"][n], math.sqrt(float((vals * vals).sum() * vol)))
         assert bits_equal(traj.running[n], float((th * vals).sum() * vol))
     assert np.all(traj.running == 0.0) == theta.is_zero
+
+
+def per_node_norm(g, vals, m, k):
+    """The weighted H^m_k norm of one node, summed over the derivative
+    orders in the order of the norm's own loop, each from the node's own
+    sum of squares."""
+    orders = [(a,) for a in range(m + 1)] if g.dim == 1 else [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+    total = 0.0
+    for alpha in orders:
+        field = ScalarField(g, vals)
+        for axis, order in enumerate(alpha):
+            for _ in range(order):
+                field = partial_derivative(field, axis)
+        total += math.sqrt(float(((g.weight(k) * field.values) ** 2).sum() * g.cell_volume))
+    return total
+
+
+@pytest.mark.parametrize("g, nt", [
+    (make_grid(1, -8.0, 8.0, 1000), 40),
+    (make_grid(2, (-4.0, -4.0), (4.0, 4.0), (40, 40)), 25),
+], ids=["1d", "2d"])
+def test_checkpoint_norms_match_the_per_node_loop(g, nt):
+    # several blocks of nodes, the last one ragged
+    size = _block_nodes(g.num_cells)
+    assert 1 < size < nt + 1 and (nt + 1) % size
+    traj = forward_module.Checkpoints(make_timegrid(1.0, nt), g)
+    traj.nodes[...] = np.random.default_rng(5).normal(size=traj.nodes.shape)
+    traj.nodes[3] = -0.0
+    for m in (0, 1, 2):
+        for k in (-4, 0, 2):
+            want = [per_node_norm(g, vals, m, k) for vals in traj.nodes]
+            assert bits_equal(traj.norms(m, k), want), (m, k)
+            assert all(bits_equal(weighted_sobolev_norm(ScalarField(g, vals), m, k), w) for vals, w in zip(traj.nodes, want))
+
+
+def per_step_fitted_constant(before, after, r, s, dt):
+    """The smallest C of the Gronwall recursion, one step at a time."""
+    fitted = 0.0
+    for growth, denom in zip(after - before - dt * s, dt * r * before):
+        if growth > 0.0:
+            fitted = math.inf if denom <= 0.0 else max(fitted, growth / denom)
+    return fitted
+
+
+@pytest.mark.parametrize("case", ["grows", "no-growth", "stuck"])
+def test_fitted_constant_matches_the_per_step_loop(case):
+    rng = np.random.default_rng(11)
+    before = rng.uniform(0.5, 2.0, 30)
+    r, s, dt = rng.uniform(0.0, 1.5, 30), rng.uniform(0.0, 0.1, 30), 0.01
+    after = before * (1.0 + rng.uniform(-0.02, 0.02, 30))
+    if case == "no-growth":
+        after = before * 0.99 - dt * s
+    elif case == "stuck":
+        # a step that grows where the drift factor is 0 needs C = inf
+        r[7] = 0.0
+        after[7] = before[7] + dt * s[7] + 1e-3
+    cert = forward_module.EnergyCertificate.check(0, 0, before, after, r, s, dt, 2.0)
+    assert bits_equal(cert.fitted_C, per_step_fitted_constant(before, after, r, s, dt))
+    if case == "grows":
+        assert 0.0 < cert.fitted_C < math.inf
+    else:
+        assert cert.fitted_C == (0.0 if case == "no-growth" else math.inf)

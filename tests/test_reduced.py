@@ -483,7 +483,9 @@ def test_kkt_zero_control_stationary_under_large_delta():
     res = kkt_residual(u, prob, gradient=grad)
     assert res.vi_residual == 0.0
     assert res.stationarity < 1e-12
-    assert res.sign_consistency == 0.0
+    # the sparsity multiplier is delta sign(u) off the zero set and within
+    # delta on it by construction, so no sign-consistency residual is kept
+    assert set(dataclasses.asdict(res)) == {"stationarity", "complement_upper", "complement_lower", "vi_residual"}
 
 
 def test_kkt_active_upper_bound():

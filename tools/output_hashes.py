@@ -34,8 +34,9 @@ STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # shipped scenarios with sections replaced, for the code paths that none of
-# them runs: a source, the upwind scheme in 1D and in 2D, a 2D drift other
-# than the rotation, and an optimize that stops at max_iters
+# them runs: a source, the upwind scheme in 1D and in 2D, a 2D affine drift
+# other than the rotation, a drift that is not affine, and an optimize that
+# stops at max_iters
 VARIANTS = {
     "sparse-ladder+source": ("sparse-ladder", {
         "source": {"preset": "bimodal-gaussian", "params": {"wa": 0.05, "wb": 0.05}},
@@ -48,6 +49,11 @@ VARIANTS = {
         "a0": {"preset": "affine", "params": {"A": [[-0.4, 1.0], [-1.0, -0.4]], "b": [0.1, -0.1]}},
     }),
     "confining-2d+upwind": ("confining-2d", {"solver": {"scheme": "upwind-fv"}}),
+    # the one a0 whose Jacobian varies over x and whose higher derivatives
+    # are sampled on the grid
+    "confining-2d+bump": ("confining-2d", {
+        "a0": {"preset": "gaussian-bump", "params": {"c": [0.5, -0.3], "sigma": 1.5}},
+    }),
     # sparse-ladder's optim section with max_iters cut to 2
     "sparse-ladder+max-iters": ("sparse-ladder", {"optim": {"max_iters": 2, "step0": 2.0, "vi_tol": 0.0005}}),
 }
