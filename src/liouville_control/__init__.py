@@ -70,13 +70,11 @@ from .optimize import MultiStartReport, OptimConfig, OptimResult, multi_start, o
 from .oracles import (
     AffineFlow,
     ConstantAffineFlow,
-    MomentPath,
     MomentSurrogateProblem,
     affine_exact_density,
     fd_directional_derivative,
     fit_order,
     lipschitz_probe,
-    moment_ode,
 )
 from .reduced import (
     GradientPath,

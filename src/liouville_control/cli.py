@@ -29,7 +29,7 @@ import numpy as np
 from . import fileio
 from .adjoint import adjoint_energy_certificate, confining_weight_index
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, Potential
-from .errors import LinesearchFailure, LiouvilleControlError, SchemaError
+from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, SchemaError
 from .forward import SCHEMES, boundary_leak, energy_certificate
 from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, sample_function
 from .optimize import OptimConfig, multi_start, optimize
@@ -429,12 +429,11 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         err = float(np.abs(traj.nodes[-1].ravel() - exact).sum() * grid.cell_volume)
         errors.append(err)
         hs.append(grid.h[0])
-    return {
-        "command": "oracle-compare",
-        "resolutions": resolutions,
-        "errors": errors,
-        "order": fit_order(hs, errors),
-    }
+    try:
+        order = fit_order(hs, errors)
+    except DegenerateProbe:  # fewer than two resolutions with a positive error
+        order = None
+    return {"command": "oracle-compare", "resolutions": resolutions, "errors": errors, "order": order}
 
 
 def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotApplicable, SchemaError, UnknownPreset
+from .errors import SchemaError, UnknownPreset
 from .grid import GridSpec, TimeGrid, _squared_norm, is_finite_number, resolve_preset
 
 __all__ = [
@@ -344,23 +344,24 @@ def control_cost_terms(control: ControlPath):
     return l2sq, float(seg.sum()), h1sq
 
 
-def _well_moments(pot, m, v, t):
-    w = 1.0 + 2.0 * v
-    s = np.exp(-m * m / w) / np.sqrt(w)
-    return 1.0 - s, -(s * (-2.0 * m / w)), -(s * (-1.0 / w + 2.0 * m * m / w**2))
+def _well_moments(pot, m, S, t):
+    """The closure of 1 - exp(-|x|^2): E = 1 - s with s = det(W)^(-1/2) exp(-m^T W^-1 m), W = I + 2 S."""
+    Winv = np.linalg.inv(np.eye(m.shape[-1]) + 2.0 * S)
+    v = (Winv @ m[..., None])[..., 0]
+    s = np.linalg.det(Winv) ** 0.5 * np.exp(-(m * v).sum(axis=-1))
+    return 1.0 - s, 2.0 * s[..., None] * v, s[..., None, None] * (Winv - 2.0 * v[..., :, None] * v[..., None, :])
 
 
-def _tracking_moments(pot, m, v, t):
-    if len(pot.track_x[0]) > 1:
-        raise NotApplicable("the 1D gaussian closure of a tracking potential needs a track of one coordinate")
-    xd = float(pot.target_at(t)[0])
-    return (m - xd) ** 2 + v, 2.0 * (m - xd), 1.0
+def _square_moments(pot, m, S, t):
+    """The closure of |x - x_d(t)|^2, or of |x|^2 without a track: (|m - x_d|^2 + tr S, 2 (m - x_d), I)."""
+    r = m - pot.target_at(t) if pot.time_dependent else m
+    return _squared_norm(r) + np.trace(S, axis1=-2, axis2=-1), 2.0 * r, np.broadcast_to(np.eye(m.shape[-1]), S.shape)
 
 
 class _PotentialRow(NamedTuple):
     """One potential preset: its values at points (..., M, d) and a time or times (see potential_eval;
-    |x|^2 from grid._squared_norm), its 1D gaussian closure (E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v)
-    at a time, and whether it depends on time (then it needs a track), grows like |x|^2, or vanishes."""
+    |x|^2 from grid._squared_norm), its gaussian closure (see Potential.gaussian_moments), and
+    whether it depends on time (then it needs a track), grows like |x|^2, or vanishes."""
 
     evaluate: Callable
     moments: Callable
@@ -370,13 +371,12 @@ class _PotentialRow(NamedTuple):
 
 
 _POTENTIALS = {
-    "zero": _PotentialRow(lambda pot, x, t: np.zeros(x.shape[:-1]), lambda *_: (0.0, 0.0, 0.0), is_zero=True),
+    "zero": _PotentialRow(lambda pot, x, t: np.zeros(x.shape[:-1]), lambda pot, m, S, t: (0 * m[..., 0], 0 * m, 0 * S),
+                          is_zero=True),
     "gaussian-well": _PotentialRow(lambda pot, x, t: 1.0 - np.exp(-_squared_norm(x)), _well_moments),
-    "quadratic": _PotentialRow(
-        lambda pot, x, t: _squared_norm(x), lambda pot, m, v, t: (m * m + v, 2.0 * m, 1.0), confining=True
-    ),
+    "quadratic": _PotentialRow(lambda pot, x, t: _squared_norm(x), _square_moments, confining=True),
     "tracking": _PotentialRow(
-        lambda pot, x, t: _squared_norm(x, pot.target_at(t)[..., None, :]), _tracking_moments,
+        lambda pot, x, t: _squared_norm(x, pot.target_at(t)[..., None, :]), _square_moments,
         time_dependent=True, confining=True,
     ),
 }
@@ -427,9 +427,10 @@ class Potential:
     # grows like |x|^2, so the adjoint is measured in a negative-weight norm
     confining = property(lambda self: self._row.confining)
 
-    def gaussian_moments(self, m, v, t: float):
-        """(E[pot(X)], dE/dm, dE/dv) for X ~ N(m, v) in 1D, at time t."""
-        return self._row.moments(self, m, v, t)
+    def gaussian_moments(self, m, S, t):
+        """(E[pot(X)], dE/dm, dE/dS) for X ~ N(m, S), m (..., d) and S (..., d, d), at times t that
+        broadcast against m.shape[:-1]; analytic in (m, S), so a complex step differentiates it."""
+        return self._row.moments(self, np.asarray(m), np.asarray(S), t)
 
     def target_at(self, t) -> np.ndarray:
         """x_d at a time or an array of times, of shape ``t.shape + (d,)``:

@@ -181,6 +181,9 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
 
+    def trapezoid_weights(self) -> np.ndarray:
+        return np.r_[0.5, np.ones(self.nt - 1), 0.5] * self.dt
+
 
 def make_timegrid(T: float, nt: int) -> TimeGrid:
     return TimeGrid(T=float(T), nt=nt)
@@ -276,15 +279,16 @@ def _gaussian(pts: np.ndarray, x0, v0) -> np.ndarray:
 
 
 # density presets (initial data and sources): name -> (parameters with their
-# defaults, values at points (N, d) from the parameters)
+# defaults, values at points (N, d) from the parameters, or None for a gaussian
+# mixture, whose components (weight, centre, variance) the parameters give)
 _DENSITY_PRESETS = {
-    "zero": ({}, lambda p, pts: np.zeros(pts.shape[:-1])),
-    "constant": ({"c": 1.0}, lambda p, pts: np.full(pts.shape[:-1], float(p["c"]))),
-    "gaussian": ({"x0": 0.0, "v0": 1.0}, lambda p, pts: _gaussian(pts, p["x0"], p["v0"])),
+    "zero": ({}, lambda p, pts: np.zeros(pts.shape[:-1]), None),
+    "constant": ({"c": 1.0}, lambda p, pts: np.full(pts.shape[:-1], float(p["c"])), None),
+    "gaussian": ({"x0": 0.0, "v0": 1.0}, None, lambda p: [(1.0, p["x0"], p["v0"])]),
     "bimodal-gaussian": (
         {"x0a": -2.0, "v0a": 0.5, "wa": 0.5, "x0b": 2.0, "v0b": 0.5, "wb": 0.5},
-        lambda p, pts: float(p["wa"]) * _gaussian(pts, p["x0a"], p["v0a"])
-        + float(p["wb"]) * _gaussian(pts, p["x0b"], p["v0b"]),
+        None,
+        lambda p: [(p["wa"], p["x0a"], p["v0a"]), (p["wb"], p["x0b"], p["v0b"])],
     ),
 }
 
@@ -300,7 +304,9 @@ def density_preset_eval(preset: str, params: dict | None, points: np.ndarray) ->
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    (_, evaluate), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
+    (_, evaluate, components), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
+    if evaluate is None:
+        return sum(float(w) * _gaussian(pts, x0, v0) for w, x0, v0 in components(params))
     return evaluate(params, pts)
 
 

@@ -78,7 +78,7 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
     ua, ub = bounds.arrays()
     delta = problem.cost.delta
     if u0 is None:
-        u0 = ControlPath.zeros(tg, problem.control_dim)
+        u0 = ControlPath.zeros(tg, ua.size // 2)
     u = project_box(u0, bounds)
     cost = problem.reduced_cost(u)
     cost_history = [cost]

@@ -5,12 +5,10 @@ drift in closed form and pushes the initial density through the
 representation formula rho(t, x) = rho0(psi_t^{-1}(x)) / det J(t): per-axis
 scale and shift when the affine part is diagonal (any controls), and one
 matrix exponential for any affine part under constant controls.  The moment
-oracle integrates the mean and variance ODEs mdot = u1 + m * u2,
-vdot = 2 v * u2 with RK4.  Both stay entirely away from the PDE
-discretization.  The moment surrogate prices a gaussian ensemble by each
-potential's gaussian moment closure (``Potential.gaussian_moments``) and
-adds the control costs by ``CostSpec.total``, so it minimizes the cost that
-``controls`` defines.
+surrogate integrates the mean and covariance ODEs of each gaussian component
+of rho0 with RK4, prices them by the potentials' gaussian closures and the
+control costs by ``CostSpec.total``, and differentiates exactly those RK4
+steps.  Both stay entirely away from the PDE discretization.
 """
 
 from __future__ import annotations
@@ -20,17 +18,15 @@ import math
 
 import numpy as np
 
-from .controls import ControlPath, CostSpec, DriftSpec
-from .errors import DegenerateProbe, UnsupportedDrift
-from .grid import TimeGrid, density_preset_eval
+from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, DriftSpec
+from .errors import DegenerateProbe, NotApplicable, UnsupportedDrift
+from .grid import _DENSITY_PRESETS, TimeGrid, density_preset_eval, resolve_preset
 
 __all__ = [
     "AffineFlow",
     "ConstantAffineFlow",
     "expm",
-    "MomentPath",
     "affine_exact_density",
-    "moment_ode",
     "fd_directional_derivative",
     "lipschitz_probe",
     "fit_order",
@@ -44,27 +40,16 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-def _affine_part(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) with a0(x) = A x + b; raises UnsupportedDrift if a0 is not affine."""
-    ab = drift.a0.affine_part(drift.control.dim)
+def _affine_part(a0: DriftPreset, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) with a0(x) = A x + b on R^d; raises UnsupportedDrift if a0 is not affine."""
+    ab = a0.affine_part(d)
     if ab is None:
-        raise UnsupportedDrift(f"no exact flow for a0 preset {drift.a0.name!r}")
+        raise UnsupportedDrift(f"no exact flow for a0 preset {a0.name!r}")
     return ab
 
 
 def _is_diagonal(A: np.ndarray) -> bool:
     return not np.any(A != np.diag(np.diag(A)))
-
-
-def _axis_rates(drift: DriftSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis nodal alpha(t) = u1 + b and beta(t) = u2 + diag(A) for the
-    decoupled linear ODE xdot = alpha + beta x; raises UnsupportedDrift for
-    presets whose flow is not a per-axis closed form.
-    """
-    A, b = _affine_part(drift)
-    if not _is_diagonal(A):
-        raise UnsupportedDrift("exact flow needs a diagonal affine part")
-    return drift.control.u1 + b, drift.control.u2 + np.diag(A)
 
 
 def expm(X: np.ndarray) -> np.ndarray:
@@ -95,13 +80,18 @@ class AffineFlow:
     """Closed-form flow of xdot = alpha(t) + beta(t) x, per axis.
 
     psi_t(x0) = scale(t) * x0 + shift(t), with scale(0) = 1, shift(0) = 0
-    and jacdet = prod(scale) > 0.
+    and jacdet = prod(scale) > 0.  The nodal alpha = u1 + b and beta = u2 +
+    diag(A) come from an affine a0 with a diagonal A; any other raises
+    UnsupportedDrift.
     """
 
     drift: DriftSpec
 
     def __post_init__(self):
-        self._alpha, self._beta = _axis_rates(self.drift)
+        A, b = _affine_part(self.drift.a0, self.drift.control.dim)
+        if not _is_diagonal(A):
+            raise UnsupportedDrift("exact flow needs a diagonal affine part")
+        self._alpha, self._beta = self.drift.control.u1 + b, self.drift.control.u2 + np.diag(A)
         self._tg = self.drift.control.timegrid
 
     def _beta_integral(self, t: float) -> np.ndarray:
@@ -168,7 +158,7 @@ class ConstantAffineFlow:
     drift: DriftSpec
 
     def __post_init__(self):
-        A, b = _affine_part(self.drift)
+        A, b = _affine_part(self.drift.a0, self.drift.control.dim)
         ctrl = self.drift.control
         if np.any(ctrl.u1 != ctrl.u1[0]) or np.any(ctrl.u2 != ctrl.u2[0]):
             raise UnsupportedDrift("exact flow of a non-diagonal affine part needs constant controls")
@@ -192,48 +182,10 @@ def affine_exact_density(
 ) -> np.ndarray:
     """rho(t, x) through the representation formula, for integrable flows:
     AffineFlow for a diagonal affine part, ConstantAffineFlow otherwise."""
-    A, _ = _affine_part(drift)
+    A, _ = _affine_part(drift.a0, drift.control.dim)
     flow = AffineFlow(drift) if _is_diagonal(A) else ConstantAffineFlow(drift)
     back = flow.map_inverse(t, points)
     return density_preset_eval(rho0_preset, rho0_params, back) / flow.jacdet(t)
-
-
-@dataclass
-class MomentPath:
-    """Mean and variance trajectories on the time nodes, each (nt + 1, d)."""
-
-    timegrid: TimeGrid
-    m: np.ndarray
-    v: np.ndarray
-
-
-def moment_ode(control: ControlPath, x0, v0, timegrid: TimeGrid | None = None) -> MomentPath:
-    """RK4 integration of mdot = u1 + m * u2, vdot = 2 v * u2."""
-    tg = timegrid or control.timegrid
-    d = control.dim
-    x0 = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (d,))
-    v0 = np.broadcast_to(np.atleast_1d(np.asarray(v0, dtype=float)), (d,))
-    if np.any(v0 <= 0):
-        raise ValueError("moment oracle needs v0 > 0")
-    dt = tg.dt
-    m = np.zeros((tg.nt + 1, d))
-    v = np.zeros((tg.nt + 1, d))
-    m[0], v[0] = x0, v0
-    # (u1, u2) at the stage times t, t + dt/2 and t + dt of every step, from one lookup
-    t = np.arange(tg.nt) * dt
-    u1, u2 = control.value_at(np.stack([t, t + dt / 2, t + dt]))
-
-    def rhs(stage, i, mm, vv):
-        return u1[stage, i] + mm * u2[stage, i], 2.0 * vv * u2[stage, i]
-
-    for i in range(tg.nt):
-        k1m, k1v = rhs(0, i, m[i], v[i])
-        k2m, k2v = rhs(1, i, m[i] + dt / 2 * k1m, v[i] + dt / 2 * k1v)
-        k3m, k3v = rhs(1, i, m[i] + dt / 2 * k2m, v[i] + dt / 2 * k2v)
-        k4m, k4v = rhs(2, i, m[i] + dt * k3m, v[i] + dt * k3v)
-        m[i + 1] = m[i] + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        v[i + 1] = v[i] + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return MomentPath(tg, m, v)
 
 
 def fd_directional_derivative(problem, control: ControlPath, direction: ControlPath, eps: float) -> float:
@@ -271,72 +223,124 @@ def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
 
 
 def fit_order(hs, errors) -> float:
-    """Least-squares slope of log(error) against log(h)."""
-    lh = np.log(np.asarray(hs, dtype=float))
-    le = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
+    """Least-squares slope of log(error) against log(h) over the points with a
+    positive error; raises DegenerateProbe unless they have two distinct h."""
+    h, e = np.asarray(hs, dtype=float), np.asarray(errors, dtype=float)
+    keep = e > 0.0
+    if np.unique(h[keep]).size < 2:
+        raise DegenerateProbe(f"no order from errors {e.tolist()} at h {h.tolist()}")
+    lh, le = np.log(h[keep]), np.log(e[keep])
     A = np.vstack([lh, np.ones_like(lh)]).T
     slope, _ = np.linalg.lstsq(A, le, rcond=None)[0]
     return float(slope)
 
 
-# --- moment-restricted surrogate -------------------------------------------
-#
-# For a0 = 0 a gaussian stays gaussian under the affine flow, so the cost of
-# a gaussian ensemble is an explicit function of (m(t), v(t)).  Minimizing
-# that function over the same nodal controls gives an ODE-only reference for
-# the PDE optimizer: a 2(nt + 1)-variable problem solved by the same
-# proximal loop.
+# Under the affine drift M x + c, M = A + diag(u2) and c = b + u1, a gaussian
+# stays gaussian: m' = M m + c and S' = M S + S M^T for each component of a
+# mixture.  Its state y = (m, S by rows, 1) has the rate y L^T, with
+# L = lift(M, c) affine in the controls.
+
+
+def _lift(M: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The matrix of (m, S, 1) -> (M m + c, M S + S M^T, 0) on (m, S by rows, 1)."""
+    d = len(M)
+    L = np.zeros((d + d * d + 1,) * 2)
+    L[:d, :d], L[:d, -1] = M, c
+    L[d:-1, d:-1] = np.kron(M, np.eye(d)) + np.kron(np.eye(d), M)
+    return L
+
+
+def _rk4(y: np.ndarray, dt: float, stages) -> tuple:
+    """One classical RK4 step of y' = y L^T from y, with the four stages' L in
+    turn: the step's end and its four stage points."""
+    points, k = [y], []
+    for L, h in zip(stages, (dt / 2, dt / 2, dt, 0.0)):
+        k.append(points[-1] @ L.T)
+        points.append(y + h * k[-1])
+    return y + dt / 6 * (k[0] + 2 * k[1] + 2 * k[2] + k[3]), points[:4]
 
 
 @dataclass
 class MomentSurrogateProblem:
-    """Gaussian-restricted twin of a d = 1 ensemble problem (a0 = 0).
-
-    Exposes the same reduced_cost / descent_gradient / bounds protocol the
-    optimizer consumes, so the identical proximal loop can minimize it.
-    """
+    """The moment twin of an ensemble problem whose rho0 is a gaussian mixture,
+    a (preset, params) pair, and whose a0 is affine, in d = len(bounds.ua) // 2
+    dimensions.  It has the reduced_cost / descent_gradient / bounds protocol
+    of the optimizer's proximal loop; ``path`` and ``state_cost`` take the
+    stacked node array (nt + 1, 2 d), real or complex."""
 
     timegrid: TimeGrid
-    x0: float
-    v0: float
+    rho0: tuple
     cost: CostSpec
-    bounds: object
-    control_dim: int = 1
+    bounds: BoxBounds
+    a0: DriftPreset = DriftPreset()
+
+    def __post_init__(self):
+        self._d = d = len(self.bounds.ua) // 2
+        self._L0 = _lift(*_affine_part(self.a0, d))
+        self._dL = np.stack([_lift(np.diag(e[d:]), e[:d]) for e in np.eye(2 * d)])  # dL / dU_j
+        (_, _, components), params = resolve_preset(_DENSITY_PRESETS, "density", *self.rho0)
+        if components is None:
+            raise NotApplicable(f"density preset {self.rho0[0]!r} is not a gaussian mixture")
+        density_preset_eval(*self.rho0, np.zeros((1, d)))  # rejects the components that sampling rejects
+        self._w = np.array([float(w) for w, _, _ in components(params)])
+        self._y0 = np.array([np.r_[np.broadcast_to(x0, d), float(v0) * np.eye(d).ravel(), 1.0]
+                             for _, x0, v0 in components(params)])
+
+    def _sweep(self, U: np.ndarray) -> tuple:
+        """RK4 from rho0's components with the controls U[i], (U[i] + U[i+1]) / 2 and
+        U[i+1] at the stages of step i: the stage matrices (3, nt, n, n), the node
+        states (nt + 1, K, n) and every step's four stage points (nt, 4, K, n)."""
+        L = self._L0 + np.tensordot(np.stack([U[:-1], 0.5 * (U[:-1] + U[1:]), U[1:]]), self._dL, axes=1)
+        y, points = [self._y0], []
+        for i in range(len(U) - 1):
+            end, stage_points = _rk4(y[i], self.timegrid.dt, L[(0, 1, 1, 2), i])
+            y.append(end)
+            points.append(stage_points)
+        return L, np.array(y), np.array(points)
+
+    def path(self, U) -> tuple:
+        """Means (nt + 1, K, d) and covariances (nt + 1, K, d, d) of the components at the nodes."""
+        y, d = self._sweep(np.asarray(U))[1], self._d
+        return y[..., :d], y[..., d:-1].reshape(y.shape[:-1] + (d, d))
+
+    def _price(self, y: np.ndarray) -> tuple:
+        """The state cost of the node states y and its derivative by them: the
+        trapezoid rule over the nodes of theta's closure plus phi's at T, each
+        summed over the components with their weights."""
+        tg, d = self.timegrid, self._d
+        m, S = y[..., :d], y[..., d:-1].reshape(y.shape[:-1] + (d, d))
+        weights = tg.trapezoid_weights()[:, None] * self._w
+        run = self.cost.theta.gaussian_moments(m, S, tg.nodes()[:, None])
+        end = self.cost.phi.gaussian_moments(m[-1], S[-1], tg.T)
+        slope = np.zeros_like(y)
+        slope[..., :-1] = weights[..., None] * np.concatenate([run[1], run[2].reshape(m.shape[:-1] + (-1,))], axis=-1)
+        slope[-1, :, :-1] += self._w[:, None] * np.concatenate([end[1], end[2].reshape(m.shape[1:-1] + (-1,))], axis=-1)
+        return (weights * run[0]).sum() + self._w @ end[0], slope
+
+    def state_cost(self, U):
+        """The state cost of the stacked node array U, real or complex."""
+        return self._price(self._sweep(np.asarray(U))[1])[0]
 
     def reduced_cost(self, control: ControlPath) -> float:
-        path = moment_ode(control, self.x0, self.v0, self.timegrid)
-        m, v, dt = path.m[:, 0], path.v[:, 0], self.timegrid.dt
-        run = [self.cost.theta.gaussian_moments(float(m[i]), float(v[i]), i * dt)[0] for i in range(m.size)]
-        j = float(np.trapezoid(np.array(run), dx=dt))
-        j += self.cost.phi.gaussian_moments(float(m[-1]), float(v[-1]), self.timegrid.T)[0]
-        return self.cost.total(j, control)
+        return self.cost.total(float(self.state_cost(control.nodes)), control)
 
-    def descent_gradient(self, control: ControlPath):
-        """delta-free L2 gradient via the backward adjoint of the moment ODEs."""
-        tg = self.timegrid
-        dt = tg.dt
-        path = moment_ode(control, self.x0, self.v0, self.timegrid)
-        m, v = path.m[:, 0], path.v[:, 0]
-        lm = np.zeros(tg.nt + 1)
-        lv = np.zeros(tg.nt + 1)
-        _, lm[-1], lv[-1] = self.cost.phi.gaussian_moments(m[-1], v[-1], tg.T)
-        # step i runs back from node t1 to the midpoint tm of (t1 - dt, t1);
-        # u2 at both, for every step, from one lookup
-        t1 = np.arange(tg.nt + 1) * dt
-        tm = 0.5 * ((t1 - dt) + t1)
-        times = np.stack([t1, tm])
-        u2 = control.value_at(times)[1][..., 0]
-
-        def lrhs(stage, i, mm, vv, lmm, lvv):
-            _, em, ev = self.cost.theta.gaussian_moments(mm, vv, times[stage, i])
-            return -em - lmm * u2[stage, i], -ev - 2.0 * lvv * u2[stage, i]
-
-        for i in range(tg.nt, 0, -1):
-            mmid, vmid = 0.5 * (m[i] + m[i - 1]), 0.5 * (v[i] + v[i - 1])
-            k1m, k1v = lrhs(0, i, m[i], v[i], lm[i], lv[i])
-            k2m, k2v = lrhs(1, i, mmid, vmid, lm[i] - 0.5 * dt * k1m, lv[i] - 0.5 * dt * k1v)
-            lm[i - 1] = lm[i] - dt * k2m
-            lv[i - 1] = lv[i] - dt * k2v
-        g1 = self.cost.gamma * control.u1[:, 0] + lm
-        g2 = self.cost.gamma * control.u2[:, 0] + lm * m + 2.0 * lv * v
-        return ControlPath(tg, g1[:, None], g2[:, None])
+    def descent_gradient(self, control: ControlPath) -> ControlPath:
+        """The delta-free L2 gradient of reduced_cost.  The transpose of the RK4 steps
+        runs back from T with the stages' L^T, so c drops out of (m, S); stage s of
+        step i adds dt b_s Q^T (dL / dU) Y at its stage points Q and Y, summed over
+        the components.  That derivative by the nodes, with the nu term of
+        CostSpec.total, is divided by the trapezoid weights, and gamma u is added."""
+        tg, dt, U = self.timegrid, self.timegrid.dt, control.nodes
+        L, y, Y = self._sweep(U)
+        slope = self._price(y)[1]
+        Q, q = np.empty_like(Y), slope[-1]
+        for i in range(tg.nt - 1, -1, -1):
+            q, points = _rk4(q, dt, L[(2, 1, 1, 0), i].swapaxes(-1, -2))
+            Q[i] = points[::-1]
+            q = q + slope[i]
+        g = np.einsum("iska,jab,iskb->isj", Q, self._dL, Y) * (dt / 6 * np.array([1.0, 2.0, 2.0, 1.0]))[:, None]
+        mid, nu_du = 0.5 * (g[:, 1] + g[:, 2]), self.cost.nu * np.diff(U, axis=0) / dt
+        G = np.zeros_like(U)
+        G[:-1] += g[:, 0] + mid - nu_du
+        G[1:] += g[:, 3] + mid + nu_du
+        return ControlPath.from_stacked(tg, G / tg.trapezoid_weights()[:, None] + self.cost.gamma * U)

@@ -74,15 +74,9 @@ __all__ = [
 ]
 
 
-def _trapezoid_weights(timegrid: TimeGrid) -> np.ndarray:
-    w = np.full(timegrid.nt + 1, timegrid.dt)
-    w[0] = w[-1] = 0.5 * timegrid.dt
-    return w
-
-
 def path_dot(timegrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Trapezoid L2(0,T) inner product of stacked node paths."""
-    w = _trapezoid_weights(timegrid)
+    w = timegrid.trapezoid_weights()
     return float((w[:, None] * a * b).sum())
 
 
@@ -158,10 +152,6 @@ class Problem:
     cfl: float = 0.9
     max_substeps: int = 4096
     _fwd_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def control_dim(self) -> int:
-        return self.grid.dim
 
     def drift_for(self, control: ControlPath) -> DriftSpec:
         return DriftSpec(self.a0, control)

@@ -20,6 +20,7 @@ from liouville_control import (
     CostSpec,
     DriftPreset,
     DriftSpec,
+    MomentSurrogateProblem,
     OptimConfig,
     Potential,
     Problem,
@@ -32,7 +33,6 @@ from liouville_control import (
     h1_riesz,
     make_grid,
     make_timegrid,
-    moment_ode,
     moments,
     multi_start,
     optimize,
@@ -141,9 +141,10 @@ def test_criterion_04_moment_fidelity():
             traj = solve_forward(rho0, DriftSpec(DriftPreset("zero"), ctrl), None, tg,
                                  scheme=scheme)
             mom = moments(ScalarField(g, traj.nodes[-1]))
-            ode = moment_ode(ctrl, 0.0, 1.0)
-            em = abs(mom.mean[0] - ode.m[-1, 0])
-            ev = abs(mom.variance[0] - ode.v[-1, 0])
+            ode_m, ode_S = MomentSurrogateProblem(tg, ("gaussian", {"x0": 0.0, "v0": 1.0}), CostSpec(),
+                                                  BoxBounds.symmetric(1.0, 1)).path(ctrl.nodes)
+            em = abs(mom.mean[0] - ode_m[-1, 0, 0])
+            ev = abs(mom.variance[0] - ode_S[-1, 0, 0, 0])
             bm, bv = BOOTSTRAP_MOMENTS_N256[(scheme, name)]
             assert em <= 2.0 * bm + 1e-12, f"{scheme}/{name} mean error {em}"
             assert ev <= 2.0 * bv + 1e-12, f"{scheme}/{name} variance error {ev}"

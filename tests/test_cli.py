@@ -519,6 +519,18 @@ def test_oracle_compare_command(tmp_path):
 
 
 
+@pytest.mark.parametrize("n", [64, 8])
+def test_oracle_compare_writes_a_null_order_without_two_positive_errors(tmp_path, n):
+    # zero drift transports nothing, so every error is exactly 0.0; a grid of
+    # 8 cells has one resolution: neither has an order to fit
+    cfg = dict(MINIMAL, grid={"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [n]})
+    out = str(tmp_path / "o")
+    assert run_command(["oracle-compare", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert len(rep["resolutions"]) == (3 if n == 64 else 1)
+    assert rep["order"] is None
+
+
 def test_oracle_compare_covers_the_rotation_scenario(tmp_path):
     # confining-2d has a0 = rotation, a non-diagonal affine part
     out = str(tmp_path / "o")

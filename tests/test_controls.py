@@ -407,21 +407,38 @@ def test_potential_rows_give_the_flags():
 
 @pytest.mark.parametrize("name", ["zero", "gaussian-well", "quadratic", "tracking"])
 def test_gaussian_closure_matches_quadrature_of_the_potential(name):
-    # E[pot(X)] for X ~ N(m, v) by 80-point Gauss-Hermite quadrature of
-    # potential_eval, and its m and v derivatives by central differences
-    pot = Potential.tracking([[0.0, 0.5], [1.0, -0.5]]) if name == "tracking" else Potential(name)
+    # E[pot(X)] for X ~ N(m, S) by tensor Gauss-Hermite quadrature of
+    # potential_eval, 80 points per axis, and its m and S derivatives by
+    # central differences of that quadrature: in 1D, and in 2D with full
+    # covariances and a 2D track.  S is perturbed symmetrically, in S_kl and
+    # S_lk at once, which reads dE/dS_kl + dE/dS_lk
+    tracks = {1: [[0.0, 0.5], [1.0, -0.5]], 2: [[0.0, [0.5, -0.2]], [1.0, [-0.5, 0.8]]]}
+    cases = {
+        1: [([0.0], [[1.0]], 0.0), ([0.7], [[0.3]], 0.25), ([-1.2], [[2.5]], 0.8)],
+        2: [([0.3, -0.4], [[0.6, 0.25], [0.25, 0.9]], 0.3), ([-1.0, 0.7], [[1.5, -0.6], [-0.6, 0.5]], 0.8)],
+    }
     nodes, weights = np.polynomial.hermite_e.hermegauss(80)
     weights = weights / weights.sum()
-
-    def expectation(m, v, t):
-        return float((weights * potential_eval(pot, m + np.sqrt(v) * nodes, t)).sum())
-
     h = 1e-5
-    for m, v, t in ((0.0, 1.0, 0.0), (0.7, 0.3, 0.25), (-1.2, 2.5, 0.8)):
-        e, de_dm, de_dv = pot.gaussian_moments(m, v, t)
-        assert e == pytest.approx(expectation(m, v, t), rel=1e-12, abs=1e-13)
-        assert de_dm == pytest.approx((expectation(m + h, v, t) - expectation(m - h, v, t)) / (2 * h), abs=1e-8)
-        assert de_dv == pytest.approx((expectation(m, v + h, t) - expectation(m, v - h, t)) / (2 * h), abs=1e-8)
+    for d, points in cases.items():
+        pot = Potential.tracking(tracks[d]) if name == "tracking" else Potential(name)
+        z = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        wz = np.prod(np.meshgrid(*[weights] * d, indexing="ij"), axis=0).ravel()
+
+        def expectation(m, S, t):
+            return float((wz * potential_eval(pot, m + z @ np.linalg.cholesky(S).T, t)).sum())
+
+        for m, S, t in points:
+            m, S = np.array(m), np.array(S)
+            e, de_dm, de_dS = pot.gaussian_moments(m, S, t)
+            assert e == pytest.approx(expectation(m, S, t), rel=1e-12, abs=1e-13)
+            for k in range(d):
+                dm = h * np.eye(d)[k]
+                assert de_dm[k] == pytest.approx((expectation(m + dm, S, t) - expectation(m - dm, S, t)) / (2 * h), abs=1e-8)
+                for l in range(k, d):
+                    dS = h * (np.outer(np.eye(d)[k], np.eye(d)[l]) + np.outer(np.eye(d)[l], np.eye(d)[k])) / (1 + (k == l))
+                    fd = (expectation(m, S + dS, t) - expectation(m, S - dS, t)) / (2 * h)
+                    assert (de_dS[k, l] + de_dS[l, k]) / (1 + (k == l)) == pytest.approx(fd, abs=1e-8)
 
 
 def test_tracking_path_clamps_outside_horizon():

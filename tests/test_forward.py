@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from liouville_control import (
+    BoxBounds,
     CflUnderflow,
     ControlPath,
+    CostSpec,
     InvalidGrid,
     DriftPreset,
     DriftSpec,
+    MomentSurrogateProblem,
     NonFinite,
     Potential,
     eval_drift,
@@ -21,7 +24,6 @@ from liouville_control import (
     fit_order,
     make_grid,
     make_timegrid,
-    moment_ode,
     moments,
     potential_eval,
     sample_function,
@@ -73,11 +75,12 @@ def test_translation_tracks_moment_ode():
     g, tg, rho0 = gaussian_setup()
     ctrl = ControlPath.constant(tg, [0.5], [0.0])
     traj = solve_forward(rho0, DriftSpec(DriftPreset("zero"), ctrl), None, tg)
-    ode = moment_ode(ctrl, 0.0, 1.0)
+    ode_m, _ = MomentSurrogateProblem(tg, ("gaussian", {"x0": 0.0, "v0": 1.0}), CostSpec(),
+                                      BoxBounds.symmetric(1.0, 1)).path(ctrl.nodes)
     for frac in (0.5, 1.0):
         n = int(frac * tg.nt)
         mom = moments(ScalarField(g, traj.nodes[n]))
-        assert mom.mean[0] == pytest.approx(ode.m[n, 0], abs=2e-3)
+        assert mom.mean[0] == pytest.approx(ode_m[n, 0, 0], abs=2e-3)
 
 
 def test_dilation_variance_closed_form():

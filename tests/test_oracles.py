@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,17 +17,21 @@ from liouville_control import (
     NotApplicable,
     Potential,
     Problem,
+    UnknownPreset,
     UnsupportedDrift,
     affine_exact_density,
+    control_cost_terms,
     fd_directional_derivative,
     fit_order,
     lipschitz_probe,
     make_grid,
     make_timegrid,
-    moment_ode,
+    optimize,
     path_dot,
+    path_norm,
     sample_function,
 )
+from liouville_control.cli import load_scenario
 from liouville_control.oracles import density_preset_eval, expm
 
 
@@ -148,34 +153,44 @@ def test_exact_density_conserves_mass():
         assert rho.sum() * g.cell_volume == pytest.approx(1.0, abs=1e-9)
 
 
+def moment_path(ctrl, x0, v0):
+    """Mean and variance (nt + 1, d) of one gaussian N(x0, v0 I) on the surrogate's RK4 path."""
+    sur = MomentSurrogateProblem(ctrl.timegrid, ("gaussian", {"x0": x0, "v0": v0}), CostSpec(),
+                                 BoxBounds.symmetric(1.0, ctrl.dim))
+    m, S = sur.path(ctrl.nodes)
+    return m[:, 0], np.diagonal(S[:, 0], axis1=-2, axis2=-1)
+
+
 def test_moment_ode_constant_controls():
     tg = make_timegrid(1.0, 64)
-    path = moment_ode(ControlPath.zeros(tg, 1), 0.3, 0.7)
-    assert np.abs(path.m - 0.3).max() == 0.0
-    assert np.abs(path.v - 0.7).max() == 0.0
+    m, v = moment_path(ControlPath.zeros(tg, 1), 0.3, 0.7)
+    assert np.abs(m - 0.3).max() == 0.0
+    assert np.abs(v - 0.7).max() == 0.0
     c = 0.5
-    path2 = moment_ode(ControlPath.constant(tg, [0.0], [c]), 0.0, 1.0)
+    m2, v2 = moment_path(ControlPath.constant(tg, [0.0], [c]), 0.0, 1.0)
     exact = np.exp(2 * c * tg.nodes())
-    assert np.abs(path2.v[:, 0] - exact).max() < 1e-8
-    path3 = moment_ode(ControlPath.constant(tg, [c], [0.0]), 0.2, 1.0)
-    assert np.abs(path3.m[:, 0] - (0.2 + c * tg.nodes())).max() < 1e-13
+    assert np.abs(v2[:, 0] - exact).max() < 1e-8
+    m3, v3 = moment_path(ControlPath.constant(tg, [c], [0.0]), 0.2, 1.0)
+    assert np.abs(m3[:, 0] - (0.2 + c * tg.nodes())).max() < 1e-13
 
 
 def test_moment_ode_time_varying_control():
     tg = make_timegrid(1.0, 128)
     nodes = tg.nodes()
     ctrl = ControlPath(tg, np.zeros((129, 1)), nodes[:, None])  # u2(t) = t
-    path = moment_ode(ctrl, 0.0, 1.0)
-    assert path.v[-1, 0] == pytest.approx(math.exp(1.0), rel=1e-8)
-    assert np.all(path.v > 0)
+    m, v = moment_path(ctrl, 0.0, 1.0)
+    assert v[-1, 0] == pytest.approx(math.exp(1.0), rel=1e-8)
+    assert np.all(v > 0)
 
 
 def test_moment_ode_and_the_surrogate_gradient_look_the_control_up_once(monkeypatch):
-    # every RK stage time of a solve comes from one lookup, not one per stage
+    # every RK stage control comes from the node array: the path, its cost
+    # and its gradient make no value_at lookup
     tg = make_timegrid(1.0, 16)
     ctrl = ControlPath(tg, np.sin(tg.nodes())[:, None], 0.3 * np.cos(tg.nodes())[:, None])
     surrogate = MomentSurrogateProblem(
-        tg, 0.1, 0.8, CostSpec(gamma=0.5, theta=Potential("gaussian-well"), phi=Potential("gaussian-well")),
+        tg, ("gaussian", {"x0": 0.1, "v0": 0.8}),
+        CostSpec(gamma=0.5, theta=Potential("gaussian-well"), phi=Potential("gaussian-well")),
         BoxBounds.symmetric(1.0, 1),
     )
     calls = []
@@ -186,12 +201,11 @@ def test_moment_ode_and_the_surrogate_gradient_look_the_control_up_once(monkeypa
         return value_at(self, t)
 
     monkeypatch.setattr(ControlPath, "value_at", counted)
-    moment_ode(ctrl, 0.0, 1.0)
-    assert calls == [(3, tg.nt)]
-    calls.clear()
+    surrogate.path(ctrl.nodes)
+    assert calls == []
+    surrogate.reduced_cost(ctrl)
     surrogate.descent_gradient(ctrl)
-    # one for the moment path, one for the backward pass's node and midpoint times
-    assert calls == [(3, tg.nt), (2, tg.nt + 1)]
+    assert calls == []
 
 
 def quad_problem(gamma=2.0, n=64, nt=32):
@@ -256,11 +270,23 @@ def test_fit_order_recovers_slope():
     assert fit_order(hs, errs) == pytest.approx(1.7, abs=1e-12)
 
 
+def test_fit_order_needs_two_step_sizes_with_a_positive_error():
+    # zero errors carry no order: they are left out, and fewer than two
+    # distinct step sizes left fit nothing
+    with pytest.raises(DegenerateProbe):
+        fit_order([0.1, 0.05, 0.025], [0.0, 0.0, 0.0])
+    with pytest.raises(DegenerateProbe):
+        fit_order([0.1], [0.3])
+    with pytest.raises(DegenerateProbe):
+        fit_order([0.1, 0.1, 0.05], [0.3, 0.2, 0.0])
+    assert fit_order([0.1, 0.05, 0.025], [0.0, 3.0 * 0.05**2, 3.0 * 0.025**2]) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_surrogate_cost_closed_form():
     tg = make_timegrid(1.0, 64)
     cost = CostSpec(gamma=0.5, theta=Potential("quadratic"), phi=Potential("quadratic"))
     sur = MomentSurrogateProblem(
-        timegrid=tg, x0=0.3, v0=0.4, cost=cost, bounds=BoxBounds.symmetric(1.0, 1)
+        timegrid=tg, rho0=("gaussian", {"x0": 0.3, "v0": 0.4}), cost=cost, bounds=BoxBounds.symmetric(1.0, 1)
     )
     u = ControlPath.zeros(tg, 1)
     # frozen moments: running (x0^2 + v0) T + terminal (x0^2 + v0)
@@ -273,7 +299,7 @@ def test_surrogate_gradient_matches_fd():
     theta = Potential.tracking([[0.0, 0.0], [1.0, 0.5]])
     cost = CostSpec(gamma=0.3, theta=theta, phi=Potential("gaussian-well"))
     sur = MomentSurrogateProblem(
-        timegrid=tg, x0=0.0, v0=0.5, cost=cost, bounds=BoxBounds.symmetric(2.0, 1)
+        timegrid=tg, rho0=("gaussian", {"x0": 0.0, "v0": 0.5}), cost=cost, bounds=BoxBounds.symmetric(2.0, 1)
     )
     u = ControlPath.constant(tg, [0.2], [-0.1])
     rng = np.random.default_rng(4)
@@ -281,20 +307,74 @@ def test_surrogate_gradient_matches_fd():
     fd = fd_directional_derivative(sur, u, d, 1e-4)
     grad = sur.descent_gradient(u)
     an = path_dot(tg, grad.stacked(), d.stacked())
-    assert an == pytest.approx(fd, rel=2e-3)
+    # the gradient is exact for the discrete cost, so what is left is the
+    # central difference's O(eps^2) error: 3.3e-11 relative
+    assert an == pytest.approx(fd, rel=1e-9)
 
 
-def test_surrogate_of_a_2d_track_fails():
-    # the 1D closure would price a 2D track by its x-coordinate alone
-    tg = make_timegrid(1.0, 16)
-    track = Potential.tracking([[0.0, [0.0, 1.0]], [1.0, [0.5, -1.0]]])
-    with pytest.raises(NotApplicable, match="one coordinate"):
-        track.gaussian_moments(0.0, 1.0, 0.5)
-    u = ControlPath.constant(tg, [0.2], [-0.1])
-    for theta, phi in ((track, Potential("zero")), (Potential("zero"), track)):
-        sur = MomentSurrogateProblem(timegrid=tg, x0=0.0, v0=0.5, cost=CostSpec(theta=theta, phi=phi),
-                                     bounds=BoxBounds.symmetric(2.0, 1))
-        with pytest.raises(NotApplicable):
-            sur.reduced_cost(u)
-        with pytest.raises(NotApplicable):
-            sur.descent_gradient(u)
+def test_surrogate_needs_a_gaussian_mixture_and_an_affine_a0():
+    tg = make_timegrid(1.0, 8)
+    bounds = BoxBounds.symmetric(1.0, 1)
+    with pytest.raises(NotApplicable, match="not a gaussian mixture"):
+        MomentSurrogateProblem(tg, ("constant", {}), CostSpec(), bounds)
+    with pytest.raises(UnsupportedDrift):
+        MomentSurrogateProblem(tg, ("gaussian", {}), CostSpec(), bounds, DriftPreset("gaussian-bump"))
+    with pytest.raises(UnknownPreset, match="v0 > 0"):
+        MomentSurrogateProblem(tg, ("bimodal-gaussian", {"v0b": 0.0}), CostSpec(), bounds)
+
+
+def surrogate_of(name, nt=None):
+    """The moment surrogate of a shipped scenario, on its time grid or on nt steps."""
+    cfg = load_scenario(name)
+    prob = cfg.problem()
+    tg = prob.timegrid if nt is None else make_timegrid(prob.timegrid.T, nt)
+    return MomentSurrogateProblem(tg, cfg.rho0, prob.cost, prob.bounds, prob.a0), cfg, prob
+
+
+@pytest.mark.parametrize("name", ["gaussian-tracking-1d", "sparse-ladder", "bimodal-stabilize-1d", "confining-2d"])
+def test_surrogate_gradient_matches_complex_step(name):
+    # every node of the delta-free cost, the state cost on complex nodes plus
+    # 1/2 gamma ||u||^2 + 1/2 nu ||u'||^2: bimodal has two components and
+    # nu > 0, confining-2d is 2D under the rotation a0
+    sur, _, _ = surrogate_of(name, nt=32)
+    tg, cost = sur.timegrid, sur.cost
+    w = tg.trapezoid_weights()[:, None]
+
+    def cost_of(Z):
+        return sur.state_cost(Z) + 0.5 * cost.gamma * (w * Z * Z).sum() + 0.5 * cost.nu * (np.diff(Z, axis=0) ** 2).sum() / tg.dt
+
+    rng = np.random.default_rng(7)
+    d = len(sur.bounds.ua) // 2
+    U = 0.5 * rng.uniform(-1.0, 1.0, size=(tg.nt + 1, 2 * d))
+    u = ControlPath.from_stacked(tg, U)
+    assert cost_of(U) == pytest.approx(sur.reduced_cost(u) - cost.delta * control_cost_terms(u)[1], rel=1e-14)
+    h = 1e-30
+    cs = np.zeros_like(U)
+    for idx in np.ndindex(*U.shape):
+        Z = U.astype(complex)
+        Z[idx] += 1j * h
+        cs[idx] = cost_of(Z).imag / h
+    grad = sur.descent_gradient(u).stacked() * w
+    assert np.abs(grad - cs).max() <= 1e-12 * np.abs(cs).max()
+
+
+# measured on the shipped settings: the surrogate's J* at vi_tol 1e-8, and
+# the shipped PDE optimum's distance ||u_h - u*|| and excess J_h - J*
+OPTIMA = {
+    "gaussian-tracking-1d": (0.39211078, 5.27e-4, 3.9e-4),
+    "sparse-ladder": (0.08785279, 4.00e-4, 8.9e-5),
+    "confining-2d": (1.37745955, 4.22e-2, 0.112),
+}
+
+
+@pytest.mark.parametrize("name", list(OPTIMA))
+def test_surrogate_optimum_and_the_distance_of_the_pde_optimum(name):
+    sur, cfg, prob = surrogate_of(name)
+    tg = prob.timegrid
+    pde = optimize(prob, cfg.optim, u0=cfg.control, compute_kkt=False)
+    res = optimize(sur, dataclasses.replace(cfg.optim, vi_tol=1e-8, max_iters=200), u0=pde.control, compute_kkt=False)
+    j_star, distance, excess = OPTIMA[name]
+    assert res.termination == "converged"
+    assert res.cost_history[-1] == pytest.approx(j_star, abs=1e-6)
+    assert path_norm(tg, pde.control.stacked() - res.control.stacked()) <= 2.0 * distance
+    assert 0.0 < pde.cost_history[-1] - res.cost_history[-1] <= 2.0 * excess
