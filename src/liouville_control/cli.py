@@ -171,13 +171,17 @@ def _sample(section: str, grid, preset: str, params: dict) -> ScalarField:
 
 def _tracking(track_path, dim: int) -> Potential | None:
     """The tracking potential of ``cost.track_path``, checked whenever it is
-    given; None if it is not."""
+    given, with a one-coordinate point used on every axis; None if it is
+    not given."""
     if track_path is None:
         return None
     with _section("cost.track_path"):
         pot = Potential.tracking(track_path)
-    if {len(x) for x in pot.track_x} not in ({1}, {dim}):
+    sizes = {len(x) for x in pot.track_x}
+    if sizes not in ({1}, {dim}):
         raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
+    if sizes != {dim}:
+        pot = dataclasses.replace(pot, track_x=tuple(x * dim for x in pot.track_x))
     return pot
 
 

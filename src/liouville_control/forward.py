@@ -543,16 +543,19 @@ def solve_linearized(
     cfl: float = 0.9,
     max_substeps: int = 4096,
     fixed_substeps=None,
+    theta: Potential | None = None,
 ):
     """Co-evolve the density and its derivative with respect to a control
     perturbation (the linearized transport problem with source
     -div((du1 + x du2) rho), discretized through the scheme's own flux).
 
     Returns (state trajectory, tangent checkpoints) with matched substeps.
+    The state trajectory has the bits of ``solve_forward`` at the same plan,
+    and with a running potential ``theta`` its ``running`` too.
     """
     return _solve(
         rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps,
-        tangent_control=delta_control,
+        tangent_control=delta_control, theta=theta,
     )
 
 

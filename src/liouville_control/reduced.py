@@ -137,8 +137,9 @@ class Problem:
     """Bundle of everything a run needs: grid, horizon, data, and weights.
 
     ``source`` is None or the cell values of a source constant in time, an
-    array of the grid's shape.  Frozen, as forward solves are memoized per
-    control: ``dataclasses.replace`` makes a variant with an empty memo.
+    array of the grid's shape.  Frozen, as the forward solve of the most
+    recent control is memoized: ``dataclasses.replace`` makes a variant with
+    an empty memo.
     """
 
     grid: GridSpec
@@ -162,17 +163,23 @@ class Problem:
         return dict(scheme=self.scheme, cfl=self.cfl, max_substeps=self.max_substeps)
 
     def solve_forward_for(self, control: ControlPath) -> StateTrajectory:
-        # memoize the few most recent solves; the optimizer evaluates cost
-        # and gradient at the same control back to back
-        cache, key = self._fwd_cache, control.stacked().tobytes()
-        if key not in cache:
+        # the memo keeps one state, the most recent control's: every caller
+        # reads a state right after solving it (the optimizer's gradient at
+        # the candidate it accepted, a cost after the gradient).  A miss
+        # drops the old state before solving, so one state is held at a time
+        traj = self._fwd_cache.get(control.stacked().tobytes())
+        if traj is None:
+            self._fwd_cache.clear()
             traj = solve_forward(
                 self.rho0, self.drift_for(control), self.source, self.timegrid, theta=self.cost.theta, **self.solver
             )
-            if len(cache) >= 4:
-                cache.pop(next(iter(cache)))
-            cache[key] = traj
-        return cache[key]
+            self._keep(control, traj)
+        return traj
+
+    def _keep(self, control: ControlPath, traj: StateTrajectory) -> None:
+        """Make ``traj``, the state of ``control``, the memo's one entry."""
+        self._fwd_cache.clear()
+        self._fwd_cache[control.stacked().tobytes()] = traj
 
     def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
         return solve_adjoint(self.cost, self.drift_for(control), self.timegrid, self.grid)
@@ -342,7 +349,8 @@ def frechet_probe(
     fits the slope of log ||G(u + eps du) - G(u) - eps DG(u) du|| against
     log eps, the norm being the largest L2 norm over the time nodes.  All
     solves share one substep plan so the discrete map stays smooth across
-    the ladder.
+    the ladder.  When that plan is the centre's own, the tangent solve's
+    state becomes the problem's memoized forward solve of ``control``.
     """
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
@@ -355,21 +363,25 @@ def frechet_probe(
         cand = ControlPath.from_stacked(tg, control.stacked() + scale * direction.stacked())
         return project_box(cand, problem.bounds)
 
-    # the centre's plan is that of its forward solve, which the memo keeps
-    # for the gradient at the same control
-    plan = problem.solve_forward_for(control).substeps
+    # the plan of the centre's own forward solve, widened to the ladder's ends
+    plan = own = required_substeps(problem.grid, problem.drift_for(control), tg, problem.cfl)
     for cand in (control_plus(eps[0]), control_plus(-eps[0])):
         p = required_substeps(problem.grid, problem.drift_for(cand), tg, problem.cfl)
         plan = [max(a, b) for a, b in zip(plan, p)]
 
     base, wtraj = solve_linearized(
-        problem.rho0, problem.drift_for(control), direction, problem.source, tg, fixed_substeps=plan, **problem.solver
+        problem.rho0, problem.drift_for(control), direction, problem.source, tg, fixed_substeps=plan,
+        theta=problem.cost.theta, **problem.solver
     )
+    if plan == own:
+        # the tangent solve's state has the bits of the centre's forward
+        # solve, so it is the memo's state for the gradient at the centre
+        problem._keep(control, base)
     vol, size = problem.grid.cell_volume, _block_nodes(problem.grid.num_cells)
     remainders = []
-    # like the tangent solve, the ladder needs no running cost.  Each solve
-    # is dropped before the next, so one ladder solve is held at a time; its
-    # nodes are overwritten with the squared remainders, a block at a time
+    # the ladder needs no running cost.  Each solve is dropped before the
+    # next, so one ladder solve is held at a time; its nodes are overwritten
+    # with the squared remainders, a block at a time
     for e in eps:
         traj_e = solve_forward(
             problem.rho0, problem.drift_for(control_plus(e)), problem.source, tg, fixed_substeps=plan, **problem.solver

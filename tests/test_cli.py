@@ -220,6 +220,19 @@ def test_coordinate_counts_follow_the_grid_in_2d():
                 parse_config(text)
 
 
+def test_a_one_coordinate_track_is_used_on_every_axis(tmp_path):
+    # a 2D tracking cost whose track gives one coordinate per point has the
+    # bits of the same track given on both axes
+    grid2 = {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]}
+    costs = []
+    for track in ([[0.0, 0.5], [1.0, -0.5]], [[0.0, [0.5, 0.5]], [1.0, [-0.5, -0.5]]]):
+        cfg = dict(MINIMAL, grid=grid2, control={"u1": [0.1, -0.1]}, cost={"theta": "tracking", "track_path": track})
+        out = tmp_path / f"o{len(costs)}"
+        assert run_command(["cost", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        costs.append((parse_config(json.dumps(cfg)).problem().cost.theta, json.loads((out / "report.json").read_text())))
+    assert costs[0] == costs[1]
+
+
 @pytest.mark.parametrize(
     "section, patch",
     [

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from liouville_control import (
     smallness_certificate,
     weighted_sobolev_norm,
 )
+import liouville_control.cli as cli_module
 import liouville_control.forward as forward_module
 import liouville_control.reduced as reduced_module
 from liouville_control.cli import parse_config, run_command, scenario_path
@@ -364,20 +366,106 @@ def test_fd_derivative_is_two_costs_and_memo_hits_are_not_solved_again(monkeypat
     # the central difference has the bits of the two separate costs
     assert bits_equal(fd_directional_derivative(prob, u, d, 1e-4), expected)
     assert [drift.control.stacked().tobytes() for drift in solves] == [c.stacked().tobytes() for c in (up, dn)]
-    # memo hits are not solved again
-    assert fd_directional_derivative(prob, u, d, 1e-4) == expected and len(solves) == 2
+    # the memo keeps the most recent control's state: a cost there is a hit
+    assert bits_equal(reduced_cost(dn, prob), reduced_cost(dn, fresh)) and len(solves) == 2
+    # and the one before it was dropped, so the pair is solved again
+    assert bits_equal(fd_directional_derivative(prob, u, d, 1e-4), expected) and len(solves) == 4
 
 
-def test_grad_check_makes_eight_solves_and_five_plan_passes(monkeypatch, tmp_path):
-    # the centre, the tangent, the eps ladder one solve each, and the
-    # finite-difference pair; the gradient reads the centre's from the memo.
-    # A plan pass per natural plan: the centre's solve, the ladder's ends
-    # and the pair's solves
+def test_grad_check_makes_seven_solves_and_five_plan_passes(monkeypatch, tmp_path):
+    # the tangent, the eps ladder one solve each, and the finite-difference
+    # pair; the tangent solve's state is the centre's, which the gradient
+    # reads from the memo.  A plan pass per natural plan: the centre's, the
+    # ladder's ends and the pair's solves
     solves, plans = counted_solves(monkeypatch)
     args = ["grad-check", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
     assert run_command(args) == 0
-    assert len(solves) == 8 and all(isinstance(drift.control, ControlPath) for drift in solves)
+    assert len(solves) == 7 and all(isinstance(drift.control, ControlPath) for drift in solves)
     assert len(plans) == 5
+
+
+def test_the_memo_holds_one_state_across_an_optimize_run(monkeypatch):
+    # every solve starts with no state alive, the memo's dropped, and ends
+    # with the memo holding the new one
+    prob = build_problem(n=128, nt=32, theta=Potential.tracking([[0.0, 0.0], [1.0, 0.5]]), phi=Potential("quadratic"))
+    refs, held = [], []
+    solve = forward_module._solve
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    def watched_solve(*args, **kwargs):
+        held.append((alive(), len(prob._fwd_cache)))
+        traj = solve(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(forward_module, "_solve", watched_solve)
+    res = optimize(prob, OptimConfig(max_iters=6, step0=2.0, vi_tol=1e-12))
+    assert res.iterations == 6 and len(held) > 7
+    assert held == [(0, 0)] * len(held)
+    assert alive() == len(prob._fwd_cache) == 1
+
+
+@pytest.mark.parametrize("scale, own_plan", [(1.0, True), (5.0, False)])
+def test_grad_check_reports_the_same_bits_whether_or_not_the_probe_plan_is_the_centres(
+    monkeypatch, tmp_path, scale, own_plan
+):
+    # a direction five times the default needs more substeps at the ladder's
+    # ends than the centre, so the tangent solve's state is not the centre's
+    # and the gradient solves the centre itself.  Either way the report has
+    # the bits of its parts, each taken on a problem of its own
+    cfg = {
+        "grid": {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [128]},
+        "time": {"T": 1.0, "nt": 8},
+        "rho0": {"preset": "gaussian", "params": {"x0": 1.0, "v0": 0.5}},
+        "cost": {"gamma": 0.5, "theta": "tracking", "phi": "gaussian-well", "track_path": [[0.0, 1.0], [1.0, 0.5]]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+
+    def fresh():
+        return parse_config(json.dumps(cfg)).problem()
+
+    prob = fresh()
+    tg, (ua, ub) = prob.timegrid, prob.bounds.arrays()
+    center = ControlPath.from_stacked(tg, np.tile(0.5 * (ua + ub), (tg.nt + 1, 1)))
+    direction = ControlPath.from_stacked(tg, scale * cli_module._grad_check_direction(prob).stacked())
+    eps = [0.2, 0.1, 0.05, 0.025]
+    own = forward_module.required_substeps(prob.grid, prob.drift_for(center), tg, prob.cfl)
+    ends = [forward_module.required_substeps(prob.grid, prob.drift_for(
+        ControlPath.from_stacked(tg, center.stacked() + s * eps[0] * direction.stacked())), tg, prob.cfl)
+        for s in (1.0, -1.0)]
+    assert (own == [max(p) for p in zip(own, *ends)]) == own_plan
+
+    monkeypatch.setattr(cli_module, "_grad_check_direction", lambda problem: direction)
+    solves, _ = counted_solves(monkeypatch)
+    assert run_command(["grad-check", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert len(solves) == (7 if own_plan else 8)
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    probe = frechet_probe(center, direction, eps, fresh())
+    grad_prob = fresh()
+    grad = reduced_gradient(center, grad_prob)
+    fd = fd_directional_derivative(fresh(), center, direction, 1e-4)
+    analytic = metric_dot(grad_prob, grad, direction)
+    assert rep["remainders"] == list(probe.remainders) and rep["slope"] == probe.slope
+    assert (rep["fd_directional"], rep["analytic_directional"]) == (fd, analytic)
+    assert rep["fd_rel_err"] == abs(fd - analytic) / abs(fd) and rep["ibp_discrepancy"] == grad.ibp_discrepancy
+
+
+def test_the_probe_leaves_the_centres_state_in_the_memo(monkeypatch):
+    # the tangent solve, given theta, has the bits of the centre's forward
+    # solve in every array, the running cost included
+    prob = build_problem(n=64, nt=32, theta=Potential.tracking([[0.0, 0.0], [1.0, 0.5]]), scheme="muscl-fv")
+    tg = prob.timegrid
+    u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.05], [-0.03])
+    frechet_probe(u, d, [0.2, 0.1], prob)
+    solves, _ = counted_solves(monkeypatch)
+    kept, solved = prob.solve_forward_for(u), dataclasses.replace(prob).solve_forward_for(u)
+    assert len(solves) == 1
+    for name in ("nodes", "mass", "running", "source_mass", "boundary_outflux"):
+        assert bits_equal(getattr(kept, name), getattr(solved, name))
+    assert (kept.substeps, kept.scheme, kept.cfl) == (solved.substeps, solved.scheme, solved.cfl)
 
 
 def test_assemble_rejects_grid_mismatch():
