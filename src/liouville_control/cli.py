@@ -381,7 +381,7 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> dict:
     if result.termination == "linesearch_failure":
         raise LinesearchFailure(
             f"line search stalled after {result.iterations} iterations "
-            f"(vi_residual {result.vi_history[-1]:.3e} > tol {cfg.optim.vi_tol:.1e})"
+            f"(vi_residual {result.kkt.vi_residual:.3e} > tol {cfg.optim.vi_tol:.1e})"
         )
     return {
         "command": "optimize",

@@ -8,7 +8,9 @@ the shrink is componentwise soft thresholding - the exact proximal operator
 of the L1 + box part, which is separable per node and component.  Step
 sizes come from Armijo backtracking on the full cost including the L1
 term, so accepted steps never increase the cost.  Termination is on the
-variational-inequality residual ||u - Proj(shrink(u - g))||.
+variational-inequality residual ||u - Proj(shrink(u - g))|| that
+``kkt_residual`` takes from each iterate's gradient, so ``vi_history`` and
+``kkt`` end at the returned control however the loop stops.
 
 The loop only touches the problem through reduced_cost / descent_gradient
 / bounds / cost / timegrid, so ODE-reduced surrogates run through the
@@ -17,15 +19,18 @@ identical code path as the PDE problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .controls import ControlPath, project_box
-from .grid import is_count, is_finite_number
+from .grid import is_count
 from .reduced import KktResidual, kkt_residual, path_norm, prox_step
 
 __all__ = ["OptimConfig", "OptimResult", "MultiStartReport", "optimize", "multi_start"]
+
+MAX_BACKTRACKS = 40  # backtracks per line search before it fails
+UNIQUENESS_TOL = 1e-3  # multistart's bound on the distance between minimizers
 
 
 @dataclass(frozen=True)
@@ -34,19 +39,17 @@ class OptimConfig:
     step0: float = 1.0
     c1: float = 1e-4
     backtrack: float = 0.5
-    max_backtracks: int = 40
     vi_tol: float = 1e-6
     seeds: tuple = (0, 1, 2, 3, 4)
-    uniqueness_tol: float = 1e-3
 
     def __post_init__(self):
-        # one backtrack at least: with none, every line search fails
-        for name, least in (("max_iters", 0), ("max_backtracks", 1)):
-            value = getattr(self, name)
-            if not (is_count(value) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if len(self.seeds) < 2 or not all(is_count(s) and s >= 0 for s in self.seeds):
-            raise ValueError(f"seeds must be at least two integers >= 0, got {list(self.seeds)!r}")
+        if not (is_count(self.max_iters) and self.max_iters >= 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        # a repeated seed reruns one start, and the distance between the
+        # two runs says nothing about uniqueness
+        seeds = list(self.seeds)
+        if len(seeds) < 2 or not all(is_count(s) and s >= 0 for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ValueError(f"seeds must be at least two distinct integers >= 0, got {seeds!r}")
         if not self.step0 > 0:
             raise ValueError("step0 must be positive")
         if not 0.0 < self.c1 < 1.0:
@@ -55,8 +58,6 @@ class OptimConfig:
             raise ValueError("the backtrack factor must lie in (0, 1)")
         if not self.vi_tol > 0:
             raise ValueError("vi_tol must be positive")
-        if not (is_finite_number(self.uniqueness_tol) and self.uniqueness_tol >= 0):
-            raise ValueError(f"uniqueness_tol must be a finite number >= 0, got {self.uniqueness_tol!r}")
 
 
 @dataclass
@@ -65,13 +66,12 @@ class OptimResult:
     cost_history: list[float]
     vi_history: list[float]
     steps: list[float]
-    kkt: KktResidual | None
+    kkt: KktResidual
     iterations: int
     termination: str
 
 
-def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
-             compute_kkt: bool = True) -> OptimResult:
+def optimize(problem, config: OptimConfig, u0: ControlPath | None = None) -> OptimResult:
     """Minimize the reduced cost over the admissible box."""
     tg = problem.timegrid
     bounds = problem.bounds
@@ -84,20 +84,22 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
     cost_history = [cost]
     vi_history: list[float] = []
     steps: list[float] = []
-    termination = "max_iters"
     it = 0
-    while it < config.max_iters:
+    while True:
         grad = problem.descent_gradient(u)
-        gf = grad.stacked()
-        ustk = u.stacked()
-        vi = path_norm(tg, ustk - prox_step(ustk, gf, 1.0, delta, ua, ub))
-        vi_history.append(vi)
-        if vi <= config.vi_tol:
+        kkt = kkt_residual(u, problem, grad)
+        vi_history.append(kkt.vi_residual)
+        if kkt.vi_residual <= config.vi_tol:
             termination = "converged"
             break
+        if it == config.max_iters:
+            termination = "max_iters"
+            break
+        gf = grad.stacked()
+        ustk = u.stacked()
         alpha = min(config.step0, 2.0 * steps[-1]) if steps else config.step0
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = prox_step(ustk, gf, alpha, delta, ua, ub)
             move = path_norm(tg, cand - ustk)
             u_cand = ControlPath.from_stacked(tg, cand)
@@ -116,10 +118,6 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None,
         cost = cost_cand
         cost_history.append(cost)
         it += 1
-    # a loop that stopped before max_iters stopped at the u of its last
-    # gradient; after max_iters accepted steps (or none) it is recomputed
-    at_u = grad if termination != "max_iters" else None
-    kkt = kkt_residual(u, problem, gradient=at_u) if compute_kkt else None
     return OptimResult(
         control=u,
         cost_history=cost_history,
@@ -139,7 +137,6 @@ class MultiStartReport:
     within_tol: bool
     terminations: tuple
     final_costs: tuple
-    controls: list = field(default_factory=list, repr=False)
 
 
 def multi_start(problem, config: OptimConfig) -> MultiStartReport:
@@ -153,7 +150,7 @@ def multi_start(problem, config: OptimConfig) -> MultiStartReport:
         rng = np.random.default_rng(int(seed))
         start = rng.uniform(ua, ub, size=(nn, ua.size))
         u0 = ControlPath.from_stacked(tg, start)
-        results.append(optimize(problem, config, u0=u0, compute_kkt=False))
+        results.append(optimize(problem, config, u0=u0))
     worst = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
@@ -162,9 +159,8 @@ def multi_start(problem, config: OptimConfig) -> MultiStartReport:
     return MultiStartReport(
         seeds=tuple(config.seeds),
         max_pairwise_distance=worst,
-        uniqueness_tol=config.uniqueness_tol,
-        within_tol=bool(worst <= config.uniqueness_tol),
+        uniqueness_tol=UNIQUENESS_TOL,
+        within_tol=bool(worst <= UNIQUENESS_TOL),
         terminations=tuple(r.termination for r in results),
         final_costs=tuple(r.cost_history[-1] for r in results),
-        controls=[r.control for r in results],
     )

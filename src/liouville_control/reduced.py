@@ -111,12 +111,7 @@ class KktResidual:
     """Residuals of the first-order system with box and sparsity multipliers."""
 
     stationarity: float
-    complement_upper: float
-    complement_lower: float
     vi_residual: float
-
-    def max_component(self) -> float:
-        return max(self.stationarity, self.complement_upper, self.complement_lower)
 
 
 @dataclass
@@ -299,17 +294,19 @@ def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
     return GradientPath(problem.timegrid, problem.cost.gamma * control.stacked() + integral, "L2", disc)
 
 
-def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath | None = None) -> KktResidual:
-    """Residuals of the coupled optimality system at a given control.
+def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath) -> KktResidual:
+    """Residuals of the coupled optimality system at a control, given the
+    gradient there.
 
-    The multipliers are reconstructed from the gradient: the sparsity
-    multiplier is delta sign(u) off the zero set and the clipped
-    stationarity residual on it (so it agrees with sign(u) and stays within
-    delta by construction), and the bound multipliers absorb the residual
-    on the active sets.
+    The sparsity multiplier is delta sign(u) off the zero set and -g clipped
+    to [-delta, delta] on it (so it agrees with sign(u) and stays within
+    delta by construction), which leaves r = g + lambda.  The bound
+    multipliers, zero off the active sets, absorb the part of r that an
+    active bound holds: ``stationarity`` is the largest |r| once r's
+    negative part is dropped on the upper bound and its positive part on
+    the lower.  ``vi_residual`` is ||u - Proj(shrink(u - g))||, the measure
+    the optimizer stops on.
     """
-    if gradient is None:
-        gradient = problem.descent_gradient(control)
     gf = gradient.stacked()
     u = control.stacked()
     ua, ub = problem.bounds.arrays()
@@ -324,20 +321,10 @@ def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath 
     r = gf + lam_hat
     upper_active = u >= ub - tol_b
     lower_active = u <= ua + tol_b
-    lam_p = np.where(upper_active, np.maximum(-r, 0.0), 0.0)
-    lam_m = np.where(lower_active & ~upper_active, np.maximum(r, 0.0), 0.0)
-
-    stationarity = float(np.abs(r + lam_p - lam_m).max())
-    complement_upper = float(np.abs(lam_p * (ub - u)).max())
-    complement_lower = float(np.abs(lam_m * (u - ua)).max())
+    r = np.where(upper_active, np.maximum(r, 0.0), np.where(lower_active, np.minimum(r, 0.0), r))
 
     vi = path_norm(problem.timegrid, u - prox_step(u, gf, 1.0, delta, ua, ub))
-    return KktResidual(
-        stationarity=stationarity,
-        complement_upper=complement_upper,
-        complement_lower=complement_lower,
-        vi_residual=vi,
-    )
+    return KktResidual(stationarity=float(np.abs(r).max()), vi_residual=vi)
 
 
 def frechet_probe(

@@ -8,6 +8,7 @@ import pytest
 from liouville_control import (
     ControlPath,
     SchemaError,
+    kkt_residual,
     path_dot,
     reduced_gradient,
     sample_function,
@@ -291,6 +292,8 @@ def test_a_one_coordinate_track_is_used_on_every_axis(tmp_path):
         ("constants.C_cert", {"constants": {"C_cert": -1.0}}),
         ("constants.C_universal", {"constants": {"C_universal": 0.0}}),
         ("constants.C_universal", {"constants": {"C_universal": -0.5}}),
+        # a repeated seed reruns one start: its distance 0 proves nothing
+        ("optim: seeds", {"optim": {"seeds": [3, 3]}}),
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
@@ -389,7 +392,7 @@ def test_cost_grad_and_adjoint_commands(tmp_path):
     assert run_command(["grad", "--config", cfgp, "--out", out]) == 0
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert {"cost", "grad_l2_norm", "vi_residual", "kkt", "ibp_discrepancy"} <= set(rep)
-    assert set(rep["kkt"]) == {"stationarity", "complement_upper", "complement_lower", "vi_residual"}
+    assert set(rep["kkt"]) == {"stationarity", "vi_residual"}
     grad = read_control_csv(os.path.join(out, "control_gradient.csv"))
     assert grad.timegrid.nt == 32
     assert run_command(["adjoint", "--config", cfgp, "--out", out]) == 0
@@ -467,23 +470,60 @@ def test_optimize_command_deterministic(tmp_path):
     assert rep["termination"] in ("converged", "max_iters")
 
 
+TRACKING = dict(
+    MINIMAL, control={"u1": 0.3, "u2": 0.2}, solver={"scheme": "muscl-fv"},
+    cost={"gamma": 0.2, "theta": "tracking", "phi": "gaussian-well", "track_path": [[0.0, 0.0], [1.0, 0.3]]},
+)
+
+
+def _optimize_run(tmp_path, optim, name="o"):
+    """Exit code, report and iterations.csv rows of ``optimize`` on TRACKING
+    with ``optim``, and the VI recomputed at its control_final.csv."""
+    cfg = dict(TRACKING, optim=optim)
+    out = tmp_path / name
+    code = run_command(["optimize", "--config", write_config(tmp_path, cfg, f"{name}.json"), "--out", str(out)])
+    rows = [[float(v) for v in line.split(",")] for line in (out / "iterations.csv").read_text().splitlines()[1:]]
+    prob = parse_config(json.dumps(cfg)).problem()
+    final = read_control_csv(str(out / "control_final.csv"))
+    vi = kkt_residual(final, prob, reduced_gradient(final, prob)).vi_residual
+    return code, json.loads((out / "report.json").read_text()), rows, vi
+
+
 @pytest.mark.parametrize("max_iters", [0, 2])
 def test_optimize_reports_the_vi_of_the_returned_control(tmp_path, max_iters):
     # a run that stops at max_iters reports the VI at the control it returns,
-    # not at the iterate before it (nor 0 after no iteration)
-    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2},
-               cost={"gamma": 0.2, "theta": "tracking", "phi": "gaussian-well", "track_path": [[0.0, 0.0], [1.0, 0.3]]},
-               optim={"max_iters": max_iters, "vi_tol": 1e-8, "step0": 2.0}, solver={"scheme": "muscl-fv"})
-    out = tmp_path / "o"
-    assert run_command(["optimize", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    rep = json.loads((out / "report.json").read_text())
+    # not at the iterate before it (nor 0 after no iteration), and
+    # iterations.csv ends at that control, with step 0
+    code, rep, rows, vi = _optimize_run(tmp_path, {"max_iters": max_iters, "vi_tol": 1e-8, "step0": 2.0})
+    assert code == 0
     assert rep["termination"] == "max_iters" and rep["iterations"] == max_iters
-    assert rep["vi_residual"] == rep["kkt"]["vi_residual"] > 0
-    # iterations.csv holds the VI of each iterate before the returned control
-    iterations = (out / "iterations.csv").read_text().splitlines()[1:]
-    assert len(iterations) == max_iters
-    if max_iters:
-        assert float(iterations[-1].split(",")[2]) != pytest.approx(rep["vi_residual"], rel=1e-3)
+    assert rep["vi_residual"] == rep["kkt"]["vi_residual"] == vi > 0
+    assert len(rows) == max_iters + 1
+    assert rows[-1][2] == vi and rows[-1][3] == 0.0
+
+
+def test_iterations_csv_ends_at_the_returned_control(tmp_path):
+    # whatever ends the run, iterations.csv has one row per iterate and the
+    # last is the returned control's; a run that meets vi_tol on the last
+    # step max_iters allows has converged
+    code, rep, rows, vi = _optimize_run(tmp_path, {"max_iters": 25, "vi_tol": 5e-3, "step0": 2.0}, "free")
+    assert code == 0 and rep["termination"] == "converged" and rep["iterations"] > 0
+    runs = {"converged": (code, rep, rows, vi)}
+    runs["converged-at-max-iters"] = _optimize_run(
+        tmp_path, {"max_iters": rep["iterations"], "vi_tol": 5e-3, "step0": 2.0}, "capped"
+    )
+    # vi_tol out of reach on this grid: the line search stalls first
+    runs["linesearch-failure"] = _optimize_run(tmp_path, {"max_iters": 60, "vi_tol": 1e-12, "step0": 2.0}, "stall")
+    for name, (code, rep, rows, vi) in runs.items():
+        assert len(rows) >= 2, name
+        assert rows[-1][2] == vi and rows[-1][3] == 0.0, name
+        if name == "linesearch-failure":
+            assert code == 2 and rep["error"] == "LinesearchFailure"
+            assert f"after {len(rows) - 1} iterations (vi_residual {vi:.3e} >" in rep["message"]
+        else:
+            assert code == 0 and rep["termination"] == "converged", name
+            assert len(rows) == rep["iterations"] + 1 and rep["vi_residual"] == vi, name
+    assert runs["converged-at-max-iters"][1:] == runs["converged"][1:]
 
 
 def test_multistart_command(tmp_path):

@@ -371,8 +371,8 @@ OPTIMA = {
 def test_surrogate_optimum_and_the_distance_of_the_pde_optimum(name):
     sur, cfg, prob = surrogate_of(name)
     tg = prob.timegrid
-    pde = optimize(prob, cfg.optim, u0=cfg.control, compute_kkt=False)
-    res = optimize(sur, dataclasses.replace(cfg.optim, vi_tol=1e-8, max_iters=200), u0=pde.control, compute_kkt=False)
+    pde = optimize(prob, cfg.optim, u0=cfg.control)
+    res = optimize(sur, dataclasses.replace(cfg.optim, vi_tol=1e-8, max_iters=200), u0=pde.control)
     j_star, distance, excess = OPTIMA[name]
     assert res.termination == "converged"
     assert res.cost_history[-1] == pytest.approx(j_star, abs=1e-6)

@@ -11,6 +11,8 @@ node.  So on every shipped scenario:
   ``control_gradient.csv`` at strides 1, 8 and 64;
 - ``grad-check`` writes the same bytes of ``report.json`` at strides 1, 8
   and 64;
+- ``optimize`` writes the same bytes of ``report.json``, ``iterations.csv``
+  and ``control_final.csv`` at strides 1, 8 and 64;
 
 and ``optimize`` on gaussian-tracking-1d at stride 16 exits 0 (it stalled
 there while the running cost was read from the stored nodes only).  Each run
@@ -57,7 +59,11 @@ def main() -> int:
             print(scenario.stem, costs)
             if None in costs.values() or len(set(costs.values())) != 1:
                 failed = True
-            for command, files in (("grad", ("report.json", "control_gradient.csv")), ("grad-check", ("report.json",))):
+            for command, files in (
+                ("grad", ("report.json", "control_gradient.csv")),
+                ("grad-check", ("report.json",)),
+                ("optimize", ("report.json", "iterations.csv", "control_final.csv")),
+            ):
                 outs = {s: run(command, scenario, s, tmp)[1] for s in STRIDES}
                 outs = {s: out and tuple((out / f).read_bytes() for f in files) for s, out in outs.items()}
                 same = None not in outs.values() and len(set(outs.values())) == 1
