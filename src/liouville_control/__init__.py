@@ -69,7 +69,6 @@ from .grid import (
 from .optimize import MultiStartReport, OptimConfig, OptimResult, multi_start, optimize
 from .oracles import (
     AffineFlow,
-    ConstantAffineFlow,
     MomentSurrogateProblem,
     affine_exact_density,
     fd_directional_derivative,

@@ -151,6 +151,13 @@ def _rotation_eval(A, b, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bump(p: dict, d: int):
+    sig = float(p["sigma"])
+    if not sig > 0:
+        raise UnknownPreset(f"gaussian-bump drift needs sigma > 0, got {sig}")
+    return _vector(p["c"], d), sig
+
+
 def _bump_g(pts: np.ndarray, sig: float) -> np.ndarray:
     return np.exp(-_squared_norm(pts) / (2.0 * sig * sig))
 
@@ -198,7 +205,7 @@ _DRIFT_PRESETS = {
     "rotation": _DriftRow({"omega": 1.0}, _rotation, _rotation_eval),  # d = 2 only
     "gaussian-bump": _DriftRow(
         {"c": 1.0, "sigma": 1.0},
-        lambda p, d: (_vector(p["c"], d), float(p["sigma"])),
+        _bump,
         lambda c, sig, pts: _bump_g(pts, sig)[..., None] * c,
         lambda c, sig, pts: -c[:, None] * pts[..., None, :] / sig**2 * _bump_g(pts, sig)[..., None, None],
         _bump_derivative_sup,
@@ -447,7 +454,8 @@ class Potential:
 def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarray:
     """Exact analytic evaluation of a potential at points of shape (..., d).
 
-    Scalars and flat arrays are read as d = 1 points.  ``t`` is one time,
+    A scalar is read as one d = 1 point; a flat array raises ValueError,
+    since it could be n points of d = 1 or one point of d = n.  ``t`` is one time,
     or an array of times of shape S for points of shape S + (M, d), or
     (M, d) shared by every time: the values have shape S + (M,), row s at
     time t[s].  A preset that does not depend on time gives
@@ -458,7 +466,7 @@ def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarra
     if scalar:
         pts = pts.reshape(1, 1)
     elif pts.ndim == 1:
-        pts = pts[:, None]
+        raise ValueError(f"points must have the layout (..., d), got the flat shape {pts.shape}")
     out = potential._row.evaluate(potential, pts, t)
     return float(out[0]) if scalar else out
 

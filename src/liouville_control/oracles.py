@@ -1,10 +1,9 @@
 """Independent ground truths used to check the solvers.
 
-The exact-density oracle integrates the characteristic flow of the affine
-drift in closed form and pushes the initial density through the
-representation formula rho(t, x) = rho0(psi_t^{-1}(x)) / det J(t): per-axis
-scale and shift when the affine part is diagonal (any controls), and one
-matrix exponential for any affine part under constant controls.  The moment
+The exact-density oracle takes the characteristic flow of the affine drift
+under constant controls as one matrix exponential and pushes the initial
+density through the representation formula
+rho(t, x) = rho0(psi_t^{-1}(x)) / det D psi_t.  The moment
 surrogate integrates the mean and covariance ODEs of each gaussian component
 of rho0 with RK4, prices them by the potentials' gaussian closures and the
 control costs by ``CostSpec.total``, and differentiates exactly those RK4
@@ -24,7 +23,6 @@ from .grid import _DENSITY_PRESETS, TimeGrid, density_preset_eval, resolve_prese
 
 __all__ = [
     "AffineFlow",
-    "ConstantAffineFlow",
     "expm",
     "affine_exact_density",
     "fd_directional_derivative",
@@ -33,12 +31,6 @@ __all__ = [
     "MomentSurrogateProblem",
 ]
 
-# Gauss-Legendre nodes/weights on [0, 1], 12 points: exact to ~1e-15 for
-# the smooth per-segment flow integrands.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
-
 
 def _affine_part(a0: DriftPreset, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(A, b) with a0(x) = A x + b on R^d; raises UnsupportedDrift if a0 is not affine."""
@@ -46,10 +38,6 @@ def _affine_part(a0: DriftPreset, d: int) -> tuple[np.ndarray, np.ndarray]:
     if ab is None:
         raise UnsupportedDrift(f"no exact flow for a0 preset {a0.name!r}")
     return ab
-
-
-def _is_diagonal(A: np.ndarray) -> bool:
-    return not np.any(A != np.diag(np.diag(A)))
 
 
 def expm(X: np.ndarray) -> np.ndarray:
@@ -77,82 +65,12 @@ def expm(X: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AffineFlow:
-    """Closed-form flow of xdot = alpha(t) + beta(t) x, per axis.
-
-    psi_t(x0) = scale(t) * x0 + shift(t), with scale(0) = 1, shift(0) = 0
-    and jacdet = prod(scale) > 0.  The nodal alpha = u1 + b and beta = u2 +
-    diag(A) come from an affine a0 with a diagonal A; any other raises
-    UnsupportedDrift.
-    """
-
-    drift: DriftSpec
-
-    def __post_init__(self):
-        A, b = _affine_part(self.drift.a0, self.drift.control.dim)
-        if not _is_diagonal(A):
-            raise UnsupportedDrift("exact flow needs a diagonal affine part")
-        self._alpha, self._beta = self.drift.control.u1 + b, self.drift.control.u2 + np.diag(A)
-        self._tg = self.drift.control.timegrid
-
-    def _beta_integral(self, t: float) -> np.ndarray:
-        """B(t) = int_0^t beta, exact for piecewise-linear beta."""
-        dt = self._tg.dt
-        s = min(max(t / dt, 0.0), float(self._tg.nt))
-        i = int(min(s, self._tg.nt - 1))
-        beta = self._beta
-        full = 0.5 * dt * (beta[:i] + beta[1 : i + 1]).sum(axis=0) if i > 0 else 0.0
-        tau = (s - i) * dt
-        b0 = beta[i]
-        slope = (beta[i + 1] - beta[i]) / dt
-        return full + b0 * tau + 0.5 * slope * tau * tau
-
-    def scale(self, t: float) -> np.ndarray:
-        return np.exp(self._beta_integral(t))
-
-    def shift(self, t: float) -> np.ndarray:
-        """b(t) = scale(t) * int_0^t exp(-B(s)) alpha(s) ds by per-segment
-        Gauss quadrature."""
-        dt = self._tg.dt
-        s = min(max(t / dt, 0.0), float(self._tg.nt))
-        nfull = int(s)
-        acc = np.zeros(self.drift.control.dim)
-        B_seg_start = np.zeros(self.drift.control.dim)
-        for i in range(nfull + 1):
-            seg_len = dt if i < nfull else (s - nfull) * dt
-            if seg_len <= 0.0:
-                break
-            b0, b1 = self._beta[i], self._beta[min(i + 1, self._tg.nt)]
-            a0, a1 = self._alpha[i], self._alpha[min(i + 1, self._tg.nt)]
-            slope_b = (b1 - b0) / dt
-            slope_a = (a1 - a0) / dt
-            for xq, wq in zip(_GL_X, _GL_W):
-                tau = xq * seg_len
-                Bval = B_seg_start + b0 * tau + 0.5 * slope_b * tau * tau
-                acc = acc + wq * seg_len * np.exp(-Bval) * (a0 + slope_a * tau)
-            B_seg_start = B_seg_start + b0 * seg_len + 0.5 * slope_b * seg_len**2
-        return np.exp(self._beta_integral(t)) * acc
-
-    def jacdet(self, t: float) -> float:
-        return float(np.prod(self.scale(t)))
-
-    def map_inverse(self, t: float, points: np.ndarray) -> np.ndarray:
-        return (np.asarray(points, dtype=float) - self.shift(t)) / self.scale(t)
-
-    def map_between(self, t0: float, t1: float, points: np.ndarray) -> np.ndarray:
-        """psi_{t0 -> t1}(x): follow the flow from time t0 to time t1."""
-        s0, s1 = self.scale(t0), self.scale(t1)
-        b0, b1 = self.shift(t0), self.shift(t1)
-        ratio = s1 / s0
-        return ratio * (np.asarray(points, dtype=float) - b0) + b1
-
-
-@dataclass
-class ConstantAffineFlow:
     """Exact flow of xdot = M x + c with M = A + diag(u2), c = b + u1, for
-    any affine a0 under constant controls.
+    any affine a0 under constant controls; any other a0 or a control that
+    varies in time raises UnsupportedDrift.
 
-    psi_t(x0) = E11 x0 + e12 with [[E11, e12], [0, 1]] = expm(t [[M, c], [0, 0]]),
-    and jacdet = exp(t tr M).
+    psi_{t0 -> t1}(x) = E11 x + e12 with [[E11, e12], [0, 1]] =
+    expm((t1 - t0) [[M, c], [0, 0]]), and jacdet(t) = exp(t tr M).
     """
 
     drift: DriftSpec
@@ -161,7 +79,7 @@ class ConstantAffineFlow:
         A, b = _affine_part(self.drift.a0, self.drift.control.dim)
         ctrl = self.drift.control
         if np.any(ctrl.u1 != ctrl.u1[0]) or np.any(ctrl.u2 != ctrl.u2[0]):
-            raise UnsupportedDrift("exact flow of a non-diagonal affine part needs constant controls")
+            raise UnsupportedDrift("exact flow needs constant controls")
         d = ctrl.dim
         self._B = np.zeros((d + 1, d + 1))
         self._B[:d, :d] = A + np.diag(ctrl.u2[0])
@@ -170,9 +88,9 @@ class ConstantAffineFlow:
     def jacdet(self, t: float) -> float:
         return math.exp(t * float(np.trace(self._B)))
 
-    def map_inverse(self, t: float, points: np.ndarray) -> np.ndarray:
-        """psi_t^{-1}(x): the flow backward from t to 0, expm(-t B)."""
-        E = expm(-t * self._B)
+    def map_between(self, t0: float, t1: float, points: np.ndarray) -> np.ndarray:
+        """psi_{t0 -> t1}(x): follow the flow from time t0 to time t1."""
+        E = expm((t1 - t0) * self._B)
         d = self._B.shape[0] - 1
         return np.asarray(points, dtype=float) @ E[:d, :d].T + E[:d, d]
 
@@ -180,11 +98,9 @@ class ConstantAffineFlow:
 def affine_exact_density(
     rho0_preset: str, rho0_params: dict, drift: DriftSpec, t: float, points: np.ndarray
 ) -> np.ndarray:
-    """rho(t, x) through the representation formula, for integrable flows:
-    AffineFlow for a diagonal affine part, ConstantAffineFlow otherwise."""
-    A, _ = _affine_part(drift.a0, drift.control.dim)
-    flow = AffineFlow(drift) if _is_diagonal(A) else ConstantAffineFlow(drift)
-    back = flow.map_inverse(t, points)
+    """rho(t, x) = rho0(psi_t^{-1}(x)) / det D psi_t along the AffineFlow of drift."""
+    flow = AffineFlow(drift)
+    back = flow.map_between(t, 0.0, points)
     return density_preset_eval(rho0_preset, rho0_params, back) / flow.jacdet(t)
 
 

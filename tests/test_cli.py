@@ -173,6 +173,10 @@ UNKNOWN_PARAMETERS = [
         ("cost", {"phi": "tracking"}),
         # a track that no potential tracks
         ("cost", {"track_path": [[0.0, 0.0], [1.0, 0.5]], "theta": "quadratic"}),
+        # a bump without a positive width
+        ("a0", {"preset": "gaussian-bump", "params": {"c": 0.5, "sigma": 0.0}}),
+        ("a0", {"preset": "gaussian-bump", "params": {"c": 0.5, "sigma": -1.5}}),
+        ("a0", {"preset": "gaussian-bump", "params": {"c": 0.5, "sigma": float("nan")}}),
     ],
 )
 def test_bad_presets_exit_one(tmp_path, section, entry):

@@ -372,6 +372,15 @@ def test_potential_eval_presets():
     assert potential_eval(track2d, np.array([[1.0, 1.0]]), t=1.0)[0] == pytest.approx(1.0)
 
 
+def test_potential_eval_rejects_a_flat_points_array():
+    # (0.5, 3.0) is one 2D point, not two 1D points against the target's x
+    track2d = Potential.tracking([[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]])
+    assert potential_eval(track2d, np.array([[0.5, 3.0]]), 1.0)[0] == pytest.approx(9.25)
+    for pot in (track2d, Potential("quadratic")):
+        with pytest.raises(ValueError, match=r"\(\.\.\., d\)"):
+            potential_eval(pot, np.array([0.5, 3.0]), 1.0)
+
+
 @pytest.mark.parametrize("times", [(), (0.5,), (0.0, 0.0), (0.0, 1.0, 0.5)])
 def test_tracking_potential_needs_a_track(times):
     points = tuple((0.0,) for _ in times)

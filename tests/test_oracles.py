@@ -7,7 +7,6 @@ import pytest
 from liouville_control import (
     AffineFlow,
     BoxBounds,
-    ConstantAffineFlow,
     ControlPath,
     CostSpec,
     DegenerateProbe,
@@ -72,11 +71,14 @@ def test_flow_shift_closed_form_constant_controls():
     drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [c1], [c2]))
     flow = AffineFlow(drift)
     T = 1.0
-    assert flow.scale(T)[0] == pytest.approx(math.exp(c2 * T), rel=1e-13)
+    shift = flow.map_between(0.0, T, np.zeros((1, 1)))[0, 0]
+    scale = flow.map_between(0.0, T, np.ones((1, 1)))[0, 0] - shift
+    assert scale == pytest.approx(math.exp(c2 * T), rel=1e-13)
     exact_shift = math.exp(c2 * T) * c1 * (1.0 - math.exp(-c2 * T)) / c2
-    assert flow.shift(T)[0] == pytest.approx(exact_shift, rel=1e-12)
+    assert shift == pytest.approx(exact_shift, rel=1e-12)
     assert flow.jacdet(T) == pytest.approx(math.exp(c2 * T), rel=1e-13)
-    assert flow.scale(0.0)[0] == 1.0 and flow.shift(0.0)[0] == 0.0
+    pts = np.array([[-2.0], [0.0], [1.5]])
+    assert np.array_equal(flow.map_between(0.0, 0.0, pts), pts)
 
 
 def test_affine_diagonal_absorbed():
@@ -85,17 +87,11 @@ def test_affine_diagonal_absorbed():
         DriftPreset("affine", {"A": [[0.3]], "b": [0.2]}), ControlPath.zeros(tg, 1)
     )
     flow = AffineFlow(drift)
-    assert flow.scale(1.0)[0] == pytest.approx(math.exp(0.3), rel=1e-13)
-    with pytest.raises(UnsupportedDrift):
-        AffineFlow(
-            DriftSpec(
-                DriftPreset("affine", {"A": [[0.1, 0.2], [0.0, 0.1]], "b": [0.0, 0.0]}),
-                ControlPath.zeros(tg, 2),
-            )
-        )
+    shift = flow.map_between(0.0, 1.0, np.zeros((1, 1)))[0, 0]
+    scale = flow.map_between(0.0, 1.0, np.ones((1, 1)))[0, 0] - shift
+    assert scale == pytest.approx(math.exp(0.3), rel=1e-13)
     with pytest.raises(UnsupportedDrift):
         AffineFlow(DriftSpec(DriftPreset("gaussian-bump"), ControlPath.zeros(tg, 1)))
-
 
 
 @pytest.mark.parametrize(
@@ -107,33 +103,48 @@ def test_affine_diagonal_absorbed():
     ],
 )
 def test_constant_affine_flow_reproduces_the_diagonal_flow(A, b, u1, u2):
+    # per axis, xdot = m x + c has psi_t(x0) = e^{mt} x0 + c (e^{mt} - 1) / m,
+    # and c t where m = 0
     tg = make_timegrid(1.0, 16)
     drift = DriftSpec(DriftPreset("affine", {"A": A, "b": b}), ControlPath.constant(tg, u1, u2))
-    diag, general = AffineFlow(drift), ConstantAffineFlow(drift)
+    flow = AffineFlow(drift)
+    m, c = np.diag(A) + np.array(u2), np.array(b) + np.array(u1)
     pts = np.random.default_rng(0).normal(size=(20, len(b))) * 3.0
     for t in (0.0, 0.37, 1.0):
-        ref = diag.map_inverse(t, pts)
-        assert np.abs(general.map_inverse(t, pts) - ref).max() <= 1e-13 * np.abs(ref).max()
-        assert general.jacdet(t) == pytest.approx(diag.jacdet(t), rel=1e-13)
+        scale = np.exp(m * t)
+        shift = np.array([ci * t if mi == 0.0 else ci * math.expm1(mi * t) / mi for mi, ci in zip(m, c)])
+        ref = (pts - shift) / scale
+        assert np.abs(flow.map_between(t, 0.0, pts) - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert flow.jacdet(t) == pytest.approx(float(np.prod(scale)), rel=1e-13)
 
 
 def test_constant_affine_flow_of_a_rotation():
     tg = make_timegrid(1.0, 16)
     w, c2 = 1.3, (0.2, -0.1)
     ctrl = ControlPath.constant(tg, [0.0, 0.0], c2)
-    flow = ConstantAffineFlow(DriftSpec(DriftPreset("rotation", {"omega": w}), ctrl))
+    flow = AffineFlow(DriftSpec(DriftPreset("rotation", {"omega": w}), ctrl))
     t = 0.8
     assert flow.jacdet(t) == pytest.approx(math.exp(t * sum(c2)), rel=1e-14)
     # u2 = 0: psi_t^{-1} is the rotation by -w t
-    flow0 = ConstantAffineFlow(DriftSpec(DriftPreset("rotation", {"omega": w}), ControlPath.zeros(tg, 2)))
+    flow0 = AffineFlow(DriftSpec(DriftPreset("rotation", {"omega": w}), ControlPath.zeros(tg, 2)))
     pts = np.array([[1.0, -0.5], [2.0, 3.0]])
     ct, st = math.cos(w * t), math.sin(w * t)
-    assert np.abs(flow0.map_inverse(t, pts) - pts @ np.array([[ct, -st], [st, ct]])).max() < 1e-14
-    # a non-diagonal affine part under a time-varying control has no closed form here
+    assert np.abs(flow0.map_between(t, 0.0, pts) - pts @ np.array([[ct, -st], [st, ct]])).max() < 1e-14
+    # a time-varying control has no exact flow here, whatever the affine part
     nodes = tg.nodes()[:, None]
     varying = ControlPath(tg, np.hstack([nodes, nodes]), np.zeros((tg.nt + 1, 2)))
     with pytest.raises(UnsupportedDrift):
-        ConstantAffineFlow(DriftSpec(DriftPreset("rotation"), varying))
+        AffineFlow(DriftSpec(DriftPreset("rotation"), varying))
+
+
+@pytest.mark.parametrize("a0", [DriftPreset("zero"), DriftPreset("affine", {"A": [[-0.3]], "b": [0.2]})])
+def test_affine_flow_rejects_a_control_that_varies_in_time(a0):
+    # a diagonal a0 too: the flow is one matrix exponential of constant controls
+    tg = make_timegrid(1.0, 16)
+    nodes = tg.nodes()[:, None]
+    for ctrl in (ControlPath(tg, nodes, np.zeros_like(nodes)), ControlPath(tg, np.zeros_like(nodes), 0.5 - nodes)):
+        with pytest.raises(UnsupportedDrift, match="constant controls"):
+            AffineFlow(DriftSpec(a0, ctrl))
 
 
 def test_expm_matches_the_eigendecomposition():

@@ -34,9 +34,9 @@ STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # shipped scenarios with sections replaced, for the code paths that none of
-# them runs: a source, the upwind scheme in 1D and in 2D, a 2D affine drift
-# other than the rotation, a drift that is not affine, and an optimize that
-# stops at max_iters
+# them runs: a source, the upwind scheme in 1D and in 2D, a nonzero affine
+# drift in 1D and one in 2D other than the rotation, a drift that is not
+# affine, and an optimize that stops at max_iters
 VARIANTS = {
     "sparse-ladder+source": ("sparse-ladder", {
         "source": {"preset": "bimodal-gaussian", "params": {"wa": 0.05, "wb": 0.05}},
@@ -44,6 +44,9 @@ VARIANTS = {
     "bimodal-stabilize-1d+upwind+source": ("bimodal-stabilize-1d", {
         "solver": {"scheme": "upwind-fv"},
         "source": {"preset": "gaussian", "params": {"v0": 0.5}},
+    }),
+    "sparse-ladder+affine": ("sparse-ladder", {
+        "a0": {"preset": "affine", "params": {"A": [[-0.3]], "b": [0.2]}},
     }),
     "confining-2d+affine": ("confining-2d", {
         "a0": {"preset": "affine", "params": {"A": [[-0.4, 1.0], [-1.0, -0.4]], "b": [0.1, -0.1]}},
