@@ -22,10 +22,10 @@ The sweep (``_Sweep``) tabulates the control (and the tangent's control) at
 every stage time of the substep plan, n * dt + j * h and
 (n * dt + j * h) + h; each stage reads its row of that table.
 
-A solve's settings are checked before anything is allocated: ``scheme``
-must be a key of ``SCHEMES``, ``cfl`` a positive finite number and
-``max_substeps`` an integer of at least 1, else ``ValueError`` names the
-argument.
+``check_solver``, which every solve and ``reduced.Problem`` call, is the
+rule for a solve's settings: ``scheme`` must be a key of ``SCHEMES``, ``cfl``
+a positive finite number and ``max_substeps`` an integer of at least 1,
+else ``ValueError`` names the argument, before anything is allocated.
 
 Each solve owns its scratch state (``_Sweep``), made when it starts and
 dropped with it, so no solver object or stored trajectory holds any after
@@ -82,6 +82,7 @@ __all__ = [
     "boundary_leak",
     "energy_certificate",
     "required_substeps",
+    "check_solver",
 ]
 
 # scheme -> stages per substep; a scheme of two stages reconstructs its face
@@ -107,6 +108,15 @@ def _face_points(grid: GridSpec, axis: int) -> np.ndarray:
 def _check_cfl(cfl) -> None:
     if not (is_finite_number(cfl) and cfl > 0):
         raise ValueError(f"cfl must be a positive finite number, got {cfl!r}")
+
+
+def check_solver(scheme, cfl, max_substeps) -> None:
+    """The one rule for a solve's settings; ValueError names the argument."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
+    _check_cfl(cfl)
+    if not (is_count(max_substeps) and max_substeps >= 1):
+        raise ValueError(f"max_substeps must be an integer >= 1, got {max_substeps!r}")
 
 
 class _Faces:
@@ -436,11 +446,7 @@ def _solve(
     tangent_control: ControlPath | None,
     theta: Potential | None = None,
 ):
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {tuple(SCHEMES)}, got {scheme!r}")
-    _check_cfl(cfl)
-    if not (is_count(max_substeps) and max_substeps >= 1):
-        raise ValueError(f"max_substeps must be an integer >= 1, got {max_substeps!r}")
+    check_solver(scheme, cfl, max_substeps)
     if fixed_substeps is not None and not (
         np.ndim(fixed_substeps) == 1 and len(fixed_substeps) == timegrid.nt
         and all(is_count(v) and v >= 1 for v in fixed_substeps)

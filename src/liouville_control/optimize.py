@@ -29,6 +29,8 @@ from .reduced import KktResidual, kkt_residual, path_norm, prox_step
 
 __all__ = ["OptimConfig", "OptimResult", "MultiStartReport", "optimize", "multi_start"]
 
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant (Nocedal & Wright 2006, section 3.1)
+BACKTRACK = 0.5  # the step's factor per backtrack
 MAX_BACKTRACKS = 40  # backtracks per line search before it fails
 UNIQUENESS_TOL = 1e-3  # multistart's bound on the distance between minimizers
 
@@ -37,8 +39,6 @@ UNIQUENESS_TOL = 1e-3  # multistart's bound on the distance between minimizers
 class OptimConfig:
     max_iters: int = 200
     step0: float = 1.0
-    c1: float = 1e-4
-    backtrack: float = 0.5
     vi_tol: float = 1e-6
     seeds: tuple = (0, 1, 2, 3, 4)
 
@@ -52,10 +52,6 @@ class OptimConfig:
             raise ValueError(f"seeds must be at least two distinct integers >= 0, got {seeds!r}")
         if not self.step0 > 0:
             raise ValueError("step0 must be positive")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError("the Armijo parameter must lie in (0, 1)")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("the backtrack factor must lie in (0, 1)")
         if not self.vi_tol > 0:
             raise ValueError("vi_tol must be positive")
 
@@ -104,10 +100,10 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None) -> Opt
             move = path_norm(tg, cand - ustk)
             u_cand = ControlPath.from_stacked(tg, cand)
             cost_cand = problem.reduced_cost(u_cand)
-            if cost_cand <= cost - (config.c1 / alpha) * move**2:
+            if cost_cand <= cost - (ARMIJO_C1 / alpha) * move**2:
                 accepted = True
                 break
-            alpha *= config.backtrack
+            alpha *= BACKTRACK
         if not accepted or move <= 1e-14 * (1.0 + path_norm(tg, ustk)):
             # either no Armijo step exists, or progress fell below rounding:
             # the discretized gradient cannot drive the cost further down
@@ -133,8 +129,7 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None) -> Opt
 class MultiStartReport:
     seeds: tuple
     max_pairwise_distance: float
-    uniqueness_tol: float
-    within_tol: bool
+    within_tol: bool  # max_pairwise_distance <= UNIQUENESS_TOL
     terminations: tuple
     final_costs: tuple
 
@@ -159,7 +154,6 @@ def multi_start(problem, config: OptimConfig) -> MultiStartReport:
     return MultiStartReport(
         seeds=tuple(config.seeds),
         max_pairwise_distance=worst,
-        uniqueness_tol=UNIQUENESS_TOL,
         within_tol=bool(worst <= UNIQUENESS_TOL),
         terminations=tuple(r.termination for r in results),
         final_costs=tuple(r.cost_history[-1] for r in results),

@@ -44,7 +44,7 @@ from .controls import (
     project_box,
 )
 from .errors import GridMismatch, NotApplicable
-from .forward import Checkpoints, StateTrajectory, required_substeps, solve_forward, solve_linearized
+from .forward import Checkpoints, StateTrajectory, check_solver, required_substeps, solve_forward, solve_linearized
 from .grid import (
     GridSpec,
     ScalarField,
@@ -132,9 +132,10 @@ class Problem:
     """Bundle of everything a run needs: grid, horizon, data, and weights.
 
     ``source`` is None or the cell values of a source constant in time, an
-    array of the grid's shape.  Frozen, as the forward solve of the most
-    recent control is memoized: ``dataclasses.replace`` makes a variant with
-    an empty memo.
+    array of the grid's shape.  The solver settings are checked when the
+    problem is built (``forward.check_solver``).  Frozen, as the forward
+    solve of the most recent control is memoized: ``dataclasses.replace``
+    makes a variant with an empty memo.
     """
 
     grid: GridSpec
@@ -148,6 +149,9 @@ class Problem:
     cfl: float = 0.9
     max_substeps: int = 4096
     _fwd_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_solver(self.scheme, self.cfl, self.max_substeps)
 
     def drift_for(self, control: ControlPath) -> DriftSpec:
         return DriftSpec(self.a0, control)

@@ -1,12 +1,14 @@
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from liouville_control import (
     ControlPath,
+    NonFinite,
     SchemaError,
     kkt_residual,
     path_dot,
@@ -14,7 +16,16 @@ from liouville_control import (
     sample_function,
     smallness_certificate,
 )
-from liouville_control.cli import COMMANDS, _grad_check_direction, load_scenario, parse_config, run_command, scenario_path
+from liouville_control.cli import (
+    _DEFAULTS,
+    _DISPATCH,
+    COMMANDS,
+    _grad_check_direction,
+    load_scenario,
+    parse_config,
+    run_command,
+    scenario_path,
+)
 from liouville_control.fileio import read_control_csv
 import liouville_control.forward as forward_module
 from liouville_control.grid import _block_nodes, weighted_sobolev_norm
@@ -43,8 +54,7 @@ def test_parse_minimal_resolves_defaults():
 
 
 # every key away from its default: per-axis lists, integers where numbers
-# belong, a source, a tracking path and both constants.  cost.l1_norm takes
-# only its default, the componentwise norm, so it is given as that
+# belong, a source, a tracking path and both constants
 FULL = {
     "grid": {"dim": 2, "lo": [-6, -5.0], "hi": [6.0, 5.5], "n": [16, 12]},
     "time": {"T": 0.5, "nt": 8},
@@ -54,10 +64,10 @@ FULL = {
     "control": {"u1": [0.1, -0.2], "u2": [0.05, 0]},
     "cost": {
         "gamma": 0.5, "delta": 0.01, "nu": 0.02, "theta": "tracking", "phi": "quadratic",
-        "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]], "l1_norm": "component",
+        "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]],
     },
     "bounds": {"ua": [-1.0, -2.0, -0.5, -0.5], "ub": [1.0, 2.0, 0.5, 0.75]},
-    "optim": {"max_iters": 7, "step0": 0.25, "c1": 0.001, "backtrack": 0.3, "vi_tol": 0.01, "seeds": [3, 5]},
+    "optim": {"max_iters": 7, "step0": 0.25, "vi_tol": 0.01, "seeds": [3, 5]},
     "solver": {"scheme": "muscl-fv", "cfl": 0.5, "max_substeps": 64},
     "output": {"dir": "out-full", "stride": 4},
     "constants": {"C_universal": 0.5, "C_cert": 3},
@@ -71,11 +81,11 @@ FULL_RESOLVED = {
     "constants": {"C_cert": 3.0, "C_universal": 0.5},
     "control": {"u1": [0.1, -0.2], "u2": [0.05, 0.0]},
     "cost": {
-        "delta": 0.01, "gamma": 0.5, "l1_norm": "component", "nu": 0.02, "phi": "quadratic",
+        "delta": 0.01, "gamma": 0.5, "nu": 0.02, "phi": "quadratic",
         "theta": "tracking", "track_path": [[0.0, [0.0, 0.1]], [0.5, [0.2, 0.3]]],
     },
     "grid": {"dim": 2, "hi": [6.0, 5.5], "lo": [-6.0, -5.0], "n": [16, 12]},
-    "optim": {"backtrack": 0.3, "c1": 0.001, "max_iters": 7, "seeds": [3, 5], "step0": 0.25, "vi_tol": 0.01},
+    "optim": {"max_iters": 7, "seeds": [3, 5], "step0": 0.25, "vi_tol": 0.01},
     "output": {"dir": "out-full", "stride": 4},
     "rho0": {"params": {"v0": 0.4, "x0": [0.5, -0.25]}, "preset": "gaussian"},
     "solver": {"cfl": 0.5, "max_substeps": 64, "scheme": "muscl-fv"},
@@ -143,6 +153,23 @@ def test_bad_solver_settings_exit_one(tmp_path, solver, key):
     assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
 
 
+# the line search's constants and the one L1 norm are no keys: any value,
+# the old default included, is an unknown key
+@pytest.mark.parametrize(
+    "section, key, old_default", [("optim", "c1", 1e-4), ("optim", "backtrack", 0.5), ("cost", "l1_norm", "component")]
+)
+def test_removed_keys_exit_one(tmp_path, capsys, section, key, old_default):
+    cfgp = write_config(tmp_path, dict(MINIMAL, **{section: {key: old_default}}))
+    assert run_command(["forward", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"configuration error: unknown key '{section}.{key}'\n"
+
+
+def test_readme_configuration_block_names_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```\n(grid\{.*?)```", readme, re.S).group(1)
+    assert re.findall(r"(\w+)\{([^}]*)\}", block) == [(s, ",".join(keys)) for s, keys in _DEFAULTS.items()]
+
+
 # preset parameters that the named preset does not take
 UNKNOWN_PARAMETERS = [
     ("rho0", {"preset": "gaussian", "params": {"xo": 1.0}}),
@@ -167,7 +194,8 @@ UNKNOWN_PARAMETERS = [
         ("cost", {"track_path": [[0.0, [0.0, 1.0]], [1.0, [0.3, 1.0]]], "theta": "tracking"}),
         *UNKNOWN_PARAMETERS,
         ("cost", {"theta": "quadratic-well"}),
-        # the L1 term is the componentwise norm, which the proximal step solves
+        # the L1 term is the componentwise norm, which the proximal step
+        # solves; cost.l1_norm is no key
         ("cost", {"l1_norm": "euclidean"}),
         ("cost", {"theta": "tracking"}),  # no track_path
         ("cost", {"phi": "tracking"}),
@@ -578,14 +606,20 @@ def test_oracle_compare_command(tmp_path):
 
 @pytest.mark.parametrize("n", [64, 8])
 def test_oracle_compare_writes_a_null_order_without_two_positive_errors(tmp_path, n):
-    # zero drift transports nothing, so every error is exactly 0.0; a grid of
-    # 8 cells has one resolution: neither has an order to fit
+    # zero drift at a zero control would transport nothing, so the run takes
+    # grad-check's amplitude, a tenth of the box [-1, 1]'s width, on both
+    # controls; a grid of 8 cells has one resolution and no order to fit
     cfg = dict(MINIMAL, grid={"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [n]})
     out = str(tmp_path / "o")
     assert run_command(["oracle-compare", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert len(rep["resolutions"]) == (3 if n == 64 else 1)
-    assert rep["order"] is None
+    assert rep["control"] == {"u1": [0.2], "u2": [0.2]}
+    assert len(rep["resolutions"]) == len(rep["errors"]) == (3 if n == 64 else 1)
+    assert all(e > 0.0 for e in rep["errors"])
+    if n == 64:
+        assert rep["order"] > 0.5
+    else:
+        assert rep["order"] is None
 
 
 def test_oracle_compare_covers_the_rotation_scenario(tmp_path):
@@ -595,6 +629,26 @@ def test_oracle_compare_covers_the_rotation_scenario(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rep["resolutions"] == [12, 24, 48]
     assert rep["errors"][0] > rep["errors"][1] > rep["errors"][2]
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (FloatingPointError("overflow encountered in exp"), "FloatingPointError: overflow encountered in exp"),
+        (NonFinite("density not finite at step 3"), "density not finite at step 3"),
+    ],
+)
+def test_a_failing_command_exits_two_with_a_diagnostic(tmp_path, capsys, monkeypatch, error, message):
+    # a package error is its message alone; any other names its type
+    def fail(cfg, out_dir):
+        raise error
+
+    monkeypatch.setitem(_DISPATCH, "cost", fail)
+    out = tmp_path / "o"
+    assert run_command(["cost", "--config", write_config(tmp_path, MINIMAL), "--out", str(out)]) == 2
+    rep = json.loads((out / "report.json").read_text())
+    assert rep == {"error": type(error).__name__, "message": str(error), "command": "cost"}
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
 
 def test_certify_command(tmp_path):
     cfg = dict(MINIMAL)

@@ -180,10 +180,6 @@ def test_optimconfig_validation():
     with pytest.raises(ValueError):
         OptimConfig(step0=0.0)
     with pytest.raises(ValueError):
-        OptimConfig(c1=1.5)
-    with pytest.raises(ValueError):
-        OptimConfig(backtrack=1.0)
-    with pytest.raises(ValueError):
         OptimConfig(vi_tol=0.0)
 
 

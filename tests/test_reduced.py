@@ -295,6 +295,13 @@ def test_a_problem_hands_its_settings_to_every_forward_solve():
     assert (traj.scheme, traj.cfl) == ("muscl-fv", 0.5)
 
 
+@pytest.mark.parametrize("setting", [{"cfl": 0.0}, {"cfl": float("nan")}, {"max_substeps": 0}, {"scheme": "weno"}])
+def test_a_problem_with_bad_solver_settings_fails_when_built(setting):
+    (key,) = setting
+    with pytest.raises(ValueError, match=f"^{key} "):
+        dataclasses.replace(build_problem(), **setting)
+
+
 def test_frechet_probe_solves_with_the_problems_settings():
     # the probe on a variant problem has the bits of the same probe with
     # every solve given those settings by hand

@@ -12,9 +12,11 @@ comparing the two records:
     python tools/output_hashes.py --out after.json        # this checkout's src
     python tools/output_hashes.py --compare before.json after.json
 
-``--compare`` lists every run whose exit code, stderr or files differ, and
-exits 1 if there is one.  Paths of the source tree are replaced by ``<src>``
-in stderr, so two checkouts at different places compare equal.
+``--compare`` lists every run whose exit code, stderr or files differ, then
+each differing file name with the number of runs it differs in, and ends
+with the runs' exit codes; it exits 1 if anything differs.  Paths of the
+source tree are replaced by ``<src>`` in stderr, so two checkouts at
+different places compare equal.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -103,8 +106,10 @@ def fingerprint(src: Path) -> dict:
 
 
 def compare(before: dict, after: dict) -> list[str]:
-    """One line per difference between two fingerprints."""
+    """One line per difference between two fingerprints, then one per file
+    name that differs, with the number of runs it differs in."""
     diffs = []
+    runs_per_file = Counter()
     for key in sorted(set(before) | set(after)):
         if key not in before or key not in after:
             diffs.append(f"{key}: only in {'after' if key not in before else 'before'}")
@@ -116,7 +121,8 @@ def compare(before: dict, after: dict) -> list[str]:
         for name in sorted(set(a["files"]) | set(b["files"])):
             if a["files"].get(name) != b["files"].get(name):
                 diffs.append(f"{key}: file {name} differs")
-    return diffs
+                runs_per_file[name] += 1
+    return diffs + [f"file {name} differs in {n} runs" for name, n in sorted(runs_per_file.items())]
 
 
 def _summary(runs: dict) -> str:
@@ -133,7 +139,7 @@ def main(argv=None) -> int:
     if args.compare:
         before, after = (json.loads(p.read_text()) for p in args.compare)
         diffs = compare(before, after)
-        print("\n".join(diffs) if diffs else f"identical: {_summary(after)}")
+        print("\n".join([*diffs, f"{'different' if diffs else 'identical'}: {_summary(after)}"]))
         return 1 if diffs else 0
     if args.out is None:
         parser.error("--out is required unless --compare is given")
