@@ -391,7 +391,7 @@ def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
     report = multi_start(prob, cfg.optim)
     small = smallness_certificate(prob, cfg.C_universal)
-    out = {
+    return {
         "command": "multistart",
         "seeds": list(report.seeds),
         "max_pairwise_distance": report.max_pairwise_distance,
@@ -402,8 +402,6 @@ def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
         "smallness_ratio": small.smallness_ratio,
         "smallness_pass": small.passed,
     }
-    fileio.write_json(out, os.path.join(out_dir, "multistart_report.json"))
-    return out
 
 
 def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:

@@ -455,11 +455,12 @@ def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarra
     """Exact analytic evaluation of a potential at points of shape (..., d).
 
     A scalar is read as one d = 1 point; a flat array raises ValueError,
-    since it could be n points of d = 1 or one point of d = n.  ``t`` is one time,
-    or an array of times of shape S for points of shape S + (M, d), or
-    (M, d) shared by every time: the values have shape S + (M,), row s at
-    time t[s].  A preset that does not depend on time gives
-    ``points.shape[:-1]``, which broadcasts against S + (M,).
+    since it could be n points of d = 1 or one point of d = n, and so do
+    points whose d differs from that of a tracking potential's track.  ``t``
+    is one time, or an array of times of shape S for points of shape
+    S + (M, d), or (M, d) shared by every time: the values have shape
+    S + (M,), row s at time t[s].  A preset that does not depend on time
+    gives ``points.shape[:-1]``, which broadcasts against S + (M,).
     """
     pts = np.asarray(points, dtype=float)
     scalar = pts.ndim == 0
@@ -467,6 +468,9 @@ def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarra
         pts = pts.reshape(1, 1)
     elif pts.ndim == 1:
         raise ValueError(f"points must have the layout (..., d), got the flat shape {pts.shape}")
+    track_x = potential._track[1]
+    if potential.time_dependent and track_x.shape[-1] != pts.shape[-1]:
+        raise ValueError(f"points must have the layout (..., d) with the track's d = {track_x.shape[-1]}, got {pts.shape}")
     out = potential._row.evaluate(potential, pts, t)
     return float(out[0]) if scalar else out
 

@@ -34,16 +34,20 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _write_rows(path: str, header: list[str], rows) -> None:
+    """The one CSV writer: a header line of column names, then one line per
+    row of numbers, each written by ``_fmt``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_field_csv(field: ScalarField, path: str) -> None:
     """Snapshot format: header ``x[,y],value``, one row per cell."""
     grid = field.grid
-    pts = grid.cell_centers()
-    vals = field.values.ravel()
-    header = ("x,value" if grid.dim == 1 else "x,y,value")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, v in zip(pts, vals):
-            fh.write(",".join(_fmt(c) for c in row) + "," + _fmt(v) + "\n")
+    header = ["x", "value"] if grid.dim == 1 else ["x", "y", "value"]
+    _write_rows(path, header, ((*x, v) for x, v in zip(grid.cell_centers(), field.values.ravel())))
 
 
 def read_field_csv(path: str) -> ScalarField:
@@ -63,14 +67,9 @@ def read_field_csv(path: str) -> ScalarField:
 
 def write_control_csv(control: ControlPath, path: str) -> None:
     """Control format: header ``t,u1_1..u1_d,u2_1..u2_d``."""
-    d = control.dim
-    header = "t," + ",".join(f"u1_{r + 1}" for r in range(d)) + "," + ",".join(
-        f"u2_{r + 1}" for r in range(d)
-    )
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for t, row in zip(control.timegrid.nodes(), control.stacked()):
-            fh.write(",".join(_fmt(v) for v in [t, *row]) + "\n")
+    d = range(1, control.dim + 1)
+    header = ["t", *(f"u1_{r}" for r in d), *(f"u2_{r}" for r in d)]
+    _write_rows(path, header, ((t, *row) for t, row in zip(control.timegrid.nodes(), control.stacked())))
 
 
 def read_control_csv(path: str) -> ControlPath:
@@ -88,11 +87,8 @@ def read_control_csv(path: str) -> ControlPath:
 
 def _write_node_table(path: str, timegrid: TimeGrid, columns: dict) -> None:
     """One row per time node: ``t`` and the named per-node columns."""
-    with open(path, "w") as fh:
-        fh.write(",".join(["t", *columns]) + "\n")
-        for n in range(timegrid.nt + 1):
-            row = [n * timegrid.dt, *(col[n] for col in columns.values())]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    rows = ((n * timegrid.dt, *(col[n] for col in columns.values())) for n in range(timegrid.nt + 1))
+    _write_rows(path, ["t", *columns], rows)
 
 
 def write_trajectory_summary(traj: StateTrajectory, path: str) -> dict:
@@ -116,11 +112,10 @@ def write_adjoint_summary(traj: Checkpoints, neg_k: int | None, path: str) -> di
 
 
 def write_iterations_csv(cost_history, vi_history, steps, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,cost,vi_residual,step\n")
-        for i, vi in enumerate(vi_history):
-            step = steps[i] if i < len(steps) else 0.0
-            fh.write(f"{i},{_fmt(cost_history[i])},{_fmt(vi)},{_fmt(step)}\n")
+    """One row per iterate: ``iter,cost,vi_residual,step``, step 0 past the
+    last step taken."""
+    rows = ((i, cost_history[i], vi, steps[i] if i < len(steps) else 0.0) for i, vi in enumerate(vi_history))
+    _write_rows(path, ["iter", "cost", "vi_residual", "step"], rows)
 
 
 def write_json(obj, path: str) -> None:

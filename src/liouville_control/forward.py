@@ -46,18 +46,13 @@ the discrete flux directly, which is what the regularity probes need.
 trajectories: every node 0..nt of a solve in one preallocated
 ``(nt + 1, *grid.shape)`` array, the store-everything end of Griewank &
 Walther's revolve trade-off, so nothing is ever replayed.  ``output.stride``
-only chooses which of the nodes the CLI writes.  Solves record only what
-the objective reads; any other per-node value is reduced from the stored
-nodes by whoever reports it, a block of nodes at a time, as ``norms`` gives
-the weighted Sobolev norms.
-
-A forward solve records at every node the mass, with the finiteness check
-of each step, and, given a nonzero running potential theta, the running
-cost int theta rho dx, reduced from slices of the node array a block of
-nodes at a time: theta tabulated at the block's node times in one call
-(the table and its product with the nodes hold about ``grid._BLOCK_POINTS``
-values), one row sum per node.  ``reduced_cost`` integrates the running
-cost in time from these.
+only chooses which of the nodes the CLI writes.  Besides the nodes, a
+forward solve records at every node only its mass balance: the mass, with
+the finiteness check of each step, the injected source mass and the
+boundary outflux.  Any other per-node value is reduced from the stored
+nodes by whoever reads it, a block of nodes at a time: ``norms`` gives the
+weighted Sobolev norms, and the objective (``reduced.reduced_cost``) the
+running cost int theta rho dx.
 """
 
 from __future__ import annotations
@@ -67,10 +62,10 @@ import math
 
 import numpy as np
 
-from .controls import ControlPath, DriftSpec, Potential, drift_div_bound, drift_grad_bound, potential_eval
+from .controls import ControlPath, DriftSpec, drift_div_bound, drift_grad_bound
 from .controls import eval_drift  # unused here; bench/calltrace.py wraps forward.eval_drift by name
 from .errors import CflUnderflow, InvalidGrid, NonFinite
-from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, _row_sums, is_count, is_finite_number
+from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, is_count, is_finite_number
 from .grid import weighted_sobolev_norm
 
 __all__ = [
@@ -398,12 +393,11 @@ class Checkpoints:
 
 @dataclass(kw_only=True)
 class StateTrajectory(Checkpoints):
-    """Checkpoints plus what the objective reads of a forward solve, at every
-    node 0..nt: the ``mass`` and the running cost int theta rho dx,
-    ``running`` (zero when the solve was given no theta)."""
+    """Checkpoints plus a forward solve's ``mass``, injected ``source_mass``
+    and ``boundary_outflux`` at every node 0..nt, and its plan and
+    settings."""
 
     mass: np.ndarray
-    running: np.ndarray
     substeps: list[int]
     source_mass: np.ndarray
     boundary_outflux: np.ndarray
@@ -419,21 +413,6 @@ def required_substeps(grid: GridSpec, drift: DriftSpec, timegrid: TimeGrid, cfl:
     return _Stepper(grid, drift, None).plan(timegrid, cfl)
 
 
-def _running_cost(traj: StateTrajectory, theta: Potential) -> None:
-    """Fill ``running`` with int theta rho dx at every node, a block of nodes
-    at a time: theta tabulated at the block's node times in one call, and
-    one row sum per node, with the bits of the node's own ``sum()``.  The
-    table and its product with the block hold about ``grid._BLOCK_POINTS``
-    values in all."""
-    grid, dt = traj.grid, traj.timegrid.dt
-    size, centers = _block_nodes(2 * grid.num_cells), grid.cell_centers()
-    for lo in range(0, len(traj.nodes), size):
-        rows = traj.nodes[lo:lo + size]
-        times = np.arange(lo, lo + len(rows)) * dt
-        theta_rows = potential_eval(theta, centers, times).reshape((-1, *grid.shape))
-        traj.running[lo:lo + len(rows)] = _row_sums(theta_rows * rows) * grid.cell_volume
-
-
 def _solve(
     rho0: ScalarField,
     drift: DriftSpec,
@@ -444,7 +423,6 @@ def _solve(
     max_substeps: int,
     fixed_substeps,
     tangent_control: ControlPath | None,
-    theta: Potential | None = None,
 ):
     check_solver(scheme, cfl, max_substeps)
     if fixed_substeps is not None and not (
@@ -484,7 +462,7 @@ def _solve(
 
     vol = grid.cell_volume
     traj = StateTrajectory(
-        timegrid, grid, mass=np.zeros(nt + 1), running=np.zeros(nt + 1), substeps=plan,
+        timegrid, grid, mass=np.zeros(nt + 1), substeps=plan,
         source_mass=np.zeros(nt + 1), boundary_outflux=np.zeros(nt + 1), scheme=scheme, cfl=cfl,
     )
     w_traj = Checkpoints(timegrid, grid) if tangent_control is not None else None
@@ -509,8 +487,6 @@ def _solve(
             w_traj.nodes[n] = w_values
         traj.source_mass[n] = traj.source_mass[n - 1] + src_m
         traj.boundary_outflux[n] = traj.boundary_outflux[n - 1] + out_m
-    if theta is not None and not theta.is_zero:
-        _running_cost(traj, theta)
     return traj if w_traj is None else (traj, w_traj)
 
 
@@ -523,20 +499,14 @@ def solve_forward(
     cfl: float = 0.9,
     max_substeps: int = 4096,
     fixed_substeps=None,
-    theta: Potential | None = None,
 ) -> StateTrajectory:
     """Integrate the density forward from rho0 under the controlled drift.
 
     ``source`` is None or the cell values of a source constant in time, an
     array of the grid's shape (else InvalidGrid).  ``fixed_substeps`` is None
-    (the plan from the Courant number) or the substeps of each step.  With
-    a running potential ``theta``, the trajectory's ``running`` holds int
-    theta rho dx at every node.
+    (the plan from the Courant number) or the substeps of each step.
     """
-    return _solve(
-        rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps,
-        tangent_control=None, theta=theta,
-    )
+    return _solve(rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps, tangent_control=None)
 
 
 def solve_linearized(
@@ -549,20 +519,15 @@ def solve_linearized(
     cfl: float = 0.9,
     max_substeps: int = 4096,
     fixed_substeps=None,
-    theta: Potential | None = None,
 ):
     """Co-evolve the density and its derivative with respect to a control
     perturbation (the linearized transport problem with source
     -div((du1 + x du2) rho), discretized through the scheme's own flux).
 
     Returns (state trajectory, tangent checkpoints) with matched substeps.
-    The state trajectory has the bits of ``solve_forward`` at the same plan,
-    and with a running potential ``theta`` its ``running`` too.
+    The state trajectory has the bits of ``solve_forward`` at the same plan.
     """
-    return _solve(
-        rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps,
-        tangent_control=delta_control, theta=theta,
-    )
+    return _solve(rho0, drift, source, timegrid, scheme, cfl, max_substeps, fixed_substeps, tangent_control=delta_control)
 
 
 def boundary_leak(trajectory: StateTrajectory) -> float:

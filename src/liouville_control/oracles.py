@@ -140,8 +140,12 @@ def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
 
 def fit_order(hs, errors) -> float:
     """Least-squares slope of log(error) against log(h) over the points with a
-    positive error; raises DegenerateProbe unless they have two distinct h."""
+    positive error; raises DegenerateProbe unless they have two distinct h,
+    and ValueError on an h that is not a positive finite number."""
     h, e = np.asarray(hs, dtype=float), np.asarray(errors, dtype=float)
+    bad = h[~(np.isfinite(h) & (h > 0.0))]
+    if bad.size:
+        raise ValueError(f"step sizes h must be positive finite numbers, got {bad.tolist()}")
     keep = e > 0.0
     if np.unique(h[keep]).size < 2:
         raise DegenerateProbe(f"no order from errors {e.tolist()} at h {h.tolist()}")

@@ -2,9 +2,12 @@
 residuals, and analytical probes.
 
 The discrete objective is defined once, in ``reduced_cost``: the trapezoid
-rule in time over every node of the running cost int theta rho dx, which
-the forward solve reduces node by node (``StateTrajectory.running``), plus
-the terminal cost int phi rho(T) dx and the control costs.
+rule in time over every node of the running cost int theta rho dx, plus the
+terminal cost int phi rho(T) dx and the control costs.  The running cost is
+reduced from the forward solve's stored nodes a block of nodes at a time:
+theta tabulated at the block's node times in one ``potential_eval`` call
+(the table and its product with the nodes hold about ``grid._BLOCK_POINTS``
+values), one row sum per node, which gives the bits of a node-by-node sum.
 
 Gradients discretize the continuous optimality system (optimize then
 discretize): per time node and axis r,
@@ -40,6 +43,7 @@ from .controls import (
     CostSpec,
     DriftPreset,
     DriftSpec,
+    Potential,
     potential_eval,
     project_box,
 )
@@ -169,9 +173,7 @@ class Problem:
         traj = self._fwd_cache.get(control.stacked().tobytes())
         if traj is None:
             self._fwd_cache.clear()
-            traj = solve_forward(
-                self.rho0, self.drift_for(control), self.source, self.timegrid, theta=self.cost.theta, **self.solver
-            )
+            traj = solve_forward(self.rho0, self.drift_for(control), self.source, self.timegrid, **self.solver)
             self._keep(control, traj)
         return traj
 
@@ -190,18 +192,35 @@ class Problem:
         return reduced_gradient(control, self)
 
 
+def _running_cost(traj: StateTrajectory, theta: Potential) -> np.ndarray:
+    """int theta rho dx at every node, a block of nodes at a time: theta
+    tabulated at the block's node times in one call, and one row sum per
+    node, with the bits of the node's own ``sum()``.  The table and its
+    product with the block hold about ``grid._BLOCK_POINTS`` values in all."""
+    grid, dt = traj.grid, traj.timegrid.dt
+    size, centers = _block_nodes(2 * grid.num_cells), grid.cell_centers()
+    running = np.empty(len(traj.nodes))
+    for lo in range(0, len(traj.nodes), size):
+        rows = traj.nodes[lo:lo + size]
+        times = np.arange(lo, lo + len(rows)) * dt
+        theta_rows = potential_eval(theta, centers, times).reshape((-1, *grid.shape))
+        running[lo:lo + len(rows)] = _row_sums(theta_rows * rows) * grid.cell_volume
+    return running
+
+
 def reduced_cost(control: ControlPath, problem: Problem) -> float:
     """J(G(u), u), the one discrete objective: the trapezoid rule in time
-    over every node of the running cost int theta rho dx that the forward
-    solve reduced, plus the terminal and control costs."""
+    over every node of the running cost int theta rho dx of the control's
+    (memoized) forward solve, plus the terminal and control costs."""
     traj = problem.solve_forward_for(control)
-    tg = problem.timegrid
-    running = float(np.trapezoid(traj.running, x=np.arange(tg.nt + 1) * tg.dt))
-    terminal = 0.0
-    if not problem.cost.phi.is_zero:
-        phi = sample_potential(problem.grid, problem.cost.phi, tg.T)
+    tg, cost = problem.timegrid, problem.cost
+    running = terminal = 0.0
+    if not cost.theta.is_zero:
+        running = float(np.trapezoid(_running_cost(traj, cost.theta), x=np.arange(tg.nt + 1) * tg.dt))
+    if not cost.phi.is_zero:
+        phi = sample_potential(problem.grid, cost.phi, tg.T)
         terminal = float((phi.values * traj.nodes[-1]).sum() * problem.grid.cell_volume)
-    return problem.cost.total(running + terminal, control)
+    return cost.total(running + terminal, control)
 
 
 def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: Checkpoints):
@@ -346,6 +365,9 @@ def frechet_probe(
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
+    bad = [e for e in eps if not (e > 0 and math.isfinite(e))]
+    if bad:
+        raise ValueError(f"eps ladder must hold positive finite steps, got {bad}")
     tg = problem.timegrid
 
     def control_plus(scale: float) -> ControlPath:
@@ -361,8 +383,7 @@ def frechet_probe(
         plan = [max(a, b) for a, b in zip(plan, p)]
 
     base, wtraj = solve_linearized(
-        problem.rho0, problem.drift_for(control), direction, problem.source, tg, fixed_substeps=plan,
-        theta=problem.cost.theta, **problem.solver
+        problem.rho0, problem.drift_for(control), direction, problem.source, tg, fixed_substeps=plan, **problem.solver
     )
     if plan == own:
         # the tangent solve's state has the bits of the centre's forward
@@ -370,9 +391,9 @@ def frechet_probe(
         problem._keep(control, base)
     vol, size = problem.grid.cell_volume, _block_nodes(problem.grid.num_cells)
     remainders = []
-    # the ladder needs no running cost.  Each solve is dropped before the
-    # next, so one ladder solve is held at a time; its nodes are overwritten
-    # with the squared remainders, a block at a time
+    # each solve is dropped before the next, so one ladder solve is held at
+    # a time; its nodes are overwritten with the squared remainders, a block
+    # at a time
     for e in eps:
         traj_e = solve_forward(
             problem.rho0, problem.drift_for(control_plus(e)), problem.source, tg, fixed_substeps=plan, **problem.solver

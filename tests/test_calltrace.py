@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 CALLTRACE = Path(__file__).resolve().parent.parent / "bench" / "calltrace.py"
@@ -107,3 +108,37 @@ def test_the_tracer_sees_the_adjoint_of_a_strided_grad(monkeypatch, tmp_path):
     assert made and traced == len(made)
     assert tracer.counters["adjoint.replay_steps"] == 0
     assert tracer.counters["forward.replay_steps"] == 0
+
+
+def test_the_tracer_counts_the_running_cost_of_cost(monkeypatch, tmp_path):
+    # ``cost`` on gaussian-tracking-1d tabulates theta once per block of
+    # node times, in ``reduced``, and phi once, in ``adjoint``; the tracer
+    # counts all of them under controls.potential_eval
+    import liouville_control.reduced as reduced_module
+    from liouville_control.cli import load_scenario, run_command, scenario_path
+    from liouville_control.grid import _block_nodes
+
+    calltrace = load_calltrace()
+    theta_calls = []
+    potential_eval = reduced_module.potential_eval
+
+    def counted(*args):
+        theta_calls.append(1)
+        return potential_eval(*args)
+
+    monkeypatch.setattr(reduced_module, "potential_eval", counted)
+    problem = load_scenario("gaussian-tracking-1d").problem()
+    tracer = calltrace.Tracer()
+    restore = calltrace.instrument(tracer, "liouville_control", problem.grid.num_cells)
+    try:
+        args = ["cost", "--config", scenario_path("gaussian-tracking-1d"), "--out", str(tmp_path)]
+        assert run_command(args) == 0
+    finally:
+        restore()
+    calls = Counter()
+    for rec in tracer.records:
+        if rec[calltrace.NAME] == "controls.potential_eval":
+            calls[rec[calltrace.SITE]] += rec[calltrace.CALLS]
+    blocks = -(-(problem.timegrid.nt + 1) // _block_nodes(2 * problem.grid.num_cells))
+    assert len(theta_calls) == blocks > 1
+    assert calls == {"reduced": blocks, "adjoint": 1}

@@ -564,7 +564,8 @@ def test_multistart_command(tmp_path):
     cfgp = write_config(tmp_path, cfg)
     out = str(tmp_path / "o")
     assert run_command(["multistart", "--config", cfgp, "--out", out]) == 0
-    rep = json.loads((tmp_path / "o" / "multistart_report.json").read_text())
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["report.json", "resolved_config.json"]
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rep["max_pairwise_distance"] == 0.0
     assert rep["within_tol"]
 
@@ -577,9 +578,9 @@ def test_multistart_and_certify_report_the_same_smallness(tmp_path):
                optim={"max_iters": 10, "vi_tol": 1e-3, "seeds": [0, 1]}, solver={"scheme": "muscl-fv"})
     cfgp = write_config(tmp_path, cfg)
     reports = {}
-    for command, name in (("multistart", "multistart_report.json"), ("certify", "report.json")):
+    for command in ("multistart", "certify"):
         assert run_command([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
-        rep = json.loads((tmp_path / command / name).read_text())
+        rep = json.loads((tmp_path / command / "report.json").read_text())
         reports[command] = (rep["smallness_ratio"], rep["smallness_pass"])
     assert reports["multistart"] == reports["certify"]
     assert reports["multistart"][1] is False

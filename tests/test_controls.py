@@ -381,6 +381,18 @@ def test_potential_eval_rejects_a_flat_points_array():
             potential_eval(pot, np.array([0.5, 3.0]), 1.0)
 
 
+@pytest.mark.parametrize("track, points", [
+    ([[0.0, [0.5, 3.0]], [1.0, [0.5, 3.0]]], [[0.0]]),
+    ([[0.0, [0.5, 3.0]], [1.0, [0.5, 3.0]]], 0.0),
+    ([[0.0, 0.5], [1.0, 0.5]], [[0.0, 0.0]]),
+], ids=["2d-track-1d-points", "2d-track-scalar", "1d-track-2d-points"])
+def test_potential_eval_rejects_a_track_of_another_dimension(track, points):
+    # the track's points and the evaluation points must have the same d:
+    # no coordinate of either is dropped or broadcast
+    with pytest.raises(ValueError, match=r"\(\.\.\., d\) with the track's d = " + str(len(np.ravel(track[0][1])))):
+        potential_eval(Potential.tracking(track), np.array(points), 1.0)
+
+
 @pytest.mark.parametrize("times", [(), (0.5,), (0.0, 0.0), (0.0, 1.0, 0.5)])
 def test_tracking_potential_needs_a_track(times):
     points = tuple((0.0,) for _ in times)

@@ -25,7 +25,6 @@ from liouville_control import (
     make_grid,
     make_timegrid,
     moments,
-    potential_eval,
     sample_function,
     solve_forward,
     solve_linearized,
@@ -674,19 +673,18 @@ def test_mass_that_overflows_is_not_a_non_finite_value():
 
 DIAGNOSTIC_CASES = [
     # (grid, nt, theta): several blocks with a ragged last one, in 1D and
-    # 2D; nt + 1 nodes inside one block; and no running cost
+    # 2D; nt + 1 nodes inside one block; and no running cost.  The running
+    # cost is reduced by the objective, and test_reduced reads theta
     (make_grid(1, -8.0, 8.0, 1000), 40, Potential.tracking([[0.0, 0.0], [1.0, 0.5]])),
     (make_grid(2, (-4.0, -4.0), (4.0, 4.0), (40, 40)), 25, Potential("quadratic")),
     (make_grid(1, -8.0, 8.0, 64), 16, Potential("gaussian-well")),
     (make_grid(1, -8.0, 8.0, 1000), 40, Potential("zero")),
 ]
+DIAGNOSTIC_IDS = ["1d-ragged", "2d-ragged", "one-block", "no-theta"]
 
 
-@pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=["1d-ragged", "2d-ragged", "one-block", "no-theta"])
-@pytest.mark.parametrize("refine", [1, 7])
-def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine, monkeypatch, tmp_path):
-    # each step takes refine times its planned substeps, and each node is
-    # recorded once its step's last substep is done
+def diagnostic_setup(g, nt):
+    """rho0, drift and time grid of a DIAGNOSTIC_CASES case."""
     tg = make_timegrid(1.0, nt)
     size = _block_nodes(2 * g.num_cells)
     if g.num_cells == 64:
@@ -695,30 +693,24 @@ def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine,
         assert 1 < size < nt + 1 and (nt + 1) % size
     x0 = 0.3 if g.dim == 1 else [0.5, -0.3]
     rho0 = sample_function(g, "gaussian", {"x0": x0, "v0": 0.4})
-    drift = DriftSpec(DriftPreset("zero"), varying_control(tg, g.dim, scale=0.5))
+    return rho0, DriftSpec(DriftPreset("zero"), varying_control(tg, g.dim, scale=0.5)), tg
+
+
+@pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=DIAGNOSTIC_IDS)
+@pytest.mark.parametrize("refine", [1, 7])
+def test_block_reduced_diagnostics_match_the_per_node_loop(g, nt, theta, refine, tmp_path):
+    # each step takes refine times its planned substeps, and each node is
+    # recorded once its step's last substep is done
+    rho0, drift, tg = diagnostic_setup(g, nt)
     plan = [refine * k for k in required_substeps(g, drift, tg, 0.9)]
-    blocks = []
-
-    def counted(pot, points, times):
-        blocks.append(len(times))
-        return potential_eval(pot, points, times)
-
-    monkeypatch.setattr(forward_module, "potential_eval", counted)
-    # theta is tabulated once per block of node times; a solve given no
-    # theta has no running cost and tabulates none
-    traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", fixed_substeps=plan,
-                         theta=None if theta.is_zero else theta)
-    assert blocks == ([] if theta.is_zero else [len(range(lo, min(lo + size, nt + 1))) for lo in range(0, nt + 1, size)])
+    traj = solve_forward(rho0, drift, None, tg, scheme="muscl-fv", fixed_substeps=plan)
     # the summary's minimum and L2 norm come from the stored nodes
     summary = write_trajectory_summary(traj, str(tmp_path / "summary.csv"))
-    vol, pts = g.cell_volume, g.cell_centers()
+    vol = g.cell_volume
     for n, vals in enumerate(traj.nodes):
-        th = potential_eval(theta, pts, n * tg.dt).reshape(g.shape)
         assert bits_equal(traj.mass[n], vals.sum() * vol)
         assert bits_equal(summary["min"][n], vals.min())
         assert bits_equal(summary["l2"][n], math.sqrt(float((vals * vals).sum() * vol)))
-        assert bits_equal(traj.running[n], float((th * vals).sum() * vol))
-    assert np.all(traj.running == 0.0) == theta.is_zero
 
 
 def per_node_norm(g, vals, m, k):

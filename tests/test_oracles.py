@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,15 @@ def test_fit_order_needs_two_step_sizes_with_a_positive_error():
     with pytest.raises(DegenerateProbe):
         fit_order([0.1, 0.1, 0.05], [0.3, 0.2, 0.0])
     assert fit_order([0.1, 0.05, 0.025], [0.0, 3.0 * 0.05**2, 3.0 * 0.025**2]) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("hs, bad", [
+    ([0.1, 0.05, -0.025], [-0.025]), ([0.1, 0.0], [0.0]), ([math.nan, 0.1, 0.05], [math.nan]), ([math.inf, 0.1], [math.inf]),
+], ids=["negative", "zero", "nan", "inf"])
+def test_fit_order_rejects_a_step_size_that_is_not_positive(hs, bad):
+    # log(h) needs a positive finite h; the error names the bad ones
+    with pytest.raises(ValueError, match=re.escape(f"positive finite numbers, got {bad}")):
+        fit_order(hs, [1.0] * len(hs))
 
 
 def test_surrogate_cost_closed_form():

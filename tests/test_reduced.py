@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from liouville_control import (
     partial_derivative,
     optimize,
     path_dot,
+    potential_eval,
     reduced_cost,
     reduced_gradient,
     sample_function,
@@ -42,6 +44,7 @@ from liouville_control.cli import parse_config, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
 from liouville_control.reduced import assemble_integral_path, metric_dot
+from test_forward import DIAGNOSTIC_CASES, DIAGNOSTIC_IDS, diagnostic_setup
 
 
 def build_problem(n=128, nt=64, gamma=1.0, delta=0.0, nu=0.0, theta=None, phi=None,
@@ -244,8 +247,21 @@ def running_cost_over(problem, items):
     return float(np.trapezoid(np.asarray(vals), x=np.asarray(times)))
 
 
+def captured_running_costs(monkeypatch):
+    """The per-node running costs that every ``reduced_cost`` call reduces
+    from here on, one array per call."""
+    seen, running_cost = [], reduced_module._running_cost
+
+    def captured(traj, theta):
+        seen.append(running_cost(traj, theta))
+        return seen[-1]
+
+    monkeypatch.setattr(reduced_module, "_running_cost", captured)
+    return seen
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_cost_is_the_same_at_every_stride(dim, tmp_path):
+def test_cost_is_the_same_at_every_stride(dim, tmp_path, monkeypatch):
     # ``cost`` and ``grad`` report the same cost at every output.stride, and
     # ``grad`` the same report
     costs, grads = [], []
@@ -258,10 +274,52 @@ def test_cost_is_the_same_at_every_stride(dim, tmp_path):
     # integrals, so the cost keeps its bits
     cfg = parse_config(json.dumps(blocked_config(dim, 1)))
     prob, u = cfg.problem(), cfg.control
-    traj, tg = prob.solve_forward_for(u), prob.timegrid
-    running = float(np.trapezoid(traj.running, x=np.arange(tg.nt + 1) * tg.dt))
-    assert bits_equal(running, running_cost_over(prob, enumerate(traj.nodes)))
+    running = captured_running_costs(monkeypatch)
     assert bits_equal(reduced_cost(u, prob), costs[0])
+    traj, tg = prob.solve_forward_for(u), prob.timegrid
+    assert bits_equal(float(np.trapezoid(running[0], x=np.arange(tg.nt + 1) * tg.dt)),
+                      running_cost_over(prob, enumerate(traj.nodes)))
+
+
+@pytest.mark.parametrize("g, nt, theta", DIAGNOSTIC_CASES, ids=DIAGNOSTIC_IDS)
+def test_running_cost_is_reduced_a_block_of_nodes_at_a_time(g, nt, theta, monkeypatch):
+    # reduced_cost tabulates theta once per block of node times, and each
+    # node's running cost has the bits of the node's own sum; a zero theta
+    # tabulates nothing
+    rho0, drift, tg = diagnostic_setup(g, nt)
+    prob = Problem(grid=g, timegrid=tg, rho0=rho0, a0=drift.a0, cost=CostSpec(gamma=0.5, theta=theta),
+                   bounds=BoxBounds.symmetric(2.0, g.dim), scheme="muscl-fv")
+    u, blocks = drift.control, []
+
+    def counted(pot, points, times):
+        blocks.append(len(times))
+        return potential_eval(pot, points, times)
+
+    monkeypatch.setattr(reduced_module, "potential_eval", counted)
+    running = captured_running_costs(monkeypatch)
+    cost = reduced_cost(u, prob)
+    size = _block_nodes(2 * g.num_cells)
+    assert blocks == ([] if theta.is_zero else [len(range(lo, min(lo + size, nt + 1))) for lo in range(0, nt + 1, size)])
+    vol, pts = g.cell_volume, g.cell_centers()
+    want = [float((potential_eval(theta, pts, n * tg.dt).reshape(g.shape) * vals).sum() * vol)
+            for n, vals in enumerate(prob.solve_forward_for(u).nodes)]
+    if theta.is_zero:
+        assert running == [] and bits_equal(cost, prob.cost.total(0.0, u))
+    else:
+        assert len(running) == 1 and bits_equal(running[0], want)
+        assert bits_equal(cost, prob.cost.total(float(np.trapezoid(want, x=np.arange(nt + 1) * tg.dt)), u))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_memo_hit_cost_has_the_bits_of_the_miss(dim, monkeypatch):
+    # the second call reads the memoized state and reduces its running cost
+    # again, to the same bits
+    prob, u = blocked_problem(dim)
+    solves, _ = counted_solves(monkeypatch)
+    running = captured_running_costs(monkeypatch)
+    miss = reduced_cost(u, prob)
+    assert len(solves) == 1 and bits_equal(reduced_cost(u, prob), miss)
+    assert len(solves) == 1 and len(running) == 2 and bits_equal(running[1], running[0])
 
 
 @pytest.mark.parametrize("which", ["rho", "q"])
@@ -461,8 +519,8 @@ def test_grad_check_reports_the_same_bits_whether_or_not_the_probe_plan_is_the_c
 
 
 def test_the_probe_leaves_the_centres_state_in_the_memo(monkeypatch):
-    # the tangent solve, given theta, has the bits of the centre's forward
-    # solve in every array, the running cost included
+    # the tangent solve's state has the bits of the centre's forward solve
+    # in every array
     prob = build_problem(n=64, nt=32, theta=Potential.tracking([[0.0, 0.0], [1.0, 0.5]]), scheme="muscl-fv")
     tg = prob.timegrid
     u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.05], [-0.03])
@@ -470,7 +528,7 @@ def test_the_probe_leaves_the_centres_state_in_the_memo(monkeypatch):
     solves, _ = counted_solves(monkeypatch)
     kept, solved = prob.solve_forward_for(u), dataclasses.replace(prob).solve_forward_for(u)
     assert len(solves) == 1
-    for name in ("nodes", "mass", "running", "source_mass", "boundary_outflux"):
+    for name in ("nodes", "mass", "source_mass", "boundary_outflux"):
         assert bits_equal(getattr(kept, name), getattr(solved, name))
     assert (kept.substeps, kept.scheme, kept.cfl) == (solved.substeps, solved.scheme, solved.cfl)
 
@@ -632,6 +690,19 @@ def test_frechet_probe_validates_ladder():
     u = ControlPath.zeros(prob.timegrid, 1)
     with pytest.raises(ValueError):
         frechet_probe(u, u, [0.1, 0.2], prob)
+
+
+@pytest.mark.parametrize("ladder, bad", [([0.2, 0.1, -0.1], [-0.1]), ([0.2, 0.0], [0.0]), ([math.inf, 0.1], [math.inf])],
+                         ids=["negative", "zero", "inf"])
+def test_frechet_probe_rejects_a_step_that_is_not_positive(ladder, bad, monkeypatch):
+    # the slope is fitted to log(eps), and a zero step has no remainder to
+    # fit: the ladder is refused before any solve, naming the bad steps
+    prob = build_problem(n=64, nt=32)
+    u = ControlPath.zeros(prob.timegrid, 1)
+    solves, _ = counted_solves(monkeypatch)
+    with pytest.raises(ValueError, match=re.escape(f"positive finite steps, got {bad}")):
+        frechet_probe(u, u, ladder, prob)
+    assert solves == []
 
 
 def test_smallness_certificate_limits():

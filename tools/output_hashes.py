@@ -37,9 +37,9 @@ STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # shipped scenarios with sections replaced, for the code paths that none of
-# them runs: a source, the upwind scheme in 1D and in 2D, a nonzero affine
-# drift in 1D and one in 2D other than the rotation, a drift that is not
-# affine, and an optimize that stops at max_iters
+# them runs: a source, the upwind scheme in 1D and in 2D, a tracking cost in
+# 2D, a nonzero affine drift in 1D and one in 2D other than the rotation, a
+# drift that is not affine, and an optimize that stops at max_iters
 VARIANTS = {
     "sparse-ladder+source": ("sparse-ladder", {
         "source": {"preset": "bimodal-gaussian", "params": {"wa": 0.05, "wb": 0.05}},
@@ -55,6 +55,12 @@ VARIANTS = {
         "a0": {"preset": "affine", "params": {"A": [[-0.4, 1.0], [-1.0, -0.4]], "b": [0.1, -0.1]}},
     }),
     "confining-2d+upwind": ("confining-2d", {"solver": {"scheme": "upwind-fv"}}),
+    # the one time-dependent theta in 2D: a tracking cost with a
+    # two-coordinate track
+    "confining-2d+tracking": ("confining-2d", {
+        "cost": {"gamma": 1.0, "theta": "tracking", "phi": "quadratic",
+                 "track_path": [[0.0, [1.0, -0.5]], [0.5, [0.5, 0.0]]]},
+    }),
     # the one a0 whose Jacobian varies over x and whose higher derivatives
     # are sampled on the grid
     "confining-2d+bump": ("confining-2d", {
