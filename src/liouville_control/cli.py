@@ -326,19 +326,19 @@ def _cmd_grad(cfg: RunConfig, out_dir: str) -> dict:
     }
 
 
-def _probe_amplitude(prob: Problem) -> float:
-    """A tenth of the box's narrowest width: grad-check's direction and
-    oracle-compare's control for a zero drift."""
+def _probe_amplitude(prob: Problem) -> np.ndarray:
+    """A tenth of each control component's box width (0 where the box pins it), u1's then u2's:
+    grad-check's direction and oracle-compare's control for a zero drift."""
     ua, ub = prob.bounds.arrays()
-    return 0.2 * float((ub - ua).min()) / 2.0
+    return 0.2 * (ub - ua) / 2.0
 
 
 def _grad_check_direction(prob: Problem) -> ControlPath:
     amp = _probe_amplitude(prob)
     t = prob.timegrid.nodes() / prob.timegrid.T
     d = prob.grid.dim
-    u1 = amp * np.sin(np.pi * t)[:, None] * np.ones((1, d))
-    u2 = amp * np.cos(np.pi * t)[:, None] * np.ones((1, d))
+    u1 = amp[:d] * np.sin(np.pi * t)[:, None]
+    u2 = amp[d:] * np.cos(np.pi * t)[:, None]
     return ControlPath(prob.timegrid, u1, u2)
 
 
@@ -363,6 +363,11 @@ def _cmd_grad_check(cfg: RunConfig, out_dir: str) -> dict:
         "fd_rel_err": rel,
         "ibp_discrepancy": grad.ibp_discrepancy,
     }
+
+
+def _json_number(x: float) -> float | None:
+    """``x``, or None (JSON null) if it is not finite, which strict JSON cannot hold."""
+    return x if math.isfinite(x) else None
 
 
 def _cmd_optimize(cfg: RunConfig, out_dir: str) -> dict:
@@ -399,7 +404,7 @@ def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
         "within_tol": report.within_tol,
         "terminations": list(report.terminations),
         "final_costs": list(report.final_costs),
-        "smallness_ratio": small.smallness_ratio,
+        "smallness_ratio": _json_number(small.smallness_ratio),
         "smallness_pass": small.passed,
     }
 
@@ -411,7 +416,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
     ab = prob.a0.affine_part(base.dim)
     if ab is not None and not (np.any(ab[0]) or np.any(ab[1]) or np.any(cfg.control.nodes)):
         # a zero drift moves nothing, and every error would be 0.0
-        u1 = u2 = np.full(base.dim, _probe_amplitude(prob))
+        u1, u2 = np.split(_probe_amplitude(prob), 2)
     base_n = base.n[0]
     resolutions = sorted({max(8, base_n // 4), max(8, base_n // 2), base_n})
     errors = []
@@ -450,7 +455,7 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
         for k in (0, 2):
             cert = energy_certificate(traj, drift, prob.source, m, k, C_cert=cfg.C_cert)
             certs[f"m{m}k{k}"] = {
-                "fitted_C": cert.fitted_C if math.isfinite(cert.fitted_C) else None,
+                "fitted_C": _json_number(cert.fitted_C),
                 "C_cert": cert.C_cert,
                 "passed": cert.passed,
             }
@@ -467,12 +472,12 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
         acert = adjoint_energy_certificate(qtraj, drift, prob.cost, C_cert=cfg.C_cert)
         report["adjoint_certificate"] = {
             "neg_k": confining_weight_index(prob.grid.dim),
-            "fitted_C": acert.fitted_C if math.isfinite(acert.fitted_C) else None,
+            "fitted_C": _json_number(acert.fitted_C),
             "passed": acert.passed,
         }
     small = smallness_certificate(prob, cfg.C_universal)
-    report["smallness_ratio"] = small.smallness_ratio
-    report["smallness_K"] = small.smallness_K
+    report["smallness_ratio"] = _json_number(small.smallness_ratio)
+    report["smallness_K"] = _json_number(small.smallness_K)
     report["smallness_pass"] = small.passed
     return report
 

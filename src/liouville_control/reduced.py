@@ -101,7 +101,6 @@ class GradientPath:
     control path's: ``values`` is (nt + 1, 2 d), the u1 columns then the u2
     columns."""
 
-    timegrid: TimeGrid
     values: np.ndarray
     metric: str = "L2"
     ibp_discrepancy: float = 0.0
@@ -128,7 +127,6 @@ class ProbeReport:
     smallness_K: float | None = None
     smallness_ratio: float | None = None
     passed: bool | None = None
-    degenerate: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -313,8 +311,8 @@ def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
     )
     if problem.cost.nu > 0:
         mu = h1_riesz(integral, problem.cost.gamma, problem.cost.nu, problem.timegrid)
-        return GradientPath(problem.timegrid, control.stacked() + mu, "H1tilde", disc)
-    return GradientPath(problem.timegrid, problem.cost.gamma * control.stacked() + integral, "L2", disc)
+        return GradientPath(control.stacked() + mu, "H1tilde", disc)
+    return GradientPath(problem.cost.gamma * control.stacked() + integral, "L2", disc)
 
 
 def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath) -> KktResidual:
@@ -432,7 +430,7 @@ def smallness_certificate(problem: Problem, C_universal: float = 1.0) -> ProbeRe
 
     The universal constant of the underlying estimate is not constructive;
     the caller supplies it (default 1), so the certificate is indicative
-    rather than a proof.
+    rather than a proof; a growth factor past the float range gives K = inf.
     """
     T = problem.timegrid.T
     grad_a0_l1 = T * sum(problem.a0.derivative_sup(problem.grid, o) for o in (1, 2, 3))
@@ -447,11 +445,11 @@ def smallness_certificate(problem: Problem, C_universal: float = 1.0) -> ProbeRe
             sample_potential(problem.grid, problem.cost.phi, T), 1, 1
         )
     pot_term = phi_norm + _potential_norm_time_integral(problem, problem.cost.theta)
-    K = C_universal * math.exp(C_universal * (grad_a0_l1 + bound_term)) * data_term * pot_term
+    try:
+        growth = math.exp(C_universal * (grad_a0_l1 + bound_term))
+    except OverflowError:
+        growth = math.inf
+    # a zero data or potential term gives K = 0, also where the growth is inf
+    K = C_universal * growth * data_term * pot_term if data_term and pot_term else 0.0
     ratio = K * T / problem.cost.gamma
-    return ProbeReport(
-        smallness_K=K,
-        smallness_ratio=ratio,
-        passed=bool(ratio < 2.0),
-        degenerate=bool(ratio == 0.0),
-    )
+    return ProbeReport(smallness_K=K, smallness_ratio=ratio, passed=bool(ratio < 2.0))

@@ -27,6 +27,7 @@ from liouville_control import (
     solve_forward,
 )
 from liouville_control.grid import _block_nodes
+from test_controls import bits_equal
 
 
 def setup(n=256, nt=256, T=1.0):
@@ -252,12 +253,6 @@ def test_stored_feet_match_per_step_march_in_2d():
     ref, escaped = _per_step_reference(cost, drift, tg, g)
     assert escaped > tg.nt
     _assert_matches_reference(cost, drift, tg, g, ref)
-
-
-def bits_equal(a, b):
-    """Equal shapes and equal bit patterns (so -0.0 differs from 0.0)."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

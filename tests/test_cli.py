@@ -451,6 +451,31 @@ def test_grad_check_reports_slope(tmp_path):
     assert rep["fd_rel_err"] < 0.1
 
 
+# a 1D tracking run whose box pins u2 at 0
+PINNED = dict(
+    MINIMAL, grid={"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [128]}, time={"T": 1.0, "nt": 64},
+    bounds={"ua": [-1.0, 0.0], "ub": [1.0, 0.0]}, solver={"scheme": "muscl-fv"},
+    cost={"gamma": 0.2, "theta": "tracking", "phi": "gaussian-well", "track_path": [[0.0, 0.0], [1.0, 0.3]]},
+)
+
+
+def test_probes_take_a_tenth_of_each_component_width(tmp_path):
+    # a pinned component is not probed, and the others still are: grad-check
+    # moves u1 alone and meets criterion 06's slope band, and oracle-compare
+    # runs the zero drift at u1 = 0.2, u2 = 0
+    direction = _grad_check_direction(parse_config(json.dumps(PINNED)).problem())
+    assert np.all(direction.u2 == 0.0) and direction.u1.max() == 0.2
+    cfgp = write_config(tmp_path, PINNED)
+    reports = {}
+    for command in ("grad-check", "oracle-compare"):
+        assert run_command([command, "--config", cfgp, "--out", str(tmp_path / command)]) == 0
+        reports[command] = json.loads((tmp_path / command / "report.json").read_text())
+    assert 1.8 <= reports["grad-check"]["slope"] <= 2.2
+    assert reports["grad-check"]["fd_rel_err"] < 1e-4
+    assert reports["oracle-compare"]["control"] == {"u1": [0.2], "u2": [0.0]}
+    assert reports["oracle-compare"]["order"] > 1.0
+
+
 def test_grad_check_pairs_an_h1_gradient_in_the_h1_metric(tmp_path):
     # with nu > 0 the gradient is the H1tilde representative, and grad-check
     # pairs it as gamma <g, d> + nu <g', d'> with the exact slopes
@@ -651,6 +676,24 @@ def test_a_failing_command_exits_two_with_a_diagnostic(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
+@pytest.mark.parametrize("command, patch", [
+    ("certify", {"bounds": {"ua": -600.0, "ub": 600.0}}),  # the growth factor overflows
+    ("certify", {"bounds": {"ua": -500.0, "ub": 500.0}}),  # K overflows
+    ("multistart", {"constants": {"C_universal": 1000.0}, "optim": {"max_iters": 2, "seeds": [0, 1]}}),
+])
+def test_a_smallness_certificate_past_the_float_range_is_null(tmp_path, command, patch):
+    # K and the ratio are inf, written as null, and the certificate fails;
+    # certify still reports its energy certificates
+    out = tmp_path / "o"
+    assert run_command([command, "--config", write_config(tmp_path, dict(PINNED, **patch)), "--out", str(out)]) == 0
+    # strict JSON: no Infinity, no NaN
+    rep = json.loads((out / "report.json").read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the report"))
+    assert rep["smallness_ratio"] is None and rep["smallness_pass"] is False
+    if command == "certify":
+        assert rep["smallness_K"] is None
+        assert set(rep["energy_certificates"]) == {"m0k0", "m0k2", "m1k0", "m1k2"}
+
+
 def test_certify_command(tmp_path):
     cfg = dict(MINIMAL)
     cfg["control"] = {"u1": 0.3, "u2": 0.2}
@@ -664,13 +707,12 @@ def test_certify_command(tmp_path):
     assert "smallness_ratio" in rep
 
 
-def _run_diagnostics(tmp_path, potential, stride):
-    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, output={"stride": stride},
-               cost={"theta": potential, "phi": potential})
-    cfgp = write_config(tmp_path, cfg, name=f"{potential}-{stride}.json")
+def _run_diagnostics(tmp_path, potential):
+    cfg = dict(MINIMAL, control={"u1": 0.3, "u2": 0.2}, cost={"theta": potential, "phi": potential})
+    cfgp = write_config(tmp_path, cfg, name=f"{potential}.json")
     out = {}
     for command in ("forward", "adjoint", "certify"):
-        o = tmp_path / f"{potential}-{stride}-{command}"
+        o = tmp_path / f"{potential}-{command}"
         assert run_command([command, "--config", cfgp, "--out", str(o)]) == 0
         out[command] = (
             json.loads((o / "report.json").read_text()),
@@ -679,75 +721,76 @@ def _run_diagnostics(tmp_path, potential, stride):
     return out
 
 
-def test_weighted_norm_columns_do_not_depend_on_stride(tmp_path):
-    dense = _run_diagnostics(tmp_path, "quadratic", 1)
-    strided = _run_diagnostics(tmp_path, "quadratic", 8)
-    for command in ("forward", "adjoint", "certify"):
-        assert strided[command] == dense[command]
-    report, csv = dense["adjoint"]
+def test_weighted_norm_columns_with_confining_potentials(tmp_path):
+    out = _run_diagnostics(tmp_path, "quadratic")
+    report, csv = out["adjoint"]
     assert report["neg_k"] == 3
     assert csv.splitlines()[0] == "t,l2,h0_negk"
     column = [float(line.split(",")[2]) for line in csv.splitlines()[1:]]
     assert len(column) == 33
     assert report["h0_negk_max"] == max(column) > 0.0
-    assert dense["forward"][1].splitlines()[0] == "t,mass,min,l2,h0k2"
-    assert dense["certify"][0]["adjoint_certificate"]["neg_k"] == 3
+    assert out["forward"][1].splitlines()[0] == "t,mass,min,l2,h0k2"
+    assert out["certify"][0]["adjoint_certificate"]["neg_k"] == 3
 
 
-def check_snapshot_files(tmp_path, command, prefix, scenario, stride):
-    """``command`` writes the snapshots at node nt and every stride-th node,
-    and every file it writes is the same bytes as in a stride-1 run."""
-    outputs = {}
-    for s in (1, stride):
-        with open(scenario_path(scenario)) as fh:
-            cfg = json.load(fh)
-        cfg["output"] = {"stride": s}
-        out = tmp_path / f"{command}-{s}"
-        config = write_config(tmp_path, cfg, f"{command}-{s}.json")
-        assert run_command([command, "--config", config, "--out", str(out)]) == 0
-        outputs[s] = {
-            str(f.relative_to(out)): f.read_bytes()
-            for f in sorted(out.rglob("*")) if f.is_file() and f.name != "resolved_config.json"
-        }
-    dense, strided = outputs[1], outputs[stride]
-    nt = load_scenario(scenario).problem().timegrid.nt
-    nodes = sorted({*range(0, nt + 1, stride), nt})
-    assert sorted(n for n in strided if n.startswith("snapshots/")) == [
-        os.path.join("snapshots", f"{prefix}_{n:06d}.csv") for n in nodes
-    ]
-    assert len([n for n in dense if n.startswith("snapshots/")]) == nt + 1
-    assert strided == {name: dense[name] for name in strided}
+# small MUSCL runs with a tracking running cost, the 2D one with a quadratic
+# terminal cost, at stride 1 and at STRIDE, which divides neither nt
+STRIDED = {
+    1: dict(
+        MINIMAL, time={"T": 1.0, "nt": 16}, control={"u1": 0.3, "u2": 0.2}, solver={"scheme": "muscl-fv"},
+        cost={"gamma": 0.2, "theta": "tracking", "phi": "gaussian-well", "track_path": [[0.0, 0.0], [1.0, 0.3]]},
+        optim={"max_iters": 3, "seeds": [0, 1]},
+    ),
+    2: {
+        "grid": {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]},
+        "time": {"T": 0.5, "nt": 10},
+        "rho0": {"preset": "gaussian", "params": {"x0": [1.0, -0.5], "v0": 0.5}},
+        "a0": {"preset": "rotation", "params": {"omega": 1.0}},
+        "control": {"u1": [0.1, -0.1], "u2": [0.05, 0.05]},
+        "cost": {"theta": "tracking", "phi": "quadratic", "track_path": [[0.0, [1.0, -0.5]], [0.5, [0.5, 0.0]]]},
+        "solver": {"scheme": "muscl-fv"},
+        "optim": {"max_iters": 3, "seeds": [0, 1]},
+    },
+}
+STRIDE = 3
 
 
-@pytest.mark.parametrize("scenario, stride", [
-    ("bimodal-stabilize-1d", 8),
-    ("bimodal-stabilize-1d", 7),  # 7 does not divide nt = 128
-    ("confining-2d", 8),
-])
-def test_adjoint_files_do_not_depend_on_stride(tmp_path, scenario, stride):
-    check_snapshot_files(tmp_path, "adjoint", "q", scenario, stride)
+def command_files(tmp_path, command, cfg, stride):
+    """The bytes of every file but resolved_config.json that ``command``
+    writes for ``cfg`` at ``stride``, by path in the output directory."""
+    name = f"{command}-{stride}"
+    config = write_config(tmp_path, dict(cfg, output={"stride": stride}), f"{name}.json")
+    assert run_command([command, "--config", config, "--out", str(tmp_path / name)]) == 0
+    out = tmp_path / name
+    return {
+        str(f.relative_to(out)): f.read_bytes()
+        for f in sorted(out.rglob("*")) if f.is_file() and f.name != "resolved_config.json"
+    }
 
 
-def test_forward_files_do_not_depend_on_stride(tmp_path):
-    check_snapshot_files(tmp_path, "forward", "rho", "bimodal-stabilize-1d", 7)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_stride_thins_only_the_snapshots(tmp_path, command, dim):
+    # output.stride reaches no solve: at a stride that divides neither nt,
+    # forward and adjoint write their snapshots at node 0, every stride-th
+    # node and node nt, each the stride-1 run's file, no other command
+    # writes any, and every other file has the stride-1 run's bytes
+    cfg = STRIDED[dim]
+    nt = cfg["time"]["nt"]
+    assert nt % STRIDE
+    dense, strided = (command_files(tmp_path, command, cfg, s) for s in (1, STRIDE))
+    prefix = {"forward": "rho", "adjoint": "q"}.get(command)
 
+    def snapshots(nodes):
+        return {os.path.join("snapshots", f"{prefix}_{n:06d}.csv") for n in nodes} if prefix else set()
 
-def test_grad_check_does_not_depend_on_stride(tmp_path):
-    # the Taylor remainders are sups over every time node, whatever
-    # output.stride, so the report is the same bytes.  On this wide box the
-    # probe's direction is large, and some remainders peak between the
-    # nodes that stride 4 would keep
-    reports = []
-    for stride in (1, 4):
-        cfg = dict(MINIMAL, bounds={"ua": -4.0, "ub": 4.0}, solver={"scheme": "muscl-fv"}, output={"stride": stride})
-        out = tmp_path / f"grad-check-{stride}"
-        assert run_command(["grad-check", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert {name for name in dense if name.startswith("snapshots")} == snapshots(range(nt + 1))
+    assert set(strided) == set(dense) - snapshots(range(nt + 1)) | snapshots({*range(0, nt + 1, STRIDE), nt})
+    assert all(strided[name] == dense[name] for name in strided)
 
 
 def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
-    out = _run_diagnostics(tmp_path, "gaussian-well", 1)
+    out = _run_diagnostics(tmp_path, "gaussian-well")
     report, csv = out["adjoint"]
     assert not {"neg_k", "h0_negk_max"} & set(report)
     assert csv.splitlines()[0] == "t,l2"

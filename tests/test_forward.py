@@ -33,7 +33,7 @@ import liouville_control.forward as forward_module
 from liouville_control.forward import _Faces, _Stepper, _Sweep, _face_points, required_substeps
 from liouville_control.fileio import write_trajectory_summary
 from liouville_control.grid import _block_nodes, partial_derivative, weighted_sobolev_norm
-from test_controls import DRIFT_CASES
+from test_controls import DRIFT_CASES, bits_equal
 
 
 def gaussian_setup(n=256, nt=256, x0=0.0, v0=1.0, T=1.0):
@@ -286,12 +286,6 @@ def test_two_dimensional_rotation_mean():
 
 
 # --- the stepper's bits: each piece equals the code it replaced -------------
-
-
-def bits_equal(a, b):
-    """Equal shapes and equal bit patterns (so -0.0 differs from 0.0)."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def varying_control(tg, d, scale=1.0):
@@ -613,7 +607,7 @@ def test_stage_with_a_source_matches_the_allocating_version(scheme):
     got = case.sweep.advance(values, 0.01, 4, w_values)
     ref = reference_advance(case, values, 0.01, 4, w_values)
     for a, b in zip(got, ref):
-        assert bits_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        assert bits_equal(a, b)
 
 
 @pytest.mark.parametrize("scheme", ["upwind-fv", "muscl-fv"])

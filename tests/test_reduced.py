@@ -44,6 +44,7 @@ from liouville_control.cli import parse_config, run_command, scenario_path
 from liouville_control.optimize import OptimConfig
 from liouville_control.grid import _block_nodes
 from liouville_control.reduced import assemble_integral_path, metric_dot
+from test_controls import bits_equal
 from test_forward import DIAGNOSTIC_CASES, DIAGNOSTIC_IDS, diagnostic_setup
 
 
@@ -136,9 +137,9 @@ def test_ibp_cross_check_small_and_shrinking():
     assert d256 < d128
 
 
-def blocked_config(dim, stride):
+def blocked_config(dim):
     """The run configuration of ``blocked_problem`` under constant controls
-    and a tracking running cost, at ``output.stride``."""
+    and a tracking running cost."""
     if dim == 1:
         grid, time = {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [1000]}, {"T": 1.0, "nt": 40}
         a0, x0, path = {"preset": "zero"}, 0.3, [[0.0, 0.0], [1.0, 0.5]]
@@ -150,26 +151,15 @@ def blocked_config(dim, stride):
         "grid": grid, "time": time, "a0": a0, "rho0": {"preset": "gaussian", "params": {"x0": x0, "v0": 0.4}},
         "control": {"u1": 0.3, "u2": -0.1}, "bounds": {"ua": -2.0, "ub": 2.0}, "solver": {"scheme": "muscl-fv"},
         "cost": {"gamma": 0.5, "theta": "tracking", "phi": "gaussian-well", "track_path": path},
-        "output": {"stride": stride},
     }
 
 
-def cli_outputs(tmp_path, command, cfg, files=("report.json",)):
-    """The bytes of ``files`` that ``liouctl command`` writes for ``cfg``."""
-    name = f"{command}-{cfg['grid']['dim']}-{cfg['output']['stride']}"
-    config = tmp_path / f"{name}.json"
+def cli_report(tmp_path, command, cfg):
+    """The report that ``liouctl command`` writes for ``cfg``."""
+    config = tmp_path / f"{command}.json"
     config.write_text(json.dumps(cfg))
-    assert run_command([command, "--config", str(config), "--out", str(tmp_path / name)]) == 0
-    return tuple((tmp_path / name / f).read_bytes() for f in files)
-
-
-def test_gradient_identical_at_stride_not_dividing_nt(tmp_path):
-    # the assembly pairs each forward node with the adjoint at the same
-    # node, and both solves keep every node whatever output.stride, so
-    # ``grad`` writes the same bytes at a stride that does not divide nt
-    outputs = [cli_outputs(tmp_path, "grad", blocked_config(1, s), ("report.json", "control_gradient.csv"))
-               for s in (1, 7)]
-    assert outputs[0] == outputs[1]
+    assert run_command([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    return json.loads((tmp_path / command / "report.json").read_text())
 
 
 def per_node_assembly(problem, traj_rho, traj_q):
@@ -219,11 +209,6 @@ def blocked_problem(dim):
     return prob, u
 
 
-def bits_equal(a, b):
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 @pytest.mark.parametrize("dim", [1, 2])
 def test_blocked_assembly_matches_the_per_node_loop(dim):
     prob, u = blocked_problem(dim)
@@ -261,18 +246,13 @@ def captured_running_costs(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_cost_is_the_same_at_every_stride(dim, tmp_path, monkeypatch):
-    # ``cost`` and ``grad`` report the same cost at every output.stride, and
-    # ``grad`` the same report
-    costs, grads = [], []
-    for stride in (1, 7, 64):
-        cfg = blocked_config(dim, stride)
-        grads.append(cli_outputs(tmp_path, "grad", cfg)[0])
-        costs += [json.loads(cli_outputs(tmp_path, "cost", cfg)[0])["cost"], json.loads(grads[-1])["cost"]]
-    assert len(set(grads)) == 1 and all(bits_equal(c, costs[0]) for c in costs)
+def test_cost_and_grad_report_the_cost_over_every_node(dim, tmp_path, monkeypatch):
+    # ``cost`` and ``grad`` report the same cost
+    costs = [cli_report(tmp_path, command, blocked_config(dim))["cost"] for command in ("cost", "grad")]
+    assert bits_equal(costs[1], costs[0])
     # the running term is the trapezoid over every node of the per-node
     # integrals, so the cost keeps its bits
-    cfg = parse_config(json.dumps(blocked_config(dim, 1)))
+    cfg = parse_config(json.dumps(blocked_config(dim)))
     prob, u = cfg.problem(), cfg.control
     running = captured_running_costs(monkeypatch)
     assert bits_equal(reduced_cost(u, prob), costs[0])
@@ -715,9 +695,19 @@ def test_smallness_certificate_limits():
     rep0 = smallness_certificate(build_problem(), C_universal=1.0)
     assert rep0.smallness_K == 0.0
     assert rep0.smallness_ratio == 0.0
-    assert rep0.degenerate
     small = build_problem(gamma=0.01, theta=theta, phi=Potential("gaussian-well"))
     assert not smallness_certificate(small, C_universal=1.0).passed
+
+
+@pytest.mark.parametrize("radius", [500.0, 600.0])
+def test_smallness_certificate_past_the_float_range(radius):
+    # at radius 600 the growth factor overflows, at 500 the product: K and
+    # the ratio are inf and fail, and a zero potential term still gives 0
+    theta = Potential.tracking([[0.0, 0.0], [1.0, 0.3]])
+    rep = smallness_certificate(build_problem(theta=theta, radius=radius), 1.0)
+    assert rep.smallness_K == rep.smallness_ratio == math.inf and rep.passed is False
+    rep0 = smallness_certificate(build_problem(radius=radius), 1.0)
+    assert rep0.smallness_K == rep0.smallness_ratio == 0.0 and rep0.passed is True
 
 
 def test_smallness_certificate_counts_a_source():

@@ -1,12 +1,13 @@
 """Fingerprint every output of the ``liouctl`` commands on the shipped scenarios.
 
 Runs forward, adjoint, cost, grad, grad-check, certify, oracle-compare,
-optimize and multistart on each shipped scenario, and on the variants in
-``VARIANTS``, at ``output.stride`` 1 and 8, each run in a fresh process, and
-writes one JSON record per run: its exit code, its stderr and the sha256 of
-every file in its output directory.  A refactor that must not change any
-output is checked by fingerprinting the source trees before and after it and
-comparing the two records:
+optimize and multistart once on each shipped scenario and on the variants in
+``VARIANTS``, at the configuration's own ``output.stride`` (a tier-1 test
+checks that the stride thins only the snapshots), each run in a fresh
+process, and writes one JSON record per run: its exit code, its stderr and
+the sha256 of every file in its output directory.  A refactor that must not
+change any output is checked by fingerprinting the source trees before and
+after it and comparing the two records:
 
     python tools/output_hashes.py --src /path/to/before/src --out before.json
     python tools/output_hashes.py --out after.json        # this checkout's src
@@ -33,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 COMMANDS = ("forward", "adjoint", "cost", "grad", "grad-check", "certify", "oracle-compare", "optimize", "multistart")
-STRIDES = (1, 8)
 WORKERS = 2  # runs at once
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # shipped scenarios with sections replaced, for the code paths that none of
@@ -89,7 +89,7 @@ def _run(src: Path, config: Path, command: str, out_dir: Path) -> dict:
 
 
 def fingerprint(src: Path) -> dict:
-    """Exit code, stderr and file hashes of every run, keyed scenario/stride/command."""
+    """Exit code, stderr and file hashes of every run, keyed scenario/command."""
     shipped = {p.stem: json.loads(p.read_text()) for p in (src / "liouville_control" / "scenarios").glob("*.json")}
     if not shipped:
         raise SystemExit(f"error: no shipped scenarios under {src}")
@@ -99,13 +99,11 @@ def fingerprint(src: Path) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
         for name, cfg in configs.items():
-            for stride in STRIDES:
-                raw = dict(cfg, output=dict(cfg.get("output", {}), stride=stride))
-                config = Path(tmp) / f"{name}-stride{stride}.json"
-                config.write_text(json.dumps(raw))
-                for command in COMMANDS:
-                    key = f"{name}/stride{stride}/{command}"
-                    runs.append((key, config, command, Path(tmp) / key.replace("/", "-")))
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps(cfg))
+            for command in COMMANDS:
+                key = f"{name}/{command}"
+                runs.append((key, config, command, Path(tmp) / key.replace("/", "-")))
         with ThreadPoolExecutor(max_workers=WORKERS) as pool:
             results = pool.map(lambda r: _run(src, r[1], r[2], r[3]), runs)
             return {key: res for (key, *_), res in zip(runs, results)}
