@@ -789,6 +789,26 @@ def test_output_stride_thins_only_the_snapshots(tmp_path, command, dim):
     assert all(strided[name] == dense[name] for name in strided)
 
 
+@pytest.mark.parametrize("scenario, stride", [
+    ("bimodal-stabilize-1d", 8),
+    ("bimodal-stabilize-1d", 7),  # 7 does not divide nt = 128
+    ("confining-2d", 8),
+])
+def test_adjoint_files_do_not_depend_on_stride(tmp_path, scenario, stride):
+    # on a shipped scenario's own grid, adjoint writes the snapshots at node
+    # 0, every stride-th node and node nt, and every file it writes has the
+    # stride-1 run's bytes
+    with open(scenario_path(scenario)) as fh:
+        cfg = json.load(fh)
+    dense, strided = (command_files(tmp_path, "adjoint", cfg, s) for s in (1, stride))
+    nt = load_scenario(scenario).problem().timegrid.nt
+    assert sorted(n for n in strided if n.startswith("snapshots")) == [
+        os.path.join("snapshots", f"q_{n:06d}.csv") for n in sorted({*range(0, nt + 1, stride), nt})
+    ]
+    assert len([n for n in dense if n.startswith("snapshots")]) == nt + 1
+    assert strided == {name: dense[name] for name in strided}
+
+
 def test_no_negative_weight_norm_without_confining_potentials(tmp_path):
     out = _run_diagnostics(tmp_path, "gaussian-well")
     report, csv = out["adjoint"]
