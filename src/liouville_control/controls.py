@@ -280,6 +280,9 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
     ``spec.control.value_at(t)`` if the caller has it already looked up.
     Each coordinate column in turn gets (a0 + u1) + x * u2 in a0's new array,
     so that numpy's inner loop runs over the points, not over d coordinates.
+    At one time the control rows are 1-D and each entry is added to its
+    column as it is; only at B times are the rows, the points and a0's array
+    reshaped into B blocks, each row broadcast over its block.
     """
     pts = np.asarray(points, dtype=float)
     squeeze = False
@@ -287,13 +290,16 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
         pts = pts[:, None]
         squeeze = True
     d = pts.shape[-1]
-    u1, u2 = (np.asarray(u).reshape(-1, 1, d) for u in (spec.control.value_at(t) if control is None else control))
-    blocks = pts.reshape(u1.shape[0], -1, d)
-    out = spec.a0.eval(pts).reshape(blocks.shape)
+    u1, u2 = spec.control.value_at(t) if control is None else control
+    out, x = spec.a0.eval(pts), pts
+    if np.ndim(u1) > 1:
+        u1, u2 = (np.reshape(u, (-1, 1, d)) for u in (u1, u2))
+        x = pts.reshape(u1.shape[0], -1, d)
+        out = out.reshape(x.shape)
     for k in range(d):
         col = out[..., k]
         col += u1[..., k]
-        col += blocks[..., k] * u2[..., k]
+        col += x[..., k] * u2[..., k]
     out = out.reshape(pts.shape)
     return out[..., 0] if squeeze else out
 

@@ -73,6 +73,9 @@ def write_control_csv(control: ControlPath, path: str) -> None:
 
 
 def read_control_csv(path: str) -> ControlPath:
+    """Read a file of ``write_control_csv``'s format.  The ``t`` column must
+    be the uniform grid's nodes, ``TimeGrid(T, nt).nodes()`` for its last
+    entry T and its nt + 1 rows, bit for bit, else SchemaError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -82,6 +85,8 @@ def read_control_csv(path: str) -> ControlPath:
     if nt < 2 or t[-1] <= 0:
         raise SchemaError(f"control file {path} needs at least 3 nodes ending at T > 0")
     tg = TimeGrid(T=float(t[-1]), nt=nt)
+    if not np.array_equal(t, tg.nodes()):
+        raise SchemaError(f"control file {path}: the t column is not the uniform grid of {nt} steps on [0, {tg.T}]")
     return ControlPath(tg, data[:, 1 : 1 + d], data[:, 1 + d : 1 + 2 * d])
 
 

@@ -19,8 +19,11 @@ looks it up itself, in one array pass, and owns the table.  The plan
 face speeds, a block of nodes at a time; it is made by the solve's own
 stepper, so a0 is evaluated at the faces once per solve, plan included.
 The sweep (``_Sweep``) tabulates the control (and the tangent's control) at
-every stage time of the substep plan, n * dt + j * h and
-(n * dt + j * h) + h; each stage reads its row of that table.
+each distinct stage time of the substep plan, n * dt + j * h and
+(n * dt + j * h) + h: a stage whose time is bit-equal to the one before
+(MUSCL's second stage and the next substep's first, where the rounding
+agrees) shares its table row, so the control, the face speeds and their
+splits are formed once for both.  Each stage reads its row of that table.
 
 ``check_solver``, which every solve and ``reduced.Problem`` call, is the
 rule for a solve's settings: ``scheme`` must be a key of ``SCHEMES``, ``cfl``
@@ -32,8 +35,9 @@ dropped with it, so no solver object or stored trajectory holds any after
 it.  Besides its control table, it holds the face-speed splits max(a, 0)
 and min(a, 0) (and, for the tangent, the mask a >= 0 and its own face
 speeds) of a block of the table's rows, about ``grid._BLOCK_POINTS`` values
-in all, and one workspace of arrays into which each stage writes its face
-states, fluxes and divergences.
+in all, one workspace of arrays into which each stage writes its face
+states, fluxes and divergences, and two state buffers (two more with a
+tangent) into which the substeps write their new values in turn.
 
 Schemes (``SCHEMES`` gives each one's stages per substep, run by one stage
 loop): first-order upwind (monotone, the default), one forward Euler stage,
@@ -253,13 +257,18 @@ class _Stepper:
 class _Sweep:
     """The scratch state of one solve's sweep, made when the solve starts
     and dropped with it: the control (and the tangent control) looked up in
-    one array pass at every stage time of ``times``, row k serving stage k;
-    each axis's scratch arrays; the divergence of each stage and the forward
-    Euler stage (for the density and, with a tangent, for the tangent); and
-    the face-speed splits of a block of table rows."""
+    one array pass at each distinct stage time of ``times``, stage k reading
+    row ``row[k]``, shared with the stage before when their times are
+    bit-equal; each axis's scratch arrays; the divergence of each stage and
+    the forward Euler stage (for the density and, with a tangent, for the
+    tangent); the face-speed splits of a block of table rows; and two
+    buffers each for the new values and the new tangent values."""
 
     def __init__(self, stepper: _Stepper, scheme: str, times: np.ndarray, tangent_control: ControlPath | None):
         shape, tangent = stepper.grid.shape, tangent_control is not None
+        distinct = np.r_[True, times[1:] != times[:-1]]
+        self.row = (np.cumsum(distinct) - 1).tolist()
+        times = times[distinct]
         self.stepper, self.stages, self.end_row = stepper, SCHEMES[scheme], len(times)
         self.controls = stepper.drift.control.value_at(times)
         self.deltas = tangent_control.value_at(times) if tangent else None
@@ -273,6 +282,8 @@ class _Sweep:
         self.div_w = [np.empty(shape) if tangent else None for _ in stages]
         self.stage = np.empty(shape)
         self.stage_w = np.empty(shape) if tangent else None
+        self.new = (np.empty(shape), np.empty(shape))
+        self.new_w = (np.empty(shape), np.empty(shape)) if tangent else None
         # a block's float tables (a+ and a-, and the tangent's face speeds)
         # hold about _BLOCK_POINTS values in all
         self._rows = _block_nodes((3 if tangent else 2) * stepper.faces)
@@ -284,14 +295,15 @@ class _Sweep:
         self._block = (0, 0, None)
 
     def splits(self, k: int) -> list[list[np.ndarray]]:
-        """Per axis at table row k: a+ = max(a, 0), a- = min(a, 0) and, with
-        a tangent, the mask a >= 0 and the tangent's face speeds.  They are
-        tabulated for a block of rows from k on when k is outside the
-        current block."""
+        """Per axis at stage k's table row: a+ = max(a, 0), a- = min(a, 0)
+        and, with a tangent, the mask a >= 0 and the tangent's face speeds.
+        They are tabulated for a block of rows from that row on when it is
+        outside the current block."""
+        row = self.row[k]
         lo, hi, tables = self._block
-        if not lo <= k < hi:
-            lo, hi, tables = self._block = self._tabulate(k)
-        return [[table[k - lo] for table in axis] for axis in tables]
+        if not lo <= row < hi:
+            lo, hi, tables = self._block = self._tabulate(row)
+        return [[table[row - lo] for table in axis] for axis in tables]
 
     def _tabulate(self, lo: int):
         """The splits of table rows lo.. up to a block's or the table's end,
@@ -313,9 +325,9 @@ class _Sweep:
 
     def divergence(self, k, values, div, w_values=None, div_w=None) -> float:
         """Flux divergence of values (and of the tangent pair, if any) at
-        table row k, written into div (and div_w); returns the boundary mass
-        outflow rate.  Each axis works on axis-first views; ``swapaxes`` is a
-        no-op view on axis 0."""
+        stage k's table row, written into div (and div_w); returns the
+        boundary mass outflow rate.  Each axis works on axis-first views;
+        ``swapaxes`` is a no-op view on axis 0."""
         h, transverse = self.stepper.h, self.stepper.transverse
         out_rate = 0.0
         for ax, (axis, (ap, am, *tangent)) in enumerate(zip(self.axes, self.splits(k))):
@@ -336,12 +348,14 @@ class _Sweep:
         return out_rate
 
     def advance(self, values, dt, k, w_values=None):
-        """Advance one (sub)step of length dt: stage i reads table row k + i,
-        the first at the values, the second (MUSCL's) at the forward Euler
-        stage from them, and the update subtracts dt / stages times the sum
-        of the stage divergences, as the outflow mass sums their outflow
-        rates.  Returns new values, new tangent values, boundary outflow
-        mass, and injected source mass."""
+        """Advance one (sub)step of length dt: stage i reads stage k + i's
+        table row, the first at the values, the second (MUSCL's) at the
+        forward Euler stage from them, and the update subtracts dt / stages
+        times the sum of the stage divergences, as the outflow mass sums
+        their outflow rates.  Returns new values and new tangent values, each written into
+        the one of the sweep's two buffers that does not hold the input, so
+        they stay valid until the next call but one; and the boundary
+        outflow mass and the injected source mass."""
         stepper = self.stepper
         source, scale = stepper.source, dt / self.stages
         (div, *later), (div_w, *later_w) = self.div, self.div_w
@@ -357,13 +371,18 @@ class _Sweep:
             div += div_i
             if w_values is not None:
                 div_w += div_w_i
-        new = values - np.multiply(div, scale, out=div)
+        new = np.subtract(values, np.multiply(div, scale, out=div), out=_other(self.new, values))
         if source is not None:
             new += dt * source
         new_w = None
         if w_values is not None:
-            new_w = w_values - np.multiply(div_w, scale, out=div_w)
+            new_w = np.subtract(w_values, np.multiply(div_w, scale, out=div_w), out=_other(self.new_w, w_values))
         return new, new_w, scale * rate, stepper.source_rate * dt
+
+
+def _other(buffers: tuple, held: np.ndarray) -> np.ndarray:
+    """The one of two buffers that is not ``held``."""
+    return buffers[buffers[0] is held]
 
 
 @dataclass
@@ -451,8 +470,9 @@ def _solve(
         )
 
     # the stage times of every substep, n * dt + j * h plus i * h at stage i
-    # (MUSCL's second stage is at the substep's end), tabulated once;
-    # substep j of step n starts at row (first[n] + j) * stages
+    # (MUSCL's second stage is at the substep's end), tabulated once at
+    # each distinct time; substep j of step n starts at stage
+    # (first[n] + j) * stages
     stages = SCHEMES[scheme]
     first = np.cumsum([0] + plan).tolist()
     step_of = np.repeat(np.arange(nt), plan)

@@ -194,6 +194,10 @@ def test_eval_drift_takes_one_time_per_block_of_rows(name, params, d):
     if d == 1:  # flat points are d = 1 points
         flat = eval_drift(spec, times, np.tile(pts[:, 0], times.size))
         assert bits_equal(flat, got[:, 0])
+        # and at one time, with the control rows looked up here or not
+        for control in (None, spec.control.value_at(0.37)):
+            one = eval_drift(spec, 0.37, pts[:, 0], control)
+            assert one.shape == (9,) and bits_equal(one, eval_drift(spec, 0.37, pts, control)[:, 0])
 
 
 # coordinates with both signed zeros, ordinary values, and values whose

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from liouville_control import (
+    ControlPath,
     InvalidGrid,
     OptimConfig,
     ScalarField,
+    SchemaError,
     TimeGrid,
     UnknownPreset,
     UnsupportedOrder,
@@ -22,7 +24,7 @@ from liouville_control import (
     sample_function,
     weighted_sobolev_norm,
 )
-from liouville_control.fileio import read_field_csv, write_field_csv
+from liouville_control.fileio import read_control_csv, read_field_csv, write_control_csv, write_field_csv
 from liouville_control.grid import apply_stencil, interpolation_stencil
 from liouville_control.oracles import density_preset_eval
 
@@ -467,3 +469,19 @@ def test_field_csv_roundtrip(tmp_path):
     assert back2.grid.n == g2.n
     assert np.array_equal(back2.values, f2.values)
     assert back2.grid.lo == pytest.approx(g2.lo, abs=1e-14)
+
+
+def test_control_csv_roundtrip_needs_the_uniform_time_grid(tmp_path):
+    rng = np.random.default_rng(1)
+    for T, nt, d in ((0.7, 10, 1), (2.5, 33, 2)):
+        tg = make_timegrid(T, nt)
+        ctrl = ControlPath(tg, rng.normal(size=(nt + 1, d)), rng.normal(size=(nt + 1, d)))
+        p = tmp_path / f"control-{d}d.csv"
+        write_control_csv(ctrl, str(p))
+        back = read_control_csv(str(p))
+        assert back.timegrid == tg and np.array_equal(back.stacked(), ctrl.stacked())
+    # t = 0, 0.1, 0.5, 1 are not three equal steps
+    p = tmp_path / "uneven.csv"
+    p.write_text("t,u1_1,u2_1\n0,0,0\n0.1,1,0\n0.5,2,0\n1,3,0\n")
+    with pytest.raises(SchemaError, match="uneven.csv"):
+        read_control_csv(str(p))
