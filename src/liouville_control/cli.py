@@ -154,8 +154,13 @@ def _resolve(section: str, given) -> dict:
     return out
 
 
-def _broadcast(values, size: int) -> list:
-    return [float(v) for v in np.broadcast_to(np.atleast_1d(values), (size,))]
+def _broadcast(key: str, values, size: int, what: str) -> list:
+    """``values``, one number or a list of 1 or ``size`` (``what``) numbers,
+    as ``size`` floats; else a SchemaError naming the key."""
+    values = np.atleast_1d(values)
+    if len(values) not in (1, size):
+        raise SchemaError(f"{key} needs 1 or {what} = {size} values, got {len(values)}")
+    return [float(v) for v in np.broadcast_to(values, (size,))]
 
 
 def _sample(section: str, grid, preset: str, params: dict) -> ScalarField:
@@ -169,6 +174,11 @@ def _tracking(track_path, dim: int) -> Potential | None:
     not given."""
     if track_path is None:
         return None
+    if not isinstance(track_path, list):
+        raise SchemaError(f"cost.track_path must be a list of [t, x] nodes, got {track_path!r}")
+    for i, node in enumerate(track_path):
+        if not (isinstance(node, list) and len(node) == 2):
+            raise SchemaError(f"cost.track_path[{i}]: a node must be [t, x], a time and a point, got {node!r}")
     with _section("cost.track_path"):
         pot = Potential.tracking(track_path)
     sizes = {len(x) for x in pot.track_x}
@@ -221,10 +231,10 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError("non-finite values on the grid")
 
     with _section("control"):
-        cfg["control"] = {k: _broadcast(v, d) for k, v in cfg["control"].items()}
+        cfg["control"] = {k: _broadcast(f"control.{k}", v, d, "grid.dim") for k, v in cfg["control"].items()}
         control = ControlPath.constant(timegrid, **cfg["control"])
     with _section("bounds"):
-        cfg["bounds"] = {k: _broadcast(v, 2 * d) for k, v in cfg["bounds"].items()}
+        cfg["bounds"] = {k: _broadcast(f"bounds.{k}", v, 2 * d, "2 * grid.dim") for k, v in cfg["bounds"].items()}
         bounds = BoxBounds(**{k: tuple(v) for k, v in cfg["bounds"].items()})
     with _section("cost"):
         ksec = cfg["cost"]

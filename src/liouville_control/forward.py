@@ -23,7 +23,10 @@ each distinct stage time of the substep plan, n * dt + j * h and
 (n * dt + j * h) + h: a stage whose time is bit-equal to the one before
 (MUSCL's second stage and the next substep's first, where the rounding
 agrees) shares its table row, so the control, the face speeds and their
-splits are formed once for both.  Each stage reads its row of that table.
+splits are formed once for both.  Each stage reads its row of that table;
+each axis (``_Axis``) holds the views of its splits at the last row read
+until a stage reads another, so the stages that share a row take them
+once.
 
 ``check_solver``, which every solve and ``reduced.Problem`` call, is the
 rule for a solve's settings: ``scheme`` must be a key of ``SCHEMES``, ``cfl``
@@ -164,34 +167,45 @@ class _Faces:
 class _Axis:
     """The scratch arrays of one axis for one sweep, axis first: the face
     states of the density (and of the tangent), the flux and its first
-    difference."""
+    difference; the axis's index ``ax``, cell width ``h`` and transverse
+    area, and the views of the face-speed splits at the sweep's current
+    table row (``_Sweep.splits``)."""
 
-    def __init__(self, cells: tuple, scheme: str, tangent: bool):
+    def __init__(self, cells: tuple, scheme: str, tangent: bool, ax: int, h: float, transverse: float):
         face = (cells[0] + 1,) + cells[1:]
+        self.ax, self.h, self.transverse = ax, h, transverse
         self.faces = _Faces(cells, scheme)
         self.w_faces = _Faces(cells, scheme) if tangent else None
         self.F, self._scratch, self._dF = np.empty(face), np.empty(face), np.empty(cells)
         self._F_hi, self._F_lo = self.F[1:], self.F[:-1]
+        self.ap = self.am = self.up = self.da = None
 
-    def flux(self, ap, left, am, right) -> np.ndarray:
+    def take(self, tables: list, i: int) -> None:
+        """Hold row i of the axis's split tables: a+, a- and, with a
+        tangent, the mask a >= 0 and the tangent's face speeds."""
+        self.ap, self.am = tables[0][i], tables[1][i]
+        if self.w_faces is not None:
+            self.up, self.da = tables[2][i], tables[3][i]
+
+    def flux(self, left, right) -> np.ndarray:
         """F = ap * left + am * right."""
-        np.multiply(ap, left, out=self.F)
-        np.multiply(am, right, out=self._scratch)
+        np.multiply(self.ap, left, out=self.F)
+        np.multiply(self.am, right, out=self._scratch)
         return np.add(self.F, self._scratch, out=self.F)
 
-    def tangent_flux(self, ap, am, up, da) -> np.ndarray:
+    def tangent_flux(self) -> np.ndarray:
         """F = ap * wl + am * wr + da * rho_up, rho_up taken from the
         density's face states on the side a >= 0 points to."""
-        self.flux(ap, self.w_faces.left, am, self.w_faces.right)
-        np.multiply(da, np.where(up, self.faces.left, self.faces.right), out=self._scratch)
+        self.flux(self.w_faces.left, self.w_faces.right)
+        np.multiply(self.da, np.where(self.up, self.faces.left, self.faces.right), out=self._scratch)
         return np.add(self.F, self._scratch, out=self.F)
 
-    def add_difference(self, h: float, div_ax: np.ndarray, first: bool) -> None:
+    def add_difference(self, div_ax: np.ndarray) -> None:
         """div_ax += (F[1:] - F[:-1]) / h, onto a zero divergence on the
         first axis (0.0 + x, which turns -0.0 into +0.0)."""
         np.subtract(self._F_hi, self._F_lo, out=self._dF)
-        np.divide(self._dF, h, out=self._dF)
-        np.add(self._dF, 0.0 if first else div_ax, out=div_ax)
+        np.divide(self._dF, self.h, out=self._dF)
+        np.add(self._dF, 0.0 if self.ax == 0 else div_ax, out=div_ax)
 
 
 def _column(u: np.ndarray, ax: int, like: np.ndarray) -> np.ndarray:
@@ -261,8 +275,9 @@ class _Sweep:
     row ``row[k]``, shared with the stage before when their times are
     bit-equal; each axis's scratch arrays; the divergence of each stage and
     the forward Euler stage (for the density and, with a tangent, for the
-    tangent); the face-speed splits of a block of table rows; and two
-    buffers each for the new values and the new tangent values."""
+    tangent); the face-speed splits of a block of table rows, whose views
+    at the last row a stage read (``_row``) the axes hold; and two buffers
+    each for the new values and the new tangent values."""
 
     def __init__(self, stepper: _Stepper, scheme: str, times: np.ndarray, tangent_control: ControlPath | None):
         shape, tangent = stepper.grid.shape, tangent_control is not None
@@ -276,10 +291,12 @@ class _Sweep:
         for ax in range(len(shape)):
             cells = list(shape)
             cells[0], cells[ax] = cells[ax], cells[0]
-            self.axes.append(_Axis(tuple(cells), scheme, tangent))
+            self.axes.append(_Axis(tuple(cells), scheme, tangent, ax, stepper.h[ax], stepper.transverse[ax]))
         stages = range(self.stages)
         self.div = [np.empty(shape) for _ in stages]
         self.div_w = [np.empty(shape) if tangent else None for _ in stages]
+        # the stages after the first: (i, its divergence, its tangent's)
+        self._later = [(i, self.div[i], self.div_w[i]) for i in stages[1:]]
         self.stage = np.empty(shape)
         self.stage_w = np.empty(shape) if tangent else None
         self.new = (np.empty(shape), np.empty(shape))
@@ -293,17 +310,24 @@ class _Sweep:
             mask_and_deltas = [np.empty(block, dtype=bool), np.empty(block)] if tangent else []
             self._tables.append([np.empty(block), np.empty(block)] + mask_and_deltas)
         self._block = (0, 0, None)
+        self._row = -1
 
-    def splits(self, k: int) -> list[list[np.ndarray]]:
-        """Per axis at stage k's table row: a+ = max(a, 0), a- = min(a, 0)
-        and, with a tangent, the mask a >= 0 and the tangent's face speeds.
-        They are tabulated for a block of rows from that row on when it is
-        outside the current block."""
+    def splits(self, k: int) -> list[_Axis]:
+        """The axes, each holding its views at stage k's table row of a+ =
+        max(a, 0), a- = min(a, 0) and, with a tangent, the mask a >= 0 and
+        the tangent's face speeds (``_Axis.take``).  The views are kept
+        until a stage reads another row; the splits are tabulated for a
+        block of rows from that row on when it is outside the current
+        block."""
         row = self.row[k]
-        lo, hi, tables = self._block
-        if not lo <= row < hi:
-            lo, hi, tables = self._block = self._tabulate(row)
-        return [[table[row - lo] for table in axis] for axis in tables]
+        if row != self._row:
+            lo, hi, tables = self._block
+            if not lo <= row < hi:
+                lo, hi, tables = self._block = self._tabulate(row)
+            self._row = row
+            for axis, axis_tables in zip(self.axes, tables):
+                axis.take(axis_tables, row - lo)
+        return self.axes
 
     def _tabulate(self, lo: int):
         """The splits of table rows lo.. up to a block's or the table's end,
@@ -326,25 +350,24 @@ class _Sweep:
     def divergence(self, k, values, div, w_values=None, div_w=None) -> float:
         """Flux divergence of values (and of the tangent pair, if any) at
         stage k's table row, written into div (and div_w); returns the
-        boundary mass outflow rate.  Each axis works on axis-first views;
-        ``swapaxes`` is a no-op view on axis 0."""
-        h, transverse = self.stepper.h, self.stepper.transverse
+        boundary mass outflow rate.  Each axis works on axis-first views,
+        the arrays themselves on axis 0."""
         out_rate = 0.0
-        for ax, (axis, (ap, am, *tangent)) in enumerate(zip(self.axes, self.splits(k))):
-            faces = axis.faces
-            faces.fill(values.swapaxes(0, ax))
-            F = axis.flux(ap, faces.left, am, faces.right)
-            axis.add_difference(h[ax], div.swapaxes(0, ax), ax == 0)
+        for axis in self.splits(k):
+            ax, faces = axis.ax, axis.faces
+            faces.fill(values.swapaxes(0, ax) if ax else values)
+            F = axis.flux(faces.left, faces.right)
+            axis.add_difference(div.swapaxes(0, ax) if ax else div)
             if F.ndim == 1:
                 # sum() of a numpy scalar would add it to +0.0, which changes
                 # only the sign of a zero; out_rate starts at 0.0 and erases it
-                out_rate += (F.item(-1) - F.item(0)) * transverse[ax]
+                out_rate += (F.item(-1) - F.item(0)) * axis.transverse
             else:
-                out_rate += float((F[-1].sum() - F[0].sum()) * transverse[ax])
+                out_rate += float((F[-1].sum() - F[0].sum()) * axis.transverse)
             if w_values is not None:
-                axis.w_faces.fill(w_values.swapaxes(0, ax))
-                axis.tangent_flux(ap, am, *tangent)
-                axis.add_difference(h[ax], div_w.swapaxes(0, ax), ax == 0)
+                axis.w_faces.fill(w_values.swapaxes(0, ax) if ax else w_values)
+                axis.tangent_flux()
+                axis.add_difference(div_w.swapaxes(0, ax) if ax else div_w)
         return out_rate
 
     def advance(self, values, dt, k, w_values=None):
@@ -358,9 +381,9 @@ class _Sweep:
         outflow mass and the injected source mass."""
         stepper = self.stepper
         source, scale = stepper.source, dt / self.stages
-        (div, *later), (div_w, *later_w) = self.div, self.div_w
+        div, div_w = self.div[0], self.div_w[0]
         rate = self.divergence(k, values, div, w_values, div_w)
-        for i, (div_i, div_w_i) in enumerate(zip(later, later_w), 1):
+        for i, div_i, div_w_i in self._later:
             stage = np.subtract(values, np.multiply(div, dt, out=self.stage), out=self.stage)
             if source is not None:
                 stage += dt * source

@@ -18,11 +18,13 @@ discretize): per time node and axis r,
 with the forward density rho and backward adjoint q on matched grids, both
 solves keeping every node.  An integrated-by-parts assembly (-int rho d_r
 q, -int x^r rho d_r q) is computed as a cross-check and the worst
-discrepancy reported.  The nodes are assembled in blocks of consecutive
-nodes (about 16,384 grid points, see ``grid._BLOCK_POINTS``), slices of the
-two node arrays: one difference stencil per block and axis, and one sum per
-node over its contiguous row, which gives the bits of a node-by-node
-assembly.  The sparsity
+discrepancy reported, for the ``grad`` and ``grad-check`` commands only:
+the gradient the optimizer descends along (``Problem.descent_gradient``)
+skips it and has the same bits.  The nodes are assembled in blocks of
+consecutive nodes (about 16,384 grid points, see ``grid._BLOCK_POINTS``),
+slices of the two node arrays: one difference stencil per block and axis,
+and one sum per node over its contiguous row, which gives the bits of a
+node-by-node assembly.  The sparsity
 weight delta never enters the gradient; the proximal step in the optimizer
 owns it.  For nu > 0 the gradient is expressed in the weighted H1 metric as
 u + mu, where mu solves (-nu d^2/dt^2 + gamma) mu = integral path with zero
@@ -99,11 +101,14 @@ def prox_step(u: np.ndarray, g: np.ndarray, alpha: float, delta: float, ua, ub) 
 class GradientPath:
     """Gradient of the reduced cost on the control nodes, stacked as a
     control path's: ``values`` is (nt + 1, 2 d), the u1 columns then the u2
-    columns."""
+    columns.  ``ibp_discrepancy`` is the worst gap between the direct and
+    the integrated-by-parts assembly, or None for a gradient made without
+    that cross-check (``Problem.descent_gradient``, which the optimizer
+    takes; the ``grad`` and ``grad-check`` commands report it)."""
 
     values: np.ndarray
     metric: str = "L2"
-    ibp_discrepancy: float = 0.0
+    ibp_discrepancy: float | None = 0.0
 
     def stacked(self) -> np.ndarray:
         return self.values
@@ -187,7 +192,10 @@ class Problem:
         return reduced_cost(control, self)
 
     def descent_gradient(self, control: ControlPath) -> GradientPath:
-        return reduced_gradient(control, self)
+        """The gradient the optimizer descends along: ``reduced_gradient``
+        without the integration-by-parts cross-check, which no descent
+        reads."""
+        return reduced_gradient(control, self, cross_check=False)
 
 
 def _running_cost(traj: StateTrajectory, theta: Potential) -> np.ndarray:
@@ -221,9 +229,12 @@ def reduced_cost(control: ControlPath, problem: Problem) -> float:
     return cost.total(running + terminal, control)
 
 
-def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: Checkpoints):
-    """Per-node integral terms of the gradient, direct and integrated by
-    parts; returns (stacked path (nt + 1, 2 d), worst discrepancy)."""
+def assemble_integral_path(
+    problem: Problem, traj_rho: StateTrajectory, traj_q: Checkpoints, cross_check: bool = True
+):
+    """Per-node integral terms of the gradient, direct and, with
+    ``cross_check``, integrated by parts; returns (stacked path (nt + 1,
+    2 d), worst discrepancy, or None without the cross-check)."""
     grid = problem.grid
     if traj_q.grid != grid or traj_rho.grid != grid:
         raise GridMismatch("forward and adjoint runs live on different grids")
@@ -235,13 +246,16 @@ def assemble_integral_path(problem: Problem, traj_rho: StateTrajectory, traj_q: 
     disc = 0.0
     for lo in range(0, tg.nt + 1, size):
         block = slice(lo, lo + size)
-        disc = max(disc, _assemble_block(grid, traj_rho.nodes[block], traj_q.nodes[block], out[block]))
-    return out, disc
+        disc = max(disc, _assemble_block(grid, traj_rho.nodes[block], traj_q.nodes[block], out[block], cross_check))
+    return out, disc if cross_check else None
 
 
-def _assemble_block(grid: GridSpec, rho_vals: np.ndarray, q_vals: np.ndarray, out: np.ndarray) -> float:
+def _assemble_block(
+    grid: GridSpec, rho_vals: np.ndarray, q_vals: np.ndarray, out: np.ndarray, cross_check: bool
+) -> float:
     """The integral terms of a block of consecutive nodes into ``out``
-    (B, 2 d); returns the block's worst discrepancy."""
+    (B, 2 d); returns the block's worst discrepancy, or 0.0 without the
+    cross-check."""
     d = grid.dim
     mesh = grid.meshgrid()
     vol = grid.cell_volume
@@ -253,12 +267,13 @@ def _assemble_block(grid: GridSpec, rho_vals: np.ndarray, q_vals: np.ndarray, ou
         xr_rho = ScalarField(grid, mesh[r] * rho.values)
         i1 = _row_sums(partial_derivative(rho, r).values * q.values) * vol
         i2 = _row_sums(partial_derivative(xr_rho, r).values * q.values) * vol
-        dq = partial_derivative(q, r).values
-        i1_ibp = -(_row_sums(rho.values * dq) * vol)
-        i2_ibp = -(_row_sums(xr_rho.values * dq) * vol)
-        disc = max(disc, float(np.abs(i1 - i1_ibp).max()), float(np.abs(i2 - i2_ibp).max()))
         out[:, r] = i1
         out[:, d + r] = i2
+        if cross_check:
+            dq = partial_derivative(q, r).values
+            i1_ibp = -(_row_sums(rho.values * dq) * vol)
+            i2_ibp = -(_row_sums(xr_rho.values * dq) * vol)
+            disc = max(disc, float(np.abs(i1 - i1_ibp).max()), float(np.abs(i2 - i2_ibp).max()))
     return disc
 
 
@@ -304,10 +319,12 @@ def metric_dot(problem: Problem, gradient: GradientPath, direction: ControlPath)
     return problem.cost.gamma * path_dot(tg, g, dvec) + problem.cost.nu * float((slopes_g * slopes_d).sum() * tg.dt)
 
 
-def reduced_gradient(control: ControlPath, problem: Problem) -> GradientPath:
-    """Sparsity-free gradient of the reduced cost in the active metric."""
+def reduced_gradient(control: ControlPath, problem: Problem, cross_check: bool = True) -> GradientPath:
+    """Sparsity-free gradient of the reduced cost in the active metric;
+    without ``cross_check`` its ``ibp_discrepancy`` is None
+    (``Problem.descent_gradient``)."""
     integral, disc = assemble_integral_path(
-        problem, problem.solve_forward_for(control), problem.solve_adjoint_for(control)
+        problem, problem.solve_forward_for(control), problem.solve_adjoint_for(control), cross_check=cross_check
     )
     if problem.cost.nu > 0:
         mu = h1_riesz(integral, problem.cost.gamma, problem.cost.nu, problem.timegrid)

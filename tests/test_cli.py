@@ -339,6 +339,35 @@ def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
     assert "Traceback" not in err
 
 
+GRID2 = {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]}
+
+
+@pytest.mark.parametrize(
+    "key, patch, needs",
+    [
+        ("control.u1", {"control": {"u1": [0.1, 0.2, 0.3]}}, "needs 1 or grid.dim = 1 values, got 3"),
+        ("control.u2", {"grid": GRID2, "control": {"u2": [0.1, 0.2, 0.3]}}, "needs 1 or grid.dim = 2 values, got 3"),
+        ("bounds.ub", {"bounds": {"ub": [1.0, 1.0, 1.0]}}, "needs 1 or 2 * grid.dim = 2 values, got 3"),
+        ("bounds.ua", {"grid": GRID2, "bounds": {"ua": [-1.0, -1.0]}}, "needs 1 or 2 * grid.dim = 4 values, got 2"),
+        # a node without its point, a bare number, a node with a third entry
+        # (which was dropped without a word)
+        ("cost.track_path[1]", {"cost": {"theta": "tracking", "track_path": [[0.0, 0.0], [1.0]]}},
+         "a node must be [t, x], a time and a point, got [1.0]"),
+        ("cost.track_path[0]", {"cost": {"theta": "tracking", "track_path": [0.0, [1.0, 0.5]]}},
+         "a node must be [t, x], a time and a point, got 0.0"),
+        ("cost.track_path[0]", {"cost": {"theta": "tracking", "track_path": [[0.0, 0.0, 5.0], [1.0, 0.5]]}},
+         "a node must be [t, x], a time and a point, got [0.0, 0.0, 5.0]"),
+    ],
+)
+def test_a_value_of_the_wrong_shape_names_its_key_and_needs(tmp_path, capsys, key, patch, needs):
+    bad = dict(MINIMAL, **patch)
+    with pytest.raises(SchemaError, match=f"^{re.escape(key)}.*{re.escape(needs)}$"):
+        parse_config(json.dumps(bad))
+    assert run_command(["cost", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}") and "Traceback" not in err
+
+
 BIG = "1" + "0" * 400  # a JSON integer too large for a float
 
 

@@ -218,6 +218,15 @@ def test_blocked_assembly_matches_the_per_node_loop(dim):
     assert bits_equal(out, ref)
     assert bits_equal(disc, ref_disc) and disc > 0.0
     assert reduced_gradient(u, prob).ibp_discrepancy == ref_disc
+    plain, no_disc = assemble_integral_path(prob, traj_rho, traj_q, cross_check=False)
+    assert bits_equal(plain, ref) and no_disc is None
+    # the optimizer's gradient skips the cross-check and keeps every bit, in
+    # the L2 metric and, with nu > 0, in the H1 one
+    h1_prob = dataclasses.replace(prob, cost=dataclasses.replace(prob.cost, nu=0.05))
+    for p, metric in ((prob, "L2"), (h1_prob, "H1tilde")):
+        full, descent = reduced_gradient(u, p), p.descent_gradient(u)
+        assert full.metric == descent.metric == metric and full.ibp_discrepancy == ref_disc
+        assert bits_equal(descent.values, full.values) and descent.ibp_discrepancy is None
 
 
 def running_cost_over(problem, items):
