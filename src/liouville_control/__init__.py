@@ -7,87 +7,19 @@ and a proximal projected-gradient loop minimizes tracking costs with L2,
 sparsity (L1), and minimum-attention (H1) control penalties under box
 constraints.  Runtime certificates check conservation, weighted-norm energy
 growth, optimality residuals, and the uniqueness smallness ratio.
+
+The package exports each library module's ``__all__`` and every exception
+of ``errors``; a public name is declared once, in the module that defines
+it.  ``cli`` and ``fileio`` serve the command line and stay modules.
 """
 
-from .controls import (
-    BoxBounds,
-    ControlPath,
-    CostSpec,
-    DriftPreset,
-    DriftSpec,
-    Potential,
-    control_cost_terms,
-    eval_drift,
-    potential_eval,
-    project_box,
-)
-from .errors import (
-    CflUnderflow,
-    CharacteristicEscape,
-    DegenerateProbe,
-    GridMismatch,
-    InvalidGrid,
-    LinesearchFailure,
-    LiouvilleControlError,
-    NonFinite,
-    NotApplicable,
-    SchemaError,
-    UnknownPreset,
-    UnsupportedDrift,
-    UnsupportedOrder,
-    ZeroMass,
-)
-from .forward import (
-    EnergyCertificate,
-    StateTrajectory,
-    boundary_leak,
-    energy_certificate,
-    solve_forward,
-    solve_linearized,
-)
-from .adjoint import (
-    adjoint_energy_certificate,
-    confining_weight_index,
-    sample_potential,
-    solve_adjoint,
-)
-from .grid import (
-    GridSpec,
-    MomentState,
-    ScalarField,
-    TimeGrid,
-    integrate,
-    interpolate,
-    interpolate_flagged,
-    make_grid,
-    make_timegrid,
-    moments,
-    partial_derivative,
-    sample_function,
-    weighted_sobolev_norm,
-)
-from .optimize import MultiStartReport, OptimConfig, OptimResult, multi_start, optimize
-from .oracles import (
-    AffineFlow,
-    MomentSurrogateProblem,
-    affine_exact_density,
-    fd_directional_derivative,
-    fit_order,
-    lipschitz_probe,
-)
-from .reduced import (
-    GradientPath,
-    KktResidual,
-    ProbeReport,
-    Problem,
-    frechet_probe,
-    h1_riesz,
-    kkt_residual,
-    path_dot,
-    path_norm,
-    reduced_cost,
-    reduced_gradient,
-    smallness_certificate,
-)
+from .errors import *
+from .grid import *
+from .controls import *
+from .forward import *
+from .adjoint import *
+from .reduced import *
+from .optimize import *
+from .oracles import *
 
 __version__ = "0.1.0"

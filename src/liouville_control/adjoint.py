@@ -51,7 +51,6 @@ from .grid import interpolate_flagged  # unused here; bench/calltrace.py wraps a
 
 __all__ = [
     "solve_adjoint",
-    "potential_eval",
     "sample_potential",
     "adjoint_energy_certificate",
     "confining_weight_index",

@@ -33,9 +33,10 @@ from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, S
 from .forward import boundary_leak, energy_certificate
 from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, sample_function
 from .optimize import UNIQUENESS_TOL, OptimConfig, multi_start, optimize
-from .oracles import affine_exact_density, fd_directional_derivative, fit_order
+from .oracles import affine_exact_density, fd_directional_derivative
 from .reduced import (
     Problem,
+    fit_order,
     frechet_probe,
     kkt_residual,
     metric_dot,

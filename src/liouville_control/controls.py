@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, UnknownPreset
+from .errors import SchemaError, UnknownPreset, UnsupportedOrder
 from .grid import GridSpec, TimeGrid, _squared_norm, is_finite_number, resolve_preset
 
 __all__ = [
@@ -172,7 +172,7 @@ def _bump_derivative_sup(c, sig: float, grid: GridSpec, order: int) -> float:
     elif order == 3:
         hi = (x.max(axis=1) ** 3 / sig**6 + 3.0 * x.max(axis=1) / sig**4) * g
     else:
-        return 0.0
+        raise UnsupportedOrder(f"gaussian-bump derivative bounds cover orders 1 to 3, got {order}")
     return float(np.abs(c).max()) * float(hi.max())
 
 
@@ -258,7 +258,7 @@ class DriftPreset:
     def derivative_sup(self, grid: GridSpec, order: int) -> float:
         """max over the grid of the largest entry of the order-th derivative
         tensor of a0 (order >= 1): max|A| at order 1 for an affine preset,
-        grid-sampled for the bump."""
+        grid-sampled for the bump, which raises UnsupportedOrder above order 3."""
         if self._row.derivative_sup is not None:
             return self._row.derivative_sup(*self.coefficients(grid.dim), grid, order)
         return float(np.abs(self.coefficients(grid.dim)[0]).max()) if order == 1 else 0.0

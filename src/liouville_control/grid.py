@@ -32,6 +32,7 @@ __all__ = [
     "is_count",
     "is_finite_number",
     "density_preset_eval",
+    "gaussian_mixture",
     "sample_function",
     "partial_derivative",
     "integrate",
@@ -237,10 +238,20 @@ class MomentState:
     variance: tuple[float, ...]
 
 
+def _is_finite_entry(value) -> bool:
+    """True for a finite number (see is_finite_number) or a nested list of them."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return all(_is_finite_entry(v) for v in value)
+    return is_finite_number(value)
+
+
 def resolve_preset(table: dict, family: str, name: str, params) -> tuple:
     """The row of a preset table and the preset's parameters: the row's
     defaults (its first entry) updated by ``params``.  An unknown name or
-    parameter, or a required parameter (default None) left out, raises
+    parameter, a required parameter (default None) left out, or a given
+    value that is not a finite number or a nested list of them raises
     UnknownPreset."""
     if name not in table:
         raise UnknownPreset(f"unknown {family} preset {name!r}")
@@ -251,6 +262,10 @@ def resolve_preset(table: dict, family: str, name: str, params) -> tuple:
             problem = "needs" if key in defaults else "has no"
             takes = ", ".join(defaults) or "none"
             raise UnknownPreset(f"{family} preset {name!r} {problem} parameter {key!r} (it takes: {takes})")
+        if not _is_finite_entry(value):
+            raise UnknownPreset(
+                f"{family} preset {name!r} parameter {key!r} must be a finite number or a list of them, got {value!r}"
+            )
     return table[name], resolved
 
 
@@ -266,15 +281,10 @@ def _squared_norm(pts: np.ndarray, centre=None) -> np.ndarray:
     return sq
 
 
-def _gaussian(pts: np.ndarray, x0, v0) -> np.ndarray:
+def _gaussian(pts: np.ndarray, x0: np.ndarray, v0: float) -> np.ndarray:
+    """The normalized gaussian density of centre x0 (d,) and variance v0 at points (..., d)."""
     d = pts.shape[-1]
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size not in (1, d):
-        raise ValueError(f"a gaussian centre needs 1 or grid.dim = {d} coordinates, got {x0.size}")
-    v0 = float(v0)
-    if v0 <= 0:
-        raise UnknownPreset(f"gaussian preset needs v0 > 0, got {v0}")
-    sq = _squared_norm(pts, np.broadcast_to(x0, (d,)))
+    sq = _squared_norm(pts, x0)
     return (2.0 * np.pi * v0) ** (-d / 2.0) * np.exp(-sq / (2.0 * v0))
 
 
@@ -293,20 +303,42 @@ _DENSITY_PRESETS = {
 }
 
 
+def gaussian_mixture(preset: str, params: dict | None, d: int) -> list | None:
+    """The components (weight, centre of shape (d,), variance) of a gaussian
+    mixture density preset in d dimensions, or None for any other preset.  A
+    one-coordinate centre is used on every axis; a centre of another size
+    raises ValueError and a variance that is not positive UnknownPreset."""
+    (_, _, components), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
+    if components is None:
+        return None
+    mixture = []
+    for w, x0, v0 in components(params):
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        if x0.size not in (1, d):
+            raise ValueError(f"a gaussian centre needs 1 or grid.dim = {d} coordinates, got {x0.size}")
+        v0 = float(v0)
+        if v0 <= 0:
+            raise UnknownPreset(f"gaussian preset needs v0 > 0, got {v0}")
+        mixture.append((float(w), np.broadcast_to(x0, (d,)), v0))
+    return mixture
+
+
 def density_preset_eval(preset: str, params: dict | None, points: np.ndarray) -> np.ndarray:
     """Evaluate a named density preset at arbitrary points (N, d).
 
     Presets: ``gaussian(x0, v0)`` (normalized density), ``bimodal-gaussian``
     (``wa`` times the gaussian (``x0a``, ``v0a``) plus ``wb`` times
     (``x0b``, ``v0b``)), ``constant(c)``, ``zero``.  An unknown name or
-    parameter raises UnknownPreset.
+    parameter, or a parameter that is not a finite number or a nested list
+    of them, raises UnknownPreset.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    (_, evaluate, components), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
-    if evaluate is None:
-        return sum(float(w) * _gaussian(pts, x0, v0) for w, x0, v0 in components(params))
+    mixture = gaussian_mixture(preset, params, pts.shape[-1])
+    if mixture is not None:
+        return sum(w * _gaussian(pts, x0, v0) for w, x0, v0 in mixture)
+    (_, evaluate, _), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
     return evaluate(params, pts)
 
 

@@ -8,6 +8,9 @@ surrogate integrates the mean and covariance ODEs of each gaussian component
 of rho0 with RK4, prices them by the potentials' gaussian closures and the
 control costs by ``CostSpec.total``, and differentiates exactly those RK4
 steps.  Both stay entirely away from the PDE discretization.
+
+The module is a leaf: no solver module imports it, so the solvers never
+depend on their checks; only ``cli`` and the package import it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, DriftSpec
 from .errors import DegenerateProbe, NotApplicable, UnsupportedDrift
-from .grid import _DENSITY_PRESETS, TimeGrid, density_preset_eval, resolve_preset
+from .grid import TimeGrid, density_preset_eval, gaussian_mixture
 
 __all__ = [
     "AffineFlow",
@@ -27,7 +30,6 @@ __all__ = [
     "affine_exact_density",
     "fd_directional_derivative",
     "lipschitz_probe",
-    "fit_order",
     "MomentSurrogateProblem",
 ]
 
@@ -138,23 +140,6 @@ def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
     return ratio
 
 
-def fit_order(hs, errors) -> float:
-    """Least-squares slope of log(error) against log(h) over the points with a
-    positive error; raises DegenerateProbe unless they have two distinct h,
-    and ValueError on an h that is not a positive finite number."""
-    h, e = np.asarray(hs, dtype=float), np.asarray(errors, dtype=float)
-    bad = h[~(np.isfinite(h) & (h > 0.0))]
-    if bad.size:
-        raise ValueError(f"step sizes h must be positive finite numbers, got {bad.tolist()}")
-    keep = e > 0.0
-    if np.unique(h[keep]).size < 2:
-        raise DegenerateProbe(f"no order from errors {e.tolist()} at h {h.tolist()}")
-    lh, le = np.log(h[keep]), np.log(e[keep])
-    A = np.vstack([lh, np.ones_like(lh)]).T
-    slope, _ = np.linalg.lstsq(A, le, rcond=None)[0]
-    return float(slope)
-
-
 # Under the affine drift M x + c, M = A + diag(u2) and c = b + u1, a gaussian
 # stays gaussian: m' = M m + c and S' = M S + S M^T for each component of a
 # mixture.  Its state y = (m, S by rows, 1) has the rate y L^T, with
@@ -198,13 +183,11 @@ class MomentSurrogateProblem:
         self._d = d = len(self.bounds.ua) // 2
         self._L0 = _lift(*_affine_part(self.a0, d))
         self._dL = np.stack([_lift(np.diag(e[d:]), e[:d]) for e in np.eye(2 * d)])  # dL / dU_j
-        (_, _, components), params = resolve_preset(_DENSITY_PRESETS, "density", *self.rho0)
-        if components is None:
+        mixture = gaussian_mixture(*self.rho0, d)
+        if mixture is None:
             raise NotApplicable(f"density preset {self.rho0[0]!r} is not a gaussian mixture")
-        density_preset_eval(*self.rho0, np.zeros((1, d)))  # rejects the components that sampling rejects
-        self._w = np.array([float(w) for w, _, _ in components(params)])
-        self._y0 = np.array([np.r_[np.broadcast_to(x0, d), float(v0) * np.eye(d).ravel(), 1.0]
-                             for _, x0, v0 in components(params)])
+        self._w = np.array([w for w, _, _ in mixture])
+        self._y0 = np.array([np.r_[x0, v0 * np.eye(d).ravel(), 1.0] for _, x0, v0 in mixture])
 
     def _sweep(self, U: np.ndarray) -> tuple:
         """RK4 from rho0's components with the controls U[i], (U[i] + U[i+1]) / 2 and

@@ -49,7 +49,7 @@ from .controls import (
     potential_eval,
     project_box,
 )
-from .errors import GridMismatch, NotApplicable
+from .errors import DegenerateProbe, GridMismatch, NotApplicable
 from .forward import Checkpoints, StateTrajectory, check_solver, required_substeps, solve_forward, solve_linearized
 from .grid import (
     GridSpec,
@@ -60,7 +60,6 @@ from .grid import (
     partial_derivative,
     weighted_sobolev_norm,
 )
-from .oracles import fit_order
 
 __all__ = [
     "Problem",
@@ -74,6 +73,7 @@ __all__ = [
     "h1_riesz",
     "metric_dot",
     "kkt_residual",
+    "fit_order",
     "frechet_probe",
     "smallness_certificate",
     "prox_step",
@@ -363,6 +363,23 @@ def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath)
 
     vi = path_norm(problem.timegrid, u - prox_step(u, gf, 1.0, delta, ua, ub))
     return KktResidual(stationarity=float(np.abs(r).max()), vi_residual=vi)
+
+
+def fit_order(hs, errors) -> float:
+    """Least-squares slope of log(error) against log(h) over the points with a
+    positive error; raises DegenerateProbe unless they have two distinct h,
+    and ValueError on an h that is not a positive finite number."""
+    h, e = np.asarray(hs, dtype=float), np.asarray(errors, dtype=float)
+    bad = h[~(np.isfinite(h) & (h > 0.0))]
+    if bad.size:
+        raise ValueError(f"step sizes h must be positive finite numbers, got {bad.tolist()}")
+    keep = e > 0.0
+    if np.unique(h[keep]).size < 2:
+        raise DegenerateProbe(f"no order from errors {e.tolist()} at h {h.tolist()}")
+    lh, le = np.log(h[keep]), np.log(e[keep])
+    A = np.vstack([lh, np.ones_like(lh)]).T
+    slope, _ = np.linalg.lstsq(A, le, rcond=None)[0]
+    return float(slope)
 
 
 def frechet_probe(

@@ -419,10 +419,12 @@ def test_offgrid_sweep_leaving_safety_hull_raises():
         solve_adjoint(cost, drift, tg, g)
 
 
-def test_non_finite_feet_raise():
-    # b = inf: every foot is +inf (u2 > 0 keeps x * u2 from reading inf * 0)
+def test_non_finite_feet_raise(monkeypatch):
+    # a drift of +inf everywhere, which no preset gives (their parameters
+    # are finite numbers): every foot is +inf
     g, tg = setup(n=64, nt=16)
-    drift = DriftSpec(DriftPreset("constant", {"b": math.inf}), ControlPath.constant(tg, [0.0], [0.5]))
+    monkeypatch.setattr(adjoint_module, "eval_drift", lambda drift, t, pts, control=None: np.full(pts.shape, math.inf))
+    drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.0], [0.5]))
     cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     with pytest.raises(CharacteristicEscape, match="non-finite feet"):
         solve_adjoint(cost, drift, tg, g)

@@ -35,6 +35,7 @@ MINIMAL = {
     "grid": {"dim": 1, "lo": [-8.0], "hi": [8.0], "n": [64]},
     "time": {"T": 1.0, "nt": 32},
 }
+GRID2 = {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]}
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -177,6 +178,15 @@ UNKNOWN_PARAMETERS = [
     ("rho0", {"preset": "gaussian", "params": {"sigma": 3}}),
 ]
 
+# preset parameters that are not finite numbers or lists of them: a bool, a
+# string, a number that JSON reads as inf
+WRONG_KIND_PARAMETERS = [
+    ("rho0", {"preset": "constant", "params": {"c": True}}),
+    ("rho0", {"preset": "gaussian", "params": {"x0": "0.5"}}),
+    ("rho0", {"preset": "gaussian", "params": {"v0": 1e400}}),
+    ("a0", {"preset": "affine", "params": {"A": [[True]]}}),
+]
+
 
 @pytest.mark.parametrize(
     "section, entry",
@@ -205,6 +215,9 @@ UNKNOWN_PARAMETERS = [
         ("a0", {"preset": "gaussian-bump", "params": {"c": 0.5, "sigma": 0.0}}),
         ("a0", {"preset": "gaussian-bump", "params": {"c": 0.5, "sigma": -1.5}}),
         ("a0", {"preset": "gaussian-bump", "params": {"c": 0.5, "sigma": float("nan")}}),
+        *WRONG_KIND_PARAMETERS,
+        # finite parameters whose a0 overflows on the grid
+        ("a0", {"preset": "affine", "params": {"A": [[1e308]]}}),
     ],
 )
 def test_bad_presets_exit_one(tmp_path, section, entry):
@@ -220,6 +233,19 @@ def test_unknown_preset_parameter_is_named(section, entry):
     (key,) = entry["params"]
     with pytest.raises(SchemaError, match=re.escape(f"{section}.preset") + f".*no parameter '{key}'"):
         parse_config(json.dumps(dict(MINIMAL, **{section: entry})))
+
+
+@pytest.mark.parametrize(
+    "section, entry, grid",
+    [(section, entry, MINIMAL["grid"]) for section, entry in WRONG_KIND_PARAMETERS]
+    + [("a0", {"preset": "rotation", "params": {"omega": "2"}}, GRID2)],
+)
+def test_a_preset_parameter_of_the_wrong_kind_is_named(tmp_path, capsys, section, entry, grid):
+    (key,) = entry["params"]
+    cfgp = write_config(tmp_path, dict(MINIMAL, grid=grid, **{section: entry}))
+    assert run_command(["cost", "--config", cfgp, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.match(f"configuration error: {section}.preset .*parameter '{key}' must be a finite number", err), err
 
 
 @pytest.mark.parametrize("preset", ["gaussian", "bimodal-gaussian", "constant", "zero"])
@@ -326,6 +352,11 @@ def test_a_one_coordinate_track_is_used_on_every_axis(tmp_path):
         ("constants.C_universal", {"constants": {"C_universal": -0.5}}),
         # a repeated seed reruns one start: its distance 0 proves nothing
         ("optim: seeds", {"optim": {"seeds": [3, 3]}}),
+        # a section that is not an object, a required key left out
+        ("section 'time' must be an object", {"time": [1.0, 32]}),
+        ("section 'cost' must be an object", {"cost": "zero"}),
+        ("missing key 'time.nt'", {"time": {"T": 1.0}}),
+        ("missing key 'grid.n'", {"grid": {"dim": 1, "lo": [-8.0], "hi": [8.0]}}),
     ],
 )
 def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
@@ -337,9 +368,6 @@ def test_malformed_config_exits_one(tmp_path, capsys, section, patch):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {section}")
     assert "Traceback" not in err
-
-
-GRID2 = {"dim": 2, "lo": [-6.0, -6.0], "hi": [6.0, 6.0], "n": [16, 16]}
 
 
 @pytest.mark.parametrize(
@@ -398,6 +426,9 @@ def test_overflowing_number_exits_one(tmp_path, capsys, key, section):
 def test_parse_rejects_invalid_json():
     with pytest.raises(SchemaError):
         parse_config("{not json")
+    for text in ("[1, 2]", "3", '"grid"'):
+        with pytest.raises(SchemaError, match="^configuration must be a JSON object$"):
+            parse_config(text)
 
 
 def test_forward_command_writes_artifacts(tmp_path):
@@ -416,6 +447,15 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert run_command(["forward", "--config", str(tmp_path / "missing.json")]) == 1
     err = capsys.readouterr().err
     assert "missing.json" in err
+
+
+def test_an_output_directory_that_cannot_be_made_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfgp = write_config(tmp_path, MINIMAL)
+    assert run_command(["cost", "--config", cfgp, "--out", str(blocker / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot write to '{blocker / 'o'}'") and "Traceback" not in err
 
 
 def test_schema_error_exits_one(tmp_path):

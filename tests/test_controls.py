@@ -11,15 +11,18 @@ from liouville_control import (
     DriftSpec,
     Potential,
     SchemaError,
+    UnknownPreset,
+    UnsupportedOrder,
     control_cost_terms,
+    density_preset_eval,
+    drift_div_bound,
+    drift_grad_bound,
     eval_drift,
     make_grid,
     make_timegrid,
     potential_eval,
     project_box,
 )
-from liouville_control.controls import drift_div_bound, drift_grad_bound
-from liouville_control.grid import density_preset_eval
 
 
 def tg(nt=8, T=1.0):
@@ -106,6 +109,9 @@ def test_bump_derivative_sup_bounds_the_higher_derivatives(params, d):
     )
     for order, fd in ((2, order2), (3, order3)):
         assert fd <= a0.derivative_sup(g, order) <= 3.0 * fd
+    # no bound is derived past order 3; 0.0 there would be false
+    with pytest.raises(UnsupportedOrder, match="orders 1 to 3, got 4"):
+        a0.derivative_sup(g, 4)
 
 
 def test_control_nodes_are_one_read_only_array():
@@ -124,6 +130,40 @@ def test_control_nodes_are_one_read_only_array():
     # the caller's arrays are copied, not aliased
     u1[0, 0] = 99.0
     assert ctrl.u1[0, 0] != 99.0
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: ControlPath(tg(nt=4), np.zeros((4, 1)), np.zeros((4, 1))), "needs 5 nodes, got 4 and 4"),
+    (lambda: ControlPath(tg(nt=4), np.zeros((5, 1)), np.zeros((6, 1))), "needs 5 nodes, got 5 and 6"),
+    (lambda: ControlPath(tg(nt=4), np.zeros((5, 1)), np.zeros((5, 2))), "share the node layout"),
+    (lambda: ControlPath(tg(nt=4), np.full((5, 1), np.nan), np.zeros((5, 1))), "must be finite"),
+    (lambda: ControlPath(tg(nt=4), np.zeros((5, 1)), np.full((5, 1), np.inf)), "must be finite"),
+    (lambda: BoxBounds((-1.0, -1.0), (1.0,)), "equal length"),
+    (lambda: BoxBounds((-1.0, 0.5), (1.0, 0.25)), "ua <= ub"),
+])
+def test_controls_and_bounds_reject_malformed_values(build, match):
+    with pytest.raises(SchemaError, match=match):
+        build()
+
+
+# preset parameters follow the configuration's kind rule: a finite number
+# or a nested list of them, never a bool, a string or an inf
+@pytest.mark.parametrize("build", [
+    lambda: density_preset_eval("constant", {"c": True}, np.zeros((1, 1))),
+    lambda: density_preset_eval("gaussian", {"x0": "0.5"}, np.zeros((1, 1))),
+    lambda: density_preset_eval("gaussian", {"v0": np.inf}, np.zeros((1, 1))),
+    lambda: density_preset_eval("bimodal-gaussian", {"x0a": [0.0, np.nan]}, np.zeros((1, 2))),
+    lambda: DriftPreset("affine", {"A": [[True]]}),
+    lambda: DriftPreset("affine", {"A": np.array([[1.0, np.inf], [0.0, 1.0]])}),
+    lambda: DriftPreset("rotation", {"omega": "2"}),
+    lambda: DriftPreset("gaussian-bump", {"c": [0.5, None]}),
+])
+def test_preset_parameters_must_be_finite_numbers(build):
+    with pytest.raises(UnknownPreset, match="must be a finite number or a list of them"):
+        build()
+    # numpy arrays, numpy numbers and tuples of finite numbers pass
+    a0 = DriftPreset("affine", {"A": np.eye(2), "b": (np.float64(0.5), 1)})
+    assert np.array_equal(a0.eval(np.ones((1, 2))), [[1.5, 2.0]])
 
 
 def test_control_linear_interpolation_between_nodes():

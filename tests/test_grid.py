@@ -14,6 +14,8 @@ from liouville_control import (
     UnknownPreset,
     UnsupportedOrder,
     ZeroMass,
+    density_preset_eval,
+    gaussian_mixture,
     integrate,
     interpolate,
     interpolate_flagged,
@@ -26,7 +28,6 @@ from liouville_control import (
 )
 from liouville_control.fileio import read_control_csv, read_field_csv, write_control_csv, write_field_csv
 from liouville_control.grid import apply_stencil, interpolation_stencil
-from liouville_control.oracles import density_preset_eval
 
 
 def test_make_grid_spacing():
@@ -86,6 +87,26 @@ def test_constructors_reject_counts_that_are_not_integers(build, error):
     assert OptimConfig(max_iters=0).max_iters == 0
 
 
+G1, G2 = make_grid(1, -4, 4, 16), make_grid(2, -4, 4, 16)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: make_grid(2, (-1.0, -1.0), (1.0, 1.0, 1.0), (16, 16)), "one entry per axis"),
+    (lambda: make_grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16, 16)), "one entry per axis"),
+    (lambda: TimeGrid(0.0, 8), "final time must be positive"),
+    (lambda: TimeGrid(-1.0, 8), "final time must be positive"),
+    (lambda: TimeGrid(1.0, 1), "at least 2 time steps"),
+    (lambda: ScalarField(G1, np.zeros(15)), "does not match grid"),
+    (lambda: ScalarField(G2, np.zeros((16, 15))), "does not match grid"),
+    (lambda: ScalarField(G2, np.zeros((2, 2, 16, 16))), "does not match grid"),
+    (lambda: interpolate_flagged(ScalarField(G2, np.ones(G2.shape)), np.zeros((3, 1))), r"points must be \(N, 2\)"),
+    (lambda: interpolate_flagged(ScalarField(G1, np.ones(G1.shape)), np.zeros((3, 1, 1))), r"points must be \(N, 1\)"),
+])
+def test_grids_and_fields_reject_values_of_the_wrong_shape(build, match):
+    with pytest.raises(InvalidGrid, match=match):
+        build()
+
+
 def test_cell_centers_reproducible():
     g = make_grid(1, -8, 8, 16)
     assert np.array_equal(g.centers(0), -8.0 + (np.arange(16) + 0.5) * 1.0)
@@ -117,6 +138,24 @@ def test_sample_function_is_the_preset_at_the_cell_centers(dim, preset, params):
     assert np.array_equal(f.values.ravel(), density_preset_eval(preset, params, g.cell_centers()))
     with pytest.raises(UnknownPreset, match="no parameter 'x1'"):
         sample_function(g, preset, dict(params, x1=0.0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gaussian_mixture_gives_the_checked_components(d):
+    assert gaussian_mixture("constant", {"c": 2.0}, d) is None
+    assert gaussian_mixture("zero", None, d) is None
+    params = {"x0a": -1.0, "wb": 0.25, "v0b": 0.3}
+    mixture = gaussian_mixture("bimodal-gaussian", params, d)
+    assert [(w, x0.tolist(), v0) for w, x0, v0 in mixture] == [(0.5, [-1.0] * d, 0.5), (0.25, [2.0] * d, 0.3)]
+    # the density is the weighted sum of the components' normalized gaussians
+    pts = make_grid(d, -4, 4, 16).cell_centers()
+    dens = sum(w * np.exp(-((pts - x0) ** 2).sum(axis=1) / (2 * v0)) / (2 * math.pi * v0) ** (d / 2)
+               for w, x0, v0 in mixture)
+    assert np.allclose(density_preset_eval("bimodal-gaussian", params, pts), dens, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError, match=f"1 or grid.dim = {d} coordinates, got 3"):
+        gaussian_mixture("gaussian", {"x0": [0.0, 1.0, 2.0]}, d)
+    with pytest.raises(UnknownPreset, match="v0 > 0"):
+        gaussian_mixture("bimodal-gaussian", {"v0a": -0.5}, d)
 
 
 def test_gaussian_peak_value():
@@ -484,4 +523,9 @@ def test_control_csv_roundtrip_needs_the_uniform_time_grid(tmp_path):
     p = tmp_path / "uneven.csv"
     p.write_text("t,u1_1,u2_1\n0,0,0\n0.1,1,0\n0.5,2,0\n1,3,0\n")
     with pytest.raises(SchemaError, match="uneven.csv"):
+        read_control_csv(str(p))
+    # two nodes are one step, which no TimeGrid has
+    p = tmp_path / "short.csv"
+    p.write_text("t,u1_1,u2_1\n0,0,0\n1,3,0\n")
+    with pytest.raises(SchemaError, match="short.csv needs at least 3 nodes"):
         read_control_csv(str(p))

@@ -21,6 +21,8 @@ from liouville_control import (
     UnsupportedDrift,
     affine_exact_density,
     control_cost_terms,
+    density_preset_eval,
+    expm,
     fd_directional_derivative,
     fit_order,
     lipschitz_probe,
@@ -32,7 +34,6 @@ from liouville_control import (
     sample_function,
 )
 from liouville_control.cli import load_scenario
-from liouville_control.oracles import density_preset_eval, expm
 
 
 def test_identity_flow():
@@ -249,8 +250,11 @@ def test_fd_directional_derivative_rejects_inadmissible():
     prob = quad_problem()
     u = ControlPath.constant(prob.timegrid, [1.9], [0.0])
     d = ControlPath.constant(prob.timegrid, [1.0], [0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="leaves the admissible box"):
         fd_directional_derivative(prob, u, d, 0.5)
+    for eps in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            fd_directional_derivative(prob, u, d, eps)
 
 
 def test_lipschitz_probe_degenerate_and_finite():
@@ -342,6 +346,8 @@ def test_surrogate_needs_a_gaussian_mixture_and_an_affine_a0():
         MomentSurrogateProblem(tg, ("gaussian", {}), CostSpec(), bounds, DriftPreset("gaussian-bump"))
     with pytest.raises(UnknownPreset, match="v0 > 0"):
         MomentSurrogateProblem(tg, ("bimodal-gaussian", {"v0b": 0.0}), CostSpec(), bounds)
+    with pytest.raises(ValueError, match="1 or grid.dim = 1 coordinates, got 2"):
+        MomentSurrogateProblem(tg, ("gaussian", {"x0": [0.0, 1.0]}), CostSpec(), bounds)
 
 
 def surrogate_of(name, nt=None):

@@ -541,6 +541,8 @@ def test_h1_riesz_basics():
     assert np.all(h1_riesz(np.zeros(65), 1.0, 0.5, tg) == 0.0)
     with pytest.raises(NotApplicable):
         h1_riesz(np.zeros(65), 1.0, 0.0, tg)
+    with pytest.raises(NotApplicable, match="rhs needs 65 nodes"):
+        h1_riesz(np.zeros(64), 1.0, 0.5, tg)
 
 
 def test_h1_riesz_manufactured_solution_order_two():

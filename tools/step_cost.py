@@ -11,9 +11,8 @@ the trees' order alternating from round to round, so that a drift in the
 machine's speed reaches all trees alike.  The start control is the
 scenario's own; the tangent's direction is a fixed smooth path.  The
 assembly runs as the optimizer's gradient runs it, without the
-integration-by-parts cross-check, on a forward and an adjoint solve made
-once; a tree whose assembly has no ``cross_check`` switch runs it with the
-cross-check.
+integration-by-parts cross-check (``cross_check=False``), on a forward and
+an adjoint solve made once.
 
     python tools/step_cost.py                              # this checkout's src
     python tools/step_cost.py --src /path/to/base/src --src src --repeats 30
@@ -43,7 +42,7 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 # wall time of one such solve in seconds and its substep count (0 for the
 # adjoint and the assembly)
 _CHILD = """
-import inspect, sys, time
+import sys, time
 import numpy as np
 from liouville_control.adjoint import solve_adjoint
 from liouville_control.cli import parse_config, scenario_path
@@ -51,8 +50,6 @@ from liouville_control.controls import ControlPath
 from liouville_control.forward import solve_forward, solve_linearized
 from liouville_control.reduced import assemble_integral_path
 
-# the optimizer's assembly skips the cross-check where the tree can
-descent = {"cross_check": False} if "cross_check" in inspect.signature(assemble_integral_path).parameters else {}
 # solve -> the substep count of its result
 substeps = {"solve_forward": lambda traj: sum(traj.substeps),
             "solve_linearized": lambda pair: sum(pair[0].substeps)}
@@ -71,7 +68,7 @@ def calls(name):
         "solve_forward": lambda: solve_forward(prob.rho0, drift, prob.source, tg, **prob.solver),
         "solve_linearized": lambda: solve_linearized(prob.rho0, drift, delta, prob.source, tg, **prob.solver),
         "solve_adjoint": lambda: solve_adjoint(prob.cost, drift, tg, prob.grid),
-        "assemble_integral_path": lambda: assemble_integral_path(prob, rho, q, **descent),
+        "assemble_integral_path": lambda: assemble_integral_path(prob, rho, q, cross_check=False),
     }
 
 table = {name: calls(name) for name in sys.argv[1:]}
