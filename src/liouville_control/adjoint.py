@@ -107,6 +107,8 @@ def _outside_center_span(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
 _ESCAPE_FACTOR = 50.0
 
 
+# a drift near the float range overflows in RK4: CharacteristicEscape reports it
+@np.errstate(over="ignore", invalid="ignore")
 def _trace(grid: GridSpec, drift: DriftSpec, cost: CostSpec, timegrid: TimeGrid):
     """The feet of every step, (nt, N, d), and the analytic continuation of
     every foot outside the span of cell centres as flat arrays (cells,

@@ -31,7 +31,7 @@ from .adjoint import adjoint_energy_certificate, confining_weight_index
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, Potential
 from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, SchemaError
 from .forward import boundary_leak, energy_certificate
-from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, sample_function
+from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, per_axis, sample_function
 from .optimize import UNIQUENESS_TOL, OptimConfig, multi_start, optimize
 from .oracles import affine_exact_density, fd_directional_derivative
 from .reduced import (
@@ -105,13 +105,11 @@ class RunConfig:
 @contextmanager
 def _section(name: str):
     """Report a malformed value in one configuration section as a
-    SchemaError naming the section (errors that name it already pass)."""
+    SchemaError whose text starts with the section."""
     try:
         yield
     except (ValueError, TypeError, IndexError, OverflowError, LiouvilleControlError) as err:
-        if isinstance(err, SchemaError) and str(err).startswith(name):
-            raise
-        raise SchemaError(f"{name}: {err}") from err
+        raise SchemaError(str(err) if str(err).startswith(name) else f"{name}: {err}") from err
 
 
 @contextmanager
@@ -155,15 +153,6 @@ def _resolve(section: str, given) -> dict:
     return out
 
 
-def _broadcast(key: str, values, size: int, what: str) -> list:
-    """``values``, one number or a list of 1 or ``size`` (``what``) numbers,
-    as ``size`` floats; else a SchemaError naming the key."""
-    values = np.atleast_1d(values)
-    if len(values) not in (1, size):
-        raise SchemaError(f"{key} needs 1 or {what} = {size} values, got {len(values)}")
-    return [float(v) for v in np.broadcast_to(values, (size,))]
-
-
 def _sample(section: str, grid, preset: str, params: dict) -> ScalarField:
     with _preset(section, preset):
         return sample_function(grid, preset, params)  # ScalarField rejects non-finite values
@@ -171,23 +160,15 @@ def _sample(section: str, grid, preset: str, params: dict) -> ScalarField:
 
 def _tracking(track_path, dim: int) -> Potential | None:
     """The tracking potential of ``cost.track_path``, checked whenever it is
-    given, with a one-coordinate point used on every axis; None if it is
-    not given."""
+    given, each point per-axis (see per_axis); None if it is not given."""
     if track_path is None:
         return None
-    if not isinstance(track_path, list):
-        raise SchemaError(f"cost.track_path must be a list of [t, x] nodes, got {track_path!r}")
-    for i, node in enumerate(track_path):
-        if not (isinstance(node, list) and len(node) == 2):
-            raise SchemaError(f"cost.track_path[{i}]: a node must be [t, x], a time and a point, got {node!r}")
-    with _section("cost.track_path"):
+    try:
         pot = Potential.tracking(track_path)
-    sizes = {len(x) for x in pot.track_x}
-    if sizes not in ({1}, {dim}):
-        raise SchemaError(f"cost.track_path: each point needs 1 or grid.dim = {dim} coordinates")
-    if sizes != {dim}:
-        pot = dataclasses.replace(pot, track_x=tuple(x * dim for x in pot.track_x))
-    return pot
+    except SchemaError as err:  # its messages start with "track_path"
+        raise SchemaError(f"cost.{err}") from err
+    points = (per_axis(x, dim, f"cost.track_path[{i}] point") for i, x in enumerate(pot.track_x))
+    return dataclasses.replace(pot, track_x=tuple(map(tuple, points)))
 
 
 def _potential(cost: dict, which: str, tracking: Potential | None) -> Potential:
@@ -232,10 +213,10 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError("non-finite values on the grid")
 
     with _section("control"):
-        cfg["control"] = {k: _broadcast(f"control.{k}", v, d, "grid.dim") for k, v in cfg["control"].items()}
+        cfg["control"] = {k: per_axis(v, d, f"control.{k}") for k, v in cfg["control"].items()}
         control = ControlPath.constant(timegrid, **cfg["control"])
     with _section("bounds"):
-        cfg["bounds"] = {k: _broadcast(f"bounds.{k}", v, 2 * d, "2 * grid.dim") for k, v in cfg["bounds"].items()}
+        cfg["bounds"] = {k: per_axis(v, 2 * d, f"bounds.{k}", "2 * grid.dim") for k, v in cfg["bounds"].items()}
         bounds = BoxBounds(**{k: tuple(v) for k, v in cfg["bounds"].items()})
     with _section("cost"):
         ksec = cfg["cost"]
@@ -260,7 +241,7 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         problem = Problem(
-            grid=grid, timegrid=timegrid, rho0=rho0, a0=a0, cost=cost, bounds=bounds,
+            timegrid=timegrid, rho0=rho0, a0=a0, cost=cost, bounds=bounds,
             source=None if cfg["source"]["preset"] == "zero" else source.values, **cfg["solver"],
         )
     except ValueError as err:  # forward.check_solver's message names the setting
@@ -437,9 +418,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         grid = make_grid(base.dim, base.lo, base.hi, tuple(max(8, int(m * factor)) for m in base.n))
         nt = max(2, int(prob.timegrid.nt * factor))
         tg = TimeGrid(prob.timegrid.T, nt)
-        coarse = dataclasses.replace(
-            prob, grid=grid, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), source=None
-        )
+        coarse = dataclasses.replace(prob, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), source=None)
         control = ControlPath.constant(tg, u1, u2)
         traj = coarse.solve_forward_for(control)
         exact = affine_exact_density(*cfg.rho0, coarse.drift_for(control), tg.T, grid.cell_centers())

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import SchemaError, UnknownPreset, UnsupportedOrder
-from .grid import GridSpec, TimeGrid, _squared_norm, is_finite_number, resolve_preset
+from .grid import GridSpec, TimeGrid, _squared_norm, is_finite_number, per_axis, resolve_preset
 
 __all__ = [
     "ControlPath",
@@ -78,8 +78,6 @@ class ControlPath:
 
     @classmethod
     def constant(cls, timegrid: TimeGrid, u1, u2) -> "ControlPath":
-        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        u2 = np.atleast_1d(np.asarray(u2, dtype=float))
         nn = timegrid.nt + 1
         return cls(timegrid, np.tile(u1, (nn, 1)), np.tile(u2, (nn, 1)))
 
@@ -132,8 +130,15 @@ class BoxBounds:
         return max(float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
-def _vector(value, d: int) -> np.ndarray:
-    return np.broadcast_to(np.atleast_1d(np.asarray(value, dtype=float)), (d,))
+def _vector(p: dict, key: str, d: int) -> np.ndarray:
+    return np.array([float(v) for v in per_axis(p[key], d, key)])
+
+
+def _affine(p: dict, d: int):
+    A = np.asarray(p["A"], dtype=float)
+    if A.size != d * d:
+        raise ValueError(f"A needs grid.dim * grid.dim = {d * d} values, got {A.size}")
+    return A.reshape(d, d), _vector(p, "b", d)
 
 
 def _rotation(p: dict, d: int):
@@ -155,7 +160,7 @@ def _bump(p: dict, d: int):
     sig = float(p["sigma"])
     if not sig > 0:
         raise UnknownPreset(f"gaussian-bump drift needs sigma > 0, got {sig}")
-    return _vector(p["c"], d), sig
+    return _vector(p, "c", d), sig
 
 
 def _bump_g(pts: np.ndarray, sig: float) -> np.ndarray:
@@ -194,14 +199,10 @@ _DRIFT_PRESETS = {
     "zero": _DriftRow({}, lambda p, d: (np.zeros((d, d)), np.zeros(d)), lambda A, b, pts: np.zeros_like(pts)),
     "constant": _DriftRow(
         {"b": 0.0},
-        lambda p, d: (np.zeros((d, d)), _vector(p["b"], d)),
+        lambda p, d: (np.zeros((d, d)), _vector(p, "b", d)),
         lambda A, b, pts: np.broadcast_to(b, pts.shape).copy(),
     ),
-    "affine": _DriftRow(
-        {"A": None, "b": 0.0},
-        lambda p, d: (np.asarray(p["A"], dtype=float).reshape(d, d), _vector(p["b"], d)),
-        lambda A, b, pts: pts @ A.T + b,
-    ),
+    "affine": _DriftRow({"A": None, "b": 0.0}, _affine, lambda A, b, pts: pts @ A.T + b),
     "rotation": _DriftRow({"omega": 1.0}, _rotation, _rotation_eval),  # d = 2 only
     "gaussian-bump": _DriftRow(
         {"c": 1.0, "sigma": 1.0},
@@ -408,9 +409,8 @@ class Potential:
 
     Menu: zero; gaussian-well 1 - exp(-|x|^2); quadratic |x|^2; tracking
     |x - x_d(t)|^2 with x_d piecewise linear through track_path nodes.  An
-    unknown name raises UnknownPreset; a time-dependent preset without at
-    least two strictly increasing track times, each with a point, raises
-    SchemaError.
+    unknown name raises UnknownPreset; track points of two sizes, or a time-dependent preset
+    without two strictly increasing track times, each with a point, raise SchemaError.
     """
 
     name: str = "zero"
@@ -426,13 +426,22 @@ class Potential:
         ts, xs = self.track_t, self.track_x
         if row.time_dependent and (len(ts) < 2 or len(xs) != len(ts) or any(b <= a for a, b in zip(ts, ts[1:]))):
             raise SchemaError("track_path needs at least two strictly increasing times, each with a point")
+        if len({len(x) for x in xs}) > 1:
+            raise SchemaError(f"track_path points must all have one size, got sizes {[len(x) for x in xs]}")
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_track", (np.asarray(ts), np.asarray(xs)))
 
     @classmethod
     def tracking(cls, nodes) -> "Potential":
-        ts = tuple(_finite(p[0]) for p in nodes)
-        xs = tuple(tuple(_finite(v) for v in np.ravel(np.asarray(p[1], dtype=object))) for p in nodes)
+        """The tracking potential through ``nodes``, a list of [t, x] nodes: a time
+        and a point, one number or a list.  Anything else raises SchemaError."""
+        if not isinstance(nodes, (list, tuple)):
+            raise SchemaError(f"track_path must be a list of [t, x] nodes, got {nodes!r}")
+        for i, node in enumerate(nodes):
+            if not (isinstance(node, (list, tuple)) and len(node) == 2):
+                raise SchemaError(f"track_path[{i}]: a node must be [t, x], a time and a point, got {node!r}")
+        ts = tuple(_finite(t) for t, _ in nodes)
+        xs = tuple(tuple(_finite(v) for v in np.ravel(np.asarray(x, dtype=object))) for _, x in nodes)
         return cls(name="tracking", track_t=ts, track_x=xs)
 
     is_zero = property(lambda self: self._row.is_zero)

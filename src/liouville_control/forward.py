@@ -257,15 +257,20 @@ class _Stepper:
     def plan(self, timegrid: TimeGrid, cfl: float) -> list[int]:
         """Per-step substep counts from the Courant number at the step ends:
         at each node, the sum over axes of max |a_axis| / h_axis, read from
-        the face speeds of a block of nodes at a time."""
+        the face speeds of a block of nodes at a time.  One that is not
+        finite (a drift near the float range) raises CflUnderflow."""
         dt, nodes = timegrid.dt, timegrid.nt + 1
         u1, u2 = self.drift.control.value_at(np.arange(nodes) * dt)
         size, speed = _block_nodes(2 * self.faces), np.zeros(nodes)
-        for lo in range(0, nodes, size):
-            rows = slice(lo, lo + size)
-            for a, h in zip(self.face_speeds(u1[rows], u2[rows]), self.h):
-                speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
-        return [max(1, int(math.ceil(dt * max(a, b) / cfl))) for a, b in zip(speed, speed[1:])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, nodes, size):
+                rows = slice(lo, lo + size)
+                for a, h in zip(self.face_speeds(u1[rows], u2[rows]), self.h):
+                    speed[rows] += np.abs(a).reshape(len(a), -1).max(axis=1) / h
+        courant = dt * np.maximum(speed[:-1], speed[1:]) / cfl
+        if not np.isfinite(courant).all():
+            raise CflUnderflow("Courant number is not finite: no substep count up to the cap max_substeps resolves it")
+        return [max(1, math.ceil(c)) for c in courant.tolist()]
 
 
 class _Sweep:

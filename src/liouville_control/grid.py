@@ -29,6 +29,7 @@ __all__ = [
     "MomentState",
     "make_grid",
     "make_timegrid",
+    "per_axis",
     "is_count",
     "is_finite_number",
     "density_preset_eval",
@@ -38,7 +39,6 @@ __all__ = [
     "integrate",
     "weighted_sobolev_norm",
     "moments",
-    "interpolate",
     "interpolate_flagged",
 ]
 
@@ -132,23 +132,33 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def make_grid(dim, lo, hi, n) -> GridSpec:
-    """Build a GridSpec, accepting scalars or per-axis sequences.
+def per_axis(value, n: int, name: str, count: str = "grid.dim") -> list:
+    """The ``n`` per-axis entries of ``value``, one entry or a list of 1 or
+    ``n`` (``count``) entries, as given: one entry serves every axis.  Any
+    other length raises ValueError naming ``name``."""
+    value = value.tolist() if isinstance(value, np.ndarray) else value
+    values = list(value) if isinstance(value, (list, tuple)) else [value]
+    if len(values) not in (1, n):
+        raise ValueError(f"{name} needs 1 or {count} = {n} values, got {len(values)}")
+    return values if len(values) == n else values * n
 
-    Raises InvalidGrid unless dim and the cell counts are integers, bounds
-    are finite with hi > lo and n >= 8 per axis.
+
+def make_grid(dim, lo, hi, n) -> GridSpec:
+    """Build a GridSpec from per-axis bounds and cell counts (see per_axis).
+
+    Raises InvalidGrid unless dim and the cell counts are integers, lo, hi
+    and n have one entry per axis (or one for every axis), bounds are finite
+    with hi > lo and n >= 8 per axis.
     """
     if not is_count(dim) or dim not in (1, 2):
         raise InvalidGrid(f"dim must be 1 or 2, got {dim!r}")
-    lo_t = tuple(float(v) for v in np.atleast_1d(lo))
-    hi_t = tuple(float(v) for v in np.atleast_1d(hi))
-    n_t = tuple(n) if np.ndim(n) else (n,)
+    try:
+        lo_t, hi_t, n_t = (per_axis(v, dim, f"grid.{key}") for key, v in (("lo", lo), ("hi", hi), ("n", n)))
+    except ValueError as err:
+        raise InvalidGrid(f"{err}: one entry per axis, or one for every axis") from err
     if not all(is_count(m) for m in n_t):
         raise InvalidGrid(f"cell counts must be integers, got {n!r}")
-    n_t = tuple(int(m) for m in n_t)
-    lo_t, hi_t, n_t = (v * 2 if len(v) == 1 and dim == 2 else v for v in (lo_t, hi_t, n_t))
-    if not (len(lo_t) == len(hi_t) == len(n_t) == dim):
-        raise InvalidGrid("lo, hi, n must have one entry per axis")
+    lo_t, hi_t, n_t = tuple(map(float, lo_t)), tuple(map(float, hi_t)), tuple(map(int, n_t))
     for a, b, m in zip(lo_t, hi_t, n_t):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InvalidGrid("grid bounds must be finite")
@@ -290,15 +300,16 @@ def _gaussian(pts: np.ndarray, x0: np.ndarray, v0: float) -> np.ndarray:
 
 # density presets (initial data and sources): name -> (parameters with their
 # defaults, values at points (N, d) from the parameters, or None for a gaussian
-# mixture, whose components (weight, centre, variance) the parameters give)
+# mixture, whose components the parameters name: (weight, or None for 1,
+# centre, variance))
 _DENSITY_PRESETS = {
     "zero": ({}, lambda p, pts: np.zeros(pts.shape[:-1]), None),
     "constant": ({"c": 1.0}, lambda p, pts: np.full(pts.shape[:-1], float(p["c"])), None),
-    "gaussian": ({"x0": 0.0, "v0": 1.0}, None, lambda p: [(1.0, p["x0"], p["v0"])]),
+    "gaussian": ({"x0": 0.0, "v0": 1.0}, None, [(None, "x0", "v0")]),
     "bimodal-gaussian": (
         {"x0a": -2.0, "v0a": 0.5, "wa": 0.5, "x0b": 2.0, "v0b": 0.5, "wb": 0.5},
         None,
-        lambda p: [(p["wa"], p["x0a"], p["v0a"]), (p["wb"], p["x0b"], p["v0b"])],
+        [("wa", "x0a", "v0a"), ("wb", "x0b", "v0b")],
     ),
 }
 
@@ -306,20 +317,18 @@ _DENSITY_PRESETS = {
 def gaussian_mixture(preset: str, params: dict | None, d: int) -> list | None:
     """The components (weight, centre of shape (d,), variance) of a gaussian
     mixture density preset in d dimensions, or None for any other preset.  A
-    one-coordinate centre is used on every axis; a centre of another size
-    raises ValueError and a variance that is not positive UnknownPreset."""
+    centre is per-axis (see per_axis); a variance that is not positive
+    raises UnknownPreset."""
     (_, _, components), params = resolve_preset(_DENSITY_PRESETS, "density", preset, params)
     if components is None:
         return None
     mixture = []
-    for w, x0, v0 in components(params):
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        if x0.size not in (1, d):
-            raise ValueError(f"a gaussian centre needs 1 or grid.dim = {d} coordinates, got {x0.size}")
-        v0 = float(v0)
+    for w, x0, v0 in components:
+        centre = np.array([float(v) for v in per_axis(params[x0], d, x0)])
+        v0 = float(params[v0])
         if v0 <= 0:
             raise UnknownPreset(f"gaussian preset needs v0 > 0, got {v0}")
-        mixture.append((float(w), np.broadcast_to(x0, (d,)), v0))
+        mixture.append((1.0 if w is None else float(params[w]), centre, v0))
     return mixture
 
 
@@ -526,8 +535,3 @@ def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = Fal
     for ax in range(grid.dim):
         out_mask |= (pts[:, ax] < grid.lo[ax]) | (pts[:, ax] > grid.hi[ax])
     return apply_stencil(field.values, *interpolation_stencil(grid, pts), clip=clip), out_mask
-
-
-def interpolate(field: ScalarField, points: np.ndarray, clip: bool = False) -> np.ndarray:
-    """Piecewise-cubic tensor interpolation (see interpolate_flagged)."""
-    return interpolate_flagged(field, points, clip=clip)[0]

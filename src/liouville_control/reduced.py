@@ -49,7 +49,7 @@ from .controls import (
     potential_eval,
     project_box,
 )
-from .errors import DegenerateProbe, GridMismatch, NotApplicable
+from .errors import DegenerateProbe, GridMismatch, NotApplicable, SchemaError
 from .forward import Checkpoints, StateTrajectory, check_solver, required_substeps, solve_forward, solve_linearized
 from .grid import (
     GridSpec,
@@ -136,16 +136,16 @@ class ProbeReport:
 
 @dataclass(frozen=True)
 class Problem:
-    """Bundle of everything a run needs: grid, horizon, data, and weights.
+    """Bundle of everything a run needs: horizon, data, and weights.
 
-    ``source`` is None or the cell values of a source constant in time, an
-    array of the grid's shape.  The solver settings are checked when the
-    problem is built (``forward.check_solver``).  Frozen, as the forward
-    solve of the most recent control is memoized: ``dataclasses.replace``
-    makes a variant with an empty memo.
+    ``grid`` is ``rho0``'s.  ``source`` is None or the cell values of a
+    source constant in time, an array of the grid's shape.  The solver
+    settings (``forward.check_solver``) and the bounds' length are checked
+    when the problem is built.  Frozen, as the forward solve of the most
+    recent control is memoized: ``dataclasses.replace`` makes a variant
+    with an empty memo.
     """
 
-    grid: GridSpec
     timegrid: TimeGrid
     rho0: ScalarField
     a0: DriftPreset
@@ -159,6 +159,10 @@ class Problem:
 
     def __post_init__(self):
         check_solver(self.scheme, self.cfl, self.max_substeps)
+        if len(self.bounds.ua) != 2 * self.grid.dim:
+            raise SchemaError(f"bounds need 2 * grid.dim = {2 * self.grid.dim} entries each, got {len(self.bounds.ua)}")
+
+    grid = property(lambda self: self.rho0.grid)
 
     def drift_for(self, control: ControlPath) -> DriftSpec:
         return DriftSpec(self.a0, control)

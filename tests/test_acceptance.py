@@ -192,7 +192,6 @@ def _tracking_problem(n, nt, scheme="muscl-fv", gamma=0.1):
     tg = make_timegrid(1.0, nt)
     theta = Potential.tracking([[0.0, 0.0], [0.5, 0.4], [1.0, 0.7]])
     return Problem(
-        grid=g,
         timegrid=tg,
         rho0=sample_function(g, "gaussian", {"x0": 0.0, "v0": 0.5}),
         a0=DriftPreset("zero"),
@@ -207,7 +206,7 @@ def test_criterion_06_gradient_check():
     g = desk_grid(N_DESK)
     tg = make_timegrid(1.0, NT_DESK)
     prob = Problem(
-        grid=g, timegrid=tg,
+        timegrid=tg,
         rho0=sample_function(g, "gaussian", {"x0": 2.0, "v0": 0.5}),
         a0=DriftPreset("zero"), cost=CostSpec(gamma=0.1),
         bounds=BoxBounds.symmetric(2.0, 1), scheme="upwind-fv",
@@ -289,7 +288,7 @@ def test_criterion_09_optimizer_contracts():
     g = desk_grid(128)
     tg = make_timegrid(1.0, 64)
     quad = Problem(
-        grid=g, timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": 0.0, "v0": 0.5}),
+        timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": 0.0, "v0": 0.5}),
         a0=DriftPreset("zero"), cost=CostSpec(gamma=1.0), bounds=BoxBounds.symmetric(1.0, 1),
     )
     seen = []
@@ -351,7 +350,7 @@ def test_criterion_11_uniqueness_regime():
     tg = make_timegrid(1.0, 128)
     theta = Potential.tracking([[0.0, 0.0], [1.0, 0.3]])
     prob = Problem(
-        grid=g, timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": 0.0, "v0": 0.5}),
+        timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": 0.0, "v0": 0.5}),
         a0=DriftPreset("zero"),
         cost=CostSpec(gamma=1.0e4, theta=theta, phi=Potential("gaussian-well")),
         bounds=BoxBounds.symmetric(1.0, 1), scheme="muscl-fv",

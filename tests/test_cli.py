@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,41 @@ def test_a_value_of_the_wrong_shape_names_its_key_and_needs(tmp_path, capsys, ke
     assert err.startswith(f"configuration error: {key}") and "Traceback" not in err
 
 
+THREE = [0.1, 0.2, 0.3]
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"grid": dict(GRID2, lo=[-6.0, -6.0, -6.0])}, "grid.lo needs 1 or grid.dim = 2 values, got 3: one entry per axis, or one for every axis"),
+        ({"grid": dict(GRID2, n=[16, 16, 16])}, "grid.n needs 1 or grid.dim = 2 values, got 3: one entry per axis, or one for every axis"),
+        ({"control": {"u1": THREE}}, "control.u1 needs 1 or grid.dim = 2 values, got 3"),
+        ({"bounds": {"ua": THREE}}, "bounds.ua needs 1 or 2 * grid.dim = 4 values, got 3"),
+        ({"a0": {"preset": "constant", "params": {"b": THREE}}},
+         "a0.preset 'constant': b needs 1 or grid.dim = 2 values, got 3"),
+        ({"a0": {"preset": "affine", "params": {"A": [[-1.0, 0.0], [0.0, -1.0]], "b": THREE}}},
+         "a0.preset 'affine': b needs 1 or grid.dim = 2 values, got 3"),
+        ({"a0": {"preset": "gaussian-bump", "params": {"c": THREE}}},
+         "a0.preset 'gaussian-bump': c needs 1 or grid.dim = 2 values, got 3"),
+        ({"a0": {"preset": "affine", "params": {"A": [[1.0, 0.0, 2.0]]}}},
+         "a0.preset 'affine': A needs grid.dim * grid.dim = 4 values, got 3"),
+        ({"rho0": {"preset": "gaussian", "params": {"x0": THREE}}},
+         "rho0.preset 'gaussian': x0 needs 1 or grid.dim = 2 values, got 3"),
+        ({"source": {"preset": "bimodal-gaussian", "params": {"x0b": THREE}}},
+         "source.preset 'bimodal-gaussian': x0b needs 1 or grid.dim = 2 values, got 3"),
+        ({"cost": {"theta": "tracking", "track_path": [[0.0, THREE], [1.0, THREE]]}},
+         "cost.track_path[0] point needs 1 or grid.dim = 2 values, got 3"),
+    ],
+)
+def test_a_per_axis_value_of_the_wrong_length_names_its_section_and_key(tmp_path, capsys, patch, message):
+    # on a 2D grid: one message form for every per-axis key, and one for A
+    bad = dict(MINIMAL, **dict({"grid": GRID2}, **patch))
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        parse_config(json.dumps(bad))
+    assert run_command(["cost", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 BIG = "1" + "0" * 400  # a JSON integer too large for a float
 
 
@@ -421,6 +457,21 @@ def test_overflowing_number_exits_one(tmp_path, capsys, key, section):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, error, message", [
+    ("forward", "CflUnderflow", "Courant number is not finite: no substep count up to the cap max_substeps"),
+    ("adjoint", "CharacteristicEscape", "non-finite feet"),
+])
+def test_a_drift_near_the_float_range_is_a_named_numerical_failure(tmp_path, capsys, command, error, message):
+    # a0 is finite on the grid, but the Courant number and the RK4 sums overflow
+    cfg = dict(MINIMAL, a0={"preset": "constant", "params": {"b": 1e308}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_command([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["error"] == error and message in report["message"]
+    assert capsys.readouterr().err == f"numerical failure: {report['message']}\n"
 
 
 def test_parse_rejects_invalid_json():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,19 @@ def test_potential_eval_rejects_a_track_of_another_dimension(track, points):
     # no coordinate of either is dropped or broadcast
     with pytest.raises(ValueError, match=r"\(\.\.\., d\) with the track's d = " + str(len(np.ravel(track[0][1])))):
         potential_eval(Potential.tracking(track), np.array(points), 1.0)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    # a third entry, which was dropped, and a node without its point
+    ([[0.0, 0.0, 5.0], [1.0, 0.3]], "track_path[0]: a node must be [t, x], a time and a point, got [0.0, 0.0, 5.0]"),
+    ([[0.0], [1.0, 0.3]], "track_path[0]: a node must be [t, x], a time and a point, got [0.0]"),
+    ([[0.0, 0.0], 1.0], "track_path[1]: a node must be [t, x], a time and a point, got 1.0"),
+    ("abc", "track_path must be a list of [t, x] nodes, got 'abc'"),
+    ([[0.0, 0.0], [1.0, [0.3, 0.1]]], "track_path points must all have one size, got sizes [1, 2]"),
+])
+def test_tracking_rejects_malformed_nodes(nodes, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        Potential.tracking(nodes)
 
 
 @pytest.mark.parametrize("times", [(), (0.5,), (0.0, 0.0), (0.0, 1.0, 0.5)])

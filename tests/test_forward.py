@@ -114,7 +114,7 @@ def test_lipschitz_constant_stable():
     def ratio(n):
         g, tg, rho0 = gaussian_setup(n=n, nt=128)
         prob = Problem(
-            grid=g, timegrid=tg, rho0=rho0, a0=DriftPreset("zero"),
+            timegrid=tg, rho0=rho0, a0=DriftPreset("zero"),
             cost=CostSpec(gamma=1.0), bounds=BoxBounds.symmetric(2.0, 1),
         )
         u = ControlPath.constant(tg, [0.2], [0.1])

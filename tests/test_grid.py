@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from liouville_control import (
     density_preset_eval,
     gaussian_mixture,
     integrate,
-    interpolate,
     interpolate_flagged,
     make_grid,
     make_timegrid,
     moments,
     partial_derivative,
+    per_axis,
     sample_function,
     weighted_sobolev_norm,
 )
@@ -107,6 +108,22 @@ def test_grids_and_fields_reject_values_of_the_wrong_shape(build, match):
         build()
 
 
+def test_per_axis_values_give_one_entry_per_axis():
+    # one entry serves every axis; entries come back as given, so an integer
+    # too large for a float stays exact
+    assert per_axis(0.5, 2, "x0") == [0.5, 0.5]
+    assert per_axis([10**400], 2, "grid.n") == [10**400, 10**400]
+    assert per_axis((1, 2), 2, "grid.n") == [1, 2] and per_axis(np.array([3]), 1, "grid.n") == [3]
+    for value, n, count, got in ([0.1, 0.2, 0.3], 2, "grid.dim", 3), ([], 1, "grid.dim", 0), ([1.0] * 3, 4, "2 * grid.dim", 3):
+        with pytest.raises(ValueError, match=re.escape(f"b needs 1 or {count} = {n} values, got {got}")):
+            per_axis(value, n, "b", count)
+    with pytest.raises(InvalidGrid, match=re.escape("grid.hi needs 1 or grid.dim = 2 values, got 3: one entry per axis")):
+        make_grid(2, (-1.0, -1.0), (1.0, 1.0, 1.0), (16, 16))
+    with pytest.raises(InvalidGrid, match=re.escape("grid.n needs 1 or grid.dim = 2 values, got 3: one entry per axis")):
+        make_grid(2, -1.0, 1.0, (16, 16, 16))
+    assert make_grid(2, [-1.0], 1, [16]) == make_grid(2, (-1.0, -1.0), (1.0, 1.0), (16, 16))
+
+
 def test_cell_centers_reproducible():
     g = make_grid(1, -8, 8, 16)
     assert np.array_equal(g.centers(0), -8.0 + (np.arange(16) + 0.5) * 1.0)
@@ -152,8 +169,10 @@ def test_gaussian_mixture_gives_the_checked_components(d):
     dens = sum(w * np.exp(-((pts - x0) ** 2).sum(axis=1) / (2 * v0)) / (2 * math.pi * v0) ** (d / 2)
                for w, x0, v0 in mixture)
     assert np.allclose(density_preset_eval("bimodal-gaussian", params, pts), dens, rtol=1e-14, atol=0.0)
-    with pytest.raises(ValueError, match=f"1 or grid.dim = {d} coordinates, got 3"):
+    with pytest.raises(ValueError, match=f"x0 needs 1 or grid.dim = {d} values, got 3"):
         gaussian_mixture("gaussian", {"x0": [0.0, 1.0, 2.0]}, d)
+    with pytest.raises(ValueError, match=f"x0b needs 1 or grid.dim = {d} values, got 3"):
+        gaussian_mixture("bimodal-gaussian", {"x0b": [0.0, 1.0, 2.0]}, d)
     with pytest.raises(UnknownPreset, match="v0 > 0"):
         gaussian_mixture("bimodal-gaussian", {"v0a": -0.5}, d)
 
@@ -322,10 +341,10 @@ def test_moments_converge_with_refinement():
 def test_interpolate_constant_and_cubic_reproduction():
     g = make_grid(1, -8, 8, 16)
     c = sample_function(g, "constant", {"c": 2.5})
-    assert interpolate(c, np.array([0.3]))[0] == pytest.approx(2.5, abs=1e-14)
+    assert interpolate_flagged(c, np.array([0.3]))[0][0] == pytest.approx(2.5, abs=1e-14)
     x = g.centers(0)
     cubic = ScalarField(g, x**3)
-    assert interpolate(cubic, np.array([0.3]))[0] == pytest.approx(0.027, abs=1e-12)
+    assert interpolate_flagged(cubic, np.array([0.3]))[0][0] == pytest.approx(0.027, abs=1e-12)
 
 
 def test_interpolate_gaussian_fourth_order():
@@ -334,7 +353,7 @@ def test_interpolate_gaussian_fourth_order():
         f = sample_function(g, "gaussian", {"x0": 0.0, "v0": 1.0})
         pts = np.linspace(-4.0, 4.0, 113)
         exact = density_preset_eval("gaussian", {"x0": 0.0, "v0": 1.0}, pts)
-        return np.abs(interpolate(f, pts) - exact).max()
+        return np.abs(interpolate_flagged(f, pts)[0] - exact).max()
 
     e1, e2 = err(64), err(128)
     assert e1 / e2 > 8.0  # nominal factor 16 for fourth order
@@ -355,8 +374,8 @@ def test_interpolate_clip_limits_overshoot():
     vals[8] = 1.0  # spike: cubic overshoots next to it
     f = ScalarField(g, vals)
     pts = np.linspace(-4, 4, 201)
-    unclipped = interpolate(f, pts)
-    clipped = interpolate(f, pts, clip=True)
+    unclipped = interpolate_flagged(f, pts)[0]
+    clipped = interpolate_flagged(f, pts, clip=True)[0]
     assert unclipped.min() < -1e-3
     assert clipped.min() >= 0.0
     assert clipped.max() <= 1.0 + 1e-15
@@ -368,7 +387,7 @@ def test_interpolate_2d_tensor_product():
     f = ScalarField(g, X**2 * Y + 2.0 * Y**2)
     pts = np.array([[0.3, 0.7], [-1.1, 0.2]])
     exact = pts[:, 0] ** 2 * pts[:, 1] + 2.0 * pts[:, 1] ** 2
-    assert np.abs(interpolate(f, pts) - exact).max() < 1e-12
+    assert np.abs(interpolate_flagged(f, pts)[0] - exact).max() < 1e-12
 
 
 def test_interpolate_rejects_points_that_are_not_finite():

@@ -28,7 +28,6 @@ def build_problem(n=128, nt=64, gamma=1.0, delta=0.0, nu=0.0, theta=None, phi=No
     g = make_grid(1, -8, 8, n)
     tg = make_timegrid(1.0, nt)
     return Problem(
-        grid=g,
         timegrid=tg,
         rho0=sample_function(g, "gaussian", {"x0": x0, "v0": v0}),
         a0=DriftPreset("zero"),

@@ -225,7 +225,6 @@ def quad_problem(gamma=2.0, n=64, nt=32):
     g = make_grid(1, -8, 8, n)
     tg = make_timegrid(1.0, nt)
     return Problem(
-        grid=g,
         timegrid=tg,
         rho0=sample_function(g, "gaussian", {"x0": 0.0, "v0": 1.0}),
         a0=DriftPreset("zero"),
@@ -346,7 +345,7 @@ def test_surrogate_needs_a_gaussian_mixture_and_an_affine_a0():
         MomentSurrogateProblem(tg, ("gaussian", {}), CostSpec(), bounds, DriftPreset("gaussian-bump"))
     with pytest.raises(UnknownPreset, match="v0 > 0"):
         MomentSurrogateProblem(tg, ("bimodal-gaussian", {"v0b": 0.0}), CostSpec(), bounds)
-    with pytest.raises(ValueError, match="1 or grid.dim = 1 coordinates, got 2"):
+    with pytest.raises(ValueError, match="x0 needs 1 or grid.dim = 1 values, got 2"):
         MomentSurrogateProblem(tg, ("gaussian", {"x0": [0.0, 1.0]}), CostSpec(), bounds)
 
 

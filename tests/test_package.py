@@ -23,7 +23,7 @@ EARLIER_EXPORTS = {
     "UnknownPreset", "UnsupportedDrift", "UnsupportedOrder", "ZeroMass", "adjoint_energy_certificate",
     "affine_exact_density", "boundary_leak", "confining_weight_index", "control_cost_terms",
     "energy_certificate", "eval_drift", "fd_directional_derivative", "fit_order", "frechet_probe", "h1_riesz",
-    "integrate", "interpolate", "interpolate_flagged", "kkt_residual", "lipschitz_probe", "make_grid",
+    "integrate", "interpolate_flagged", "kkt_residual", "lipschitz_probe", "make_grid",
     "make_timegrid", "moments", "multi_start", "optimize", "partial_derivative", "path_dot", "path_norm",
     "potential_eval", "project_box", "reduced_cost", "reduced_gradient", "sample_function", "sample_potential",
     "smallness_certificate", "solve_adjoint", "solve_forward", "solve_linearized", "weighted_sobolev_norm",

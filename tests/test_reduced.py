@@ -19,6 +19,7 @@ from liouville_control import (
     Potential,
     Problem,
     ScalarField,
+    SchemaError,
     fd_directional_derivative,
     fit_order,
     frechet_probe,
@@ -53,7 +54,6 @@ def build_problem(n=128, nt=64, gamma=1.0, delta=0.0, nu=0.0, theta=None, phi=No
     g = make_grid(1, -8, 8, n)
     tg = make_timegrid(1.0, nt)
     return Problem(
-        grid=g,
         timegrid=tg,
         rho0=sample_function(g, "gaussian", {"x0": x0, "v0": v0}),
         a0=DriftPreset("zero"),
@@ -200,7 +200,7 @@ def blocked_problem(dim):
     size = _block_nodes(g.num_cells)
     assert 1 < size < tg.nt + 1 and (tg.nt + 1) % size
     prob = Problem(
-        grid=g, timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": x0, "v0": 0.4}), a0=a0,
+        timegrid=tg, rho0=sample_function(g, "gaussian", {"x0": x0, "v0": 0.4}), a0=a0,
         cost=CostSpec(gamma=0.5, theta=theta, phi=Potential("gaussian-well")),
         bounds=BoxBounds.symmetric(2.0, dim), scheme="muscl-fv",
     )
@@ -276,7 +276,7 @@ def test_running_cost_is_reduced_a_block_of_nodes_at_a_time(g, nt, theta, monkey
     # node's running cost has the bits of the node's own sum; a zero theta
     # tabulates nothing
     rho0, drift, tg = diagnostic_setup(g, nt)
-    prob = Problem(grid=g, timegrid=tg, rho0=rho0, a0=drift.a0, cost=CostSpec(gamma=0.5, theta=theta),
+    prob = Problem(timegrid=tg, rho0=rho0, a0=drift.a0, cost=CostSpec(gamma=0.5, theta=theta),
                    bounds=BoxBounds.symmetric(2.0, g.dim), scheme="muscl-fv")
     u, blocks = drift.control, []
 
@@ -347,6 +347,17 @@ def test_a_problem_with_bad_solver_settings_fails_when_built(setting):
     (key,) = setting
     with pytest.raises(ValueError, match=f"^{key} "):
         dataclasses.replace(build_problem(), **setting)
+
+
+def test_a_problem_lives_on_the_grid_of_its_initial_density():
+    prob = build_problem()
+    assert prob.grid is prob.rho0.grid
+    assert "grid" not in {f.name for f in dataclasses.fields(Problem)}
+    # bounds for another dimension fail when the problem is built, not in a solve
+    with pytest.raises(SchemaError, match=re.escape("bounds need 2 * grid.dim = 2 entries each, got 1")):
+        dataclasses.replace(prob, bounds=BoxBounds((-1.0,), (1.0,)))
+    with pytest.raises(SchemaError, match=re.escape("bounds need 2 * grid.dim = 2 entries each, got 4")):
+        dataclasses.replace(prob, bounds=BoxBounds.symmetric(1.0, 2))
 
 
 def test_frechet_probe_solves_with_the_problems_settings():

@@ -66,6 +66,15 @@ VARIANTS = {
     "confining-2d+bump": ("confining-2d", {
         "a0": {"preset": "gaussian-bump", "params": {"c": [0.5, -0.3], "sigma": 1.5}},
     }),
+    # every per-axis value given once for both axes: the grid, the drift's
+    # b, the centre, the controls and each track point
+    "confining-2d+one-value": ("confining-2d", {
+        "grid": {"dim": 2, "lo": [-6.0], "hi": [6.0], "n": [48]},
+        "a0": {"preset": "constant", "params": {"b": 0.1}},
+        "rho0": {"preset": "gaussian", "params": {"x0": 0.5, "v0": 0.3}},
+        "control": {"u1": 0.1, "u2": 0.05},
+        "cost": {"gamma": 1.0, "theta": "tracking", "phi": "quadratic", "track_path": [[0.0, 0.5], [0.5, 0.0]]},
+    }),
     # sparse-ladder's optim section with max_iters cut to 2
     "sparse-ladder+max-iters": ("sparse-ladder", {"optim": {"max_iters": 2, "step0": 2.0, "vi_tol": 0.0005}}),
 }
