@@ -9,8 +9,10 @@ one ``Problem`` and echoes the merged configuration, which every run writes
 to its output directory.  Every command solves through that ``Problem``;
 repeated runs of one configuration produce byte-identical CSV artifacts.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure (a
-diagnostic JSON is written when the output directory is known).
+Each command returns its report, which ``run_command`` writes as
+``report.json`` with the command's name.  Exit codes: 0 success, 1
+configuration error, 2 numerical failure (a diagnostic JSON is written when
+the output directory is known).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import fileio
 from .adjoint import adjoint_energy_certificate, confining_weight_index
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, Potential
-from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, SchemaError
+from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, NotApplicable, SchemaError
 from .forward import boundary_leak, energy_certificate
 from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, per_axis, sample_function
 from .optimize import UNIQUENESS_TOL, OptimConfig, multi_start, optimize
@@ -270,7 +272,6 @@ def _cmd_forward(cfg: RunConfig, out_dir: str) -> dict:
     summary = fileio.write_trajectory_summary(traj, os.path.join(out_dir, "trajectory_summary.csv"))
     _write_snapshots(traj, cfg.stride, out_dir, "rho")
     return {
-        "command": "forward",
         "scheme": traj.scheme,
         "cfl": traj.cfl,
         "substeps_max": max(traj.substeps),
@@ -288,7 +289,7 @@ def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
     neg_k = confining_weight_index(prob.grid.dim) if prob.cost.confining else None
     summary = fileio.write_adjoint_summary(traj, neg_k, os.path.join(out_dir, "trajectory_summary.csv"))
     _write_snapshots(traj, cfg.stride, out_dir, "q")
-    report = {"command": "adjoint", "l2_initial": summary["l2"][0], "l2_terminal": summary["l2"][-1]}
+    report = {"l2_initial": summary["l2"][0], "l2_terminal": summary["l2"][-1]}
     if neg_k is not None:
         report["neg_k"] = neg_k
         report["h0_negk_max"] = float(summary["h0_negk"].max())
@@ -296,7 +297,7 @@ def _cmd_adjoint(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _cmd_cost(cfg: RunConfig, out_dir: str) -> dict:
-    return {"command": "cost", "cost": reduced_cost(cfg.control, cfg.problem())}
+    return {"cost": reduced_cost(cfg.control, cfg.problem())}
 
 
 def _cmd_grad(cfg: RunConfig, out_dir: str) -> dict:
@@ -305,12 +306,11 @@ def _cmd_grad(cfg: RunConfig, out_dir: str) -> dict:
     grad = reduced_gradient(u, prob)
     kkt = kkt_residual(u, prob, gradient=grad)
     fileio.write_control_csv(
-        ControlPath.from_stacked(prob.timegrid, grad.values), os.path.join(out_dir, "control_gradient.csv")
+        ControlPath.from_stacked(prob.timegrid, grad.nodes), os.path.join(out_dir, "control_gradient.csv")
     )
     return {
-        "command": "grad",
         "cost": reduced_cost(u, prob),
-        "grad_l2_norm": path_norm(prob.timegrid, grad.values),
+        "grad_l2_norm": path_norm(prob.timegrid, grad.nodes),
         "metric": grad.metric,
         "ibp_discrepancy": grad.ibp_discrepancy,
         "vi_residual": kkt.vi_residual,
@@ -346,7 +346,6 @@ def _cmd_grad_check(cfg: RunConfig, out_dir: str) -> dict:
     analytic = metric_dot(prob, grad, direction)
     rel = abs(fd - analytic) / max(abs(fd), 1e-300)
     return {
-        "command": "grad-check",
         "slope": probe.slope,
         "remainders": list(probe.remainders),
         "epsilons": list(probe.epsilons),
@@ -375,7 +374,6 @@ def _cmd_optimize(cfg: RunConfig, out_dir: str) -> dict:
             f"(vi_residual {result.kkt.vi_residual:.3e} > tol {cfg.optim.vi_tol:.1e})"
         )
     return {
-        "command": "optimize",
         "cost": result.cost_history[-1],
         "iterations": result.iterations,
         "termination": result.termination,
@@ -389,7 +387,6 @@ def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
     report = multi_start(prob, cfg.optim)
     small = smallness_certificate(prob, cfg.C_universal)
     return {
-        "command": "multistart",
         "seeds": list(report.seeds),
         "max_pairwise_distance": report.max_pairwise_distance,
         "uniqueness_tol": UNIQUENESS_TOL,
@@ -403,6 +400,8 @@ def _cmd_multistart(cfg: RunConfig, out_dir: str) -> dict:
 
 def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
     prob = cfg.problem()
+    if prob.source is not None:
+        raise NotApplicable("oracle-compare needs source.preset 'zero': the exact flow has no source term")
     base = prob.grid
     u1, u2 = cfg.control.u1[0], cfg.control.u2[0]
     ab = prob.a0.affine_part(base.dim)
@@ -418,7 +417,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         grid = make_grid(base.dim, base.lo, base.hi, tuple(max(8, int(m * factor)) for m in base.n))
         nt = max(2, int(prob.timegrid.nt * factor))
         tg = TimeGrid(prob.timegrid.T, nt)
-        coarse = dataclasses.replace(prob, timegrid=tg, rho0=sample_function(grid, *cfg.rho0), source=None)
+        coarse = dataclasses.replace(prob, timegrid=tg, rho0=sample_function(grid, *cfg.rho0))
         control = ControlPath.constant(tg, u1, u2)
         traj = coarse.solve_forward_for(control)
         exact = affine_exact_density(*cfg.rho0, coarse.drift_for(control), tg.T, grid.cell_centers())
@@ -429,7 +428,7 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
         order = fit_order(hs, errors)
     except DegenerateProbe:  # fewer than two resolutions with a positive error
         order = None
-    return {"command": "oracle-compare", "control": {"u1": u1.tolist(), "u2": u2.tolist()},
+    return {"control": {"u1": u1.tolist(), "u2": u2.tolist()},
             "resolutions": resolutions, "errors": errors, "order": order}
 
 
@@ -451,7 +450,6 @@ def _cmd_certify(cfg: RunConfig, out_dir: str) -> dict:
             }
             all_pass = all_pass and cert.passed
     report = {
-        "command": "certify",
         "energy_certificates": certs,
         "energy_all_passed": all_pass,
         "leak": boundary_leak(traj),
@@ -534,7 +532,7 @@ def run_command(argv) -> int:
         return 1
 
     try:
-        report = _DISPATCH[args.command](cfg, out_dir)
+        report = {**_DISPATCH[args.command](cfg, out_dir), "command": args.command}
     except Exception as err:  # malformed configs must never produce a traceback
         diagnostic = {"error": type(err).__name__, "message": str(err), "command": args.command}
         fileio.write_json(diagnostic, os.path.join(out_dir, "report.json"))

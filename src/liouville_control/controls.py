@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import SchemaError, UnknownPreset, UnsupportedOrder
-from .grid import GridSpec, TimeGrid, _squared_norm, is_finite_number, per_axis, resolve_preset
+from .grid import GridSpec, TimeGrid, _points, _squared_norm, is_finite_number, per_axis, resolve_preset
 
 __all__ = [
     "ControlPath",
@@ -41,11 +41,12 @@ __all__ = [
 
 @dataclass
 class ControlPath:
-    """Nodal values of u = (u1, u2), each (nt + 1, d), piecewise linear.
+    """Nodal values of u = (u1, u2), each of layout (nt + 1, d), d >= 1,
+    piecewise linear; any other layout raises SchemaError.
 
     The nodes are stored once, as one read-only (nt + 1, 2 d) array,
     ``nodes``: the u1 columns, then the u2 columns.  ``u1`` and ``u2`` are
-    views of it, and ``stacked()`` returns it without a copy.
+    views of it; ``from_stacked`` builds a path from such an array.
     """
 
     timegrid: TimeGrid
@@ -54,9 +55,10 @@ class ControlPath:
     nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        u1 = np.atleast_2d(np.asarray(self.u1, dtype=float))
-        u2 = np.atleast_2d(np.asarray(self.u2, dtype=float))
+        u1, u2 = (np.asarray(u, dtype=float) for u in (self.u1, self.u2))
         nn = self.timegrid.nt + 1
+        if any(u.ndim != 2 or u.shape[1] == 0 for u in (u1, u2)):
+            raise SchemaError(f"u1 and u2 need the layout (nt + 1, d) = ({nn}, d), d >= 1, got {u1.shape} and {u2.shape}")
         if u1.shape[0] != nn or u2.shape[0] != nn:
             raise SchemaError(f"control needs {nn} nodes, got {u1.shape[0]} and {u2.shape[0]}")
         if u1.shape != u2.shape:
@@ -92,13 +94,12 @@ class ControlPath:
         u = (1.0 - w) * self.nodes[i] + w * self.nodes[i + 1]
         return u[..., : self.dim], u[..., self.dim:]
 
-    def stacked(self) -> np.ndarray:
-        """Node values as (nt + 1, 2 d): u1 columns then u2 columns (``nodes``, read-only)."""
-        return self.nodes
-
     @classmethod
     def from_stacked(cls, timegrid: TimeGrid, arr: np.ndarray) -> "ControlPath":
+        """The path of an array laid out as ``nodes``, (nt + 1, 2 d)."""
         arr = np.asarray(arr, dtype=float)
+        if arr.ndim != 2:
+            raise SchemaError(f"control nodes need the layout (nt + 1, 2 d) = ({timegrid.nt + 1}, 2 d), got {arr.shape}")
         d = arr.shape[1] // 2
         return cls(timegrid, arr[:, :d], arr[:, d:])
 
@@ -244,13 +245,13 @@ class DriftPreset:
         return self.coefficients(d) if self._row.jacobian is None else None
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        """a0 at points (..., d), as a new array, which eval_drift writes into."""
-        pts = np.asarray(points, dtype=float)
+        """a0 at points (..., d) (see grid._points), as a new array, which eval_drift writes into."""
+        pts = _points(points)
         return self._row.eval(*self.coefficients(pts.shape[-1]), pts)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """d a0_r / d x_s at the given points, shape points.shape + (d,)."""
-        pts = np.asarray(points, dtype=float)
+        """d a0_r / d x_s at points (..., d), shape points.shape + (d,)."""
+        pts = _points(points)
         d = pts.shape[-1]
         if self._row.jacobian is not None:
             return self._row.jacobian(*self.coefficients(d), pts)
@@ -274,7 +275,8 @@ class DriftSpec:
 
 
 def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarray:
-    """a0(x) + u1(t) + x * u2(t) at the given points, shape (..., d).
+    """a0(x) + u1(t) + x * u2(t) at points (..., d) (see grid._points), of
+    their shape.
 
     ``t`` is one time, or an array of B times for B equal blocks of rows of
     ``points`` (N, d): block b is evaluated at t[b].  ``control`` is
@@ -285,11 +287,7 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
     column as it is; only at B times are the rows, the points and a0's array
     reshaped into B blocks, each row broadcast over its block.
     """
-    pts = np.asarray(points, dtype=float)
-    squeeze = False
-    if pts.ndim == 1 and spec.control.dim == 1 and pts.shape[-1] != 1:
-        pts = pts[:, None]
-        squeeze = True
+    pts = _points(points)
     d = pts.shape[-1]
     u1, u2 = spec.control.value_at(t) if control is None else control
     out, x = spec.a0.eval(pts), pts
@@ -301,8 +299,7 @@ def eval_drift(spec: DriftSpec, t, points: np.ndarray, control=None) -> np.ndarr
         col = out[..., k]
         col += u1[..., k]
         col += x[..., k] * u2[..., k]
-    out = out.reshape(pts.shape)
-    return out[..., 0] if squeeze else out
+    return out.reshape(pts.shape)
 
 
 def _sup_shifted(values: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -345,7 +342,7 @@ def control_cost_terms(control: ControlPath):
     exactly from segment slopes.
     """
     dt = control.timegrid.dt
-    u = control.stacked()
+    u = control.nodes
     l2sq = float(np.trapezoid((u * u).sum(axis=1), dx=dt))
     a, b = u[:-1], u[1:]
     seg = np.where(
@@ -467,27 +464,20 @@ class Potential:
 
 
 def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarray:
-    """Exact analytic evaluation of a potential at points of shape (..., d).
+    """Exact analytic evaluation of a potential at points (..., d).
 
-    A scalar is read as one d = 1 point; a flat array raises ValueError,
-    since it could be n points of d = 1 or one point of d = n, and so do
+    A scalar or a flat array raises ValueError (see grid._points), and so do
     points whose d differs from that of a tracking potential's track.  ``t``
     is one time, or an array of times of shape S for points of shape
     S + (M, d), or (M, d) shared by every time: the values have shape
     S + (M,), row s at time t[s].  A preset that does not depend on time
     gives ``points.shape[:-1]``, which broadcasts against S + (M,).
     """
-    pts = np.asarray(points, dtype=float)
-    scalar = pts.ndim == 0
-    if scalar:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        raise ValueError(f"points must have the layout (..., d), got the flat shape {pts.shape}")
+    pts = _points(points)
     track_x = potential._track[1]
     if potential.time_dependent and track_x.shape[-1] != pts.shape[-1]:
         raise ValueError(f"points must have the layout (..., d) with the track's d = {track_x.shape[-1]}, got {pts.shape}")
-    out = potential._row.evaluate(potential, pts, t)
-    return float(out[0]) if scalar else out
+    return potential._row.evaluate(potential, pts, t)
 
 
 @dataclass(frozen=True)

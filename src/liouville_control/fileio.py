@@ -65,29 +65,34 @@ def read_field_csv(path: str) -> ScalarField:
     return ScalarField(grid, data[:, -1].reshape(n))
 
 
+def _control_header(d: int) -> list[str]:
+    return ["t", *(f"u{k}_{r}" for k in (1, 2) for r in range(1, d + 1))]
+
+
 def write_control_csv(control: ControlPath, path: str) -> None:
     """Control format: header ``t,u1_1..u1_d,u2_1..u2_d``."""
-    d = range(1, control.dim + 1)
-    header = ["t", *(f"u1_{r}" for r in d), *(f"u2_{r}" for r in d)]
-    _write_rows(path, header, ((t, *row) for t, row in zip(control.timegrid.nodes(), control.stacked())))
+    _write_rows(path, _control_header(control.dim), ((t, *row) for t, row in zip(control.timegrid.nodes(), control.nodes)))
 
 
 def read_control_csv(path: str) -> ControlPath:
-    """Read a file of ``write_control_csv``'s format.  The ``t`` column must
-    be the uniform grid's nodes, ``TimeGrid(T, nt).nodes()`` for its last
-    entry T and its nt + 1 rows, bit for bit, else SchemaError."""
+    """Read a file of ``write_control_csv``'s format: exactly its header for
+    some d >= 1, then at least 3 rows of that width, else SchemaError.  The
+    ``t`` column must be the uniform grid's nodes, ``TimeGrid(T, nt).nodes()``
+    for its last entry T and its nt + 1 rows, bit for bit, else SchemaError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     d = (len(header) - 1) // 2
+    if d < 1 or header != _control_header(d):
+        raise SchemaError(f"control file {path} needs the header t,u1_1..u1_d,u2_1..u2_d for some d >= 1, got {','.join(header)}")
     t = data[:, 0]
     nt = len(t) - 1
-    if nt < 2 or t[-1] <= 0:
-        raise SchemaError(f"control file {path} needs at least 3 nodes ending at T > 0")
+    if nt < 2 or t[-1] <= 0 or data.shape[1] != len(header):
+        raise SchemaError(f"control file {path} needs at least 3 nodes ending at T > 0, each a row of {len(header)} numbers")
     tg = TimeGrid(T=float(t[-1]), nt=nt)
     if not np.array_equal(t, tg.nodes()):
         raise SchemaError(f"control file {path}: the t column is not the uniform grid of {nt} steps on [0, {tg.T}]")
-    return ControlPath(tg, data[:, 1 : 1 + d], data[:, 1 + d : 1 + 2 * d])
+    return ControlPath.from_stacked(tg, data[:, 1:])
 
 
 def _write_node_table(path: str, timegrid: TimeGrid, columns: dict) -> None:

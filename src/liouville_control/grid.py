@@ -279,6 +279,16 @@ def resolve_preset(table: dict, family: str, name: str, params) -> tuple:
     return table[name], resolved
 
 
+def _points(points) -> np.ndarray:
+    """``points`` as a float array of layout (..., d), the one layout of point
+    arrays: a scalar or a flat array raises ValueError, since a flat array
+    could be n points of d = 1 or one point of d = n."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2:
+        raise ValueError(f"points must have the layout (..., d), got the shape {pts.shape}")
+    return pts
+
+
 def _squared_norm(pts: np.ndarray, centre=None) -> np.ndarray:
     """|x - centre|^2 of points (..., d), or |x|^2 without a centre (whose last axis, if
     given, has d entries): the squared coordinate columns added in index order, so that
@@ -299,7 +309,7 @@ def _gaussian(pts: np.ndarray, x0: np.ndarray, v0: float) -> np.ndarray:
 
 
 # density presets (initial data and sources): name -> (parameters with their
-# defaults, values at points (N, d) from the parameters, or None for a gaussian
+# defaults, values at points (..., d) from the parameters, or None for a gaussian
 # mixture, whose components the parameters name: (weight, or None for 1,
 # centre, variance))
 _DENSITY_PRESETS = {
@@ -333,7 +343,7 @@ def gaussian_mixture(preset: str, params: dict | None, d: int) -> list | None:
 
 
 def density_preset_eval(preset: str, params: dict | None, points: np.ndarray) -> np.ndarray:
-    """Evaluate a named density preset at arbitrary points (N, d).
+    """Evaluate a named density preset at points (..., d) (see _points).
 
     Presets: ``gaussian(x0, v0)`` (normalized density), ``bimodal-gaussian``
     (``wa`` times the gaussian (``x0a``, ``v0a``) plus ``wb`` times
@@ -341,9 +351,7 @@ def density_preset_eval(preset: str, params: dict | None, points: np.ndarray) ->
     parameter, or a parameter that is not a finite number or a nested list
     of them, raises UnknownPreset.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points(points)
     mixture = gaussian_mixture(preset, params, pts.shape[-1])
     if mixture is not None:
         return sum(w * _gaussian(pts, x0, v0) for w, x0, v0 in mixture)
@@ -381,15 +389,9 @@ def integrate(field: ScalarField) -> float:
 
 def _derivative_multiindices(dim: int, m: int) -> list[tuple[int, ...]]:
     # derivative orders per axis, all |alpha| <= m
-    out = []
     if dim == 1:
-        for a in range(m + 1):
-            out.append((a,))
-    else:
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
-                out.append((a, b))
-    return out
+        return [(a,) for a in range(m + 1)]
+    return [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
 
 
 def _apply_derivative(field: ScalarField, alpha: tuple[int, ...]) -> ScalarField:
@@ -514,8 +516,8 @@ def apply_stencil(values: np.ndarray, idx: np.ndarray, wts: np.ndarray, clip: bo
 
 
 def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = False):
-    """Interpolate at arbitrary points; also report which points fell
-    outside the domain box (their value is the boundary-clamped one).
+    """Interpolate at points (N, d); also report which points fell outside
+    the domain box (their value is the boundary-clamped one).
 
     With ``clip=True`` the result is limited to the range of the gathered
     stencil values, which suppresses cubic overshoot near extrema.  Points
@@ -525,8 +527,6 @@ def interpolate_flagged(field: ScalarField, points: np.ndarray, clip: bool = Fal
     """
     grid = field.grid
     pts = np.asarray(points, dtype=float)
-    if grid.dim == 1 and pts.ndim == 1:
-        pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[1] != grid.dim:
         raise InvalidGrid(f"points must be (N, {grid.dim})")
     if not np.all(np.isfinite(pts)):

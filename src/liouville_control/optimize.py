@@ -91,8 +91,8 @@ def optimize(problem, config: OptimConfig, u0: ControlPath | None = None) -> Opt
         if it == config.max_iters:
             termination = "max_iters"
             break
-        gf = grad.stacked()
-        ustk = u.stacked()
+        gf = grad.nodes
+        ustk = u.nodes
         alpha = min(config.step0, 2.0 * steps[-1]) if steps else config.step0
         accepted = False
         for _ in range(MAX_BACKTRACKS):
@@ -149,7 +149,7 @@ def multi_start(problem, config: OptimConfig) -> MultiStartReport:
     worst = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            d = path_norm(tg, results[i].control.stacked() - results[j].control.stacked())
+            d = path_norm(tg, results[i].control.nodes - results[j].control.nodes)
             worst = max(worst, d)
     return MultiStartReport(
         seeds=tuple(config.seeds),

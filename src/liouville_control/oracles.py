@@ -111,18 +111,16 @@ def fd_directional_derivative(problem, control: ControlPath, direction: ControlP
     if not eps > 0:
         raise ValueError("eps must be positive")
     ua, ub = problem.bounds.arrays()
-    for sgn in (+1.0, -1.0):
-        stacked = control.stacked() + sgn * eps * direction.stacked()
-        if np.any(stacked < ua - 1e-12) or np.any(stacked > ub + 1e-12):
-            raise ValueError("u +/- eps * direction leaves the admissible box")
-    up = ControlPath.from_stacked(control.timegrid, control.stacked() + eps * direction.stacked())
-    dn = ControlPath.from_stacked(control.timegrid, control.stacked() - eps * direction.stacked())
-    return (problem.reduced_cost(up) - problem.reduced_cost(dn)) / (2.0 * eps)
+    up, dn = (control.nodes + sgn * eps * direction.nodes for sgn in (1.0, -1.0))
+    if any(np.any(nodes < ua - 1e-12) or np.any(nodes > ub + 1e-12) for nodes in (up, dn)):
+        raise ValueError("u +/- eps * direction leaves the admissible box")
+    costs = [problem.reduced_cost(ControlPath.from_stacked(control.timegrid, nodes)) for nodes in (up, dn)]
+    return (costs[0] - costs[1]) / (2.0 * eps)
 
 
 def lipschitz_probe(problem, u: ControlPath, v: ControlPath) -> float:
     """max over time nodes of ||G(u)(t) - G(v)(t)||_{L2} / int_0^t |u - v|."""
-    diff = u.stacked() - v.stacked()
+    diff = u.nodes - v.nodes
     speed = np.sqrt((diff * diff).sum(axis=1))
     dt = u.timegrid.dt
     cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (speed[:-1] + speed[1:]))])
@@ -170,8 +168,8 @@ class MomentSurrogateProblem:
     """The moment twin of an ensemble problem whose rho0 is a gaussian mixture,
     a (preset, params) pair, and whose a0 is affine, in d = len(bounds.ua) // 2
     dimensions.  It has the reduced_cost / descent_gradient / bounds protocol
-    of the optimizer's proximal loop; ``path`` and ``state_cost`` take the
-    stacked node array (nt + 1, 2 d), real or complex."""
+    of the optimizer's proximal loop; ``path`` and ``state_cost`` take a
+    control's ``nodes`` array (nt + 1, 2 d), real or complex."""
 
     timegrid: TimeGrid
     rho0: tuple
@@ -221,7 +219,7 @@ class MomentSurrogateProblem:
         return (weights * run[0]).sum() + self._w @ end[0], slope
 
     def state_cost(self, U):
-        """The state cost of the stacked node array U, real or complex."""
+        """The state cost of the node array U (nt + 1, 2 d), real or complex."""
         return self._price(self._sweep(np.asarray(U))[1])[0]
 
     def reduced_cost(self, control: ControlPath) -> float:

@@ -66,6 +66,7 @@ __all__ = [
     "GradientPath",
     "KktResidual",
     "ProbeReport",
+    "SmallnessCertificate",
     "path_dot",
     "path_norm",
     "reduced_cost",
@@ -81,7 +82,7 @@ __all__ = [
 
 
 def path_dot(timegrid: TimeGrid, a: np.ndarray, b: np.ndarray) -> float:
-    """Trapezoid L2(0,T) inner product of stacked node paths."""
+    """Trapezoid L2(0,T) inner product of node paths (nt + 1, k)."""
     w = timegrid.trapezoid_weights()
     return float((w[:, None] * a * b).sum())
 
@@ -99,19 +100,16 @@ def prox_step(u: np.ndarray, g: np.ndarray, alpha: float, delta: float, ua, ub) 
 
 @dataclass
 class GradientPath:
-    """Gradient of the reduced cost on the control nodes, stacked as a
-    control path's: ``values`` is (nt + 1, 2 d), the u1 columns then the u2
+    """Gradient of the reduced cost on the control nodes, laid out as a
+    control path's: ``nodes`` is (nt + 1, 2 d), the u1 columns then the u2
     columns.  ``ibp_discrepancy`` is the worst gap between the direct and
     the integrated-by-parts assembly, or None for a gradient made without
     that cross-check (``Problem.descent_gradient``, which the optimizer
     takes; the ``grad`` and ``grad-check`` commands report it)."""
 
-    values: np.ndarray
+    nodes: np.ndarray
     metric: str = "L2"
     ibp_discrepancy: float | None = 0.0
-
-    def stacked(self) -> np.ndarray:
-        return self.values
 
 
 @dataclass(frozen=True)
@@ -122,16 +120,23 @@ class KktResidual:
     vi_residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeReport:
-    """Container for differentiability / uniqueness probe outputs."""
+    """The Taylor remainders of ``frechet_probe`` and their fitted slope."""
 
-    epsilons: tuple = ()
-    remainders: tuple = ()
-    slope: float = 0.0
-    smallness_K: float | None = None
-    smallness_ratio: float | None = None
-    passed: bool | None = None
+    epsilons: tuple
+    remainders: tuple
+    slope: float
+
+
+@dataclass(frozen=True)
+class SmallnessCertificate:
+    """The uniqueness constant K of ``smallness_certificate``, the ratio
+    K T / gamma and whether it is below 2."""
+
+    smallness_K: float
+    smallness_ratio: float
+    passed: bool
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,7 @@ class Problem:
         # reads a state right after solving it (the optimizer's gradient at
         # the candidate it accepted, a cost after the gradient).  A miss
         # drops the old state before solving, so one state is held at a time
-        traj = self._fwd_cache.get(control.stacked().tobytes())
+        traj = self._fwd_cache.get(control.nodes.tobytes())
         if traj is None:
             self._fwd_cache.clear()
             traj = solve_forward(self.rho0, self.drift_for(control), self.source, self.timegrid, **self.solver)
@@ -187,7 +192,7 @@ class Problem:
     def _keep(self, control: ControlPath, traj: StateTrajectory) -> None:
         """Make ``traj``, the state of ``control``, the memo's one entry."""
         self._fwd_cache.clear()
-        self._fwd_cache[control.stacked().tobytes()] = traj
+        self._fwd_cache[control.nodes.tobytes()] = traj
 
     def solve_adjoint_for(self, control: ControlPath) -> Checkpoints:
         return solve_adjoint(self.cost, self.drift_for(control), self.timegrid, self.grid)
@@ -237,7 +242,7 @@ def assemble_integral_path(
     problem: Problem, traj_rho: StateTrajectory, traj_q: Checkpoints, cross_check: bool = True
 ):
     """Per-node integral terms of the gradient, direct and, with
-    ``cross_check``, integrated by parts; returns (stacked path (nt + 1,
+    ``cross_check``, integrated by parts; returns (node path (nt + 1,
     2 d), worst discrepancy, or None without the cross-check)."""
     grid = problem.grid
     if traj_q.grid != grid or traj_rho.grid != grid:
@@ -283,13 +288,11 @@ def _assemble_block(
 
 def h1_riesz(rhs, gamma: float, nu: float, timegrid: TimeGrid) -> np.ndarray:
     """Solve (-nu d^2/dt^2 + gamma) mu = rhs with mu(0) = mu(T) = 0 by the
-    three-point second difference on the time nodes (Thomas algorithm)."""
+    three-point second difference on the time nodes (Thomas algorithm), for
+    rhs of shape (nt + 1,) or each column of rhs (nt + 1, k)."""
     if not nu > 0:
         raise NotApplicable("the H1 Riesz problem needs nu > 0")
     rhs = np.asarray(rhs, dtype=float)
-    squeeze = rhs.ndim == 1
-    if squeeze:
-        rhs = rhs[:, None]
     nn = timegrid.nt + 1
     if rhs.shape[0] != nn:
         raise NotApplicable(f"rhs needs {nn} nodes")
@@ -309,14 +312,14 @@ def h1_riesz(rhs, gamma: float, nu: float, timegrid: TimeGrid) -> np.ndarray:
     for i in range(m - 2, -1, -1):
         b[i] = b[i] - cp[i] * b[i + 1]
     mu[1:-1] = b
-    return mu[:, 0] if squeeze else mu
+    return mu
 
 
 def metric_dot(problem: Problem, gradient: GradientPath, direction: ControlPath) -> float:
     """<gradient, direction> in the gradient's metric: the trapezoid L2 product, or for H1tilde
     gamma <g, d> + nu <g', d'> with exact slopes, the product whose Riesz map h1_riesz solves."""
     tg = problem.timegrid
-    g, dvec = gradient.stacked(), direction.stacked()
+    g, dvec = gradient.nodes, direction.nodes
     if gradient.metric == "L2":
         return path_dot(tg, g, dvec)
     slopes_g, slopes_d = np.diff(g, axis=0) / tg.dt, np.diff(dvec, axis=0) / tg.dt
@@ -332,8 +335,8 @@ def reduced_gradient(control: ControlPath, problem: Problem, cross_check: bool =
     )
     if problem.cost.nu > 0:
         mu = h1_riesz(integral, problem.cost.gamma, problem.cost.nu, problem.timegrid)
-        return GradientPath(control.stacked() + mu, "H1tilde", disc)
-    return GradientPath(problem.cost.gamma * control.stacked() + integral, "L2", disc)
+        return GradientPath(control.nodes + mu, "H1tilde", disc)
+    return GradientPath(problem.cost.gamma * control.nodes + integral, "L2", disc)
 
 
 def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath) -> KktResidual:
@@ -349,8 +352,8 @@ def kkt_residual(control: ControlPath, problem: Problem, gradient: GradientPath)
     the lower.  ``vi_residual`` is ||u - Proj(shrink(u - g))||, the measure
     the optimizer stops on.
     """
-    gf = gradient.stacked()
-    u = control.stacked()
+    gf = gradient.nodes
+    u = control.nodes
     ua, ub = problem.bounds.arrays()
     delta = problem.cost.delta
     tol_b = zero_tol = 1e-10
@@ -409,7 +412,7 @@ def frechet_probe(
     def control_plus(scale: float) -> ControlPath:
         # stay inside the admissible family; perturbations across the box
         # boundary are clipped, which is where second order is lost
-        cand = ControlPath.from_stacked(tg, control.stacked() + scale * direction.stacked())
+        cand = ControlPath.from_stacked(tg, control.nodes + scale * direction.nodes)
         return project_box(cand, problem.bounds)
 
     # the plan of the centre's own forward solve, widened to the ladder's ends
@@ -461,7 +464,7 @@ def _potential_norm_time_integral(problem: Problem, pot, samples: int = 16) -> f
     return float(np.trapezoid(weighted_sobolev_norm(ScalarField(grid, table), 1, 1), x=ts))
 
 
-def smallness_certificate(problem: Problem, C_universal: float = 1.0) -> ProbeReport:
+def smallness_certificate(problem: Problem, C_universal: float = 1.0) -> SmallnessCertificate:
     """Evaluate the uniqueness smallness constant from its closed formula
     with discrete norms of the data, and report the ratio K T / gamma with
     the pass threshold 2.
@@ -490,4 +493,4 @@ def smallness_certificate(problem: Problem, C_universal: float = 1.0) -> ProbeRe
     # a zero data or potential term gives K = 0, also where the growth is inf
     K = C_universal * growth * data_term * pot_term if data_term and pot_term else 0.0
     ratio = K * T / problem.cost.gamma
-    return ProbeReport(smallness_K=K, smallness_ratio=ratio, passed=bool(ratio < 2.0))
+    return SmallnessCertificate(smallness_K=K, smallness_ratio=ratio, passed=bool(ratio < 2.0))

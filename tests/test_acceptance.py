@@ -224,7 +224,7 @@ def test_criterion_06_gradient_check():
         tt = tgn.nodes()
         dd = ControlPath(tgn, np.sin(np.pi * tt)[:, None], 0.5 * np.cos(2 * np.pi * tt)[:, None])
         fd = fd_directional_derivative(p, uu, dd, 1e-4)
-        an = path_dot(tgn, reduced_gradient(uu, p).stacked(), dd.stacked())
+        an = path_dot(tgn, reduced_gradient(uu, p).nodes, dd.nodes)
         return abs(fd - an) / abs(fd)
 
     e256, e512 = rel_err(256), rel_err(512)
@@ -293,7 +293,7 @@ def test_criterion_09_optimizer_contracts():
     )
     seen = []
     original = quad.reduced_cost
-    spy = lambda c: (seen.append(c.stacked().copy()), original(c))[1]
+    spy = lambda c: (seen.append(c.nodes.copy()), original(c))[1]
     object.__setattr__(quad, "reduced_cost", spy)  # Problem is frozen
     res = optimize(quad, OptimConfig(max_iters=30, vi_tol=1e-6),
                    u0=ControlPath.constant(tg, [0.6], [-0.3]))
@@ -335,7 +335,7 @@ def test_criterion_10_sparsity_ladder():
         prob = dataclasses.replace(base, cost=dataclasses.replace(base.cost, delta=delta))
         res = optimize(prob, opt, u0=warm)
         warm = res.control
-        stacked = res.control.stacked()
+        stacked = res.control.nodes
         counts.append(int(np.sum(np.max(np.abs(stacked), axis=1) <= 1e-10)))
     assert all(b >= a for a, b in zip(counts, counts[1:])), counts
     assert counts[-1] == base.timegrid.nt + 1, "top rung must annihilate the control"

@@ -616,7 +616,7 @@ def test_grad_check_pairs_an_h1_gradient_in_the_h1_metric(tmp_path):
     center = ControlPath.from_stacked(tg, np.tile(0.5 * (ua + ub), (tg.nt + 1, 1)))
     grad = reduced_gradient(center, prob)
     assert grad.metric == "H1tilde"
-    g, d = grad.stacked(), _grad_check_direction(prob).stacked()
+    g, d = grad.nodes, _grad_check_direction(prob).nodes
     slopes_g, slopes_d = np.diff(g, axis=0) / tg.dt, np.diff(d, axis=0) / tg.dt
     pairing = 0.5 * path_dot(tg, g, d) + 0.05 * float((slopes_g * slopes_d).sum() * tg.dt)
     assert rep["analytic_directional"] == pairing
@@ -775,6 +775,29 @@ def test_oracle_compare_covers_the_rotation_scenario(tmp_path):
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rep["resolutions"] == [12, 24, 48]
     assert rep["errors"][0] > rep["errors"][1] > rep["errors"][2]
+
+
+def test_oracle_compare_refuses_a_source_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the exact flow has no source term, so the order it would fit is that
+    # of another problem: the run exits 2 with its diagnostic, solving nothing
+    monkeypatch.setattr("liouville_control.reduced.solve_forward", lambda *a, **k: pytest.fail("solved"))
+    cfg = dict(MINIMAL, source={"preset": "gaussian", "params": {"v0": 0.5}})
+    out = tmp_path / "o"
+    assert run_command(["oracle-compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    message = "oracle-compare needs source.preset 'zero': the exact flow has no source term"
+    rep = json.loads((out / "report.json").read_text())
+    assert rep == {"error": "NotApplicable", "message": message, "command": "oracle-compare"}
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["cost", "adjoint"])
+def test_run_command_names_the_command_of_each_report(tmp_path, command):
+    # a command returns its report without its name; run_command adds it
+    report = _DISPATCH[command](parse_config(json.dumps(MINIMAL)), str(tmp_path))
+    assert "command" not in report
+    out = tmp_path / "o"
+    assert run_command([command, "--config", write_config(tmp_path, MINIMAL), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text()) == json.loads(json.dumps({**report, "command": command}))
 
 @pytest.mark.parametrize(
     "error, message",

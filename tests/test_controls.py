@@ -10,7 +10,9 @@ from liouville_control import (
     CostSpec,
     DriftPreset,
     DriftSpec,
+    InvalidGrid,
     Potential,
+    ScalarField,
     SchemaError,
     UnknownPreset,
     UnsupportedOrder,
@@ -19,6 +21,7 @@ from liouville_control import (
     drift_div_bound,
     drift_grad_bound,
     eval_drift,
+    interpolate_flagged,
     make_grid,
     make_timegrid,
     potential_eval,
@@ -120,7 +123,7 @@ def test_control_nodes_are_one_read_only_array():
     rng = np.random.default_rng(8)
     u1, u2 = rng.normal(size=(7, 2)), rng.normal(size=(7, 2))
     ctrl = ControlPath(timegrid, u1, u2)
-    assert ctrl.stacked() is ctrl.nodes
+    assert np.array_equal(ControlPath.from_stacked(timegrid, ctrl.nodes).nodes, ctrl.nodes)
     assert ctrl.nodes.shape == (7, 4)
     assert np.array_equal(ctrl.nodes, np.hstack([u1, u2]))
     assert np.shares_memory(ctrl.u1, ctrl.nodes) and np.shares_memory(ctrl.u2, ctrl.nodes)
@@ -145,6 +148,37 @@ def test_control_nodes_are_one_read_only_array():
 def test_controls_and_bounds_reject_malformed_values(build, match):
     with pytest.raises(SchemaError, match=match):
         build()
+
+
+# a flat array is no point array: (1, 2, 3) could be three 1D points or one
+# 3D point, so every evaluator raises, naming the shape, where the bump's
+# eval and jacobian read one 3D point, density_preset_eval three 1D points
+# and potential_eval a scalar as one 1D point.  Node paths are (nt + 1, d).
+FLAT = np.array([1.0, 2.0, 3.0])
+BUMP = DriftPreset("gaussian-bump", {"c": 1.0, "sigma": 1.0})
+POINTS = r"points must have the layout \(\.\.\., d\), got the shape "
+NODES = r"u1 and u2 need the layout \(nt \+ 1, d\) = \(5, d\), d >= 1, got "
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: BUMP.eval(FLAT), ValueError, POINTS + r"\(3,\)"),
+    (lambda: BUMP.jacobian(FLAT), ValueError, POINTS + r"\(3,\)"),
+    (lambda: eval_drift(DriftSpec(BUMP, ControlPath.zeros(tg(nt=4), 1)), 0.5, FLAT), ValueError, POINTS + r"\(3,\)"),
+    (lambda: density_preset_eval("gaussian", None, FLAT), ValueError, POINTS + r"\(3,\)"),
+    (lambda: potential_eval(Potential("quadratic"), 2.0), ValueError, POINTS + r"\(\)"),
+    (lambda: interpolate_flagged(ScalarField(make_grid(1, -8, 8, 16), np.ones(16)), FLAT), InvalidGrid,
+     r"points must be \(N, 1\)"),
+    (lambda: ControlPath(tg(nt=4), np.zeros(5), np.zeros(5)), SchemaError, NODES + r"\(5,\) and \(5,\)"),
+    (lambda: ControlPath(tg(nt=4), np.zeros((5, 0)), np.zeros((5, 0))), SchemaError, NODES + r"\(5, 0\) and \(5, 0\)"),
+    (lambda: ControlPath.from_stacked(tg(nt=4), np.zeros(10)), SchemaError,
+     r"control nodes need the layout \(nt \+ 1, 2 d\) = \(5, 2 d\), got \(10,\)"),
+    (lambda: ControlPath.from_stacked(tg(nt=4), np.zeros((5, 1))), SchemaError, NODES + r"\(5, 0\) and \(5, 1\)"),
+], ids=["drift-eval", "drift-jacobian", "eval_drift", "density_preset_eval", "potential_eval-scalar",
+        "interpolate_flagged", "ControlPath-flat", "ControlPath-no-columns", "from_stacked-flat",
+        "from_stacked-one-column"])
+def test_points_are_laid_out_as_rows_and_node_paths_as_node_rows(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 # preset parameters follow the configuration's kind rule: a finite number
@@ -232,13 +266,9 @@ def test_eval_drift_takes_one_time_per_block_of_rows(name, params, d):
     got = eval_drift(spec, times, np.tile(pts, (times.size, 1)))
     for b, t in enumerate(times):
         assert bits_equal(got[9 * b:9 * (b + 1)], eval_drift(spec, float(t), pts))
-    if d == 1:  # flat points are d = 1 points
-        flat = eval_drift(spec, times, np.tile(pts[:, 0], times.size))
-        assert bits_equal(flat, got[:, 0])
-        # and at one time, with the control rows looked up here or not
-        for control in (None, spec.control.value_at(0.37)):
-            one = eval_drift(spec, 0.37, pts[:, 0], control)
-            assert one.shape == (9,) and bits_equal(one, eval_drift(spec, 0.37, pts, control)[:, 0])
+    # and at one time, with the control rows looked up here or not
+    one = eval_drift(spec, 0.37, pts)
+    assert one.shape == (9, d) and bits_equal(one, eval_drift(spec, 0.37, pts, spec.control.value_at(0.37)))
 
 
 # coordinates with both signed zeros, ordinary values, and values whose
@@ -320,7 +350,7 @@ def test_project_box():
     assert np.all(proj.u1 == 1.0)
     assert np.all(proj.u2 == 0.2)
     again = project_box(proj, b)
-    assert np.array_equal(again.stacked(), proj.stacked())
+    assert np.array_equal(again.nodes, proj.nodes)
 
 
 def test_project_box_is_euclidean_projection():
@@ -335,8 +365,8 @@ def test_project_box_is_euclidean_projection():
             rng.uniform(-1.0, 1.0, size=(9, 1)),
             rng.uniform(-0.5, 0.75, size=(9, 1)),
         )
-        dp = np.linalg.norm(v.stacked() - p.stacked())
-        dw = np.linalg.norm(v.stacked() - w.stacked())
+        dp = np.linalg.norm(v.nodes - p.nodes)
+        dw = np.linalg.norm(v.nodes - w.nodes)
         assert dp <= dw + 1e-12
 
 
@@ -409,10 +439,10 @@ def test_costspec_validates_weights():
 
 
 def test_potential_eval_presets():
-    assert potential_eval(Potential("gaussian-well"), np.array(0.0)) == pytest.approx(0.0)
-    assert potential_eval(Potential("quadratic"), np.array(2.0)) == pytest.approx(4.0)
+    assert potential_eval(Potential("gaussian-well"), np.array([[0.0]]))[0] == pytest.approx(0.0)
+    assert potential_eval(Potential("quadratic"), np.array([[2.0]]))[0] == pytest.approx(4.0)
     track = Potential.tracking([[0.0, 0.0], [2.0, 2.0]])
-    assert potential_eval(track, np.array(1.0), t=1.0) == pytest.approx(0.0, abs=1e-14)
+    assert potential_eval(track, np.array([[1.0]]), t=1.0)[0] == pytest.approx(0.0, abs=1e-14)
     track2d = Potential.tracking([[0.0, [0.0, 0.0]], [1.0, [1.0, 0.0]]])
     assert potential_eval(track2d, np.array([[1.0, 1.0]]), t=1.0)[0] == pytest.approx(1.0)
 
@@ -426,15 +456,15 @@ def test_potential_eval_rejects_a_flat_points_array():
             potential_eval(pot, np.array([0.5, 3.0]), 1.0)
 
 
-@pytest.mark.parametrize("track, points", [
-    ([[0.0, [0.5, 3.0]], [1.0, [0.5, 3.0]]], [[0.0]]),
-    ([[0.0, [0.5, 3.0]], [1.0, [0.5, 3.0]]], 0.0),
-    ([[0.0, 0.5], [1.0, 0.5]], [[0.0, 0.0]]),
+@pytest.mark.parametrize("track, points, match", [
+    ([[0.0, [0.5, 3.0]], [1.0, [0.5, 3.0]]], [[0.0]], "with the track's d = 2, got (1, 1)"),
+    ([[0.0, [0.5, 3.0]], [1.0, [0.5, 3.0]]], 0.0, "got the shape ()"),
+    ([[0.0, 0.5], [1.0, 0.5]], [[0.0, 0.0]], "with the track's d = 1, got (1, 2)"),
 ], ids=["2d-track-1d-points", "2d-track-scalar", "1d-track-2d-points"])
-def test_potential_eval_rejects_a_track_of_another_dimension(track, points):
+def test_potential_eval_rejects_a_track_of_another_dimension(track, points, match):
     # the track's points and the evaluation points must have the same d:
-    # no coordinate of either is dropped or broadcast
-    with pytest.raises(ValueError, match=r"\(\.\.\., d\) with the track's d = " + str(len(np.ravel(track[0][1])))):
+    # no coordinate of either is dropped or broadcast, and a scalar is no point
+    with pytest.raises(ValueError, match=r"\(\.\.\., d\)" + ".*" + re.escape(match)):
         potential_eval(Potential.tracking(track), np.array(points), 1.0)
 
 

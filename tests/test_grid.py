@@ -341,17 +341,17 @@ def test_moments_converge_with_refinement():
 def test_interpolate_constant_and_cubic_reproduction():
     g = make_grid(1, -8, 8, 16)
     c = sample_function(g, "constant", {"c": 2.5})
-    assert interpolate_flagged(c, np.array([0.3]))[0][0] == pytest.approx(2.5, abs=1e-14)
+    assert interpolate_flagged(c, np.array([[0.3]]))[0][0] == pytest.approx(2.5, abs=1e-14)
     x = g.centers(0)
     cubic = ScalarField(g, x**3)
-    assert interpolate_flagged(cubic, np.array([0.3]))[0][0] == pytest.approx(0.027, abs=1e-12)
+    assert interpolate_flagged(cubic, np.array([[0.3]]))[0][0] == pytest.approx(0.027, abs=1e-12)
 
 
 def test_interpolate_gaussian_fourth_order():
     def err(n):
         g = make_grid(1, -8, 8, n)
         f = sample_function(g, "gaussian", {"x0": 0.0, "v0": 1.0})
-        pts = np.linspace(-4.0, 4.0, 113)
+        pts = np.linspace(-4.0, 4.0, 113)[:, None]
         exact = density_preset_eval("gaussian", {"x0": 0.0, "v0": 1.0}, pts)
         return np.abs(interpolate_flagged(f, pts)[0] - exact).max()
 
@@ -363,7 +363,7 @@ def test_interpolate_out_of_hull_flag():
     g = make_grid(1, -8, 8, 16)
     x = g.centers(0)
     f = ScalarField(g, x.copy())
-    vals, mask = interpolate_flagged(f, np.array([0.0, 9.5]))
+    vals, mask = interpolate_flagged(f, np.array([[0.0], [9.5]]))
     assert not mask[0] and mask[1]
     assert vals[1] == pytest.approx(x[-1], abs=1e-12)  # clamped to the last center
 
@@ -373,7 +373,7 @@ def test_interpolate_clip_limits_overshoot():
     vals = np.zeros(16)
     vals[8] = 1.0  # spike: cubic overshoots next to it
     f = ScalarField(g, vals)
-    pts = np.linspace(-4, 4, 201)
+    pts = np.linspace(-4, 4, 201)[:, None]
     unclipped = interpolate_flagged(f, pts)[0]
     clipped = interpolate_flagged(f, pts, clip=True)[0]
     assert unclipped.min() < -1e-3
@@ -396,7 +396,7 @@ def test_interpolate_rejects_points_that_are_not_finite():
     g2 = make_grid(2, (-4, -4), (4, 4), (16, 16))
     f2 = ScalarField(g2, np.ones(g2.shape))
     for f, pts in (
-        (f1, np.array([0.0, np.nan])),
+        (f1, np.array([[0.0], [np.nan]])),
         (f1, np.array([[np.inf]])),
         (f2, np.array([[0.5, 0.5], [np.nan, 0.0]])),
         (f2, np.array([[-np.inf, 0.0]])),
@@ -409,7 +409,7 @@ def test_interpolate_rejects_points_that_are_not_finite():
 def test_interpolate_empty_point_set():
     g1 = make_grid(1, -8, 8, 16)
     g2 = make_grid(2, (-4, -4), (4, 4), (16, 16))
-    for g, pts in ((g1, np.zeros(0)), (g1, np.zeros((0, 1))), (g2, np.zeros((0, 2)))):
+    for g, pts in ((g1, np.zeros((0, 1))), (g2, np.zeros((0, 2)))):
         f = ScalarField(g, np.ones(g.shape))
         for clip in (False, True):
             vals, mask = interpolate_flagged(f, pts, clip=clip)
@@ -537,7 +537,7 @@ def test_control_csv_roundtrip_needs_the_uniform_time_grid(tmp_path):
         p = tmp_path / f"control-{d}d.csv"
         write_control_csv(ctrl, str(p))
         back = read_control_csv(str(p))
-        assert back.timegrid == tg and np.array_equal(back.stacked(), ctrl.stacked())
+        assert back.timegrid == tg and np.array_equal(back.nodes, ctrl.nodes)
     # t = 0, 0.1, 0.5, 1 are not three equal steps
     p = tmp_path / "uneven.csv"
     p.write_text("t,u1_1,u2_1\n0,0,0\n0.1,1,0\n0.5,2,0\n1,3,0\n")
@@ -547,4 +547,22 @@ def test_control_csv_roundtrip_needs_the_uniform_time_grid(tmp_path):
     p = tmp_path / "short.csv"
     p.write_text("t,u1_1,u2_1\n0,0,0\n1,3,0\n")
     with pytest.raises(SchemaError, match="short.csv needs at least 3 nodes"):
+        read_control_csv(str(p))
+
+
+HEADER = r"bad.csv needs the header t,u1_1..u1_d,u2_1..u2_d for some d >= 1, got "
+
+
+@pytest.mark.parametrize("header, width, match", [
+    ("t,u1_1", 2, HEADER + "t,u1_1$"),  # no u2: was a control of dim 0
+    ("t,u1_1,u2_1,u1_2", 4, HEADER),  # an even count: its last column was dropped
+    ("t,a,b", 3, HEADER),  # the right count of unknown columns was accepted
+    ("t,u2_1,u1_1", 3, HEADER),
+    ("t", 1, HEADER),
+    ("t,u1_1,u2_1", 2, "bad.csv needs at least 3 nodes ending at T > 0, each a row of 3 numbers"),
+])
+def test_control_csv_needs_the_header_that_write_control_csv_writes(tmp_path, header, width, match):
+    p = tmp_path / "bad.csv"
+    p.write_text(header + "\n" + "".join(",".join([str(0.5 * k)] + ["0"] * (width - 1)) + "\n" for k in range(3)))
+    with pytest.raises(SchemaError, match=match):
         read_control_csv(str(p))

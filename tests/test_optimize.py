@@ -46,7 +46,7 @@ def test_pure_quadratic_converges_to_zero():
     res = optimize(prob, OptimConfig(max_iters=20, vi_tol=1e-8), u0=u0)
     assert res.termination == "converged"
     assert res.iterations <= 5
-    assert np.abs(res.control.stacked()).max() == 0.0
+    assert np.abs(res.control.nodes).max() == 0.0
     assert res.kkt.vi_residual == 0.0
 
 
@@ -55,7 +55,7 @@ def test_l1_annihilates_control():
     u0 = ControlPath.constant(prob.timegrid, [0.3], [-0.2])
     res = optimize(prob, OptimConfig(max_iters=20, vi_tol=1e-10), u0=u0)
     assert res.termination == "converged"
-    assert np.abs(res.control.stacked()).max() == 0.0
+    assert np.abs(res.control.nodes).max() == 0.0
 
 
 def test_monotone_costs_and_feasible_iterates():
@@ -65,7 +65,7 @@ def test_monotone_costs_and_feasible_iterates():
     original = prob.reduced_cost
 
     def recording(control):
-        seen.append(control.stacked().copy())
+        seen.append(control.nodes.copy())
         return original(control)
 
     object.__setattr__(prob, "reduced_cost", recording)  # Problem is frozen
@@ -75,7 +75,7 @@ def test_monotone_costs_and_feasible_iterates():
     ua, ub = prob.bounds.arrays()
     for u in seen:
         assert np.all(u >= ua - 1e-14) and np.all(u <= ub + 1e-14)
-    assert np.all(res.control.stacked() >= ua) and np.all(res.control.stacked() <= ub)
+    assert np.all(res.control.nodes >= ua) and np.all(res.control.nodes <= ub)
 
 
 def test_fixed_point_returns_unchanged():
@@ -87,7 +87,7 @@ def test_fixed_point_returns_unchanged():
     again = optimize(prob, cfg, u0=res.control)
     assert again.iterations == 0
     assert again.termination == "converged"
-    assert np.array_equal(again.control.stacked(), res.control.stacked())
+    assert np.array_equal(again.control.nodes, res.control.nodes)
 
 
 @pytest.mark.parametrize("config, termination", [
@@ -104,14 +104,14 @@ def test_final_kkt_takes_the_gradient_at_the_final_control(config, termination):
     original = prob.descent_gradient
 
     def counting(control):
-        grads.append(control.stacked().copy())
+        grads.append(control.nodes.copy())
         return original(control)
 
     object.__setattr__(prob, "descent_gradient", counting)  # Problem is frozen
     res = optimize(prob, config)
     assert res.termination == termination
     assert len(grads) == res.iterations + 1
-    assert np.array_equal(grads[-1], res.control.stacked())
+    assert np.array_equal(grads[-1], res.control.nodes)
     assert res.kkt == kkt_residual(res.control, prob, gradient=original(res.control))
 
 
@@ -145,7 +145,7 @@ def test_sparsity_ladder_monotone():
         prob = dataclasses.replace(base, cost=dataclasses.replace(base.cost, delta=delta))
         res = optimize(prob, OptimConfig(max_iters=120, vi_tol=1e-4, step0=2.0), u0=warm)
         warm = res.control
-        stacked = res.control.stacked()
+        stacked = res.control.nodes
         counts.append(int(np.sum(np.max(np.abs(stacked), axis=1) <= 1e-10)))
     assert counts[0] <= counts[1] <= counts[2]
     assert counts[2] > counts[0]

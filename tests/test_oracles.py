@@ -240,7 +240,7 @@ def test_fd_directional_derivative_quadratic_cost():
     u = ControlPath(tg, 0.3 * rng.normal(size=(33, 1)), 0.3 * rng.normal(size=(33, 1)))
     d = ControlPath(tg, rng.normal(size=(33, 1)), rng.normal(size=(33, 1)))
     fd = fd_directional_derivative(prob, u, d, 1e-3)
-    exact = prob.cost.gamma * path_dot(tg, u.stacked(), d.stacked())
+    exact = prob.cost.gamma * path_dot(tg, u.nodes, d.nodes)
     assert fd == pytest.approx(exact, rel=1e-8)
     assert fd_directional_derivative(prob, u, ControlPath.zeros(tg, 1), 1e-3) == 0.0
 
@@ -330,7 +330,7 @@ def test_surrogate_gradient_matches_fd():
     d = ControlPath(tg, rng.normal(size=(129, 1)), rng.normal(size=(129, 1)))
     fd = fd_directional_derivative(sur, u, d, 1e-4)
     grad = sur.descent_gradient(u)
-    an = path_dot(tg, grad.stacked(), d.stacked())
+    an = path_dot(tg, grad.nodes, d.nodes)
     # the gradient is exact for the discrete cost, so what is left is the
     # central difference's O(eps^2) error: 3.3e-11 relative
     assert an == pytest.approx(fd, rel=1e-9)
@@ -380,7 +380,7 @@ def test_surrogate_gradient_matches_complex_step(name):
         Z = U.astype(complex)
         Z[idx] += 1j * h
         cs[idx] = cost_of(Z).imag / h
-    grad = sur.descent_gradient(u).stacked() * w
+    grad = sur.descent_gradient(u).nodes * w
     assert np.abs(grad - cs).max() <= 1e-12 * np.abs(cs).max()
 
 
@@ -402,5 +402,5 @@ def test_surrogate_optimum_and_the_distance_of_the_pde_optimum(name):
     j_star, distance, excess = OPTIMA[name]
     assert res.termination == "converged"
     assert res.cost_history[-1] == pytest.approx(j_star, abs=1e-6)
-    assert path_norm(tg, pde.control.stacked() - res.control.stacked()) <= 2.0 * distance
+    assert path_norm(tg, pde.control.nodes - res.control.nodes) <= 2.0 * distance
     assert 0.0 < pde.cost_history[-1] - res.cost_history[-1] <= 2.0 * excess

@@ -92,7 +92,7 @@ def test_gradient_is_gamma_u_for_zero_potentials():
     rng = np.random.default_rng(0)
     u = ControlPath(prob.timegrid, 0.5 * rng.normal(size=(65, 1)), 0.5 * rng.normal(size=(65, 1)))
     grad = reduced_gradient(u, prob)
-    assert np.abs(grad.stacked() - 1.7 * u.stacked()).max() < 1e-14
+    assert np.abs(grad.nodes - 1.7 * u.nodes).max() < 1e-14
     assert grad.metric == "L2"
 
 
@@ -102,7 +102,7 @@ def test_gradient_symmetry_zero_for_even_data():
     grad = reduced_gradient(u, prob)
     # u1 channel (the first of the d = 1 stacked columns) pairs an odd
     # integrand over a symmetric grid
-    assert np.abs(grad.values[:, 0]).max() < 1e-10
+    assert np.abs(grad.nodes[:, 0]).max() < 1e-10
 
 
 def test_gradient_matches_fd_and_improves_with_resolution():
@@ -116,7 +116,7 @@ def test_gradient_matches_fd_and_improves_with_resolution():
         t = tg.nodes()
         d = ControlPath(tg, np.sin(np.pi * t)[:, None], 0.5 * np.cos(2 * np.pi * t)[:, None])
         fd = fd_directional_derivative(prob, u, d, 1e-4)
-        an = path_dot(tg, reduced_gradient(u, prob).stacked(), d.stacked())
+        an = path_dot(tg, reduced_gradient(u, prob).nodes, d.nodes)
         return abs(fd - an) / abs(fd)
 
     e128, e256 = rel_err(128), rel_err(256)
@@ -226,7 +226,7 @@ def test_blocked_assembly_matches_the_per_node_loop(dim):
     for p, metric in ((prob, "L2"), (h1_prob, "H1tilde")):
         full, descent = reduced_gradient(u, p), p.descent_gradient(u)
         assert full.metric == descent.metric == metric and full.ibp_discrepancy == ref_disc
-        assert bits_equal(descent.values, full.values) and descent.ibp_discrepancy is None
+        assert bits_equal(descent.nodes, full.nodes) and descent.ibp_discrepancy is None
 
 
 def running_cost_over(problem, items):
@@ -371,7 +371,7 @@ def test_frechet_probe_solves_with_the_problems_settings():
     rep = frechet_probe(u, d, eps, prob)
 
     def drift(scale):
-        return prob.drift_for(ControlPath.from_stacked(tg, u.stacked() + scale * d.stacked()))
+        return prob.drift_for(ControlPath.from_stacked(tg, u.nodes + scale * d.nodes))
 
     plan = forward_module.solve_forward(prob.rho0, drift(0.0), None, tg, **settings).substeps
     for end in (eps[0], -eps[0]):
@@ -424,13 +424,13 @@ def test_fd_derivative_is_two_costs_and_memo_hits_are_not_solved_again(monkeypat
                          phi=Potential("gaussian-well"), scheme="muscl-fv")
     tg = prob.timegrid
     u, d = ControlPath.constant(tg, [0.2], [0.1]), ControlPath.constant(tg, [0.5], [-0.3])
-    up, dn = (ControlPath.from_stacked(tg, u.stacked() + s * 1e-4 * d.stacked()) for s in (1.0, -1.0))
+    up, dn = (ControlPath.from_stacked(tg, u.nodes + s * 1e-4 * d.nodes) for s in (1.0, -1.0))
     fresh = dataclasses.replace(prob)
     expected = (reduced_cost(up, fresh) - reduced_cost(dn, fresh)) / (2.0 * 1e-4)
     solves, _ = counted_solves(monkeypatch)
     # the central difference has the bits of the two separate costs
     assert bits_equal(fd_directional_derivative(prob, u, d, 1e-4), expected)
-    assert [drift.control.stacked().tobytes() for drift in solves] == [c.stacked().tobytes() for c in (up, dn)]
+    assert [drift.control.nodes.tobytes() for drift in solves] == [c.nodes.tobytes() for c in (up, dn)]
     # the memo keeps the most recent control's state: a cost there is a hit
     assert bits_equal(reduced_cost(dn, prob), reduced_cost(dn, fresh)) and len(solves) == 2
     # and the one before it was dropped, so the pair is solved again
@@ -495,11 +495,11 @@ def test_grad_check_reports_the_same_bits_whether_or_not_the_probe_plan_is_the_c
     prob = fresh()
     tg, (ua, ub) = prob.timegrid, prob.bounds.arrays()
     center = ControlPath.from_stacked(tg, np.tile(0.5 * (ua + ub), (tg.nt + 1, 1)))
-    direction = ControlPath.from_stacked(tg, scale * cli_module._grad_check_direction(prob).stacked())
+    direction = ControlPath.from_stacked(tg, scale * cli_module._grad_check_direction(prob).nodes)
     eps = [0.2, 0.1, 0.05, 0.025]
     own = forward_module.required_substeps(prob.grid, prob.drift_for(center), tg, prob.cfl)
     ends = [forward_module.required_substeps(prob.grid, prob.drift_for(
-        ControlPath.from_stacked(tg, center.stacked() + s * eps[0] * direction.stacked())), tg, prob.cfl)
+        ControlPath.from_stacked(tg, center.nodes + s * eps[0] * direction.nodes)), tg, prob.cfl)
         for s in (1.0, -1.0)]
     assert (own == [max(p) for p in zip(own, *ends)]) == own_plan
 
@@ -603,9 +603,9 @@ def test_gradient_h1_metric_uses_riesz_representative():
     d = ControlPath(prob.timegrid, np.sin(np.pi * t)[:, None], np.sin(2 * np.pi * t)[:, None])
     fd = fd_directional_derivative(prob, u, d, 1e-4)
     dt = prob.timegrid.dt
-    sg = np.diff(grad.stacked(), axis=0) / dt
-    sd = np.diff(d.stacked(), axis=0) / dt
-    h1dot = prob.cost.gamma * path_dot(prob.timegrid, grad.stacked(), d.stacked())
+    sg = np.diff(grad.nodes, axis=0) / dt
+    sd = np.diff(d.nodes, axis=0) / dt
+    h1dot = prob.cost.gamma * path_dot(prob.timegrid, grad.nodes, d.nodes)
     h1dot += prob.cost.nu * float((sg * sd).sum() * dt)
     assert h1dot == pytest.approx(fd, rel=5e-2)
     assert metric_dot(prob, grad, d) == h1dot
@@ -618,7 +618,7 @@ def test_metric_dot_of_an_l2_gradient_is_the_trapezoid_product():
     assert grad.metric == "L2"
     t = prob.timegrid.nodes()
     d = ControlPath(prob.timegrid, np.sin(np.pi * t)[:, None], np.cos(np.pi * t)[:, None])
-    assert metric_dot(prob, grad, d) == path_dot(prob.timegrid, grad.stacked(), d.stacked())
+    assert metric_dot(prob, grad, d) == path_dot(prob.timegrid, grad.nodes, d.nodes)
 
 
 def test_kkt_zero_at_unconstrained_stationary_point():
@@ -634,7 +634,7 @@ def test_kkt_zero_control_stationary_under_large_delta():
     prob = build_problem(gamma=1.0, delta=5.0, theta=theta, phi=Potential("gaussian-well"))
     u = ControlPath.zeros(prob.timegrid, 1)
     grad = reduced_gradient(u, prob)
-    assert np.abs(grad.stacked()).max() < 5.0  # premise: delta dominates
+    assert np.abs(grad.nodes).max() < 5.0  # premise: delta dominates
     res = kkt_residual(u, prob, gradient=grad)
     assert res.vi_residual == 0.0
     assert res.stationarity < 1e-12
@@ -649,7 +649,7 @@ def test_kkt_active_upper_bound():
     theta = Potential.tracking([[0.0, 2.0], [1.0, 2.0]])  # strong pull upward
     prob = build_problem(gamma=0.05, theta=theta, phi=Potential("zero"), radius=0.2, scheme="muscl-fv")
     res = optimize(prob, OptimConfig(max_iters=60, vi_tol=1e-6, step0=2.0))
-    u = res.control.stacked()
+    u = res.control.nodes
     # all but the final node saturate; the adjoint vanishes at T (phi = 0),
     # so the last node is stationary at zero instead
     assert np.abs(u[:-1, 0] - 0.2).max() < 1e-12
@@ -719,6 +719,17 @@ def test_smallness_certificate_limits():
     assert rep0.smallness_ratio == 0.0
     small = build_problem(gamma=0.01, theta=theta, phi=Potential("gaussian-well"))
     assert not smallness_certificate(small, C_universal=1.0).passed
+
+
+def test_the_probe_and_the_certificate_each_return_a_record_of_their_own():
+    # neither fills the other's fields with dummies
+    prob = build_problem(n=64, nt=16)
+    u = ControlPath.zeros(prob.timegrid, 1)
+    probe = frechet_probe(u, ControlPath.constant(prob.timegrid, [0.1], [0.0]), [0.2, 0.1], prob)
+    cert = smallness_certificate(prob)
+    assert [f.name for f in dataclasses.fields(probe)] == ["epsilons", "remainders", "slope"]
+    assert [f.name for f in dataclasses.fields(cert)] == ["smallness_K", "smallness_ratio", "passed"]
+    assert type(cert) is reduced_module.SmallnessCertificate and probe.epsilons == (0.2, 0.1)
 
 
 @pytest.mark.parametrize("radius", [500.0, 600.0])

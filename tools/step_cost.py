@@ -60,7 +60,7 @@ def calls(name):
     prob = cfg.problem()
     tg, drift = prob.timegrid, prob.drift_for(cfg.control)
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
-    width = cfg.control.stacked().shape[1]
+    width = cfg.control.nodes.shape[1]
     delta = ControlPath.from_stacked(tg, 0.1 * np.sin(3.0 * s + np.arange(width)))
     rho = solve_forward(prob.rho0, drift, prob.source, tg, **prob.solver)
     q = solve_adjoint(prob.cost, drift, tg, prob.grid)
