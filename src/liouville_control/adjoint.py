@@ -18,7 +18,11 @@ for a block of steps at a time (about 16,384 points, see
 centres with each copy at its own time; then every escaped foot of every
 step is marched in one forward sweep, each joining the batch at its own
 step.  Both read the control at the stage times t_j, t_j + dt/2 and
-t_j + dt of step j from one table, one ``value_at`` call per solve.
+t_j + dt of step j from one table, one ``value_at`` call per solve; the
+escaped feet of all steps come from one ``np.nonzero`` over the (nt, N)
+mask of feet outside the span, in step order, and the march reads a
+tracking theta's target at its midpoint times t_j + dt/2 from one
+``target_at`` table, handed to ``potential_eval`` as ``target``.
 The feet of every step are kept for the backward pass (nt * N * d floats
 for N cells in d dimensions), which runs down from step nt - 1 to step 0.
 It builds two tables from the stored feet for a block of steps at a time,
@@ -26,7 +30,9 @@ down from the first step that needs them: the running-cost term, dt * theta
 at the midpoints between the centres and their feet, in one
 ``potential_eval`` call for about ``grid._BLOCK_POINTS`` values, and the
 feet's interpolation stencils for about as many stencil nodes (5 steps at
-768 cells, one at 48 x 48); a step only gathers and sums.  Interpolated
+768 cells, one at 48 x 48).  A step only checks that node k + 1 is finite
+(``InvalidGrid`` otherwise), gathers and sums, puts the continued values at
+its escaped cells, if it has any, and writes node k in place.  Interpolated
 values are clipped to the local stencil range, which keeps the discrete
 maximum principle.
 
@@ -44,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from .controls import CostSpec, DriftSpec, Potential, drift_grad_bound, eval_drift, potential_eval
-from .errors import CharacteristicEscape
+from .errors import CharacteristicEscape, InvalidGrid
 from .forward import Checkpoints, EnergyCertificate
 from .grid import GridSpec, ScalarField, TimeGrid, _block_nodes, apply_stencil, interpolation_stencil, weighted_sobolev_norm
 from .grid import interpolate_flagged  # unused here; bench/calltrace.py wraps adjoint.interpolate_flagged by name
@@ -85,11 +91,12 @@ def _rows_down(nt: int, size: int, tabulate):
         yield from tabulate(max(0, hi - size), hi)[::-1]
 
 
-def _theta_line_integral(theta: Potential, t0, dt: float, x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
+def _theta_line_integral(theta: Potential, t0, dt: float, x0: np.ndarray, x1: np.ndarray, target=None) -> np.ndarray:
     """dt * theta at the midpoints of the segments x0 -> x1, at t0 + dt / 2;
-    t0 is one time or one per leading row of x1 (see potential_eval)."""
+    t0 is one time or one per leading row of x1, and ``target`` the track
+    there if already looked up (see potential_eval)."""
     mid = 0.5 * (x0 + x1)
-    return dt * potential_eval(theta, mid, t0 + 0.5 * dt)
+    return dt * potential_eval(theta, mid, t0 + 0.5 * dt, target=target)
 
 
 def _outside_center_span(grid: GridSpec, pts: np.ndarray) -> np.ndarray:
@@ -139,12 +146,15 @@ def _trace(grid: GridSpec, drift: DriftSpec, cost: CostSpec, timegrid: TimeGrid)
             raise CharacteristicEscape("characteristic tracing produced non-finite feet")
         feet[lo:hi] = block.reshape(hi - lo, cells_n, dim)
     outside = _outside_center_span(grid, feet.reshape(-1, dim)).reshape(nt, cells_n)
-    escaped = [np.flatnonzero(row) for row in outside]
     # rows are ordered by the step their feet belong to, so the batch
     # active at time t_j, the feet of steps 0..j - 1, is the prefix x[:ends[j]]
-    ends = np.cumsum([0] + [idx.size for idx in escaped])
-    x = np.concatenate([step[idx] for step, idx in zip(feet, escaped)])
+    steps, cells = np.nonzero(outside)
+    ends = np.searchsorted(steps, np.arange(nt + 1))
+    x = feet[steps, cells]
     acc = np.zeros(x.shape[0])
+    # the track at the midpoint times t_j + dt/2, one lookup per solve
+    theta = cost.theta
+    targets = theta.target_at(t + 0.5 * dt) if theta.time_dependent else [None] * nt
     escape_radius = _ESCAPE_FACTOR * max(abs(v) for v in (*grid.lo, *grid.hi))
     for j in range(1, nt):
         m = ends[j]
@@ -154,9 +164,9 @@ def _trace(grid: GridSpec, drift: DriftSpec, cost: CostSpec, timegrid: TimeGrid)
         # non-finite or beyond the hull: a NaN fails the comparison too
         if not np.abs(x_next).max() <= escape_radius:
             raise CharacteristicEscape("characteristic left the safety hull during analytic continuation")
-        acc[:m] += _theta_line_integral(cost.theta, j * dt, dt, x[:m], x_next)
+        acc[:m] += _theta_line_integral(theta, j * dt, dt, x[:m], x_next, targets[j])
         x[:m] = x_next
-    return feet, np.concatenate(escaped), -potential_eval(cost.phi, x, nt * dt) - acc, ends
+    return feet, cells, -potential_eval(cost.phi, x, nt * dt) - acc, ends
 
 
 def _stencils(grid: GridSpec, feet: np.ndarray) -> list:
@@ -172,7 +182,8 @@ def solve_adjoint(cost: CostSpec, drift: DriftSpec, timegrid: TimeGrid, grid: Gr
     Step k (t_k to t_{k+1}) reads the running-cost term from the centres to
     their stored feet (_theta_line_integral) and the feet's stencils, both
     built per block of steps, and then the continued values of its escaped
-    feet."""
+    feet.  A node that is not finite raises InvalidGrid when the step
+    before it reads it."""
     feet, cells, values, ends = _trace(grid, drift, cost, timegrid)
     nt, dt, n = timegrid.nt, timegrid.dt, grid.num_cells
     centers = grid.cell_centers()
@@ -180,11 +191,18 @@ def solve_adjoint(cost: CostSpec, drift: DriftSpec, timegrid: TimeGrid, grid: Gr
         cost.theta, np.arange(lo, hi) * dt, dt, centers, feet[lo:hi]))
     stencils = _rows_down(nt, _block_nodes(4 ** grid.dim * n), lambda lo, hi: _stencils(grid, feet[lo:hi]))
     traj = Checkpoints(timegrid, grid)
-    traj.nodes[nt] = (-potential_eval(cost.phi, centers, timegrid.T)).reshape(grid.shape)
+    # node n as a flat row, written in place
+    nodes = traj.nodes.reshape(nt + 1, n)
+    nodes[nt] = -potential_eval(cost.phi, centers, timegrid.T)
     for k, term, (idx, wts) in zip(range(nt - 1, -1, -1), terms, stencils):
-        vals = apply_stencil(ScalarField(grid, traj.nodes[k + 1]).values, idx, wts, clip=True)
-        vals[cells[ends[k]:ends[k + 1]]] = values[ends[k]:ends[k + 1]]
-        traj.nodes[k] = (vals - term).reshape(grid.shape)
+        q = nodes[k + 1]
+        if not np.isfinite(q).all():
+            raise InvalidGrid("field values must be finite")
+        vals = apply_stencil(q, idx, wts, clip=True)
+        lo, hi = ends[k], ends[k + 1]
+        if hi > lo:
+            vals[cells[lo:hi]] = values[lo:hi]
+        np.subtract(vals, term, out=nodes[k])
     return traj
 
 

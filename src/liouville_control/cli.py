@@ -31,7 +31,7 @@ import numpy as np
 from . import fileio
 from .adjoint import adjoint_energy_certificate, confining_weight_index
 from .controls import BoxBounds, ControlPath, CostSpec, DriftPreset, Potential
-from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, NotApplicable, SchemaError
+from .errors import DegenerateProbe, LinesearchFailure, LiouvilleControlError, NotApplicable, SchemaError, UnsupportedDrift
 from .forward import boundary_leak, energy_certificate
 from .grid import ScalarField, TimeGrid, is_count, is_finite_number, make_grid, per_axis, sample_function
 from .optimize import UNIQUENESS_TOL, OptimConfig, multi_start, optimize
@@ -405,7 +405,9 @@ def _cmd_oracle_compare(cfg: RunConfig, out_dir: str) -> dict:
     base = prob.grid
     u1, u2 = cfg.control.u1[0], cfg.control.u2[0]
     ab = prob.a0.affine_part(base.dim)
-    if ab is not None and not (np.any(ab[0]) or np.any(ab[1]) or np.any(cfg.control.nodes)):
+    if ab is None:
+        raise UnsupportedDrift(f"no exact flow for a0 preset {prob.a0.name!r}")
+    if not (np.any(ab[0]) or np.any(ab[1]) or np.any(cfg.control.nodes)):
         # a zero drift moves nothing, and every error would be 0.0
         u1, u2 = np.split(_probe_amplitude(prob), 2)
     base_n = base.n[0]

@@ -370,9 +370,10 @@ def _square_moments(pot, m, S, t):
 
 
 class _PotentialRow(NamedTuple):
-    """One potential preset: its values at points (..., M, d) and a time or times (see potential_eval;
-    |x|^2 from grid._squared_norm), its gaussian closure (see Potential.gaussian_moments), and
-    whether it depends on time (then it needs a track), grows like |x|^2, or vanishes."""
+    """One potential preset: its values at points (..., M, d) given the track's target x_d at their
+    time or times, None without a track (see potential_eval; |x|^2 from grid._squared_norm), its
+    gaussian closure (see Potential.gaussian_moments), and whether it depends on time (then it
+    needs a track), grows like |x|^2, or vanishes."""
 
     evaluate: Callable
     moments: Callable
@@ -382,12 +383,12 @@ class _PotentialRow(NamedTuple):
 
 
 _POTENTIALS = {
-    "zero": _PotentialRow(lambda pot, x, t: np.zeros(x.shape[:-1]), lambda pot, m, S, t: (0 * m[..., 0], 0 * m, 0 * S),
+    "zero": _PotentialRow(lambda x, target: np.zeros(x.shape[:-1]), lambda pot, m, S, t: (0 * m[..., 0], 0 * m, 0 * S),
                           is_zero=True),
-    "gaussian-well": _PotentialRow(lambda pot, x, t: 1.0 - np.exp(-_squared_norm(x)), _well_moments),
-    "quadratic": _PotentialRow(lambda pot, x, t: _squared_norm(x), _square_moments, confining=True),
+    "gaussian-well": _PotentialRow(lambda x, target: 1.0 - np.exp(-_squared_norm(x)), _well_moments),
+    "quadratic": _PotentialRow(lambda x, target: _squared_norm(x), _square_moments, confining=True),
     "tracking": _PotentialRow(
-        lambda pot, x, t: _squared_norm(x, pot.target_at(t)[..., None, :]), _square_moments,
+        lambda x, target: _squared_norm(x, target[..., None, :]), _square_moments,
         time_dependent=True, confining=True,
     ),
 }
@@ -463,7 +464,7 @@ class Potential:
         return (1.0 - w) * xs[i] + w * xs[i + 1]
 
 
-def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarray:
+def potential_eval(potential: Potential, points: np.ndarray, t=0.0, target=None) -> np.ndarray:
     """Exact analytic evaluation of a potential at points (..., d).
 
     A scalar or a flat array raises ValueError (see grid._points), and so do
@@ -472,12 +473,23 @@ def potential_eval(potential: Potential, points: np.ndarray, t=0.0) -> np.ndarra
     S + (M, d), or (M, d) shared by every time: the values have shape
     S + (M,), row s at time t[s].  A preset that does not depend on time
     gives ``points.shape[:-1]``, which broadcasts against S + (M,).
+    ``target`` is ``potential.target_at(t)``, of shape S + (d,), if the
+    caller has it already looked up (as eval_drift's ``control``); another
+    shape, or a target for a potential without a track, raises ValueError.
     """
     pts = _points(points)
-    track_x = potential._track[1]
-    if potential.time_dependent and track_x.shape[-1] != pts.shape[-1]:
-        raise ValueError(f"points must have the layout (..., d) with the track's d = {track_x.shape[-1]}, got {pts.shape}")
-    return potential._row.evaluate(potential, pts, t)
+    if not potential.time_dependent:
+        if target is not None:
+            raise ValueError(f"potential {potential.name!r} has no track, so it takes no target")
+        return potential._row.evaluate(pts, None)
+    d = potential._track[1].shape[-1]
+    if pts.shape[-1] != d:
+        raise ValueError(f"points must have the layout (..., d) with the track's d = {d}, got {pts.shape}")
+    if target is None:
+        target = potential.target_at(t)
+    elif np.shape(target) != np.shape(t) + (d,):
+        raise ValueError(f"target must have the layout t.shape + (d,) = {np.shape(t) + (d,)}, got {np.shape(target)}")
+    return potential._row.evaluate(pts, target)
 
 
 @dataclass(frozen=True)

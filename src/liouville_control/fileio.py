@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -79,7 +80,9 @@ def read_control_csv(path: str) -> ControlPath:
     some d >= 1, then at least 3 rows of that width, else SchemaError.  The
     ``t`` column must be the uniform grid's nodes, ``TimeGrid(T, nt).nodes()``
     for its last entry T and its nt + 1 rows, bit for bit, else SchemaError."""
-    with open(path) as fh:
+    with open(path) as fh, warnings.catch_warnings():
+        # a file without rows fails the node count below, which reports it once
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     d = (len(header) - 1) // 2

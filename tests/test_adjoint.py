@@ -12,6 +12,7 @@ from liouville_control import (
     CostSpec,
     DriftPreset,
     DriftSpec,
+    InvalidGrid,
     Potential,
     ScalarField,
     adjoint_energy_certificate,
@@ -26,7 +27,8 @@ from liouville_control import (
     solve_adjoint,
     solve_forward,
 )
-from liouville_control.grid import _block_nodes
+from liouville_control.cli import load_scenario
+from liouville_control.grid import _block_nodes, apply_stencil
 from test_controls import bits_equal
 
 
@@ -344,25 +346,68 @@ def test_sweep_across_stencil_blocks_matches_the_per_step_march(dim):
         assert bits_equal(traj.nodes[n], ref[n])
 
 
+# the benchmark's seed-0 start: the scenario's control plus t * (1, -0.5)
+# on every axis, t the low end of the workload's band
+BENCH_STARTS = [("gaussian-tracking-1d", -0.005), ("confining-2d", -0.02)]
+
+
+@pytest.mark.parametrize("scenario, offset", BENCH_STARTS, ids=[name for name, _ in BENCH_STARTS])
+def test_each_continued_value_is_that_of_a_march_of_its_own(scenario, offset):
+    # the off-grid march carries the escaped feet of all steps in one batch,
+    # each joining at its own step; a foot marched alone from its escape
+    # step to T, then read by -phi, must give the batch's value bit for bit.
+    # Every foot of a spread of escape steps, from the longest march to
+    # none at all (766 single-point RK4 steps in 1D, 9,690 in 2D): one
+    # march per escaped foot would take 65,280 in 1D and 205,632 in 2D
+    cfg = load_scenario(scenario)
+    prob = cfg.problem()
+    g, tg, cost = prob.grid, prob.timegrid, prob.cost
+    nt, dt = tg.nt, tg.dt
+    u1, u2 = cfg.control.nodes[0, :g.dim], cfg.control.nodes[0, g.dim:]
+    drift = prob.drift_for(ControlPath.constant(tg, u1 + offset, u2 - 0.5 * offset))
+    feet, cells, values, ends = adjoint_module._trace(g, drift, cost, tg)
+    assert np.all(np.diff(ends) > 0)  # feet escape at every step
+    assert cost.theta.time_dependent == (g.dim == 1)
+    rows = [drift.control.value_at(np.array([j * dt, j * dt + 0.5 * dt, j * dt + dt])) for j in range(nt)]
+    for k in (0, nt // 2, nt - 2, nt - 1):
+        for i in range(ends[k], ends[k + 1]):
+            x = feet[k, cells[i]][None, :]
+            acc = np.zeros(1)
+            for j in range(k + 1, nt):
+                x_next = adjoint_module._rk4_feet(drift, j * dt, dt, x, rows[j])
+                acc += adjoint_module._theta_line_integral(cost.theta, j * dt, dt, x, x_next)
+                x = x_next
+            assert bits_equal(values[i:i + 1], -potential_eval(cost.phi, x, nt * dt) - acc)
+
+
 def test_march_looks_the_control_up_once(monkeypatch):
     # the off-grid march and every block of centre feet read the control
-    # at their stage times from one lookup
+    # at their stage times from one lookup, and the march reads a tracking
+    # theta's target at its midpoint times from one more
     g, tg = make_grid(1, -4, 4, 1000), make_timegrid(1.0, 40)
     s = np.linspace(0.0, 1.0, tg.nt + 1)[:, None]
     drift = DriftSpec(DriftPreset("gaussian-bump", {"c": 0.5, "sigma": 1.0}), ControlPath(tg, 1.0 + 0.5 * np.sin(3.0 * s), 0.3 - 0.2 * s))
-    cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
-    calls = []
-    value_at = ControlPath.value_at
+    for theta in (Potential("quadratic"), Potential.tracking([[0.1, -1.0], [0.8, 2.0]])):
+        cost = CostSpec(gamma=1.0, theta=theta, phi=Potential("quadratic"))
+        calls, tracks = [], []
+        value_at, target_at = ControlPath.value_at, Potential.target_at
 
-    def counted(self, t):
-        calls.append(np.shape(t))
-        return value_at(self, t)
+        def counted(self, t):
+            calls.append(np.shape(t))
+            return value_at(self, t)
 
-    monkeypatch.setattr(ControlPath, "value_at", counted)
-    _, cells, _, _ = adjoint_module._trace(g, drift, cost, tg)
-    assert cells.size > tg.nt  # the march runs
-    assert 1 < _block_nodes(g.num_cells) < tg.nt  # over several blocks of centre feet
-    assert calls == [(3, tg.nt)]
+        def counted_track(self, t):
+            tracks.append(np.shape(t))
+            return target_at(self, t)
+
+        monkeypatch.setattr(ControlPath, "value_at", counted)
+        monkeypatch.setattr(Potential, "target_at", counted_track)
+        _, cells, _, _ = adjoint_module._trace(g, drift, cost, tg)
+        monkeypatch.undo()
+        assert cells.size > tg.nt  # the march runs
+        assert 1 < _block_nodes(g.num_cells) < tg.nt  # over several blocks of centre feet
+        assert calls == [(3, tg.nt)]
+        assert tracks == ([(tg.nt,)] if theta.time_dependent else [])
 
 
 def test_no_block_of_terms_outlives_its_sweep(monkeypatch):
@@ -428,6 +473,27 @@ def test_non_finite_feet_raise(monkeypatch):
     cost = CostSpec(gamma=1.0, theta=Potential("quadratic"), phi=Potential("quadratic"))
     with pytest.raises(CharacteristicEscape, match="non-finite feet"):
         solve_adjoint(cost, drift, tg, g)
+
+
+def test_a_node_that_is_not_finite_stops_the_backward_pass(monkeypatch):
+    # the third step writes a NaN into its node; the fourth reads that node
+    # and raises before it interpolates
+    g, tg = setup(n=64, nt=16)
+    drift = DriftSpec(DriftPreset("zero"), ControlPath.constant(tg, [0.4], [0.1]))
+    cost = CostSpec(gamma=1.0, theta=Potential("gaussian-well"), phi=Potential("gaussian-well"))
+    calls = []
+
+    def poisoned(values, idx, wts, clip=False):
+        calls.append(idx.shape)
+        vals = apply_stencil(values, idx, wts, clip)
+        if len(calls) == 3:
+            vals[5] = math.nan
+        return vals
+
+    monkeypatch.setattr(adjoint_module, "apply_stencil", poisoned)
+    with pytest.raises(InvalidGrid, match="field values must be finite"):
+        solve_adjoint(cost, drift, tg, g)
+    assert len(calls) == 3
 
 
 def test_adjoint_keeps_every_node_and_drops_its_feet(monkeypatch):

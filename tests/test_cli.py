@@ -790,6 +790,22 @@ def test_oracle_compare_refuses_a_source_before_any_solve(tmp_path, capsys, monk
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
+def test_oracle_compare_refuses_an_a0_without_exact_flow_before_any_solve(tmp_path, capsys, monkeypatch):
+    # gaussian-bump is not affine, so no resolution has an exact density to
+    # compare with: the run exits 2 with its diagnostic before the first solve
+    solves = []
+    solve = forward_module.solve_forward
+    monkeypatch.setattr("liouville_control.reduced.solve_forward", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    cfg = dict(MINIMAL, a0={"preset": "gaussian-bump", "params": {"c": [0.5], "sigma": 1.0}})
+    out = tmp_path / "o"
+    assert run_command(["oracle-compare", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    message = "no exact flow for a0 preset 'gaussian-bump'"
+    rep = json.loads((out / "report.json").read_text())
+    assert rep == {"error": "UnsupportedDrift", "message": message, "command": "oracle-compare"}
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert solves == []
+
+
 @pytest.mark.parametrize("command", ["cost", "adjoint"])
 def test_run_command_names_the_command_of_each_report(tmp_path, command):
     # a command returns its report without its name; run_command adds it

@@ -625,6 +625,27 @@ def test_potential_at_an_array_of_times_matches_scalar_calls(pot, dim):
             assert bits_equal(targets[b], tuple_target_at(pot, float(t)))
 
 
+TRACKING_CASES = [(pot, dim) for pot, dim in POTENTIAL_CASES if pot.time_dependent]
+
+
+@pytest.mark.parametrize("pot, dim", TRACKING_CASES, ids=[f"{d}d" for _, d in TRACKING_CASES])
+def test_potential_with_the_target_looked_up_matches_its_own_lookup(pot, dim):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-3.0, 3.0, size=(9, dim))
+    times = np.array([-1.0, 0.1, 0.2, 0.55, 0.9, 3.0])
+    rows = rng.uniform(-3.0, 3.0, size=(times.size, 9, dim))
+    for t, x in ((0.37, pts), (times, pts), (times, rows)):
+        assert bits_equal(potential_eval(pot, x, t, target=pot.target_at(t)), potential_eval(pot, x, t))
+    # a target per time, each of the track's d entries
+    for t, target in ((0.37, np.zeros(dim + 1)), (0.37, np.zeros((1, dim))), (times, np.zeros(dim)),
+                      (times, np.zeros((times.size + 1, dim)))):
+        with pytest.raises(ValueError, match="target must have the layout"):
+            potential_eval(pot, pts, t, target=target)
+    # a potential without a track takes no target
+    with pytest.raises(ValueError, match="has no track"):
+        potential_eval(Potential("quadratic"), pts, 0.37, target=pot.target_at(0.37))
+
+
 def summed_squares_potential(pot, x, t):
     """A potential row with |v|^2 as ``(v**2).sum(axis=-1)``, the reference
     whose bits the per-coordinate kernel must give."""

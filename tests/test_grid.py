@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -566,3 +567,14 @@ def test_control_csv_needs_the_header_that_write_control_csv_writes(tmp_path, he
     p.write_text(header + "\n" + "".join(",".join([str(0.5 * k)] + ["0"] * (width - 1)) + "\n" for k in range(3)))
     with pytest.raises(SchemaError, match=match):
         read_control_csv(str(p))
+
+
+def test_control_csv_with_a_header_and_no_rows_is_reported_once(tmp_path):
+    # numpy's "input contained no data" warning would report the file a
+    # second time; under "error" it would be raised instead of SchemaError
+    p = tmp_path / "empty.csv"
+    p.write_text("t,u1_1,u2_1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="empty.csv needs at least 3 nodes"):
+            read_control_csv(str(p))

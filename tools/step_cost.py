@@ -1,7 +1,8 @@
 """Print the wall time of one ``solve_forward``, one ``solve_linearized``, one
-``solve_adjoint`` and one gradient assembly (``assemble_integral_path``) on
-each shipped scenario, for one or more source trees, with the trees' runs
-interleaved.
+``solve_adjoint``, the adjoint's characteristic tracing on its own
+(``adjoint._trace``: the feet of the cell centres and the off-grid march)
+and one gradient assembly (``assemble_integral_path``) on each shipped
+scenario, for one or more source trees, with the trees' runs interleaved.
 
 Each source tree gets one child process, with BLAS/OpenMP pinned to one
 thread, that builds every scenario's problem from its shipped config and
@@ -34,17 +35,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-SOLVES = ("solve_forward", "solve_linearized", "solve_adjoint", "assemble_integral_path")
+SOLVES = ("solve_forward", "solve_linearized", "solve_adjoint", "_trace", "assemble_integral_path")
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 # a child: builds the problems of the scenarios named in argv, answers
 # "ready", then reads "<scenario> <solve>" lines and answers each with the
 # wall time of one such solve in seconds and its substep count (0 for the
-# adjoint and the assembly)
+# adjoint, its tracing and the assembly)
 _CHILD = """
 import sys, time
 import numpy as np
-from liouville_control.adjoint import solve_adjoint
+from liouville_control.adjoint import _trace, solve_adjoint
 from liouville_control.cli import parse_config, scenario_path
 from liouville_control.controls import ControlPath
 from liouville_control.forward import solve_forward, solve_linearized
@@ -68,6 +69,7 @@ def calls(name):
         "solve_forward": lambda: solve_forward(prob.rho0, drift, prob.source, tg, **prob.solver),
         "solve_linearized": lambda: solve_linearized(prob.rho0, drift, delta, prob.source, tg, **prob.solver),
         "solve_adjoint": lambda: solve_adjoint(prob.cost, drift, tg, prob.grid),
+        "_trace": lambda: _trace(prob.grid, drift, prob.cost, tg),
         "assemble_integral_path": lambda: assemble_integral_path(prob, rho, q, cross_check=False),
     }
 
